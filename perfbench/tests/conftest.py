@@ -1,0 +1,7 @@
+"""Import paths for the benchmark's tests: its own modules and ./src."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
