@@ -14,7 +14,8 @@ from .evaluation import (CognitiveScenario, DofEstimate, GapProbe, RateRecord,
                          in_dof_region, sample_dof_region, snr_sweep,
                          REGION_CORNERS)
 from .mimo import build_mimo_even, build_mimo_odd, loop_matrix, mimo_extension
-from .receiver import AlignmentReport, RateResult, check_alignment, zf_rates
+from .receiver import (AlignmentReport, RateResult, ZfGains, check_alignment,
+                       zf_gains, zf_rates)
 from .schemes import (DesignedScheme, MimoScheme, PrecoderScheme, SisoScheme,
                       save_scheme, scheme_to_dict)
 from .siso import (build_precoders_general, build_precoders_k3,

@@ -5,9 +5,14 @@ magnitude uniform in [a_min, a_max] and phase uniform in [0, 2pi). That is
 one admissible continuous distribution with magnitudes bounded away from
 zero and infinity, and it makes the bound invariant directly testable.
 
-Every (receiver, transmitter, slot) coefficient block comes from its own
-counter-derived Philox stream, so regeneration is bit-identical for a given
-seed and independent of the order in which links are materialized.
+Every (receiver, transmitter, slot) coefficient block has its own Philox
+stream keyed by (block index, seed). One vectorized Philox4x64-10 counter
+kernel (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11)
+evaluates all of them at once, so generation costs a fixed number of array
+operations instead of one generator per block. Each block's coefficients
+depend only on its key, never on the order in which blocks are drawn, and
+are bit-identical to drawing them with ``np.random.Philox`` one block at a
+time.
 """
 
 from __future__ import annotations
@@ -45,13 +50,6 @@ class ChannelSet:
     seed: int
     coeffs: np.ndarray
 
-    def link(self, k: int, j: int) -> np.ndarray:
-        """The F slot matrices of the link from transmitter j to receiver k."""
-        return self.coeffs[k, j]
-
-    def slot_matrix(self, k: int, j: int, f: int) -> np.ndarray:
-        return self.coeffs[k, j, f]
-
 
 @dataclass(frozen=True)
 class ExtendedChannel:
@@ -80,6 +78,17 @@ class ExtendedChannel:
             out[lo:lo + self.M, lo:lo + self.M] = self.blocks[k, j, f]
         return out
 
+    def apply(self, k: int, j: int, v: np.ndarray) -> np.ndarray:
+        """``matrix(k, j) @ v`` for an (L*M) x d ``v``, from the blocks alone.
+
+        Elementwise for M = 1, one batched (L, M, M) @ (L, M, d) product
+        otherwise; the zero off-block entries are never formed.
+        """
+        blocks = self.blocks[k, j]
+        if self.M == 1:
+            return blocks[:, 0] * v
+        return (blocks @ v.reshape(self.L, self.M, -1)).reshape(self.dim, -1)
+
     def diagonal(self, k: int, j: int) -> np.ndarray:
         """Diagonal entries of one link's extended matrix (M = 1 only)."""
         if self.M != 1:
@@ -92,10 +101,45 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _stream(seed: int, index: int) -> np.random.Generator:
-    # 128-bit Philox key = (seed, link index); streams never collide and do
-    # not depend on generation order.
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | index))
+# Philox4x64 round multipliers and Weyl key increments (Random123), one row
+# per multiply lane
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_PHILOX_ROUNDS = np.arange(10, dtype=np.uint64)[:, None, None]
+# 0-d operands: numpy dispatches them faster than Python or numpy scalars
+_LO32 = np.array(0xFFFFFFFF, dtype=np.uint64)
+_HALF = np.array(32, dtype=np.uint64)
+
+
+def _philox4x64(counter: np.ndarray, key0: np.ndarray, key1: int) -> np.ndarray:
+    """Philox4x64-10 of counters (counter, 0, 0, 0) under keys (key0, key1).
+
+    Returns the four output words of every counter, shape (n, 4), in the
+    order numpy's ``Philox`` bit generator emits them. A round maps words
+    (c0, c1, c2, c3) to (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1,
+    lo(M0 c0)), and the key is bumped by a Weyl increment between rounds.
+    Words 0 and 2, the two multiply lanes, travel together as one (2, n)
+    array, and so do words 1 and 3; the high half of each 64 x 64-bit
+    product is assembled from 32-bit partial products, all in wrapping
+    uint64.
+    """
+    n = counter.shape[0]
+    even = np.zeros((2, n), dtype=np.uint64)  # words 0 and 2
+    even[0] = counter
+    odd = np.zeros((2, n), dtype=np.uint64)  # words 1 and 3
+    key = np.empty((2, n), dtype=np.uint64)
+    key[0] = key0
+    key[1] = key1
+    keys = key + _PHILOX_ROUNDS * _PHILOX_W  # key of every round, wrapping
+    m = np.broadcast_to(_PHILOX_M, (2, n)).copy()
+    m_lo, m_hi = m & _LO32, m >> _HALF
+    for round_key in keys:
+        x_lo, x_hi = even & _LO32, even >> _HALF
+        t = m_lo * x_hi + ((m_lo * x_lo) >> _HALF)
+        u = m_hi * x_lo + (t & _LO32)
+        hi = m_hi * x_hi + (t >> _HALF) + (u >> _HALF)
+        even, odd = hi[::-1] ^ odd ^ round_key, (m * even)[::-1]
+    return np.stack((even[0], odd[0], even[1], odd[1]), axis=1)
 
 
 def generate_channels(K: int, M: int, F: int,
@@ -126,14 +170,18 @@ def generate_channels(K: int, M: int, F: int,
     if not (0 <= int(seed) < 2 ** 64):
         raise ParameterError("seed must fit in an unsigned 64-bit integer")
 
-    coeffs = np.empty((K, K, F, M, M), dtype=complex)
-    for k in range(K):
-        for j in range(K):
-            for f in range(F):
-                rng = _stream(seed, (k * K + j) * F + f)
-                mag = rng.uniform(a_min, a_max, size=(M, M))
-                phase = rng.uniform(0.0, 2.0 * np.pi, size=(M, M))
-                coeffs[k, j, f] = mag * np.exp(1j * phase)
+    # block (k, j, f) has key (its flat index, seed) and reads counters
+    # 1..per_block; its first M*M words give magnitudes, the next M*M phases
+    blocks, words = K * K * F, 2 * M * M
+    per_block = -(-words // 4)
+    counter = np.tile(np.arange(1, per_block + 1, dtype=np.uint64), blocks)
+    index = np.repeat(np.arange(blocks, dtype=np.uint64), per_block)
+    out = _philox4x64(counter, index, int(seed)).reshape(blocks, 4 * per_block)
+    # numpy's uniform(low, high) is low + (high - low) * ((w >> 11) * 2**-53)
+    u = (out[:, :words] >> np.uint64(11)).astype(float) * 2.0 ** -53
+    mag = a_min + (a_max - a_min) * u[:, :M * M]
+    phase = (2.0 * np.pi) * u[:, M * M:]
+    coeffs = (mag * np.exp(1j * phase)).reshape(K, K, F, M, M)
     return ChannelSet(K=K, M=M, F=F, a_min=float(a_min), a_max=float(a_max),
                       seed=int(seed), coeffs=_freeze(coeffs))
 

@@ -3,7 +3,9 @@
 A sweep regenerates channels per trial (never per SNR point: the same
 realization is evaluated across the whole grid so constant terms cancel out
 of slope estimates), rebuilds the scheme, and records zero-forcing rates.
-Trials whose construction or alignment fails are recorded as failure rows.
+The zero-forcing geometry is computed once per trial and every grid point
+is evaluated from its cached gains. Trials whose construction or alignment
+fails are recorded as failure rows.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .designed import build_designed_channel
 from .errors import (AlignmentError, DegeneracyError, InsufficientDataError,
                      ParameterError, RegionMembershipError, SingularChannelError)
 from .mimo import build_mimo_even, build_mimo_odd, mimo_extension
-from .receiver import check_alignment, zf_rates
+from .receiver import check_alignment, zf_gains
 from .siso import (DEFAULT_SIZE_CAP, build_precoders_general, build_precoders_k3,
                    guarded_extension_general)
 
@@ -163,12 +165,9 @@ def snr_sweep(config: SchemeConfig, snr_db, trials: int, seed: int,
             report = check_alignment(scheme, ext)
             if not report.passed:
                 raise AlignmentError("alignment checks failed")
-            out = []
-            for snr in grid:
-                rho = 10.0 ** (snr / 10.0)
-                result = zf_rates(scheme, ext, rho, report=report)
-                out.append(RateRecord(snr, tseed, tuple(result.rates), "ok"))
-            return out
+            gains = zf_gains(scheme, ext, report=report)
+            return [RateRecord(snr, tseed, gains.rates(10.0 ** (snr / 10.0)).rates, "ok")
+                    for snr in grid]
         except (AlignmentError, DegeneracyError, SingularChannelError):
             return [RateRecord(snr, tseed, None, "failed") for snr in grid]
 
@@ -200,8 +199,17 @@ def estimate_dof(table: RateTable) -> DofEstimate:
     successful trials are required. The half-width is a normal 95% interval
     from the spread of per-trial slopes.
     """
-    usable = [s for s in table.snr_db
-              if s >= MIN_FIT_SNR_DB and table.ok_records(s)]
+    high = [s for s in table.snr_db if s >= MIN_FIT_SNR_DB]
+    usable = [s for s in high if table.ok_records(s)]
+    if len(high) >= 2 and len(usable) < 2:
+        # the grid is long enough; failed trials left too little to fit
+        trials = len({r.seed for r in table.records})
+        failed = trials - len({r.seed for s in high for r in table.ok_records(s)})
+        if failed == trials:
+            raise InsufficientDataError(f"all {trials} trials failed")
+        raise InsufficientDataError(
+            f"{failed} of {trials} trials failed, leaving {len(usable)} of "
+            f"{len(high)} SNR points at >= 40 dB with successful trials")
     if len(usable) < 2:
         raise InsufficientDataError(
             "need at least two SNR points at >= 40 dB with successful trials")

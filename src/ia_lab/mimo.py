@@ -127,10 +127,9 @@ def build_mimo_odd(ch: ChannelSet) -> MimoScheme:
         raise ShapeError("constant-channel construction expects F=1")
     _, vectors = sorted_eigenbasis(loop_matrix(ch))
     ext = extend_channel(ch, 2, mode="constant-time")
-    Hb = lambda k, j: ext.matrix(k, j)
     v_tx1 = interleaved_seed(vectors)
-    v_tx2 = _solve(Hb(2, 1), Hb(2, 0) @ v_tx1, "extended H32")
-    v_tx3 = _solve(Hb(1, 2), Hb(1, 0) @ v_tx1, "extended H23")
+    v_tx2 = _solve(ext.matrix(2, 1), ext.apply(2, 0, v_tx1), "extended H32")
+    v_tx3 = _solve(ext.matrix(1, 2), ext.apply(1, 0, v_tx1), "extended H23")
     for idx, v in enumerate((v_tx1, v_tx2, v_tx3)):
         _check_columns(v, f"precoder of transmitter {idx + 1}")
     return MimoScheme(family="mimo", K=3, M=M, L=2,

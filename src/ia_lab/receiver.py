@@ -7,6 +7,14 @@ containments, span equalities). Rates are computed by projecting onto the
 orthogonal complement of the interference span and jointly decoding the
 desired streams there: projection keeps the noise white, so the rate is a
 log-det over the projected effective channel.
+
+All channel products go through ``ExtendedChannel.apply``, which works on
+the diagonal blocks and never forms the dense block-diagonal matrices. The
+interference geometry does not depend on the transmit power, so it is
+computed once per trial: :func:`zf_gains` finds each receiver's
+interference-free subspace and the squared singular values of its
+projected effective channel, and :meth:`ZfGains.rates` turns those cached
+gains into rates for any number of SNR points.
 """
 
 from __future__ import annotations
@@ -92,16 +100,17 @@ class AlignmentReport:
 
 
 def _interference_stack(scheme, ext, k) -> np.ndarray:
-    return np.hstack([ext.matrix(k, j) @ scheme.precoders[j]
+    return np.hstack([ext.apply(k, j, scheme.precoders[j])
                       for j in range(scheme.K) if j != k])
 
 
 def _family_relations(scheme, ext, residual_tol, span_tol):
     """Enumerate the alignment relations promised by the scheme family."""
     K = scheme.K
-    V = scheme.precoders
-    H = ext.matrix
     checks = []
+
+    def HV(k, j):
+        return ext.apply(k, j, scheme.precoders[j])
 
     def eq(rx, desc, a, b):
         checks.append(RelationCheck(desc, rx, "equality",
@@ -117,36 +126,36 @@ def _family_relations(scheme, ext, residual_tol, span_tol):
 
     if scheme.family == "siso-k3":
         eq(0, "rx1: interference from tx2 equals interference from tx3",
-           H(0, 1) @ V[1], H(0, 2) @ V[2])
+           HV(0, 1), HV(0, 2))
         subset(1, "rx2: interference from tx3 within interference from tx1",
-               H(1, 2) @ V[2], H(1, 0) @ V[0])
+               HV(1, 2), HV(1, 0))
         subset(2, "rx3: interference from tx2 within interference from tx1",
-               H(2, 1) @ V[1], H(2, 0) @ V[0])
+               HV(2, 1), HV(2, 0))
     elif scheme.family == "siso-general":
-        ref = H(0, 1) @ V[1]
+        ref = HV(0, 1)
         for j in range(2, K):
             eq(0, f"rx1: interference from tx{j + 1} equals interference from tx2",
-               H(0, j) @ V[j], ref)
+               HV(0, j), ref)
         for i in range(1, K):
             for j in range(1, K):
                 if j == i:
                     continue
                 subset(i, f"rx{i + 1}: interference from tx{j + 1} within tx1's",
-                       H(i, j) @ V[j], H(i, 0) @ V[0])
+                       HV(i, j), HV(i, 0))
     elif scheme.family == "mimo":
         span(0, "rx1: spans of interference from tx2 and tx3 coincide",
-             H(0, 1) @ V[1], H(0, 2) @ V[2])
+             HV(0, 1), HV(0, 2))
         eq(1, "rx2: interference from tx1 equals interference from tx3",
-           H(1, 0) @ V[0], H(1, 2) @ V[2])
+           HV(1, 0), HV(1, 2))
         eq(2, "rx3: interference from tx1 equals interference from tx2",
-           H(2, 0) @ V[0], H(2, 1) @ V[1])
+           HV(2, 0), HV(2, 1))
     elif scheme.family == "designed":
         for k in range(K):
             others = [j for j in range(K) if j != k]
-            ref = H(k, others[0]) @ V[others[0]]
+            ref = HV(k, others[0])
             for j in others[1:]:
                 eq(k, f"rx{k + 1}: interference from tx{j + 1} equals tx{others[0] + 1}'s",
-                   H(k, j) @ V[j], ref)
+                   HV(k, j), ref)
     else:
         raise ParameterError(f"unknown scheme family {scheme.family!r}")
     return tuple(checks)
@@ -182,7 +191,7 @@ def check_alignment(scheme: PrecoderScheme, ext: ExtendedChannel,
 
     receivers = []
     for k in range(scheme.K):
-        desired = ext.matrix(k, k) @ scheme.precoders[k]
+        desired = ext.apply(k, k, scheme.precoders[k])
         interference = _interference_stack(scheme, ext, k)
         joint = np.hstack([desired, interference])
         receivers.append(ReceiverCheck(
@@ -217,32 +226,58 @@ class RateResult:
         return float(sum(self.rates))
 
 
-def zf_rates(scheme: PrecoderScheme, ext: ExtendedChannel, rho: float,
+@dataclass(frozen=True)
+class ZfGains:
+    """Power-independent zero-forcing geometry of one scheme on one channel.
+
+    ``gains[k]`` holds the squared singular values of receiver k's projected
+    effective channel, one per desired stream; ``L`` is the extension
+    length. Rates at any power follow from these alone.
+    """
+
+    L: int
+    gains: tuple
+
+    def rates(self, rho: float) -> RateResult:
+        """Rates at total transmit power ``rho``.
+
+        rate_k = sum over gains g of log2(1 + p_k g) / L, with
+        p_k = (rho / K) * L / d_k per stream.
+        """
+        if rho < 0:
+            raise ParameterError(f"transmit power must be nonnegative, got {rho}")
+        K, L = len(self.gains), self.L
+        rates = []
+        powers = []
+        for gains in self.gains:
+            p_k = (rho / K) * L / gains.size
+            rates.append(float(np.sum(np.log2(1.0 + p_k * gains)) / L))
+            powers.append(p_k)
+        return RateResult(rho=float(rho), rates=tuple(rates),
+                          stream_powers=tuple(powers))
+
+
+def zf_gains(scheme: PrecoderScheme, ext: ExtendedChannel,
              report: AlignmentReport = None,
-             rank_tol: float = RANK_TOL) -> RateResult:
-    """Rates after projecting out the interference at every receiver.
+             rank_tol: float = RANK_TOL) -> ZfGains:
+    """Project out the interference at every receiver, once for all powers.
 
     Receiver k builds an orthonormal basis of the orthogonal complement of
-    its stacked interference, projects (noise stays white), and jointly
-    decodes its own streams: rate_k = log2 det(I + p_k G G^H) / L with
-    G the projected effective channel through unit-norm precoder columns
-    and p_k = (rho / K) * L / d_k per stream.
+    its stacked interference, projects (noise stays white), and keeps the
+    squared singular values of G, the projected effective channel through
+    unit-norm precoder columns.
 
     Refuses to compute when the alignment report fails; a failed report
     means the construction is broken and any rate would be meaningless.
     """
-    if rho < 0:
-        raise ParameterError(f"transmit power must be nonnegative, got {rho}")
     if report is None:
         report = check_alignment(scheme, ext, rank_tol=rank_tol)
     if not report.passed:
         raise AlignmentError(
             "alignment checks fail; refusing to compute zero-forcing rates")
 
-    K, L = scheme.K, ext.L
-    rates = []
-    powers = []
-    for k in range(K):
+    gains = []
+    for k in range(scheme.K):
         interference = _interference_stack(scheme, ext, k)
         basis = orthonormal_complement(interference, rank_tol)
         d_k = scheme.precoders[k].shape[1]
@@ -252,9 +287,21 @@ def zf_rates(scheme: PrecoderScheme, ext: ExtendedChannel, rho: float,
                 f"{basis.shape[1]}-dimensional interference-free subspace")
         v = scheme.precoders[k]
         v_unit = v / np.linalg.norm(v, axis=0)
-        effective = basis.conj().T @ ext.matrix(k, k) @ v_unit
-        p_k = (rho / K) * L / d_k
-        gains = np.linalg.svd(effective, compute_uv=False) ** 2
-        rates.append(float(np.sum(np.log2(1.0 + p_k * gains)) / L))
-        powers.append(p_k)
-    return RateResult(rho=float(rho), rates=tuple(rates), stream_powers=tuple(powers))
+        effective = basis.conj().T @ ext.apply(k, k, v_unit)
+        gains.append(np.linalg.svd(effective, compute_uv=False) ** 2)
+    return ZfGains(L=ext.L, gains=tuple(gains))
+
+
+def zf_rates(scheme: PrecoderScheme, ext: ExtendedChannel, rho: float,
+             report: AlignmentReport = None,
+             rank_tol: float = RANK_TOL) -> RateResult:
+    """Rates after projecting out the interference at every receiver.
+
+    Receiver k decodes its own streams jointly in the interference-free
+    subspace (see :func:`zf_gains`): rate_k = log2 det(I + p_k G G^H) / L
+    with p_k = (rho / K) * L / d_k per stream.
+
+    Refuses to compute when the alignment report fails; a failed report
+    means the construction is broken and any rate would be meaningless.
+    """
+    return zf_gains(scheme, ext, report, rank_tol).rates(rho)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -37,6 +38,58 @@ def test_per_link_streams_do_not_interfere():
     again = generate_channels(3, 1, 5, seed=9, a_min=0.5, a_max=2.0)
     assert np.array_equal(big.coeffs, again.coeffs)
     assert small.coeffs.shape != big.coeffs.shape
+
+
+# SHA-256 over the little-endian complex128 coefficients of the four seeds
+# below, in order; recorded from the one-generator-per-block implementation
+GOLDEN_SEEDS = (0, 1, 2 ** 63 + 5, 2 ** 64 - 1)
+GOLDEN_COEFFS = {
+    ((3, 1, 3), (0.5, 2.0)): "a673538c0029042bb4d6e64665d5e847ca6bb37e694bf796e95c3122f5957220",
+    ((3, 1, 3), (1.0, 1.0)): "4decd31afaa79e38525a23e936a65d1ce038f532e491fbc00bd61632c66cfd57",
+    ((4, 1, 5), (0.5, 2.0)): "369c0290cf936be72e4c70dccd1c84275aacf63959f71dd29fce03cc48201d05",
+    ((4, 1, 5), (1.0, 1.0)): "369be8b328c6637df64a3051558542f8c122484593521c883d32bc96e8117487",
+    ((4, 1, 275), (0.5, 2.0)): "a52a5ba8ab42c33a2f6b1f5f656cc525c78132529956c93cdab51fe37137d2b9",
+    ((4, 1, 275), (1.0, 1.0)): "981c6bb10f97825d30634c228f8d3c4e16a0f20c2e4e524985f12ad0fc86d4bb",
+    ((3, 2, 1), (0.5, 2.0)): "7990a675ed83cd4249dfd49151af86e08c81feff0d44e09b3276f7e8e7a859fc",
+    ((3, 2, 1), (1.0, 1.0)): "a0f2312a1bd5ec61257e6f6b91b18188a5ebe5aab366bf047f0aba4a61ed8ca6",
+    ((3, 3, 1), (0.5, 2.0)): "133e3a995675ddd5531d7ae2300466197e59e48bfbbeeeb7ed3e389bf6cba39f",
+    ((3, 3, 1), (1.0, 1.0)): "3fa8e00c533ef01ade9fd2f214857054231648466528a98f977c72f4b3a838cf",
+    ((2, 5, 2), (0.5, 2.0)): "119da02adee7a9f6569fa414b63273c0255f2a3023c1aa3ef62c5e586137b1d9",
+    ((2, 5, 2), (1.0, 1.0)): "27f85a3e5cbc4ed17863aa98cf52cd11c85b14678ca5f3edae8eb1e915e341b3",
+}
+
+
+@pytest.mark.parametrize("shape,law", sorted(GOLDEN_COEFFS))
+def test_coefficients_match_golden_fingerprints(shape, law):
+    digest = hashlib.sha256()
+    for seed in GOLDEN_SEEDS:
+        coeffs = generate_channels(*shape, *law, seed=seed).coeffs
+        digest.update(np.ascontiguousarray(coeffs, dtype="<c16").tobytes())
+    assert digest.hexdigest() == GOLDEN_COEFFS[(shape, law)]
+
+
+def per_block_philox(K, M, F, a_min, a_max, seed):
+    """Reference draw: one numpy Philox generator per (k, j, f) block, keyed
+    by (seed << 64) | block index."""
+    coeffs = np.empty((K, K, F, M, M), dtype=complex)
+    for k in range(K):
+        for j in range(K):
+            for f in range(F):
+                key = (seed << 64) | ((k * K + j) * F + f)
+                rng = np.random.Generator(np.random.Philox(key=key))
+                mag = rng.uniform(a_min, a_max, size=(M, M))
+                phase = rng.uniform(0.0, 2.0 * np.pi, size=(M, M))
+                coeffs[k, j, f] = mag * np.exp(1j * phase)
+    return coeffs
+
+
+@settings(max_examples=40, deadline=None)
+@given(K=st.integers(2, 4), M=st.integers(1, 5), F=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 64 - 1),
+       law=st.sampled_from([(0.5, 2.0), (1.0, 1.0), (0.25, 1.5)]))
+def test_kernel_matches_per_block_numpy_philox(K, M, F, seed, law):
+    drawn = generate_channels(K, M, F, *law, seed=seed)
+    assert np.array_equal(drawn.coeffs, per_block_philox(K, M, F, *law, seed))
 
 
 def test_slot_values_distinct_across_seeds():
@@ -93,6 +146,21 @@ def test_constant_time_extension_repeats_first_slot():
     assert np.array_equal(m[:3, :3], ch.coeffs[0, 1, 0])
     assert np.array_equal(m[3:, 3:], ch.coeffs[0, 1, 0])
     assert np.all(m[:3, 3:] == 0) and np.all(m[3:, :3] == 0)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["frequency", "constant-time"])
+def test_apply_matches_dense_product(M, mode):
+    ext = extend_channel(generate_channels(3, M, 4, seed=13), 4, mode=mode)
+    rng = np.random.default_rng(5)
+    for d in (1, 3):
+        v = rng.normal(size=(ext.dim, d)) + 1j * rng.normal(size=(ext.dim, d))
+        for k in range(3):
+            for j in range(3):
+                dense = ext.matrix(k, j) @ v
+                got = ext.apply(k, j, v)
+                assert got.shape == dense.shape
+                assert np.linalg.norm(got - dense) <= 1e-14 * np.linalg.norm(dense)
 
 
 def test_frequency_extension_needs_enough_slots():

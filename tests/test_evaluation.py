@@ -91,6 +91,29 @@ def test_estimate_needs_two_high_snr_points():
         estimate_dof(table)
 
 
+def failed_table(snr_db, trials):
+    records = tuple(RateRecord(snr_db=float(snr), seed=trial, rates=None,
+                               status="failed")
+                    for trial in range(trials) for snr in snr_db)
+    return RateTable(K=3, snr_db=tuple(float(s) for s in snr_db), records=records)
+
+
+def test_estimate_names_the_failed_trials_on_a_long_enough_grid():
+    with pytest.raises(InsufficientDataError, match="^all 20 trials failed$"):
+        estimate_dof(failed_table([160, 180, 200], trials=20))
+    # one trial succeeding at a single high point still cannot be fitted
+    table = failed_table([60, 80], trials=3)
+    ok = RateRecord(snr_db=60.0, seed=0, rates=(1.0, 1.0, 1.0), status="ok")
+    table = RateTable(K=3, snr_db=table.snr_db, records=(ok,) + table.records[1:])
+    with pytest.raises(InsufficientDataError, match="^2 of 3 trials failed, leaving 1 of 2 SNR points"):
+        estimate_dof(table)
+
+
+def test_estimate_keeps_the_short_grid_message_when_trials_fail():
+    with pytest.raises(InsufficientDataError, match="need at least two SNR points"):
+        estimate_dof(failed_table([20, 40], trials=5))
+
+
 def test_gap_constant_offset_has_no_oscillation():
     table = synthetic_table([40, 50, 60, 70, 80],
                             lambda rho: 2.0 * math.log2(1 + rho) + 5.0)

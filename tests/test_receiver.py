@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from ia_lab import (AlignmentError, ParameterError, ShapeError,
+from ia_lab import (AlignmentError, ParameterError, SchemeConfig, ShapeError,
                     build_designed_channel, build_precoders_k3, check_alignment,
-                    extend_channel, generate_channels, zf_rates)
+                    extend_channel, generate_channels, snr_sweep, zf_rates)
 from ia_lab.linalg import orthonormal_complement
 from ia_lab.receiver import _interference_stack
 
@@ -28,6 +28,9 @@ class MatrixOverrideChannel:
 
     def matrix(self, k, j):
         return self._overrides.get((k, j), self._ext.matrix(k, j))
+
+    def apply(self, k, j, v):
+        return self.matrix(k, j) @ v
 
 
 def test_k3_rank_structure():
@@ -181,3 +184,23 @@ def test_report_serializes_to_json():
     assert doc["family"] == "siso-k3"
     assert len(doc["receivers"]) == 3
     assert all("residual" in rel for rel in doc["relations"])
+
+
+@pytest.mark.parametrize("config", [
+    SchemeConfig("siso-k3", n=2),
+    SchemeConfig("siso-general", K=4, n=1),
+    SchemeConfig("mimo", M=2),
+    SchemeConfig("mimo", M=3),
+    SchemeConfig("designed", K=3),
+], ids=lambda c: f"{c.family}-K{c.K}-M{c.M}")
+def test_sweep_rates_equal_per_point_zf_rates(config):
+    # the sweep evaluates its whole grid from one geometry pass per trial;
+    # every point must agree with a from-scratch zf_rates call
+    grid = (0.0, 20.0, 40.0, 60.0, 80.0)
+    table = snr_sweep(config, grid, trials=1, seed=3)
+    scheme, ext = config.build(table.records[0].seed)
+    for rec in table.records:
+        assert rec.status == "ok"
+        expected = zf_rates(scheme, ext, 10.0 ** (rec.snr_db / 10.0)).rates
+        for got, want in zip(rec.rates, expected):
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
