@@ -16,8 +16,7 @@ from .evaluation import (CognitiveScenario, DofEstimate, GapProbe, RateRecord,
 from .mimo import build_mimo_even, build_mimo_odd, loop_matrix, mimo_extension
 from .receiver import (AlignmentReport, RateResult, ZfGains, check_alignment,
                        zf_gains, zf_rates)
-from .schemes import (DesignedScheme, MimoScheme, PrecoderScheme, SisoScheme,
-                      save_scheme, scheme_to_dict)
+from .schemes import PrecoderScheme, save_scheme, scheme_to_dict
 from .siso import (build_precoders_general, build_precoders_k3,
                    cross_pair_gains, guarded_extension_general, loop_gains,
                    required_extension_general)

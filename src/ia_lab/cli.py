@@ -15,15 +15,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channels import extend_channel, generate_channels, load_channels, save_channels
+from .channels import generate_channels, load_channels, save_channels
 from .designed import DelayMatrix, check_delay_parity, simulate_delay_schedule
 from .errors import IaLabError
 from .evaluation import (SchemeConfig, cognitive_dof, decompose_dof_point,
                          estimate_dof, estimate_o1_gap, in_dof_region, snr_sweep)
-from .mimo import build_mimo_even, build_mimo_odd, mimo_extension
+from .families import FAMILIES
 from .receiver import check_alignment
 from .schemes import save_scheme
-from .siso import build_precoders_general, build_precoders_k3, guarded_extension_general
 from .verification import demonstrate_diagonal_infeasibility
 
 
@@ -56,45 +55,35 @@ def _threads() -> int:
         return 1
 
 
-def _add_scheme_options(parser, families=("siso-k3", "siso-general", "mimo", "designed")):
-    parser.add_argument("--scheme", required=True, choices=families)
-    parser.add_argument("--k", type=int, default=3, help="user count")
+def _add_scheme_options(parser):
+    parser.add_argument("--scheme", required=True, choices=tuple(FAMILIES))
+    parser.add_argument("--k", type=int, default=None,
+                        help="user count (default: the channel file's, else 3)")
     parser.add_argument("--m", type=int, default=None,
-                        help="antennas per node (mimo defaults to 2)")
+                        help="antennas per node (default: the channel file's, "
+                             "else 2 for mimo, else 1)")
     parser.add_argument("--n", type=int, default=1, help="alignment order")
     parser.add_argument("--a-min", type=float, default=0.5)
     parser.add_argument("--a-max", type=float, default=2.0)
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _scheme_config(args) -> SchemeConfig:
-    k = args.k
-    if args.scheme == "siso-k3":
-        k, m = 3, 1
-    elif args.scheme == "siso-general":
-        m = 1
-    elif args.scheme == "mimo":
-        k, m = 3, args.m if args.m is not None else 2
-    else:
-        m = 1
-    return SchemeConfig(family=args.scheme, K=k, M=m, n=args.n,
-                        a_min=args.a_min, a_max=args.a_max)
+def _scheme_config(args, k=3, m=None) -> SchemeConfig:
+    """The flags' configuration; ``k`` and ``m`` stand in for flags not given."""
+    k = k if args.k is None else args.k
+    m = m if args.m is None else args.m
+    return SchemeConfig(family=args.scheme, K=k,
+                        M=FAMILIES[args.scheme].default_M if m is None else m,
+                        n=args.n, a_min=args.a_min, a_max=args.a_max)
 
 
-def _build_from_args(args):
-    """Build (scheme, ext) either from a channel file or from the seed."""
-    channels_path = getattr(args, "channels", None)
-    if channels_path is None or args.scheme == "designed":
+def _build(args):
+    """Build (scheme, ext) against the channel file if one is given, taking K
+    and M not given as flags from it, else from the seed."""
+    if args.channels is None:
         return _scheme_config(args).build(args.seed)
-    ch = load_channels(channels_path)
-    if args.scheme == "siso-k3":
-        ext = extend_channel(ch, 2 * args.n + 1)
-        return build_precoders_k3(ext, args.n), ext
-    if args.scheme == "siso-general":
-        ext = extend_channel(ch, guarded_extension_general(ch.K, args.n))
-        return build_precoders_general(ext, args.n), ext
-    scheme = build_mimo_even(ch) if ch.M % 2 == 0 else build_mimo_odd(ch)
-    return scheme, mimo_extension(ch, scheme)
+    ch = load_channels(args.channels)
+    return _scheme_config(args, ch.K, ch.M).build_on(ch)
 
 
 def cmd_gen(args) -> int:
@@ -106,7 +95,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_precode(args) -> int:
-    scheme, _ = _build_from_args(args)
+    scheme, _ = _build(args)
     if args.out:
         save_scheme(scheme, args.out)
     print(json.dumps({"family": scheme.family, "K": scheme.K, "L": scheme.L,
@@ -117,7 +106,7 @@ def cmd_precode(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    scheme, ext = _build_from_args(args)
+    scheme, ext = _build(args)
     report = check_alignment(scheme, ext)
     print(report.to_json())
     return 0 if report.passed else 1
@@ -193,15 +182,18 @@ def cmd_delay(args) -> int:
 def cmd_infeasible(args) -> int:
     deficient = 0
     control_full = 0
+    ranks = set()
     for i in range(args.seeds):
         seed = args.seed + i
         diag_report = demonstrate_diagonal_infeasibility(args.m, seed)
         dense_report = demonstrate_diagonal_infeasibility(args.m, seed, dense=True)
+        ranks.add(diag_report.receivers[0].joint_rank)
         deficient += int(diag_report.receivers[0].joint_rank < args.m)
         control_full += int(dense_report.receivers[0].joint_rank == args.m)
     print(json.dumps({"M": args.m, "seeds": args.seeds,
                       "diagonal_rank_deficient": deficient,
-                      "dense_control_full_rank": control_full}))
+                      "dense_control_full_rank": control_full,
+                      "joint_ranks_seen": sorted(ranks)}))
     ok = deficient == args.seeds and control_full == args.seeds
     return 0 if ok else 1
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .channels import ExtendedChannel
 from .errors import ChannelFileError, ParameterError
-from .schemes import DesignedScheme
+from .schemes import PrecoderScheme
 
 
 def build_designed_channel(K: int) -> tuple:
@@ -38,7 +38,7 @@ def build_designed_channel(K: int) -> tuple:
     blocks.setflags(write=False)
     ext = ExtendedChannel(K=K, M=1, L=2, blocks=blocks)
     beam = np.ones((2, 1), dtype=complex)
-    scheme = DesignedScheme(family="designed", K=K, M=1, L=2,
+    scheme = PrecoderScheme(family="designed", K=K, M=1, L=2,
                             precoders=tuple(beam for _ in range(K)))
     return ext, scheme
 

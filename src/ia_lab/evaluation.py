@@ -19,21 +19,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channels import extend_channel, generate_channels
-from .designed import build_designed_channel
+from .channels import ChannelSet, generate_channels
 from .errors import (AlignmentError, DegeneracyError, InsufficientDataError,
                      ParameterError, RegionMembershipError, SingularChannelError)
-from .mimo import build_mimo_even, build_mimo_odd, mimo_extension
+from .families import get_family
 from .receiver import check_alignment, zf_gains
-from .siso import (DEFAULT_SIZE_CAP, build_precoders_general, build_precoders_k3,
-                   guarded_extension_general)
-
-FAMILIES = ("siso-k3", "siso-general", "mimo", "designed")
+from .siso import DEFAULT_SIZE_CAP
 
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Everything needed to rebuild one scheme family from a seed."""
+    """Everything needed to rebuild one scheme family (see
+    :mod:`ia_lab.families`) from a seed."""
 
     family: str
     K: int = 3
@@ -44,50 +41,33 @@ class SchemeConfig:
     size_cap: int = DEFAULT_SIZE_CAP
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ParameterError(
-                f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if self.family == "siso-k3" and (self.K, self.M) != (3, 1):
-            raise ParameterError("siso-k3 requires K=3, M=1")
-        if self.family == "siso-general" and (self.K < 3 or self.M != 1):
-            raise ParameterError("siso-general requires K>=3, M=1")
-        if self.family == "mimo" and (self.K != 3 or self.M < 2):
-            raise ParameterError("mimo requires K=3, M>=2")
-        if self.family == "designed" and self.K < 2:
-            raise ParameterError("designed requires K>=2")
+        get_family(self.family).check(self.K, self.M)
 
     @property
     def claimed_dof(self) -> Fraction:
         """Sum degrees of freedom the family is designed to achieve."""
-        if self.family == "siso-k3":
-            return Fraction(3 * self.n + 1, 2 * self.n + 1)
-        if self.family == "siso-general":
-            big_n = (self.K - 1) * (self.K - 2) - 1
-            length = (self.n + 1) ** big_n + self.n ** big_n
-            return Fraction((self.n + 1) ** big_n + (self.K - 1) * self.n ** big_n,
-                            length)
-        if self.family == "mimo":
-            return Fraction(3 * self.M, 2)
-        return Fraction(self.K, 2)
+        return get_family(self.family).claimed_dof(self)
 
     def build(self, seed: int):
         """Build (scheme, extended channel) for one realization."""
-        if self.family == "siso-k3":
-            length = 2 * self.n + 1
-            ch = generate_channels(3, 1, length, self.a_min, self.a_max, seed)
-            ext = extend_channel(ch, length)
-            return build_precoders_k3(ext, self.n), ext
-        if self.family == "siso-general":
-            length = guarded_extension_general(self.K, self.n, self.size_cap)
-            ch = generate_channels(self.K, 1, length, self.a_min, self.a_max, seed)
-            ext = extend_channel(ch, length)
-            return build_precoders_general(ext, self.n, size_cap=self.size_cap), ext
-        if self.family == "mimo":
-            ch = generate_channels(3, self.M, 1, self.a_min, self.a_max, seed)
-            scheme = build_mimo_even(ch) if self.M % 2 == 0 else build_mimo_odd(ch)
-            return scheme, mimo_extension(ch, scheme)
-        ext, scheme = build_designed_channel(self.K)
-        return scheme, ext
+        family = get_family(self.family)
+        shape = family.channel_shape(self)
+        ch = (None if shape is None
+              else generate_channels(*shape, self.a_min, self.a_max, seed))
+        return family.build(self, ch)
+
+    def build_on(self, ch: ChannelSet):
+        """Build (scheme, extended channel) against a channel set with this
+        configuration's K and M."""
+        family = get_family(self.family)
+        if family.channel_shape(self) is None:
+            raise ParameterError(
+                f"{self.family} fixes its own channels and takes no channel set")
+        if (ch.K, ch.M) != (self.K, self.M):
+            raise ParameterError(
+                f"channel set has K={ch.K}, M={ch.M}, but the scheme is "
+                f"configured for K={self.K}, M={self.M}")
+        return family.build(self, ch)
 
 
 @dataclass(frozen=True)
@@ -251,6 +231,9 @@ def estimate_o1_gap(table: RateTable, claimed_dof: float) -> GapProbe:
     if table.snr_db[-1] - table.snr_db[0] < MIN_FIT_SNR_DB - 1e-9:
         raise ParameterError("gap probing needs a grid spanning at least 40 dB")
     usable = [s for s in table.snr_db if table.ok_records(s)]
+    if not usable:
+        raise InsufficientDataError(
+            f"all {len({r.seed for r in table.records})} trials failed")
     gaps = []
     for s in usable:
         rho = 10.0 ** (s / 10.0)

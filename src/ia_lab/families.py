@@ -1,0 +1,137 @@
+"""The scheme families, one record each; no other module branches on a
+family name. Record functions call the builders by their module-global
+names at call time, so whatever rebinds those names (a tracer, a test
+double) sees every call.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable
+
+from .channels import extend_channel
+from .designed import build_designed_channel
+from .errors import ParameterError
+from .mimo import build_mimo_even, build_mimo_odd, mimo_extension
+from .siso import (build_precoders_general, build_precoders_k3,
+                   guarded_extension_general, required_extension_general)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One scheme family; ``config`` has fields K, M, n and size_cap."""
+
+    check: Callable  # (K, M) -> None; ParameterError if the family cannot build them
+    default_M: int
+    claimed_dof: Callable  # config -> Fraction
+    channel_shape: Callable  # config -> (K, M, F) one realization draws, None if fixed
+    build: Callable  # (config, ChannelSet or None) -> (scheme, extended channel)
+    # (K, HV) -> (kind, receiver, description, left, right) of every promised
+    # relation; kind is equality, subset (left's columns among right's) or
+    # span, and HV(k, j) is transmitter j's precoder seen at receiver k
+    relations: Callable
+
+
+def _require(ok: bool, requirement: str) -> None:
+    if not ok:
+        raise ParameterError(requirement)
+
+
+def _k3_build(config, ch):
+    ext = extend_channel(ch, 2 * config.n + 1)
+    return build_precoders_k3(ext, config.n), ext
+
+
+def _k3_relations(K, HV):
+    yield ("equality", 0, "rx1: interference from tx2 equals interference from tx3",
+           HV(0, 1), HV(0, 2))
+    yield ("subset", 1, "rx2: interference from tx3 within interference from tx1",
+           HV(1, 2), HV(1, 0))
+    yield ("subset", 2, "rx3: interference from tx2 within interference from tx1",
+           HV(2, 1), HV(2, 0))
+
+
+def _general_dof(c):
+    big_n = (c.K - 1) * (c.K - 2) - 1
+    return Fraction((c.n + 1) ** big_n + (c.K - 1) * c.n ** big_n,
+                    required_extension_general(c.K, c.n))
+
+
+def _general_build(config, ch):
+    ext = extend_channel(ch, guarded_extension_general(ch.K, config.n, config.size_cap))
+    return build_precoders_general(ext, config.n, size_cap=config.size_cap), ext
+
+
+def _general_relations(K, HV):
+    ref = HV(0, 1)
+    for j in range(2, K):
+        yield ("equality", 0,
+               f"rx1: interference from tx{j + 1} equals interference from tx2",
+               HV(0, j), ref)
+    for i in range(1, K):
+        for j in range(1, K):
+            if j != i:
+                yield ("subset", i, f"rx{i + 1}: interference from tx{j + 1} within tx1's",
+                       HV(i, j), HV(i, 0))
+
+
+def _mimo_build(config, ch):
+    scheme = build_mimo_even(ch) if ch.M % 2 == 0 else build_mimo_odd(ch)
+    return scheme, mimo_extension(ch, scheme)
+
+
+def _mimo_relations(K, HV):
+    yield ("span", 0, "rx1: spans of interference from tx2 and tx3 coincide",
+           HV(0, 1), HV(0, 2))
+    yield ("equality", 1, "rx2: interference from tx1 equals interference from tx3",
+           HV(1, 0), HV(1, 2))
+    yield ("equality", 2, "rx3: interference from tx1 equals interference from tx2",
+           HV(2, 0), HV(2, 1))
+
+
+def _designed_build(config, ch):
+    ext, scheme = build_designed_channel(config.K)
+    return scheme, ext
+
+
+def _designed_relations(K, HV):
+    for k in range(K):
+        others = [j for j in range(K) if j != k]
+        ref = HV(k, others[0])
+        for j in others[1:]:
+            yield ("equality", k,
+                   f"rx{k + 1}: interference from tx{j + 1} equals tx{others[0] + 1}'s",
+                   HV(k, j), ref)
+
+
+FAMILIES = {
+    "siso-k3": Family(
+        check=lambda K, M: _require((K, M) == (3, 1), "siso-k3 requires K=3, M=1"),
+        default_M=1, claimed_dof=lambda c: Fraction(3 * c.n + 1, 2 * c.n + 1),
+        channel_shape=lambda c: (3, 1, 2 * c.n + 1),
+        build=_k3_build, relations=_k3_relations),
+    "siso-general": Family(
+        check=lambda K, M: _require(K >= 3 and M == 1, "siso-general requires K>=3, M=1"),
+        default_M=1, claimed_dof=_general_dof,
+        channel_shape=lambda c: (c.K, 1, guarded_extension_general(c.K, c.n, c.size_cap)),
+        build=_general_build, relations=_general_relations),
+    "mimo": Family(
+        check=lambda K, M: _require(K == 3 and M >= 2, "mimo requires K=3, M>=2"),
+        default_M=2, claimed_dof=lambda c: Fraction(3 * c.M, 2),
+        channel_shape=lambda c: (3, c.M, 1),
+        build=_mimo_build, relations=_mimo_relations),
+    "designed": Family(
+        check=lambda K, M: _require(K >= 2 and M == 1, "designed requires K>=2, M=1"),
+        default_M=1, claimed_dof=lambda c: Fraction(c.K, 2),
+        channel_shape=lambda c: None,
+        build=_designed_build, relations=_designed_relations),
+}
+
+
+def get_family(name: str) -> Family:
+    try:
+        return FAMILIES[name]
+    except KeyError:
+        raise ParameterError(
+            f"unknown family {name!r}, expected one of {tuple(FAMILIES)}") from None

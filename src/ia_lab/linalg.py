@@ -1,6 +1,6 @@
 """Rank decisions and subspace residuals for complex matrices.
 
-All rank decisions in the package go through :func:`numerical_rank` so a
+All rank decisions in the package go through one rule, ``_rank``, so a
 single tolerance convention applies: a singular value counts toward the rank
 iff it is at least ``tol`` times the largest one. Columns are rescaled to
 unit norm first by default; rescaling by a nonzero scalar per column leaves
@@ -23,6 +23,14 @@ def equilibrate_columns(matrix: np.ndarray) -> np.ndarray:
     return a / safe
 
 
+def _rank(s: np.ndarray, tol: float) -> int:
+    """Count of singular values ``s`` (descending) >= tol times the largest;
+    zero for an empty or all-zero matrix."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s >= tol * s[0]))
+
+
 def singular_values(matrix: np.ndarray, equilibrate: bool = True) -> np.ndarray:
     a = equilibrate_columns(matrix) if equilibrate else np.asarray(matrix)
     return np.linalg.svd(a, compute_uv=False)
@@ -31,25 +39,24 @@ def singular_values(matrix: np.ndarray, equilibrate: bool = True) -> np.ndarray:
 def numerical_rank(matrix: np.ndarray, tol: float = RANK_TOL,
                    equilibrate: bool = True) -> int:
     """Number of singular values >= tol times the largest one."""
-    s = singular_values(matrix, equilibrate=equilibrate)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s >= tol * s[0]))
+    return _rank(singular_values(matrix, equilibrate=equilibrate), tol)
+
+
+def has_full_column_rank(matrix: np.ndarray) -> bool:
+    """True iff the columns are linearly independent, rank decided at RANK_TOL."""
+    return _rank(singular_values(matrix), RANK_TOL) == np.shape(matrix)[1]
 
 
 def orthonormal_basis(matrix: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the column space, rank decided at ``tol``."""
     u, s, _ = np.linalg.svd(equilibrate_columns(matrix), full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return u[:, :0]
-    rank = int(np.sum(s >= tol * s[0]))
-    return u[:, :rank]
+    return u[:, :_rank(s, tol)]
+
 
 def orthonormal_complement(matrix: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of the column space."""
     u, s, _ = np.linalg.svd(equilibrate_columns(matrix), full_matrices=True)
-    rank = 0 if (s.size == 0 or s[0] == 0.0) else int(np.sum(s >= tol * s[0]))
-    return u[:, rank:]
+    return u[:, _rank(s, tol):]
 
 
 def equality_residual(left: np.ndarray, right: np.ndarray) -> float:

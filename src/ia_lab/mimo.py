@@ -14,8 +14,7 @@ import numpy as np
 
 from .channels import ChannelSet, ExtendedChannel, extend_channel
 from .errors import DegeneracyError, ParameterError, ShapeError, SingularChannelError
-from .linalg import RANK_TOL, singular_values
-from .schemes import MimoScheme
+from .schemes import PrecoderScheme, full_rank_scheme
 
 EIGENBASIS_COND_CAP = 1e8
 EIGENVALUE_GAP_TOL = 1e-10
@@ -64,13 +63,7 @@ def sorted_eigenbasis(matrix: np.ndarray) -> tuple:
     return values, vectors
 
 
-def _check_columns(v: np.ndarray, what: str) -> None:
-    s = singular_values(v)
-    if s.size == 0 or s[-1] <= RANK_TOL * s[0]:
-        raise DegeneracyError(f"{what} lost full column rank")
-
-
-def build_mimo_even(ch: ChannelSet) -> MimoScheme:
+def build_mimo_even(ch: ChannelSet) -> PrecoderScheme:
     """Even-M precoders on the unextended constant channel.
 
     Transmitter 1 uses the first M/2 eigenvectors of the loop map; the
@@ -87,10 +80,8 @@ def build_mimo_even(ch: ChannelSet) -> MimoScheme:
     v_tx1 = vectors[:, : M // 2]
     v_tx2 = _solve(H(2, 1), H(2, 0) @ v_tx1, "H32")
     v_tx3 = _solve(H(1, 2), H(1, 0) @ v_tx1, "H23")
-    for idx, v in enumerate((v_tx1, v_tx2, v_tx3)):
-        _check_columns(v, f"precoder of transmitter {idx + 1}")
-    return MimoScheme(family="mimo", K=3, M=M, L=1,
-                      precoders=(v_tx1, v_tx2, v_tx3), parity="even")
+    return full_rank_scheme(DegeneracyError, family="mimo", K=3, M=M, L=1,
+                            precoders=(v_tx1, v_tx2, v_tx3), parity="even")
 
 
 def interleaved_seed(vectors: np.ndarray) -> np.ndarray:
@@ -112,7 +103,7 @@ def interleaved_seed(vectors: np.ndarray) -> np.ndarray:
     return seed
 
 
-def build_mimo_odd(ch: ChannelSet) -> MimoScheme:
+def build_mimo_odd(ch: ChannelSet) -> PrecoderScheme:
     """Odd-M precoders over a two-slot constant-time extension.
 
     Same loop map and alignment equalities as the even case, applied to the
@@ -130,12 +121,10 @@ def build_mimo_odd(ch: ChannelSet) -> MimoScheme:
     v_tx1 = interleaved_seed(vectors)
     v_tx2 = _solve(ext.matrix(2, 1), ext.apply(2, 0, v_tx1), "extended H32")
     v_tx3 = _solve(ext.matrix(1, 2), ext.apply(1, 0, v_tx1), "extended H23")
-    for idx, v in enumerate((v_tx1, v_tx2, v_tx3)):
-        _check_columns(v, f"precoder of transmitter {idx + 1}")
-    return MimoScheme(family="mimo", K=3, M=M, L=2,
-                      precoders=(v_tx1, v_tx2, v_tx3), parity="odd")
+    return full_rank_scheme(DegeneracyError, family="mimo", K=3, M=M, L=2,
+                            precoders=(v_tx1, v_tx2, v_tx3), parity="odd")
 
 
-def mimo_extension(ch: ChannelSet, scheme: MimoScheme) -> ExtendedChannel:
+def mimo_extension(ch: ChannelSet, scheme: PrecoderScheme) -> ExtendedChannel:
     """The extension a MIMO scheme was built against (L=1 even, L=2 odd)."""
     return extend_channel(ch, scheme.L, mode="constant-time")

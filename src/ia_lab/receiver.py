@@ -26,6 +26,7 @@ import numpy as np
 
 from .channels import ExtendedChannel
 from .errors import AlignmentError, ParameterError, ShapeError
+from .families import get_family
 from .linalg import (RANK_TOL, equality_residual, numerical_rank,
                      orthonormal_complement, span_residual, subset_residual)
 from .schemes import PrecoderScheme
@@ -105,60 +106,17 @@ def _interference_stack(scheme, ext, k) -> np.ndarray:
 
 
 def _family_relations(scheme, ext, residual_tol, span_tol):
-    """Enumerate the alignment relations promised by the scheme family."""
-    K = scheme.K
-    checks = []
-
+    """Residuals of the alignment relations promised by the scheme family."""
     def HV(k, j):
         return ext.apply(k, j, scheme.precoders[j])
 
-    def eq(rx, desc, a, b):
-        checks.append(RelationCheck(desc, rx, "equality",
-                                    equality_residual(a, b), residual_tol))
-
-    def subset(rx, desc, cols, pool):
-        checks.append(RelationCheck(desc, rx, "subset",
-                                    subset_residual(cols, pool), residual_tol))
-
-    def span(rx, desc, a, b):
-        checks.append(RelationCheck(desc, rx, "span",
-                                    span_residual(a, b), span_tol))
-
-    if scheme.family == "siso-k3":
-        eq(0, "rx1: interference from tx2 equals interference from tx3",
-           HV(0, 1), HV(0, 2))
-        subset(1, "rx2: interference from tx3 within interference from tx1",
-               HV(1, 2), HV(1, 0))
-        subset(2, "rx3: interference from tx2 within interference from tx1",
-               HV(2, 1), HV(2, 0))
-    elif scheme.family == "siso-general":
-        ref = HV(0, 1)
-        for j in range(2, K):
-            eq(0, f"rx1: interference from tx{j + 1} equals interference from tx2",
-               HV(0, j), ref)
-        for i in range(1, K):
-            for j in range(1, K):
-                if j == i:
-                    continue
-                subset(i, f"rx{i + 1}: interference from tx{j + 1} within tx1's",
-                       HV(i, j), HV(i, 0))
-    elif scheme.family == "mimo":
-        span(0, "rx1: spans of interference from tx2 and tx3 coincide",
-             HV(0, 1), HV(0, 2))
-        eq(1, "rx2: interference from tx1 equals interference from tx3",
-           HV(1, 0), HV(1, 2))
-        eq(2, "rx3: interference from tx1 equals interference from tx2",
-           HV(2, 0), HV(2, 1))
-    elif scheme.family == "designed":
-        for k in range(K):
-            others = [j for j in range(K) if j != k]
-            ref = HV(k, others[0])
-            for j in others[1:]:
-                eq(k, f"rx{k + 1}: interference from tx{j + 1} equals tx{others[0] + 1}'s",
-                   HV(k, j), ref)
-    else:
-        raise ParameterError(f"unknown scheme family {scheme.family!r}")
-    return tuple(checks)
+    # built per call from the module names, so whatever rebinds them sees it
+    residual = {"equality": equality_residual, "subset": subset_residual,
+                "span": span_residual}
+    return tuple(RelationCheck(desc, rx, kind, residual[kind](left, right),
+                               span_tol if kind == "span" else residual_tol)
+                 for kind, rx, desc, left, right
+                 in get_family(scheme.family).relations(scheme.K, HV))
 
 
 def check_alignment(scheme: PrecoderScheme, ext: ExtendedChannel,

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .linalg import has_full_column_rank
+
 
 @dataclass(frozen=True)
 class PrecoderScheme:
@@ -16,6 +18,9 @@ class PrecoderScheme:
     ``precoders[i]`` is the (L*M) x d_i matrix whose columns carry the
     independent data streams of transmitter i. Columns are intentionally
     not normalized here; the receiver normalizes them when computing rates.
+    ``n`` (the alignment order of the single-antenna families) and
+    ``parity`` (even or odd M of the MIMO family) are None where they do
+    not apply.
     """
 
     family: str
@@ -23,6 +28,8 @@ class PrecoderScheme:
     M: int
     L: int
     precoders: tuple
+    n: int = None
+    parity: str = None
 
     @property
     def stream_counts(self) -> tuple:
@@ -38,19 +45,15 @@ class PrecoderScheme:
         return Fraction(self.total_streams, self.L)
 
 
-@dataclass(frozen=True)
-class SisoScheme(PrecoderScheme):
-    n: int = 1
+def full_rank_scheme(error: type, **fields) -> PrecoderScheme:
+    """A PrecoderScheme whose precoders all have full column rank.
 
-
-@dataclass(frozen=True)
-class MimoScheme(PrecoderScheme):
-    parity: str = "even"
-
-
-@dataclass(frozen=True)
-class DesignedScheme(PrecoderScheme):
-    pass
+    Raises ``error`` naming the first transmitter whose precoder does not.
+    """
+    for idx, v in enumerate(fields["precoders"]):
+        if not has_full_column_rank(v):
+            raise error(f"precoder of transmitter {idx + 1} lost full column rank")
+    return PrecoderScheme(**fields)
 
 
 def _matrix_entries(v: np.ndarray) -> list:
@@ -72,9 +75,9 @@ def scheme_to_dict(scheme: PrecoderScheme) -> dict:
             for v in scheme.precoders
         ],
     }
-    if isinstance(scheme, SisoScheme):
+    if scheme.n is not None:
         doc["n"] = scheme.n
-    if isinstance(scheme, MimoScheme):
+    if scheme.parity is not None:
         doc["parity"] = scheme.parity
     return doc
 

@@ -14,8 +14,7 @@ import numpy as np
 
 from .channels import ExtendedChannel
 from .errors import ParameterError, ShapeError, SingularChannelError, SizeGuardError
-from .linalg import RANK_TOL, singular_values
-from .schemes import SisoScheme
+from .schemes import PrecoderScheme, full_rank_scheme
 
 DEFAULT_SIZE_CAP = 4096
 
@@ -27,12 +26,6 @@ def _diag(ext: ExtendedChannel, k: int, j: int) -> np.ndarray:
         raise SingularChannelError(
             f"extended channel for link (k={k + 1}, j={j + 1}) is singular")
     return d
-
-
-def _check_full_column_rank(v: np.ndarray, what: str) -> None:
-    s = singular_values(v)
-    if s.size == 0 or s[-1] <= RANK_TOL * s[0]:
-        raise SingularChannelError(f"{what} lost full column rank")
 
 
 def loop_gains(ext: ExtendedChannel) -> np.ndarray:
@@ -51,7 +44,7 @@ def loop_gains(ext: ExtendedChannel) -> np.ndarray:
             / (_diag(ext, 1, 0) * _diag(ext, 2, 1) * _diag(ext, 0, 2)))
 
 
-def build_precoders_k3(ext: ExtendedChannel, n: int) -> SisoScheme:
+def build_precoders_k3(ext: ExtendedChannel, n: int) -> PrecoderScheme:
     """Closed-form 3-user precoders over a (2n+1)-slot extension.
 
     Transmitter 1 gets the n+1 columns loop^0 .. loop^n applied to the
@@ -71,10 +64,8 @@ def build_precoders_k3(ext: ExtendedChannel, n: int) -> SisoScheme:
     v_tx1 = powers
     v_tx2 = (_diag(ext, 2, 0) / _diag(ext, 2, 1))[:, None] * powers[:, :n]
     v_tx3 = (_diag(ext, 1, 0) / _diag(ext, 1, 2))[:, None] * powers[:, 1:]
-    for idx, v in enumerate((v_tx1, v_tx2, v_tx3)):
-        _check_full_column_rank(v, f"precoder of transmitter {idx + 1}")
-    return SisoScheme(family="siso-k3", K=3, M=1, L=L,
-                      precoders=(v_tx1, v_tx2, v_tx3), n=n)
+    return full_rank_scheme(SingularChannelError, family="siso-k3", K=3, M=1, L=L,
+                            precoders=(v_tx1, v_tx2, v_tx3), n=n)
 
 
 def required_extension_general(K: int, n: int) -> int:
@@ -155,7 +146,7 @@ def _exponent_columns(gains: dict, pairs: list, radix: int, L: int) -> np.ndarra
 
 
 def build_precoders_general(ext: ExtendedChannel, n: int,
-                            size_cap: int = DEFAULT_SIZE_CAP) -> SisoScheme:
+                            size_cap: int = DEFAULT_SIZE_CAP) -> PrecoderScheme:
     """General-K single-antenna precoders over an (n+1)^N + n^N extension.
 
     Transmitter 1 sends (n+1)^N streams, everyone else n^N. The shared seed
@@ -181,7 +172,5 @@ def build_precoders_general(ext: ExtendedChannel, n: int,
 
     scale = _reference_scalings(ext)
     precoders = [v_tx1] + [scale[j][:, None] * seed_block for j in range(1, K)]
-    for idx, v in enumerate(precoders):
-        _check_full_column_rank(v, f"precoder of transmitter {idx + 1}")
-    return SisoScheme(family="siso-general", K=K, M=1, L=L,
-                      precoders=tuple(precoders), n=n)
+    return full_rank_scheme(SingularChannelError, family="siso-general", K=K, M=1,
+                            L=L, precoders=tuple(precoders), n=n)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .channels import ChannelSet, ExtendedChannel, extend_channel, generate_channels
 from .errors import ParameterError, ShapeError
-from .linalg import equilibrate_columns
+from .linalg import RANK_TOL, _rank, singular_values
 from .mimo import build_mimo_even
 from .receiver import AlignmentReport, check_alignment
 from .siso import loop_gains
@@ -38,14 +38,13 @@ class RankProbe:
     equilibrated: bool
 
     @classmethod
-    def of(cls, matrix: np.ndarray, tolerance: float = 1e-8,
+    def of(cls, matrix: np.ndarray, tolerance: float = RANK_TOL,
            equilibrate: bool = True) -> "RankProbe":
-        a = equilibrate_columns(matrix) if equilibrate else np.asarray(matrix)
-        s = np.linalg.svd(a, compute_uv=False)
-        rank = 0 if (s.size == 0 or s[0] == 0.0) else int(np.sum(s >= tolerance * s[0]))
+        s = singular_values(matrix, equilibrate=equilibrate)
         return cls(rows=matrix.shape[0], cols=matrix.shape[1],
                    singular_values=tuple(float(x) for x in s),
-                   tolerance=tolerance, rank=rank, equilibrated=equilibrate)
+                   tolerance=tolerance, rank=_rank(s, tolerance),
+                   equilibrated=equilibrate)
 
     @property
     def full_rank(self) -> bool:

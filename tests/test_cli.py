@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from ia_lab import load_channels
-from ia_lab.cli import main
+from ia_lab import SchemeConfig, load_channels
+from ia_lab.cli import build_parser, main
+from ia_lab.families import FAMILIES
 
 
 def run(capsys, *argv):
@@ -124,6 +125,7 @@ def test_infeasible_demo(capsys):
     doc = json.loads(out)
     assert doc["diagonal_rank_deficient"] == 5
     assert doc["dense_control_full_rank"] == 5
+    assert doc["joint_ranks_seen"] == [1]  # desired and interference share one line
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -139,3 +141,60 @@ def test_error_from_library_becomes_exit_one(tmp_path, capsys):
                        "--channels", str(path))
     assert code == 1
     assert "error:" in err
+
+
+def test_scheme_choices_are_the_family_table():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    for command in ("precode", "verify", "sweep", "dof"):
+        scheme = next(a for a in sub.choices[command]._actions if a.dest == "scheme")
+        assert list(scheme.choices) == list(FAMILIES)
+
+
+@pytest.mark.parametrize("config,shape_flags,flags", [
+    (SchemeConfig(family="siso-k3", n=2), [], ["--n", "2"]),
+    (SchemeConfig(family="siso-general", K=4, n=1), ["--k", "4"], ["--n", "1"]),
+    (SchemeConfig(family="mimo", M=2), ["--m", "2"], []),
+    (SchemeConfig(family="mimo", M=3), ["--m", "3"], []),
+])
+def test_channel_file_and_seed_take_one_build_path(tmp_path, capsys, config,
+                                                   shape_flags, flags):
+    K, M, F = FAMILIES[config.family].channel_shape(config)
+    path = tmp_path / "ch.json"
+    seed = "13"
+    assert run(capsys, "gen", "--k", str(K), "--m", str(M), "--f", str(F),
+               "--seed", seed, "--out", str(path))[0] == 0
+    verify = ["verify", "--scheme", config.family, *flags]
+    from_seed = run(capsys, *verify, *shape_flags, "--seed", seed)
+    assert from_seed[0] == 0
+    # K and M given as flags that agree with the file, or taken from it
+    for given in (shape_flags, []):
+        from_file = run(capsys, *verify, *given, "--channels", str(path))
+        assert from_file[:2] == from_seed[:2]
+
+
+@pytest.mark.parametrize("argv,file_shape,message", [
+    (["precode", "--scheme", "siso-k3", "--k", "5"], None, "siso-k3 requires K=3, M=1"),
+    (["verify", "--scheme", "siso-k3", "--m", "2"], None, "siso-k3 requires K=3, M=1"),
+    (["dof", "--scheme", "siso-general", "--k", "2"], None, "siso-general requires K>=3, M=1"),
+    (["dof", "--scheme", "mimo", "--m", "1"], None, "mimo requires K=3, M>=2"),
+    (["precode", "--scheme", "mimo", "--k", "4"], None, "mimo requires K=3, M>=2"),
+    (["verify", "--scheme", "designed", "--m", "2"], None, "designed requires K>=2, M=1"),
+    (["verify", "--scheme", "siso-k3"], (3, 2, 3), "siso-k3 requires K=3, M=1"),
+    (["verify", "--scheme", "mimo"], (3, 1, 1), "mimo requires K=3, M>=2"),
+    (["precode", "--scheme", "siso-general", "--k", "3"], (4, 1, 33),
+     "channel set has K=4, M=1, but the scheme is configured for K=3, M=1"),
+    (["verify", "--scheme", "mimo", "--m", "2"], (3, 4, 1),
+     "channel set has K=3, M=4, but the scheme is configured for K=3, M=2"),
+    (["verify", "--scheme", "designed"], (3, 1, 2),
+     "designed fixes its own channels and takes no channel set"),
+])
+def test_contradictory_scheme_flags_fail_fast(tmp_path, capsys, argv, file_shape, message):
+    if file_shape is not None:
+        path = tmp_path / "ch.json"
+        K, M, F = file_shape
+        run(capsys, "gen", "--k", str(K), "--m", str(M), "--f", str(F), "--out", str(path))
+        argv = argv + ["--channels", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == f"error: {message}"

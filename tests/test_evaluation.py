@@ -129,6 +129,11 @@ def test_gap_unbounded_term_grows_with_span():
     assert wide.oscillation > narrow.oscillation > 0.1
 
 
+def test_gap_names_the_failed_trials_when_none_succeeded():
+    with pytest.raises(InsufficientDataError, match="^all 4 trials failed$"):
+        estimate_o1_gap(failed_table([40, 60, 80], trials=4), 1.0)
+
+
 def test_gap_needs_wide_grid():
     table = synthetic_table([40, 60], lambda rho: math.log2(rho))
     with pytest.raises(ParameterError):

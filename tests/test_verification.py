@@ -6,6 +6,7 @@ from conftest import identity_channels
 
 from ia_lab import extend_channel, generate_channels
 from ia_lab.channels import ChannelSet
+from ia_lab.linalg import has_full_column_rank
 from ia_lab.verification import (RankProbe, demonstrate_diagonal_infeasibility,
                                  diagonal_channels, separability_matrix,
                                  vandermonde_check)
@@ -99,6 +100,15 @@ def test_rank_probe_counts_singular_values(rows_extra, rank, seed):
     assert probe.rank == rank
     s = np.array(probe.singular_values)
     assert probe.rank == int(np.sum(s >= probe.tolerance * s[0]))
+
+
+def test_full_column_rank_counts_columns_not_rows():
+    wide = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])  # 2 x 3 of rank 2
+    assert RankProbe.of(wide).rank == 2
+    assert not has_full_column_rank(wide)
+    assert has_full_column_rank(wide.T)
+    assert not has_full_column_rank(np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]]))
+    assert not has_full_column_rank(np.zeros((3, 2)))
 
 
 def test_diagonal_channels_have_diagonal_links():
