@@ -11,19 +11,21 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .channels import generate_channels, load_channels, save_channels
 from .designed import DelayMatrix, check_delay_parity, simulate_delay_schedule
-from .errors import IaLabError
+from .errors import IaLabError, ParameterError
 from .evaluation import (SchemeConfig, cognitive_dof, decompose_dof_point,
                          estimate_dof, estimate_o1_gap, in_dof_region, snr_sweep)
 from .families import FAMILIES
 from .receiver import check_alignment
 from .schemes import save_scheme
 from .verification import demonstrate_diagonal_infeasibility
+
+SCHEME_DEFAULTS = {f.name: f.default for f in fields(SchemeConfig)}
 
 
 @dataclass(frozen=True)
@@ -62,19 +64,47 @@ def _add_scheme_options(parser):
     parser.add_argument("--m", type=int, default=None,
                         help="antennas per node (default: the channel file's, "
                              "else 2 for mimo, else 1)")
-    parser.add_argument("--n", type=int, default=1, help="alignment order")
-    parser.add_argument("--a-min", type=float, default=0.5)
-    parser.add_argument("--a-max", type=float, default=2.0)
+    # None marks a flag not given: the family may not read it (see
+    # _family_flags)
+    parser.add_argument("--n", type=int, default=None,
+                        help=f"alignment order (default {SCHEME_DEFAULTS['n']}), "
+                             "for the families that read it")
+    parser.add_argument("--a-min", type=float, default=None,
+                        help=f"smallest channel magnitude (default "
+                             f"{SCHEME_DEFAULTS['a_min']}) when channels are drawn")
+    parser.add_argument("--a-max", type=float, default=None,
+                        help=f"largest channel magnitude (default "
+                             f"{SCHEME_DEFAULTS['a_max']}) when channels are drawn")
     parser.add_argument("--seed", type=int, default=0)
+
+
+def _family_flags(args) -> None:
+    """Refuse a scheme flag the family does not read, and fill in the
+    default of each one it reads; a channel file fixes the magnitude law."""
+    reads = FAMILIES[args.scheme].reads
+    for dest in ("n", "a_min", "a_max"):
+        flag = "--" + dest.replace("_", "-")
+        given = getattr(args, dest) is not None
+        if dest not in reads:
+            if given:
+                raise ParameterError(f"{args.scheme} does not read {flag}")
+        elif dest != "n" and getattr(args, "channels", None) is not None:
+            if given:
+                raise ParameterError(
+                    f"{flag} does not apply with --channels: the channel file "
+                    f"fixes the magnitude law")
+        elif not given:
+            setattr(args, dest, SCHEME_DEFAULTS[dest])
 
 
 def _scheme_config(args, k=3, m=None) -> SchemeConfig:
     """The flags' configuration; ``k`` and ``m`` stand in for flags not given."""
     k = k if args.k is None else args.k
     m = m if args.m is None else args.m
+    read = {dest: getattr(args, dest) for dest in ("n", "a_min", "a_max")
+            if getattr(args, dest) is not None}
     return SchemeConfig(family=args.scheme, K=k,
-                        M=FAMILIES[args.scheme].default_M if m is None else m,
-                        n=args.n, a_min=args.a_min, a_max=args.a_max)
+                        M=FAMILIES[args.scheme].default_M if m is None else m, **read)
 
 
 def _build(args):
@@ -264,10 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    options = {key: value for key, value in vars(args).items()
-               if key not in ("func", "command") and value is not None}
-    RunConfig(command=args.command, options=options).echo()
     try:
+        if hasattr(args, "scheme"):
+            _family_flags(args)
+        options = {key: value for key, value in vars(args).items()
+                   if key not in ("func", "command") and value is not None}
+        RunConfig(command=args.command, options=options).echo()
         return args.func(args)
     except IaLabError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -3,9 +3,12 @@
 A sweep regenerates channels per trial (never per SNR point: the same
 realization is evaluated across the whole grid so constant terms cancel out
 of slope estimates), rebuilds the scheme, and records zero-forcing rates.
-The zero-forcing geometry is computed once per trial and every grid point
-is evaluated from its cached gains. Trials whose construction or alignment
-fails are recorded as failure rows.
+Each trial makes one pass over the receivers (:func:`~ia_lab.receiver.zf_gains`)
+that checks the alignment and yields the zero-forcing gains, and the whole
+grid is evaluated from those gains at once. Trials whose construction or
+alignment fails are recorded as failure rows. A rate table groups its
+successful rows by SNR point once, for the estimators that read it point by
+point.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +27,7 @@ from .channels import ChannelSet, generate_channels
 from .errors import (AlignmentError, DegeneracyError, InsufficientDataError,
                      ParameterError, RegionMembershipError, SingularChannelError)
 from .families import get_family
-from .receiver import check_alignment, zf_gains
+from .receiver import zf_gains
 from .siso import DEFAULT_SIZE_CAP
 
 
@@ -90,9 +94,19 @@ class RateTable:
     snr_db: tuple
     records: tuple
 
+    @cached_property
+    def _ok_by_snr(self) -> dict:
+        """Successful records grouped by SNR point, in record order."""
+        groups = {}
+        for r in self.records:
+            if r.status == "ok":
+                groups.setdefault(r.snr_db, []).append(r)
+        return groups
+
     def ok_records(self, snr_db: float = None):
-        return [r for r in self.records if r.status == "ok"
-                and (snr_db is None or r.snr_db == snr_db)]
+        if snr_db is None:
+            return [r for r in self.records if r.status == "ok"]
+        return list(self._ok_by_snr.get(snr_db, ()))
 
     def failures(self):
         return [r for r in self.records if r.status != "ok"]
@@ -138,18 +152,17 @@ def snr_sweep(config: SchemeConfig, snr_db, trials: int, seed: int,
     if trials < 1:
         raise ParameterError(f"need at least one trial, got {trials}")
 
+    rhos = [10.0 ** (snr / 10.0) for snr in grid]
+
     def run_trial(trial: int):
         tseed = _trial_seed(seed, trial)
         try:
             scheme, ext = config.build(tseed)
-            report = check_alignment(scheme, ext)
-            if not report.passed:
-                raise AlignmentError("alignment checks failed")
-            gains = zf_gains(scheme, ext, report=report)
-            return [RateRecord(snr, tseed, gains.rates(10.0 ** (snr / 10.0)).rates, "ok")
-                    for snr in grid]
+            rates = zf_gains(scheme, ext).grid_rates(rhos)
         except (AlignmentError, DegeneracyError, SingularChannelError):
             return [RateRecord(snr, tseed, None, "failed") for snr in grid]
+        return [RateRecord(snr, tseed, tuple(row), "ok")
+                for snr, row in zip(grid, rates.tolist())]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

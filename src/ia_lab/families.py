@@ -13,14 +13,15 @@ from typing import Callable
 from .channels import extend_channel
 from .designed import build_designed_channel
 from .errors import ParameterError
-from .mimo import build_mimo_even, build_mimo_odd, mimo_extension
+from .mimo import build_mimo_even, build_mimo_odd, mimo_extension, odd_extension
 from .siso import (build_precoders_general, build_precoders_k3,
                    guarded_extension_general, required_extension_general)
 
 
 @dataclass(frozen=True)
 class Family:
-    """One scheme family; ``config`` has fields K, M, n and size_cap."""
+    """One scheme family; ``config`` has fields K, M, n, a_min, a_max and
+    size_cap."""
 
     check: Callable  # (K, M) -> None; ParameterError if the family cannot build them
     default_M: int
@@ -31,6 +32,9 @@ class Family:
     # relation; kind is equality, subset (left's columns among right's) or
     # span, and HV(k, j) is transmitter j's precoder seen at receiver k
     relations: Callable
+    # the configuration fields besides K and M that change what the family
+    # builds; the others have no effect on it
+    reads: tuple
 
 
 def _require(ok: bool, requirement: str) -> None:
@@ -77,8 +81,11 @@ def _general_relations(K, HV):
 
 
 def _mimo_build(config, ch):
-    scheme = build_mimo_even(ch) if ch.M % 2 == 0 else build_mimo_odd(ch)
-    return scheme, mimo_extension(ch, scheme)
+    if ch.M % 2 == 0:
+        scheme = build_mimo_even(ch)
+        return scheme, mimo_extension(ch, scheme)
+    ext = odd_extension(ch)  # built once, for the solves and for the caller
+    return build_mimo_odd(ch, ext), ext
 
 
 def _mimo_relations(K, HV):
@@ -110,22 +117,23 @@ FAMILIES = {
         check=lambda K, M: _require((K, M) == (3, 1), "siso-k3 requires K=3, M=1"),
         default_M=1, claimed_dof=lambda c: Fraction(3 * c.n + 1, 2 * c.n + 1),
         channel_shape=lambda c: (3, 1, 2 * c.n + 1),
-        build=_k3_build, relations=_k3_relations),
+        build=_k3_build, relations=_k3_relations, reads=("n", "a_min", "a_max")),
     "siso-general": Family(
         check=lambda K, M: _require(K >= 3 and M == 1, "siso-general requires K>=3, M=1"),
         default_M=1, claimed_dof=_general_dof,
         channel_shape=lambda c: (c.K, 1, guarded_extension_general(c.K, c.n, c.size_cap)),
-        build=_general_build, relations=_general_relations),
+        build=_general_build, relations=_general_relations,
+        reads=("n", "a_min", "a_max", "size_cap")),
     "mimo": Family(
         check=lambda K, M: _require(K == 3 and M >= 2, "mimo requires K=3, M>=2"),
         default_M=2, claimed_dof=lambda c: Fraction(3 * c.M, 2),
         channel_shape=lambda c: (3, c.M, 1),
-        build=_mimo_build, relations=_mimo_relations),
+        build=_mimo_build, relations=_mimo_relations, reads=("a_min", "a_max")),
     "designed": Family(
         check=lambda K, M: _require(K >= 2 and M == 1, "designed requires K>=2, M=1"),
         default_M=1, claimed_dof=lambda c: Fraction(c.K, 2),
         channel_shape=lambda c: None,
-        build=_designed_build, relations=_designed_relations),
+        build=_designed_build, relations=_designed_relations, reads=()),
 }
 
 

@@ -53,10 +53,18 @@ def orthonormal_basis(matrix: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     return u[:, :_rank(s, tol)]
 
 
+def complement_and_rank(matrix: np.ndarray, tol: float = RANK_TOL) -> tuple:
+    """(basis, rank): an orthonormal basis of the orthogonal complement of the
+    column space and the rank it is cut at, both from one SVD, so the basis
+    always has ``rows - rank`` columns."""
+    u, s, _ = np.linalg.svd(equilibrate_columns(matrix), full_matrices=True)
+    rank = _rank(s, tol)
+    return u[:, rank:], rank
+
+
 def orthonormal_complement(matrix: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of the column space."""
-    u, s, _ = np.linalg.svd(equilibrate_columns(matrix), full_matrices=True)
-    return u[:, _rank(s, tol):]
+    return complement_and_rank(matrix, tol)[0]
 
 
 def equality_residual(left: np.ndarray, right: np.ndarray) -> float:

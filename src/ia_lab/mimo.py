@@ -103,13 +103,15 @@ def interleaved_seed(vectors: np.ndarray) -> np.ndarray:
     return seed
 
 
-def build_mimo_odd(ch: ChannelSet) -> PrecoderScheme:
+def build_mimo_odd(ch: ChannelSet, ext: ExtendedChannel = None) -> PrecoderScheme:
     """Odd-M precoders over a two-slot constant-time extension.
 
     Same loop map and alignment equalities as the even case, applied to the
     block-diagonal two-slot extension, with the interleaved eigenvector seed
     at transmitter 1. Each user gets M streams over 2 slots, so the total
-    stays 3M/2 per channel use.
+    stays 3M/2 per channel use. ``ext`` is that extension of ``ch`` (see
+    :func:`odd_extension`) when the caller already holds it; otherwise it
+    is built here.
     """
     M = ch.M
     if M < 3 or M % 2 == 0:
@@ -117,12 +119,18 @@ def build_mimo_odd(ch: ChannelSet) -> PrecoderScheme:
     if ch.F != 1:
         raise ShapeError("constant-channel construction expects F=1")
     _, vectors = sorted_eigenbasis(loop_matrix(ch))
-    ext = extend_channel(ch, 2, mode="constant-time")
+    if ext is None:
+        ext = odd_extension(ch)
     v_tx1 = interleaved_seed(vectors)
     v_tx2 = _solve(ext.matrix(2, 1), ext.apply(2, 0, v_tx1), "extended H32")
     v_tx3 = _solve(ext.matrix(1, 2), ext.apply(1, 0, v_tx1), "extended H23")
     return full_rank_scheme(DegeneracyError, family="mimo", K=3, M=M, L=2,
                             precoders=(v_tx1, v_tx2, v_tx3), parity="odd")
+
+
+def odd_extension(ch: ChannelSet) -> ExtendedChannel:
+    """The two-slot constant-time extension the odd-M construction uses."""
+    return extend_channel(ch, 2, mode="constant-time")
 
 
 def mimo_extension(ch: ChannelSet, scheme: PrecoderScheme) -> ExtendedChannel:

@@ -9,12 +9,17 @@ desired streams there: projection keeps the noise white, so the rate is a
 log-det over the projected effective channel.
 
 All channel products go through ``ExtendedChannel.apply``, which works on
-the diagonal blocks and never forms the dense block-diagonal matrices. The
-interference geometry does not depend on the transmit power, so it is
-computed once per trial: :func:`zf_gains` finds each receiver's
-interference-free subspace and the squared singular values of its
-projected effective channel, and :meth:`ZfGains.rates` turns those cached
-gains into rates for any number of SNR points.
+the diagonal blocks and never forms the dense block-diagonal matrices.
+
+Both entry points walk the receivers once, stacking each receiver's
+interference once. :func:`check_alignment` takes values-only SVDs there.
+:func:`zf_gains` runs the same checks, but takes one full-U SVD of the
+interference, which gives the report's interference rank and the basis of
+its orthogonal complement from the same singular values; receiver k's gains
+(the squared singular values of its projected effective channel) are taken
+right after its check, and none after a check fails. The geometry does not
+depend on the transmit power, so :meth:`ZfGains.grid_rates` evaluates a
+whole SNR grid from the gains in one broadcast per receiver.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ import numpy as np
 from .channels import ExtendedChannel
 from .errors import AlignmentError, ParameterError, ShapeError
 from .families import get_family
-from .linalg import (RANK_TOL, equality_residual, numerical_rank,
-                     orthonormal_complement, span_residual, subset_residual)
+from .linalg import (RANK_TOL, complement_and_rank, equality_residual,
+                     numerical_rank, span_residual, subset_residual)
 from .schemes import PrecoderScheme
 
 RESIDUAL_TOL = 1e-9
@@ -105,6 +110,52 @@ def _interference_stack(scheme, ext, k) -> np.ndarray:
                       for j in range(scheme.K) if j != k])
 
 
+def _receiver(scheme, ext, k, rank_tol, with_gains):
+    """Rank bookkeeping at receiver k, from one stacking of its interference,
+    and with ``with_gains`` its zero-forcing gains (None if its check fails).
+
+    The desired and joint ranks come from values-only SVDs; the joint stack
+    is a temporary and is gone before the interference SVD. That SVD is
+    values-only too unless gains are wanted: then one full-U SVD gives both
+    the interference rank and the complement basis the gains project onto.
+    """
+    v = scheme.precoders[k]
+    desired = ext.apply(k, k, v)
+    interference = _interference_stack(scheme, ext, k)
+    desired_rank = numerical_rank(desired, rank_tol)
+    joint_rank = numerical_rank(np.hstack([desired, interference]), rank_tol)
+    if with_gains:
+        basis, interference_rank = complement_and_rank(interference, rank_tol)
+    else:
+        interference_rank = numerical_rank(interference, rank_tol)
+    check = ReceiverCheck(receiver=k, desired_streams=v.shape[1],
+                          desired_rank=desired_rank,
+                          interference_rank=interference_rank,
+                          joint_rank=joint_rank, full_dim=ext.dim)
+    if not (with_gains and check.ok):
+        return check, None
+    # a passing check leaves basis.shape[1] = dim - interference rank >=
+    # joint rank - interference rank = d_k columns for the desired streams
+    effective = basis.conj().T @ ext.apply(k, k, v / np.linalg.norm(v, axis=0))
+    return check, np.linalg.svd(effective, compute_uv=False) ** 2
+
+
+def _receiver_pass(scheme, ext, rank_tol, with_gains):
+    """(checks, gains) over every receiver in turn; gains is None unless
+    ``with_gains`` and every check passes, and none are computed after the
+    first failing check."""
+    checks = []
+    gains = [] if with_gains else None  # None from the first failing check on
+    for k in range(scheme.K):
+        check, g = _receiver(scheme, ext, k, rank_tol, gains is not None)
+        checks.append(check)
+        if g is None:
+            gains = None
+        else:
+            gains.append(g)
+    return tuple(checks), None if gains is None else tuple(gains)
+
+
 def _family_relations(scheme, ext, residual_tol, span_tol):
     """Residuals of the alignment relations promised by the scheme family."""
     def HV(k, j):
@@ -117,6 +168,23 @@ def _family_relations(scheme, ext, residual_tol, span_tol):
                                span_tol if kind == "span" else residual_tol)
                  for kind, rx, desc, left, right
                  in get_family(scheme.family).relations(scheme.K, HV))
+
+
+def _check_dimensions(scheme, ext) -> None:
+    if scheme.K != ext.K:
+        raise ShapeError(f"scheme has K={scheme.K}, channel has K={ext.K}")
+    if scheme.precoders[0].shape[0] != ext.dim:
+        raise ShapeError(
+            f"precoders act on {scheme.precoders[0].shape[0]} dimensions, "
+            f"channel extension has {ext.dim}")
+
+
+def _report(scheme, ext, receivers, rank_tol, residual_tol,
+            span_tol) -> AlignmentReport:
+    return AlignmentReport(
+        family=scheme.family, K=scheme.K, M=ext.M, L=ext.L, rank_tol=rank_tol,
+        residual_tol=residual_tol, receivers=receivers,
+        relations=_family_relations(scheme, ext, residual_tol, span_tol))
 
 
 def check_alignment(scheme: PrecoderScheme, ext: ExtendedChannel,
@@ -140,30 +208,9 @@ def check_alignment(scheme: PrecoderScheme, ext: ExtendedChannel,
         the desired streams are separable from the interference and every
         family relation holds within tolerance.
     """
-    if scheme.K != ext.K:
-        raise ShapeError(f"scheme has K={scheme.K}, channel has K={ext.K}")
-    if scheme.precoders[0].shape[0] != ext.dim:
-        raise ShapeError(
-            f"precoders act on {scheme.precoders[0].shape[0]} dimensions, "
-            f"channel extension has {ext.dim}")
-
-    receivers = []
-    for k in range(scheme.K):
-        desired = ext.apply(k, k, scheme.precoders[k])
-        interference = _interference_stack(scheme, ext, k)
-        joint = np.hstack([desired, interference])
-        receivers.append(ReceiverCheck(
-            receiver=k,
-            desired_streams=scheme.precoders[k].shape[1],
-            desired_rank=numerical_rank(desired, rank_tol),
-            interference_rank=numerical_rank(interference, rank_tol),
-            joint_rank=numerical_rank(joint, rank_tol),
-            full_dim=ext.dim,
-        ))
-    relations = _family_relations(scheme, ext, residual_tol, span_tol)
-    return AlignmentReport(family=scheme.family, K=scheme.K, M=ext.M, L=ext.L,
-                           rank_tol=rank_tol, residual_tol=residual_tol,
-                           receivers=tuple(receivers), relations=relations)
+    _check_dimensions(scheme, ext)
+    receivers, _ = _receiver_pass(scheme, ext, rank_tol, with_gains=False)
+    return _report(scheme, ext, receivers, rank_tol, residual_tol, span_tol)
 
 
 @dataclass(frozen=True)
@@ -196,23 +243,52 @@ class ZfGains:
     L: int
     gains: tuple
 
-    def rates(self, rho: float) -> RateResult:
-        """Rates at total transmit power ``rho``.
+    def grid_rates(self, rhos) -> np.ndarray:
+        """Per-user rates at every total transmit power in ``rhos``, as a
+        (len(rhos), K) array.
 
         rate_k = sum over gains g of log2(1 + p_k g) / L, with
-        p_k = (rho / K) * L / d_k per stream.
+        p_k = (rho / K) * L / d_k per stream: one broadcast evaluation over a
+        (grid x streams) array per receiver.
         """
-        if rho < 0:
-            raise ParameterError(f"transmit power must be nonnegative, got {rho}")
+        rhos = np.asarray(rhos, dtype=float)
+        if np.any(rhos < 0):
+            raise ParameterError(
+                f"transmit power must be nonnegative, got {rhos[rhos < 0][0]}")
         K, L = len(self.gains), self.L
-        rates = []
-        powers = []
-        for gains in self.gains:
-            p_k = (rho / K) * L / gains.size
-            rates.append(float(np.sum(np.log2(1.0 + p_k * gains)) / L))
-            powers.append(p_k)
-        return RateResult(rho=float(rho), rates=tuple(rates),
-                          stream_powers=tuple(powers))
+        out = np.empty((rhos.size, K))
+        for k, gains in enumerate(self.gains):
+            p_k = (rhos / K) * L / gains.size
+            out[:, k] = np.sum(np.log2(1.0 + p_k[:, None] * gains), axis=1) / L
+        return out
+
+    def rates(self, rho: float) -> RateResult:
+        """Rates at total transmit power ``rho``: :meth:`grid_rates` at one
+        point."""
+        rates = self.grid_rates([rho])[0]
+        K, L = len(self.gains), self.L
+        return RateResult(rho=float(rho), rates=tuple(rates.tolist()),
+                          stream_powers=tuple((rho / K) * L / gains.size
+                                              for gains in self.gains))
+
+
+def _alignment_and_gains(scheme, ext, rank_tol=RANK_TOL, report=None):
+    """(report, gains): the alignment report and, when it passes, the
+    zero-forcing gains, from one pass over the receivers.
+
+    A given ``report`` stands in for the family relations: only the
+    receiver checks are re-derived, since the gains need their SVDs anyway.
+    ``gains`` is None when the report or a receiver check fails.
+    """
+    _check_dimensions(scheme, ext)
+    if report is not None and not report.passed:
+        return report, None
+    receivers, gains = _receiver_pass(scheme, ext, rank_tol, with_gains=True)
+    if report is None:
+        report = _report(scheme, ext, receivers, rank_tol, RESIDUAL_TOL, SPAN_TOL)
+    if gains is None or not report.passed:
+        return report, None
+    return report, ZfGains(L=ext.L, gains=gains)
 
 
 def zf_gains(scheme: PrecoderScheme, ext: ExtendedChannel,
@@ -223,31 +299,18 @@ def zf_gains(scheme: PrecoderScheme, ext: ExtendedChannel,
     Receiver k builds an orthonormal basis of the orthogonal complement of
     its stacked interference, projects (noise stays white), and keeps the
     squared singular values of G, the projected effective channel through
-    unit-norm precoder columns.
+    unit-norm precoder columns. The alignment checks run in the same pass
+    over the receivers (see :func:`check_alignment`); a passing ``report``
+    given by the caller replaces only the family relations.
 
-    Refuses to compute when the alignment report fails; a failed report
-    means the construction is broken and any rate would be meaningless.
+    Refuses to compute when the alignment checks fail; a failed check means
+    the construction is broken and any rate would be meaningless.
     """
-    if report is None:
-        report = check_alignment(scheme, ext, rank_tol=rank_tol)
-    if not report.passed:
+    _, gains = _alignment_and_gains(scheme, ext, rank_tol, report)
+    if gains is None:
         raise AlignmentError(
             "alignment checks fail; refusing to compute zero-forcing rates")
-
-    gains = []
-    for k in range(scheme.K):
-        interference = _interference_stack(scheme, ext, k)
-        basis = orthonormal_complement(interference, rank_tol)
-        d_k = scheme.precoders[k].shape[1]
-        if basis.shape[1] < d_k:
-            raise AlignmentError(
-                f"receiver {k + 1}: {d_k} streams exceed the "
-                f"{basis.shape[1]}-dimensional interference-free subspace")
-        v = scheme.precoders[k]
-        v_unit = v / np.linalg.norm(v, axis=0)
-        effective = basis.conj().T @ ext.apply(k, k, v_unit)
-        gains.append(np.linalg.svd(effective, compute_uv=False) ** 2)
-    return ZfGains(L=ext.L, gains=tuple(gains))
+    return gains
 
 
 def zf_rates(scheme: PrecoderScheme, ext: ExtendedChannel, rho: float,

@@ -187,6 +187,14 @@ def test_channel_file_and_seed_take_one_build_path(tmp_path, capsys, config,
      "channel set has K=3, M=4, but the scheme is configured for K=3, M=2"),
     (["verify", "--scheme", "designed"], (3, 1, 2),
      "designed fixes its own channels and takes no channel set"),
+    (["verify", "--scheme", "mimo", "--n", "5"], None, "mimo does not read --n"),
+    (["dof", "--scheme", "designed", "--n", "2"], None, "designed does not read --n"),
+    (["precode", "--scheme", "designed", "--a-min", "1"], None,
+     "designed does not read --a-min"),
+    (["dof", "--scheme", "designed", "--a-max", "1", "--trials", "1"], None,
+     "designed does not read --a-max"),
+    (["verify", "--scheme", "siso-k3", "--a-min", "1"], (3, 1, 3),
+     "--a-min does not apply with --channels: the channel file fixes the magnitude law"),
 ])
 def test_contradictory_scheme_flags_fail_fast(tmp_path, capsys, argv, file_shape, message):
     if file_shape is not None:
@@ -198,3 +206,16 @@ def test_contradictory_scheme_flags_fail_fast(tmp_path, capsys, argv, file_shape
     assert code == 1
     assert out == ""
     assert err.splitlines()[-1] == f"error: {message}"
+
+
+@pytest.mark.parametrize("scheme,echoed", [
+    ("siso-k3", {"n": 1, "a_min": 0.5, "a_max": 2.0}),
+    ("mimo", {"a_min": 0.5, "a_max": 2.0}),
+    ("designed", {}),
+])
+def test_echo_holds_the_defaults_of_the_flags_the_family_reads(capsys, scheme, echoed):
+    code, _, err = run(capsys, "verify", "--scheme", scheme, "--seed", "2")
+    assert code == 0
+    options = json.loads(err.splitlines()[0])["config"]["options"]
+    assert {key: options[key] for key in ("n", "a_min", "a_max")
+            if key in options} == echoed

@@ -256,3 +256,22 @@ def test_mean_sum_rates_alignment_with_grid():
     means = table.mean_sum_rates()
     assert means.shape == (3,)
     assert math.isclose(means[0], math.log2(1e4), rel_tol=1e-12)
+
+
+def test_ok_records_per_point_match_a_full_scan():
+    records = []
+    for seed in range(5):
+        for snr in (40.0, 60.0, 80.0):
+            ok = (seed + int(snr)) % 3 != 0
+            records.append(RateRecord(snr, seed, (snr + seed, 0.5, 0.25) if ok else None,
+                                      "ok" if ok else "failed"))
+    table = RateTable(K=3, snr_db=(40.0, 60.0, 80.0), records=tuple(records))
+    for snr in (40.0, 60.0, 80.0, 100.0):
+        scan = [r for r in records if r.status == "ok" and r.snr_db == snr]
+        assert table.ok_records(snr) == scan
+        table.ok_records(snr).clear()  # callers get their own list
+        assert table.ok_records(snr) == scan
+    assert table.ok_records() == [r for r in records if r.status == "ok"]
+    expected = [np.mean([r.sum_rate for r in records if r.status == "ok" and r.snr_db == s])
+                for s in table.snr_db]
+    assert table.mean_sum_rates().tolist() == expected

@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
-from ia_lab import DegeneracyError, ParameterError, generate_channels
+import ia_lab.channels
+from ia_lab import DegeneracyError, ParameterError, SchemeConfig, generate_channels
 from ia_lab.channels import ChannelSet
 from ia_lab.mimo import (build_mimo_even, build_mimo_odd, interleaved_seed,
                          loop_matrix, mimo_extension, sorted_eigenbasis)
@@ -139,3 +142,26 @@ def test_eigenvector_scaling_leaves_span_checks_unchanged():
         joint = np.hstack([H(k, k) @ v[k]]
                           + [H(k, j) @ v[j] for j in range(3) if j != k])
         assert rank_of(joint) == 4
+
+
+@pytest.mark.parametrize("M", [2, 3, 4, 5])
+def test_one_extension_per_build(monkeypatch, M):
+    # the odd construction solves on the same two-slot extension it returns
+    original = ia_lab.channels.extend_channel
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ia_lab") and getattr(module, "extend_channel", None) is original:
+            monkeypatch.setattr(module, "extend_channel", counting)
+    scheme, ext = SchemeConfig("mimo", M=M).build(seed=3)
+    assert len(calls) == 1
+    assert ext.L == scheme.L == (1 if M % 2 == 0 else 2)
+    if M % 2:
+        # the same precoders as when the solve builds its own extension
+        alone = build_mimo_odd(generate_channels(3, M, 1, seed=3))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(scheme.precoders, alone.precoders))

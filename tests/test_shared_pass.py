@@ -1,0 +1,182 @@
+"""The receiver pass sweeps share: one stacking and one interference SVD per
+receiver give both the alignment report and the zero-forcing gains.
+
+Its reports must equal ``check_alignment``'s and its grid rates must equal
+per-point ``zf_rates`` bit for bit. Golden SHA-256 digests, recorded with
+the implementation that ran ``check_alignment`` and then one separate
+complement SVD per receiver, pin both against silent drift.
+"""
+
+import dataclasses
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+import ia_lab.receiver
+from ia_lab import (AlignmentError, SchemeConfig, check_alignment, snr_sweep,
+                    zf_gains, zf_rates)
+from ia_lab.linalg import complement_and_rank
+from ia_lab.receiver import _alignment_and_gains, _interference_stack
+
+CONFIGS = {
+    "siso-k3 n=1": SchemeConfig("siso-k3", n=1),
+    "siso-k3 n=3": SchemeConfig("siso-k3", n=3),
+    "siso-general K=4 n=1": SchemeConfig("siso-general", K=4, n=1),
+    "mimo M=2": SchemeConfig("mimo", M=2),
+    "mimo M=3": SchemeConfig("mimo", M=3),
+    "mimo M=4": SchemeConfig("mimo", M=4),
+    "designed K=3": SchemeConfig("designed", K=3),
+    "designed K=10": SchemeConfig("designed", K=10),
+}
+SEEDS = range(20)
+SNR_DB = tuple(float(s) for s in range(0, 201, 20))
+RHOS = [10.0 ** (s / 10.0) for s in SNR_DB]
+
+# per configuration, over seeds 0-19 in order: SHA-256 of each report's
+# json.dumps(report.to_dict(), sort_keys=True) plus a newline, and SHA-256
+# of the float64 bytes of each passing seed's (grid, K) rates; every seed of
+# these configurations passes
+GOLDEN = {
+    "siso-k3 n=1": (
+        "6c75cfab7f3211ce623648a5c4c4a197c2368d05b72b09b284dffc55fb39ecbf",
+        "66f940e2a623ac9d38d7358476859779448223b3052aa5f517a8c61067608bb7"),
+    "siso-k3 n=3": (
+        "22dd922553dad7e312f788defe68c7a1788ba57c218db60358e220f2b5663ca3",
+        "6932452fcbed29a650280108756f1f49ab060f0a1c60cb888fc599d397fb3f22"),
+    "siso-general K=4 n=1": (
+        "9b9fd2c1dbc82a3df8803de81bc9757ef71d60f9e64aad968f6b639de058dc36",
+        "d3481f7e647e67aacfa446d94ab9149410da7688d8b72c05c55b2b509aa4d09c"),
+    "mimo M=2": (
+        "a1170085719ff7b90860508905ebadcfb6b552ce7fe85956920103159f416fe7",
+        "fb8170108e4b4db8a91cde86cb13e5c5247213164748610e66303935c400b472"),
+    "mimo M=3": (
+        "e1c713ecafa3f431f5a9d9197bb7b2b078f464c885853aa64f6f28e94ff5f67a",
+        "4f07b25db2212ef812b911c1aecd00884195816f610b1b9219caefd59caf2453"),
+    "mimo M=4": (
+        "a95c6533624a0525db797d175354dd7f14068e6417d10ef13529e012bf72f064",
+        "0038400c89fd890512f832454d1ec11b3cc22aa1e03665b9386fbb7ca42d54b4"),
+    "designed K=3": (
+        "d848626af66252b29a9026ac55d2d5c456fe091b2129041db9ea1b7c0f3b460e",
+        "339ce40018142b7b316c2688633941a7c86eb096bde4556c69f71c18f976d04f"),
+    "designed K=10": (
+        "ca29390304bbe8e9c56b51919d7ad84cc8497d8db6827a49701bb6b1b17d145b",
+        "6b17c0dd6a40b8fd160d8e52f0b84413493632d5329c481f4e8779bed3fc884d"),
+}
+
+
+@dataclasses.dataclass
+class Trial:
+    scheme: object
+    ext: object
+    report: object  # from the shared pass
+    gains: object  # None when the report fails
+
+
+@pytest.fixture(scope="module", params=list(CONFIGS))
+def trials(request):
+    config = CONFIGS[request.param]
+    out = []
+    for seed in SEEDS:
+        scheme, ext = config.build(seed)
+        out.append(Trial(scheme, ext, *_alignment_and_gains(scheme, ext)))
+    return request.param, out
+
+
+def report_json(report) -> bytes:
+    return json.dumps(report.to_dict(), sort_keys=True).encode() + b"\n"
+
+
+def test_pass_report_equals_check_alignment(trials):
+    _, rows = trials
+    for t in rows:
+        assert t.report.to_dict() == check_alignment(t.scheme, t.ext).to_dict()
+        assert (t.gains is None) == (not t.report.passed)
+
+
+def passing(rows):
+    return [t for t in rows if t.gains is not None]
+
+
+def test_grid_rates_equal_per_point_zf_rates(trials):
+    _, rows = trials
+    for t in passing(rows):
+        grid = t.gains.grid_rates(RHOS)
+        for rho, row in zip(RHOS, grid.tolist()):
+            assert row == list(zf_rates(t.scheme, t.ext, rho, report=t.report).rates)
+
+
+def test_one_point_rates_equal_grid_rates(trials):
+    _, rows = trials
+    for t in passing(rows):
+        grid = t.gains.grid_rates(RHOS)
+        for rho, row in zip(RHOS, grid.tolist()):
+            assert list(t.gains.rates(rho).rates) == row
+
+
+def test_interference_rank_is_dim_minus_complement(trials):
+    _, rows = trials
+    for t in rows:
+        for rx in t.report.receivers:
+            interference = _interference_stack(t.scheme, t.ext, rx.receiver)
+            basis, rank = complement_and_rank(interference)
+            assert rank == rx.interference_rank
+            assert rx.interference_rank == t.ext.dim - basis.shape[1]
+
+
+def test_reports_and_rates_match_golden_digests(trials):
+    label, rows = trials
+    from_check, from_pass = hashlib.sha256(), hashlib.sha256()
+    rates = hashlib.sha256()
+    for t in rows:
+        from_check.update(report_json(check_alignment(t.scheme, t.ext)))
+        from_pass.update(report_json(t.report))
+    for t in passing(rows):
+        rates.update(t.gains.grid_rates(RHOS).tobytes())
+    reports_digest, rates_digest = GOLDEN[label]
+    assert from_check.hexdigest() == reports_digest
+    assert from_pass.hexdigest() == reports_digest
+    assert rates.hexdigest() == rates_digest
+
+
+def corrupted_k3(seed=7):
+    """A siso-k3 scheme whose transmitter 2 precoder is random, so receiver 1
+    sees unaligned interference and its check fails."""
+    scheme, ext = SchemeConfig("siso-k3", n=1).build(seed)
+    rng = np.random.default_rng(seed)
+    broken = rng.normal(size=(3, 1)) + 1j * rng.normal(size=(3, 1))
+    return dataclasses.replace(
+        scheme, precoders=(scheme.precoders[0], broken, scheme.precoders[2])), ext
+
+
+def test_no_gains_after_a_failed_receiver_check(monkeypatch):
+    calls = []
+
+    def counting(matrix, tol):
+        calls.append(matrix.shape)
+        return complement_and_rank(matrix, tol)
+
+    monkeypatch.setattr(ia_lab.receiver, "complement_and_rank", counting)
+    scheme, ext = corrupted_k3()
+    report, gains = _alignment_and_gains(scheme, ext)
+    assert gains is None
+    assert not report.receivers[0].ok
+    # receiver 1 failed, so receivers 2 and 3 take values-only SVDs
+    assert len(calls) == 1
+    assert report.to_dict() == check_alignment(scheme, ext).to_dict()
+    with pytest.raises(AlignmentError):
+        zf_gains(scheme, ext)
+
+
+class CorruptedConfig:
+    K = 3
+
+    def build(self, seed):
+        return corrupted_k3(seed)
+
+
+def test_failed_receiver_check_becomes_failure_rows():
+    table = snr_sweep(CorruptedConfig(), [60, 80], trials=2, seed=0)
+    assert len(table.records) == 4
+    assert all(r.status == "failed" and r.rates is None for r in table.records)
