@@ -1,6 +1,6 @@
 """Desk-scale interference-alignment experiments for the K-user channel."""
 
-from .channels import (ChannelSet, ExtendedChannel, extend_channel,
+from .channels import (ChannelSet, ChannelStack, ExtendedChannel, extend_channel,
                        generate_channels, load_channels, save_channels)
 from .designed import (DelayMatrix, build_designed_channel, check_delay_parity,
                        simulate_delay_schedule)
@@ -15,7 +15,7 @@ from .evaluation import (CognitiveScenario, DofEstimate, GapProbe, RateRecord,
                          REGION_CORNERS)
 from .mimo import build_mimo_even, build_mimo_odd, loop_matrix, mimo_extension
 from .receiver import (AlignmentReport, RateResult, ZfGains, check_alignment,
-                       zf_gains, zf_rates)
+                       zf_gains, zf_rates, zf_rates_stack)
 from .schemes import PrecoderScheme, save_scheme, scheme_to_dict
 from .siso import (build_precoders_general, build_precoders_k3,
                    cross_pair_gains, guarded_extension_general, loop_gains,

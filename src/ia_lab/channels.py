@@ -9,10 +9,13 @@ Every (receiver, transmitter, slot) coefficient block has its own Philox
 stream keyed by (block index, seed). One vectorized Philox4x64-10 counter
 kernel (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11)
 evaluates all of them at once, so generation costs a fixed number of array
-operations instead of one generator per block. Each block's coefficients
-depend only on its key, never on the order in which blocks are drawn, and
-are bit-identical to drawing them with ``np.random.Philox`` one block at a
-time.
+operations instead of one generator per block. Given a sequence of seeds,
+:func:`generate_channels` draws the blocks of every seed in that same one
+kernel call (a Monte-Carlo sweep draws all its trials so) and returns them
+as a :class:`ChannelStack`. Each block's coefficients depend only on its
+key, never on the order in which blocks are drawn or on what is drawn with
+them, and are bit-identical to drawing them with ``np.random.Philox`` one
+block at a time.
 """
 
 from __future__ import annotations
@@ -49,6 +52,33 @@ class ChannelSet:
     a_max: float
     seed: int
     coeffs: np.ndarray
+
+
+@dataclass(frozen=True)
+class ChannelStack:
+    """Channel sets of one shape drawn for a sequence of seeds.
+
+    ``coeffs[t]`` holds the coefficients of seed ``seeds[t]``, shaped as a
+    ChannelSet's; indexing and iteration give the ChannelSets themselves.
+    """
+
+    K: int
+    M: int
+    F: int
+    a_min: float
+    a_max: float
+    seeds: tuple
+    coeffs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.seeds)
+
+    def __getitem__(self, t: int) -> ChannelSet:
+        return ChannelSet(K=self.K, M=self.M, F=self.F, a_min=self.a_min,
+                          a_max=self.a_max, seed=self.seeds[t], coeffs=self.coeffs[t])
+
+    def __iter__(self):
+        return (self[t] for t in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -103,35 +133,37 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 # Philox4x64 round multipliers and Weyl key increments (Random123), one row
 # per multiply lane
-_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
-_PHILOX_ROUNDS = np.arange(10, dtype=np.uint64)[:, None, None]
+_PHILOX_M = np.array([[[0xD2E7470EE14C6C93]], [[0xCA5A826395121157]]], dtype=np.uint64)
+_PHILOX_W = np.array([[[0x9E3779B97F4A7C15]], [[0xBB67AE8584CAA73B]]], dtype=np.uint64)
+_PHILOX_ROUNDS = np.arange(10, dtype=np.uint64)[:, None, None, None]
 # 0-d operands: numpy dispatches them faster than Python or numpy scalars
 _LO32 = np.array(0xFFFFFFFF, dtype=np.uint64)
 _HALF = np.array(32, dtype=np.uint64)
 
 
-def _philox4x64(counter: np.ndarray, key0: np.ndarray, key1: int) -> np.ndarray:
-    """Philox4x64-10 of counters (counter, 0, 0, 0) under keys (key0, key1).
+def _philox4x64(counter: np.ndarray, key0: np.ndarray, key1: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 of counters (counter, 0, 0, 0) under keys (key0, key1)
+    for every pairing of a (counter, key0) column with a key1 row.
 
-    Returns the four output words of every counter, shape (n, 4), in the
-    order numpy's ``Philox`` bit generator emits them. A round maps words
+    ``counter`` and ``key0`` have shape (n,), ``key1`` shape (T,). Returns
+    the four output words of every counter, shape (T, n, 4), in the order
+    numpy's ``Philox`` bit generator emits them. A round maps words
     (c0, c1, c2, c3) to (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1,
     lo(M0 c0)), and the key is bumped by a Weyl increment between rounds.
-    Words 0 and 2, the two multiply lanes, travel together as one (2, n)
+    Words 0 and 2, the two multiply lanes, travel together as one (2, T, n)
     array, and so do words 1 and 3; the high half of each 64 x 64-bit
     product is assembled from 32-bit partial products, all in wrapping
     uint64.
     """
-    n = counter.shape[0]
-    even = np.zeros((2, n), dtype=np.uint64)  # words 0 and 2
+    shape = (2, key1.shape[0], counter.shape[0])
+    even = np.zeros(shape, dtype=np.uint64)  # words 0 and 2
     even[0] = counter
-    odd = np.zeros((2, n), dtype=np.uint64)  # words 1 and 3
-    key = np.empty((2, n), dtype=np.uint64)
+    odd = np.zeros(shape, dtype=np.uint64)  # words 1 and 3
+    key = np.empty(shape, dtype=np.uint64)
     key[0] = key0
-    key[1] = key1
+    key[1] = key1[:, None]
     keys = key + _PHILOX_ROUNDS * _PHILOX_W  # key of every round, wrapping
-    m = np.broadcast_to(_PHILOX_M, (2, n)).copy()
+    m = np.broadcast_to(_PHILOX_M, shape).copy()
     m_lo, m_hi = m & _LO32, m >> _HALF
     for round_key in keys:
         x_lo, x_hi = even & _LO32, even >> _HALF
@@ -139,27 +171,31 @@ def _philox4x64(counter: np.ndarray, key0: np.ndarray, key1: int) -> np.ndarray:
         u = m_hi * x_lo + (t & _LO32)
         hi = m_hi * x_hi + (t >> _HALF) + (u >> _HALF)
         even, odd = hi[::-1] ^ odd ^ round_key, (m * even)[::-1]
-    return np.stack((even[0], odd[0], even[1], odd[1]), axis=1)
+    return np.stack((even[0], odd[0], even[1], odd[1]), axis=-1)
 
 
 def generate_channels(K: int, M: int, F: int,
                       a_min: float = DEFAULT_A_MIN,
                       a_max: float = DEFAULT_A_MAX,
-                      seed: int = 0) -> ChannelSet:
-    """Draw a fresh channel realization.
+                      seed=0):
+    """Draw a fresh channel realization, or one for each seed of a sequence.
 
     Args:
         K: number of transmitter/receiver pairs, at least 2.
         M: antennas per node, at least 1.
         F: number of frequency slots, at least 1.
         a_min, a_max: magnitude bounds, 0 < a_min <= a_max.
-        seed: 64-bit generation seed; identical seeds reproduce identical
-            coefficients bit for bit.
+        seed: 64-bit generation seed, or a sequence of them; identical seeds
+            reproduce identical coefficients bit for bit.
 
     Returns:
         A ChannelSet with K*K*F coefficient matrices of size M x M whose
-        entries are independent across links, slots, and matrix positions.
+        entries are independent across links, slots, and matrix positions;
+        for a sequence of seeds, a ChannelStack holding the ChannelSet of
+        each seed in order, every one bit-identical to drawing it alone.
     """
+    one = np.ndim(seed) == 0
+    seeds = [int(s) for s in ([seed] if one else seed)]
     if K < 2:
         raise ParameterError(f"need at least 2 users, got K={K}")
     if M < 1 or F < 1:
@@ -167,23 +203,26 @@ def generate_channels(K: int, M: int, F: int,
     if not (0.0 < a_min <= a_max):
         raise ParameterError(
             f"magnitude bounds must satisfy 0 < a_min <= a_max, got [{a_min}, {a_max}]")
-    if not (0 <= int(seed) < 2 ** 64):
+    if not all(0 <= s < 2 ** 64 for s in seeds):
         raise ParameterError("seed must fit in an unsigned 64-bit integer")
 
-    # block (k, j, f) has key (its flat index, seed) and reads counters
-    # 1..per_block; its first M*M words give magnitudes, the next M*M phases
+    # block (k, j, f) of a seed has key (its flat index, seed) and reads
+    # counters 1..per_block; its first M*M words give magnitudes, the next
+    # M*M phases
     blocks, words = K * K * F, 2 * M * M
     per_block = -(-words // 4)
     counter = np.tile(np.arange(1, per_block + 1, dtype=np.uint64), blocks)
     index = np.repeat(np.arange(blocks, dtype=np.uint64), per_block)
-    out = _philox4x64(counter, index, int(seed)).reshape(blocks, 4 * per_block)
+    out = _philox4x64(counter, index, np.array(seeds, dtype=np.uint64))
+    out = out.reshape(-1, 4 * per_block)
     # numpy's uniform(low, high) is low + (high - low) * ((w >> 11) * 2**-53)
     u = (out[:, :words] >> np.uint64(11)).astype(float) * 2.0 ** -53
     mag = a_min + (a_max - a_min) * u[:, :M * M]
     phase = (2.0 * np.pi) * u[:, M * M:]
-    coeffs = (mag * np.exp(1j * phase)).reshape(K, K, F, M, M)
-    return ChannelSet(K=K, M=M, F=F, a_min=float(a_min), a_max=float(a_max),
-                      seed=int(seed), coeffs=_freeze(coeffs))
+    coeffs = (mag * np.exp(1j * phase)).reshape(len(seeds), K, K, F, M, M)
+    stack = ChannelStack(K=K, M=M, F=F, a_min=float(a_min), a_max=float(a_max),
+                         seeds=tuple(seeds), coeffs=_freeze(coeffs))
+    return stack[0] if one else stack
 
 
 def extend_channel(ch: ChannelSet, L: int, mode: str = "frequency") -> ExtendedChannel:

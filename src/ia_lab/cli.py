@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -19,13 +18,15 @@ from .channels import generate_channels, load_channels, save_channels
 from .designed import DelayMatrix, check_delay_parity, simulate_delay_schedule
 from .errors import IaLabError, ParameterError
 from .evaluation import (SchemeConfig, cognitive_dof, decompose_dof_point,
-                         estimate_dof, estimate_o1_gap, in_dof_region, snr_sweep)
+                         estimate_dof, estimate_o1_gap, in_dof_region, snr_grid,
+                         snr_sweep)
 from .families import FAMILIES
 from .receiver import check_alignment
 from .schemes import save_scheme
 from .verification import demonstrate_diagonal_infeasibility
 
 SCHEME_DEFAULTS = {f.name: f.default for f in fields(SchemeConfig)}
+DEFAULT_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -49,14 +50,6 @@ def _float_list(text: str):
     return values
 
 
-def _threads() -> int:
-    raw = os.environ.get("IA_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _add_scheme_options(parser):
     parser.add_argument("--scheme", required=True, choices=tuple(FAMILIES))
     parser.add_argument("--k", type=int, default=None,
@@ -75,26 +68,39 @@ def _add_scheme_options(parser):
     parser.add_argument("--a-max", type=float, default=None,
                         help=f"largest channel magnitude (default "
                              f"{SCHEME_DEFAULTS['a_max']}) when channels are drawn")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=None,
+                        help=f"channel seed (default {DEFAULT_SEED}), for the "
+                             "families that draw channels; sweep and dof derive "
+                             "their trial seeds from it")
+
+
+# what a channel file fixes, per flag it makes ineffective
+_FILE_FIXES = {"a_min": "the magnitude law", "a_max": "the magnitude law",
+               "seed": "the channels"}
 
 
 def _family_flags(args) -> None:
     """Refuse a scheme flag the family does not read, and fill in the
-    default of each one it reads; a channel file fixes the magnitude law."""
+    default of each one it reads; a channel file fixes the magnitude law and
+    the channels. A sweep's seed names its trials, so sweep and dof always
+    read it."""
     reads = FAMILIES[args.scheme].reads
-    for dest in ("n", "a_min", "a_max"):
+    if args.command in ("sweep", "dof"):
+        reads += ("seed",)
+    defaults = {**SCHEME_DEFAULTS, "seed": DEFAULT_SEED}
+    for dest in ("n", "a_min", "a_max", "seed"):
         flag = "--" + dest.replace("_", "-")
         given = getattr(args, dest) is not None
         if dest not in reads:
             if given:
                 raise ParameterError(f"{args.scheme} does not read {flag}")
-        elif dest != "n" and getattr(args, "channels", None) is not None:
+        elif dest in _FILE_FIXES and getattr(args, "channels", None) is not None:
             if given:
                 raise ParameterError(
                     f"{flag} does not apply with --channels: the channel file "
-                    f"fixes the magnitude law")
+                    f"fixes {_FILE_FIXES[dest]}")
         elif not given:
-            setattr(args, dest, SCHEME_DEFAULTS[dest])
+            setattr(args, dest, defaults[dest])
 
 
 def _scheme_config(args, k=3, m=None) -> SchemeConfig:
@@ -144,7 +150,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _scheme_config(args)
-    table = snr_sweep(config, args.snr, args.trials, args.seed, threads=_threads())
+    table = snr_sweep(config, args.snr, args.trials, args.seed)
     table.write_csv(args.out)
     print(json.dumps({"written": str(args.out), "rows": len(table.records),
                       "failures": len(table.failures())}))
@@ -153,7 +159,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_dof(args) -> int:
     config = _scheme_config(args)
-    table = snr_sweep(config, args.snr, args.trials, args.seed, threads=_threads())
+    table = snr_sweep(config, args.snr, args.trials, args.seed)
     estimate = estimate_dof(table)
     summary = {
         "scheme": config.family,
@@ -161,6 +167,7 @@ def cmd_dof(args) -> int:
         "slope": estimate.slope,
         "half_width": estimate.half_width,
         "trials_used": estimate.trials_used,
+        "failures": estimate.trials_failed,
         "snr_db": list(estimate.snr_db),
     }
     if table.snr_db[-1] - table.snr_db[0] >= 40.0 - 1e-9:
@@ -297,6 +304,8 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "scheme"):
             _family_flags(args)
+        if getattr(args, "snr", None) is not None:
+            args.snr = list(snr_grid(args.snr))
         options = {key: value for key, value in vars(args).items()
                    if key not in ("func", "command") and value is not None}
         RunConfig(command=args.command, options=options).echo()

@@ -3,19 +3,23 @@
 A sweep regenerates channels per trial (never per SNR point: the same
 realization is evaluated across the whole grid so constant terms cancel out
 of slope estimates), rebuilds the scheme, and records zero-forcing rates.
-Each trial makes one pass over the receivers (:func:`~ia_lab.receiver.zf_gains`)
-that checks the alignment and yields the zero-forcing gains, and the whole
-grid is evaluated from those gains at once. Trials whose construction or
-alignment fails are recorded as failure rows. A rate table groups its
-successful rows by SNR point once, for the estimators that read it point by
-point.
+It works on its trials as stacks: one channel draw covers every trial
+(:meth:`SchemeConfig.build_trials`), the builds run per trial, and each
+stack of built trials takes one pass over the receivers
+(:func:`~ia_lab.receiver.zf_rates_stack`) that checks the alignment of
+every trial, drops a failing trial at once, and evaluates the whole grid
+for the others in one broadcast per receiver. A stack holds as many trials
+as fit ``STACK_BYTES``: hundreds of small ones, while a trial larger than
+that (an L=275 extension) goes alone, so a sweep's memory stays that of
+one stack whatever its trial count. Trials whose construction or alignment
+fails are recorded as failure rows. A rate table groups its successful rows
+by SNR point once, for the estimators that read it point by point.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
@@ -24,11 +28,15 @@ from functools import cached_property
 import numpy as np
 
 from .channels import ChannelSet, generate_channels
-from .errors import (AlignmentError, DegeneracyError, InsufficientDataError,
-                     ParameterError, RegionMembershipError, SingularChannelError)
+from .errors import (DegeneracyError, InsufficientDataError, ParameterError,
+                     RegionMembershipError, SingularChannelError)
 from .families import get_family
-from .receiver import zf_gains
+from .receiver import zf_rates_stack
 from .siso import DEFAULT_SIZE_CAP
+
+# failures of one realization, which a build reports in that trial's slot;
+# any other error belongs to the configuration and propagates
+TRIAL_ERRORS = (DegeneracyError, SingularChannelError)
 
 
 @dataclass(frozen=True)
@@ -52,13 +60,33 @@ class SchemeConfig:
         """Sum degrees of freedom the family is designed to achieve."""
         return get_family(self.family).claimed_dof(self)
 
-    def build(self, seed: int):
-        """Build (scheme, extended channel) for one realization."""
+    def build_trials(self, seeds):
+        """Iterator over the builds of the realizations of ``seeds``, in
+        order: (scheme, extended channel), or the TRIAL_ERRORS instance a
+        realization's build raised.
+
+        The channels of every seed come from one draw; each scheme is built
+        as the iterator reaches it, so a consumer holds only the builds it
+        keeps.
+        """
         family = get_family(self.family)
         shape = family.channel_shape(self)
-        ch = (None if shape is None
-              else generate_channels(*shape, self.a_min, self.a_max, seed))
-        return family.build(self, ch)
+        seeds = list(seeds)
+        channels = ([None] * len(seeds) if shape is None
+                    else generate_channels(*shape, self.a_min, self.a_max, seeds))
+        for ch in channels:
+            try:
+                yield family.build(self, ch)
+            except TRIAL_ERRORS as err:
+                yield err
+
+    def build(self, seed: int):
+        """Build (scheme, extended channel) for one realization:
+        :meth:`build_trials` of one seed, raising its error."""
+        [built] = self.build_trials([seed])
+        if isinstance(built, Exception):
+            raise built
+        return built
 
     def build_on(self, ch: ChannelSet):
         """Build (scheme, extended channel) against a channel set with this
@@ -138,39 +166,66 @@ def _trial_seed(root_seed: int, trial: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def snr_sweep(config: SchemeConfig, snr_db, trials: int, seed: int,
-              threads: int = 1) -> RateTable:
+# bytes of receiver-pass matrices one stack of a sweep may hold
+STACK_BYTES = 1 << 22
+
+
+def _trial_bytes(scheme, ext) -> int:
+    """Rough complex128 bytes a built trial adds to a receiver pass: a
+    dim-square U and four dim x (total streams) stacks."""
+    return 16 * ext.dim * (ext.dim + 4 * scheme.total_streams)
+
+
+def _stacks(trials):
+    """Consecutive runs of (seed, build) pairs whose built trials fit
+    STACK_BYTES; a trial larger than that goes alone."""
+    stack, size = [], 0
+    for seed, built in trials:
+        cost = 0 if isinstance(built, Exception) else _trial_bytes(*built)
+        if stack and size + cost > STACK_BYTES:
+            yield stack
+            stack, size = [], 0
+        stack.append((seed, built))
+        size += cost
+    if stack:
+        yield stack
+
+
+def snr_grid(snr_db) -> tuple:
+    """The grid as floats; ParameterError unless it is nonempty, finite and
+    strictly increasing."""
+    grid = tuple(float(s) for s in snr_db)
+    if (not grid or not all(math.isfinite(s) for s in grid)
+            or any(b <= a for a, b in zip(grid, grid[1:]))):
+        raise ParameterError("snr grid must be nonempty, finite and strictly increasing")
+    return grid
+
+
+def snr_sweep(config: SchemeConfig, snr_db, trials: int, seed: int) -> RateTable:
     """Evaluate a scheme family over an SNR grid with fresh channels per trial.
 
     The channel seed of each trial is derived from ``seed`` and the trial
-    index only, so one realization spans the whole grid. ``threads`` > 1
-    runs trials concurrently; results are identical either way.
+    index only, so one realization spans the whole grid. ``config`` needs
+    ``K`` and :meth:`SchemeConfig.build_trials`.
     """
-    grid = tuple(float(s) for s in snr_db)
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ParameterError("snr grid must be nonempty and strictly increasing")
+    grid = snr_grid(snr_db)
     if trials < 1:
         raise ParameterError(f"need at least one trial, got {trials}")
 
     rhos = [10.0 ** (snr / 10.0) for snr in grid]
-
-    def run_trial(trial: int):
-        tseed = _trial_seed(seed, trial)
-        try:
-            scheme, ext = config.build(tseed)
-            rates = zf_gains(scheme, ext).grid_rates(rhos)
-        except (AlignmentError, DegeneracyError, SingularChannelError):
-            return [RateRecord(snr, tseed, None, "failed") for snr in grid]
-        return [RateRecord(snr, tseed, tuple(row), "ok")
-                for snr, row in zip(grid, rates.tolist())]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_trial = list(pool.map(run_trial, range(trials)))
-    else:
-        per_trial = [run_trial(t) for t in range(trials)]
-    records = tuple(rec for rows in per_trial for rec in rows)
-    return RateTable(K=config.K, snr_db=grid, records=records)
+    seeds = [_trial_seed(seed, t) for t in range(trials)]
+    records = []
+    for stack in _stacks(zip(seeds, config.build_trials(seeds))):
+        built = [b for _, b in stack if not isinstance(b, Exception)]
+        rates = iter(zf_rates_stack(built, rhos))
+        for tseed, b in stack:
+            trial = None if isinstance(b, Exception) else next(rates)
+            if trial is None:
+                records.extend(RateRecord(snr, tseed, None, "failed") for snr in grid)
+            else:
+                records.extend(RateRecord(snr, tseed, tuple(row), "ok")
+                               for snr, row in zip(grid, trial.tolist()))
+    return RateTable(K=config.K, snr_db=grid, records=tuple(records))
 
 
 @dataclass(frozen=True)
@@ -179,6 +234,7 @@ class DofEstimate:
     half_width: float
     snr_db: tuple
     trials_used: int
+    trials_failed: int  # trials with a failed row; they are left out of the fit
 
 
 MIN_FIT_SNR_DB = 40.0
@@ -223,7 +279,8 @@ def estimate_dof(table: RateTable) -> DofEstimate:
     else:
         half = 0.0
     return DofEstimate(slope=slope, half_width=half, snr_db=tuple(usable),
-                       trials_used=len(trial_slopes))
+                       trials_used=len(trial_slopes),
+                       trials_failed=len({r.seed for r in table.failures()}))
 
 
 @dataclass(frozen=True)

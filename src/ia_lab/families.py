@@ -32,8 +32,9 @@ class Family:
     # relation; kind is equality, subset (left's columns among right's) or
     # span, and HV(k, j) is transmitter j's precoder seen at receiver k
     relations: Callable
-    # the configuration fields besides K and M that change what the family
-    # builds; the others have no effect on it
+    # what changes what the family builds besides K and M: configuration
+    # fields, and "seed" for the channel seed of the families that draw
+    # channels; the others have no effect on it
     reads: tuple
 
 
@@ -117,18 +118,20 @@ FAMILIES = {
         check=lambda K, M: _require((K, M) == (3, 1), "siso-k3 requires K=3, M=1"),
         default_M=1, claimed_dof=lambda c: Fraction(3 * c.n + 1, 2 * c.n + 1),
         channel_shape=lambda c: (3, 1, 2 * c.n + 1),
-        build=_k3_build, relations=_k3_relations, reads=("n", "a_min", "a_max")),
+        build=_k3_build, relations=_k3_relations,
+        reads=("n", "a_min", "a_max", "seed")),
     "siso-general": Family(
         check=lambda K, M: _require(K >= 3 and M == 1, "siso-general requires K>=3, M=1"),
         default_M=1, claimed_dof=_general_dof,
         channel_shape=lambda c: (c.K, 1, guarded_extension_general(c.K, c.n, c.size_cap)),
         build=_general_build, relations=_general_relations,
-        reads=("n", "a_min", "a_max", "size_cap")),
+        reads=("n", "a_min", "a_max", "size_cap", "seed")),
     "mimo": Family(
         check=lambda K, M: _require(K == 3 and M >= 2, "mimo requires K=3, M>=2"),
         default_M=2, claimed_dof=lambda c: Fraction(3 * c.M, 2),
         channel_shape=lambda c: (3, c.M, 1),
-        build=_mimo_build, relations=_mimo_relations, reads=("a_min", "a_max")),
+        build=_mimo_build, relations=_mimo_relations,
+        reads=("a_min", "a_max", "seed")),
     "designed": Family(
         check=lambda K, M: _require(K >= 2 and M == 1, "designed requires K>=2, M=1"),
         default_M=1, claimed_dof=lambda c: Fraction(c.K, 2),

@@ -6,6 +6,10 @@ iff it is at least ``tol`` times the largest one. Columns are rescaled to
 unit norm first by default; rescaling by a nonzero scalar per column leaves
 the rank unchanged but greatly improves the spread of singular values when
 column norms differ by orders of magnitude (power-basis precoders do).
+
+The rank functions also take a stack of matrices, shape (T, rows, cols),
+and then answer for every matrix of the stack from one batched SVD; each
+matrix gets bit for bit the answer it gets alone.
 """
 
 from __future__ import annotations
@@ -16,19 +20,23 @@ RANK_TOL = 1e-8
 
 
 def equilibrate_columns(matrix: np.ndarray) -> np.ndarray:
-    """Rescale each nonzero column to unit Euclidean norm."""
+    """Rescale each nonzero column (of each matrix of a stack) to unit
+    Euclidean norm."""
     a = np.asarray(matrix)
-    norms = np.linalg.norm(a, axis=0)
+    # np.linalg.norm's own formula for one axis, without its argument
+    # handling: rank decisions make many of these calls on tiny matrices
+    norms = np.sqrt(np.add.reduce((a.conj() * a).real, axis=-2, keepdims=True))
     safe = np.where(norms > 0.0, norms, 1.0)
     return a / safe
 
 
-def _rank(s: np.ndarray, tol: float) -> int:
+def _rank(s: np.ndarray, tol: float):
     """Count of singular values ``s`` (descending) >= tol times the largest;
-    zero for an empty or all-zero matrix."""
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s >= tol * s[0]))
+    zero for an empty or all-zero matrix. For the rows of a (T, n) stack of
+    them, an integer array of T counts."""
+    if s.ndim == 2:
+        return np.array([_rank(row, tol) for row in s], dtype=int)
+    return int(np.count_nonzero(s >= tol * s[0])) if s.size and s[0] > 0.0 else 0
 
 
 def singular_values(matrix: np.ndarray, equilibrate: bool = True) -> np.ndarray:
@@ -37,8 +45,9 @@ def singular_values(matrix: np.ndarray, equilibrate: bool = True) -> np.ndarray:
 
 
 def numerical_rank(matrix: np.ndarray, tol: float = RANK_TOL,
-                   equilibrate: bool = True) -> int:
-    """Number of singular values >= tol times the largest one."""
+                   equilibrate: bool = True):
+    """Number of singular values >= tol times the largest one; an array of
+    them for a stack of matrices."""
     return _rank(singular_values(matrix, equilibrate=equilibrate), tol)
 
 
@@ -56,10 +65,16 @@ def orthonormal_basis(matrix: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
 def complement_and_rank(matrix: np.ndarray, tol: float = RANK_TOL) -> tuple:
     """(basis, rank): an orthonormal basis of the orthogonal complement of the
     column space and the rank it is cut at, both from one SVD, so the basis
-    always has ``rows - rank`` columns."""
+    always has ``rows - rank`` columns.
+
+    For a stack (T, rows, cols), (bases, ranks): a list of the T bases and
+    an array of the T ranks.
+    """
     u, s, _ = np.linalg.svd(equilibrate_columns(matrix), full_matrices=True)
     rank = _rank(s, tol)
-    return u[:, rank:], rank
+    if u.ndim == 2:
+        return u[:, rank:], rank
+    return [ui[:, r:] for ui, r in zip(u, rank)], rank
 
 
 def orthonormal_complement(matrix: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:

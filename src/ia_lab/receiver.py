@@ -11,15 +11,23 @@ log-det over the projected effective channel.
 All channel products go through ``ExtendedChannel.apply``, which works on
 the diagonal blocks and never forms the dense block-diagonal matrices.
 
-Both entry points walk the receivers once, stacking each receiver's
-interference once. :func:`check_alignment` takes values-only SVDs there.
-:func:`zf_gains` runs the same checks, but takes one full-U SVD of the
-interference, which gives the report's interference rank and the basis of
-its orthogonal complement from the same singular values; receiver k's gains
-(the squared singular values of its projected effective channel) are taken
-right after its check, and none after a check fails. The geometry does not
-depend on the transmit power, so :meth:`ZfGains.grid_rates` evaluates a
-whole SNR grid from the gains in one broadcast per receiver.
+Every entry point is one pass over the receivers for a stack of trials of
+one shape, each trial a scheme and its extended channel.
+:func:`check_alignment` and :func:`zf_gains` run it on a stack of one;
+:func:`zf_rates_stack`, which sweeps use, on many trials at once. At
+receiver k the pass stacks the desired, joint and interference matrices of
+every trial still in the stack and takes each kind of rank from one batched
+SVD. :func:`check_alignment` takes values-only SVDs and keeps every trial
+to the last receiver, so its report holds them all. With gains, one batched
+full-U SVD of the interference gives the interference ranks and the bases
+of their orthogonal complements from the same singular values; trials are
+grouped by interference rank, and each group's projected effective
+channels take one batched SVD whose squared singular values are the
+gains. A trial that fails a receiver check leaves the stack at once (fail
+fast): it gets no further receivers and no family relations. Every trial
+gets, bit for bit, the answer it gets alone. The geometry does not depend
+on the transmit power, so :meth:`ZfGains.grid_rates` evaluates a whole SNR
+grid, for every trial of a stack, in one broadcast per receiver.
 """
 
 from __future__ import annotations
@@ -110,50 +118,85 @@ def _interference_stack(scheme, ext, k) -> np.ndarray:
                       for j in range(scheme.K) if j != k])
 
 
-def _receiver(scheme, ext, k, rank_tol, with_gains):
-    """Rank bookkeeping at receiver k, from one stacking of its interference,
-    and with ``with_gains`` its zero-forcing gains (None if its check fails).
+def _stack(arrays) -> np.ndarray:
+    """``np.stack(arrays)``, but a view for a stack of one, so a trial alone
+    (the large ones) costs no copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
-    The desired and joint ranks come from values-only SVDs; the joint stack
-    is a temporary and is gone before the interference SVD. That SVD is
-    values-only too unless gains are wanted: then one full-U SVD gives both
-    the interference rank and the complement basis the gains project onto.
+
+def _receiver_pass(trials, rank_tol, with_gains) -> list:
+    """One pass over the receivers for a stack of (scheme, ext) trials of
+    one shape; returns each trial's (checks, gains).
+
+    Without gains every trial stays to the last receiver, and gains is
+    None. With gains, a trial whose check fails leaves the stack: its
+    checks end with the failing one and its gains are None; every other
+    trial gets one array of gains per receiver.
     """
-    v = scheme.precoders[k]
-    desired = ext.apply(k, k, v)
-    interference = _interference_stack(scheme, ext, k)
+    K = trials[0][0].K
+    checks = [[] for _ in trials]
+    gains = [[] for _ in trials] if with_gains else None
+    live = list(range(len(trials)))
+    for k in range(K):
+        if not live:
+            break
+        live = _receiver(trials, live, k, rank_tol, checks, gains)
+    if gains is None:
+        return [(tuple(c), None) for c in checks]
+    return [(tuple(c), tuple(g) if len(g) == K else None) for c, g in zip(checks, gains)]
+
+
+def _receiver(trials, live, k, rank_tol, checks, gains) -> list:
+    """Receiver k for the trials ``live``: appends each one's check to
+    ``checks[t]`` and, unless ``gains`` is None, each passing one's gains to
+    ``gains[t]``. Returns the trials that stay in the stack: all of them
+    without gains, the passing ones with.
+
+    Its stacks live only for this call, and the joint stack is gone before
+    the interference SVD.
+    """
+    stack = [trials[t] for t in live]
+    desired = _stack([ext.apply(k, k, scheme.precoders[k]) for scheme, ext in stack])
+    interference = _stack([_interference_stack(scheme, ext, k) for scheme, ext in stack])
     desired_rank = numerical_rank(desired, rank_tol)
-    joint_rank = numerical_rank(np.hstack([desired, interference]), rank_tol)
-    if with_gains:
-        basis, interference_rank = complement_and_rank(interference, rank_tol)
-    else:
+    joint_rank = numerical_rank(np.concatenate([desired, interference], axis=-1), rank_tol)
+    if gains is None:
         interference_rank = numerical_rank(interference, rank_tol)
-    check = ReceiverCheck(receiver=k, desired_streams=v.shape[1],
-                          desired_rank=desired_rank,
-                          interference_rank=interference_rank,
-                          joint_rank=joint_rank, full_dim=ext.dim)
-    if not (with_gains and check.ok):
-        return check, None
-    # a passing check leaves basis.shape[1] = dim - interference rank >=
-    # joint rank - interference rank = d_k columns for the desired streams
-    effective = basis.conj().T @ ext.apply(k, k, v / np.linalg.norm(v, axis=0))
-    return check, np.linalg.svd(effective, compute_uv=False) ** 2
+    else:
+        bases, interference_rank = complement_and_rank(interference, rank_tol)
+    for t, d, i, j in zip(live, desired_rank.tolist(), interference_rank.tolist(),
+                          joint_rank.tolist()):
+        checks[t].append(ReceiverCheck(
+            receiver=k, desired_streams=desired.shape[-1], desired_rank=d,
+            interference_rank=i, joint_rank=j, full_dim=trials[t][1].dim))
+    if gains is None:
+        return live
+    passing = [p for p, t in enumerate(live) if checks[t][-1].ok]
+    _project(trials, k, [live[p] for p in passing], [bases[p] for p in passing], gains)
+    return [live[p] for p in passing]
 
 
-def _receiver_pass(scheme, ext, rank_tol, with_gains):
-    """(checks, gains) over every receiver in turn; gains is None unless
-    ``with_gains`` and every check passes, and none are computed after the
-    first failing check."""
-    checks = []
-    gains = [] if with_gains else None  # None from the first failing check on
-    for k in range(scheme.K):
-        check, g = _receiver(scheme, ext, k, rank_tol, gains is not None)
-        checks.append(check)
-        if g is None:
-            gains = None
-        else:
-            gains.append(g)
-    return tuple(checks), None if gains is None else tuple(gains)
+def _project(trials, k, members, bases, gains) -> None:
+    """Append receiver k's gains to ``gains[t]`` for every trial t of
+    ``members``, whose checks passed, given the complement bases of their
+    interference: one batched SVD per interference rank.
+
+    A passing check leaves dim - interference rank >= joint rank -
+    interference rank = d_k basis columns for the desired streams.
+    """
+    by_rank = {}
+    for t, basis in zip(members, bases):
+        by_rank.setdefault(basis.shape[1], []).append((t, basis))
+    for group in by_rank.values():
+        basis = _stack([b for _, b in group])
+        # each precoder is normalized alone, so its column norms are summed
+        # in its own memory layout, as for a trial alone
+        effective = _stack([ext.apply(k, k, v / np.linalg.norm(v, axis=0))
+                            for ext, v in ((trials[t][1], trials[t][0].precoders[k])
+                                           for t, _ in group)])
+        projected = basis.conj().swapaxes(-1, -2) @ effective
+        for (t, _), g in zip(group, np.linalg.svd(projected, compute_uv=False) ** 2):
+            gains[t].append(g)
 
 
 def _family_relations(scheme, ext, residual_tol, span_tol):
@@ -209,7 +252,7 @@ def check_alignment(scheme: PrecoderScheme, ext: ExtendedChannel,
         family relation holds within tolerance.
     """
     _check_dimensions(scheme, ext)
-    receivers, _ = _receiver_pass(scheme, ext, rank_tol, with_gains=False)
+    [(receivers, _)] = _receiver_pass([(scheme, ext)], rank_tol, with_gains=False)
     return _report(scheme, ext, receivers, rank_tol, residual_tol, span_tol)
 
 
@@ -233,11 +276,13 @@ class RateResult:
 
 @dataclass(frozen=True)
 class ZfGains:
-    """Power-independent zero-forcing geometry of one scheme on one channel.
+    """Power-independent zero-forcing geometry of one scheme on one channel,
+    or of a stack of trials of one shape.
 
     ``gains[k]`` holds the squared singular values of receiver k's projected
-    effective channel, one per desired stream; ``L`` is the extension
-    length. Rates at any power follow from these alone.
+    effective channel, one per desired stream, with a leading trial axis for
+    a stack; ``L`` is the extension length. Rates at any power follow from
+    these alone.
     """
 
     L: int
@@ -245,26 +290,27 @@ class ZfGains:
 
     def grid_rates(self, rhos) -> np.ndarray:
         """Per-user rates at every total transmit power in ``rhos``, as a
-        (len(rhos), K) array.
+        (len(rhos), K) array, or (T, len(rhos), K) for a stack of T trials.
 
         rate_k = sum over gains g of log2(1 + p_k g) / L, with
         p_k = (rho / K) * L / d_k per stream: one broadcast evaluation over a
-        (grid x streams) array per receiver.
+        (trials x grid x streams) array per receiver.
         """
         rhos = np.asarray(rhos, dtype=float)
         if np.any(rhos < 0):
             raise ParameterError(
                 f"transmit power must be nonnegative, got {rhos[rhos < 0][0]}")
         K, L = len(self.gains), self.L
-        out = np.empty((rhos.size, K))
+        out = np.empty(self.gains[0].shape[:-1] + (rhos.size, K))
         for k, gains in enumerate(self.gains):
-            p_k = (rhos / K) * L / gains.size
-            out[:, k] = np.sum(np.log2(1.0 + p_k[:, None] * gains), axis=1) / L
+            p_k = (rhos / K) * L / gains.shape[-1]
+            out[..., k] = np.sum(np.log2(1.0 + p_k[:, None] * gains[..., None, :]),
+                                 axis=-1) / L
         return out
 
     def rates(self, rho: float) -> RateResult:
         """Rates at total transmit power ``rho``: :meth:`grid_rates` at one
-        point."""
+        point (one trial only)."""
         rates = self.grid_rates([rho])[0]
         K, L = len(self.gains), self.L
         return RateResult(rho=float(rho), rates=tuple(rates.tolist()),
@@ -274,19 +320,25 @@ class ZfGains:
 
 def _alignment_and_gains(scheme, ext, rank_tol=RANK_TOL, report=None):
     """(report, gains): the alignment report and, when it passes, the
-    zero-forcing gains, from one pass over the receivers.
+    zero-forcing gains, from the pass with gains on a stack of one.
 
     A given ``report`` stands in for the family relations: only the
     receiver checks are re-derived, since the gains need their SVDs anyway.
-    ``gains`` is None when the report or a receiver check fails.
+    That pass stops at a failing receiver check; the report is then the
+    given one or :func:`check_alignment`'s. ``gains`` is None when the
+    report or a receiver check fails.
     """
     _check_dimensions(scheme, ext)
     if report is not None and not report.passed:
         return report, None
-    receivers, gains = _receiver_pass(scheme, ext, rank_tol, with_gains=True)
+    [(receivers, gains)] = _receiver_pass([(scheme, ext)], rank_tol, with_gains=True)
+    if gains is None:
+        if report is None:
+            report = check_alignment(scheme, ext, rank_tol)
+        return report, None
     if report is None:
         report = _report(scheme, ext, receivers, rank_tol, RESIDUAL_TOL, SPAN_TOL)
-    if gains is None or not report.passed:
+    if not report.passed:
         return report, None
     return report, ZfGains(L=ext.L, gains=gains)
 
@@ -326,3 +378,35 @@ def zf_rates(scheme: PrecoderScheme, ext: ExtendedChannel, rho: float,
     means the construction is broken and any rate would be meaningless.
     """
     return zf_gains(scheme, ext, report, rank_tol).rates(rho)
+
+
+def zf_rates_stack(trials, rhos) -> list:
+    """Zero-forcing rates of many trials over one power grid; the trials of
+    each shape share one pass over the receivers.
+
+    ``trials`` holds (scheme, ext) pairs. Returns, per trial, its per-user
+    rates as a (len(rhos), K) array, bit for bit
+    ``zf_gains(scheme, ext).grid_rates(rhos)``, or None when one of its
+    receiver checks or family relations fails. The family relations of a
+    trial are evaluated only when its receiver checks all pass.
+    """
+    out = [None] * len(trials)
+    shapes = {}
+    for i, (scheme, ext) in enumerate(trials):
+        _check_dimensions(scheme, ext)
+        shapes.setdefault((scheme.K, ext.M, ext.L, scheme.stream_counts), []).append(i)
+    for members in shapes.values():
+        stack = [trials[i] for i in members]
+        passed = []
+        for i, (scheme, ext), (_, gains) in zip(
+                members, stack, _receiver_pass(stack, RANK_TOL, with_gains=True)):
+            if gains is None:
+                continue
+            if all(r.ok for r in _family_relations(scheme, ext, RESIDUAL_TOL, SPAN_TOL)):
+                passed.append((i, gains))
+        if passed:
+            stacked = ZfGains(L=stack[0][1].L, gains=tuple(
+                np.stack(per_receiver) for per_receiver in zip(*(g for _, g in passed))))
+            for (i, _), rates in zip(passed, stacked.grid_rates(rhos)):
+                out[i] = rates
+    return out

@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
-from ia_lab import SchemeConfig, load_channels
+from ia_lab import SchemeConfig, load_channels, snr_sweep
 from ia_lab.cli import build_parser, main
+from ia_lab.evaluation import _trial_seed
 from ia_lab.families import FAMILIES
 
 
@@ -195,6 +197,21 @@ def test_channel_file_and_seed_take_one_build_path(tmp_path, capsys, config,
      "designed does not read --a-max"),
     (["verify", "--scheme", "siso-k3", "--a-min", "1"], (3, 1, 3),
      "--a-min does not apply with --channels: the channel file fixes the magnitude law"),
+    (["verify", "--scheme", "designed", "--seed", "5"], None,
+     "designed does not read --seed"),
+    (["precode", "--scheme", "designed", "--seed", "0"], None,
+     "designed does not read --seed"),
+    (["verify", "--scheme", "mimo", "--seed", "3"], (3, 2, 1),
+     "--seed does not apply with --channels: the channel file fixes the channels"),
+    (["precode", "--scheme", "siso-k3", "--seed", "0"], (3, 1, 3),
+     "--seed does not apply with --channels: the channel file fixes the channels"),
+    (["sweep", "--scheme", "siso-k3", "--snr", "40,nan,60", "--trials", "1",
+      "--out", "unused.csv"], None,
+     "snr grid must be nonempty, finite and strictly increasing"),
+    (["dof", "--scheme", "mimo", "--snr", "40,60,inf", "--trials", "1"], None,
+     "snr grid must be nonempty, finite and strictly increasing"),
+    (["dof", "--scheme", "mimo", "--snr=-inf,60", "--trials", "1"], None,
+     "snr grid must be nonempty, finite and strictly increasing"),
 ])
 def test_contradictory_scheme_flags_fail_fast(tmp_path, capsys, argv, file_shape, message):
     if file_shape is not None:
@@ -214,8 +231,50 @@ def test_contradictory_scheme_flags_fail_fast(tmp_path, capsys, argv, file_shape
     ("designed", {}),
 ])
 def test_echo_holds_the_defaults_of_the_flags_the_family_reads(capsys, scheme, echoed):
-    code, _, err = run(capsys, "verify", "--scheme", scheme, "--seed", "2")
+    code, _, err = run(capsys, "verify", "--scheme", scheme)
     assert code == 0
     options = json.loads(err.splitlines()[0])["config"]["options"]
     assert {key: options[key] for key in ("n", "a_min", "a_max")
             if key in options} == echoed
+
+
+@pytest.mark.parametrize("argv,seed", [
+    (["verify", "--scheme", "siso-k3"], 0),
+    (["verify", "--scheme", "mimo", "--seed", "4"], 4),
+    (["verify", "--scheme", "designed"], None),
+    (["dof", "--scheme", "designed", "--snr", "60,80", "--trials", "1"], 0),
+    (["dof", "--scheme", "designed", "--snr", "60,80", "--trials", "1", "--seed", "9"], 9),
+])
+def test_seed_echoes_where_it_is_read(capsys, argv, seed):
+    code, _, err = run(capsys, *argv)
+    assert code == 0
+    options = json.loads(err.splitlines()[0])["config"]["options"]
+    assert options.get("seed") == seed
+
+
+def test_designed_sweep_seed_names_the_trials(tmp_path, capsys):
+    path = tmp_path / "rates.csv"
+    code, _, _ = run(capsys, "sweep", "--scheme", "designed", "--snr", "60",
+                     "--trials", "1", "--seed", "5", "--out", str(path))
+    assert code == 0
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert {r[1] for r in rows[1:]} == {str(_trial_seed(5, 0))}
+
+
+def test_dof_summary_counts_failed_trials(capsys, monkeypatch):
+    import ia_lab.cli
+
+    def one_failed(config, snr_db, trials, seed):
+        table = snr_sweep(config, snr_db, trials, seed)
+        bad = table.records[0].seed
+        return dataclasses.replace(table, records=tuple(
+            dataclasses.replace(r, rates=None, status="failed") if r.seed == bad else r
+            for r in table.records))
+
+    monkeypatch.setattr(ia_lab.cli, "snr_sweep", one_failed)
+    code, out, _ = run(capsys, "dof", "--scheme", "mimo", "--snr", "60,80",
+                       "--trials", "3")
+    assert code == 0
+    summary = json.loads(out)
+    assert (summary["trials_used"], summary["failures"]) == (2, 1)

@@ -33,13 +33,6 @@ def test_sweep_is_deterministic():
     assert a == b
 
 
-def test_sweep_threads_match_serial():
-    config = SchemeConfig(family="siso-k3", n=1)
-    serial = snr_sweep(config, [40, 60], trials=4, seed=5, threads=1)
-    threaded = snr_sweep(config, [40, 60], trials=4, seed=5, threads=4)
-    assert serial == threaded
-
-
 def test_sweep_single_trial_two_rows():
     config = SchemeConfig(family="siso-k3", n=1)
     table = snr_sweep(config, [40, 60], trials=1, seed=7)
@@ -63,6 +56,9 @@ class FailingConfig:
 
     def build(self, seed):
         raise DegeneracyError("synthetic failure")
+
+    def build_trials(self, seeds):
+        return [DegeneracyError("synthetic failure") for _ in seeds]
 
 
 def test_failed_trials_become_failure_rows():
@@ -275,3 +271,18 @@ def test_ok_records_per_point_match_a_full_scan():
     expected = [np.mean([r.sum_rate for r in records if r.status == "ok" and r.snr_db == s])
                 for s in table.snr_db]
     assert table.mean_sum_rates().tolist() == expected
+
+
+def test_dof_estimate_counts_the_failed_trials():
+    records = []
+    for seed in range(5):
+        failed = seed in (1, 3)
+        for snr in (40.0, 60.0, 80.0):
+            rates = None if failed else ((snr / 10.0) * math.log2(10.0) / 3.0,) * 3
+            records.append(RateRecord(snr, seed, rates, "failed" if failed else "ok"))
+    table = RateTable(K=3, snr_db=(40.0, 60.0, 80.0), records=tuple(records))
+    estimate = estimate_dof(table)
+    assert (estimate.trials_used, estimate.trials_failed) == (3, 2)
+    assert math.isclose(estimate.slope, 1.0, rel_tol=1e-12)
+    clean = synthetic_table([40, 60, 80], lambda rho: math.log2(rho), trials=2)
+    assert estimate_dof(clean).trials_failed == 0

@@ -175,6 +175,9 @@ class CorruptedConfig:
     def build(self, seed):
         return corrupted_k3(seed)
 
+    def build_trials(self, seeds):
+        return [self.build(seed) for seed in seeds]
+
 
 def test_failed_receiver_check_becomes_failure_rows():
     table = snr_sweep(CorruptedConfig(), [60, 80], trials=2, seed=0)

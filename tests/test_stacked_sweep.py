@@ -1,0 +1,276 @@
+"""Sweeps work on their trials as stacks: one channel draw, one receiver pass
+per stack, one broadcast per receiver for the grid.
+
+Every stacked result must equal what the trial gets alone bit for bit:
+its channels, its status, and its rates.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import ia_lab.evaluation
+import ia_lab.families
+from ia_lab import (AlignmentError, ChannelStack, ParameterError, SchemeConfig,
+                    extend_channel, generate_channels, snr_sweep, zf_gains,
+                    zf_rates_stack)
+from ia_lab.evaluation import TRIAL_ERRORS, _trial_seed
+from ia_lab.linalg import RANK_TOL, orthonormal_complement
+from ia_lab.receiver import _receiver_pass
+
+CONFIGS = {
+    "siso-k3 n=1": SchemeConfig("siso-k3", n=1),
+    "siso-k3 n=2": SchemeConfig("siso-k3", n=2),
+    "siso-general K=4 n=1": SchemeConfig("siso-general", K=4, n=1),
+    "mimo M=2": SchemeConfig("mimo", M=2),
+    "mimo M=3": SchemeConfig("mimo", M=3),
+    "mimo M=4": SchemeConfig("mimo", M=4),
+    "designed K=3": SchemeConfig("designed", K=3),
+    "designed K=5": SchemeConfig("designed", K=5),
+}
+GRID = (0.0, 40.0, 80.0, 120.0, 160.0)
+RHOS = [10.0 ** (s / 10.0) for s in GRID]
+
+
+def alone(config, seed):
+    """(status, rates) of one trial built and evaluated on its own."""
+    try:
+        scheme, ext = config.build(seed)
+        rates = zf_gains(scheme, ext).grid_rates(RHOS)
+    except TRIAL_ERRORS + (AlignmentError,):
+        return "failed", None
+    return "ok", [tuple(row) for row in rates.tolist()]
+
+
+def by_trial(table):
+    out = {}
+    for rec in table.records:
+        status, rows = out.setdefault(rec.seed, (rec.status, []))
+        assert rec.status == status  # a trial fails or passes as a whole
+        rows.append(rec.rates)
+    return {seed: (status, None if status == "failed" else rows)
+            for seed, (status, rows) in out.items()}
+
+
+def assert_sweep_equals_trials_alone(config, trials, seed):
+    table = snr_sweep(config, GRID, trials, seed)
+    seeds = [_trial_seed(seed, t) for t in range(trials)]
+    assert [r.seed for r in table.records] == [s for s in seeds for _ in GRID]
+    assert by_trial(table) == {s: alone(config, s) for s in seeds}
+
+
+@pytest.mark.parametrize("trials", [1, 2, 5])
+@pytest.mark.parametrize("label", list(CONFIGS))
+def test_stacked_sweep_equals_each_trial_alone(label, trials):
+    assert_sweep_equals_trials_alone(CONFIGS[label], trials, seed=trials)
+
+
+def written_out_grid_rates(scheme, ext, rhos):
+    """Zero-forcing rates of one trial, computed receiver by receiver with
+    2-D arrays only: the unit-norm precoder, the complement of the stacked
+    interference, and the gains of the projected effective channel."""
+    K, L = scheme.K, ext.L
+    out = np.empty((len(rhos), K))
+    for k in range(K):
+        interference = np.hstack([ext.apply(k, j, scheme.precoders[j])
+                                  for j in range(K) if j != k])
+        basis = orthonormal_complement(interference)
+        v = scheme.precoders[k]
+        effective = basis.conj().T @ ext.apply(k, k, v / np.linalg.norm(v, axis=0))
+        gains = np.linalg.svd(effective, compute_uv=False) ** 2
+        p = (np.asarray(rhos) / K) * L / gains.size
+        out[:, k] = np.sum(np.log2(1.0 + p[:, None] * gains), axis=1) / L
+    return out
+
+
+@pytest.mark.parametrize("M", [3, 8, 10])
+def test_stacked_rates_equal_the_written_out_computation(M):
+    # from M=8 on, transmitter 1's precoder is Fortran-ordered and long
+    # enough that numpy sums its column norms in another order than for a
+    # C-ordered copy; the stack must normalize each precoder as it is
+    config = SchemeConfig("mimo", M=M)
+    table = snr_sweep(config, GRID, 4, seed=M)
+    rows = by_trial(table)
+    for seed, (status, rates) in rows.items():
+        assert status == "ok"
+        scheme, ext = config.build(seed)
+        expected = written_out_grid_rates(scheme, ext, RHOS)
+        assert rates == [tuple(r) for r in expected.tolist()]
+
+
+def test_sweep_across_stack_boundaries_equals_each_trial_alone(monkeypatch):
+    config = CONFIGS["siso-k3 n=1"]
+    scheme, ext = config.build(0)
+    # room for two trials per stack: five trials take three stacks
+    budget = 2 * ia_lab.evaluation._trial_bytes(scheme, ext)
+    monkeypatch.setattr(ia_lab.evaluation, "STACK_BYTES", budget)
+    sizes = []
+    original = ia_lab.evaluation.zf_rates_stack
+
+    def recording(trials, rhos):
+        sizes.append(len(trials))
+        return original(trials, rhos)
+
+    monkeypatch.setattr(ia_lab.evaluation, "zf_rates_stack", recording)
+    assert_sweep_equals_trials_alone(config, 5, seed=11)
+    assert sizes == [2, 2, 1]
+
+
+def test_a_trial_larger_than_the_budget_goes_alone(monkeypatch):
+    monkeypatch.setattr(ia_lab.evaluation, "STACK_BYTES", 1)
+    seeds = list(range(3))
+    built = SchemeConfig("mimo", M=2).build_trials(seeds)
+    stacks = list(ia_lab.evaluation._stacks(zip(seeds, built)))
+    assert [[seed for seed, _ in stack] for stack in stacks] == [[0], [1], [2]]
+
+
+def corrupt(scheme, seed):
+    """Transmitter 2's precoder replaced by a random one: receiver 1 then
+    sees unaligned interference and its check fails."""
+    rng = np.random.default_rng(seed)
+    v = scheme.precoders[1]
+    broken = rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)
+    return dataclasses.replace(
+        scheme, precoders=(scheme.precoders[0], broken) + scheme.precoders[2:])
+
+
+@dataclasses.dataclass(frozen=True)
+class OneCorrupted:
+    """A configuration whose build of one given trial seed is corrupted."""
+
+    config: SchemeConfig
+    bad_seed: int
+
+    @property
+    def K(self):
+        return self.config.K
+
+    def build_trials(self, seeds):
+        for seed, built in zip(seeds, self.config.build_trials(seeds)):
+            if seed == self.bad_seed:
+                scheme, ext = built
+                built = corrupt(scheme, seed), ext
+            yield built
+
+
+@pytest.mark.parametrize("label", ["siso-k3 n=2", "mimo M=3", "siso-general K=4 n=1"])
+def test_corrupted_trial_fails_alone_in_a_mixed_stack(label):
+    config = CONFIGS[label]
+    clean = snr_sweep(config, GRID, 5, 3)
+    bad_seed = _trial_seed(3, 2)
+    mixed = snr_sweep(OneCorrupted(config, bad_seed), GRID, 5, 3)
+    assert len(mixed.records) == len(clean.records)
+    for got, want in zip(mixed.records, clean.records):
+        if got.seed == bad_seed:
+            assert (got.status, got.rates) == ("failed", None)
+        else:
+            assert got == want
+
+
+def test_stack_of_mixed_shapes_and_failures():
+    # trials of different shapes share a call, each shape in its own pass
+    k3, ext3 = CONFIGS["siso-k3 n=1"].build(4)
+    trials = [(k3, ext3), CONFIGS["mimo M=2"].build(5), (corrupt(k3, 4), ext3),
+              CONFIGS["mimo M=2"].build(6), CONFIGS["designed K=3"].build(0)]
+    out = zf_rates_stack(trials, RHOS)
+    assert out[2] is None
+    for (scheme, ext), rates in zip(trials, out):
+        if rates is not None:
+            assert rates.tolist() == zf_gains(scheme, ext).grid_rates(RHOS).tolist()
+
+
+@pytest.mark.parametrize("shape", [(3, 1, 3), (4, 1, 33), (3, 2, 1), (3, 3, 1)])
+@pytest.mark.parametrize("law", [(0.5, 2.0), (1.0, 1.0)])
+def test_stacked_draw_is_bit_identical_to_one_seed_at_a_time(shape, law):
+    seeds = [0, 1, 2 ** 63 + 5, 2 ** 64 - 1, 12345]
+    stack = generate_channels(*shape, *law, seeds)
+    assert isinstance(stack, ChannelStack)
+    assert len(stack) == len(seeds)
+    for seed, ch in zip(seeds, stack):
+        alone = generate_channels(*shape, *law, seed)
+        assert ch == dataclasses.replace(alone, coeffs=ch.coeffs)
+        assert ch.coeffs.tobytes() == alone.coeffs.tobytes()
+        assert not ch.coeffs.flags.writeable
+
+
+def test_build_trials_channels_match_per_seed_generation():
+    seeds = [0, 2 ** 63 + 5, 2 ** 64 - 1]
+    for config in (CONFIGS["siso-k3 n=2"], CONFIGS["mimo M=2"]):
+        K, M, F = ia_lab.families.FAMILIES[config.family].channel_shape(config)
+        for seed, (scheme, ext) in zip(seeds, config.build_trials(seeds)):
+            ch = generate_channels(K, M, F, config.a_min, config.a_max, seed)
+            assert np.array_equal(ext.blocks, extend_channel(ch, ext.L).blocks)
+            assert np.array_equal(ext.blocks, config.build(seed)[1].blocks)
+
+
+def test_build_trials_puts_each_build_error_in_its_slot(monkeypatch):
+    from ia_lab.errors import DegeneracyError
+
+    calls = []
+
+    def flaky(config, ch):
+        calls.append(ch.seed)
+        if ch.seed == 1:
+            raise DegeneracyError("synthetic")
+        return "scheme", ch.seed
+
+    family = ia_lab.families.FAMILIES["mimo"]
+    monkeypatch.setitem(ia_lab.families.FAMILIES, "mimo",
+                        dataclasses.replace(family, build=flaky))
+    built = list(SchemeConfig("mimo", M=2).build_trials([0, 1, 2]))
+    assert built[0] == ("scheme", 0) and built[2] == ("scheme", 2)
+    assert isinstance(built[1], DegeneracyError)
+    assert calls == [0, 1, 2]
+    with pytest.raises(DegeneracyError):
+        SchemeConfig("mimo", M=2).build(1)
+
+
+def test_build_trials_rejects_a_bad_seed():
+    with pytest.raises(ParameterError):
+        list(SchemeConfig("siso-k3").build_trials([0, -1]))
+
+
+@pytest.mark.parametrize("M", [2, 3, 4])
+def test_receiver_stage_svd_calls_do_not_grow_with_trials(monkeypatch, M):
+    config = SchemeConfig("mimo", M=M)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    counts = []
+    for trials in (1, 8):
+        built = list(config.build_trials(range(trials)))
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        results = _receiver_pass(built, RANK_TOL, with_gains=True)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert all(gains is not None for _, gains in results)
+        counts.append(len(calls))
+        calls.clear()
+    # desired, joint and interference at each of the 3 receivers, and one
+    # projection per receiver (all trials share their interference ranks)
+    assert counts == [12, 12]
+
+
+def test_no_receiver_after_a_failed_check_in_a_stack():
+    k3, ext = CONFIGS["siso-k3 n=1"].build(4)
+    trials = [(corrupt(k3, 4), ext), (k3, ext)]
+    results = _receiver_pass(trials, RANK_TOL, with_gains=True)
+    (bad_checks, bad_gains), (good_checks, good_gains) = results
+    assert bad_gains is None and len(bad_checks) == 1 and not bad_checks[0].ok
+    assert good_gains is not None and len(good_checks) == 3
+    # the checks without gains keep every trial to the last receiver
+    full = _receiver_pass(trials, RANK_TOL, with_gains=False)
+    assert [len(checks) for checks, _ in full] == [3, 3]
+    assert full[0][0][0] == bad_checks[0]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_sweep_rejects_a_non_finite_grid_point(bad):
+    with pytest.raises(ParameterError, match="finite"):
+        snr_sweep(CONFIGS["siso-k3 n=1"], [40.0, bad, 60.0], trials=1, seed=0)
+    with pytest.raises(ParameterError, match="finite"):
+        snr_sweep(CONFIGS["siso-k3 n=1"], [40.0, 60.0, bad], trials=1, seed=0)
