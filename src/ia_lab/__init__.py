@@ -4,18 +4,16 @@ from .channels import (ChannelSet, ChannelStack, ExtendedChannel, extend_channel
                        generate_channels, load_channels, save_channels)
 from .designed import (DelayMatrix, build_designed_channel, check_delay_parity,
                        simulate_delay_schedule)
-from .errors import (AlignmentError, ChannelFileError, DegeneracyError,
-                     IaLabError, InsufficientDataError, ParameterError,
-                     RegionMembershipError, ShapeError, SingularChannelError,
-                     SizeGuardError)
+from .errors import (ChannelFileError, DegeneracyError, IaLabError,
+                     InsufficientDataError, ParameterError, RegionMembershipError,
+                     ShapeError, SingularChannelError, SizeGuardError)
 from .evaluation import (CognitiveScenario, DofEstimate, GapProbe, RateRecord,
                          RateTable, SchemeConfig, cognitive_dof,
                          decompose_dof_point, estimate_dof, estimate_o1_gap,
                          in_dof_region, sample_dof_region, snr_sweep,
                          REGION_CORNERS)
 from .mimo import build_mimo_even, build_mimo_odd, loop_matrix, mimo_extension
-from .receiver import (AlignmentReport, RateResult, ZfGains, check_alignment,
-                       zf_gains, zf_rates, zf_rates_stack)
+from .receiver import AlignmentReport, check_alignment, zf_rates
 from .schemes import PrecoderScheme, save_scheme, scheme_to_dict
 from .siso import (build_precoders_general, build_precoders_k3,
                    cross_pair_gains, guarded_extension_general, loop_gains,

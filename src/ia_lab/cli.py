@@ -17,9 +17,9 @@ import numpy as np
 from .channels import generate_channels, load_channels, save_channels
 from .designed import DelayMatrix, check_delay_parity, simulate_delay_schedule
 from .errors import IaLabError, ParameterError
-from .evaluation import (SchemeConfig, cognitive_dof, decompose_dof_point,
-                         estimate_dof, estimate_o1_gap, in_dof_region, snr_grid,
-                         snr_sweep)
+from .evaluation import (SchemeConfig, check_dof_point, cognitive_dof,
+                         decompose_dof_point, estimate_dof, estimate_o1_gap,
+                         in_dof_region, snr_grid, snr_sweep)
 from .families import FAMILIES
 from .receiver import check_alignment
 from .schemes import save_scheme
@@ -306,6 +306,8 @@ def main(argv=None) -> int:
             _family_flags(args)
         if getattr(args, "snr", None) is not None:
             args.snr = list(snr_grid(args.snr))
+        if getattr(args, "point", None) is not None:
+            check_dof_point(args.point)
         options = {key: value for key, value in vars(args).items()
                    if key not in ("func", "command") and value is not None}
         RunConfig(command=args.command, options=options).echo()

@@ -29,10 +29,6 @@ class SizeGuardError(IaLabError, ValueError):
     """A requested construction exceeds the configured size cap."""
 
 
-class AlignmentError(IaLabError, RuntimeError):
-    """Rates were requested for a scheme whose alignment checks fail."""
-
-
 class RegionMembershipError(IaLabError, ValueError):
     """A point lies outside the three-user degrees-of-freedom region."""
 

@@ -5,15 +5,16 @@ realization is evaluated across the whole grid so constant terms cancel out
 of slope estimates), rebuilds the scheme, and records zero-forcing rates.
 It works on its trials as stacks: one channel draw covers every trial
 (:meth:`SchemeConfig.build_trials`), the builds run per trial, and each
-stack of built trials takes one pass over the receivers
-(:func:`~ia_lab.receiver.zf_rates_stack`) that checks the alignment of
-every trial, drops a failing trial at once, and evaluates the whole grid
-for the others in one broadcast per receiver. A stack holds as many trials
-as fit ``STACK_BYTES``: hundreds of small ones, while a trial larger than
-that (an L=275 extension) goes alone, so a sweep's memory stays that of
-one stack whatever its trial count. Trials whose construction or alignment
-fails are recorded as failure rows. A rate table groups its successful rows
-by SNR point once, for the estimators that read it point by point.
+stack of built trials takes one call of the receiver's rate entry point,
+:func:`~ia_lab.receiver.zf_rates`, which checks the alignment of every
+trial in one pass over the receivers, drops a failing trial at once, and
+evaluates the whole grid for the others in one broadcast per receiver. A
+stack holds as many trials as fit ``STACK_BYTES``: hundreds of small ones,
+while a trial larger than that (an L=275 extension) goes alone, so a
+sweep's memory stays that of one stack whatever its trial count. Trials
+whose construction or alignment fails are recorded as failure rows. A rate
+table groups its successful rows by SNR point once, for the estimators
+that read it point by point.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .channels import ChannelSet, generate_channels
 from .errors import (DegeneracyError, InsufficientDataError, ParameterError,
                      RegionMembershipError, SingularChannelError)
 from .families import get_family
-from .receiver import zf_rates_stack
+from .receiver import zf_rates
 from .siso import DEFAULT_SIZE_CAP
 
 # failures of one realization, which a build reports in that trial's slot;
@@ -217,7 +218,7 @@ def snr_sweep(config: SchemeConfig, snr_db, trials: int, seed: int) -> RateTable
     records = []
     for stack in _stacks(zip(seeds, config.build_trials(seeds))):
         built = [b for _, b in stack if not isinstance(b, Exception)]
-        rates = iter(zf_rates_stack(built, rhos))
+        rates = iter(zf_rates(built, rhos))
         for tseed, b in stack:
             trial = None if isinstance(b, Exception) else next(rates)
             if trial is None:
@@ -326,11 +327,19 @@ REGION_CORNERS = np.array([
 _REGION_TOL = 1e-12
 
 
+def check_dof_point(point) -> None:
+    """ParameterError unless every component of ``point`` is finite."""
+    if not all(math.isfinite(x) for x in point):
+        raise ParameterError("a degrees-of-freedom point must be finite")
+
+
 def in_dof_region(point, tol: float = _REGION_TOL) -> bool:
-    """Membership in the region: nonnegative with all pairwise sums <= 1."""
+    """Membership in the region: nonnegative with all pairwise sums <= 1.
+    ParameterError unless the point has 3 finite components."""
     d = np.asarray(point, dtype=float)
     if d.shape != (3,):
         raise ParameterError("a degrees-of-freedom point has exactly 3 components")
+    check_dof_point(d)
     pair_ok = all(d[i] + d[j] <= 1.0 + tol for i in range(3) for j in range(i + 1, 3))
     return bool(np.all(d >= -tol) and pair_ok)
 

@@ -1,33 +1,33 @@
 """Zero-forcing reception: alignment verification and achievable rates.
 
-The checker measures, at every receiver, the rank of the stacked
-interference, of the desired signal, and of both together, and evaluates the
-family-specific alignment relations (exact equalities, column-subset
-containments, span equalities). Rates are computed by projecting onto the
-orthogonal complement of the interference span and jointly decoding the
-desired streams there: projection keeps the noise white, so the rate is a
-log-det over the projected effective channel.
+Two entry points share one pass over the receivers.
+:func:`check_alignment` verifies one scheme on one channel: at every
+receiver it measures the rank of the stacked interference, of the desired
+signal, and of both together, and it evaluates the family-specific
+alignment relations (exact equalities, column-subset containments, span
+equalities). :func:`zf_rates` gives the zero-forcing rates of many trials,
+each a scheme and its extended channel, over one power grid: projecting
+onto the orthogonal complement of the interference span keeps the noise
+white, so a receiver's rate is a log-det over its projected effective
+channel.
 
 All channel products go through ``ExtendedChannel.apply``, which works on
 the diagonal blocks and never forms the dense block-diagonal matrices.
 
-Every entry point is one pass over the receivers for a stack of trials of
-one shape, each trial a scheme and its extended channel.
-:func:`check_alignment` and :func:`zf_gains` run it on a stack of one;
-:func:`zf_rates_stack`, which sweeps use, on many trials at once. At
-receiver k the pass stacks the desired, joint and interference matrices of
-every trial still in the stack and takes each kind of rank from one batched
-SVD. :func:`check_alignment` takes values-only SVDs and keeps every trial
-to the last receiver, so its report holds them all. With gains, one batched
-full-U SVD of the interference gives the interference ranks and the bases
-of their orthogonal complements from the same singular values; trials are
-grouped by interference rank, and each group's projected effective
-channels take one batched SVD whose squared singular values are the
-gains. A trial that fails a receiver check leaves the stack at once (fail
-fast): it gets no further receivers and no family relations. Every trial
-gets, bit for bit, the answer it gets alone. The geometry does not depend
-on the transmit power, so :meth:`ZfGains.grid_rates` evaluates a whole SNR
-grid, for every trial of a stack, in one broadcast per receiver.
+The pass works on a stack of trials of one shape. At receiver k it stacks
+the desired, joint and interference matrices of every trial still in the
+stack and takes each kind of rank from one batched SVD.
+:func:`check_alignment` takes values-only SVDs on a stack of one and keeps
+it to the last receiver, so its report holds them all. :func:`zf_rates`
+groups its trials by shape; one batched full-U SVD of the interference
+gives the interference ranks and the bases of their orthogonal complements
+from the same singular values, trials are grouped by interference rank,
+and each group's projected effective channels take one batched SVD whose
+squared singular values are the gains. A trial that fails a receiver check
+leaves the stack at once (fail fast): it gets no further receivers and no
+family relations. Every trial gets, bit for bit, the answer it gets alone.
+The geometry does not depend on the transmit power, so the whole grid, for
+every trial of a stack, takes one broadcast per receiver.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .channels import ExtendedChannel
-from .errors import AlignmentError, ParameterError, ShapeError
+from .errors import ParameterError, ShapeError
 from .families import get_family
 from .linalg import (RANK_TOL, complement_and_rank, equality_residual,
                      numerical_rank, span_residual, subset_residual)
@@ -222,14 +222,6 @@ def _check_dimensions(scheme, ext) -> None:
             f"channel extension has {ext.dim}")
 
 
-def _report(scheme, ext, receivers, rank_tol, residual_tol,
-            span_tol) -> AlignmentReport:
-    return AlignmentReport(
-        family=scheme.family, K=scheme.K, M=ext.M, L=ext.L, rank_tol=rank_tol,
-        residual_tol=residual_tol, receivers=receivers,
-        relations=_family_relations(scheme, ext, residual_tol, span_tol))
-
-
 def check_alignment(scheme: PrecoderScheme, ext: ExtendedChannel,
                     rank_tol: float = RANK_TOL,
                     residual_tol: float = RESIDUAL_TOL,
@@ -253,142 +245,51 @@ def check_alignment(scheme: PrecoderScheme, ext: ExtendedChannel,
     """
     _check_dimensions(scheme, ext)
     [(receivers, _)] = _receiver_pass([(scheme, ext)], rank_tol, with_gains=False)
-    return _report(scheme, ext, receivers, rank_tol, residual_tol, span_tol)
+    return AlignmentReport(
+        family=scheme.family, K=scheme.K, M=ext.M, L=ext.L, rank_tol=rank_tol,
+        residual_tol=residual_tol, receivers=receivers,
+        relations=_family_relations(scheme, ext, residual_tol, span_tol))
 
 
-@dataclass(frozen=True)
-class RateResult:
-    """Per-user achievable rates of zero-forcing reception.
+def _grid_rates(L, gains, rhos) -> np.ndarray:
+    """Per-user rates of a stack of T trials at every total transmit power
+    in ``rhos``, as a (T, len(rhos), K) array, from ``gains[k]``, the
+    (T, d_k) squared singular values of receiver k's projected effective
+    channels; ``L`` is the extension length.
 
-    Rates are in bits per channel use (per extension slot). ``rho`` is the
-    total transmit power per orthogonal dimension with unit noise variance,
-    split equally over transmitters and then over each one's streams.
+    rate_k = sum over gains g of log2(1 + p_k g) / L, with
+    p_k = (rho / K) * L / d_k per stream: one broadcast evaluation over a
+    (trials x grid x streams) array per receiver. Rates are in bits per
+    channel use (per extension slot), with unit noise variance.
     """
-
-    rho: float
-    rates: tuple
-    stream_powers: tuple
-
-    @property
-    def sum_rate(self) -> float:
-        return float(sum(self.rates))
-
-
-@dataclass(frozen=True)
-class ZfGains:
-    """Power-independent zero-forcing geometry of one scheme on one channel,
-    or of a stack of trials of one shape.
-
-    ``gains[k]`` holds the squared singular values of receiver k's projected
-    effective channel, one per desired stream, with a leading trial axis for
-    a stack; ``L`` is the extension length. Rates at any power follow from
-    these alone.
-    """
-
-    L: int
-    gains: tuple
-
-    def grid_rates(self, rhos) -> np.ndarray:
-        """Per-user rates at every total transmit power in ``rhos``, as a
-        (len(rhos), K) array, or (T, len(rhos), K) for a stack of T trials.
-
-        rate_k = sum over gains g of log2(1 + p_k g) / L, with
-        p_k = (rho / K) * L / d_k per stream: one broadcast evaluation over a
-        (trials x grid x streams) array per receiver.
-        """
-        rhos = np.asarray(rhos, dtype=float)
-        if np.any(rhos < 0):
-            raise ParameterError(
-                f"transmit power must be nonnegative, got {rhos[rhos < 0][0]}")
-        K, L = len(self.gains), self.L
-        out = np.empty(self.gains[0].shape[:-1] + (rhos.size, K))
-        for k, gains in enumerate(self.gains):
-            p_k = (rhos / K) * L / gains.shape[-1]
-            out[..., k] = np.sum(np.log2(1.0 + p_k[:, None] * gains[..., None, :]),
-                                 axis=-1) / L
-        return out
-
-    def rates(self, rho: float) -> RateResult:
-        """Rates at total transmit power ``rho``: :meth:`grid_rates` at one
-        point (one trial only)."""
-        rates = self.grid_rates([rho])[0]
-        K, L = len(self.gains), self.L
-        return RateResult(rho=float(rho), rates=tuple(rates.tolist()),
-                          stream_powers=tuple((rho / K) * L / gains.size
-                                              for gains in self.gains))
+    rhos = np.asarray(rhos, dtype=float)
+    if np.any(rhos < 0):
+        raise ParameterError(
+            f"transmit power must be nonnegative, got {rhos[rhos < 0][0]}")
+    K = len(gains)
+    out = np.empty(gains[0].shape[:-1] + (rhos.size, K))
+    for k, g in enumerate(gains):
+        p_k = (rhos / K) * L / g.shape[-1]
+        out[..., k] = np.sum(np.log2(1.0 + p_k[:, None] * g[..., None, :]),
+                             axis=-1) / L
+    return out
 
 
-def _alignment_and_gains(scheme, ext, rank_tol=RANK_TOL, report=None):
-    """(report, gains): the alignment report and, when it passes, the
-    zero-forcing gains, from the pass with gains on a stack of one.
-
-    A given ``report`` stands in for the family relations: only the
-    receiver checks are re-derived, since the gains need their SVDs anyway.
-    That pass stops at a failing receiver check; the report is then the
-    given one or :func:`check_alignment`'s. ``gains`` is None when the
-    report or a receiver check fails.
-    """
-    _check_dimensions(scheme, ext)
-    if report is not None and not report.passed:
-        return report, None
-    [(receivers, gains)] = _receiver_pass([(scheme, ext)], rank_tol, with_gains=True)
-    if gains is None:
-        if report is None:
-            report = check_alignment(scheme, ext, rank_tol)
-        return report, None
-    if report is None:
-        report = _report(scheme, ext, receivers, rank_tol, RESIDUAL_TOL, SPAN_TOL)
-    if not report.passed:
-        return report, None
-    return report, ZfGains(L=ext.L, gains=gains)
-
-
-def zf_gains(scheme: PrecoderScheme, ext: ExtendedChannel,
-             report: AlignmentReport = None,
-             rank_tol: float = RANK_TOL) -> ZfGains:
-    """Project out the interference at every receiver, once for all powers.
-
-    Receiver k builds an orthonormal basis of the orthogonal complement of
-    its stacked interference, projects (noise stays white), and keeps the
-    squared singular values of G, the projected effective channel through
-    unit-norm precoder columns. The alignment checks run in the same pass
-    over the receivers (see :func:`check_alignment`); a passing ``report``
-    given by the caller replaces only the family relations.
-
-    Refuses to compute when the alignment checks fail; a failed check means
-    the construction is broken and any rate would be meaningless.
-    """
-    _, gains = _alignment_and_gains(scheme, ext, rank_tol, report)
-    if gains is None:
-        raise AlignmentError(
-            "alignment checks fail; refusing to compute zero-forcing rates")
-    return gains
-
-
-def zf_rates(scheme: PrecoderScheme, ext: ExtendedChannel, rho: float,
-             report: AlignmentReport = None,
-             rank_tol: float = RANK_TOL) -> RateResult:
-    """Rates after projecting out the interference at every receiver.
-
-    Receiver k decodes its own streams jointly in the interference-free
-    subspace (see :func:`zf_gains`): rate_k = log2 det(I + p_k G G^H) / L
-    with p_k = (rho / K) * L / d_k per stream.
-
-    Refuses to compute when the alignment report fails; a failed report
-    means the construction is broken and any rate would be meaningless.
-    """
-    return zf_gains(scheme, ext, report, rank_tol).rates(rho)
-
-
-def zf_rates_stack(trials, rhos) -> list:
+def zf_rates(trials, rhos) -> list:
     """Zero-forcing rates of many trials over one power grid; the trials of
     each shape share one pass over the receivers.
 
-    ``trials`` holds (scheme, ext) pairs. Returns, per trial, its per-user
-    rates as a (len(rhos), K) array, bit for bit
-    ``zf_gains(scheme, ext).grid_rates(rhos)``, or None when one of its
-    receiver checks or family relations fails. The family relations of a
-    trial are evaluated only when its receiver checks all pass.
+    ``trials`` holds (scheme, ext) pairs; ``rhos`` holds total transmit
+    powers per orthogonal dimension, split equally over transmitters and
+    then over each one's streams. Receiver k decodes its own streams
+    jointly in the interference-free subspace: rate_k =
+    log2 det(I + p_k G G^H) / L, with G the projected effective channel
+    through unit-norm precoder columns and p_k = (rho / K) * L / d_k per
+    stream. Returns, per trial, its per-user rates as a (len(rhos), K)
+    array, or None when one of its receiver checks or family relations
+    fails: a failed check means the construction is broken and any rate
+    would be meaningless. The family relations of a trial are evaluated
+    only when its receiver checks all pass.
     """
     out = [None] * len(trials)
     shapes = {}
@@ -405,8 +306,8 @@ def zf_rates_stack(trials, rhos) -> list:
             if all(r.ok for r in _family_relations(scheme, ext, RESIDUAL_TOL, SPAN_TOL)):
                 passed.append((i, gains))
         if passed:
-            stacked = ZfGains(L=stack[0][1].L, gains=tuple(
-                np.stack(per_receiver) for per_receiver in zip(*(g for _, g in passed))))
-            for (i, _), rates in zip(passed, stacked.grid_rates(rhos)):
+            stacked = tuple(np.stack(per_receiver)
+                            for per_receiver in zip(*(g for _, g in passed)))
+            for (i, _), rates in zip(passed, _grid_rates(stack[0][1].L, stacked, rhos)):
                 out[i] = rates
     return out

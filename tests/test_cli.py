@@ -96,6 +96,14 @@ def test_region_wrong_arity_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("point", ["nan,0,0", "inf,0,0", "0,-inf,0.2"])
+def test_region_rejects_a_non_finite_point_before_the_echo(capsys, point):
+    code, out, err = run(capsys, "region", "--point", point)
+    assert code == 1
+    assert out == ""
+    assert err == "error: a degrees-of-freedom point must be finite\n"
+
+
 @pytest.mark.parametrize("case,expected", [(1, "3/2"), (2, "2"), (3, "3/2"), (4, "2")])
 def test_cognitive_prints_value(capsys, case, expected):
     code, out, _ = run(capsys, "cognitive", "--case", str(case))

@@ -158,6 +158,17 @@ def test_decompose_rejects_outside_points():
     assert not in_dof_region((0.6, 0.6, 0.6))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", [0, 2])
+def test_region_rejects_a_non_finite_component(bad, slot):
+    point = [0.2, 0.2, 0.2]
+    point[slot] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        in_dof_region(point)
+    with pytest.raises(ParameterError, match="finite"):
+        decompose_dof_point(point)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)))
 def test_decompose_reconstructs_membership_points(point):

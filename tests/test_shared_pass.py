@@ -1,9 +1,11 @@
-"""The receiver pass sweeps share: one stacking and one interference SVD per
-receiver give both the alignment report and the zero-forcing gains.
+"""The receiver pass behind both entry points, ``check_alignment`` and
+``zf_rates(trials, rhos)``: one stacking and one interference SVD per
+receiver give both the receiver checks and the zero-forcing gains.
 
-Its reports must equal ``check_alignment``'s and its grid rates must equal
-per-point ``zf_rates`` bit for bit. Golden SHA-256 digests, recorded with
-the implementation that ran ``check_alignment`` and then one separate
+The checks of the pass with gains must equal ``check_alignment``'s
+receivers, and the grid rates of ``zf_rates`` must equal its rates at each
+point alone bit for bit. Golden SHA-256 digests, recorded with the
+implementation that ran ``check_alignment`` and then one separate
 complement SVD per receiver, pin both against silent drift.
 """
 
@@ -15,10 +17,9 @@ import numpy as np
 import pytest
 
 import ia_lab.receiver
-from ia_lab import (AlignmentError, SchemeConfig, check_alignment, snr_sweep,
-                    zf_gains, zf_rates)
-from ia_lab.linalg import complement_and_rank
-from ia_lab.receiver import _alignment_and_gains, _interference_stack
+from ia_lab import SchemeConfig, check_alignment, snr_sweep, zf_rates
+from ia_lab.linalg import RANK_TOL, complement_and_rank
+from ia_lab.receiver import _grid_rates, _interference_stack, _receiver_pass
 
 CONFIGS = {
     "siso-k3 n=1": SchemeConfig("siso-k3", n=1),
@@ -70,8 +71,9 @@ GOLDEN = {
 class Trial:
     scheme: object
     ext: object
-    report: object  # from the shared pass
-    gains: object  # None when the report fails
+    receivers: tuple  # checks of the pass with gains
+    gains: tuple  # of the pass with gains; None when a receiver check fails
+    rates: object  # zf_rates over RHOS; None when a check or relation fails
 
 
 @pytest.fixture(scope="module", params=list(CONFIGS))
@@ -80,7 +82,9 @@ def trials(request):
     out = []
     for seed in SEEDS:
         scheme, ext = config.build(seed)
-        out.append(Trial(scheme, ext, *_alignment_and_gains(scheme, ext)))
+        [(receivers, gains)] = _receiver_pass([(scheme, ext)], RANK_TOL, with_gains=True)
+        [rates] = zf_rates([(scheme, ext)], RHOS)
+        out.append(Trial(scheme, ext, receivers, gains, rates))
     return request.param, out
 
 
@@ -91,34 +95,36 @@ def report_json(report) -> bytes:
 def test_pass_report_equals_check_alignment(trials):
     _, rows = trials
     for t in rows:
-        assert t.report.to_dict() == check_alignment(t.scheme, t.ext).to_dict()
-        assert (t.gains is None) == (not t.report.passed)
+        report = check_alignment(t.scheme, t.ext)
+        assert t.receivers == report.receivers
+        assert (t.rates is None) == (not report.passed)
 
 
 def passing(rows):
-    return [t for t in rows if t.gains is not None]
+    return [t for t in rows if t.rates is not None]
 
 
 def test_grid_rates_equal_per_point_zf_rates(trials):
     _, rows = trials
     for t in passing(rows):
-        grid = t.gains.grid_rates(RHOS)
-        for rho, row in zip(RHOS, grid.tolist()):
-            assert row == list(zf_rates(t.scheme, t.ext, rho, report=t.report).rates)
+        for rho, row in zip(RHOS, t.rates.tolist()):
+            [one_point] = zf_rates([(t.scheme, t.ext)], [rho])
+            assert one_point.tolist() == [row]
 
 
 def test_one_point_rates_equal_grid_rates(trials):
+    # the pass's gains evaluated at one point at a time
     _, rows = trials
     for t in passing(rows):
-        grid = t.gains.grid_rates(RHOS)
-        for rho, row in zip(RHOS, grid.tolist()):
-            assert list(t.gains.rates(rho).rates) == row
+        gains = tuple(g[None] for g in t.gains)
+        for rho, row in zip(RHOS, t.rates.tolist()):
+            assert _grid_rates(t.ext.L, gains, [rho])[0].tolist() == [row]
 
 
 def test_interference_rank_is_dim_minus_complement(trials):
     _, rows = trials
     for t in rows:
-        for rx in t.report.receivers:
+        for rx in t.receivers:
             interference = _interference_stack(t.scheme, t.ext, rx.receiver)
             basis, rank = complement_and_rank(interference)
             assert rank == rx.interference_rank
@@ -130,10 +136,12 @@ def test_reports_and_rates_match_golden_digests(trials):
     from_check, from_pass = hashlib.sha256(), hashlib.sha256()
     rates = hashlib.sha256()
     for t in rows:
-        from_check.update(report_json(check_alignment(t.scheme, t.ext)))
-        from_pass.update(report_json(t.report))
+        report = check_alignment(t.scheme, t.ext)
+        from_check.update(report_json(report))
+        # the same report with the receiver checks of the pass with gains
+        from_pass.update(report_json(dataclasses.replace(report, receivers=t.receivers)))
     for t in passing(rows):
-        rates.update(t.gains.grid_rates(RHOS).tobytes())
+        rates.update(t.rates.tobytes())
     reports_digest, rates_digest = GOLDEN[label]
     assert from_check.hexdigest() == reports_digest
     assert from_pass.hexdigest() == reports_digest
@@ -159,14 +167,14 @@ def test_no_gains_after_a_failed_receiver_check(monkeypatch):
 
     monkeypatch.setattr(ia_lab.receiver, "complement_and_rank", counting)
     scheme, ext = corrupted_k3()
-    report, gains = _alignment_and_gains(scheme, ext)
+    [(receivers, gains)] = _receiver_pass([(scheme, ext)], RANK_TOL, with_gains=True)
     assert gains is None
-    assert not report.receivers[0].ok
-    # receiver 1 failed, so receivers 2 and 3 take values-only SVDs
+    assert not receivers[0].ok
+    # receiver 1 failed, so the pass stops there: no complement for 2 and 3
     assert len(calls) == 1
-    assert report.to_dict() == check_alignment(scheme, ext).to_dict()
-    with pytest.raises(AlignmentError):
-        zf_gains(scheme, ext)
+    assert receivers == check_alignment(scheme, ext).receivers[:1]
+    assert zf_rates([(scheme, ext)], RHOS) == [None]
+    assert len(calls) == 2
 
 
 class CorruptedConfig:

@@ -12,9 +12,8 @@ import pytest
 
 import ia_lab.evaluation
 import ia_lab.families
-from ia_lab import (AlignmentError, ChannelStack, ParameterError, SchemeConfig,
-                    extend_channel, generate_channels, snr_sweep, zf_gains,
-                    zf_rates_stack)
+from ia_lab import (ChannelStack, ParameterError, SchemeConfig, extend_channel,
+                    generate_channels, snr_sweep, zf_rates)
 from ia_lab.evaluation import TRIAL_ERRORS, _trial_seed
 from ia_lab.linalg import RANK_TOL, orthonormal_complement
 from ia_lab.receiver import _receiver_pass
@@ -37,8 +36,10 @@ def alone(config, seed):
     """(status, rates) of one trial built and evaluated on its own."""
     try:
         scheme, ext = config.build(seed)
-        rates = zf_gains(scheme, ext).grid_rates(RHOS)
-    except TRIAL_ERRORS + (AlignmentError,):
+    except TRIAL_ERRORS:
+        return "failed", None
+    [rates] = zf_rates([(scheme, ext)], RHOS)
+    if rates is None:
         return "failed", None
     return "ok", [tuple(row) for row in rates.tolist()]
 
@@ -106,13 +107,13 @@ def test_sweep_across_stack_boundaries_equals_each_trial_alone(monkeypatch):
     budget = 2 * ia_lab.evaluation._trial_bytes(scheme, ext)
     monkeypatch.setattr(ia_lab.evaluation, "STACK_BYTES", budget)
     sizes = []
-    original = ia_lab.evaluation.zf_rates_stack
+    original = ia_lab.evaluation.zf_rates
 
     def recording(trials, rhos):
         sizes.append(len(trials))
         return original(trials, rhos)
 
-    monkeypatch.setattr(ia_lab.evaluation, "zf_rates_stack", recording)
+    monkeypatch.setattr(ia_lab.evaluation, "zf_rates", recording)
     assert_sweep_equals_trials_alone(config, 5, seed=11)
     assert sizes == [2, 2, 1]
 
@@ -173,11 +174,12 @@ def test_stack_of_mixed_shapes_and_failures():
     k3, ext3 = CONFIGS["siso-k3 n=1"].build(4)
     trials = [(k3, ext3), CONFIGS["mimo M=2"].build(5), (corrupt(k3, 4), ext3),
               CONFIGS["mimo M=2"].build(6), CONFIGS["designed K=3"].build(0)]
-    out = zf_rates_stack(trials, RHOS)
+    out = zf_rates(trials, RHOS)
     assert out[2] is None
     for (scheme, ext), rates in zip(trials, out):
         if rates is not None:
-            assert rates.tolist() == zf_gains(scheme, ext).grid_rates(RHOS).tolist()
+            [alone] = zf_rates([(scheme, ext)], RHOS)
+            assert rates.tolist() == alone.tolist()
 
 
 @pytest.mark.parametrize("shape", [(3, 1, 3), (4, 1, 33), (3, 2, 1), (3, 3, 1)])
