@@ -80,14 +80,23 @@ class ChannelStack:
     def __iter__(self):
         return (self[t] for t in range(len(self)))
 
+    @classmethod
+    def of(cls, ch: ChannelSet) -> "ChannelStack":
+        """The stack of one channel set."""
+        return cls(K=ch.K, M=ch.M, F=ch.F, a_min=ch.a_min, a_max=ch.a_max,
+                   seeds=(ch.seed,), coeffs=ch.coeffs[None])
+
 
 @dataclass(frozen=True)
 class ExtendedChannel:
-    """Block-diagonal symbol extension of a channel set.
+    """Block-diagonal symbol extension of a channel set, or of every set of
+    a ChannelStack.
 
     ``blocks[k, j, f]`` is the f-th diagonal block (M x M) of the extended
     matrix for the link from transmitter j to receiver k; off-block entries
-    of the full matrix are exactly zero by construction.
+    of the full matrix are exactly zero by construction. The extension of a
+    stack puts a leading trial axis on ``blocks`` and on whatever its
+    methods take and return, and ``ext[t]`` is the extension of trial t.
     """
 
     K: int
@@ -100,12 +109,20 @@ class ExtendedChannel:
         """Row dimension L*M of the extended matrices."""
         return self.L * self.M
 
+    @property
+    def stacked(self) -> bool:
+        """True for the extension of a ChannelStack."""
+        return self.blocks.ndim == 6
+
+    def __getitem__(self, t: int) -> "ExtendedChannel":
+        return ExtendedChannel(K=self.K, M=self.M, L=self.L, blocks=self.blocks[t])
+
     def matrix(self, k: int, j: int) -> np.ndarray:
         """Dense (L*M) x (L*M) block-diagonal matrix of one link."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out = np.zeros(self.blocks.shape[:-5] + (self.dim, self.dim), dtype=complex)
         for f in range(self.L):
             lo = f * self.M
-            out[lo:lo + self.M, lo:lo + self.M] = self.blocks[k, j, f]
+            out[..., lo:lo + self.M, lo:lo + self.M] = self.blocks[..., k, j, f, :, :]
         return out
 
     def apply(self, k: int, j: int, v: np.ndarray) -> np.ndarray:
@@ -114,16 +131,17 @@ class ExtendedChannel:
         Elementwise for M = 1, one batched (L, M, M) @ (L, M, d) product
         otherwise; the zero off-block entries are never formed.
         """
-        blocks = self.blocks[k, j]
         if self.M == 1:
-            return blocks[:, 0] * v
-        return (blocks @ v.reshape(self.L, self.M, -1)).reshape(self.dim, -1)
+            return self.blocks[..., k, j, :, :, 0] * v
+        lead, d = v.shape[:-2], v.shape[-1]
+        return (self.blocks[..., k, j, :, :, :]
+                @ v.reshape(lead + (self.L, self.M, d))).reshape(lead + (self.dim, d))
 
     def diagonal(self, k: int, j: int) -> np.ndarray:
         """Diagonal entries of one link's extended matrix (M = 1 only)."""
         if self.M != 1:
             raise ShapeError("diagonal() requires single-antenna nodes (M=1)")
-        return self.blocks[k, j, :, 0, 0]
+        return self.blocks[..., k, j, :, 0, 0]
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -225,8 +243,9 @@ def generate_channels(K: int, M: int, F: int,
     return stack[0] if one else stack
 
 
-def extend_channel(ch: ChannelSet, L: int, mode: str = "frequency") -> ExtendedChannel:
-    """Build the L-slot block-diagonal extension of a channel set.
+def extend_channel(ch, L: int, mode: str = "frequency") -> ExtendedChannel:
+    """Build the L-slot block-diagonal extension of a channel set, or the
+    stacked extension of every set of a ChannelStack.
 
     ``mode="frequency"`` stacks slots 1..L of the source (requires L <= F);
     ``mode="constant-time"`` repeats slot 1 L times, which models coding over
@@ -238,9 +257,9 @@ def extend_channel(ch: ChannelSet, L: int, mode: str = "frequency") -> ExtendedC
         if L > ch.F:
             raise ParameterError(
                 f"frequency extension needs L <= F, got L={L} with F={ch.F}")
-        blocks = ch.coeffs[:, :, :L].copy()
+        blocks = ch.coeffs[..., :L, :, :].copy()
     elif mode == "constant-time":
-        blocks = np.repeat(ch.coeffs[:, :, :1], L, axis=2)
+        blocks = np.repeat(ch.coeffs[..., :1, :, :], L, axis=-3)
     else:
         raise ParameterError(f"unknown extension mode {mode!r}")
     return ExtendedChannel(K=ch.K, M=ch.M, L=L, blocks=_freeze(blocks))

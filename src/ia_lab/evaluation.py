@@ -3,18 +3,22 @@
 A sweep regenerates channels per trial (never per SNR point: the same
 realization is evaluated across the whole grid so constant terms cancel out
 of slope estimates), rebuilds the scheme, and records zero-forcing rates.
-It works on its trials as stacks: one channel draw covers every trial
-(:meth:`SchemeConfig.build_trials`), the builds run per trial, and each
-stack of built trials takes one call of the receiver's rate entry point,
-:func:`~ia_lab.receiver.zf_rates`, which checks the alignment of every
-trial in one pass over the receivers, drops a failing trial at once, and
+It works on its trials as stacks (:meth:`SchemeConfig.build_trials`). A
+stack holds as many trials as fit ``STACK_BYTES``, counted from the sizes
+the configuration fixes: hundreds of small ones, while a trial larger than
+that (an L=275 extension) goes alone, so a sweep's memory stays that of one
+stack whatever its trial count. Each stack takes one channel draw and one
+build call, whose every step runs over the whole stack and gives each
+trial its scheme or the error it gets alone. Then it takes one call of the
+receiver's rate entry point, :func:`~ia_lab.receiver.zf_rates`, which
+checks the alignment of every trial in one pass over the receivers and one
+evaluation of each family relation, drops a failing trial at once, and
 evaluates the whole grid for the others in one broadcast per receiver. A
-stack holds as many trials as fit ``STACK_BYTES``: hundreds of small ones,
-while a trial larger than that (an L=275 extension) goes alone, so a
-sweep's memory stays that of one stack whatever its trial count. Trials
-whose construction or alignment fails are recorded as failure rows. A rate
-table groups its successful rows by SNR point once, for the estimators
-that read it point by point.
+family that draws no channels (designed) is built and evaluated once per
+sweep, and its rows are written for every trial seed. Trials whose
+construction or alignment fails are recorded as failure rows. A rate table
+groups its successful rows by SNR point once, for the estimators that read
+it point by point.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channels import ChannelSet, generate_channels
+from .channels import ChannelSet, ChannelStack, generate_channels
 from .errors import (DegeneracyError, InsufficientDataError, ParameterError,
                      RegionMembershipError, SingularChannelError)
 from .families import get_family
@@ -59,35 +63,40 @@ class SchemeConfig:
     @property
     def claimed_dof(self) -> Fraction:
         """Sum degrees of freedom the family is designed to achieve."""
-        return get_family(self.family).claimed_dof(self)
+        L, streams = get_family(self.family).extension(self)
+        return Fraction(streams, L)
 
     def build_trials(self, seeds):
-        """Iterator over the builds of the realizations of ``seeds``, in
-        order: (scheme, extended channel), or the TRIAL_ERRORS instance a
-        realization's build raised.
+        """Iterator over the stacks of the builds of the realizations of
+        ``seeds``, in order: lists of (seed, build) pairs, a build being
+        (scheme, extended channel) or the TRIAL_ERRORS instance the
+        realization's build gives.
 
-        The channels of every seed come from one draw; each scheme is built
-        as the iterator reaches it, so a consumer holds only the builds it
-        keeps.
+        A stack holds as many trials as fit STACK_BYTES, counted from the
+        sizes the configuration fixes, and a trial larger than that goes
+        alone. Each stack takes one channel draw and one family build, and
+        is built as the iterator reaches it, so a consumer holds only the
+        stacks it keeps. A family that draws no channels is built once, and
+        that one build serves every seed, in one stack.
         """
         family = get_family(self.family)
         shape = family.channel_shape(self)
         seeds = list(seeds)
-        channels = ([None] * len(seeds) if shape is None
-                    else generate_channels(*shape, self.a_min, self.a_max, seeds))
-        for ch in channels:
-            try:
-                yield family.build(self, ch)
-            except TRIAL_ERRORS as err:
-                yield err
+        if shape is None:
+            [built] = family.build(self, None)
+            yield [(seed, built) for seed in seeds]
+            return
+        size = max(1, STACK_BYTES // _trial_bytes(self))
+        for lo in range(0, len(seeds), size):
+            chunk = seeds[lo:lo + size]
+            channels = generate_channels(*shape, self.a_min, self.a_max, chunk)
+            yield list(zip(chunk, family.build(self, channels)))
 
     def build(self, seed: int):
         """Build (scheme, extended channel) for one realization:
         :meth:`build_trials` of one seed, raising its error."""
-        [built] = self.build_trials([seed])
-        if isinstance(built, Exception):
-            raise built
-        return built
+        [[(_, built)]] = self.build_trials([seed])
+        return _raised(built)
 
     def build_on(self, ch: ChannelSet):
         """Build (scheme, extended channel) against a channel set with this
@@ -100,7 +109,15 @@ class SchemeConfig:
             raise ParameterError(
                 f"channel set has K={ch.K}, M={ch.M}, but the scheme is "
                 f"configured for K={self.K}, M={self.M}")
-        return family.build(self, ch)
+        [built] = family.build(self, ChannelStack.of(ch))
+        return _raised(built)
+
+
+def _raised(built):
+    """A build, or its error raised."""
+    if isinstance(built, Exception):
+        raise built
+    return built
 
 
 @dataclass(frozen=True)
@@ -171,25 +188,12 @@ def _trial_seed(root_seed: int, trial: int) -> int:
 STACK_BYTES = 1 << 22
 
 
-def _trial_bytes(scheme, ext) -> int:
-    """Rough complex128 bytes a built trial adds to a receiver pass: a
-    dim-square U and four dim x (total streams) stacks."""
-    return 16 * ext.dim * (ext.dim + 4 * scheme.total_streams)
-
-
-def _stacks(trials):
-    """Consecutive runs of (seed, build) pairs whose built trials fit
-    STACK_BYTES; a trial larger than that goes alone."""
-    stack, size = [], 0
-    for seed, built in trials:
-        cost = 0 if isinstance(built, Exception) else _trial_bytes(*built)
-        if stack and size + cost > STACK_BYTES:
-            yield stack
-            stack, size = [], 0
-        stack.append((seed, built))
-        size += cost
-    if stack:
-        yield stack
+def _trial_bytes(config: SchemeConfig) -> int:
+    """Rough complex128 bytes one trial of ``config`` adds to a receiver
+    pass: a dim-square U and four dim x (total streams) stacks."""
+    L, streams = get_family(config.family).extension(config)
+    dim = L * config.M
+    return 16 * dim * (dim + 4 * streams)
 
 
 def snr_grid(snr_db) -> tuple:
@@ -216,16 +220,19 @@ def snr_sweep(config: SchemeConfig, snr_db, trials: int, seed: int) -> RateTable
     rhos = [10.0 ** (snr / 10.0) for snr in grid]
     seeds = [_trial_seed(seed, t) for t in range(trials)]
     records = []
-    for stack in _stacks(zip(seeds, config.build_trials(seeds))):
-        built = [b for _, b in stack if not isinstance(b, Exception)]
-        rates = iter(zf_rates(built, rhos))
+    for stack in config.build_trials(seeds):
+        # seeds that share one build (a family that draws no channels)
+        # share its evaluation too
+        built = list({id(b): b for _, b in stack if not isinstance(b, Exception)}.values())
+        rows = {id(b): None if rates is None else rates.tolist()
+                for b, rates in zip(built, zf_rates(built, rhos))}
         for tseed, b in stack:
-            trial = None if isinstance(b, Exception) else next(rates)
+            trial = rows.get(id(b))
             if trial is None:
                 records.extend(RateRecord(snr, tseed, None, "failed") for snr in grid)
             else:
                 records.extend(RateRecord(snr, tseed, tuple(row), "ok")
-                               for snr, row in zip(grid, trial.tolist()))
+                               for snr, row in zip(grid, trial))
     return RateTable(K=config.K, snr_db=grid, records=tuple(records))
 
 

@@ -7,13 +7,12 @@ double) sees every call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .channels import extend_channel
 from .designed import build_designed_channel
 from .errors import ParameterError
-from .mimo import build_mimo_even, build_mimo_odd, mimo_extension, odd_extension
+from .mimo import build_mimo_even, build_mimo_odd, odd_extension
 from .siso import (build_precoders_general, build_precoders_k3,
                    guarded_extension_general, required_extension_general)
 
@@ -25,9 +24,14 @@ class Family:
 
     check: Callable  # (K, M) -> None; ParameterError if the family cannot build them
     default_M: int
-    claimed_dof: Callable  # config -> Fraction
+    # config -> (L, total streams) of the schemes it builds, L unguarded
+    # by size_cap; their ratio is the claimed degrees of freedom
+    extension: Callable
     channel_shape: Callable  # config -> (K, M, F) one realization draws, None if fixed
-    build: Callable  # (config, ChannelSet or None) -> (scheme, extended channel)
+    # (config, ChannelStack) -> per channel set of the stack, its (scheme,
+    # extended channel) or the TRIAL_ERRORS instance its build gives; a
+    # family that draws no channels takes None and gives one build
+    build: Callable
     # (K, HV) -> (kind, receiver, description, left, right) of every promised
     # relation; kind is equality, subset (left's columns among right's) or
     # span, and HV(k, j) is transmitter j's precoder seen at receiver k
@@ -43,9 +47,14 @@ def _require(ok: bool, requirement: str) -> None:
         raise ParameterError(requirement)
 
 
-def _k3_build(config, ch):
-    ext = extend_channel(ch, 2 * config.n + 1)
-    return build_precoders_k3(ext, config.n), ext
+def _paired(schemes, ext) -> list:
+    """Each trial's (scheme, extension) of a stacked build, or its error."""
+    return [s if isinstance(s, Exception) else (s, ext[t]) for t, s in enumerate(schemes)]
+
+
+def _k3_build(config, channels):
+    ext = extend_channel(channels, 2 * config.n + 1)
+    return _paired(build_precoders_k3(ext, config.n), ext)
 
 
 def _k3_relations(K, HV):
@@ -57,15 +66,16 @@ def _k3_relations(K, HV):
            HV(2, 1), HV(2, 0))
 
 
-def _general_dof(c):
+def _general_extension(c):
     big_n = (c.K - 1) * (c.K - 2) - 1
-    return Fraction((c.n + 1) ** big_n + (c.K - 1) * c.n ** big_n,
-                    required_extension_general(c.K, c.n))
+    return (required_extension_general(c.K, c.n),
+            (c.n + 1) ** big_n + (c.K - 1) * c.n ** big_n)
 
 
-def _general_build(config, ch):
-    ext = extend_channel(ch, guarded_extension_general(ch.K, config.n, config.size_cap))
-    return build_precoders_general(ext, config.n, size_cap=config.size_cap), ext
+def _general_build(config, channels):
+    ext = extend_channel(channels, guarded_extension_general(channels.K, config.n,
+                                                             config.size_cap))
+    return _paired(build_precoders_general(ext, config.n, size_cap=config.size_cap), ext)
 
 
 def _general_relations(K, HV):
@@ -75,18 +85,19 @@ def _general_relations(K, HV):
                f"rx1: interference from tx{j + 1} equals interference from tx2",
                HV(0, j), ref)
     for i in range(1, K):
+        pool = HV(i, 0)  # formed once for the K-2 relations at receiver i
         for j in range(1, K):
             if j != i:
                 yield ("subset", i, f"rx{i + 1}: interference from tx{j + 1} within tx1's",
-                       HV(i, j), HV(i, 0))
+                       HV(i, j), pool)
 
 
-def _mimo_build(config, ch):
-    if ch.M % 2 == 0:
-        scheme = build_mimo_even(ch)
-        return scheme, mimo_extension(ch, scheme)
-    ext = odd_extension(ch)  # built once, for the solves and for the caller
-    return build_mimo_odd(ch, ext), ext
+def _mimo_build(config, channels):
+    if channels.M % 2 == 0:
+        return _paired(build_mimo_even(channels),
+                       extend_channel(channels, 1, mode="constant-time"))
+    ext = odd_extension(channels)  # built once, for the solves and for the caller
+    return _paired(build_mimo_odd(channels, ext), ext)
 
 
 def _mimo_relations(K, HV):
@@ -98,9 +109,9 @@ def _mimo_relations(K, HV):
            HV(2, 0), HV(2, 1))
 
 
-def _designed_build(config, ch):
+def _designed_build(config, channels):
     ext, scheme = build_designed_channel(config.K)
-    return scheme, ext
+    return [(scheme, ext)]
 
 
 def _designed_relations(K, HV):
@@ -116,25 +127,26 @@ def _designed_relations(K, HV):
 FAMILIES = {
     "siso-k3": Family(
         check=lambda K, M: _require((K, M) == (3, 1), "siso-k3 requires K=3, M=1"),
-        default_M=1, claimed_dof=lambda c: Fraction(3 * c.n + 1, 2 * c.n + 1),
+        default_M=1, extension=lambda c: (2 * c.n + 1, 3 * c.n + 1),
         channel_shape=lambda c: (3, 1, 2 * c.n + 1),
         build=_k3_build, relations=_k3_relations,
         reads=("n", "a_min", "a_max", "seed")),
     "siso-general": Family(
         check=lambda K, M: _require(K >= 3 and M == 1, "siso-general requires K>=3, M=1"),
-        default_M=1, claimed_dof=_general_dof,
+        default_M=1, extension=_general_extension,
         channel_shape=lambda c: (c.K, 1, guarded_extension_general(c.K, c.n, c.size_cap)),
         build=_general_build, relations=_general_relations,
         reads=("n", "a_min", "a_max", "size_cap", "seed")),
     "mimo": Family(
         check=lambda K, M: _require(K == 3 and M >= 2, "mimo requires K=3, M>=2"),
-        default_M=2, claimed_dof=lambda c: Fraction(3 * c.M, 2),
+        # even M: M/2 streams each on one slot; odd M: M each over two
+        default_M=2, extension=lambda c: (1, 3 * c.M // 2) if c.M % 2 == 0 else (2, 3 * c.M),
         channel_shape=lambda c: (3, c.M, 1),
         build=_mimo_build, relations=_mimo_relations,
         reads=("a_min", "a_max", "seed")),
     "designed": Family(
         check=lambda K, M: _require(K >= 2 and M == 1, "designed requires K>=2, M=1"),
-        default_M=1, claimed_dof=lambda c: Fraction(c.K, 2),
+        default_M=1, extension=lambda c: (2, c.K),
         channel_shape=lambda c: None,
         build=_designed_build, relations=_designed_relations, reads=()),
 }

@@ -8,8 +8,9 @@ the rank unchanged but greatly improves the spread of singular values when
 column norms differ by orders of magnitude (power-basis precoders do).
 
 The rank functions also take a stack of matrices, shape (T, rows, cols),
-and then answer for every matrix of the stack from one batched SVD; each
-matrix gets bit for bit the answer it gets alone.
+and then answer for every matrix of the stack from one batched SVD. The
+residuals take stacks only, and answer with an array over the stack. Each
+matrix gets bit for bit the answer it gets alone, or as a stack of one.
 """
 
 from __future__ import annotations
@@ -35,7 +36,10 @@ def _rank(s: np.ndarray, tol: float):
     zero for an empty or all-zero matrix. For the rows of a (T, n) stack of
     them, an integer array of T counts."""
     if s.ndim == 2:
-        return np.array([_rank(row, tol) for row in s], dtype=int)
+        # in Python floats, which compare as float64 do: cheaper than numpy
+        # calls on the few values of a row
+        return np.array([sum(x >= tol * row[0] for x in row) if row and row[0] > 0.0 else 0
+                         for row in s.tolist()], dtype=int)
     return int(np.count_nonzero(s >= tol * s[0])) if s.size and s[0] > 0.0 else 0
 
 
@@ -51,15 +55,10 @@ def numerical_rank(matrix: np.ndarray, tol: float = RANK_TOL,
     return _rank(singular_values(matrix, equilibrate=equilibrate), tol)
 
 
-def has_full_column_rank(matrix: np.ndarray) -> bool:
-    """True iff the columns are linearly independent, rank decided at RANK_TOL."""
-    return _rank(singular_values(matrix), RANK_TOL) == np.shape(matrix)[1]
-
-
-def orthonormal_basis(matrix: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis of the column space, rank decided at ``tol``."""
-    u, s, _ = np.linalg.svd(equilibrate_columns(matrix), full_matrices=False)
-    return u[:, :_rank(s, tol)]
+def has_full_column_rank(matrix: np.ndarray):
+    """True iff the columns are linearly independent, rank decided at
+    RANK_TOL; a boolean array of the answers for a stack of matrices."""
+    return _rank(singular_values(matrix), RANK_TOL) == np.shape(matrix)[-1]
 
 
 def complement_and_rank(matrix: np.ndarray, tol: float = RANK_TOL) -> tuple:
@@ -82,44 +81,69 @@ def orthonormal_complement(matrix: np.ndarray, tol: float = RANK_TOL) -> np.ndar
     return complement_and_rank(matrix, tol)[0]
 
 
-def equality_residual(left: np.ndarray, right: np.ndarray) -> float:
-    """Relative Frobenius distance between two equally shaped matrices."""
-    scale = max(np.linalg.norm(left), np.linalg.norm(right))
-    if scale == 0.0:
-        return 0.0
-    return float(np.linalg.norm(left - right) / scale)
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a (T, n) complex stack, bit for bit
+    ``np.linalg.norm`` of the row alone: one dot product each of its real
+    and its imaginary part (``np.vecdot`` runs the same dot product as
+    ``np.dot``, where an ``add.reduce`` of the squares would round
+    differently)."""
+    return np.sqrt(np.vecdot(stack.real, stack.real) + np.vecdot(stack.imag, stack.imag))
 
 
-def subset_residual(columns: np.ndarray, pool: np.ndarray) -> float:
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, and 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros(np.shape(num)), where=den != 0.0)
+
+
+def equality_residual(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Relative Frobenius distance between the two equally shaped matrices
+    of each trial of a (T, rows, cols) stack, as an array of T."""
+    T = len(left)
+    norms = _norms(np.concatenate((left, right, left - right)).reshape(3 * T, -1))
+    return _ratio(norms[2 * T:], np.maximum(norms[:T], norms[T:2 * T]))
+
+
+def subset_residual(columns: np.ndarray, pool: np.ndarray) -> np.ndarray:
     """Worst relative distance from a column of ``columns`` to its nearest
-    column of ``pool``.
+    column of ``pool``, for each trial of a stack of them, as an array.
 
     Zero (up to rounding) iff the column set of ``columns`` is contained in
-    the column set of ``pool``.
+    the column set of ``pool``; a zero column lies in any pool. One pass
+    per column over every trial, so memory stays that of one (T, rows,
+    pool columns) difference.
     """
-    worst = 0.0
-    for i in range(columns.shape[1]):
-        col = columns[:, i]
-        norm = np.linalg.norm(col)
-        if norm == 0.0:
-            continue
-        dist = np.min(np.linalg.norm(pool - col[:, None], axis=0))
-        worst = max(worst, float(dist / norm))
-    return worst
+    dist = np.empty(columns.shape[::2])
+    for i in range(columns.shape[-1]):
+        diff = pool - columns[..., i:i + 1]
+        # np.linalg.norm's own formula for one axis
+        dist[:, i] = np.min(np.sqrt(np.add.reduce((diff.conj() * diff).real, axis=-2)),
+                            axis=-1)
+    norms = _norms(columns.swapaxes(-1, -2))
+    return np.fmax.reduce(_ratio(dist, norms), axis=-1, initial=0.0)
 
 
-def span_residual(left: np.ndarray, right: np.ndarray, tol: float = RANK_TOL) -> float:
-    """Sine of the largest principal angle between the two column spans.
+def span_residual(left: np.ndarray, right: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+    """Sine of the largest principal angle between the two column spans of
+    each trial of a stack, as an array.
 
-    Returns 1.0 outright when the spans have different dimensions. The
-    small-angle regime is computed as ``||Ql - Qr (Qr^H Ql)||_2``, which does
-    not suffer the cancellation of the arccos-of-cosine route.
+    1.0 outright when the spans have different dimensions. Each span's
+    orthonormal basis comes from one batched SVD per side, its rank decided
+    at ``tol``. The small-angle regime is computed as
+    ``||Ql - Qr (Qr^H Ql)||_2``, which does not suffer the cancellation of
+    the arccos-of-cosine route.
     """
-    ql = orthonormal_basis(left, tol)
-    qr = orthonormal_basis(right, tol)
-    if ql.shape[1] != qr.shape[1]:
-        return 1.0
-    if ql.shape[1] == 0:
-        return 0.0
-    resid = ql - qr @ (qr.conj().T @ ql)
-    return float(np.linalg.norm(resid, 2))
+    (ul, rl), (ur, rr) = [
+        (u, _rank(s, tol)) for u, s, _ in
+        (np.linalg.svd(equilibrate_columns(m), full_matrices=False) for m in (left, right))]
+    out = np.where(rl == rr, 0.0, 1.0)
+    by_rank = {}
+    for t, (a, b) in enumerate(zip(rl.tolist(), rr.tolist())):
+        if a == b and a:
+            by_rank.setdefault(a, []).append(t)
+    for rank, trials in by_rank.items():
+        ql, qr = (ul, ur) if len(trials) == len(ul) else (ul[trials], ur[trials])
+        ql, qr = ql[..., :rank], qr[..., :rank]
+        resid = ql - qr @ (qr.conj().swapaxes(-1, -2) @ ql)
+        # the spectral norm, as np.linalg.norm(resid, 2) takes it
+        out[trials] = np.max(np.linalg.svd(resid, compute_uv=False), axis=-1)
+    return out

@@ -5,26 +5,55 @@ along eigenvectors of the M x M closed-loop map of the cross links; the
 other two precoders are solved from the exact alignment equalities at
 receivers 2 and 3. Even M needs no extension (M/2 streams each); odd M uses
 a two-slot constant-time extension and an interleaved eigenvector layout to
-fit M streams per user into 2M dimensions.
+fit M streams per user into 2M dimensions. Every step (solves,
+eigendecomposition, checks) also runs over a stack of trials at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channels import ChannelSet, ExtendedChannel, extend_channel
+from .channels import ChannelSet, ChannelStack, ExtendedChannel, extend_channel
 from .errors import DegeneracyError, ParameterError, ShapeError, SingularChannelError
-from .schemes import PrecoderScheme, full_rank_scheme
+from .schemes import PrecoderScheme, TrialStack, full_rank_schemes
 
 EIGENBASIS_COND_CAP = 1e8
 EIGENVALUE_GAP_TOL = 1e-10
 
 
-def _solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
+def _solve(a: np.ndarray, b: np.ndarray, what: str, stack: TrialStack) -> np.ndarray:
+    """``np.linalg.solve`` over the rows of a stacked build. One singular
+    matrix fails the whole stacked call; then each row is solved alone, and
+    a singular one fails its trial and reads zeros."""
     try:
         return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as err:
-        raise SingularChannelError(f"{what} is singular") from err
+    except np.linalg.LinAlgError:
+        pass
+    x = np.zeros(b.shape, dtype=complex)
+    ok = np.ones(len(b), dtype=bool)
+    for r in range(len(b)):
+        try:
+            x[r] = np.linalg.solve(a[r], b[r])
+        except np.linalg.LinAlgError:
+            ok[r] = False
+    stack.fail(ok, SingularChannelError, f"{what} is singular")
+    return x
+
+
+def _coefficients(ch) -> tuple:
+    """(coefficients with a leading trial axis, bookkeeping of a build over
+    them) of a channel set or a ChannelStack."""
+    if ch.K != 3:
+        raise ShapeError("loop_matrix needs exactly 3 users")
+    coeffs = ch.coeffs if isinstance(ch, ChannelStack) else ch.coeffs[None]
+    return coeffs, TrialStack(len(coeffs))
+
+
+def _loop_matrix(coeffs: np.ndarray, stack: TrialStack) -> np.ndarray:
+    H = lambda k, j: coeffs[:, k, j, 0]
+    return (_solve(H(2, 0), H(2, 1), "H31", stack)
+            @ _solve(H(0, 1), H(0, 2), "H12", stack)
+            @ _solve(H(1, 2), H(1, 0), "H23", stack))
 
 
 def loop_matrix(ch: ChannelSet) -> np.ndarray:
@@ -35,12 +64,29 @@ def loop_matrix(ch: ChannelSet) -> np.ndarray:
     from transmitters 2 and 3 coincide once the exact alignment equalities
     at receivers 2 and 3 are enforced.
     """
-    if ch.K != 3:
-        raise ShapeError("loop_matrix needs exactly 3 users")
-    H = lambda k, j: ch.coeffs[k, j, 0]
-    return (_solve(H(2, 0), H(2, 1), "H31")
-            @ _solve(H(0, 1), H(0, 2), "H12")
-            @ _solve(H(1, 2), H(1, 0), "H23"))
+    coeffs, stack = _coefficients(ch)
+    return stack.one(_loop_matrix(coeffs, stack))
+
+
+def _sorted_eigenbasis(matrices: np.ndarray, stack: TrialStack) -> tuple:
+    values, vectors = np.linalg.eig(matrices)
+    order = np.lexsort((np.angle(values), -np.abs(values)), axis=-1)
+    rows = np.arange(len(order))[:, None]
+    values = values[rows, order]
+    # each basis in column-major layout, as indexing the columns of one
+    # matrix lays them out
+    vectors = vectors.swapaxes(-1, -2)[rows, order].swapaxes(-1, -2)
+    # np.linalg.cond's ratio, without its checks for empty or NaN input
+    s = np.linalg.svd(vectors, compute_uv=False)
+    stack.fail(~(s[:, 0] / s[:, -1] > EIGENBASIS_COND_CAP), DegeneracyError,
+               "eigenbasis condition number exceeds cap")
+    gaps = np.abs(values[:, :, None] - values[:, None, :])
+    M = gaps.shape[-1]
+    gaps.reshape(len(gaps), M * M)[:, ::M + 1] = np.inf  # the diagonals
+    stack.fail(~(np.min(gaps, axis=(1, 2))
+                 <= EIGENVALUE_GAP_TOL * np.max(np.abs(values), axis=1)),
+               DegeneracyError, "repeated eigenvalues; every direction aligns trivially")
+    return values, vectors
 
 
 def sorted_eigenbasis(matrix: np.ndarray) -> tuple:
@@ -51,41 +97,42 @@ def sorted_eigenbasis(matrix: np.ndarray) -> tuple:
     collide; random continuous channels hit neither almost surely, so a
     failure here signals structured input.
     """
-    values, vectors = np.linalg.eig(matrix)
-    order = np.lexsort((np.angle(values), -np.abs(values)))
-    values, vectors = values[order], vectors[:, order]
-    if np.linalg.cond(vectors) > EIGENBASIS_COND_CAP:
-        raise DegeneracyError("eigenbasis condition number exceeds cap")
-    gaps = np.abs(values[:, None] - values[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    if np.min(gaps) <= EIGENVALUE_GAP_TOL * np.max(np.abs(values)):
-        raise DegeneracyError("repeated eigenvalues; every direction aligns trivially")
-    return values, vectors
+    stack = TrialStack(1)
+    values, vectors = _sorted_eigenbasis(np.asarray(matrix)[None], stack)
+    return stack.one(values), vectors[0]
 
 
-def build_mimo_even(ch: ChannelSet) -> PrecoderScheme:
+def build_mimo_even(ch):
     """Even-M precoders on the unextended constant channel.
 
     Transmitter 1 uses the first M/2 eigenvectors of the loop map; the
     others are solved from the exact equalities H21 V1 = H23 V3 and
     H31 V1 = H32 V2, leaving M/2 interference dimensions at every receiver.
+
+    For a ChannelStack, every step runs over the whole stack: a list of
+    each trial's scheme, or the error its build gives alone.
     """
     M = ch.M
     if M < 2 or M % 2:
         raise ParameterError(f"even construction needs even M >= 2, got M={M}")
     if ch.F != 1:
         raise ShapeError("constant-channel construction expects F=1")
-    _, vectors = sorted_eigenbasis(loop_matrix(ch))
-    H = lambda k, j: ch.coeffs[k, j, 0]
-    v_tx1 = vectors[:, : M // 2]
-    v_tx2 = _solve(H(2, 1), H(2, 0) @ v_tx1, "H32")
-    v_tx3 = _solve(H(1, 2), H(1, 0) @ v_tx1, "H23")
-    return full_rank_scheme(DegeneracyError, family="mimo", K=3, M=M, L=1,
-                            precoders=(v_tx1, v_tx2, v_tx3), parity="even")
+    coeffs, stack = _coefficients(ch)
+    coeffs, loop = stack.cut(coeffs, _loop_matrix(coeffs, stack))
+    _, vectors = _sorted_eigenbasis(loop, stack)
+    coeffs, vectors = stack.cut(coeffs, vectors)
+    H = lambda k, j: coeffs[:, k, j, 0]
+    v_tx1 = vectors[..., : M // 2]
+    v_tx2 = _solve(H(2, 1), H(2, 0) @ v_tx1, "H32", stack)
+    v_tx3 = _solve(H(1, 2), H(1, 0) @ v_tx1, "H23", stack)
+    schemes = full_rank_schemes(stack, DegeneracyError, (v_tx1, v_tx2, v_tx3),
+                                family="mimo", K=3, M=M, L=1, parity="even")
+    return schemes if isinstance(ch, ChannelStack) else stack.one(schemes)
 
 
 def interleaved_seed(vectors: np.ndarray) -> np.ndarray:
-    """2M x M seed precoder from an eigenbasis, for the two-slot extension.
+    """2M x M seed precoder from an eigenbasis, for the two-slot extension;
+    for a (T, M, M) stack of bases, the (T, 2M, M) stack of seeds.
 
     Column j < M-1 carries eigenvector j in the first slot when j is even
     and in the second slot when j is odd (zero elsewhere); the last column
@@ -93,17 +140,17 @@ def interleaved_seed(vectors: np.ndarray) -> np.ndarray:
     eigenvector of the block-diagonal extended loop map, and the slot
     interleaving keeps the desired signal clear of the interference span.
     """
-    M = vectors.shape[0]
-    seed = np.zeros((2 * M, M), dtype=complex)
+    M = vectors.shape[-1]
+    seed = np.zeros(vectors.shape[:-2] + (2 * M, M), dtype=complex)
     for j in range(M - 1):
         offset = 0 if j % 2 == 0 else M
-        seed[offset:offset + M, j] = vectors[:, j]
-    seed[:M, M - 1] = vectors[:, M - 1]
-    seed[M:, M - 1] = vectors[:, M - 1]
+        seed[..., offset:offset + M, j] = vectors[..., j]
+    seed[..., :M, M - 1] = vectors[..., M - 1]
+    seed[..., M:, M - 1] = vectors[..., M - 1]
     return seed
 
 
-def build_mimo_odd(ch: ChannelSet, ext: ExtendedChannel = None) -> PrecoderScheme:
+def build_mimo_odd(ch, ext: ExtendedChannel = None):
     """Odd-M precoders over a two-slot constant-time extension.
 
     Same loop map and alignment equalities as the even case, applied to the
@@ -112,23 +159,32 @@ def build_mimo_odd(ch: ChannelSet, ext: ExtendedChannel = None) -> PrecoderSchem
     stays 3M/2 per channel use. ``ext`` is that extension of ``ch`` (see
     :func:`odd_extension`) when the caller already holds it; otherwise it
     is built here.
+
+    For a ChannelStack, every step runs over the whole stack: a list of
+    each trial's scheme, or the error its build gives alone.
     """
     M = ch.M
     if M < 3 or M % 2 == 0:
         raise ParameterError(f"odd construction needs odd M >= 3, got M={M}")
     if ch.F != 1:
         raise ShapeError("constant-channel construction expects F=1")
-    _, vectors = sorted_eigenbasis(loop_matrix(ch))
+    coeffs, stack = _coefficients(ch)
     if ext is None:
         ext = odd_extension(ch)
+    blocks = ext.blocks if ext.stacked else ext.blocks[None]
+    blocks, loop = stack.cut(blocks, _loop_matrix(coeffs, stack))
+    _, vectors = _sorted_eigenbasis(loop, stack)
+    blocks, vectors = stack.cut(blocks, vectors)
+    ext = ExtendedChannel(K=3, M=M, L=2, blocks=blocks)
     v_tx1 = interleaved_seed(vectors)
-    v_tx2 = _solve(ext.matrix(2, 1), ext.apply(2, 0, v_tx1), "extended H32")
-    v_tx3 = _solve(ext.matrix(1, 2), ext.apply(1, 0, v_tx1), "extended H23")
-    return full_rank_scheme(DegeneracyError, family="mimo", K=3, M=M, L=2,
-                            precoders=(v_tx1, v_tx2, v_tx3), parity="odd")
+    v_tx2 = _solve(ext.matrix(2, 1), ext.apply(2, 0, v_tx1), "extended H32", stack)
+    v_tx3 = _solve(ext.matrix(1, 2), ext.apply(1, 0, v_tx1), "extended H23", stack)
+    schemes = full_rank_schemes(stack, DegeneracyError, (v_tx1, v_tx2, v_tx3),
+                                family="mimo", K=3, M=M, L=2, parity="odd")
+    return schemes if isinstance(ch, ChannelStack) else stack.one(schemes)
 
 
-def odd_extension(ch: ChannelSet) -> ExtendedChannel:
+def odd_extension(ch) -> ExtendedChannel:
     """The two-slot constant-time extension the odd-M construction uses."""
     return extend_channel(ch, 2, mode="constant-time")
 

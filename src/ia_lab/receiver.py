@@ -14,20 +14,23 @@ channel.
 All channel products go through ``ExtendedChannel.apply``, which works on
 the diagonal blocks and never forms the dense block-diagonal matrices.
 
-The pass works on a stack of trials of one shape. At receiver k it stacks
-the desired, joint and interference matrices of every trial still in the
-stack and takes each kind of rank from one batched SVD.
+The pass works on a stack of trials of one family and shape. At receiver
+k it stacks the desired, joint and interference matrices of every trial
+still in the stack and takes each kind of rank from one batched SVD; the
+family relations then take one evaluation per relation for the whole
+stack, with batched norms and one batched SVD per side of a span.
 :func:`check_alignment` takes values-only SVDs on a stack of one and keeps
 it to the last receiver, so its report holds them all. :func:`zf_rates`
-groups its trials by shape; one batched full-U SVD of the interference
-gives the interference ranks and the bases of their orthogonal complements
-from the same singular values, trials are grouped by interference rank,
-and each group's projected effective channels take one batched SVD whose
-squared singular values are the gains. A trial that fails a receiver check
-leaves the stack at once (fail fast): it gets no further receivers and no
-family relations. Every trial gets, bit for bit, the answer it gets alone.
-The geometry does not depend on the transmit power, so the whole grid, for
-every trial of a stack, takes one broadcast per receiver.
+groups its trials by family and shape; one batched full-U SVD of the
+interference gives the interference ranks and the bases of their
+orthogonal complements from the same singular values, trials are grouped
+by interference rank, and each group's projected effective channels take
+one batched SVD whose squared singular values are the gains. A trial that
+fails a receiver check leaves the stack at once (fail fast): it gets no
+further receivers and no family relations. Every trial gets, bit for bit,
+the answer it gets alone. The geometry does not depend on the transmit
+power, so the whole grid, for every trial of a stack, takes one broadcast
+per receiver.
 """
 
 from __future__ import annotations
@@ -199,18 +202,24 @@ def _project(trials, k, members, bases, gains) -> None:
             gains[t].append(g)
 
 
-def _family_relations(scheme, ext, residual_tol, span_tol):
-    """Residuals of the alignment relations promised by the scheme family."""
+def _family_relations(trials, residual_tol, span_tol) -> list:
+    """Per trial of a stack of (scheme, ext) trials of one family and
+    shape, the residuals of the alignment relations its family promises;
+    each relation is evaluated once for the whole stack."""
     def HV(k, j):
-        return ext.apply(k, j, scheme.precoders[j])
+        return _stack([ext.apply(k, j, scheme.precoders[j]) for scheme, ext in trials])
 
     # built per call from the module names, so whatever rebinds them sees it
     residual = {"equality": equality_residual, "subset": subset_residual,
                 "span": span_residual}
-    return tuple(RelationCheck(desc, rx, kind, residual[kind](left, right),
-                               span_tol if kind == "span" else residual_tol)
+    scheme = trials[0][0]
+    evaluated = [(desc, rx, kind, residual[kind](left, right).tolist(),
+                  span_tol if kind == "span" else residual_tol)
                  for kind, rx, desc, left, right
-                 in get_family(scheme.family).relations(scheme.K, HV))
+                 in get_family(scheme.family).relations(scheme.K, HV)]
+    return [tuple(RelationCheck(desc, rx, kind, values[t], tol)
+                  for desc, rx, kind, values, tol in evaluated)
+            for t in range(len(trials))]
 
 
 def _check_dimensions(scheme, ext) -> None:
@@ -248,7 +257,7 @@ def check_alignment(scheme: PrecoderScheme, ext: ExtendedChannel,
     return AlignmentReport(
         family=scheme.family, K=scheme.K, M=ext.M, L=ext.L, rank_tol=rank_tol,
         residual_tol=residual_tol, receivers=receivers,
-        relations=_family_relations(scheme, ext, residual_tol, span_tol))
+        relations=_family_relations([(scheme, ext)], residual_tol, span_tol)[0])
 
 
 def _grid_rates(L, gains, rhos) -> np.ndarray:
@@ -277,7 +286,8 @@ def _grid_rates(L, gains, rhos) -> np.ndarray:
 
 def zf_rates(trials, rhos) -> list:
     """Zero-forcing rates of many trials over one power grid; the trials of
-    each shape share one pass over the receivers.
+    each family and shape share one pass over the receivers and one
+    evaluation of each family relation.
 
     ``trials`` holds (scheme, ext) pairs; ``rhos`` holds total transmit
     powers per orthogonal dimension, split equally over transmitters and
@@ -295,16 +305,19 @@ def zf_rates(trials, rhos) -> list:
     shapes = {}
     for i, (scheme, ext) in enumerate(trials):
         _check_dimensions(scheme, ext)
-        shapes.setdefault((scheme.K, ext.M, ext.L, scheme.stream_counts), []).append(i)
+        # one family per stack: its relations are evaluated for the whole stack
+        shapes.setdefault((scheme.family, scheme.K, ext.M, ext.L, scheme.stream_counts),
+                          []).append(i)
     for members in shapes.values():
         stack = [trials[i] for i in members]
-        passed = []
-        for i, (scheme, ext), (_, gains) in zip(
-                members, stack, _receiver_pass(stack, RANK_TOL, with_gains=True)):
-            if gains is None:
-                continue
-            if all(r.ok for r in _family_relations(scheme, ext, RESIDUAL_TOL, SPAN_TOL)):
-                passed.append((i, gains))
+        passed = [(i, trial, gains) for i, trial, (_, gains) in zip(
+            members, stack, _receiver_pass(stack, RANK_TOL, with_gains=True))
+                  if gains is not None]
+        if passed:
+            relations = _family_relations([trial for _, trial, _ in passed],
+                                          RESIDUAL_TOL, SPAN_TOL)
+            passed = [(i, gains) for (i, _, gains), checks in zip(passed, relations)
+                      if all(r.ok for r in checks)]
         if passed:
             stacked = tuple(np.stack(per_receiver)
                             for per_receiver in zip(*(g for _, g in passed)))

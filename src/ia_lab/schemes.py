@@ -45,15 +45,73 @@ class PrecoderScheme:
         return Fraction(self.total_streams, self.L)
 
 
-def full_rank_scheme(error: type, **fields) -> PrecoderScheme:
-    """A PrecoderScheme whose precoders all have full column rank.
+class TrialStack:
+    """Bookkeeping of a build over a stack of trials: which trials are still
+    in it, and the error of each one that failed.
 
-    Raises ``error`` naming the first transmitter whose precoder does not.
+    A stacked build computes on arrays with a leading axis over the trials
+    still in it; row r of those arrays is trial ``rows[r]``. ``fail`` gives
+    each row whose ``ok`` entry is False its own error, unless its trial has
+    one already, so a trial keeps the error of the first step it fails, as
+    it does alone. ``cut`` drops the rows of failed trials; every array that
+    the build still uses goes through the same ``cut`` call.
     """
-    for idx, v in enumerate(fields["precoders"]):
-        if not has_full_column_rank(v):
-            raise error(f"precoder of transmitter {idx + 1} lost full column rank")
-    return PrecoderScheme(**fields)
+
+    def __init__(self, size: int):
+        self.rows = np.arange(size)
+        self.errors = [None] * size
+        self._failed = False  # whether a row failed since the last cut
+
+    def fail(self, ok, error: type, message: str) -> None:
+        if np.logical_and.reduce(ok, axis=None):
+            return
+        for t in self.rows[~ok]:
+            if self.errors[t] is None:
+                self.errors[t] = error(message)
+                self._failed = True
+
+    def cut(self, *arrays) -> tuple:
+        """``arrays`` without the rows of failed trials. Indexing the first
+        axis keeps each row's memory layout, so whatever is summed over a
+        row later sums in the same order as for the trial alone."""
+        if not self._failed:
+            return arrays
+        self._failed = False
+        keep = np.array([self.errors[t] is None for t in self.rows], dtype=bool)
+        self.rows = self.rows[keep]
+        return tuple(a[keep] for a in arrays)
+
+    def results(self, make) -> list:
+        """Per trial of the stack: its error, or ``make(row)``."""
+        out = list(self.errors)
+        for r, t in enumerate(self.rows):
+            out[t] = make(r)
+        return out
+
+    def one(self, result):
+        """For a stack of one: ``result[0]``, or the trial's error raised."""
+        [error] = self.errors
+        if error is not None:
+            raise error
+        return result[0]
+
+
+def full_rank_schemes(stack: TrialStack, error: type, precoders: tuple,
+                      **fields) -> list:
+    """Per trial of a stacked build: the PrecoderScheme whose precoders all
+    have full column rank, or the trial's error.
+
+    ``precoders[i]`` stacks transmitter i's precoders over the rows of
+    ``stack``. A trial whose precoder does not have full column rank gets
+    ``error`` naming its first such transmitter.
+    """
+    precoders = stack.cut(*precoders)
+    for idx in range(len(precoders)):
+        stack.fail(has_full_column_rank(precoders[idx]), error,
+                   f"precoder of transmitter {idx + 1} lost full column rank")
+        precoders = stack.cut(*precoders)
+    return stack.results(lambda r: PrecoderScheme(
+        precoders=tuple(v[r] for v in precoders), **fields))
 
 
 def _matrix_entries(v: np.ndarray) -> list:

@@ -2,10 +2,12 @@
 
 Both constructions here work on diagonal extended channels, so every matrix
 is carried as its vector of diagonal entries and all products are
-elementwise. The three-user scheme sends streams along powers of the gain
-of the closed cross-link loop applied to the all-ones vector; the general-K
-scheme replaces the single loop gain by one commuting diagonal map per
-ordered cross pair and enumerates bounded exponent tuples of those maps.
+elementwise; a stack of trials is a (T, L) stack of diagonals that the same
+elementwise steps run over. The three-user scheme sends streams along
+powers of the gain of the closed cross-link loop applied to the all-ones
+vector; the general-K scheme replaces the single loop gain by one commuting
+diagonal map per ordered cross pair and enumerates bounded exponent tuples
+of those maps.
 """
 
 from __future__ import annotations
@@ -14,18 +16,42 @@ import numpy as np
 
 from .channels import ExtendedChannel
 from .errors import ParameterError, ShapeError, SingularChannelError, SizeGuardError
-from .schemes import PrecoderScheme, full_rank_scheme
+from .schemes import TrialStack, full_rank_schemes
 
 DEFAULT_SIZE_CAP = 4096
 
 
-def _diag(ext: ExtendedChannel, k: int, j: int) -> np.ndarray:
-    d = ext.diagonal(k, j)
-    scale = np.max(np.abs(d))
-    if scale == 0.0 or np.any(np.abs(d) <= 1e-14 * scale):
-        raise SingularChannelError(
-            f"extended channel for link (k={k + 1}, j={j + 1}) is singular")
-    return d
+def _diagonals(ext: ExtendedChannel) -> tuple:
+    """(h, stack) for a build over a stacked extension, or over the stack of
+    one that a single extension stands for: ``h(k, j)`` is the (T, L) stack
+    of link (k, j)'s diagonals, checked when first asked for, and ``stack``
+    the bookkeeping of the build. A trial whose link is singular fails, and
+    its row reads ones, so that what is computed from it stays finite until
+    its trial leaves the stack."""
+    blocks = ext.blocks if ext.stacked else ext.blocks[None]
+    stack = TrialStack(len(blocks))
+    checked = {}
+
+    def h(k: int, j: int) -> np.ndarray:
+        if (k, j) not in checked:
+            d = blocks[:, k, j, :, 0, 0]
+            mag = np.abs(d)
+            # a row whose largest entry is 0 fails on every entry
+            bad = np.logical_or.reduce(
+                mag <= 1e-14 * np.maximum.reduce(mag, axis=1, keepdims=True), axis=1)
+            if np.logical_or.reduce(bad):
+                stack.fail(~bad, SingularChannelError,
+                           f"extended channel for link (k={k + 1}, j={j + 1}) is singular")
+                d = np.where(bad[:, None], 1.0, d)
+            checked[k, j] = d
+        return checked[k, j]
+    return h, stack
+
+
+def _loop_gains(ext: ExtendedChannel, h) -> np.ndarray:
+    if ext.K != 3 or ext.M != 1:
+        raise ShapeError("loop_gains needs K=3 single-antenna extended channels")
+    return h(0, 1) * h(1, 2) * h(2, 0) / (h(1, 0) * h(2, 1) * h(0, 2))
 
 
 def loop_gains(ext: ExtendedChannel) -> np.ndarray:
@@ -38,13 +64,11 @@ def loop_gains(ext: ExtendedChannel) -> np.ndarray:
     distinct with probability one, which is what makes the power-basis
     precoders below linearly independent.
     """
-    if ext.K != 3 or ext.M != 1:
-        raise ShapeError("loop_gains needs K=3 single-antenna extended channels")
-    return (_diag(ext, 0, 1) * _diag(ext, 1, 2) * _diag(ext, 2, 0)
-            / (_diag(ext, 1, 0) * _diag(ext, 2, 1) * _diag(ext, 0, 2)))
+    h, stack = _diagonals(ext)
+    return stack.one(_loop_gains(ext, h))
 
 
-def build_precoders_k3(ext: ExtendedChannel, n: int) -> PrecoderScheme:
+def build_precoders_k3(ext: ExtendedChannel, n: int):
     """Closed-form 3-user precoders over a (2n+1)-slot extension.
 
     Transmitter 1 gets the n+1 columns loop^0 .. loop^n applied to the
@@ -52,20 +76,24 @@ def build_precoders_k3(ext: ExtendedChannel, n: int) -> PrecoderScheme:
     the appropriate cross links so that at receiver 1 their interference
     coincides column by column, while at receivers 2 and 3 the single-user
     interference columns land inside transmitter 1's column set.
+
+    For a stacked ``ext``, elementwise over its (T, L) diagonals: a list of
+    each trial's scheme, or the SingularChannelError its build gives alone.
     """
     if n < 1:
         raise ParameterError(f"alignment order must be >= 1, got n={n}")
     L = 2 * n + 1
     if ext.L != L:
         raise ShapeError(f"order n={n} needs a {L}-slot extension, got L={ext.L}")
-    loop = loop_gains(ext)
-    powers = loop[:, None] ** np.arange(n + 1)
+    h, stack = _diagonals(ext)
+    powers = _loop_gains(ext, h)[..., None] ** np.arange(n + 1)
 
     v_tx1 = powers
-    v_tx2 = (_diag(ext, 2, 0) / _diag(ext, 2, 1))[:, None] * powers[:, :n]
-    v_tx3 = (_diag(ext, 1, 0) / _diag(ext, 1, 2))[:, None] * powers[:, 1:]
-    return full_rank_scheme(SingularChannelError, family="siso-k3", K=3, M=1, L=L,
-                            precoders=(v_tx1, v_tx2, v_tx3), n=n)
+    v_tx2 = (h(2, 0) / h(2, 1))[..., None] * powers[..., :n]
+    v_tx3 = (h(1, 0) / h(1, 2))[..., None] * powers[..., 1:]
+    schemes = full_rank_schemes(stack, SingularChannelError, (v_tx1, v_tx2, v_tx3),
+                                family="siso-k3", K=3, M=1, L=L, n=n)
+    return schemes if ext.stacked else stack.one(schemes)
 
 
 def required_extension_general(K: int, n: int) -> int:
@@ -93,10 +121,14 @@ def guarded_extension_general(K: int, n: int,
     return length
 
 
-def _reference_scalings(ext: ExtendedChannel) -> dict:
+def _reference_scalings(K: int, h) -> dict:
     # per-transmitter diagonal that equalizes all interference at receiver 1
-    h = lambda k, j: _diag(ext, k, j)
-    return {j: h(0, 2) * h(1, 0) / (h(0, j) * h(1, 2)) for j in range(1, ext.K)}
+    return {j: h(0, 2) * h(1, 0) / (h(0, j) * h(1, 2)) for j in range(1, K)}
+
+
+def _cross_pair_gains(K: int, h, scale: dict) -> dict:
+    return {(m, k): h(m, k) * scale[k] / h(m, 0)
+            for m in range(1, K) for k in range(1, K) if m != k and (m, k) != (1, 2)}
 
 
 def cross_pair_gains(ext: ExtendedChannel) -> dict:
@@ -106,47 +138,39 @@ def cross_pair_gains(ext: ExtendedChannel) -> dict:
     is what interferer k's seed block picks up at receiver m relative to
     transmitter 1's columns; alignment requires each such image to stay
     inside transmitter 1's column set. Pair (2, 3) (0-based (1, 2)) is the
-    identity by construction and is excluded from the returned dict.
+    identity by construction, h23 * h13 h21 / (h13 h23) / h21, so it is
+    neither computed nor returned.
     """
-    K = ext.K
-    h = lambda k, j: _diag(ext, k, j)
-    scale = _reference_scalings(ext)
-    gains = {}
-    for m in range(1, K):
-        for k in range(1, K):
-            if m == k:
-                continue
-            g = h(m, k) * scale[k] / h(m, 0)
-            if (m, k) == (1, 2):
-                assert np.allclose(g, 1.0, atol=1e-9), "reference pair must be identity"
-                continue
-            gains[(m, k)] = g
-    return gains
+    h, stack = _diagonals(ext)
+    gains = _cross_pair_gains(ext.K, h, _reference_scalings(ext.K, h))
+    return stack.one([{p: g[0] for p, g in gains.items()}])
 
 
-def _exponent_columns(gains: dict, pairs: list, radix: int, L: int) -> np.ndarray:
-    """All products prod_p gains[p]**a_p (ones vector seed), a_p in 0..radix-1.
+def _exponent_columns(gains: dict, pairs: list, radix: int) -> np.ndarray:
+    """All products prod_p gains[p]**a_p (ones vector seed), a_p in 0..radix-1,
+    for each trial of the (T, L) stacks ``gains[p]``.
 
     Tuples are enumerated in mixed-radix order with the first pair as the
     least significant digit, fixing a deterministic column identity.
     """
     count = radix ** len(pairs)
-    tables = {p: gains[p][:, None] ** np.arange(radix) for p in pairs}
-    cols = np.empty((L, count), dtype=complex)
+    tables = {p: gains[p][..., None] ** np.arange(radix) for p in pairs}
+    lead = gains[pairs[0]].shape
+    cols = np.empty(lead + (count,), dtype=complex)
     for idx in range(count):
-        col = np.ones(L, dtype=complex)
+        col = np.ones(lead, dtype=complex)
         rest = idx
         for p in pairs:
             digit = rest % radix
             rest //= radix
             if digit:
-                col = col * tables[p][:, digit]
-        cols[:, idx] = col
+                col = col * tables[p][..., digit]
+        cols[..., idx] = col
     return cols
 
 
 def build_precoders_general(ext: ExtendedChannel, n: int,
-                            size_cap: int = DEFAULT_SIZE_CAP) -> PrecoderScheme:
+                            size_cap: int = DEFAULT_SIZE_CAP):
     """General-K single-antenna precoders over an (n+1)^N + n^N extension.
 
     Transmitter 1 sends (n+1)^N streams, everyone else n^N. The shared seed
@@ -154,6 +178,9 @@ def build_precoders_general(ext: ExtendedChannel, n: int,
     exponents 0..n, so multiplying the seed block by any single map stays
     inside transmitter 1's column set. ``size_cap`` bounds the extension
     length; raise it explicitly for configurations beyond desk scale.
+
+    For a stacked ``ext``, elementwise over its (T, L) diagonals: a list of
+    each trial's scheme, or the SingularChannelError its build gives alone.
     """
     K = ext.K
     if ext.M != 1:
@@ -161,16 +188,14 @@ def build_precoders_general(ext: ExtendedChannel, n: int,
     L = guarded_extension_general(K, n, size_cap)
     if ext.L != L:
         raise ShapeError(f"(K={K}, n={n}) needs a {L}-slot extension, got L={ext.L}")
-
-    gains = cross_pair_gains(ext)
+    h, stack = _diagonals(ext)
+    scale = _reference_scalings(K, h)
+    gains = _cross_pair_gains(K, h, scale)
     pairs = sorted(gains)
-    N = (K - 1) * (K - 2) - 1
-    assert len(pairs) == N
+    seed_block = _exponent_columns(gains, pairs, n)
+    v_tx1 = _exponent_columns(gains, pairs, n + 1)
 
-    seed_block = _exponent_columns(gains, pairs, n, L)
-    v_tx1 = _exponent_columns(gains, pairs, n + 1, L)
-
-    scale = _reference_scalings(ext)
-    precoders = [v_tx1] + [scale[j][:, None] * seed_block for j in range(1, K)]
-    return full_rank_scheme(SingularChannelError, family="siso-general", K=K, M=1,
-                            L=L, precoders=tuple(precoders), n=n)
+    precoders = [v_tx1] + [scale[j][..., None] * seed_block for j in range(1, K)]
+    schemes = full_rank_schemes(stack, SingularChannelError, tuple(precoders),
+                                family="siso-general", K=K, M=1, L=L, n=n)
+    return schemes if ext.stacked else stack.one(schemes)

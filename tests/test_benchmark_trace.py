@@ -62,3 +62,28 @@ def test_traced_sweep_records_the_receiver_pass(tracing):
     receiver = [s for s in spans.values() if s.name == "receiver.zf_rates"]
     assert receiver
     assert all(spans[s.parent].name == "evaluation.snr_sweep" for s in receiver)
+
+
+# per family, the builder a sweep calls and the relation kinds it checks
+FAMILY_SPANS = {
+    "siso-k3": (SchemeConfig("siso-k3", n=1), "siso.build_precoders_k3",
+                ("equality", "subset")),
+    "siso-general": (SchemeConfig("siso-general", K=4, n=1),
+                     "siso.build_precoders_general", ("equality", "subset")),
+    "mimo even": (SchemeConfig("mimo", M=2), "mimo.build_mimo_even", ("span", "equality")),
+    "mimo odd": (SchemeConfig("mimo", M=3), "mimo.build_mimo_odd", ("span", "equality")),
+    "designed": (SchemeConfig("designed", K=3), "designed.build_designed_channel",
+                 ("equality",)),
+}
+
+
+@pytest.mark.parametrize("family", list(FAMILY_SPANS))
+def test_traced_sweep_records_the_builder_and_every_relation_kind(tracing, family):
+    config, builder, kinds = FAMILY_SPANS[family]
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        table = ia_lab.snr_sweep(config, [40.0, 60.0], trials=3, seed=0)
+    assert all(r.status == "ok" for r in table.records)
+    names = {s.name for s in tracer.spans}
+    assert builder in names
+    assert {f"linalg.{kind}_residual" for kind in kinds} <= names

@@ -58,7 +58,7 @@ class FailingConfig:
         raise DegeneracyError("synthetic failure")
 
     def build_trials(self, seeds):
-        return [DegeneracyError("synthetic failure") for _ in seeds]
+        return [[(seed, DegeneracyError("synthetic failure")) for seed in seeds]]
 
 
 def test_failed_trials_become_failure_rows():

@@ -184,7 +184,7 @@ class CorruptedConfig:
         return corrupted_k3(seed)
 
     def build_trials(self, seeds):
-        return [self.build(seed) for seed in seeds]
+        return [[(seed, self.build(seed)) for seed in seeds]]
 
 
 def test_failed_receiver_check_becomes_failure_rows():

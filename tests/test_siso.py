@@ -5,8 +5,8 @@ from conftest import identity_channels
 
 from ia_lab import (ParameterError, ShapeError, SizeGuardError, extend_channel,
                     generate_channels)
-from ia_lab.siso import (build_precoders_general, build_precoders_k3,
-                         cross_pair_gains, loop_gains,
+from ia_lab.siso import (_reference_scalings, build_precoders_general,
+                         build_precoders_k3, cross_pair_gains, loop_gains,
                          required_extension_general)
 
 # loop gains for (K=3, M=1, F=3, bounds [0.5, 2.0], seed=7), frozen from the
@@ -151,12 +151,15 @@ def test_general_column_counts_are_exact(K, n):
 
 
 def test_general_reference_pair_is_identity():
-    ext = general_setup(4, 1, seed=3)
-    gains = cross_pair_gains(ext)
-    assert (1, 2) not in gains  # the identity pair is excluded
-    h = ext.diagonal
-    scale2 = h(0, 2) * h(1, 0) / (h(0, 2) * h(1, 2))
-    assert np.allclose(h(1, 2) * scale2 / h(1, 0), 1.0)
+    # pair (2, 3) is the identity by algebra, so the build neither computes
+    # nor returns it
+    for K in (4, 5):
+        for seed in range(20):
+            ext = extend_channel(generate_channels(K, 1, 16, seed=seed), 16)
+            assert (1, 2) not in cross_pair_gains(ext)
+            h = ext.diagonal
+            scale = _reference_scalings(K, h)[2]
+            assert np.max(np.abs(h(1, 2) * scale / h(1, 0) - 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -5,18 +5,24 @@ Every stacked result must equal what the trial gets alone bit for bit:
 its channels, its status, and its rates.
 """
 
+import collections
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
+import ia_lab.channels
 import ia_lab.evaluation
 import ia_lab.families
+import ia_lab.receiver
 from ia_lab import (ChannelStack, ParameterError, SchemeConfig, extend_channel,
                     generate_channels, snr_sweep, zf_rates)
 from ia_lab.evaluation import TRIAL_ERRORS, _trial_seed
 from ia_lab.linalg import RANK_TOL, orthonormal_complement
-from ia_lab.receiver import _receiver_pass
+from ia_lab.receiver import (RESIDUAL_TOL, SPAN_TOL, AlignmentReport, _family_relations,
+                             _receiver_pass, check_alignment)
 
 CONFIGS = {
     "siso-k3 n=1": SchemeConfig("siso-k3", n=1),
@@ -100,30 +106,48 @@ def test_stacked_rates_equal_the_written_out_computation(M):
         assert rates == [tuple(r) for r in expected.tolist()]
 
 
+def builds(config, seeds):
+    """The builds of ``seeds``, in order, from the stacks of build_trials."""
+    return [built for stack in config.build_trials(seeds) for _, built in stack]
+
+
 def test_sweep_across_stack_boundaries_equals_each_trial_alone(monkeypatch):
     config = CONFIGS["siso-k3 n=1"]
-    scheme, ext = config.build(0)
     # room for two trials per stack: five trials take three stacks
-    budget = 2 * ia_lab.evaluation._trial_bytes(scheme, ext)
+    budget = 2 * ia_lab.evaluation._trial_bytes(config)
     monkeypatch.setattr(ia_lab.evaluation, "STACK_BYTES", budget)
-    sizes = []
+    sizes, built = [], []
     original = ia_lab.evaluation.zf_rates
+    family = ia_lab.families.FAMILIES[config.family]
 
     def recording(trials, rhos):
         sizes.append(len(trials))
         return original(trials, rhos)
 
+    def recording_build(config, channels):
+        built.append(len(channels))
+        return family.build(config, channels)
+
     monkeypatch.setattr(ia_lab.evaluation, "zf_rates", recording)
+    monkeypatch.setitem(ia_lab.families.FAMILIES, config.family,
+                        dataclasses.replace(family, build=recording_build))
     assert_sweep_equals_trials_alone(config, 5, seed=11)
     assert sizes == [2, 2, 1]
+    # the sweep's three stacks, then the five trials alone: one build call
+    # per stack, the stack cut before the build
+    assert built == [2, 2, 1] + [1] * 5
 
 
 def test_a_trial_larger_than_the_budget_goes_alone(monkeypatch):
     monkeypatch.setattr(ia_lab.evaluation, "STACK_BYTES", 1)
-    seeds = list(range(3))
-    built = SchemeConfig("mimo", M=2).build_trials(seeds)
-    stacks = list(ia_lab.evaluation._stacks(zip(seeds, built)))
+    stacks = SchemeConfig("mimo", M=2).build_trials(range(3))
     assert [[seed for seed, _ in stack] for stack in stacks] == [[0], [1], [2]]
+
+
+def test_the_large_case_is_cut_to_one_trial_per_stack():
+    # an L=275 trial alone exceeds the budget, so it is built alone
+    config = SchemeConfig("siso-general", K=4, n=2)
+    assert ia_lab.evaluation._trial_bytes(config) > ia_lab.evaluation.STACK_BYTES
 
 
 def corrupt(scheme, seed):
@@ -148,11 +172,9 @@ class OneCorrupted:
         return self.config.K
 
     def build_trials(self, seeds):
-        for seed, built in zip(seeds, self.config.build_trials(seeds)):
-            if seed == self.bad_seed:
-                scheme, ext = built
-                built = corrupt(scheme, seed), ext
-            yield built
+        for stack in self.config.build_trials(seeds):
+            yield [(seed, (corrupt(built[0], seed), built[1]) if seed == self.bad_seed
+                    else built) for seed, built in stack]
 
 
 @pytest.mark.parametrize("label", ["siso-k3 n=2", "mimo M=3", "siso-general K=4 n=1"])
@@ -182,6 +204,41 @@ def test_stack_of_mixed_shapes_and_failures():
             assert rates.tolist() == alone.tolist()
 
 
+@pytest.mark.parametrize("label", list(CONFIGS))
+def test_a_relation_pass_forms_each_link_product_once(monkeypatch, label):
+    trials = builds(CONFIGS[label], range(3))
+    formed = collections.Counter()
+    apply = ia_lab.channels.ExtendedChannel.apply
+
+    def counting(ext, k, j, v):
+        formed[k, j] += 1
+        return apply(ext, k, j, v)
+
+    monkeypatch.setattr(ia_lab.channels.ExtendedChannel, "apply", counting)
+    _family_relations(trials, RESIDUAL_TOL, SPAN_TOL)
+    # once per trial of the stack
+    assert set(formed.values()) == {len(trials)}
+
+
+def test_families_of_one_shape_take_their_own_relations(monkeypatch):
+    # siso-k3 n=1 and siso-general K=3 n=1 build trials of one shape
+    k3 = CONFIGS["siso-k3 n=1"].build(4)
+    general = SchemeConfig("siso-general", K=3, n=1).build(4)
+    assert k3[1].blocks.shape == general[1].blocks.shape
+    assert k3[0].stream_counts == general[0].stream_counts
+    families = []
+    relations = ia_lab.receiver._family_relations
+
+    def recording(trials, *args):
+        families.append([scheme.family for scheme, _ in trials])
+        return relations(trials, *args)
+
+    monkeypatch.setattr(ia_lab.receiver, "_family_relations", recording)
+    out = zf_rates([k3, general, k3], RHOS)
+    assert sorted(families) == [["siso-general"], ["siso-k3", "siso-k3"]]
+    assert all(rates is not None for rates in out)
+
+
 @pytest.mark.parametrize("shape", [(3, 1, 3), (4, 1, 33), (3, 2, 1), (3, 3, 1)])
 @pytest.mark.parametrize("law", [(0.5, 2.0), (1.0, 1.0)])
 def test_stacked_draw_is_bit_identical_to_one_seed_at_a_time(shape, law):
@@ -200,7 +257,7 @@ def test_build_trials_channels_match_per_seed_generation():
     seeds = [0, 2 ** 63 + 5, 2 ** 64 - 1]
     for config in (CONFIGS["siso-k3 n=2"], CONFIGS["mimo M=2"]):
         K, M, F = ia_lab.families.FAMILIES[config.family].channel_shape(config)
-        for seed, (scheme, ext) in zip(seeds, config.build_trials(seeds)):
+        for seed, (scheme, ext) in zip(seeds, builds(config, seeds)):
             ch = generate_channels(K, M, F, config.a_min, config.a_max, seed)
             assert np.array_equal(ext.blocks, extend_channel(ch, ext.L).blocks)
             assert np.array_equal(ext.blocks, config.build(seed)[1].blocks)
@@ -211,21 +268,160 @@ def test_build_trials_puts_each_build_error_in_its_slot(monkeypatch):
 
     calls = []
 
-    def flaky(config, ch):
-        calls.append(ch.seed)
-        if ch.seed == 1:
-            raise DegeneracyError("synthetic")
-        return "scheme", ch.seed
+    def flaky(config, channels):
+        calls.append(channels.seeds)
+        return [DegeneracyError("synthetic") if seed == 1 else ("scheme", seed)
+                for seed in channels.seeds]
 
     family = ia_lab.families.FAMILIES["mimo"]
     monkeypatch.setitem(ia_lab.families.FAMILIES, "mimo",
                         dataclasses.replace(family, build=flaky))
-    built = list(SchemeConfig("mimo", M=2).build_trials([0, 1, 2]))
+    [stack] = SchemeConfig("mimo", M=2).build_trials([0, 1, 2])
+    assert [seed for seed, _ in stack] == [0, 1, 2]
+    built = [b for _, b in stack]
     assert built[0] == ("scheme", 0) and built[2] == ("scheme", 2)
     assert isinstance(built[1], DegeneracyError)
-    assert calls == [0, 1, 2]
+    assert calls == [(0, 1, 2)]
     with pytest.raises(DegeneracyError):
         SchemeConfig("mimo", M=2).build(1)
+
+
+BUILD_CONFIGS = {**CONFIGS, "mimo M=5": SchemeConfig("mimo", M=5),
+                 "mimo M=8": SchemeConfig("mimo", M=8)}
+
+
+def stacked_reports(trials):
+    """The alignment report of each trial of a stack, from one receiver pass
+    and one relation pass over the stack."""
+    scheme, ext = trials[0]
+    return [AlignmentReport(family=scheme.family, K=scheme.K, M=ext.M, L=ext.L,
+                            rank_tol=RANK_TOL, residual_tol=RESIDUAL_TOL,
+                            receivers=receivers, relations=relations)
+            for (receivers, _), relations in zip(
+                _receiver_pass(trials, RANK_TOL, with_gains=False),
+                _family_relations(trials, RESIDUAL_TOL, SPAN_TOL))]
+
+
+@pytest.mark.parametrize("trials", [1, 2, 5])
+@pytest.mark.parametrize("label", list(BUILD_CONFIGS))
+def test_stacked_build_equals_each_build_alone(label, trials):
+    config = BUILD_CONFIGS[label]
+    seeds = [_trial_seed(trials, t) for t in range(trials)]
+    [stack] = config.build_trials(seeds)  # one stack, built by one call
+    assert [seed for seed, _ in stack] == seeds
+    built = [b for _, b in stack]
+    for seed, (scheme, ext), report in zip(seeds, built, stacked_reports(built)):
+        scheme_alone, ext_alone = config.build(seed)
+        assert np.array_equal(ext.blocks, ext_alone.blocks)
+        for v, v_alone in zip(scheme.precoders, scheme_alone.precoders, strict=True):
+            assert v.tobytes() == v_alone.tobytes()
+            # the memory layout too: from M=8 on it decides the order in which
+            # the receiver sums a precoder's column norms
+            assert v.strides == v_alone.strides
+        assert dataclasses.replace(scheme, precoders=()) == dataclasses.replace(
+            scheme_alone, precoders=())
+        assert report.to_dict() == check_alignment(scheme_alone, ext_alone).to_dict()
+
+
+def zero_h31(coeffs):
+    coeffs[2, 0, 0] = 0.0
+
+
+def zero_h31_and_h12(coeffs):
+    coeffs[2, 0, 0] = coeffs[0, 1, 0] = 0.0
+
+
+def zero_column_of_h32(coeffs):
+    coeffs[2, 1, 0, :, 0] = 0.0
+
+
+def identity_links(coeffs):
+    coeffs[...] = np.eye(coeffs.shape[-1])
+
+
+def zero_slot_of_h23(coeffs):
+    coeffs[1, 2, 0] = 0.0
+
+
+def unit_links(coeffs):
+    coeffs[...] = 1.0
+
+
+# a broken channel and the failure it gives alone
+BROKEN = [
+    ("mimo M=2", zero_h31, "H31 is singular"),
+    ("mimo M=3", zero_h31, "H31 is singular"),
+    ("mimo M=2", zero_h31_and_h12, "H31 is singular"),  # the first failure counts
+    ("mimo M=2", zero_column_of_h32, "H32 is singular"),
+    ("mimo M=3", zero_column_of_h32, "extended H32 is singular"),
+    ("mimo M=4", identity_links, "repeated eigenvalues"),
+    ("mimo M=5", identity_links, "repeated eigenvalues"),
+    ("mimo M=8", identity_links, "repeated eigenvalues"),
+    ("siso-k3 n=2", zero_slot_of_h23, r"link \(k=2, j=3\) is singular"),
+    ("siso-k3 n=1", unit_links, "transmitter 1 lost full column rank"),
+    ("siso-general K=4 n=1", zero_slot_of_h23, r"link \(k=2, j=3\) is singular"),
+    ("siso-general K=4 n=1", unit_links, "transmitter 1 lost full column rank"),
+]
+
+
+@pytest.mark.parametrize("label,breaks,message", BROKEN)
+def test_a_broken_channel_fails_alone_in_the_middle_of_a_stack(monkeypatch, label,
+                                                                breaks, message):
+    config = BUILD_CONFIGS[label]
+    draws = []
+    draw = ia_lab.evaluation.generate_channels
+
+    def breaking_the_middle(*args):
+        channels = draw(*args)
+        coeffs = channels.coeffs.copy()
+        breaks(coeffs[len(coeffs) // 2])
+        draws.append(dataclasses.replace(channels, coeffs=coeffs))
+        return draws[-1]
+
+    monkeypatch.setattr(ia_lab.evaluation, "generate_channels", breaking_the_middle)
+    [stack] = config.build_trials(range(5))
+    [channels] = draws
+    for t, (_, built) in enumerate(stack):
+        if t != 2:
+            scheme, ext = built
+            scheme_alone, _ = config.build_on(channels[t])
+            for v, w in zip(scheme.precoders, scheme_alone.precoders, strict=True):
+                assert v.tobytes() == w.tobytes() and v.strides == w.strides
+            continue
+        assert isinstance(built, TRIAL_ERRORS)
+        with pytest.raises(type(built), match=message) as alone:
+            config.build_on(channels[t])
+        assert str(alone.value) == str(built)
+
+
+@pytest.mark.parametrize("K,trials", [(4, 20), (10, 3)])
+def test_a_designed_sweep_builds_and_evaluates_once(monkeypatch, K, trials):
+    calls = {"build": 0, "evaluated": 0}
+    build, rates = ia_lab.families.build_designed_channel, ia_lab.evaluation.zf_rates
+
+    def counting_build(*args):
+        calls["build"] += 1
+        return build(*args)
+
+    def counting_rates(stack, rhos):
+        calls["evaluated"] += len(stack)
+        return rates(stack, rhos)
+
+    monkeypatch.setattr(ia_lab.families, "build_designed_channel", counting_build)
+    monkeypatch.setattr(ia_lab.evaluation, "zf_rates", counting_rates)
+    table = snr_sweep(SchemeConfig("designed", K=K), GRID, trials, seed=5)
+    assert calls == {"build": 1, "evaluated": 1}
+    # the table as each trial built and evaluated alone gave it
+    doc = json.dumps([[r.snr_db, r.seed, r.rates, r.status] for r in table.records])
+    assert hashlib.sha256(doc.encode()).hexdigest() == DESIGNED_TABLES[K]
+
+
+# SHA-256 of the records of the designed sweeps above, recorded when every
+# trial was built and evaluated on its own
+DESIGNED_TABLES = {
+    4: "9a8946d5e9990ca63e4fffe1f781d5aa8192a4523e27631240572622f968137b",
+    10: "86e2a394daec31208a9e3b304813bf2401545f193ea9d92993c1d64efd63924d",
+}
 
 
 def test_build_trials_rejects_a_bad_seed():
@@ -245,7 +441,7 @@ def test_receiver_stage_svd_calls_do_not_grow_with_trials(monkeypatch, M):
 
     counts = []
     for trials in (1, 8):
-        built = list(config.build_trials(range(trials)))
+        built = builds(config, range(trials))
         monkeypatch.setattr(np.linalg, "svd", counting)
         results = _receiver_pass(built, RANK_TOL, with_gains=True)
         monkeypatch.setattr(np.linalg, "svd", svd)
