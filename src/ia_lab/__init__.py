@@ -12,7 +12,7 @@ from .evaluation import (CognitiveScenario, DofEstimate, GapProbe, RateRecord,
                          decompose_dof_point, estimate_dof, estimate_o1_gap,
                          in_dof_region, sample_dof_region, snr_sweep,
                          REGION_CORNERS)
-from .mimo import build_mimo_even, build_mimo_odd, loop_matrix, mimo_extension
+from .mimo import build_mimo_even, build_mimo_odd, loop_matrix
 from .receiver import AlignmentReport, check_alignment, zf_rates
 from .schemes import PrecoderScheme, save_scheme, scheme_to_dict
 from .siso import (build_precoders_general, build_precoders_k3,

@@ -96,7 +96,9 @@ class ExtendedChannel:
     matrix for the link from transmitter j to receiver k; off-block entries
     of the full matrix are exactly zero by construction. The extension of a
     stack puts a leading trial axis on ``blocks`` and on whatever its
-    methods take and return, and ``ext[t]`` is the extension of trial t.
+    methods take and return, and ``ext[t]`` is the extension of trial t;
+    indexing with an array of trials, or with None (the stack of one),
+    gives a stacked extension, as numpy indexing does.
     """
 
     K: int
@@ -114,7 +116,7 @@ class ExtendedChannel:
         """True for the extension of a ChannelStack."""
         return self.blocks.ndim == 6
 
-    def __getitem__(self, t: int) -> "ExtendedChannel":
+    def __getitem__(self, t) -> "ExtendedChannel":
         return ExtendedChannel(K=self.K, M=self.M, L=self.L, blocks=self.blocks[t])
 
     def matrix(self, k: int, j: int) -> np.ndarray:

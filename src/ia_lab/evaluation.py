@@ -8,12 +8,13 @@ stack holds as many trials as fit ``STACK_BYTES``, counted from the sizes
 the configuration fixes: hundreds of small ones, while a trial larger than
 that (an L=275 extension) goes alone, so a sweep's memory stays that of one
 stack whatever its trial count. Each stack takes one channel draw and one
-build call, whose every step runs over the whole stack and gives each
-trial its scheme or the error it gets alone. Then it takes one call of the
-receiver's rate entry point, :func:`~ia_lab.receiver.zf_rates`, which
-checks the alignment of every trial in one pass over the receivers and one
-evaluation of each family relation, drops a failing trial at once, and
-evaluates the whole grid for the others in one broadcast per receiver. A
+build call, whose every step runs over the whole stack and gives the
+stacked scheme of the trials that built and each other trial the error it
+gets alone. Then it hands that stacked scheme and extension as they are to
+the receiver's rate entry point, :func:`~ia_lab.receiver.zf_rates`, which
+checks the alignment of every trial in one pass over the receivers,
+forming each link's product once, drops a failing trial after its batch,
+and evaluates the whole grid for the others in one broadcast per receiver. A
 family that draws no channels (designed) is built and evaluated once per
 sweep, and its rows are written for every trial seed. Trials whose
 construction or alignment fails are recorded as failure rows. A rate table
@@ -36,7 +37,7 @@ from .channels import ChannelSet, ChannelStack, generate_channels
 from .errors import (DegeneracyError, InsufficientDataError, ParameterError,
                      RegionMembershipError, SingularChannelError)
 from .families import get_family
-from .receiver import zf_rates
+from .receiver import STACK_BYTES, _receiver_bytes, zf_rates
 from .siso import DEFAULT_SIZE_CAP
 
 # failures of one realization, which a build reports in that trial's slot;
@@ -67,30 +68,30 @@ class SchemeConfig:
         return Fraction(streams, L)
 
     def build_trials(self, seeds):
-        """Iterator over the stacks of the builds of the realizations of
-        ``seeds``, in order: lists of (seed, build) pairs, a build being
-        (scheme, extended channel) or the TRIAL_ERRORS instance the
-        realization's build gives.
+        """Iterator over the BuiltStacks of the realizations of ``seeds``,
+        in order.
 
         A stack holds as many trials as fit STACK_BYTES, counted from the
         sizes the configuration fixes, and a trial larger than that goes
-        alone. Each stack takes one channel draw and one family build, and
-        is built as the iterator reaches it, so a consumer holds only the
-        stacks it keeps. A family that draws no channels is built once, and
-        that one build serves every seed, in one stack.
+        alone. Each stack takes one channel draw and one family build, whose
+        stacked scheme and extension it keeps as they are, and is built as
+        the iterator reaches it, so a consumer holds only the stacks it
+        keeps. A family that draws no channels is built once, and that one
+        build serves every seed, in one stack.
         """
         family = get_family(self.family)
         shape = family.channel_shape(self)
-        seeds = list(seeds)
+        seeds = tuple(seeds)
         if shape is None:
-            [built] = family.build(self, None)
-            yield [(seed, built) for seed in seeds]
+            trial, [slot] = family.build(self, None)
+            yield BuiltStack(seeds, (slot,) * len(seeds), (trial,))
             return
         size = max(1, STACK_BYTES // _trial_bytes(self))
         for lo in range(0, len(seeds), size):
             chunk = seeds[lo:lo + size]
             channels = generate_channels(*shape, self.a_min, self.a_max, chunk)
-            yield list(zip(chunk, family.build(self, channels)))
+            trial, slots = family.build(self, channels)
+            yield BuiltStack(chunk, slots, (trial,))
 
     def build(self, seed: int):
         """Build (scheme, extended channel) for one realization:
@@ -109,7 +110,8 @@ class SchemeConfig:
             raise ParameterError(
                 f"channel set has K={ch.K}, M={ch.M}, but the scheme is "
                 f"configured for K={self.K}, M={self.M}")
-        [built] = family.build(self, ChannelStack.of(ch))
+        trial, slots = family.build(self, ChannelStack.of(ch))
+        [(_, built)] = BuiltStack((ch.seed,), slots, (trial,))
         return _raised(built)
 
 
@@ -118,6 +120,31 @@ def _raised(built):
     if isinstance(built, Exception):
         raise built
     return built
+
+
+@dataclass(frozen=True)
+class BuiltStack:
+    """The builds of one stack of trial seeds.
+
+    ``trials`` holds (scheme, extended channel) pairs as
+    :func:`~ia_lab.receiver.zf_rates` takes them, each one trial or a stack
+    of them; ``slots[i]`` is the place of seed i's trial among all their
+    trials, in order, or the TRIAL_ERRORS instance its build gives. Seeds
+    share a place when they share a build. Iterating gives (seed, build)
+    pairs, a build being the trial's own (scheme, extended channel) or its
+    error.
+    """
+
+    seeds: tuple
+    slots: tuple
+    trials: tuple
+
+    def __iter__(self):
+        alone = [trial for scheme, ext in self.trials for trial in (
+            [(scheme[t], ext[t]) for t in range(len(scheme.precoders[0]))]
+            if scheme.stacked else [(scheme, ext)])]
+        return iter([(seed, slot if isinstance(slot, Exception) else alone[slot])
+                     for seed, slot in zip(self.seeds, self.slots)])
 
 
 @dataclass(frozen=True)
@@ -184,16 +211,11 @@ def _trial_seed(root_seed: int, trial: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-# bytes of receiver-pass matrices one stack of a sweep may hold
-STACK_BYTES = 1 << 22
-
-
 def _trial_bytes(config: SchemeConfig) -> int:
-    """Rough complex128 bytes one trial of ``config`` adds to a receiver
-    pass: a dim-square U and four dim x (total streams) stacks."""
+    """Rough bytes one trial of ``config`` adds to each receiver batch of a
+    receiver pass."""
     L, streams = get_family(config.family).extension(config)
-    dim = L * config.M
-    return 16 * dim * (dim + 4 * streams)
+    return _receiver_bytes(L * config.M, streams)
 
 
 def snr_grid(snr_db) -> tuple:
@@ -223,11 +245,10 @@ def snr_sweep(config: SchemeConfig, snr_db, trials: int, seed: int) -> RateTable
     for stack in config.build_trials(seeds):
         # seeds that share one build (a family that draws no channels)
         # share its evaluation too
-        built = list({id(b): b for _, b in stack if not isinstance(b, Exception)}.values())
-        rows = {id(b): None if rates is None else rates.tolist()
-                for b, rates in zip(built, zf_rates(built, rhos))}
-        for tseed, b in stack:
-            trial = rows.get(id(b))
+        rows = [None if rates is None else rates.tolist()
+                for rates in zf_rates(stack.trials, rhos)]
+        for tseed, slot in zip(stack.seeds, stack.slots):
+            trial = None if isinstance(slot, Exception) else rows[slot]
             if trial is None:
                 records.extend(RateRecord(snr, tseed, None, "failed") for snr in grid)
             else:

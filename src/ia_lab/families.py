@@ -28,13 +28,15 @@ class Family:
     # by size_cap; their ratio is the claimed degrees of freedom
     extension: Callable
     channel_shape: Callable  # config -> (K, M, F) one realization draws, None if fixed
-    # (config, ChannelStack) -> per channel set of the stack, its (scheme,
-    # extended channel) or the TRIAL_ERRORS instance its build gives; a
-    # family that draws no channels takes None and gives one build
+    # (config, ChannelStack) -> (trial, slots): trial is the stacked (scheme,
+    # extended channel) of the channel sets that built, and slots[t] is set
+    # t's row in it or the TRIAL_ERRORS instance its build gives; a family
+    # that draws no channels takes None and gives one unstacked trial
     build: Callable
-    # (K, HV) -> (kind, receiver, description, left, right) of every promised
-    # relation; kind is equality, subset (left's columns among right's) or
-    # span, and HV(k, j) is transmitter j's precoder seen at receiver k
+    # K -> (kind, receiver k, description, j, i) of every promised relation
+    # between transmitter j's precoder seen at receiver k (left) and
+    # transmitter i's (right); kind is equality, subset (left's columns
+    # among right's) or span
     relations: Callable
     # what changes what the family builds besides K and M: configuration
     # fields, and "seed" for the channel seed of the families that draw
@@ -47,9 +49,13 @@ def _require(ok: bool, requirement: str) -> None:
         raise ParameterError(requirement)
 
 
-def _paired(schemes, ext) -> list:
-    """Each trial's (scheme, extension) of a stacked build, or its error."""
-    return [s if isinstance(s, Exception) else (s, ext[t]) for t, s in enumerate(schemes)]
+def _paired(built, ext) -> tuple:
+    """(trial, slots) of a stacked build of (scheme, slots) on ``ext``: the
+    extension keeps the rows of the trials that built, and stays ``ext``
+    itself when every trial built."""
+    scheme, slots = built
+    kept = [t for t, slot in enumerate(slots) if not isinstance(slot, Exception)]
+    return (scheme, ext if len(kept) == len(slots) else ext[kept]), slots
 
 
 def _k3_build(config, channels):
@@ -57,13 +63,10 @@ def _k3_build(config, channels):
     return _paired(build_precoders_k3(ext, config.n), ext)
 
 
-def _k3_relations(K, HV):
-    yield ("equality", 0, "rx1: interference from tx2 equals interference from tx3",
-           HV(0, 1), HV(0, 2))
-    yield ("subset", 1, "rx2: interference from tx3 within interference from tx1",
-           HV(1, 2), HV(1, 0))
-    yield ("subset", 2, "rx3: interference from tx2 within interference from tx1",
-           HV(2, 1), HV(2, 0))
+def _k3_relations(K):
+    yield ("equality", 0, "rx1: interference from tx2 equals interference from tx3", 1, 2)
+    yield ("subset", 1, "rx2: interference from tx3 within interference from tx1", 2, 0)
+    yield ("subset", 2, "rx3: interference from tx2 within interference from tx1", 1, 0)
 
 
 def _general_extension(c):
@@ -78,18 +81,15 @@ def _general_build(config, channels):
     return _paired(build_precoders_general(ext, config.n, size_cap=config.size_cap), ext)
 
 
-def _general_relations(K, HV):
-    ref = HV(0, 1)
+def _general_relations(K):
     for j in range(2, K):
         yield ("equality", 0,
-               f"rx1: interference from tx{j + 1} equals interference from tx2",
-               HV(0, j), ref)
+               f"rx1: interference from tx{j + 1} equals interference from tx2", j, 1)
     for i in range(1, K):
-        pool = HV(i, 0)  # formed once for the K-2 relations at receiver i
         for j in range(1, K):
             if j != i:
                 yield ("subset", i, f"rx{i + 1}: interference from tx{j + 1} within tx1's",
-                       HV(i, j), pool)
+                       j, 0)
 
 
 def _mimo_build(config, channels):
@@ -100,28 +100,24 @@ def _mimo_build(config, channels):
     return _paired(build_mimo_odd(channels, ext), ext)
 
 
-def _mimo_relations(K, HV):
-    yield ("span", 0, "rx1: spans of interference from tx2 and tx3 coincide",
-           HV(0, 1), HV(0, 2))
-    yield ("equality", 1, "rx2: interference from tx1 equals interference from tx3",
-           HV(1, 0), HV(1, 2))
-    yield ("equality", 2, "rx3: interference from tx1 equals interference from tx2",
-           HV(2, 0), HV(2, 1))
+def _mimo_relations(K):
+    yield ("span", 0, "rx1: spans of interference from tx2 and tx3 coincide", 1, 2)
+    yield ("equality", 1, "rx2: interference from tx1 equals interference from tx3", 0, 2)
+    yield ("equality", 2, "rx3: interference from tx1 equals interference from tx2", 0, 1)
 
 
 def _designed_build(config, channels):
     ext, scheme = build_designed_channel(config.K)
-    return [(scheme, ext)]
+    return (scheme, ext), (0,)
 
 
-def _designed_relations(K, HV):
+def _designed_relations(K):
     for k in range(K):
         others = [j for j in range(K) if j != k]
-        ref = HV(k, others[0])
         for j in others[1:]:
             yield ("equality", k,
                    f"rx{k + 1}: interference from tx{j + 1} equals tx{others[0] + 1}'s",
-                   HV(k, j), ref)
+                   j, others[0])
 
 
 FAMILIES = {

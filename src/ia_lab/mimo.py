@@ -15,7 +15,7 @@ import numpy as np
 
 from .channels import ChannelSet, ChannelStack, ExtendedChannel, extend_channel
 from .errors import DegeneracyError, ParameterError, ShapeError, SingularChannelError
-from .schemes import PrecoderScheme, TrialStack, full_rank_schemes
+from .schemes import TrialStack, full_rank_schemes
 
 EIGENBASIS_COND_CAP = 1e8
 EIGENVALUE_GAP_TOL = 1e-10
@@ -109,8 +109,9 @@ def build_mimo_even(ch):
     others are solved from the exact equalities H21 V1 = H23 V3 and
     H31 V1 = H32 V2, leaving M/2 interference dimensions at every receiver.
 
-    For a ChannelStack, every step runs over the whole stack: a list of
-    each trial's scheme, or the error its build gives alone.
+    For a ChannelStack, every step runs over the whole stack: (the stacked
+    scheme of the trials that built, each trial's row in it or the error
+    its build gives alone).
     """
     M = ch.M
     if M < 2 or M % 2:
@@ -127,7 +128,7 @@ def build_mimo_even(ch):
     v_tx3 = _solve(H(1, 2), H(1, 0) @ v_tx1, "H23", stack)
     schemes = full_rank_schemes(stack, DegeneracyError, (v_tx1, v_tx2, v_tx3),
                                 family="mimo", K=3, M=M, L=1, parity="even")
-    return schemes if isinstance(ch, ChannelStack) else stack.one(schemes)
+    return (schemes, stack.slots()) if isinstance(ch, ChannelStack) else stack.one(schemes)
 
 
 def interleaved_seed(vectors: np.ndarray) -> np.ndarray:
@@ -160,8 +161,9 @@ def build_mimo_odd(ch, ext: ExtendedChannel = None):
     :func:`odd_extension`) when the caller already holds it; otherwise it
     is built here.
 
-    For a ChannelStack, every step runs over the whole stack: a list of
-    each trial's scheme, or the error its build gives alone.
+    For a ChannelStack, every step runs over the whole stack: (the stacked
+    scheme of the trials that built, each trial's row in it or the error
+    its build gives alone).
     """
     M = ch.M
     if M < 3 or M % 2 == 0:
@@ -181,14 +183,10 @@ def build_mimo_odd(ch, ext: ExtendedChannel = None):
     v_tx3 = _solve(ext.matrix(1, 2), ext.apply(1, 0, v_tx1), "extended H23", stack)
     schemes = full_rank_schemes(stack, DegeneracyError, (v_tx1, v_tx2, v_tx3),
                                 family="mimo", K=3, M=M, L=2, parity="odd")
-    return schemes if isinstance(ch, ChannelStack) else stack.one(schemes)
+    return (schemes, stack.slots()) if isinstance(ch, ChannelStack) else stack.one(schemes)
 
 
 def odd_extension(ch) -> ExtendedChannel:
     """The two-slot constant-time extension the odd-M construction uses."""
     return extend_channel(ch, 2, mode="constant-time")
 
-
-def mimo_extension(ch: ChannelSet, scheme: PrecoderScheme) -> ExtendedChannel:
-    """The extension a MIMO scheme was built against (L=1 even, L=2 odd)."""
-    return extend_channel(ch, scheme.L, mode="constant-time")

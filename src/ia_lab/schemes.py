@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +21,11 @@ class PrecoderScheme:
     ``n`` (the alignment order of the single-antenna families) and
     ``parity`` (even or odd M of the MIMO family) are None where they do
     not apply.
+
+    The schemes of one family and shape built together form a stack: every
+    precoder gets a leading trial axis, (T, L*M, d_i). ``scheme[t]`` is the
+    scheme of trial t, and indexing with an array of trials, or with None
+    (the stack of one), gives a stack, as numpy indexing does.
     """
 
     family: str
@@ -32,8 +37,16 @@ class PrecoderScheme:
     parity: str = None
 
     @property
+    def stacked(self) -> bool:
+        """True for a stack of schemes."""
+        return self.precoders[0].ndim == 3
+
+    def __getitem__(self, t) -> "PrecoderScheme":
+        return replace(self, precoders=tuple(v[t] for v in self.precoders))
+
+    @property
     def stream_counts(self) -> tuple:
-        return tuple(v.shape[1] for v in self.precoders)
+        return tuple(v.shape[-1] for v in self.precoders)
 
     @property
     def total_streams(self) -> int:
@@ -81,12 +94,13 @@ class TrialStack:
         self.rows = self.rows[keep]
         return tuple(a[keep] for a in arrays)
 
-    def results(self, make) -> list:
-        """Per trial of the stack: its error, or ``make(row)``."""
+    def slots(self) -> tuple:
+        """Per trial of the stack: its row among the trials still in it, or
+        its error."""
         out = list(self.errors)
         for r, t in enumerate(self.rows):
-            out[t] = make(r)
-        return out
+            out[t] = r
+        return tuple(out)
 
     def one(self, result):
         """For a stack of one: ``result[0]``, or the trial's error raised."""
@@ -97,21 +111,20 @@ class TrialStack:
 
 
 def full_rank_schemes(stack: TrialStack, error: type, precoders: tuple,
-                      **fields) -> list:
-    """Per trial of a stacked build: the PrecoderScheme whose precoders all
-    have full column rank, or the trial's error.
+                      **fields) -> PrecoderScheme:
+    """The stacked PrecoderScheme of the trials of a stacked build whose
+    precoders all have full column rank, in the rows of ``stack``.
 
     ``precoders[i]`` stacks transmitter i's precoders over the rows of
     ``stack``. A trial whose precoder does not have full column rank gets
-    ``error`` naming its first such transmitter.
+    ``error`` naming its first such transmitter, and leaves the stack.
     """
     precoders = stack.cut(*precoders)
     for idx in range(len(precoders)):
         stack.fail(has_full_column_rank(precoders[idx]), error,
                    f"precoder of transmitter {idx + 1} lost full column rank")
         precoders = stack.cut(*precoders)
-    return stack.results(lambda r: PrecoderScheme(
-        precoders=tuple(v[r] for v in precoders), **fields))
+    return PrecoderScheme(precoders=precoders, **fields)
 
 
 def _matrix_entries(v: np.ndarray) -> list:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 
 from ia_lab.channels import ChannelSet
@@ -7,3 +9,19 @@ def identity_channels(K=3, F=3):
     """All-ones scalar links; violates slot distinctness on purpose."""
     coeffs = np.ones((K, K, F, 1, 1), dtype=complex)
     return ChannelSet(K=K, M=1, F=F, a_min=1.0, a_max=1.0, seed=0, coeffs=coeffs)
+
+
+def interference_at(scheme, ext, k):
+    """Receiver k's interference of one trial: every other transmitter's
+    precoder through its link, side by side in transmitter order."""
+    return np.hstack([ext.apply(k, j, scheme.precoders[j])
+                      for j in range(scheme.K) if j != k])
+
+
+def stacked(pairs):
+    """One stacked (scheme, ext) of one-trial pairs of one family and shape;
+    each precoder keeps its memory layout in its row."""
+    scheme = dataclasses.replace(pairs[0][0], precoders=tuple(
+        np.stack(v) for v in zip(*(s.precoders for s, _ in pairs))))
+    ext = dataclasses.replace(pairs[0][1], blocks=np.stack([e.blocks for _, e in pairs]))
+    return scheme, ext

@@ -13,6 +13,7 @@ from ia_lab import (CognitiveScenario, DegeneracyError, InsufficientDataError,
                     SchemeConfig, cognitive_dof, decompose_dof_point,
                     estimate_dof, estimate_o1_gap, in_dof_region,
                     sample_dof_region, snr_sweep, REGION_CORNERS)
+from ia_lab.evaluation import BuiltStack
 
 
 def synthetic_table(snr_db, sum_rate_fn, trials=1):
@@ -58,7 +59,8 @@ class FailingConfig:
         raise DegeneracyError("synthetic failure")
 
     def build_trials(self, seeds):
-        return [[(seed, DegeneracyError("synthetic failure")) for seed in seeds]]
+        seeds = tuple(seeds)
+        return [BuiltStack(seeds, tuple(DegeneracyError("synthetic failure") for _ in seeds), ())]
 
 
 def test_failed_trials_become_failure_rows():

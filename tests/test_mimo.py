@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import ia_lab.channels
-from ia_lab import DegeneracyError, ParameterError, SchemeConfig, generate_channels
+from ia_lab import (DegeneracyError, ParameterError, SchemeConfig, extend_channel,
+                    generate_channels)
 from ia_lab.channels import ChannelSet
 from ia_lab.mimo import (build_mimo_even, build_mimo_odd, interleaved_seed,
-                         loop_matrix, mimo_extension, sorted_eigenbasis)
+                         loop_matrix, sorted_eigenbasis)
 
 
 def rank_of(matrix, tol=1e-8):
@@ -97,7 +98,7 @@ def test_odd_interference_dimension_and_joint_rank(M):
     for seed in range(100):
         ch = generate_channels(3, M, 1, seed=seed)
         scheme = build_mimo_odd(ch)
-        ext = mimo_extension(ch, scheme)
+        ext = extend_channel(ch, scheme.L, mode="constant-time")
         v = scheme.precoders
         for k in range(3):
             interference = np.hstack([ext.matrix(k, j) @ v[j]
@@ -111,7 +112,7 @@ def test_odd_alignment_equalities_m3():
     for seed in range(20):
         ch = generate_channels(3, 3, 1, seed=seed)
         scheme = build_mimo_odd(ch)
-        ext = mimo_extension(ch, scheme)
+        ext = extend_channel(ch, scheme.L, mode="constant-time")
         v = scheme.precoders
         for left, right in ((ext.matrix(1, 0) @ v[0], ext.matrix(1, 2) @ v[2]),
                             (ext.matrix(2, 0) @ v[0], ext.matrix(2, 1) @ v[1])):

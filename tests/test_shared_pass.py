@@ -18,8 +18,11 @@ import pytest
 
 import ia_lab.receiver
 from ia_lab import SchemeConfig, check_alignment, snr_sweep, zf_rates
-from ia_lab.linalg import RANK_TOL, complement_and_rank
-from ia_lab.receiver import _grid_rates, _interference_stack, _receiver_pass
+from ia_lab.linalg import complement_and_rank
+from ia_lab.evaluation import BuiltStack
+from ia_lab.receiver import _grid_rates, _pass
+
+from conftest import interference_at
 
 CONFIGS = {
     "siso-k3 n=1": SchemeConfig("siso-k3", n=1),
@@ -72,7 +75,7 @@ class Trial:
     scheme: object
     ext: object
     receivers: tuple  # checks of the pass with gains
-    gains: tuple  # of the pass with gains; None when a receiver check fails
+    gains: tuple  # (1, d_k) per receiver, of the pass with gains; None when a check fails
     rates: object  # zf_rates over RHOS; None when a check or relation fails
 
 
@@ -82,7 +85,9 @@ def trials(request):
     out = []
     for seed in SEEDS:
         scheme, ext = config.build(seed)
-        [(receivers, gains)] = _receiver_pass([(scheme, ext)], RANK_TOL, with_gains=True)
+        [receivers], _, passed, gains = _pass(scheme[None], ext, True)
+        if not passed:
+            gains = None
         [rates] = zf_rates([(scheme, ext)], RHOS)
         out.append(Trial(scheme, ext, receivers, gains, rates))
     return request.param, out
@@ -116,16 +121,15 @@ def test_one_point_rates_equal_grid_rates(trials):
     # the pass's gains evaluated at one point at a time
     _, rows = trials
     for t in passing(rows):
-        gains = tuple(g[None] for g in t.gains)
         for rho, row in zip(RHOS, t.rates.tolist()):
-            assert _grid_rates(t.ext.L, gains, [rho])[0].tolist() == [row]
+            assert _grid_rates(t.ext.L, t.gains, [rho])[0].tolist() == [row]
 
 
 def test_interference_rank_is_dim_minus_complement(trials):
     _, rows = trials
     for t in rows:
         for rx in t.receivers:
-            interference = _interference_stack(t.scheme, t.ext, rx.receiver)
+            interference = interference_at(t.scheme, t.ext, rx.receiver)
             basis, rank = complement_and_rank(interference)
             assert rank == rx.interference_rank
             assert rx.interference_rank == t.ext.dim - basis.shape[1]
@@ -167,9 +171,8 @@ def test_no_gains_after_a_failed_receiver_check(monkeypatch):
 
     monkeypatch.setattr(ia_lab.receiver, "complement_and_rank", counting)
     scheme, ext = corrupted_k3()
-    [(receivers, gains)] = _receiver_pass([(scheme, ext)], RANK_TOL, with_gains=True)
-    assert gains is None
-    assert not receivers[0].ok
+    [receivers], _, passed, _ = _pass(scheme[None], ext, True)
+    assert passed == [] and len(receivers) == 1 and not receivers[0].ok
     # receiver 1 failed, so the pass stops there: no complement for 2 and 3
     assert len(calls) == 1
     assert receivers == check_alignment(scheme, ext).receivers[:1]
@@ -184,7 +187,10 @@ class CorruptedConfig:
         return corrupted_k3(seed)
 
     def build_trials(self, seeds):
-        return [[(seed, self.build(seed)) for seed in seeds]]
+        # separately built trials, which zf_rates stacks
+        seeds = tuple(seeds)
+        return [BuiltStack(seeds, tuple(range(len(seeds))),
+                           tuple(self.build(seed) for seed in seeds))]
 
 
 def test_failed_receiver_check_becomes_failure_rows():

@@ -19,10 +19,11 @@ import ia_lab.families
 import ia_lab.receiver
 from ia_lab import (ChannelStack, ParameterError, SchemeConfig, extend_channel,
                     generate_channels, snr_sweep, zf_rates)
-from ia_lab.evaluation import TRIAL_ERRORS, _trial_seed
+from ia_lab.evaluation import TRIAL_ERRORS, BuiltStack, _trial_seed
 from ia_lab.linalg import RANK_TOL, orthonormal_complement
-from ia_lab.receiver import (RESIDUAL_TOL, SPAN_TOL, AlignmentReport, _family_relations,
-                             _receiver_pass, check_alignment)
+from ia_lab.receiver import RESIDUAL_TOL, AlignmentReport, _pass, check_alignment
+
+from conftest import stacked
 
 CONFIGS = {
     "siso-k3 n=1": SchemeConfig("siso-k3", n=1),
@@ -111,6 +112,11 @@ def builds(config, seeds):
     return [built for stack in config.build_trials(seeds) for _, built in stack]
 
 
+def trial_count(trials):
+    """The number of trials in a list of (scheme, ext) pairs, stacked or not."""
+    return sum(len(scheme.precoders[0]) if scheme.stacked else 1 for scheme, _ in trials)
+
+
 def test_sweep_across_stack_boundaries_equals_each_trial_alone(monkeypatch):
     config = CONFIGS["siso-k3 n=1"]
     # room for two trials per stack: five trials take three stacks
@@ -121,7 +127,7 @@ def test_sweep_across_stack_boundaries_equals_each_trial_alone(monkeypatch):
     family = ia_lab.families.FAMILIES[config.family]
 
     def recording(trials, rhos):
-        sizes.append(len(trials))
+        sizes.append(trial_count(trials))
         return original(trials, rhos)
 
     def recording_build(config, channels):
@@ -172,9 +178,12 @@ class OneCorrupted:
         return self.config.K
 
     def build_trials(self, seeds):
+        # each stack's trials separately built, which zf_rates stacks again
         for stack in self.config.build_trials(seeds):
-            yield [(seed, (corrupt(built[0], seed), built[1]) if seed == self.bad_seed
-                    else built) for seed, built in stack]
+            trials = tuple((corrupt(built[0], seed), built[1]) if seed == self.bad_seed
+                           else built for seed, built in stack
+                           if not isinstance(built, Exception))
+            yield BuiltStack(stack.seeds, stack.slots, trials)
 
 
 @pytest.mark.parametrize("label", ["siso-k3 n=2", "mimo M=3", "siso-general K=4 n=1"])
@@ -204,9 +213,17 @@ def test_stack_of_mixed_shapes_and_failures():
             assert rates.tolist() == alone.tolist()
 
 
+def one_stack(config, seeds):
+    """The stacked (scheme, ext) of one build stack of ``seeds``; a family
+    that draws no channels builds one trial, taken as a stack of one."""
+    [stack] = config.build_trials(seeds)
+    [(scheme, ext)] = stack.trials
+    return (scheme, ext) if scheme.stacked else (scheme[None], ext[None])
+
+
 @pytest.mark.parametrize("label", list(CONFIGS))
 def test_a_relation_pass_forms_each_link_product_once(monkeypatch, label):
-    trials = builds(CONFIGS[label], range(3))
+    scheme, ext = one_stack(CONFIGS[label], range(3))
     formed = collections.Counter()
     apply = ia_lab.channels.ExtendedChannel.apply
 
@@ -215,9 +232,15 @@ def test_a_relation_pass_forms_each_link_product_once(monkeypatch, label):
         return apply(ext, k, j, v)
 
     monkeypatch.setattr(ia_lab.channels.ExtendedChannel, "apply", counting)
-    _family_relations(trials, RESIDUAL_TOL, SPAN_TOL)
-    # once per trial of the stack
-    assert set(formed.values()) == {len(trials)}
+    # once per stack, for the checks and relations of check_alignment and for
+    # a whole zf_rates call: the relations and the gains read the products
+    # of the receiver pass
+    once = {(k, j): 1 for k in range(scheme.K) for j in range(scheme.K)}
+    _pass(scheme, ext, False)
+    assert formed == once
+    formed.clear()
+    assert all(rates is not None for rates in zf_rates([(scheme, ext)], RHOS))
+    assert formed == once
 
 
 def test_families_of_one_shape_take_their_own_relations(monkeypatch):
@@ -227,15 +250,15 @@ def test_families_of_one_shape_take_their_own_relations(monkeypatch):
     assert k3[1].blocks.shape == general[1].blocks.shape
     assert k3[0].stream_counts == general[0].stream_counts
     families = []
-    relations = ia_lab.receiver._family_relations
+    receiver_pass = ia_lab.receiver._pass
 
-    def recording(trials, *args):
-        families.append([scheme.family for scheme, _ in trials])
-        return relations(trials, *args)
+    def recording(scheme, *args):
+        families.append((scheme.family, len(scheme.precoders[0])))
+        return receiver_pass(scheme, *args)
 
-    monkeypatch.setattr(ia_lab.receiver, "_family_relations", recording)
+    monkeypatch.setattr(ia_lab.receiver, "_pass", recording)
     out = zf_rates([k3, general, k3], RHOS)
-    assert sorted(families) == [["siso-general"], ["siso-k3", "siso-k3"]]
+    assert sorted(families) == [("siso-general", 1), ("siso-k3", 2)]
     assert all(rates is not None for rates in out)
 
 
@@ -267,19 +290,27 @@ def test_build_trials_puts_each_build_error_in_its_slot(monkeypatch):
     from ia_lab.errors import DegeneracyError
 
     calls = []
+    family = ia_lab.families.FAMILIES["mimo"]
 
     def flaky(config, channels):
+        # the real build, with seed 1's trial failing
         calls.append(channels.seeds)
-        return [DegeneracyError("synthetic") if seed == 1 else ("scheme", seed)
-                for seed in channels.seeds]
+        (scheme, ext), _ = family.build(config, channels)
+        rows = [t for t, seed in enumerate(channels.seeds) if seed != 1]
+        slots = [DegeneracyError("synthetic") if seed == 1 else rows.index(t)
+                 for t, seed in enumerate(channels.seeds)]
+        return (scheme[rows], ext[rows]), tuple(slots)
 
-    family = ia_lab.families.FAMILIES["mimo"]
     monkeypatch.setitem(ia_lab.families.FAMILIES, "mimo",
                         dataclasses.replace(family, build=flaky))
     [stack] = SchemeConfig("mimo", M=2).build_trials([0, 1, 2])
     assert [seed for seed, _ in stack] == [0, 1, 2]
     built = [b for _, b in stack]
-    assert built[0] == ("scheme", 0) and built[2] == ("scheme", 2)
+    for seed in (0, 2):
+        scheme, ext = built[seed]
+        assert np.array_equal(ext.blocks, extend_channel(
+            generate_channels(3, 2, 1, seed=seed), 1, mode="constant-time").blocks)
+        assert scheme.K == 3 and not scheme.stacked
     assert isinstance(built[1], DegeneracyError)
     assert calls == [(0, 1, 2)]
     with pytest.raises(DegeneracyError):
@@ -290,16 +321,16 @@ BUILD_CONFIGS = {**CONFIGS, "mimo M=5": SchemeConfig("mimo", M=5),
                  "mimo M=8": SchemeConfig("mimo", M=8)}
 
 
-def stacked_reports(trials):
-    """The alignment report of each trial of a stack, from one receiver pass
-    and one relation pass over the stack."""
-    scheme, ext = trials[0]
+def stacked_reports(scheme, ext):
+    """The alignment report of each trial of a stacked (scheme, ext), from
+    one receiver pass and one relation pass over the stack."""
+    if not scheme.stacked:
+        scheme = scheme[None]
+    checks, relations, _, _ = _pass(scheme, ext, False)
     return [AlignmentReport(family=scheme.family, K=scheme.K, M=ext.M, L=ext.L,
                             rank_tol=RANK_TOL, residual_tol=RESIDUAL_TOL,
                             receivers=receivers, relations=relations)
-            for (receivers, _), relations in zip(
-                _receiver_pass(trials, RANK_TOL, with_gains=False),
-                _family_relations(trials, RESIDUAL_TOL, SPAN_TOL))]
+            for receivers, relations in zip(checks, relations)]
 
 
 @pytest.mark.parametrize("trials", [1, 2, 5])
@@ -310,7 +341,9 @@ def test_stacked_build_equals_each_build_alone(label, trials):
     [stack] = config.build_trials(seeds)  # one stack, built by one call
     assert [seed for seed, _ in stack] == seeds
     built = [b for _, b in stack]
-    for seed, (scheme, ext), report in zip(seeds, built, stacked_reports(built)):
+    [trial] = stack.trials
+    reports = [stacked_reports(*trial)[slot] for slot in stack.slots]
+    for seed, (scheme, ext), report in zip(seeds, built, reports, strict=True):
         scheme_alone, ext_alone = config.build(seed)
         assert np.array_equal(ext.blocks, ext_alone.blocks)
         for v, v_alone in zip(scheme.precoders, scheme_alone.precoders, strict=True):
@@ -440,30 +473,32 @@ def test_receiver_stage_svd_calls_do_not_grow_with_trials(monkeypatch, M):
         return svd(*args, **kwargs)
 
     counts = []
-    for trials in (1, 8):
-        built = builds(config, range(trials))
+    for trials in (1, 4, 8):
+        scheme, ext = one_stack(config, range(trials))
         monkeypatch.setattr(np.linalg, "svd", counting)
-        results = _receiver_pass(built, RANK_TOL, with_gains=True)
+        _, _, passed, _ = _pass(scheme, ext, True)
         monkeypatch.setattr(np.linalg, "svd", svd)
-        assert all(gains is not None for _, gains in results)
+        assert passed == list(range(trials))
         counts.append(len(calls))
         calls.clear()
-    # desired, joint and interference at each of the 3 receivers, and one
-    # projection per receiver (all trials share their interference ranks)
-    assert counts == [12, 12]
+    # the 3 receivers share one shape, so one call each for the desired,
+    # joint and interference SVDs and one projection (all trials share
+    # their interference ranks), not one of each per receiver; then the
+    # span relation's basis of each side and its residual's norm
+    assert counts == [7, 7, 7]
 
 
 def test_no_receiver_after_a_failed_check_in_a_stack():
     k3, ext = CONFIGS["siso-k3 n=1"].build(4)
-    trials = [(corrupt(k3, 4), ext), (k3, ext)]
-    results = _receiver_pass(trials, RANK_TOL, with_gains=True)
-    (bad_checks, bad_gains), (good_checks, good_gains) = results
-    assert bad_gains is None and len(bad_checks) == 1 and not bad_checks[0].ok
-    assert good_gains is not None and len(good_checks) == 3
+    scheme, ext = stacked([(corrupt(k3, 4), ext), (k3, ext)])
+    (bad_checks, good_checks), _, passed, gains = _pass(scheme, ext, True)
+    assert len(bad_checks) == 1 and not bad_checks[0].ok
+    assert len(good_checks) == 3 and all(c.ok for c in good_checks)
+    assert passed == [1] and all(np.all(np.isfinite(g[1])) for g in gains)
     # the checks without gains keep every trial to the last receiver
-    full = _receiver_pass(trials, RANK_TOL, with_gains=False)
-    assert [len(checks) for checks, _ in full] == [3, 3]
-    assert full[0][0][0] == bad_checks[0]
+    full, _, _, _ = _pass(scheme, ext, False)
+    assert [len(checks) for checks in full] == [3, 3]
+    assert full[0][0] == bad_checks[0]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -472,3 +507,64 @@ def test_sweep_rejects_a_non_finite_grid_point(bad):
         snr_sweep(CONFIGS["siso-k3 n=1"], [40.0, bad, 60.0], trials=1, seed=0)
     with pytest.raises(ParameterError, match="finite"):
         snr_sweep(CONFIGS["siso-k3 n=1"], [40.0, 60.0, bad], trials=1, seed=0)
+
+
+STACK_CONFIGS = {
+    **{f"mimo M={M}": SchemeConfig("mimo", M=M) for M in (2, 3, 4, 5, 8, 9, 16)},
+    **{f"siso-k3 n={n}": SchemeConfig("siso-k3", n=n) for n in (1, 2, 3, 4)},
+    **{f"siso-general K={K} n=1": SchemeConfig("siso-general", K=K, n=1) for K in (3, 4)},
+    **{f"designed K={K}": SchemeConfig("designed", K=K) for K in (3, 10)},
+}
+
+
+@pytest.mark.parametrize("label", list(STACK_CONFIGS))
+def test_a_stacks_rates_equal_each_trial_alone(label):
+    # from M=8 on, transmitter 1's rows are Fortran-ordered, and the order
+    # in which their column norms are summed follows the layout
+    config = STACK_CONFIGS[label]
+    scheme, ext = one_stack(config, [_trial_seed(23, t) for t in range(5)])
+    if len(scheme.precoders[0]) == 1:  # designed builds one trial for every seed
+        scheme, ext = stacked([(scheme[0], ext[0])] * 5)
+    assert len(scheme.precoders[0]) == 5
+    # the middle trial's transmitter 2 precoder replaced by a random one
+    rng = np.random.default_rng(5)
+    v = np.copy(scheme.precoders[1], order="K")
+    v[2] = rng.normal(size=v[2].shape) + 1j * rng.normal(size=v[2].shape)
+    scheme = dataclasses.replace(scheme, precoders=(scheme.precoders[0], v)
+                                 + scheme.precoders[2:])
+    out = zf_rates([(scheme, ext)], RHOS)
+    assert [rates is None for rates in out] == [False, False, True, False, False]
+    checks, _, passed, _ = _pass(scheme, ext, True)
+    assert passed == [0, 1, 3, 4]
+    # the failing trial's checks end at its first failing receiver
+    assert len(checks[2]) == 1 and not checks[2][0].ok
+    for t, rates in enumerate(out):
+        [alone] = zf_rates([(scheme[t], ext[t])], RHOS)
+        assert (rates is None) == (alone is None)
+        if rates is not None:
+            assert rates.tobytes() == alone.tobytes()
+        [checks_alone], _, _, _ = _pass(scheme[t][None], ext[t], True)
+        assert checks[t] == checks_alone
+
+
+def test_an_over_budget_trial_stops_at_its_failing_receiver(monkeypatch):
+    # a default-law L=275 trial (sweep root 1002 of the large benchmark
+    # workload) whose receiver 2 fails: its receivers go one at a time
+    config = SchemeConfig("siso-general", K=4, n=2)
+    scheme, ext = one_stack(config, [_trial_seed(1002, 0)])
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    [checks], _, passed, _ = _pass(scheme, ext, True)
+    assert passed == [] and [c.ok for c in checks] == [True, False]
+    # desired, joint and interference at receivers 1 and 2, and the
+    # projection of receiver 1; none for receivers 3 and 4
+    assert len(shapes) == 7 and {shape[0] for shape in shapes} == {1}
+    shapes.clear()
+    assert zf_rates([(scheme, ext)], RHOS) == [None]
+    assert len(shapes) == 7
