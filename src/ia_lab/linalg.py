@@ -11,6 +11,7 @@ The rank functions also take a stack of matrices, shape (T, rows, cols),
 and then answer for every matrix of the stack from one batched SVD. The
 residuals take stacks only, and answer with an array over the stack. Each
 matrix gets bit for bit the answer it gets alone, or as a stack of one.
+A subset residual ranks its pool by one product, then measures the nearest.
 """
 
 from __future__ import annotations
@@ -96,9 +97,11 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def equality_residual(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Relative Frobenius distance between the two equally shaped matrices
-    of each trial of a (T, rows, cols) stack, as an array of T."""
+    """Relative Frobenius distance between the two matrices of each trial of
+    a (T, rows, cols) stack, as an array of T; 1.0 for sides of two shapes."""
     T = len(left)
+    if left.shape != right.shape:
+        return np.ones(T)
     norms = _norms(np.concatenate((left, right, left - right)).reshape(3 * T, -1))
     return _ratio(norms[2 * T:], np.maximum(norms[:T], norms[T:2 * T]))
 
@@ -108,18 +111,23 @@ def subset_residual(columns: np.ndarray, pool: np.ndarray) -> np.ndarray:
     column of ``pool``, for each trial of a stack of them, as an array.
 
     Zero (up to rounding) iff the column set of ``columns`` is contained in
-    the column set of ``pool``; a zero column lies in any pool. One pass
-    per column over every trial, so memory stays that of one (T, rows,
-    pool columns) difference.
+    the column set of ``pool``; a zero column lies in any pool. Its cost is
+    one product, ``columns^H pool``, which ranks the pool columns p of a
+    column c by |p|^2 - 2 Re<c, p>. The nearest p, and each p ranked within
+    16 rows 2^-52 (max |p|^2 + |c|^2) of it (twice the ranks' rounding
+    bound; duplicates tie), get the exact distance, summed in row order as
+    ``np.linalg.norm`` sums a column of a wider matrix; the least is kept.
     """
-    dist = np.empty(columns.shape[::2])
-    for i in range(columns.shape[-1]):
-        diff = pool - columns[..., i:i + 1]
-        # np.linalg.norm's own formula for one axis
-        dist[:, i] = np.min(np.sqrt(np.add.reduce((diff.conj() * diff).real, axis=-2)),
-                            axis=-1)
     norms = _norms(columns.swapaxes(-1, -2))
-    return np.fmax.reduce(_ratio(dist, norms), axis=-1, initial=0.0)
+    pool_sq = _norms(pool.swapaxes(-1, -2)) ** 2
+    rank = pool_sq[:, None, :] - 2.0 * (columns.conj().swapaxes(-1, -2) @ pool).real
+    slack = (16 * 2.0 ** -52 * columns.shape[-2]) * (
+        np.maximum.reduce(pool_sq, axis=-1, initial=0.0)[:, None] + norms ** 2)[..., None]
+    t, i, j = np.nonzero(rank <= np.minimum.reduce(rank, axis=-1, keepdims=True) + slack)
+    diff = pool[t, :, j] - columns[t, :, i]
+    dist = np.full(norms.shape, np.inf)
+    np.minimum.at(dist, (t, i), np.add.accumulate((diff.conj() * diff).real, axis=-1)[:, -1])
+    return np.fmax.reduce(_ratio(np.sqrt(dist), norms), axis=-1, initial=0.0)
 
 
 def span_residual(left: np.ndarray, right: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
@@ -127,14 +135,20 @@ def span_residual(left: np.ndarray, right: np.ndarray, tol: float = RANK_TOL) ->
     each trial of a stack, as an array.
 
     1.0 outright when the spans have different dimensions. Each span's
-    orthonormal basis comes from one batched SVD per side, its rank decided
-    at ``tol``. The small-angle regime is computed as
-    ``||Ql - Qr (Qr^H Ql)||_2``, which does not suffer the cancellation of
-    the arccos-of-cosine route.
+    orthonormal basis comes from a batched SVD, its rank decided at
+    ``tol``; sides of one shape share one SVD call. The small-angle regime
+    is computed as ``||Ql - Qr (Qr^H Ql)||_2``, which does not suffer the
+    cancellation of the arccos-of-cosine route.
     """
-    (ul, rl), (ur, rr) = [
-        (u, _rank(s, tol)) for u, s, _ in
-        (np.linalg.svd(equilibrate_columns(m), full_matrices=False) for m in (left, right))]
+    T = len(left)
+    if left.shape == right.shape:
+        u, s, _ = np.linalg.svd(equilibrate_columns(np.concatenate((left, right))),
+                                full_matrices=False)
+        sides = ((u[:T], s[:T]), (u[T:], s[T:]))
+    else:
+        sides = [np.linalg.svd(equilibrate_columns(m), full_matrices=False)[:2]
+                 for m in (left, right)]
+    (ul, rl), (ur, rr) = [(u, _rank(s, tol)) for u, s in sides]
     out = np.where(rl == rr, 0.0, 1.0)
     by_rank = {}
     for t, (a, b) in enumerate(zip(rl.tolist(), rr.tolist())):

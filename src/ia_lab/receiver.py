@@ -206,8 +206,8 @@ def _pass(scheme, ext, with_gains, rank_tol=RANK_TOL, residual_tol=RESIDUAL_TOL,
 
         for (kind, dl, dr), members in kinds.items():
             tol = span_tol if kind == "span" else residual_tol
-            # the operands of a batch, and a residual's temporaries of their size
-            for batch in _batches(members, 32 * len(rows) * dim * (dl + dr)):
+            # operands, temporaries of their size, a subset's (dl, dr) ranks
+            for batch in _batches(members, 32 * len(rows) * (dim * (dl + dr) + dl * dr)):
                 out = residual[kind](
                     np.concatenate([operand(listed[i][1], listed[i][3]) for i in batch]),
                     np.concatenate([operand(listed[i][1], listed[i][4]) for i in batch]))

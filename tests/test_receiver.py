@@ -158,6 +158,24 @@ def test_relabeling_users_permutes_rates(monkeypatch):
     assert math.isclose(sum(result), sum(baseline), rel_tol=1e-12)
 
 
+def test_relabeled_k3_scheme_fails_its_relations_without_raising():
+    # relabeled, the siso-k3 relations pair precoders of different widths:
+    # the equality relation fails with residual 1.0, as a span relation
+    # between spans of different dimensions does, instead of raising
+    scheme, ext = k3_case(seed=17)
+    perm = [2, 0, 1]
+    permuted_ext = MatrixOverrideChannel(
+        ext, {(k, j): ext.matrix(perm[k], perm[j]) for k in range(3) for j in range(3)})
+    permuted_scheme = dataclasses.replace(
+        scheme, precoders=tuple(scheme.precoders[perm[j]] for j in range(3)))
+    report = check_alignment(permuted_scheme, permuted_ext)
+    assert all(check.ok for check in report.receivers)
+    [equality] = [r for r in report.relations if r.kind == "equality"]
+    assert equality.residual == 1.0 and not equality.ok
+    assert not report.passed and report.max_residual == 1.0
+    assert zf_rates([(permuted_scheme, permuted_ext)], [1e5]) == [None]
+
+
 def test_relabeling_designed_scheme_is_fully_symmetric():
     # the designed family has no special role, so a permuted copy passes the
     # checker outright and every user sees the same rate

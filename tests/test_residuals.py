@@ -4,9 +4,12 @@ bit for bit as the one-matrix formulas below, which are the references:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ia_lab.linalg import (RANK_TOL, _rank, equality_residual, equilibrate_columns,
                            span_residual, subset_residual)
+from ia_lab.receiver import RESIDUAL_TOL
 
 
 def equality_alone(left, right):
@@ -69,6 +72,55 @@ def test_subset_residual_of_a_stack_is_each_alone(rows, cols, pooled):
     columns[2, :, 0] = 0.0  # a zero column lies in any pool
     got = subset_residual(columns, pool)
     assert got.tolist() == [subset_alone(c, p) for c, p in zip(columns, pool)]
+
+
+def test_equality_residual_of_sides_of_different_widths_is_one():
+    rng = np.random.default_rng(5)
+    left = stack(rng, 3, 7, 2)
+    assert equality_residual(left, left[..., :1]).tolist() == [1.0, 1.0, 1.0]
+
+
+def nearby(rng, columns, size):
+    """Random columns of about ``size`` times the norms of ``columns``."""
+    noise = stack(rng, *columns.shape) / np.sqrt(2 * columns.shape[-2])
+    return size * np.linalg.norm(columns, axis=-2, keepdims=True) * noise
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 3), rows=st.integers(1, 40),
+       pooled=st.integers(1, 8), cols=st.integers(1, 5), scaled=st.booleans(),
+       perturbation=st.floats(-16.0, -1.0), duplicate=st.booleans(),
+       near_tie=st.one_of(st.none(), st.floats(-16.0, -7.0)),
+       rescaled=st.booleans(), zero_column=st.booleans(), zero_pool_column=st.booleans())
+def test_subset_residual_is_the_brute_force_nearest_column(
+        seed, T, rows, pooled, cols, scaled, perturbation, duplicate, near_tie, rescaled,
+        zero_column, zero_pool_column):
+    # the nearest column found through one product must be the one a
+    # difference with every pool column finds, ties and scales included
+    rng = np.random.default_rng(seed)
+    pool = stack(rng, T, rows, pooled)
+    if scaled:  # column norms across 1e-8 .. 1e8
+        pool *= 10.0 ** rng.uniform(-8.0, 8.0, size=(T, 1, pooled))
+    if near_tie is not None and pooled > 1:  # a second column 1e-16 .. 1e-7 from the first
+        pool[..., 1:2] = pool[..., :1] + nearby(rng, pool[..., :1], 10.0 ** near_tie)
+    if duplicate and pooled > 1:
+        pool[..., -1] = pool[..., 0]
+    if zero_pool_column:
+        pool[..., rng.integers(pooled)] = 0.0
+    picked = pool[..., rng.integers(0, pooled, size=cols)]
+    columns = picked + nearby(rng, picked, 10.0 ** perturbation)
+    if rescaled:  # columns far from the pool, at norms across 1e-8 .. 1e8 of it
+        columns *= 10.0 ** rng.uniform(-8.0, 8.0, size=(T, 1, cols))
+    if zero_column:
+        columns[..., 0] = 0.0
+    got = subset_residual(columns, pool).tolist()
+    want = [subset_alone(c, p) for c, p in zip(columns, pool)]
+    assert [g <= RESIDUAL_TOL for g in got] == [w <= RESIDUAL_TOL for w in want]
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-15 * w
+    if pooled > 1:
+        # bit for bit; a pool of one column np.linalg.norm sums pairwise
+        assert got == want
 
 
 @pytest.mark.parametrize("rows,cols", [(2, 1), (4, 2), (8, 4), (10, 5), (18, 9)])

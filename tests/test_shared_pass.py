@@ -19,7 +19,7 @@ import pytest
 import ia_lab.receiver
 from ia_lab import SchemeConfig, check_alignment, snr_sweep, zf_rates
 from ia_lab.linalg import complement_and_rank
-from ia_lab.evaluation import BuiltStack
+from ia_lab.evaluation import BuiltStack, _trial_seed
 from ia_lab.receiver import _grid_rates, _pass
 
 from conftest import interference_at
@@ -150,6 +150,26 @@ def test_reports_and_rates_match_golden_digests(trials):
     assert from_check.hexdigest() == reports_digest
     assert from_pass.hexdigest() == reports_digest
     assert rates.hexdigest() == rates_digest
+
+
+# siso-general K=4 n=2 (L=275), whose subset relations take 32 columns
+# against a pool of 243: SHA-256 of the report_json of check_alignment's
+# report, under the unit law (seed 0, passes) and the default law (the
+# trial of sweep root 1002, which builds and fails receivers 2 and 4)
+LARGE_GOLDEN = {
+    "unit": (SchemeConfig("siso-general", K=4, n=2, a_min=1.0, a_max=1.0), 0,
+             "260079a4251749cc69783f78c8efe3de338680bf8523b7d14d4e5346f94270cf"),
+    "default": (SchemeConfig("siso-general", K=4, n=2), _trial_seed(1002, 0),
+                "6ab7d6be655dbbd20f0f54770e75c3766309513f54a52b1b9f60a1b71e7ee119"),
+}
+
+
+@pytest.mark.parametrize("law", list(LARGE_GOLDEN))
+def test_large_reports_match_golden_digests(law):
+    config, seed, digest = LARGE_GOLDEN[law]
+    report = check_alignment(*config.build(seed))
+    assert report.passed == (law == "unit")
+    assert hashlib.sha256(report_json(report)).hexdigest() == digest
 
 
 def corrupted_k3(seed=7):

@@ -483,9 +483,9 @@ def test_receiver_stage_svd_calls_do_not_grow_with_trials(monkeypatch, M):
         calls.clear()
     # the 3 receivers share one shape, so one call each for the desired,
     # joint and interference SVDs and one projection (all trials share
-    # their interference ranks), not one of each per receiver; then the
-    # span relation's basis of each side and its residual's norm
-    assert counts == [7, 7, 7]
+    # their interference ranks), not one of each per receiver; then one for
+    # the span relation's bases of both sides and one for its residual's norm
+    assert counts == [6, 6, 6]
 
 
 def test_no_receiver_after_a_failed_check_in_a_stack():
