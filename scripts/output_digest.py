@@ -1,0 +1,64 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 over what ia_lab computes on a fixed set of configurations:
+per configuration, the alignment reports and zero-forcing rates of a few
+seeds, an SNR sweep's table, and its DoF and gap estimates (or their errors).
+Run it on two checkouts to see whether a change keeps every output bit for bit:
+
+    PYTHONPATH=src python3 scripts/output_digest.py
+
+BLAS is pinned to one thread, since the last bits of L=275 rates change with
+the thread count.
+"""
+
+import os
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+
+import hashlib
+import json
+
+from ia_lab import (InsufficientDataError, ParameterError, SchemeConfig, check_alignment,
+                    estimate_dof, estimate_o1_gap, snr_sweep, zf_rates)
+from ia_lab.evaluation import TRIAL_ERRORS
+
+LAWS = ((0.5, 2.0), (1.0, 1.0))
+CONFIGS = ([SchemeConfig("siso-k3", n=n) for n in range(1, 6)]
+           + [SchemeConfig("siso-general", K=4, n=n, a_min=lo, a_max=hi)
+              for n in (1, 2) for lo, hi in LAWS]
+           + [SchemeConfig("mimo", M=M) for M in range(2, 6)]
+           + [SchemeConfig("designed", K=K) for K in (3, 10)])
+GRID = (40.0, 60.0, 80.0)
+RHOS = [10.0 ** (s / 10.0) for s in GRID]
+
+
+def digest() -> str:
+    sha = hashlib.sha256()
+
+    def put(value):
+        sha.update(json.dumps(value, sort_keys=True, default=repr).encode() + b"\n")
+
+    for config in CONFIGS:
+        large = config.family == "siso-general" and config.n == 2  # L=275
+        for seed in range(2 if large else 4):
+            try:
+                scheme, ext = config.build(seed)
+            except TRIAL_ERRORS as err:
+                put(repr(err))
+                continue
+            put(check_alignment(scheme, ext).to_dict())
+            [rates] = zf_rates([(scheme, ext)], RHOS)
+            put(None if rates is None else rates.tobytes().hex())
+        table = snr_sweep(config, GRID, 2 if large else 6, seed=3)
+        put([(r.snr_db, r.seed, r.rates, r.status) for r in table.records])
+        for estimate in (lambda: estimate_dof(table),
+                         lambda: estimate_o1_gap(table, float(config.claimed_dof))):
+            try:
+                put(vars(estimate()))
+            except (InsufficientDataError, ParameterError) as err:
+                put(repr(err))
+    return sha.hexdigest()
+
+
+if __name__ == "__main__":
+    print(digest())

@@ -1,35 +1,32 @@
 """Monte-Carlo SNR sweeps, slope and gap estimation, region decomposition.
 
-A sweep regenerates channels per trial (never per SNR point: the same
-realization is evaluated across the whole grid so constant terms cancel out
-of slope estimates), rebuilds the scheme, and records zero-forcing rates.
-It works on its trials as stacks (:meth:`SchemeConfig.build_trials`). A
-stack holds as many trials as fit ``STACK_BYTES``, counted from the sizes
-the configuration fixes: hundreds of small ones, while a trial larger than
-that (an L=275 extension) goes alone, so a sweep's memory stays that of one
-stack whatever its trial count. Each stack takes one channel draw and one
-build call, whose every step runs over the whole stack and gives the
-stacked scheme of the trials that built and each other trial the error it
-gets alone. Then it hands that stacked scheme and extension as they are to
-the receiver's rate entry point, :func:`~ia_lab.receiver.zf_rates`, which
-checks the alignment of every trial in one pass over the receivers,
-forming each link's product once, drops a failing trial after its batch,
-and evaluates the whole grid for the others in one broadcast per receiver. A
-family that draws no channels (designed) is built and evaluated once per
-sweep, and its rows are written for every trial seed. Trials whose
-construction or alignment fails are recorded as failure rows. A rate table
-groups its successful rows by SNR point once, for the estimators that read
-it point by point.
+A sweep regenerates channels per trial (never per SNR point: one
+realization spans the whole grid, so constant terms cancel out of slope
+estimates), rebuilds the scheme, and records zero-forcing rates. It works
+on its trials as stacks (:meth:`SchemeConfig.build_trials`) of as many as
+fit ``STACK_BYTES``, so a sweep's memory stays that of one stack; a trial
+larger than that (an L=275 extension) goes alone. Each stack takes one
+channel draw and one build call over the whole stack, which gives each
+trial that fails the error it gets alone, and hands the stacked scheme and
+extension to :func:`~ia_lab.receiver.zf_rates`: one pass over the
+receivers, and one broadcast over the grid. A family that draws no
+channels (designed) is built and evaluated once per sweep, and its rows are
+written for every trial seed. Failed trials are recorded as failure rows.
+The estimators read one array view of a rate table's records, derived once
+per table, and fit every trial's slope in one least-squares call.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import chain, compress, repeat
+from operator import add, attrgetter
 
 import numpy as np
 
@@ -156,42 +153,55 @@ class RateRecord:
 
     @property
     def sum_rate(self) -> float:
-        return float(sum(self.rates)) if self.rates is not None else math.nan
+        # in user order, one addition at a time, as a table's view sums it
+        return float(reduce(add, self.rates, 0.0)) if self.rates is not None else math.nan
 
 
 @dataclass(frozen=True)
 class RateTable:
-    """Per-SNR, per-trial zero-forcing rates of one scheme family."""
+    """Per-SNR, per-trial zero-forcing rates of one family; grid points distinct."""
 
     K: int
     snr_db: tuple
     records: tuple
 
     @cached_property
-    def _ok_by_snr(self) -> dict:
-        """Successful records grouped by SNR point, in record order."""
-        groups = {}
-        for r in self.records:
-            if r.status == "ok":
-                groups.setdefault(r.snr_db, []).append(r)
-        return groups
+    def _view(self) -> "_View":
+        """The records as arrays, derived once for the estimators: per
+        record, whether it is ``ok``, its sum rate (``sums``, nan where it
+        failed) and the grid ``point`` of its SNR (-1 off the grid); per
+        grid point, the ``counts`` of its ok records and the ``means`` of
+        their sum rates in record order (nan where none)."""
+        position = {s: i for i, s in enumerate(self.snr_db)}
+        ok_list = [r.status == "ok" for r in self.records]
+        ok = np.array(ok_list, dtype=bool)
+        point = np.fromiter([position.get(r.snr_db, -1) for r in self.records], int, len(ok))
+        rates = np.fromiter(chain.from_iterable(map(attrgetter("rates"), compress(
+            self.records, ok_list))), float).reshape(-1, self.K)
+        sums = np.full(len(ok), np.nan)
+        # user by user, as RateRecord.sum_rate adds them
+        sums[ok] = reduce(add, rates.T, np.zeros(len(rates)))
+        on_grid = ok & (point >= 0)
+        values = sums[on_grid][np.argsort(point[on_grid], kind="stable")]
+        counts = np.bincount(point[on_grid], minlength=len(self.snr_db))
+        starts = np.cumsum(counts) - counts
+        means = np.full(len(self.snr_db), np.nan)
+        for n in set(counts.tolist()) - {0}:
+            # rows of n contiguous sums, each summed pairwise as np.mean sums a list
+            rows = np.flatnonzero(counts == n)
+            means[rows] = np.add.reduce(values[starts[rows, None] + np.arange(n)], axis=1) / n
+        return _View(ok, sums, point, counts, means)
 
     def ok_records(self, snr_db: float = None):
-        if snr_db is None:
-            return [r for r in self.records if r.status == "ok"]
-        return list(self._ok_by_snr.get(snr_db, ()))
+        ok = [r for r in self.records if r.status == "ok"]
+        return ok if snr_db is None else [r for r in ok if r.snr_db == snr_db]
 
     def failures(self):
         return [r for r in self.records if r.status != "ok"]
 
     def mean_sum_rates(self) -> np.ndarray:
         """Mean sum rate per grid point over successful trials (nan if none)."""
-        out = np.full(len(self.snr_db), np.nan)
-        for i, s in enumerate(self.snr_db):
-            ok = self.ok_records(s)
-            if ok:
-                out[i] = float(np.mean([r.sum_rate for r in ok]))
-        return out
+        return self._view.means.copy()
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -204,6 +214,9 @@ class RateTable:
                     writer.writerow([rec.snr_db, rec.seed, user + 1,
                                      repr(float(rate)), repr(rec.sum_rate),
                                      rec.status])
+
+
+_View = namedtuple("_View", "ok sums point counts means")
 
 
 def _trial_seed(root_seed: int, trial: int) -> int:
@@ -250,10 +263,11 @@ def snr_sweep(config: SchemeConfig, snr_db, trials: int, seed: int) -> RateTable
         for tseed, slot in zip(stack.seeds, stack.slots):
             trial = None if isinstance(slot, Exception) else rows[slot]
             if trial is None:
-                records.extend(RateRecord(snr, tseed, None, "failed") for snr in grid)
+                records.extend(map(RateRecord, grid, repeat(tseed), repeat(None),
+                                   repeat("failed")))
             else:
-                records.extend(RateRecord(snr, tseed, tuple(row), "ok")
-                               for snr, row in zip(grid, trial))
+                records.extend(map(RateRecord, grid, repeat(tseed), map(tuple, trial),
+                                   repeat("ok")))
     return RateTable(K=config.K, snr_db=grid, records=tuple(records))
 
 
@@ -277,12 +291,21 @@ def estimate_dof(table: RateTable) -> DofEstimate:
     successful trials are required. The half-width is a normal 95% interval
     from the spread of per-trial slopes.
     """
-    high = [s for s in table.snr_db if s >= MIN_FIT_SNR_DB]
-    usable = [s for s in high if table.ok_records(s)]
+    view = table._view
+    # a trial id per record, in order of first appearance
+    ids = {}
+    seed = np.array([ids.setdefault(r.seed, len(ids)) for r in table.records], dtype=int)
+    trials = len(ids)
+    high = [i for i, s in enumerate(table.snr_db) if s >= MIN_FIT_SNR_DB]
+    usable = [i for i in high if view.counts[i]]
+    # the ok records at usable points (all ok ones at high points): trial, column
+    column = np.full(len(table.snr_db) + 1, -1)  # -1 at point -1 too, off the grid
+    column[usable] = np.arange(len(usable))
+    rows = np.flatnonzero(view.ok & (column[view.point] >= 0))
+    trial, at = seed[rows], column[view.point[rows]]
     if len(high) >= 2 and len(usable) < 2:
         # the grid is long enough; failed trials left too little to fit
-        trials = len({r.seed for r in table.records})
-        failed = trials - len({r.seed for s in high for r in table.ok_records(s)})
+        failed = trials - np.count_nonzero(np.bincount(trial, minlength=trials))
         if failed == trials:
             raise InsufficientDataError(f"all {trials} trials failed")
         raise InsufficientDataError(
@@ -291,25 +314,24 @@ def estimate_dof(table: RateTable) -> DofEstimate:
     if len(usable) < 2:
         raise InsufficientDataError(
             "need at least two SNR points at >= 40 dB with successful trials")
-    x = np.array([s / 10.0 * math.log2(10.0) for s in usable])
+    x = np.array([table.snr_db[i] / 10.0 * math.log2(10.0) for i in usable])
+    slope = float(np.polyfit(x, view.means[usable], 1)[0])
 
-    means = np.array([np.mean([r.sum_rate for r in table.ok_records(s)])
-                      for s in usable])
-    slope = float(np.polyfit(x, means, 1)[0])
-
-    by_seed = {}
-    for s in usable:
-        for rec in table.ok_records(s):
-            by_seed.setdefault(rec.seed, {})[s] = rec.sum_rate
-    trial_slopes = [np.polyfit(x, [rows[s] for s in usable], 1)[0]
-                    for rows in by_seed.values() if len(rows) == len(usable)]
-    if len(trial_slopes) > 1:
-        half = 1.96 * float(np.std(trial_slopes, ddof=1)) / math.sqrt(len(trial_slopes))
-    else:
-        half = 0.0
-    return DofEstimate(slope=slope, half_width=half, snr_db=tuple(usable),
-                       trials_used=len(trial_slopes),
-                       trials_failed=len({r.seed for r in table.failures()}))
+    # per trial, its last ok record at each usable point; the trials with all
+    # of them, in order of their first at the first point (as a dict keeps them)
+    last = np.full((trials, len(usable)), -1)
+    np.maximum.at(last, (trial, at), rows)
+    full = np.all(last >= 0, axis=1).tolist()
+    complete = [t for t in dict.fromkeys(trial[at == 0].tolist()) if full[t]]
+    half = 0.0
+    if len(complete) > 1:
+        # one least-squares fit of every complete trial
+        trial_slopes = np.polyfit(x, view.sums[last[complete]].T, 1)[0]
+        half = 1.96 * float(np.std(trial_slopes, ddof=1)) / math.sqrt(len(complete))
+    return DofEstimate(slope=slope, half_width=half,
+                       snr_db=tuple(table.snr_db[i] for i in usable),
+                       trials_used=len(complete),
+                       trials_failed=len(set(seed[~view.ok].tolist())))
 
 
 @dataclass(frozen=True)
@@ -329,17 +351,16 @@ def estimate_o1_gap(table: RateTable, claimed_dof: float) -> GapProbe:
     """
     if table.snr_db[-1] - table.snr_db[0] < MIN_FIT_SNR_DB - 1e-9:
         raise ParameterError("gap probing needs a grid spanning at least 40 dB")
-    usable = [s for s in table.snr_db if table.ok_records(s)]
+    view = table._view
+    usable = np.flatnonzero(view.counts).tolist()
     if not usable:
         raise InsufficientDataError(
             f"all {len({r.seed for r in table.records})} trials failed")
-    gaps = []
-    for s in usable:
-        rho = 10.0 ** (s / 10.0)
-        mean = float(np.mean([r.sum_rate for r in table.ok_records(s)]))
-        gaps.append(mean - float(claimed_dof) * math.log2(1.0 + rho))
-    return GapProbe(claimed_dof=float(claimed_dof), snr_db=tuple(usable),
-                    gaps=tuple(gaps), oscillation=float(max(gaps) - min(gaps)))
+    snr_db = tuple(table.snr_db[i] for i in usable)
+    gaps = tuple(mean - float(claimed_dof) * math.log2(1.0 + 10.0 ** (s / 10.0))
+                 for s, mean in zip(snr_db, view.means[usable].tolist()))
+    return GapProbe(claimed_dof=float(claimed_dof), snr_db=snr_db, gaps=gaps,
+                    oscillation=float(max(gaps) - min(gaps)))
 
 
 # corners of the three-user degrees-of-freedom region: one user alone (three

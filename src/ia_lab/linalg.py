@@ -119,7 +119,11 @@ def subset_residual(columns: np.ndarray, pool: np.ndarray) -> np.ndarray:
     ``np.linalg.norm`` sums a column of a wider matrix; the least is kept.
     """
     norms = _norms(columns.swapaxes(-1, -2))
-    pool_sq = _norms(pool.swapaxes(-1, -2)) ** 2
+    # only to rank, so in any order: one walk over the real and imaginary
+    # parts side by side (a C-ordered pool, as the receiver's, is not copied)
+    flat = np.ascontiguousarray(pool).view(float)
+    pool_sq = np.einsum("tij,tij->tj", flat, flat)
+    pool_sq = pool_sq[..., ::2] + pool_sq[..., 1::2]
     rank = pool_sq[:, None, :] - 2.0 * (columns.conj().swapaxes(-1, -2) @ pool).real
     slack = (16 * 2.0 ** -52 * columns.shape[-2]) * (
         np.maximum.reduce(pool_sq, axis=-1, initial=0.0)[:, None] + norms ** 2)[..., None]

@@ -5,44 +5,35 @@ Two entry points share one pass over the receivers.
 receiver it measures the rank of the stacked interference, of the desired
 signal, and of both together, and it evaluates the family-specific
 alignment relations (exact equalities, column-subset containments, span
-equalities). :func:`zf_rates` gives the zero-forcing rates of many trials,
-each a scheme and its extended channel, over one power grid: projecting
-onto the orthogonal complement of the interference span keeps the noise
-white, so a receiver's rate is a log-det over its projected effective
-channel.
+equalities). :func:`zf_rates` gives the zero-forcing rates of many trials
+over one power grid: projecting onto the orthogonal complement of the
+interference span keeps the noise white, so a receiver's rate is a log-det
+over its projected effective channel. Channel products go through
+``ExtendedChannel.apply``, which never forms dense block-diagonal matrices.
 
-All channel products go through ``ExtendedChannel.apply``, which works on
-the diagonal blocks and never forms the dense block-diagonal matrices.
-
-Both run one pass over a stack of trials of one family and shape: a
-stacked scheme and extension, as a stacked build gives them, or
-separately built trials stacked once. Each link's product H_kj V_j is
-formed once per stack, with one ``apply``, into receiver k's array of all
-its products, and the desired, interference and joint matrices, the gain
-projection and the family relations all read views of it. Receivers whose
-desired and interference matrices have one shape share each batched SVD:
-the rows are (receiver, trial) pairs, cut into batches of STACK_BYTES
-receiver by receiver, so a trial above that budget walks its receivers
-one at a time. Once a receiver is done, the family relations at it are
-evaluated, those of one kind and operand shape in one residual call, and
-its products are dropped. :func:`check_alignment` is the stack of one,
-takes values-only SVDs and keeps every receiver and relation, so its
-report holds them all. :func:`zf_rates` takes one full-U SVD of the
-interference, which gives the interference ranks and the bases of their
-orthogonal complements from the same singular values; rows are grouped by
-interference rank, and each group's projected effective channels take one
-batched SVD whose squared singular values are the gains. A trial that
-fails a receiver check or a relation leaves the pass after its batch (fail
-fast). Every trial gets, bit for bit, the answer it gets alone. The
-geometry does not depend on the transmit power, so the whole grid, for
-every trial of a stack, takes one broadcast per receiver.
+The pass runs over a stack of trials of one family and shape, as a stacked
+build gives them or as separately built trials stacked once. Each link's
+product H_kj V_j is formed once per stack, into receiver k's array of all
+its products, of which the desired, interference and joint matrices, the
+gain projection and the family relations read views. Receivers of one shape
+share each batched SVD, over (receiver, trial) rows cut into batches of
+STACK_BYTES, so a trial above that budget walks its receivers one at a
+time; then the relations at a receiver are evaluated, those of one kind
+and operand shape in one residual call. The verdicts are arrays: ranks per
+(receiver, trial) and residuals per (relation, trial), and the pass mask
+follows from them by one rule, :func:`zf_ok`. :func:`check_alignment`
+builds its report from its one trial's column; :func:`zf_rates` drops a
+failing trial after its batch and takes its gains from the same full-U
+interference SVD that gives the ranks. Every trial gets, bit for bit, the
+answer it gets alone, and the whole power grid takes one broadcast per
+stream count.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
-from itertools import accumulate
+from itertools import accumulate, compress
 
 import numpy as np
 
@@ -86,11 +77,14 @@ class ReceiverCheck:
 
     @property
     def ok(self) -> bool:
-        # zero forcing succeeds iff the desired streams survive next to the
-        # interference: joint rank must exceed the interference by exactly
-        # the stream count
-        return (self.desired_rank == self.desired_streams
-                and self.joint_rank == self.interference_rank + self.desired_streams)
+        return zf_ok(self.desired_streams, self.desired_rank, self.interference_rank,
+                     self.joint_rank)
+
+
+def zf_ok(streams, desired_rank, interference_rank, joint_rank):
+    """Whether zero forcing succeeds at a receiver, elementwise: the joint
+    rank exceeds the interference rank by exactly the stream count d_k."""
+    return (desired_rank == streams) & (joint_rank == interference_rank + streams)
 
 
 @dataclass(frozen=True)
@@ -143,29 +137,23 @@ def _batches(rows: list, row_bytes: int) -> list:
 
 def _pass(scheme, ext, with_gains, rank_tol=RANK_TOL, residual_tol=RESIDUAL_TOL,
           span_tol=SPAN_TOL) -> tuple:
-    """One pass over the receivers of a stack of T trials, checking ranks
-    and family relations; returns (checks, relations, passed, gains).
+    """One pass over the receivers of a stack of T trials, checking ranks and
+    relations; returns the verdicts as arrays, (ranks, residuals, passed, gains).
 
     ``scheme`` is stacked, and ``ext`` is stacked alike or one extension
-    every trial shares. ``checks[t]`` holds trial t's ReceiverChecks in
-    receiver order. Receivers whose desired and interference matrices have
-    one shape share each batched SVD, over rows of (receiver, trial) pairs
-    cut into batches by STACK_BYTES, receiver by receiver. Once a batch
-    completes a receiver, the family relations at it are evaluated, those
-    of one kind and operand shape in one residual call per batch. Each
-    receiver's products H_kj V_j are formed once, when a batch first
-    reaches it, into one (T, dim, total streams) array (its own streams,
-    with gains through unit-norm precoder columns, then every other
-    transmitter's in order), of which its desired, interference, joint and
-    relation matrices are views, and dropped once its relations are
-    evaluated.
+    every trial shares. ``ranks[:, k, t]`` holds the desired, interference
+    and joint ranks at receiver k in trial t, and ``residuals[i, t]`` the
+    residual of the family's relation i; an entry the pass did not reach
+    is -1 or nan. ``passed`` masks the trials that pass every check and
+    relation. Each receiver's products (its own streams first, through
+    unit-norm columns for gains, then the others' in order) live from the
+    first batch that reaches it until its relations are evaluated.
 
-    ``relations[t]`` holds trial t's RelationChecks in family order.
-    Without gains every trial stays to the last receiver, and gains is None.
-    With gains, a trial that fails a check or relation leaves the pass (its
-    checks end with the first failing one), and ``gains[k][t]`` holds the
-    squared singular values of receiver k's projected effective channel for
-    every trial t of ``passed``, those that pass every check and relation.
+    Without gains every trial stays to the last receiver and relation, and
+    gains is None. With gains, a trial that fails a check or relation
+    leaves the pass after its batch, and ``gains[k][t]`` holds the squared
+    singular values of receiver k's projected effective channel for every
+    trial t of ``passed``.
     """
     T, K, dim = len(scheme.precoders[0]), scheme.K, ext.dim
     d = scheme.stream_counts
@@ -188,11 +176,13 @@ def _pass(scheme, ext, with_gains, rank_tol=RANK_TOL, residual_tol=RESIDUAL_TOL,
     # built per call from the module names, so whatever rebinds them sees it
     residual = {"equality": equality_residual, "subset": subset_residual,
                 "span": span_residual}
-    values = [[None] * len(listed) for _ in range(T)]
-    live = [True] * T
+    ranks = np.full((3, K, T), -1)
+    residuals = np.full((len(listed), T), np.nan)
+    # whether each trial passed every check and relation so far
+    passed = [True] * T
 
     def relate(receivers):
-        rows = [t for t in range(T) if live[t]]
+        rows = [t for t in range(T) if passed[t] or not with_gains]
         if not rows:
             return
         kinds = {}
@@ -211,49 +201,36 @@ def _pass(scheme, ext, with_gains, rank_tol=RANK_TOL, residual_tol=RESIDUAL_TOL,
                 out = residual[kind](
                     np.concatenate([operand(listed[i][1], listed[i][3]) for i in batch]),
                     np.concatenate([operand(listed[i][1], listed[i][4]) for i in batch]))
-                for i, row in zip(batch, out.reshape(len(batch), -1).tolist()):
-                    for t, value in zip(rows, row):
-                        values[t][i] = value
-                        live[t] = live[t] and (not with_gains or value <= tol)
+                out = out.reshape(len(batch), -1)
+                residuals[batch if len(rows) == T else np.ix_(batch, rows)] = out
+                for t, ok in zip(rows, (out <= tol).all(axis=0).tolist()):
+                    passed[t] = passed[t] and ok
 
     groups = {}
     for k in range(K):
         groups.setdefault((d[k], streams - d[k]), []).append(k)
-    checks = [{} for _ in range(T)]
     gains = tuple(np.empty((T, dk)) for dk in d) if with_gains else None
     for (dk, _), members in groups.items():
         rows = [(k, t) for k in members for t in range(T)]
         done = 0
         for batch in _batches(rows, _receiver_bytes(dim, streams)):
             done += len(batch)
-            batch = [(k, t) for k, t in batch if live[t]]
+            batch = [(k, t) for k, t in batch if passed[t] or not with_gains]
             if batch:
-                _check(batch, joint, T, dk, rank_tol, checks, live, gains)
+                _check(batch, joint, T, dk, rank_tol, ranks, passed, gains)
             # receivers whose every row has been checked
             completed = [k for k in members[:done // T] if products[k] is not None]
             relate(completed)
             for k in completed:
                 products[k] = None
-    out = []
-    for by_receiver in checks:
-        row = tuple(by_receiver[k] for k in sorted(by_receiver))
-        failed = [i for i, check in enumerate(row) if not check.ok]
-        out.append(row[:failed[0] + 1] if with_gains and failed else row)
-    relations = [tuple(RelationCheck(desc, k, kind, values[t][i],
-                                     span_tol if kind == "span" else residual_tol)
-                       for i, (kind, k, desc, _, _) in enumerate(listed)
-                       if values[t][i] is not None)
-                 for t in range(T)]
-    passed = [t for t in range(T) if len(out[t]) == K and len(relations[t]) == len(listed)
-              and all(c.ok for c in out[t] + relations[t])]
-    return out, relations, passed, gains
+    return ranks, residuals, np.array(passed, dtype=bool), gains
 
 
-def _check(batch, joint, T, dk, rank_tol, checks, live, gains) -> None:
+def _check(batch, joint, T, dk, rank_tol, ranks, passed, gains) -> None:
     """Check the (receiver k, trial t) rows of a batch, ``joint(k)`` being
-    receiver k's (T, dim, streams) products, desired streams first: set
-    ``checks[t][k]`` and, unless gains is None, take each failing trial out
-    of ``live`` and set the gains of the rows whose trials stay.
+    receiver k's (T, dim, streams) products, desired streams first: set their
+    ``ranks``, clear ``passed`` for each failing trial and set the gains of
+    the others (unless gains is None).
 
     Its matrices live only for this call, so that dropping a receiver's
     products frees them."""
@@ -270,17 +247,12 @@ def _check(batch, joint, T, dk, rank_tol, checks, live, gains) -> None:
         bases, interference_rank = complement_and_rank(interference, rank_tol)
     else:
         interference_rank = numerical_rank(interference, rank_tol)
-    dim = J.shape[-2]
-    for (k, t), dr, ir, jr in zip(batch, desired_rank.tolist(), interference_rank.tolist(),
-                                  joint_rank.tolist()):
-        checks[t][k] = ReceiverCheck(
-            receiver=k, desired_streams=dk, desired_rank=dr, interference_rank=ir,
-            joint_rank=jr, full_dim=dim)
-        if gains is not None and not checks[t][k].ok:
-            live[t] = False
+    ks, ts = zip(*batch)
+    ranks[:, ks, ts] = desired_rank, interference_rank, joint_rank
+    for t, ok in zip(ts, zf_ok(dk, desired_rank, interference_rank, joint_rank).tolist()):
+        passed[t] = passed[t] and ok
     if gains is not None:
-        _project(batch, [p for p, (_, t) in enumerate(batch) if live[t]], desired, bases,
-                 gains)
+        _project(batch, [p for p, t in enumerate(ts) if passed[t]], desired, bases, gains)
 
 
 def _project(batch, passing, desired, bases, gains) -> None:
@@ -319,31 +291,27 @@ def check_alignment(scheme: PrecoderScheme, ext: ExtendedChannel,
                     rank_tol: float = RANK_TOL,
                     residual_tol: float = RESIDUAL_TOL,
                     span_tol: float = SPAN_TOL) -> AlignmentReport:
-    """Measure every rank and alignment relation of a scheme.
+    """Measure every rank and alignment relation of a scheme of one trial on
+    its extended channel (or any channel of matching dimensions).
 
-    Args:
-        scheme: precoders to verify, of one trial.
-        ext: the extended channel they were built against (or any channel of
-            matching dimensions).
-        rank_tol: singular values below ``rank_tol`` times the largest do
-            not count toward a rank.
-        residual_tol: pass threshold for equality and subset relations.
-        span_tol: pass threshold (sine of largest principal angle) for
-            span-equality relations.
-
-    Returns:
-        An AlignmentReport; ``report.passed`` is True iff at every receiver
-        the desired streams are separable from the interference and every
-        family relation holds within tolerance.
+    Singular values below ``rank_tol`` times the largest do not count toward
+    a rank; ``residual_tol`` bounds equality and subset residuals,
+    ``span_tol`` the sine of a span equality's largest principal angle.
+    ``report.passed`` is True iff every receiver check and relation holds.
     """
     _check_dimensions(scheme, ext)
     if scheme.stacked:
         raise ShapeError("check_alignment takes one trial")
-    [receivers], [relations], _, _ = _pass(scheme[None], ext, False, rank_tol,
-                                           residual_tol, span_tol)
+    ranks, residuals, _, _ = _pass(scheme[None], ext, False, rank_tol, residual_tol, span_tol)
+    d, listed = scheme.stream_counts, get_family(scheme.family).relations(scheme.K)
     return AlignmentReport(
         family=scheme.family, K=scheme.K, M=ext.M, L=ext.L, rank_tol=rank_tol,
-        residual_tol=residual_tol, receivers=receivers, relations=relations)
+        residual_tol=residual_tol,
+        receivers=tuple(ReceiverCheck(k, d[k], *r, full_dim=ext.dim)
+                        for k, r in enumerate(ranks[..., 0].T.tolist())),
+        relations=tuple(RelationCheck(desc, k, kind, value,
+                                      span_tol if kind == "span" else residual_tol)
+                        for (kind, k, desc, _, _), value in zip(listed, residuals[:, 0].tolist())))
 
 
 def _grid_rates(L, gains, rhos) -> np.ndarray:
@@ -353,9 +321,9 @@ def _grid_rates(L, gains, rhos) -> np.ndarray:
     channels; ``L`` is the extension length.
 
     rate_k = sum over gains g of log2(1 + p_k g) / L, with
-    p_k = (rho / K) * L / d_k per stream: one broadcast evaluation over a
-    (trials x grid x streams) array per receiver. Rates are in bits per
-    channel use (per extension slot), with unit noise variance.
+    p_k = (rho / K) * L / d_k per stream: one broadcast over a (trials x
+    grid x receivers x streams) array per stream count. Rates are in bits
+    per channel use (per extension slot), with unit noise variance.
     """
     rhos = np.asarray(rhos, dtype=float)
     if np.any(rhos < 0):
@@ -363,17 +331,20 @@ def _grid_rates(L, gains, rhos) -> np.ndarray:
             f"transmit power must be nonnegative, got {rhos[rhos < 0][0]}")
     K = len(gains)
     out = np.empty(gains[0].shape[:-1] + (rhos.size, K))
+    groups = {}
     for k, g in enumerate(gains):
-        p_k = (rhos / K) * L / g.shape[-1]
-        out[..., k] = np.sum(np.log2(1.0 + p_k[:, None] * g[..., None, :]),
-                             axis=-1) / L
+        groups.setdefault(g.shape[-1], []).append(k)
+    for d_k, members in groups.items():
+        g = np.stack([gains[k] for k in members], axis=-2)
+        p_k = (rhos / K) * L / d_k
+        out[..., members] = np.sum(np.log2(1.0 + p_k[:, None, None] * g[..., None, :, :]),
+                                   axis=-1) / L
     return out
 
 
 def zf_rates(trials, rhos) -> list:
     """Zero-forcing rates of many trials over one power grid; the trials of
-    each family and shape share one pass over the receivers and one
-    evaluation of each kind of family relation.
+    each family and shape share one pass over the receivers.
 
     ``trials`` holds (scheme, ext) pairs, each one trial or a stack of them
     (a stacked scheme and extension, as a stacked build gives them); pairs
@@ -384,11 +355,9 @@ def zf_rates(trials, rhos) -> list:
     log2 det(I + p_k G G^H) / L, with G the projected effective channel
     through unit-norm precoder columns and p_k = (rho / K) * L / d_k per
     stream. Returns, per trial, the trials of a stacked pair one by one,
-    its per-user rates as a (len(rhos), K) array, or None when one of its
-    receiver checks or family relations fails: a failed check means the
-    construction is broken and any rate would be meaningless. The family
-    relations at a receiver are evaluated for the trials that passed every
-    check so far, once that receiver's checks are done.
+    its per-user rates as a (len(rhos), K) array, or None where the pass
+    mask fails it: a failed check means the construction is broken and any
+    rate would be meaningless.
     """
     groups, count = {}, 0
     for scheme, ext in trials:
@@ -400,9 +369,13 @@ def zf_rates(trials, rhos) -> list:
         count += size
     out = [None] * count
     for members in groups.values():
-        places = [place for span, _, _ in members for place in span]
-        for place, rates in zip(places, _stack_rates(*_one_stack(members), rhos)):
-            out[place] = rates
+        scheme, ext = _one_stack(members)
+        _, _, passed, gains = _pass(scheme, ext, True)
+        if passed.any():
+            places = [place for span, _, _ in members for place in span]
+            rates = _grid_rates(ext.L, tuple(g[passed] for g in gains), rhos)
+            for place, trial in zip(compress(places, passed), rates):
+                out[place] = trial
     return out
 
 
@@ -418,15 +391,3 @@ def _one_stack(members) -> tuple:
     precoders = tuple(np.concatenate(v) for v in zip(*(s.precoders for s, _ in pairs)))
     return (replace(pairs[0][0], precoders=precoders),
             replace(pairs[0][1], blocks=np.concatenate([e.blocks for _, e in pairs])))
-
-
-def _stack_rates(scheme, ext, rhos) -> list:
-    """Per trial of a stacked (scheme, ext): its rates over ``rhos``, or
-    None when a receiver check or family relation fails."""
-    _, _, passed, gains = _pass(scheme, ext, True)
-    out = [None] * len(scheme.precoders[0])
-    if passed:
-        rates = _grid_rates(ext.L, tuple(g[passed] for g in gains), rhos)
-        for t, trial in zip(passed, rates):
-            out[t] = trial
-    return out

@@ -118,13 +118,21 @@ def full_rank_schemes(stack: TrialStack, error: type, precoders: tuple,
     ``precoders[i]`` stacks transmitter i's precoders over the rows of
     ``stack``. A trial whose precoder does not have full column rank gets
     ``error`` naming its first such transmitter, and leaves the stack.
+    Transmitters of one shape share one full-rank call, column-major ones
+    apart (they sum their column norms in another order).
     """
     precoders = stack.cut(*precoders)
-    for idx in range(len(precoders)):
-        stack.fail(has_full_column_rank(precoders[idx]), error,
-                   f"precoder of transmitter {idx + 1} lost full column rank")
-        precoders = stack.cut(*precoders)
-    return PrecoderScheme(precoders=precoders, **fields)
+    groups, ok = {}, {}
+    for i, v in enumerate(precoders):
+        groups.setdefault((v.shape[1:], v.shape[-1] > 1 and v.strides[-2] < v.strides[-1]),
+                          []).append(i)
+    for members in groups.values():
+        full = has_full_column_rank(np.concatenate([precoders[i] for i in members])
+                                    if len(members) > 1 else precoders[members[0]])
+        ok.update(zip(members, full.reshape(len(members), len(stack.rows))))
+    for i in range(len(precoders)):
+        stack.fail(ok[i], error, f"precoder of transmitter {i + 1} lost full column rank")
+    return PrecoderScheme(precoders=stack.cut(*precoders), **fields)
 
 
 def _matrix_entries(v: np.ndarray) -> list:

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 
 from ia_lab.channels import ChannelSet
+from ia_lab.receiver import ReceiverCheck
 
 
 def identity_channels(K=3, F=3):
@@ -25,3 +26,17 @@ def stacked(pairs):
         np.stack(v) for v in zip(*(s.precoders for s, _ in pairs))))
     ext = dataclasses.replace(pairs[0][1], blocks=np.stack([e.blocks for _, e in pairs]))
     return scheme, ext
+
+
+def pass_checks(scheme, ext, ranks, t=0):
+    """Trial t's ReceiverChecks from the rank arrays of a receiver pass, in
+    receiver order, up to its first failing or unreached receiver."""
+    out = []
+    for k, (desired, interference, joint) in enumerate(ranks[..., t].T.tolist()):
+        if desired < 0:
+            break
+        out.append(ReceiverCheck(k, scheme.stream_counts[k], desired, interference, joint,
+                                 ext.dim))
+        if not out[-1].ok:
+            break
+    return tuple(out)

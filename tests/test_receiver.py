@@ -141,8 +141,9 @@ def test_relabeling_users_permutes_rates(monkeypatch):
                         dataclasses.replace(family, relations=lambda K: ()))
 
     def rates(scheme, ext):
-        [checks], _, passed, gains = _pass(scheme[None], ext, True)
-        assert passed == [0] and len(checks) == 3 and all(c.ok for c in checks)
+        ranks, _, passed, gains = _pass(scheme[None], ext, True)
+        # every receiver reached and passed
+        assert passed.tolist() == [True] and np.all(ranks >= 0)
         return _grid_rates(ext.L, gains, [1e5])[0, 0].tolist()
 
     baseline = rates(scheme, ext)

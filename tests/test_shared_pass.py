@@ -22,7 +22,7 @@ from ia_lab.linalg import complement_and_rank
 from ia_lab.evaluation import BuiltStack, _trial_seed
 from ia_lab.receiver import _grid_rates, _pass
 
-from conftest import interference_at
+from conftest import interference_at, pass_checks
 
 CONFIGS = {
     "siso-k3 n=1": SchemeConfig("siso-k3", n=1),
@@ -85,8 +85,9 @@ def trials(request):
     out = []
     for seed in SEEDS:
         scheme, ext = config.build(seed)
-        [receivers], _, passed, gains = _pass(scheme[None], ext, True)
-        if not passed:
+        ranks, _, passed, gains = _pass(scheme[None], ext, True)
+        receivers = pass_checks(scheme, ext, ranks)
+        if not passed[0]:
             gains = None
         [rates] = zf_rates([(scheme, ext)], RHOS)
         out.append(Trial(scheme, ext, receivers, gains, rates))
@@ -191,10 +192,12 @@ def test_no_gains_after_a_failed_receiver_check(monkeypatch):
 
     monkeypatch.setattr(ia_lab.receiver, "complement_and_rank", counting)
     scheme, ext = corrupted_k3()
-    [receivers], _, passed, _ = _pass(scheme[None], ext, True)
-    assert passed == [] and len(receivers) == 1 and not receivers[0].ok
-    # receiver 1 failed, so the pass stops there: no complement for 2 and 3
-    assert len(calls) == 1
+    ranks, _, passed, _ = _pass(scheme[None], ext, True)
+    receivers = pass_checks(scheme, ext, ranks)
+    assert not passed[0] and len(receivers) == 1 and not receivers[0].ok
+    # receiver 1 failed, so the pass stops there: no ranks and no complement
+    # for 2 and 3
+    assert np.all(ranks[:, 1:] == -1) and len(calls) == 1
     assert receivers == check_alignment(scheme, ext).receivers[:1]
     assert zf_rates([(scheme, ext)], RHOS) == [None]
     assert len(calls) == 2

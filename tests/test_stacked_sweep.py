@@ -20,8 +20,8 @@ import ia_lab.receiver
 from ia_lab import (ChannelStack, ParameterError, SchemeConfig, extend_channel,
                     generate_channels, snr_sweep, zf_rates)
 from ia_lab.evaluation import TRIAL_ERRORS, BuiltStack, _trial_seed
-from ia_lab.linalg import RANK_TOL, orthonormal_complement
-from ia_lab.receiver import RESIDUAL_TOL, AlignmentReport, _pass, check_alignment
+from ia_lab.linalg import orthonormal_complement
+from ia_lab.receiver import _pass, check_alignment, zf_ok
 
 from conftest import stacked
 
@@ -321,16 +321,22 @@ BUILD_CONFIGS = {**CONFIGS, "mimo M=5": SchemeConfig("mimo", M=5),
                  "mimo M=8": SchemeConfig("mimo", M=8)}
 
 
-def stacked_reports(scheme, ext):
-    """The alignment report of each trial of a stacked (scheme, ext), from
-    one receiver pass and one relation pass over the stack."""
+def stacked_verdicts(scheme, ext):
+    """Per trial of a stacked (scheme, ext), from one receiver pass and one
+    relation pass over the stack: its (desired, interference, joint) ranks
+    per receiver and its relation residuals."""
     if not scheme.stacked:
         scheme = scheme[None]
-    checks, relations, _, _ = _pass(scheme, ext, False)
-    return [AlignmentReport(family=scheme.family, K=scheme.K, M=ext.M, L=ext.L,
-                            rank_tol=RANK_TOL, residual_tol=RESIDUAL_TOL,
-                            receivers=receivers, relations=relations)
-            for receivers, relations in zip(checks, relations)]
+    ranks, residuals, _, _ = _pass(scheme, ext, False)
+    return [(ranks[..., t].T.tolist(), residuals[:, t].tolist())
+            for t in range(len(scheme.precoders[0]))]
+
+
+def report_verdicts(report):
+    """The ranks and residuals of an alignment report, as stacked_verdicts
+    gives them."""
+    return ([[r.desired_rank, r.interference_rank, r.joint_rank] for r in report.receivers],
+            [r.residual for r in report.relations])
 
 
 @pytest.mark.parametrize("trials", [1, 2, 5])
@@ -342,8 +348,8 @@ def test_stacked_build_equals_each_build_alone(label, trials):
     assert [seed for seed, _ in stack] == seeds
     built = [b for _, b in stack]
     [trial] = stack.trials
-    reports = [stacked_reports(*trial)[slot] for slot in stack.slots]
-    for seed, (scheme, ext), report in zip(seeds, built, reports, strict=True):
+    verdicts = [stacked_verdicts(*trial)[slot] for slot in stack.slots]
+    for seed, (scheme, ext), verdict in zip(seeds, built, verdicts, strict=True):
         scheme_alone, ext_alone = config.build(seed)
         assert np.array_equal(ext.blocks, ext_alone.blocks)
         for v, v_alone in zip(scheme.precoders, scheme_alone.precoders, strict=True):
@@ -353,7 +359,7 @@ def test_stacked_build_equals_each_build_alone(label, trials):
             assert v.strides == v_alone.strides
         assert dataclasses.replace(scheme, precoders=()) == dataclasses.replace(
             scheme_alone, precoders=())
-        assert report.to_dict() == check_alignment(scheme_alone, ext_alone).to_dict()
+        assert verdict == report_verdicts(check_alignment(scheme_alone, ext_alone))
 
 
 def zero_h31(coeffs):
@@ -478,7 +484,7 @@ def test_receiver_stage_svd_calls_do_not_grow_with_trials(monkeypatch, M):
         monkeypatch.setattr(np.linalg, "svd", counting)
         _, _, passed, _ = _pass(scheme, ext, True)
         monkeypatch.setattr(np.linalg, "svd", svd)
-        assert passed == list(range(trials))
+        assert passed.all()
         counts.append(len(calls))
         calls.clear()
     # the 3 receivers share one shape, so one call each for the desired,
@@ -491,14 +497,16 @@ def test_receiver_stage_svd_calls_do_not_grow_with_trials(monkeypatch, M):
 def test_no_receiver_after_a_failed_check_in_a_stack():
     k3, ext = CONFIGS["siso-k3 n=1"].build(4)
     scheme, ext = stacked([(corrupt(k3, 4), ext), (k3, ext)])
-    (bad_checks, good_checks), _, passed, gains = _pass(scheme, ext, True)
-    assert len(bad_checks) == 1 and not bad_checks[0].ok
-    assert len(good_checks) == 3 and all(c.ok for c in good_checks)
-    assert passed == [1] and all(np.all(np.isfinite(g[1])) for g in gains)
+    ranks, _, passed, gains = _pass(scheme, ext, True)
+    ok = zf_ok(np.array(scheme.stream_counts)[:, None], *ranks)
+    # the bad trial fails receiver 1 and reaches no other
+    assert not ok[0, 0] and np.all(ranks[:, 1:, 0] == -1)
+    assert ok[:, 1].all()
+    assert passed.tolist() == [False, True] and all(np.all(np.isfinite(g[1])) for g in gains)
     # the checks without gains keep every trial to the last receiver
     full, _, _, _ = _pass(scheme, ext, False)
-    assert [len(checks) for checks in full] == [3, 3]
-    assert full[0][0] == bad_checks[0]
+    assert np.all(full >= 0)
+    assert np.array_equal(full[:, 0, 0], ranks[:, 0, 0])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -534,17 +542,17 @@ def test_a_stacks_rates_equal_each_trial_alone(label):
                                  + scheme.precoders[2:])
     out = zf_rates([(scheme, ext)], RHOS)
     assert [rates is None for rates in out] == [False, False, True, False, False]
-    checks, _, passed, _ = _pass(scheme, ext, True)
-    assert passed == [0, 1, 3, 4]
-    # the failing trial's checks end at its first failing receiver
-    assert len(checks[2]) == 1 and not checks[2][0].ok
+    ranks, _, passed, _ = _pass(scheme, ext, True)
+    assert passed.tolist() == [True, True, False, True, True]
+    # the failing trial fails its first receiver
+    assert not zf_ok(scheme.stream_counts[0], *ranks[:, 0, 2])
     for t, rates in enumerate(out):
         [alone] = zf_rates([(scheme[t], ext[t])], RHOS)
         assert (rates is None) == (alone is None)
         if rates is not None:
             assert rates.tobytes() == alone.tobytes()
-        [checks_alone], _, _, _ = _pass(scheme[t][None], ext[t], True)
-        assert checks[t] == checks_alone
+        ranks_alone, _, _, _ = _pass(scheme[t][None], ext[t], True)
+        assert np.array_equal(ranks[..., t], ranks_alone[..., 0])
 
 
 def test_an_over_budget_trial_stops_at_its_failing_receiver(monkeypatch):
@@ -560,8 +568,10 @@ def test_an_over_budget_trial_stops_at_its_failing_receiver(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
-    [checks], _, passed, _ = _pass(scheme, ext, True)
-    assert passed == [] and [c.ok for c in checks] == [True, False]
+    ranks, _, passed, _ = _pass(scheme, ext, True)
+    ok = zf_ok(np.array(scheme.stream_counts), *ranks[..., 0])
+    assert not passed[0] and ok.tolist() == [True, False, False, False]
+    assert np.all(ranks[:, 2:] == -1)
     # desired, joint and interference at receivers 1 and 2, and the
     # projection of receiver 1; none for receivers 3 and 4
     assert len(shapes) == 7 and {shape[0] for shape in shapes} == {1}
