@@ -47,7 +47,7 @@ def digest() -> str:
                 put(repr(err))
                 continue
             put(check_alignment(scheme, ext).to_dict())
-            [rates] = zf_rates([(scheme, ext)], RHOS)
+            [rates] = zf_rates(scheme, ext, RHOS)
             put(None if rates is None else rates.tobytes().hex())
         table = snr_sweep(config, GRID, 2 if large else 6, seed=3)
         put([(r.snr_db, r.seed, r.rates, r.status) for r in table.records])

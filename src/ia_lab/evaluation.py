@@ -8,10 +8,11 @@ fit ``STACK_BYTES``, so a sweep's memory stays that of one stack; a trial
 larger than that (an L=275 extension) goes alone. Each stack takes one
 channel draw and one build call over the whole stack, which gives each
 trial that fails the error it gets alone, and hands the stacked scheme and
-extension to :func:`~ia_lab.receiver.zf_rates`: one pass over the
-receivers, and one broadcast over the grid. A family that draws no
-channels (designed) is built and evaluated once per sweep, and its rows are
-written for every trial seed. Failed trials are recorded as failure rows.
+extension of the trials that built (none, if none did) to
+:func:`~ia_lab.receiver.zf_rates`: one pass over the receivers, and one
+broadcast over the grid. A family that draws no channels (designed) is
+built once per sweep as a stack of one, and evaluated once, and its rows
+are written for every trial seed. Failed trials are recorded as failure rows.
 The estimators read one array view of a rate table's records, derived once
 per table, and fit every trial's slope in one least-squares call.
 """
@@ -81,14 +82,14 @@ class SchemeConfig:
         seeds = tuple(seeds)
         if shape is None:
             trial, [slot] = family.build(self, None)
-            yield BuiltStack(seeds, (slot,) * len(seeds), (trial,))
+            yield BuiltStack(seeds, (slot,) * len(seeds), trial)
             return
         size = max(1, STACK_BYTES // _trial_bytes(self))
         for lo in range(0, len(seeds), size):
             chunk = seeds[lo:lo + size]
             channels = generate_channels(*shape, self.a_min, self.a_max, chunk)
             trial, slots = family.build(self, channels)
-            yield BuiltStack(chunk, slots, (trial,))
+            yield BuiltStack(chunk, slots, trial)
 
     def build(self, seed: int):
         """Build (scheme, extended channel) for one realization:
@@ -108,7 +109,7 @@ class SchemeConfig:
                 f"channel set has K={ch.K}, M={ch.M}, but the scheme is "
                 f"configured for K={self.K}, M={self.M}")
         trial, slots = family.build(self, ChannelStack.of(ch))
-        [(_, built)] = BuiltStack((ch.seed,), slots, (trial,))
+        [(_, built)] = BuiltStack((ch.seed,), slots, trial)
         return _raised(built)
 
 
@@ -123,24 +124,21 @@ def _raised(built):
 class BuiltStack:
     """The builds of one stack of trial seeds.
 
-    ``trials`` holds (scheme, extended channel) pairs as
-    :func:`~ia_lab.receiver.zf_rates` takes them, each one trial or a stack
-    of them; ``slots[i]`` is the place of seed i's trial among all their
-    trials, in order, or the TRIAL_ERRORS instance its build gives. Seeds
-    share a place when they share a build. Iterating gives (seed, build)
-    pairs, a build being the trial's own (scheme, extended channel) or its
-    error.
+    ``trial`` is the stacked (scheme, extended channel) of the trials that
+    built, as :func:`~ia_lab.receiver.zf_rates` takes it, with no trials
+    when none built; ``slots[i]`` is seed i's row in it, or the TRIAL_ERRORS
+    instance its build gives. Seeds share a row when they share a build.
+    Iterating gives (seed, build) pairs, a build being the trial's own
+    (scheme, extended channel) or its error.
     """
 
     seeds: tuple
     slots: tuple
-    trials: tuple
+    trial: tuple
 
     def __iter__(self):
-        alone = [trial for scheme, ext in self.trials for trial in (
-            [(scheme[t], ext[t]) for t in range(len(scheme.precoders[0]))]
-            if scheme.stacked else [(scheme, ext)])]
-        return iter([(seed, slot if isinstance(slot, Exception) else alone[slot])
+        scheme, ext = self.trial
+        return iter([(seed, slot if isinstance(slot, Exception) else (scheme[slot], ext[slot]))
                      for seed, slot in zip(self.seeds, self.slots)])
 
 
@@ -259,7 +257,7 @@ def snr_sweep(config: SchemeConfig, snr_db, trials: int, seed: int) -> RateTable
         # seeds that share one build (a family that draws no channels)
         # share its evaluation too
         rows = [None if rates is None else rates.tolist()
-                for rates in zf_rates(stack.trials, rhos)]
+                for rates in zf_rates(*stack.trial, rhos)]
         for tseed, slot in zip(stack.seeds, stack.slots):
             trial = None if isinstance(slot, Exception) else rows[slot]
             if trial is None:

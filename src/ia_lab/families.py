@@ -31,7 +31,8 @@ class Family:
     # (config, ChannelStack) -> (trial, slots): trial is the stacked (scheme,
     # extended channel) of the channel sets that built, and slots[t] is set
     # t's row in it or the TRIAL_ERRORS instance its build gives; a family
-    # that draws no channels takes None and gives one unstacked trial
+    # that draws no channels takes None and gives its one trial as the
+    # stack of one
     build: Callable
     # K -> (kind, receiver k, description, j, i) of every promised relation
     # between transmitter j's precoder seen at receiver k (left) and
@@ -108,7 +109,7 @@ def _mimo_relations(K):
 
 def _designed_build(config, channels):
     ext, scheme = build_designed_channel(config.K)
-    return (scheme, ext), (0,)
+    return (scheme[None], ext[None]), (0,)
 
 
 def _designed_relations(K):

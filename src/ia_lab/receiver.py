@@ -5,14 +5,14 @@ Two entry points share one pass over the receivers.
 receiver it measures the rank of the stacked interference, of the desired
 signal, and of both together, and it evaluates the family-specific
 alignment relations (exact equalities, column-subset containments, span
-equalities). :func:`zf_rates` gives the zero-forcing rates of many trials
-over one power grid: projecting onto the orthogonal complement of the
-interference span keeps the noise white, so a receiver's rate is a log-det
-over its projected effective channel. Channel products go through
+equalities). :func:`zf_rates` gives the zero-forcing rates of a stack of
+trials over one power grid: projecting onto the orthogonal complement of
+the interference span keeps the noise white, so a receiver's rate is a
+log-det over its projected effective channel. Channel products go through
 ``ExtendedChannel.apply``, which never forms dense block-diagonal matrices.
 
 The pass runs over a stack of trials of one family and shape, as a stacked
-build gives them or as separately built trials stacked once. Each link's
+build gives them, or over one trial as the stack of one. Each link's
 product H_kj V_j is formed once per stack, into receiver k's array of all
 its products, of which the desired, interference and joint matrices, the
 gain projection and the family relations read views. Receivers of one shape
@@ -32,8 +32,8 @@ stream count.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
-from itertools import accumulate, compress
+from dataclasses import asdict, dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -326,9 +326,6 @@ def _grid_rates(L, gains, rhos) -> np.ndarray:
     per channel use (per extension slot), with unit noise variance.
     """
     rhos = np.asarray(rhos, dtype=float)
-    if np.any(rhos < 0):
-        raise ParameterError(
-            f"transmit power must be nonnegative, got {rhos[rhos < 0][0]}")
     K = len(gains)
     out = np.empty(gains[0].shape[:-1] + (rhos.size, K))
     groups = {}
@@ -342,52 +339,30 @@ def _grid_rates(L, gains, rhos) -> np.ndarray:
     return out
 
 
-def zf_rates(trials, rhos) -> list:
-    """Zero-forcing rates of many trials over one power grid; the trials of
-    each family and shape share one pass over the receivers.
+def zf_rates(scheme, ext, rhos) -> list:
+    """Zero-forcing rates of a stack of trials over one power grid, from one
+    pass over the receivers.
 
-    ``trials`` holds (scheme, ext) pairs, each one trial or a stack of them
-    (a stacked scheme and extension, as a stacked build gives them); pairs
-    of one family and shape are stacked together. ``rhos`` holds total
-    transmit powers per orthogonal dimension, split equally over
-    transmitters and then over each one's streams. Receiver k decodes its
-    own streams jointly in the interference-free subspace: rate_k =
+    ``scheme`` and ``ext`` are stacked alike, as a stacked build gives them,
+    or one trial, taken as the stack of one. ``rhos`` holds total transmit
+    powers per orthogonal dimension, split equally over transmitters and
+    then over each one's streams; a power that is not finite and
+    nonnegative raises ParameterError before the pass. Receiver k decodes
+    its own streams jointly in the interference-free subspace: rate_k =
     log2 det(I + p_k G G^H) / L, with G the projected effective channel
     through unit-norm precoder columns and p_k = (rho / K) * L / d_k per
-    stream. Returns, per trial, the trials of a stacked pair one by one,
-    its per-user rates as a (len(rhos), K) array, or None where the pass
-    mask fails it: a failed check means the construction is broken and any
-    rate would be meaningless.
+    stream. Returns, per trial, its per-user rates as a (len(rhos), K)
+    array, or None where the pass mask fails it: a failed check means the
+    construction is broken and any rate would be meaningless.
     """
-    groups, count = {}, 0
-    for scheme, ext in trials:
-        _check_dimensions(scheme, ext)
-        size = len(scheme.precoders[0]) if scheme.stacked else 1
-        # one family per stack: its relations are evaluated for the whole stack
-        groups.setdefault((scheme.family, scheme.K, ext.M, ext.L, scheme.stream_counts),
-                          []).append((range(count, count + size), scheme, ext))
-        count += size
-    out = [None] * count
-    for members in groups.values():
-        scheme, ext = _one_stack(members)
-        _, _, passed, gains = _pass(scheme, ext, True)
-        if passed.any():
-            places = [place for span, _, _ in members for place in span]
-            rates = _grid_rates(ext.L, tuple(g[passed] for g in gains), rhos)
-            for place, trial in zip(compress(places, passed), rates):
-                out[place] = trial
-    return out
-
-
-def _one_stack(members) -> tuple:
-    """The stacked (scheme, ext) of the pairs of one family and shape; a
-    stacked pair alone stays itself, and a trial alone becomes a view."""
-    if len(members) == 1:
-        _, scheme, ext = members[0]
-        return (scheme, ext) if scheme.stacked else (scheme[None], ext)
-    pairs = [(s, e) if s.stacked else (s[None], e[None]) for _, s, e in members]
-    # concatenating keeps each row's memory layout, which decides the order
-    # in which its column norms are summed
-    precoders = tuple(np.concatenate(v) for v in zip(*(s.precoders for s, _ in pairs)))
-    return (replace(pairs[0][0], precoders=precoders),
-            replace(pairs[0][1], blocks=np.concatenate([e.blocks for _, e in pairs])))
+    _check_dimensions(scheme, ext)
+    rhos = np.asarray(rhos, dtype=float)
+    bad = ~(np.isfinite(rhos) & (rhos >= 0))
+    if bad.any():
+        raise ParameterError(
+            f"transmit power must be finite and nonnegative, got {rhos[bad][0]}")
+    if not scheme.stacked:
+        scheme = scheme[None]
+    _, _, passed, gains = _pass(scheme, ext, True)
+    rates = iter(_grid_rates(ext.L, tuple(g[passed] for g in gains), rhos))
+    return [next(rates) if ok else None for ok in passed.tolist()]

@@ -59,8 +59,12 @@ class FailingConfig:
         raise DegeneracyError("synthetic failure")
 
     def build_trials(self, seeds):
+        # a real build stack, with none of its trials kept
         seeds = tuple(seeds)
-        return [BuiltStack(seeds, tuple(DegeneracyError("synthetic failure") for _ in seeds), ())]
+        [stack] = SchemeConfig("siso-k3").build_trials(seeds)
+        scheme, ext = stack.trial
+        return [BuiltStack(seeds, tuple(DegeneracyError("synthetic failure") for _ in seeds),
+                           (scheme[:0], ext[:0]))]
 
 
 def test_failed_trials_become_failure_rows():

@@ -23,7 +23,7 @@ def k3_case(seed=7, n=1):
 
 def rates_of(scheme, ext, rhos):
     """Per-user rates of one trial, a (len(rhos), K) array or None."""
-    [rates] = zf_rates([(scheme, ext)], rhos)
+    [rates] = zf_rates(scheme, ext, rhos)
     return rates
 
 
@@ -93,8 +93,10 @@ def test_zero_power_gives_zero_rates():
 
 def test_negative_power_rejected():
     scheme, ext = k3_case()
-    with pytest.raises(ParameterError):
-        zf_rates([(scheme, ext)], [-1.0])
+    # and powers that are not finite
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="finite and nonnegative"):
+            zf_rates(scheme, ext, [1.0, bad])
 
 
 def test_rates_monotone_over_snr_grid():
@@ -174,7 +176,7 @@ def test_relabeled_k3_scheme_fails_its_relations_without_raising():
     [equality] = [r for r in report.relations if r.kind == "equality"]
     assert equality.residual == 1.0 and not equality.ok
     assert not report.passed and report.max_residual == 1.0
-    assert zf_rates([(permuted_scheme, permuted_ext)], [1e5]) == [None]
+    assert zf_rates(permuted_scheme, permuted_ext, [1e5]) == [None]
 
 
 def test_relabeling_designed_scheme_is_fully_symmetric():

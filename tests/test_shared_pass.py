@@ -1,6 +1,7 @@
 """The receiver pass behind both entry points, ``check_alignment`` and
-``zf_rates(trials, rhos)``: one stacking and one interference SVD per
-receiver give both the receiver checks and the zero-forcing gains.
+``zf_rates(scheme, ext, rhos)``: one stack of link products and one
+interference SVD per receiver give both the receiver checks and the
+zero-forcing gains.
 
 The checks of the pass with gains must equal ``check_alignment``'s
 receivers, and the grid rates of ``zf_rates`` must equal its rates at each
@@ -22,7 +23,7 @@ from ia_lab.linalg import complement_and_rank
 from ia_lab.evaluation import BuiltStack, _trial_seed
 from ia_lab.receiver import _grid_rates, _pass
 
-from conftest import interference_at, pass_checks
+from conftest import interference_at, pass_checks, stacked
 
 CONFIGS = {
     "siso-k3 n=1": SchemeConfig("siso-k3", n=1),
@@ -89,7 +90,7 @@ def trials(request):
         receivers = pass_checks(scheme, ext, ranks)
         if not passed[0]:
             gains = None
-        [rates] = zf_rates([(scheme, ext)], RHOS)
+        [rates] = zf_rates(scheme, ext, RHOS)
         out.append(Trial(scheme, ext, receivers, gains, rates))
     return request.param, out
 
@@ -114,7 +115,7 @@ def test_grid_rates_equal_per_point_zf_rates(trials):
     _, rows = trials
     for t in passing(rows):
         for rho, row in zip(RHOS, t.rates.tolist()):
-            [one_point] = zf_rates([(t.scheme, t.ext)], [rho])
+            [one_point] = zf_rates(t.scheme, t.ext, [rho])
             assert one_point.tolist() == [row]
 
 
@@ -199,7 +200,7 @@ def test_no_gains_after_a_failed_receiver_check(monkeypatch):
     # for 2 and 3
     assert np.all(ranks[:, 1:] == -1) and len(calls) == 1
     assert receivers == check_alignment(scheme, ext).receivers[:1]
-    assert zf_rates([(scheme, ext)], RHOS) == [None]
+    assert zf_rates(scheme, ext, RHOS) == [None]
     assert len(calls) == 2
 
 
@@ -210,10 +211,10 @@ class CorruptedConfig:
         return corrupted_k3(seed)
 
     def build_trials(self, seeds):
-        # separately built trials, which zf_rates stacks
+        # separately built trials, stacked
         seeds = tuple(seeds)
         return [BuiltStack(seeds, tuple(range(len(seeds))),
-                           tuple(self.build(seed) for seed in seeds))]
+                           stacked([self.build(seed) for seed in seeds]))]
 
 
 def test_failed_receiver_check_becomes_failure_rows():

@@ -17,6 +17,7 @@ import ia_lab.channels
 import ia_lab.evaluation
 import ia_lab.families
 import ia_lab.receiver
+import ia_lab.schemes
 from ia_lab import (ChannelStack, ParameterError, SchemeConfig, extend_channel,
                     generate_channels, snr_sweep, zf_rates)
 from ia_lab.evaluation import TRIAL_ERRORS, BuiltStack, _trial_seed
@@ -45,7 +46,7 @@ def alone(config, seed):
         scheme, ext = config.build(seed)
     except TRIAL_ERRORS:
         return "failed", None
-    [rates] = zf_rates([(scheme, ext)], RHOS)
+    [rates] = zf_rates(scheme, ext, RHOS)
     if rates is None:
         return "failed", None
     return "ok", [tuple(row) for row in rates.tolist()]
@@ -112,11 +113,6 @@ def builds(config, seeds):
     return [built for stack in config.build_trials(seeds) for _, built in stack]
 
 
-def trial_count(trials):
-    """The number of trials in a list of (scheme, ext) pairs, stacked or not."""
-    return sum(len(scheme.precoders[0]) if scheme.stacked else 1 for scheme, _ in trials)
-
-
 def test_sweep_across_stack_boundaries_equals_each_trial_alone(monkeypatch):
     config = CONFIGS["siso-k3 n=1"]
     # room for two trials per stack: five trials take three stacks
@@ -126,9 +122,9 @@ def test_sweep_across_stack_boundaries_equals_each_trial_alone(monkeypatch):
     original = ia_lab.evaluation.zf_rates
     family = ia_lab.families.FAMILIES[config.family]
 
-    def recording(trials, rhos):
-        sizes.append(trial_count(trials))
-        return original(trials, rhos)
+    def recording(scheme, ext, rhos):
+        sizes.append(len(scheme.precoders[0]))
+        return original(scheme, ext, rhos)
 
     def recording_build(config, channels):
         built.append(len(channels))
@@ -178,12 +174,12 @@ class OneCorrupted:
         return self.config.K
 
     def build_trials(self, seeds):
-        # each stack's trials separately built, which zf_rates stacks again
+        # each stack's trials taken apart and stacked again
         for stack in self.config.build_trials(seeds):
-            trials = tuple((corrupt(built[0], seed), built[1]) if seed == self.bad_seed
-                           else built for seed, built in stack
-                           if not isinstance(built, Exception))
-            yield BuiltStack(stack.seeds, stack.slots, trials)
+            trials = [(corrupt(built[0], seed), built[1]) if seed == self.bad_seed
+                      else built for seed, built in stack
+                      if not isinstance(built, Exception)]
+            yield BuiltStack(stack.seeds, stack.slots, stacked(trials))
 
 
 @pytest.mark.parametrize("label", ["siso-k3 n=2", "mimo M=3", "siso-general K=4 n=1"])
@@ -200,25 +196,11 @@ def test_corrupted_trial_fails_alone_in_a_mixed_stack(label):
             assert got == want
 
 
-def test_stack_of_mixed_shapes_and_failures():
-    # trials of different shapes share a call, each shape in its own pass
-    k3, ext3 = CONFIGS["siso-k3 n=1"].build(4)
-    trials = [(k3, ext3), CONFIGS["mimo M=2"].build(5), (corrupt(k3, 4), ext3),
-              CONFIGS["mimo M=2"].build(6), CONFIGS["designed K=3"].build(0)]
-    out = zf_rates(trials, RHOS)
-    assert out[2] is None
-    for (scheme, ext), rates in zip(trials, out):
-        if rates is not None:
-            [alone] = zf_rates([(scheme, ext)], RHOS)
-            assert rates.tolist() == alone.tolist()
-
-
 def one_stack(config, seeds):
     """The stacked (scheme, ext) of one build stack of ``seeds``; a family
-    that draws no channels builds one trial, taken as a stack of one."""
+    that draws no channels builds one trial, a stack of one."""
     [stack] = config.build_trials(seeds)
-    [(scheme, ext)] = stack.trials
-    return (scheme, ext) if scheme.stacked else (scheme[None], ext[None])
+    return stack.trial
 
 
 @pytest.mark.parametrize("label", list(CONFIGS))
@@ -239,27 +221,27 @@ def test_a_relation_pass_forms_each_link_product_once(monkeypatch, label):
     _pass(scheme, ext, False)
     assert formed == once
     formed.clear()
-    assert all(rates is not None for rates in zf_rates([(scheme, ext)], RHOS))
+    assert all(rates is not None for rates in zf_rates(scheme, ext, RHOS))
     assert formed == once
 
 
 def test_families_of_one_shape_take_their_own_relations(monkeypatch):
     # siso-k3 n=1 and siso-general K=3 n=1 build trials of one shape
-    k3 = CONFIGS["siso-k3 n=1"].build(4)
-    general = SchemeConfig("siso-general", K=3, n=1).build(4)
-    assert k3[1].blocks.shape == general[1].blocks.shape
+    k3 = one_stack(CONFIGS["siso-k3 n=1"], [4, 5])
+    general = one_stack(SchemeConfig("siso-general", K=3, n=1), [4])
+    assert k3[1].blocks.shape[1:] == general[1].blocks.shape[1:]
     assert k3[0].stream_counts == general[0].stream_counts
-    families = []
-    receiver_pass = ia_lab.receiver._pass
+    relations = []
+    get_family = ia_lab.receiver.get_family
 
-    def recording(scheme, *args):
-        families.append((scheme.family, len(scheme.precoders[0])))
-        return receiver_pass(scheme, *args)
+    def recording(name):
+        relations.append(name)
+        return get_family(name)
 
-    monkeypatch.setattr(ia_lab.receiver, "_pass", recording)
-    out = zf_rates([k3, general, k3], RHOS)
-    assert sorted(families) == [("siso-general", 1), ("siso-k3", 2)]
-    assert all(rates is not None for rates in out)
+    monkeypatch.setattr(ia_lab.receiver, "get_family", recording)
+    for scheme, ext in (k3, general):
+        assert all(rates is not None for rates in zf_rates(scheme, ext, RHOS))
+    assert relations == ["siso-k3", "siso-general"]
 
 
 @pytest.mark.parametrize("shape", [(3, 1, 3), (4, 1, 33), (3, 2, 1), (3, 3, 1)])
@@ -317,6 +299,23 @@ def test_build_trials_puts_each_build_error_in_its_slot(monkeypatch):
         SchemeConfig("mimo", M=2).build(1)
 
 
+@pytest.mark.parametrize("label", ["siso-k3 n=1", "siso-general K=4 n=1", "mimo M=2",
+                                   "mimo M=3"])
+def test_a_stack_none_of_whose_trials_built_gives_no_rates(monkeypatch, label):
+    # every family that draws channels; a designed build has no trial to lose
+    config = CONFIGS[label]
+    monkeypatch.setattr(ia_lab.schemes, "has_full_column_rank",
+                        lambda matrix: np.zeros(matrix.shape[0], dtype=bool))
+    [stack] = config.build_trials(range(3))
+    assert all(isinstance(built, TRIAL_ERRORS) for _, built in stack)
+    scheme, ext = stack.trial
+    assert len(scheme.precoders[0]) == len(ext.blocks) == 0
+    assert zf_rates(scheme, ext, RHOS) == []
+    table = snr_sweep(config, GRID, 3, seed=0)
+    assert len(table.records) == 3 * len(GRID)
+    assert all((r.status, r.rates) == ("failed", None) for r in table.records)
+
+
 BUILD_CONFIGS = {**CONFIGS, "mimo M=5": SchemeConfig("mimo", M=5),
                  "mimo M=8": SchemeConfig("mimo", M=8)}
 
@@ -325,8 +324,6 @@ def stacked_verdicts(scheme, ext):
     """Per trial of a stacked (scheme, ext), from one receiver pass and one
     relation pass over the stack: its (desired, interference, joint) ranks
     per receiver and its relation residuals."""
-    if not scheme.stacked:
-        scheme = scheme[None]
     ranks, residuals, _, _ = _pass(scheme, ext, False)
     return [(ranks[..., t].T.tolist(), residuals[:, t].tolist())
             for t in range(len(scheme.precoders[0]))]
@@ -347,7 +344,7 @@ def test_stacked_build_equals_each_build_alone(label, trials):
     [stack] = config.build_trials(seeds)  # one stack, built by one call
     assert [seed for seed, _ in stack] == seeds
     built = [b for _, b in stack]
-    [trial] = stack.trials
+    trial = stack.trial
     verdicts = [stacked_verdicts(*trial)[slot] for slot in stack.slots]
     for seed, (scheme, ext), verdict in zip(seeds, built, verdicts, strict=True):
         scheme_alone, ext_alone = config.build(seed)
@@ -442,9 +439,9 @@ def test_a_designed_sweep_builds_and_evaluates_once(monkeypatch, K, trials):
         calls["build"] += 1
         return build(*args)
 
-    def counting_rates(stack, rhos):
-        calls["evaluated"] += len(stack)
-        return rates(stack, rhos)
+    def counting_rates(scheme, ext, rhos):
+        calls["evaluated"] += len(scheme.precoders[0])
+        return rates(scheme, ext, rhos)
 
     monkeypatch.setattr(ia_lab.families, "build_designed_channel", counting_build)
     monkeypatch.setattr(ia_lab.evaluation, "zf_rates", counting_rates)
@@ -540,14 +537,14 @@ def test_a_stacks_rates_equal_each_trial_alone(label):
     v[2] = rng.normal(size=v[2].shape) + 1j * rng.normal(size=v[2].shape)
     scheme = dataclasses.replace(scheme, precoders=(scheme.precoders[0], v)
                                  + scheme.precoders[2:])
-    out = zf_rates([(scheme, ext)], RHOS)
+    out = zf_rates(scheme, ext, RHOS)
     assert [rates is None for rates in out] == [False, False, True, False, False]
     ranks, _, passed, _ = _pass(scheme, ext, True)
     assert passed.tolist() == [True, True, False, True, True]
     # the failing trial fails its first receiver
     assert not zf_ok(scheme.stream_counts[0], *ranks[:, 0, 2])
     for t, rates in enumerate(out):
-        [alone] = zf_rates([(scheme[t], ext[t])], RHOS)
+        [alone] = zf_rates(scheme[t], ext[t], RHOS)
         assert (rates is None) == (alone is None)
         if rates is not None:
             assert rates.tobytes() == alone.tobytes()
@@ -576,5 +573,5 @@ def test_an_over_budget_trial_stops_at_its_failing_receiver(monkeypatch):
     # projection of receiver 1; none for receivers 3 and 4
     assert len(shapes) == 7 and {shape[0] for shape in shapes} == {1}
     shapes.clear()
-    assert zf_rates([(scheme, ext)], RHOS) == [None]
+    assert zf_rates(scheme, ext, RHOS) == [None]
     assert len(shapes) == 7

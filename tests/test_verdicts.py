@@ -13,6 +13,8 @@ from ia_lab.errors import DegeneracyError
 from ia_lab.evaluation import TRIAL_ERRORS, _trial_seed
 from ia_lab.schemes import TrialStack, full_rank_schemes
 
+from conftest import stacked
+
 SMALL = {
     "siso-k3 n=1": SchemeConfig("siso-k3", n=1),
     "siso-k3 n=2": SchemeConfig("siso-k3", n=2),
@@ -40,7 +42,7 @@ def corrupted(scheme, seed):
 
 
 def assert_rates_none_where_reports_fail(trials):
-    rates = zf_rates(trials, [1e4, 1e8])
+    rates = zf_rates(*stacked(trials), [1e4, 1e8])
     verdicts = [check_alignment(scheme, ext).passed for scheme, ext in trials]
     assert [r is not None for r in rates] == verdicts
     return verdicts
