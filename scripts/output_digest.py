@@ -23,10 +23,13 @@ from ia_lab import (InsufficientDataError, ParameterError, SchemeConfig, check_a
 from ia_lab.evaluation import TRIAL_ERRORS
 
 LAWS = ((0.5, 2.0), (1.0, 1.0))
-CONFIGS = ([SchemeConfig("siso-k3", n=n) for n in range(1, 6)]
+# siso-k3 n=7 and n=8 hold near-tolerance verdicts (n=7 fails receiver
+# checks at seeds 13 and 15, n=8 at 1, 3 and 11); from M=8 on, transmitter
+# 1's mimo precoder is column-major
+CONFIGS = ([SchemeConfig("siso-k3", n=n) for n in (1, 2, 3, 4, 5, 7, 8)]
            + [SchemeConfig("siso-general", K=4, n=n, a_min=lo, a_max=hi)
               for n in (1, 2) for lo, hi in LAWS]
-           + [SchemeConfig("mimo", M=M) for M in range(2, 6)]
+           + [SchemeConfig("mimo", M=M) for M in (2, 3, 4, 5, 8, 9, 16)]
            + [SchemeConfig("designed", K=K) for K in (3, 10)])
 GRID = (40.0, 60.0, 80.0)
 RHOS = [10.0 ** (s / 10.0) for s in GRID]
@@ -40,7 +43,8 @@ def digest() -> str:
 
     for config in CONFIGS:
         large = config.family == "siso-general" and config.n == 2  # L=275
-        for seed in range(2 if large else 4):
+        near = config.family == "siso-k3" and config.n >= 7
+        for seed in range(2 if large else 16 if near else 4):
             try:
                 scheme, ext = config.build(seed)
             except TRIAL_ERRORS as err:

@@ -2,10 +2,12 @@
 
 All rank decisions in the package go through one rule, ``_rank``, so a
 single tolerance convention applies: a singular value counts toward the rank
-iff it is at least ``tol`` times the largest one. Columns are rescaled to
-unit norm first by default; rescaling by a nonzero scalar per column leaves
-the rank unchanged but greatly improves the spread of singular values when
-column norms differ by orders of magnitude (power-basis precoders do).
+iff it is at least ``tol`` times the largest one. As singular values come
+in descending order, the count walks each row from its tail and stops at
+the last value that counts. Columns are rescaled to unit norm first by
+default; rescaling by a nonzero scalar per column leaves the rank unchanged
+but greatly improves the spread of singular values when column norms differ
+by orders of magnitude (power-basis precoders do).
 
 The rank functions also take a stack of matrices, shape (T, rows, cols),
 and then answer for every matrix of the stack from one batched SVD. The
@@ -33,15 +35,18 @@ def equilibrate_columns(matrix: np.ndarray) -> np.ndarray:
 
 
 def _rank(s: np.ndarray, tol: float):
-    """Count of singular values ``s`` (descending) >= tol times the largest;
-    zero for an empty or all-zero matrix. For the rows of a (T, n) stack of
-    them, an integer array of T counts."""
-    if s.ndim == 2:
-        # in Python floats, which compare as float64 do: cheaper than numpy
-        # calls on the few values of a row
-        return np.array([sum(x >= tol * row[0] for x in row) if row and row[0] > 0.0 else 0
-                         for row in s.tolist()], dtype=int)
-    return int(np.count_nonzero(s >= tol * s[0])) if s.size and s[0] > 0.0 else 0
+    """Count of singular values ``s`` (descending) >= tol times the largest,
+    from the tail; zero for an empty or all-zero matrix. For the rows of a
+    (T, n) stack of them, an integer array of T counts."""
+    counts = []
+    # in Python floats, which compare as float64 do: cheaper than numpy
+    # calls on the few values of a row
+    for row in s.tolist() if s.ndim == 2 else [s.tolist()]:
+        n = len(row) if row and row[0] > 0.0 else 0
+        while n and not row[n - 1] >= tol * row[0]:
+            n -= 1
+        counts.append(n)
+    return np.array(counts, dtype=int) if s.ndim == 2 else counts[0]
 
 
 def singular_values(matrix: np.ndarray, equilibrate: bool = True) -> np.ndarray:
@@ -62,19 +67,19 @@ def has_full_column_rank(matrix: np.ndarray):
     return _rank(singular_values(matrix), RANK_TOL) == np.shape(matrix)[-1]
 
 
-def complement_and_rank(matrix: np.ndarray, tol: float = RANK_TOL) -> tuple:
+def complement_and_rank(matrix: np.ndarray, tol: float = RANK_TOL,
+                        equilibrate: bool = True) -> tuple:
     """(basis, rank): an orthonormal basis of the orthogonal complement of the
     column space and the rank it is cut at, both from one SVD, so the basis
     always has ``rows - rank`` columns.
 
-    For a stack (T, rows, cols), (bases, ranks): a list of the T bases and
-    an array of the T ranks.
+    For a stack (T, rows, cols), (u, ranks): the T left singular bases, the
+    columns of ``u[t]`` from ``ranks[t]`` on being trial t's basis, and an
+    array of the T ranks.
     """
-    u, s, _ = np.linalg.svd(equilibrate_columns(matrix), full_matrices=True)
+    u, s, _ = np.linalg.svd(equilibrate_columns(matrix) if equilibrate else matrix)
     rank = _rank(s, tol)
-    if u.ndim == 2:
-        return u[:, rank:], rank
-    return [ui[:, r:] for ui, r in zip(u, rank)], rank
+    return (u[:, rank:], rank) if u.ndim == 2 else (u, rank)
 
 
 def orthonormal_complement(matrix: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:

@@ -21,23 +21,25 @@ EIGENBASIS_COND_CAP = 1e8
 EIGENVALUE_GAP_TOL = 1e-10
 
 
-def _solve(a: np.ndarray, b: np.ndarray, what: str, stack: TrialStack) -> np.ndarray:
-    """``np.linalg.solve`` over the rows of a stacked build. One singular
-    matrix fails the whole stacked call; then each row is solved alone, and
-    a singular one fails its trial and reads zeros."""
+def _solve(stack: TrialStack, *systems) -> np.ndarray:
+    """Solutions of (a, b, name) systems over a stacked build's rows, in one
+    ``np.linalg.solve``; on a singular matrix each is solved alone, a singular
+    one reads zeros, and its trial fails naming its first singular matrix."""
+    a, b, names = zip(*systems)
+    a, b = np.concatenate(a), np.concatenate(b)
     try:
-        return np.linalg.solve(a, b)
+        x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
-        pass
-    x = np.zeros(b.shape, dtype=complex)
-    ok = np.ones(len(b), dtype=bool)
-    for r in range(len(b)):
-        try:
-            x[r] = np.linalg.solve(a[r], b[r])
-        except np.linalg.LinAlgError:
-            ok[r] = False
-    stack.fail(ok, SingularChannelError, f"{what} is singular")
-    return x
+        x = np.zeros(b.shape, dtype=complex)
+        ok = np.ones(len(b), dtype=bool)
+        for r in range(len(b)):
+            try:
+                x[r] = np.linalg.solve(a[r], b[r])
+            except np.linalg.LinAlgError:
+                ok[r] = False
+        for what, fine in zip(names, ok.reshape(len(names), -1)):
+            stack.fail(fine, SingularChannelError, f"{what} is singular")
+    return x.reshape(len(names), -1, *b.shape[1:])
 
 
 def _coefficients(ch) -> tuple:
@@ -51,9 +53,9 @@ def _coefficients(ch) -> tuple:
 
 def _loop_matrix(coeffs: np.ndarray, stack: TrialStack) -> np.ndarray:
     H = lambda k, j: coeffs[:, k, j, 0]
-    return (_solve(H(2, 0), H(2, 1), "H31", stack)
-            @ _solve(H(0, 1), H(0, 2), "H12", stack)
-            @ _solve(H(1, 2), H(1, 0), "H23", stack))
+    x31, x12, x23 = _solve(stack, (H(2, 0), H(2, 1), "H31"), (H(0, 1), H(0, 2), "H12"),
+                           (H(1, 2), H(1, 0), "H23"))
+    return x31 @ x12 @ x23
 
 
 def loop_matrix(ch: ChannelSet) -> np.ndarray:
@@ -124,8 +126,8 @@ def build_mimo_even(ch):
     coeffs, vectors = stack.cut(coeffs, vectors)
     H = lambda k, j: coeffs[:, k, j, 0]
     v_tx1 = vectors[..., : M // 2]
-    v_tx2 = _solve(H(2, 1), H(2, 0) @ v_tx1, "H32", stack)
-    v_tx3 = _solve(H(1, 2), H(1, 0) @ v_tx1, "H23", stack)
+    v_tx2, v_tx3 = _solve(stack, (H(2, 1), H(2, 0) @ v_tx1, "H32"),
+                          (H(1, 2), H(1, 0) @ v_tx1, "H23"))
     schemes = full_rank_schemes(stack, DegeneracyError, (v_tx1, v_tx2, v_tx3),
                                 family="mimo", K=3, M=M, L=1, parity="even")
     return (schemes, stack.slots()) if isinstance(ch, ChannelStack) else stack.one(schemes)
@@ -179,8 +181,8 @@ def build_mimo_odd(ch, ext: ExtendedChannel = None):
     blocks, vectors = stack.cut(blocks, vectors)
     ext = ExtendedChannel(K=3, M=M, L=2, blocks=blocks)
     v_tx1 = interleaved_seed(vectors)
-    v_tx2 = _solve(ext.matrix(2, 1), ext.apply(2, 0, v_tx1), "extended H32", stack)
-    v_tx3 = _solve(ext.matrix(1, 2), ext.apply(1, 0, v_tx1), "extended H23", stack)
+    v_tx2, v_tx3 = _solve(stack, (ext.matrix(2, 1), ext.apply(2, 0, v_tx1), "extended H32"),
+                          (ext.matrix(1, 2), ext.apply(1, 0, v_tx1), "extended H23"))
     schemes = full_rank_schemes(stack, DegeneracyError, (v_tx1, v_tx2, v_tx3),
                                 family="mimo", K=3, M=M, L=2, parity="odd")
     return (schemes, stack.slots()) if isinstance(ch, ChannelStack) else stack.one(schemes)

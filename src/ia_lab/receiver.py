@@ -18,15 +18,16 @@ its products, of which the desired, interference and joint matrices, the
 gain projection and the family relations read views. Receivers of one shape
 share each batched SVD, over (receiver, trial) rows cut into batches of
 STACK_BYTES, so a trial above that budget walks its receivers one at a
-time; then the relations at a receiver are evaluated, those of one kind
-and operand shape in one residual call. The verdicts are arrays: ranks per
-(receiver, trial) and residuals per (relation, trial), and the pass mask
-follows from them by one rule, :func:`zf_ok`. :func:`check_alignment`
-builds its report from its one trial's column; :func:`zf_rates` drops a
-failing trial after its batch and takes its gains from the same full-U
-interference SVD that gives the ranks. Every trial gets, bit for bit, the
-answer it gets alone, and the whole power grid takes one broadcast per
-stream count.
+time, and each batch is equilibrated once, its desired, joint and
+interference SVDs reading column views of it; then the relations at a
+receiver are evaluated, those of one kind and operand shape in one residual
+call. The verdicts are arrays: ranks per (receiver, trial) and residuals
+per (relation, trial), and the pass mask follows from them by one rule,
+:func:`zf_ok`. :func:`check_alignment` builds its report from its one
+trial's column; :func:`zf_rates` drops a failing trial after its batch and
+takes its gains from the same full-U interference SVD that gives the
+ranks. Every trial gets, bit for bit, the answer it gets alone, and the
+whole power grid takes one broadcast per stream count.
 """
 
 from __future__ import annotations
@@ -240,25 +241,28 @@ def _check(batch, joint, T, dk, rank_tol, ranks, passed, gains) -> None:
     # a view of receiver k's products when the batch is all of them
     parts = [joint(k) if len(ts) == T else joint(k)[ts] for k, ts in trials.items()]
     J = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    desired, interference = J[..., :dk], J[..., dk:]
-    desired_rank = numerical_rank(desired, rank_tol)
-    joint_rank = numerical_rank(J, rank_tol)
+    # each column is scaled alone, so every SVD reads columns of one equilibration
+    E = equilibrate_columns(J)
+    desired_rank = numerical_rank(E[..., :dk], rank_tol, equilibrate=False)
+    joint_rank = numerical_rank(E, rank_tol, equilibrate=False)
     if gains is not None:
-        bases, interference_rank = complement_and_rank(interference, rank_tol)
+        u, interference_rank = complement_and_rank(E[..., dk:], rank_tol, equilibrate=False)
     else:
-        interference_rank = numerical_rank(interference, rank_tol)
+        interference_rank = numerical_rank(E[..., dk:], rank_tol, equilibrate=False)
     ks, ts = zip(*batch)
     ranks[:, ks, ts] = desired_rank, interference_rank, joint_rank
     for t, ok in zip(ts, zf_ok(dk, desired_rank, interference_rank, joint_rank).tolist()):
         passed[t] = passed[t] and ok
     if gains is not None:
-        _project(batch, [p for p, t in enumerate(ts) if passed[t]], desired, bases, gains)
+        _project(batch, [p for p, t in enumerate(ts) if passed[t]], J[..., :dk], u,
+                 interference_rank.tolist(), gains)
 
 
-def _project(batch, passing, desired, bases, gains) -> None:
+def _project(batch, passing, desired, u, ranks, gains) -> None:
     """Set ``gains[k][t]`` for the rows ``passing`` of a batch of (k, t)
     rows, given their desired matrices (through unit-norm precoder columns)
-    and the complement bases of their interference: one batched SVD per
+    and the left singular bases ``u`` of their interference, whose columns
+    from its rank in ``ranks`` on span its complement: one batched SVD per
     interference rank.
 
     A passing check leaves dim - interference rank >= joint rank -
@@ -266,9 +270,9 @@ def _project(batch, passing, desired, bases, gains) -> None:
     """
     by_rank = {}
     for p in passing:
-        by_rank.setdefault(bases[p].shape[1], []).append(p)
-    for group in by_rank.values():
-        basis = np.stack([bases[p] for p in group])
+        by_rank.setdefault(ranks[p], []).append(p)
+    for r, group in by_rank.items():
+        basis = u[group, :, r:]
         projected = basis.conj().swapaxes(-1, -2) @ desired[group]
         for p, g in zip(group, np.linalg.svd(projected, compute_uv=False) ** 2):
             k, t = batch[p]

@@ -220,6 +220,12 @@ def test_channel_file_and_seed_take_one_build_path(tmp_path, capsys, config,
      "snr grid must be nonempty, finite and strictly increasing"),
     (["dof", "--scheme", "mimo", "--snr=-inf,60", "--trials", "1"], None,
      "snr grid must be nonempty, finite and strictly increasing"),
+    (["sweep", "--scheme", "siso-k3", "--snr", "60,80", "--trials", "1", "--seed", "-1",
+      "--out", "unused.csv"], None, "seed must fit in an unsigned 64-bit integer"),
+    (["dof", "--scheme", "mimo", "--snr", "60,80", "--trials", "2", "--seed", "-5"], None,
+     "seed must fit in an unsigned 64-bit integer"),
+    (["dof", "--scheme", "siso-k3", "--snr", "60,80", "--trials", "2",
+      "--seed", str(2 ** 64)], None, "seed must fit in an unsigned 64-bit integer"),
 ])
 def test_contradictory_scheme_flags_fail_fast(tmp_path, capsys, argv, file_shape, message):
     if file_shape is not None:

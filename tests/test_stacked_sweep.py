@@ -16,6 +16,7 @@ import pytest
 import ia_lab.channels
 import ia_lab.evaluation
 import ia_lab.families
+import ia_lab.mimo
 import ia_lab.receiver
 import ia_lab.schemes
 from ia_lab import (ChannelStack, ParameterError, SchemeConfig, extend_channel,
@@ -375,7 +376,17 @@ def identity_links(coeffs):
     coeffs[...] = np.eye(coeffs.shape[-1])
 
 
+def zero_h12(coeffs):
+    coeffs[0, 1, 0] = 0.0
+
+
 def zero_slot_of_h23(coeffs):
+    coeffs[1, 2, 0] = 0.0
+
+
+def zero_h23_past_the_loop(coeffs):
+    """A zero H23 that the loop map reads as the identity (see the test), so
+    that only the precoder solve finds it singular."""
     coeffs[1, 2, 0] = 0.0
 
 
@@ -388,8 +399,14 @@ BROKEN = [
     ("mimo M=2", zero_h31, "H31 is singular"),
     ("mimo M=3", zero_h31, "H31 is singular"),
     ("mimo M=2", zero_h31_and_h12, "H31 is singular"),  # the first failure counts
+    ("mimo M=2", zero_h12, "H12 is singular"),
+    ("mimo M=3", zero_h12, "H12 is singular"),
+    ("mimo M=2", zero_slot_of_h23, "H23 is singular"),
+    ("mimo M=3", zero_slot_of_h23, "H23 is singular"),
     ("mimo M=2", zero_column_of_h32, "H32 is singular"),
     ("mimo M=3", zero_column_of_h32, "extended H32 is singular"),
+    ("mimo M=2", zero_h23_past_the_loop, "H23 is singular"),
+    ("mimo M=3", zero_h23_past_the_loop, "extended H23 is singular"),
     ("mimo M=4", identity_links, "repeated eigenvalues"),
     ("mimo M=5", identity_links, "repeated eigenvalues"),
     ("mimo M=8", identity_links, "repeated eigenvalues"),
@@ -415,6 +432,15 @@ def test_a_broken_channel_fails_alone_in_the_middle_of_a_stack(monkeypatch, labe
         return draws[-1]
 
     monkeypatch.setattr(ia_lab.evaluation, "generate_channels", breaking_the_middle)
+    if breaks is zero_h23_past_the_loop:
+        loop = ia_lab.mimo._loop_matrix
+
+        def loop_on_identity_h23(coeffs, stack):
+            coeffs = coeffs.copy()
+            coeffs[~coeffs[:, 1, 2, 0].any(axis=(-2, -1)), 1, 2, 0] = np.eye(coeffs.shape[-1])
+            return loop(coeffs, stack)
+
+        monkeypatch.setattr(ia_lab.mimo, "_loop_matrix", loop_on_identity_h23)
     [stack] = config.build_trials(range(5))
     [channels] = draws
     for t, (_, built) in enumerate(stack):
