@@ -244,8 +244,7 @@ def snr_sweep(config: SchemeConfig, snr_db, trials: int, seed: int) -> RateTable
 
     The channel seed of each trial is derived from ``seed``, an unsigned
     64-bit integer, and the trial index only, so one realization spans the
-    whole grid. ``config`` needs
-    ``K`` and :meth:`SchemeConfig.build_trials`.
+    whole grid. ``config`` needs ``K`` and :meth:`SchemeConfig.build_trials`.
     """
     grid = snr_grid(snr_db)
     if trials < 1:
@@ -316,12 +315,7 @@ def estimate_dof(table: RateTable) -> DofEstimate:
         raise InsufficientDataError(
             "need at least two SNR points at >= 40 dB with successful trials")
     x = np.array([table.snr_db[i] / 10.0 * math.log2(10.0) for i in usable])
-    # np.polyfit(x, y, 1)[0] by its arithmetic, one scaled Vandermonde for both fits
-    lhs = np.vander(x, 2)
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    lhs /= scale
-    slopes = lambda y: np.linalg.lstsq(lhs, y, len(x) * np.finfo(float).eps)[0][0] / scale[0]
-    slope = float(slopes(view.means[usable]))
+    slope = float(np.polyfit(x, view.means[usable], 1)[0])
 
     # per trial, its last ok record at each usable point; the trials with all
     # of them, in order of their first at the first point (as a dict keeps them)
@@ -332,7 +326,7 @@ def estimate_dof(table: RateTable) -> DofEstimate:
     half = 0.0
     if len(complete) > 1:
         # one least-squares fit of every complete trial
-        trial_slopes = slopes(view.sums[last[complete]].T)
+        trial_slopes = np.polyfit(x, view.sums[last[complete]].T, 1)[0]
         half = 1.96 * float(np.std(trial_slopes, ddof=1)) / math.sqrt(len(complete))
     return DofEstimate(slope=slope, half_width=half,
                        snr_db=tuple(table.snr_db[i] for i in usable),

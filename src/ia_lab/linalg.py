@@ -67,24 +67,24 @@ def has_full_column_rank(matrix: np.ndarray):
     return _rank(singular_values(matrix), RANK_TOL) == np.shape(matrix)[-1]
 
 
-def complement_and_rank(matrix: np.ndarray, tol: float = RANK_TOL,
-                        equilibrate: bool = True) -> tuple:
+def complement_and_rank(matrix: np.ndarray, tol: float = RANK_TOL) -> tuple:
     """(basis, rank): an orthonormal basis of the orthogonal complement of the
-    column space and the rank it is cut at, both from one SVD, so the basis
-    always has ``rows - rank`` columns.
+    column space and the rank it is cut at, both from one SVD of ``matrix``
+    as given (not equilibrated), so the basis always has ``rows - rank``
+    columns.
 
     For a stack (T, rows, cols), (u, ranks): the T left singular bases, the
     columns of ``u[t]`` from ``ranks[t]`` on being trial t's basis, and an
     array of the T ranks.
     """
-    u, s, _ = np.linalg.svd(equilibrate_columns(matrix) if equilibrate else matrix)
+    u, s, _ = np.linalg.svd(matrix)
     rank = _rank(s, tol)
     return (u[:, rank:], rank) if u.ndim == 2 else (u, rank)
 
 
 def orthonormal_complement(matrix: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of the column space."""
-    return complement_and_rank(matrix, tol)[0]
+    return complement_and_rank(equilibrate_columns(matrix), tol)[0]
 
 
 def _norms(stack: np.ndarray) -> np.ndarray:

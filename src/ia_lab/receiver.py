@@ -246,7 +246,7 @@ def _check(batch, joint, T, dk, rank_tol, ranks, passed, gains) -> None:
     desired_rank = numerical_rank(E[..., :dk], rank_tol, equilibrate=False)
     joint_rank = numerical_rank(E, rank_tol, equilibrate=False)
     if gains is not None:
-        u, interference_rank = complement_and_rank(E[..., dk:], rank_tol, equilibrate=False)
+        u, interference_rank = complement_and_rank(E[..., dk:], rank_tol)
     else:
         interference_rank = numerical_rank(E[..., dk:], rank_tol, equilibrate=False)
     ks, ts = zip(*batch)

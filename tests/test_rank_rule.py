@@ -140,8 +140,8 @@ def test_one_equilibration_equals_one_per_part(label):
                     if part.shape[-1] > 1:
                         assert s_view.tobytes() == s_part.tobytes(), (seed, k)
                 # the complement the gains project on, bit for bit
-                u, rank = complement_and_rank(E[..., dk:], RANK_TOL, equilibrate=False)
-                u_alone, rank_alone = complement_and_rank(J[..., dk:])
+                u, rank = complement_and_rank(E[..., dk:], RANK_TOL)
+                u_alone, rank_alone = complement_and_rank(equilibrate_columns(J[..., dk:]))
                 assert rank.tolist() == rank_alone.tolist()
                 assert u.tobytes() == u_alone.tobytes()
         report = check_alignment(scheme, ext)
