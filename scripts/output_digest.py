@@ -23,9 +23,9 @@ from ia_lab import (InsufficientDataError, ParameterError, SchemeConfig, check_a
 from ia_lab.evaluation import TRIAL_ERRORS
 
 LAWS = ((0.5, 2.0), (1.0, 1.0))
-# siso-k3 n=7 and n=8 hold near-tolerance verdicts (n=7 fails receiver
-# checks at seeds 13 and 15, n=8 at 1, 3 and 11); from M=8 on, transmitter
-# 1's mimo precoder is column-major
+# siso-k3 n=7 and n=8 hold near-tolerance verdicts (n=7 fails a receiver
+# check at seed 15, n=8 at 1 and 11); from M=8 on, transmitter 1's mimo
+# precoder is column-major
 CONFIGS = ([SchemeConfig("siso-k3", n=n) for n in (1, 2, 3, 4, 5, 7, 8)]
            + [SchemeConfig("siso-general", K=4, n=n, a_min=lo, a_max=hi)
               for n in (1, 2) for lo, hi in LAWS]

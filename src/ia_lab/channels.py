@@ -139,6 +139,17 @@ class ExtendedChannel:
         return (self.blocks[..., k, j, :, :, :]
                 @ v.reshape(lead + (self.L, self.M, d))).reshape(lead + (self.dim, d))
 
+    def solve_adjoint(self, k: int, j: int, v: np.ndarray) -> np.ndarray:
+        """``matrix(k, j)^{-H} @ v`` for an (L*M) x d ``v``, from the blocks
+        alone: elementwise for M = 1, one batched solve with the blocks'
+        conjugate transposes otherwise."""
+        if self.M == 1:
+            return v / self.blocks[..., k, j, :, :, 0].conj()
+        lead, d = v.shape[:-2], v.shape[-1]
+        blocks = self.blocks[..., k, j, :, :, :].conj().swapaxes(-1, -2)
+        return np.linalg.solve(blocks, v.reshape(lead + (self.L, self.M, d))).reshape(
+            lead + (self.dim, d))
+
     def diagonal(self, k: int, j: int) -> np.ndarray:
         """Diagonal entries of one link's extended matrix (M = 1 only)."""
         if self.M != 1:

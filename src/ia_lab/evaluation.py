@@ -217,9 +217,64 @@ class RateTable:
 _View = namedtuple("_View", "ok sums point counts means")
 
 
-def _trial_seed(root_seed: int, trial: int) -> int:
-    ss = np.random.SeedSequence(root_seed, spawn_key=(trial,))
-    return int(ss.generate_state(1, np.uint64)[0])
+# numpy's SeedSequence, of whose spawned children _trial_seed takes one
+# uint64 of state without importing numpy.random
+_MASK32 = 0xFFFFFFFF
+
+
+def _hashmix(value: int, const: int, mult: int = 0x931E8875) -> tuple:
+    value ^= const
+    const = const * mult & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix(x: int, y: int) -> int:
+    value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _words(n: int) -> list:
+    """The 32-bit words of a nonnegative integer, least significant first."""
+    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _mixed(pool: list, const: int, words) -> tuple:
+    """(pool, hash constant) once ``words`` are mixed into every pool word."""
+    pool = list(pool)
+    for word in words:
+        for i in range(4):
+            hashed, const = _hashmix(word, const)
+            pool[i] = _mix(pool[i], hashed)
+    return pool, const
+
+
+def _root_pool(root: int) -> tuple:
+    """(pool, hash constant) of ``SeedSequence(root, spawn_key=...)`` once
+    its root, padded to the pool's 4 words as a spawn key has it, is mixed
+    in: what the trials of one root share."""
+    words = _words(root)
+    words += [0] * (4 - len(words))
+    pool, const = [], 0x43B0D7E5
+    for word in words[:4]:
+        hashed, const = _hashmix(word, const)
+        pool.append(hashed)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], hashed)
+    return _mixed(pool, const, words[4:])
+
+
+def _trial_seed(root_seed: int, trial: int, root_pool: tuple = None) -> int:
+    """``SeedSequence(root_seed, spawn_key=(trial,)).generate_state(1,
+    np.uint64)[0]``; ``root_pool`` is ``_root_pool(root_seed)`` when the
+    caller has it."""
+    pool, _ = _mixed(*(root_pool or _root_pool(root_seed)), _words(trial))
+    low, const = _hashmix(pool[0], 0x8B51F9DD, 0x58F38DED)
+    high, _ = _hashmix(pool[1], const, 0x58F38DED)
+    return low | high << 32
 
 
 def _trial_bytes(config: SchemeConfig) -> int:
@@ -253,7 +308,8 @@ def snr_sweep(config: SchemeConfig, snr_db, trials: int, seed: int) -> RateTable
         raise ParameterError("seed must fit in an unsigned 64-bit integer")
 
     rhos = [10.0 ** (snr / 10.0) for snr in grid]
-    seeds = [_trial_seed(seed, t) for t in range(trials)]
+    root = _root_pool(seed)
+    seeds = [_trial_seed(seed, t, root) for t in range(trials)]
     records = []
     for stack in config.build_trials(seeds):
         # seeds that share one build (a family that draws no channels)

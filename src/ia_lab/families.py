@@ -43,6 +43,10 @@ class Family:
     # fields, and "seed" for the channel seed of the families that draw
     # channels; the others have no effect on it
     reads: tuple
+    # K -> per receiver k, the transmitter j whose image H_kj span(V_j) spans
+    # k's interference once the relations hold, or None where k takes the
+    # dense complement of its interference; None if every receiver does
+    interference_image: Callable = None
 
 
 def _require(ok: bool, requirement: str) -> None:
@@ -127,13 +131,16 @@ FAMILIES = {
         default_M=1, extension=lambda c: (2 * c.n + 1, 3 * c.n + 1),
         channel_shape=lambda c: (3, 1, 2 * c.n + 1),
         build=_k3_build, relations=_k3_relations,
-        reads=("n", "a_min", "a_max", "seed")),
+        reads=("n", "a_min", "a_max", "seed"),
+        # the subset relations put receivers 2 and 3's interference in tx1's image
+        interference_image=lambda K: (None, 0, 0)),
     "siso-general": Family(
         check=lambda K, M: _require(K >= 3 and M == 1, "siso-general requires K>=3, M=1"),
         default_M=1, extension=_general_extension,
         channel_shape=lambda c: (c.K, 1, guarded_extension_general(c.K, c.n, c.size_cap)),
         build=_general_build, relations=_general_relations,
-        reads=("n", "a_min", "a_max", "size_cap", "seed")),
+        reads=("n", "a_min", "a_max", "size_cap", "seed"),
+        interference_image=lambda K: (None,) + (0,) * (K - 1)),
     "mimo": Family(
         check=lambda K, M: _require(K == 3 and M >= 2, "mimo requires K=3, M>=2"),
         # even M: M/2 streams each on one slot; odd M: M each over two

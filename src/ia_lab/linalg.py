@@ -2,9 +2,10 @@
 
 All rank decisions in the package go through one rule, ``_rank``, so a
 single tolerance convention applies: a singular value counts toward the rank
-iff it is at least ``tol`` times the largest one. As singular values come
-in descending order, the count walks each row from its tail and stops at
-the last value that counts. Columns are rescaled to unit norm first by
+iff it is at least ``tol`` times the largest one, or times a scale the
+caller knows (1 for a projection of unit-norm columns). As singular values
+come in descending order, the count walks each row from its tail and stops
+at the last value that counts. Columns are rescaled to unit norm first by
 default; rescaling by a nonzero scalar per column leaves the rank unchanged
 but greatly improves the spread of singular values when column norms differ
 by orders of magnitude (power-basis precoders do).
@@ -34,16 +35,18 @@ def equilibrate_columns(matrix: np.ndarray) -> np.ndarray:
     return a / safe
 
 
-def _rank(s: np.ndarray, tol: float):
+def _rank(s: np.ndarray, tol: float, scale: float = None):
     """Count of singular values ``s`` (descending) >= tol times the largest,
-    from the tail; zero for an empty or all-zero matrix. For the rows of a
-    (T, n) stack of them, an integer array of T counts."""
+    or times ``scale`` when given, from the tail; zero for an empty or
+    all-zero matrix. For the rows of a (T, n) stack of them, an integer
+    array of T counts."""
     counts = []
     # in Python floats, which compare as float64 do: cheaper than numpy
     # calls on the few values of a row
     for row in s.tolist() if s.ndim == 2 else [s.tolist()]:
         n = len(row) if row and row[0] > 0.0 else 0
-        while n and not row[n - 1] >= tol * row[0]:
+        cut = tol * (row[0] if scale is None else scale) if n else 0.0
+        while n and not row[n - 1] >= cut:
             n -= 1
         counts.append(n)
     return np.array(counts, dtype=int) if s.ndim == 2 else counts[0]

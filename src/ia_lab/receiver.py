@@ -2,31 +2,42 @@
 
 Two entry points share one pass over the receivers.
 :func:`check_alignment` verifies one scheme on one channel: at every
-receiver it measures the rank of the stacked interference, of the desired
-signal, and of both together, and it evaluates the family-specific
+receiver it measures the rank of the desired signal, of the stacked
+interference, and of the desired signal projected onto the orthogonal
+complement of the interference, and it evaluates the family-specific
 alignment relations (exact equalities, column-subset containments, span
 equalities). :func:`zf_rates` gives the zero-forcing rates of a stack of
-trials over one power grid: projecting onto the orthogonal complement of
-the interference span keeps the noise white, so a receiver's rate is a
-log-det over its projected effective channel. Channel products go through
-``ExtendedChannel.apply``, which never forms dense block-diagonal matrices.
+trials over one power grid: the projection keeps the noise white, so a
+receiver's rate is a log-det over its projected effective channel. Channel
+products go through ``ExtendedChannel.apply``, which never forms dense
+block-diagonal matrices.
+
+Zero forcing succeeds at receiver k iff its equilibrated desired columns
+keep rank d_k after the projection (:func:`zf_ok`; a report's joint rank
+is the interference rank plus that projected rank), their singular values
+counted from RANK_TOL times 1, the unprojected scale, so that a desired
+signal inside the interference counts nothing. Where a family names the
+transmitter j whose image spans receiver k's interference once its
+relations hold (``Family.interference_image``), k's complement is
+H_kj^{-H} span(V_j)^perp: one full-U SVD of V_j per stack, shared by its
+receivers, a diagonal solve and a thin QR; the relations are still
+evaluated. Every other receiver takes the full-U SVD of its interference.
 
 The pass runs over a stack of trials of one family and shape, as a stacked
 build gives them, or over one trial as the stack of one. Each link's
 product H_kj V_j is formed once per stack, into receiver k's array of all
-its products, of which the desired, interference and joint matrices, the
-gain projection and the family relations read views. Receivers of one shape
+its products, of which the desired and interference matrices, the gain
+projection and the family relations read views. Receivers of one shape
 share each batched SVD, over (receiver, trial) rows cut into batches of
 STACK_BYTES, so a trial above that budget walks its receivers one at a
-time, and each batch is equilibrated once, its desired, joint and
-interference SVDs reading column views of it; then the relations at a
+time, and each batch is equilibrated once; then the relations at a
 receiver are evaluated, those of one kind and operand shape in one residual
 call. The verdicts are arrays: ranks per (receiver, trial) and residuals
-per (relation, trial), and the pass mask follows from them by one rule,
-:func:`zf_ok`. :func:`check_alignment` builds its report from its one
-trial's column; :func:`zf_rates` drops a failing trial after its batch and
-takes its gains from the same full-U interference SVD that gives the
-ranks. Every trial gets, bit for bit, the answer it gets alone, and the
+per (relation, trial), and the pass mask follows from them.
+:func:`check_alignment` builds its report from its one trial's column, and
+only it measures desired ranks; :func:`zf_rates` drops a failing trial
+after its batch and takes its gains from the complement that gives the
+verdict. Every trial gets, bit for bit, the answer it gets alone, and the
 whole power grid takes one broadcast per stream count.
 """
 
@@ -41,9 +52,8 @@ import numpy as np
 from .channels import ExtendedChannel
 from .errors import ParameterError, ShapeError
 from .families import get_family
-from .linalg import (RANK_TOL, complement_and_rank, equality_residual,
-                     equilibrate_columns, numerical_rank, span_residual,
-                     subset_residual)
+from .linalg import (RANK_TOL, _rank, complement_and_rank, equality_residual,
+                     equilibrate_columns, span_residual, subset_residual)
 from .schemes import PrecoderScheme
 
 RESIDUAL_TOL = 1e-9
@@ -78,14 +88,15 @@ class ReceiverCheck:
 
     @property
     def ok(self) -> bool:
-        return zf_ok(self.desired_streams, self.desired_rank, self.interference_rank,
-                     self.joint_rank)
+        return zf_ok(self.desired_streams, self.interference_rank, self.joint_rank)
 
 
-def zf_ok(streams, desired_rank, interference_rank, joint_rank):
-    """Whether zero forcing succeeds at a receiver, elementwise: the joint
-    rank exceeds the interference rank by exactly the stream count d_k."""
-    return (desired_rank == streams) & (joint_rank == interference_rank + streams)
+def zf_ok(streams, interference_rank, joint_rank):
+    """Whether zero forcing succeeds at a receiver, elementwise: the desired
+    signal keeps rank d_k after projection onto the complement of the
+    interference, so the joint rank (interference rank plus projected rank)
+    exceeds the interference rank by exactly the stream count d_k."""
+    return joint_rank == interference_rank + streams
 
 
 @dataclass(frozen=True)
@@ -145,7 +156,8 @@ def _pass(scheme, ext, with_gains, rank_tol=RANK_TOL, residual_tol=RESIDUAL_TOL,
     every trial shares. ``ranks[:, k, t]`` holds the desired, interference
     and joint ranks at receiver k in trial t, and ``residuals[i, t]`` the
     residual of the family's relation i; an entry the pass did not reach
-    is -1 or nan. ``passed`` masks the trials that pass every check and
+    is -1 or nan, and so is every desired rank of a pass with gains, which
+    does not need it. ``passed`` masks the trials that pass every check and
     relation. Each receiver's products (its own streams first, through
     unit-norm columns for gains, then the others' in order) live from the
     first batch that reaches it until its relations are evaluated.
@@ -173,7 +185,9 @@ def _pass(scheme, ext, with_gains, rank_tol=RANK_TOL, residual_tol=RESIDUAL_TOL,
                     k, j, equilibrate_columns(v) if j == k and with_gains else v)
         return products[k]
 
-    listed = list(get_family(scheme.family).relations(K))
+    family = get_family(scheme.family)
+    image = family.interference_image(K) if family.interference_image else (None,) * K
+    listed = list(family.relations(K))
     # built per call from the module names, so whatever rebinds them sees it
     residual = {"equality": equality_residual, "subset": subset_residual,
                 "span": span_residual}
@@ -207,6 +221,16 @@ def _pass(scheme, ext, with_gains, rank_tol=RANK_TOL, residual_tol=RESIDUAL_TOL,
                 for t, ok in zip(rows, (out <= tol).all(axis=0).tolist()):
                     passed[t] = passed[t] and ok
 
+    spans = {}
+
+    def image_complement(j):
+        """complement_and_rank of transmitter j's equilibrated precoders,
+        taken once per stack for every receiver whose interference is its
+        image."""
+        if j not in spans:
+            spans[j] = complement_and_rank(equilibrate_columns(scheme.precoders[j]), rank_tol)
+        return spans[j]
+
     groups = {}
     for k in range(K):
         groups.setdefault((d[k], streams - d[k]), []).append(k)
@@ -218,7 +242,8 @@ def _pass(scheme, ext, with_gains, rank_tol=RANK_TOL, residual_tol=RESIDUAL_TOL,
             done += len(batch)
             batch = [(k, t) for k, t in batch if passed[t] or not with_gains]
             if batch:
-                _check(batch, joint, T, dk, rank_tol, ranks, passed, gains)
+                _check(batch, joint, ext, T, dk, image, image_complement, rank_tol, ranks,
+                       passed, gains)
             # receivers whose every row has been checked
             completed = [k for k in members[:done // T] if products[k] is not None]
             relate(completed)
@@ -227,14 +252,27 @@ def _pass(scheme, ext, with_gains, rank_tol=RANK_TOL, residual_tol=RESIDUAL_TOL,
     return ranks, residuals, np.array(passed, dtype=bool), gains
 
 
-def _check(batch, joint, T, dk, rank_tol, ranks, passed, gains) -> None:
+def _by_rank(ranks) -> dict:
+    """Positions of an array of ``ranks`` by rank, in order."""
+    out = {}
+    for p, r in enumerate(ranks.tolist()):
+        out.setdefault(r, []).append(p)
+    return out
+
+
+def _check(batch, joint, ext, T, dk, image, image_complement, rank_tol, ranks, passed,
+           gains) -> None:
     """Check the (receiver k, trial t) rows of a batch, ``joint(k)`` being
     receiver k's (T, dim, streams) products, desired streams first: set their
     ``ranks``, clear ``passed`` for each failing trial and set the gains of
     the others (unless gains is None).
 
-    Its matrices live only for this call, so that dropping a receiver's
-    products frees them."""
+    Where ``image[k]`` names a transmitter j, a row's complement is
+    ext's H_kj^{-H} applied to the columns past the rank of
+    ``image_complement(j)``, orthonormalized; otherwise it comes from the
+    full-U SVD of the row's equilibrated interference. The verdict and the
+    gains project onto it. Its matrices live only for this call, so that
+    dropping a receiver's products frees them."""
     trials = {}
     for k, t in batch:
         trials.setdefault(k, []).append(t)
@@ -243,40 +281,49 @@ def _check(batch, joint, T, dk, rank_tol, ranks, passed, gains) -> None:
     J = parts[0] if len(parts) == 1 else np.concatenate(parts)
     # each column is scaled alone, so every SVD reads columns of one equilibration
     E = equilibrate_columns(J)
-    desired_rank = numerical_rank(E[..., :dk], rank_tol, equilibrate=False)
-    joint_rank = numerical_rank(E, rank_tol, equilibrate=False)
-    if gains is not None:
-        u, interference_rank = complement_and_rank(E[..., dk:], rank_tol)
-    else:
-        interference_rank = numerical_rank(E[..., dk:], rank_tol, equilibrate=False)
     ks, ts = zip(*batch)
-    ranks[:, ks, ts] = desired_rank, interference_rank, joint_rank
-    for t, ok in zip(ts, zf_ok(dk, desired_rank, interference_rank, joint_rank).tolist()):
-        passed[t] = passed[t] and ok
-    if gains is not None:
-        _project(batch, [p for p, t in enumerate(ts) if passed[t]], J[..., :dk], u,
-                 interference_rank.tolist(), gains)
-
-
-def _project(batch, passing, desired, u, ranks, gains) -> None:
-    """Set ``gains[k][t]`` for the rows ``passing`` of a batch of (k, t)
-    rows, given their desired matrices (through unit-norm precoder columns)
-    and the left singular bases ``u`` of their interference, whose columns
-    from its rank in ``ranks`` on span its complement: one batched SVD per
-    interference rank.
-
-    A passing check leaves dim - interference rank >= joint rank -
-    interference rank = d_k basis columns for the desired streams.
-    """
-    by_rank = {}
-    for p in passing:
-        by_rank.setdefault(ranks[p], []).append(p)
-    for r, group in by_rank.items():
-        basis = u[group, :, r:]
-        projected = basis.conj().swapaxes(-1, -2) @ desired[group]
-        for p, g in zip(group, np.linalg.svd(projected, compute_uv=False) ** 2):
-            k, t = batch[p]
-            gains[k][t] = g
+    if gains is None:
+        ranks[0, ks, ts] = _rank(np.linalg.svd(E[..., :dk], compute_uv=False), rank_tol)
+    groups = []  # (rows of the batch, bases of their complements, interference rank)
+    dense = [p for p, k in enumerate(ks) if image[k] is None]
+    if dense:
+        whole = len(dense) == len(batch)
+        u, interference = complement_and_rank(E[..., dk:] if whole else E[dense, :, dk:],
+                                              rank_tol)
+        groups += [([dense[i] for i in rows], u[rows, :, r:], r)
+                   for r, rows in _by_rank(interference).items()]
+    # the other rows by image and its rank, each group's receivers in one QR
+    structured = {}
+    at = 0
+    for k, kts in trials.items():
+        if image[k] is not None:
+            for r, rows in _by_rank(image_complement(image[k])[1][kts]).items():
+                structured.setdefault((image[k], r), []).append((k, [at + p for p in rows]))
+        at += len(kts)
+    for (j, r), members in structured.items():
+        u = image_complement(j)[0]
+        scaled = []
+        for k, rows in members:
+            chosen = [ts[p] for p in rows]
+            whole = len(chosen) == T
+            scaled.append((ext if whole else ext[chosen]).solve_adjoint(
+                k, j, (u if whole else u[chosen])[..., r:]))
+        scaled = scaled[0] if len(scaled) == 1 else np.concatenate(scaled)
+        groups.append(([p for _, rows in members for p in rows], np.linalg.qr(scaled)[0], r))
+    for rows, basis, r in groups:
+        projected = basis.conj().swapaxes(-1, -2) @ E[rows, :, :dk]
+        joint_rank = r + _rank(np.linalg.svd(projected, compute_uv=False), rank_tol, 1.0)
+        rks, rts = [ks[p] for p in rows], [ts[p] for p in rows]
+        ranks[1, rks, rts], ranks[2, rks, rts] = r, joint_rank
+        for t, ok in zip(rts, zf_ok(dk, r, joint_rank).tolist()):
+            passed[t] = passed[t] and ok
+        chosen = [i for i, t in enumerate(rts) if passed[t]]
+        if gains is not None and chosen:
+            # a passing row's basis has dim - r >= d_k columns for its streams
+            basis = basis if len(chosen) == len(rows) else basis[chosen]
+            effective = basis.conj().swapaxes(-1, -2) @ J[[rows[i] for i in chosen], :, :dk]
+            for i, g in zip(chosen, np.linalg.svd(effective, compute_uv=False) ** 2):
+                gains[rks[i]][rts[i]] = g
 
 
 def _check_dimensions(scheme, ext) -> None:
@@ -299,7 +346,8 @@ def check_alignment(scheme: PrecoderScheme, ext: ExtendedChannel,
     its extended channel (or any channel of matching dimensions).
 
     Singular values below ``rank_tol`` times the largest do not count toward
-    a rank; ``residual_tol`` bounds equality and subset residuals,
+    a rank, nor those of a projected desired signal below ``rank_tol``
+    times 1; ``residual_tol`` bounds equality and subset residuals,
     ``span_tol`` the sine of a span equality's largest principal angle.
     ``report.passed`` is True iff every receiver check and relation holds.
     """

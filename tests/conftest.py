@@ -19,6 +19,16 @@ def interference_at(scheme, ext, k):
                       for j in range(scheme.K) if j != k])
 
 
+def corrupt(scheme, seed):
+    """Transmitter 2's precoder replaced by a random one: receiver 1 then
+    sees unaligned interference and its check fails."""
+    rng = np.random.default_rng(seed)
+    v = scheme.precoders[1]
+    broken = rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)
+    return dataclasses.replace(
+        scheme, precoders=(scheme.precoders[0], broken) + scheme.precoders[2:])
+
+
 def stacked(pairs):
     """One stacked (scheme, ext) of one-trial pairs of one family and shape;
     each precoder keeps its memory layout in its row."""
@@ -30,13 +40,19 @@ def stacked(pairs):
 
 def pass_checks(scheme, ext, ranks, t=0):
     """Trial t's ReceiverChecks from the rank arrays of a receiver pass, in
-    receiver order, up to its first failing or unreached receiver."""
+    receiver order, up to its first failing or unreached receiver; a pass
+    with gains leaves every desired rank at -1."""
     out = []
     for k, (desired, interference, joint) in enumerate(ranks[..., t].T.tolist()):
-        if desired < 0:
+        if interference < 0:
             break
         out.append(ReceiverCheck(k, scheme.stream_counts[k], desired, interference, joint,
                                  ext.dim))
         if not out[-1].ok:
             break
     return tuple(out)
+
+
+def without_desired(checks):
+    """ReceiverChecks with the desired rank a pass with gains leaves at -1."""
+    return tuple(dataclasses.replace(check, desired_rank=-1) for check in checks)

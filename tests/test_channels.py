@@ -163,6 +163,21 @@ def test_apply_matches_dense_product(M, mode):
                 assert np.linalg.norm(got - dense) <= 1e-14 * np.linalg.norm(dense)
 
 
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_solve_adjoint_inverts_the_adjoint_product(M):
+    # one extension and a stack of two, with v stacked alike
+    channels = generate_channels(3, M, 4, seed=[13, 14])
+    rng = np.random.default_rng(7)
+    for ext in (extend_channel(channels[0], 4), extend_channel(channels, 4)):
+        lead = ext.blocks.shape[:-5]
+        v = rng.normal(size=lead + (ext.dim, 3)) + 1j * rng.normal(size=lead + (ext.dim, 3))
+        for k, j in ((0, 0), (1, 0), (2, 1)):
+            got = ext.solve_adjoint(k, j, v)
+            assert got.shape == v.shape
+            back = ext.matrix(k, j).conj().swapaxes(-1, -2) @ got
+            assert np.linalg.norm(back - v) <= 1e-13 * np.linalg.norm(v)
+
+
 def test_frequency_extension_needs_enough_slots():
     ch = generate_channels(3, 1, 3, seed=0)
     with pytest.raises(ParameterError):

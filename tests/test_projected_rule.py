@@ -1,0 +1,179 @@
+"""Zero forcing is decided on the projected desired channel, and siso
+receivers 2..K take their complements from the alignment the relations
+verify.
+
+Receiver k passes iff its equilibrated desired columns, projected onto the
+complement of its interference, keep rank d_k, counted from RANK_TOL times
+1. The rule this replaced also asked for a desired rank of d_k and a joint
+rank of the interference rank plus d_k, each counted from its own largest
+singular value; it is re-implemented here as the oracle. In exact
+arithmetic the two agree, so the new rule may only turn receivers that
+lose a power-basis rank decision from fail to pass, never the other way.
+
+At siso receivers 2..K the interference spans H_k1 span(V_1) once the
+relations hold, so its complement is H_k1^{-H} span(V_1)^perp. The dense
+complement of the interference, which every receiver takes when the
+family's ``interference_image`` is None, is the oracle for it.
+"""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+import ia_lab.families
+from ia_lab import (SchemeConfig, check_alignment, demonstrate_diagonal_infeasibility,
+                    snr_sweep, zf_rates)
+from ia_lab.cli import main
+from ia_lab.evaluation import TRIAL_ERRORS, _trial_seed
+from ia_lab.linalg import equilibrate_columns, numerical_rank
+from ia_lab.receiver import _pass
+
+LARGE_DEFAULT = SchemeConfig("siso-general", K=4, n=2)
+LARGE_UNIT = SchemeConfig("siso-general", K=4, n=2, a_min=1.0, a_max=1.0)
+
+
+def old_rule(scheme, ext):
+    """Per receiver, whether the joint-rank rule passes it: desired rank d_k
+    and joint rank = interference rank + d_k, each part a column view of
+    one equilibration of the receiver's products."""
+    out = []
+    for k in range(scheme.K):
+        order = [k] + [j for j in range(scheme.K) if j != k]
+        E = equilibrate_columns(np.hstack([ext.apply(k, j, scheme.precoders[j])
+                                           for j in order]))
+        dk = scheme.stream_counts[k]
+        desired, interference, joint = (numerical_rank(part, equilibrate=False)
+                                        for part in (E[:, :dk], E[:, dk:], E))
+        out.append(desired == dk and joint == interference + dk)
+    return out
+
+
+# configuration, seeds, and the trials whose verdict flips from fail to pass
+COMPARISON = {
+    "siso-k3 n=1": (SchemeConfig("siso-k3", n=1), range(40), []),
+    "siso-k3 n=3": (SchemeConfig("siso-k3", n=3), range(40), []),
+    "siso-k3 n=5": (SchemeConfig("siso-k3", n=5), range(40), []),
+    "siso-k3 n=8": (SchemeConfig("siso-k3", n=8), range(40), [3, 17, 22, 23, 37]),
+    "siso-general K=3 n=2": (SchemeConfig("siso-general", K=3, n=2), range(40), []),
+    "siso-general K=4 n=1": (SchemeConfig("siso-general", K=4, n=1), range(40), []),
+    "siso-general K=4 n=2 default": (LARGE_DEFAULT, range(8), [0, 1, 2]),
+    "siso-general K=4 n=2 unit": (LARGE_UNIT, range(8), []),
+}
+
+
+@pytest.mark.parametrize("label", list(COMPARISON))
+def test_no_receiver_that_passes_the_joint_rank_rule_fails(label):
+    config, seeds, flips = COMPARISON[label]
+    flipped = []
+    for seed in seeds:
+        try:
+            scheme, ext = config.build(seed)
+        except TRIAL_ERRORS:
+            continue
+        report = check_alignment(scheme, ext)
+        old = old_rule(scheme, ext)
+        new = [rx.ok for rx in report.receivers]
+        assert all(n for o, n in zip(old, new) if o), seed
+        relations = all(r.ok for r in report.relations)
+        if report.passed != (all(old) and relations):
+            flipped.append(seed)
+    assert flipped == flips
+
+
+def test_large_pool_trials_that_flip_pass_and_the_rest_still_fail():
+    # one trial per root, as the large benchmark workload sweeps them
+    ok = {root: snr_sweep(LARGE_DEFAULT, [160.0, 200.0], 1, root).records[0].status == "ok"
+          for root in range(1000, 1006)}
+    assert ok == {1000: True, 1001: True, 1002: True, 1003: True, 1004: False, 1005: False}
+    # root 1004's build fails; root 1005's receiver 1 fails either way
+    scheme, ext = LARGE_DEFAULT.build(_trial_seed(1005, 0))
+    assert old_rule(scheme, ext)[0] is False
+    assert not check_alignment(scheme, ext).receivers[0].ok
+
+
+def test_siso_k3_n8_seeds_that_flip_now_pass():
+    config = SchemeConfig("siso-k3", n=8)
+    for seed in COMPARISON["siso-k3 n=8"][2]:
+        scheme, ext = config.build(seed)
+        assert not all(old_rule(scheme, ext))
+        assert check_alignment(scheme, ext).passed
+        [rates] = zf_rates(scheme, ext, [1e16])
+        assert rates is not None and np.all(np.isfinite(rates))
+
+
+def test_verify_exits_zero_on_a_flipped_large_seed(capsys):
+    code = main(["verify", "--scheme", "siso-general", "--k", "4", "--n", "2",
+                 "--seed", str(_trial_seed(1000, 0))])
+    out = capsys.readouterr().out
+    assert code == 0 and json.loads(out)["passed"] is True
+
+
+def test_a_desired_signal_inside_the_interference_counts_nothing():
+    # the diagonal probe piles desired signal and interference onto shared
+    # lines: its projection is about 1e-16, far below RANK_TOL times 1
+    for M in (2, 4):
+        rx = demonstrate_diagonal_infeasibility(M, seed=3).receivers[0]
+        assert rx.joint_rank == rx.interference_rank == M // 2 and not rx.ok
+
+
+# configuration, seeds, and the bound on |log2 g - log2 g_dense| of the gains
+ORACLE = {
+    "siso-k3 n=1": (SchemeConfig("siso-k3", n=1), range(8), 1e-10),
+    "siso-k3 n=2": (SchemeConfig("siso-k3", n=2), range(8), 1e-10),
+    "siso-k3 n=3": (SchemeConfig("siso-k3", n=3), range(8), 1e-10),
+    "siso-k3 n=8": (SchemeConfig("siso-k3", n=8), range(24), 1e-7),
+    "siso-general K=3 n=1": (SchemeConfig("siso-general", K=3, n=1), range(8), 1e-10),
+    "siso-general K=4 n=1": (SchemeConfig("siso-general", K=4, n=1), range(8), 1e-10),
+    "mimo M=2": (SchemeConfig("mimo", M=2), range(8), 0.0),
+    "mimo M=3": (SchemeConfig("mimo", M=3), range(8), 0.0),
+    "designed K=3": (SchemeConfig("designed", K=3), range(1), 0.0),
+    # the two L=275 golden seeds of test_shared_pass.py
+    "siso-general K=4 n=2 unit": (LARGE_UNIT, [0], 1e-7),
+    "siso-general K=4 n=2 default": (LARGE_DEFAULT, [_trial_seed(1002, 0)], 1e-7),
+}
+
+
+def dense(monkeypatch, family):
+    """The family with every receiver taking the dense complement."""
+    monkeypatch.setitem(ia_lab.families.FAMILIES, family, dataclasses.replace(
+        ia_lab.families.FAMILIES[family], interference_image=None))
+
+
+@pytest.mark.parametrize("label", list(ORACLE))
+def test_structured_complements_agree_with_the_dense_pass(monkeypatch, label):
+    config, seeds, bound = ORACLE[label]
+    trials = [config.build(seed) for seed in seeds]
+    structured = [(check_alignment(*trial), _pass(trial[0][None], trial[1], True))
+                  for trial in trials]
+    dense(monkeypatch, config.family)
+    for (scheme, ext), (report, (_, _, passed, gains)) in zip(trials, structured):
+        dense_report = check_alignment(scheme, ext)
+        _, _, dense_passed, dense_gains = _pass(scheme[None], ext, True)
+        assert report.passed == dense_report.passed
+        assert [rx.ok for rx in report.receivers] == [rx.ok for rx in dense_report.receivers]
+        assert passed.tolist() == dense_passed.tolist()
+        if passed[0]:
+            # where the relations hold, the image's rank is the interference's
+            assert report.receivers == dense_report.receivers
+            for g, g_dense in zip(gains, dense_gains):
+                assert np.max(np.abs(np.log2(g[0]) - np.log2(g_dense[0]))) <= bound
+
+
+def test_a_short_rank_image_gives_the_dense_complement(monkeypatch):
+    # transmitter 1 sends its second power column twice, first and second:
+    # its rank is short, and its complement has more columns than its
+    # precoder's rows leave. The relations still hold, and receivers 2 and 3
+    # see the interference the dense pass sees, while receiver 1 loses a
+    # stream
+    scheme, ext = SchemeConfig("siso-k3", n=2).build(4)
+    v = scheme.precoders[0]
+    scheme = dataclasses.replace(scheme, precoders=(np.hstack([v[:, 1:2], v]),)
+                                 + scheme.precoders[1:])
+    report = check_alignment(scheme, ext)
+    dense(monkeypatch, "siso-k3")
+    assert report == check_alignment(scheme, ext)
+    assert [rx.ok for rx in report.receivers] == [False, True, True]
+    assert all(r.ok for r in report.relations)
+    assert [rx.interference_rank for rx in report.receivers][1:] == [3, 3]

@@ -1,32 +1,39 @@
 """The rank rule and the one equilibration it reads at a receiver.
 
 ``_rank`` counts each descending row of singular values from its tail; it
-must give the counting rule's answer, value by value, on every row. The
-receiver pass equilibrates each batch's joint products once and takes the
-desired, joint and interference SVDs on column views of them; since each
-column is scaled alone, that must give the ranks and reports of
-equilibrating each part on its own, and the same singular values bit for
-bit wherever a part has two or more columns (numpy may sum a one-column
-part's norm pairwise, which cannot change a one-column rank).
+must give the counting rule's answer, value by value, on every row, from
+the row's largest value or from a given scale. The receiver pass
+equilibrates each batch's joint products once and takes the desired and
+interference SVDs, and the projection of the desired columns onto the
+interference's complement, on column views of them; since each column is
+scaled alone, that must give the ranks and reports of equilibrating each
+part on its own, and the same singular values bit for bit wherever a part
+has two or more columns (numpy may sum a one-column part's norm pairwise,
+which cannot change a one-column rank).
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ia_lab.families
 from ia_lab import SchemeConfig, check_alignment
 from ia_lab.evaluation import _trial_seed
 from ia_lab.linalg import (RANK_TOL, _rank, complement_and_rank, equilibrate_columns,
                            numerical_rank)
 from ia_lab.receiver import ReceiverCheck, _pass
 
-from conftest import pass_checks
+from conftest import corrupt, pass_checks, without_desired
 
 
-def counted(row, tol):
-    """The counting rule: every value of the row >= tol times its first."""
-    return sum(x >= tol * row[0] for x in row) if row and row[0] > 0.0 else 0
+def counted(row, tol, scale=None):
+    """The counting rule: every value of the row >= tol times its first, or
+    times ``scale`` when given."""
+    cut = tol * (row[0] if scale is None else scale) if row else 0.0
+    return sum(x >= cut for x in row) if row and row[0] > 0.0 else 0
 
 
 @st.composite
@@ -47,15 +54,15 @@ def descending_stacks(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(descending_stacks())
-def test_tail_count_is_the_counting_rule(case):
+@given(descending_stacks(), st.sampled_from([None, 1.0, 0.5, 3.0, 1e300]))
+def test_tail_count_is_the_counting_rule(case, scale):
     s, tol = case
-    expected = [counted(row, tol) for row in s.tolist()]
-    ranks = _rank(s, tol)
+    expected = [counted(row, tol, scale) for row in s.tolist()]
+    ranks = _rank(s, tol, scale)
     assert ranks.dtype == int and ranks.shape == (len(s),)
     assert ranks.tolist() == expected
     for row, count in zip(s, expected):
-        alone = _rank(row, tol)
+        alone = _rank(row, tol, scale)
         assert type(alone) is int and alone == count
 
 
@@ -69,6 +76,11 @@ def test_tail_count_on_edge_rows():
     row = np.array([3.0, 1.0, cut, np.nextafter(cut, 0.0), 0.0])
     assert _rank(row, RANK_TOL) == 3
     assert _rank(row[None], RANK_TOL).tolist() == [3]
+    # from a scale of 1, as a projection of unit-norm columns counts: a
+    # value at 1e-16 (a desired signal inside the interference) counts nothing
+    assert _rank(np.array([0.5, RANK_TOL, np.nextafter(RANK_TOL, 0.0)]), RANK_TOL, 1.0) == 2
+    assert _rank(np.array([1e-16, 1e-17]), RANK_TOL, 1.0) == 0
+    assert _rank(np.array([1e-16, 1e-17]), RANK_TOL) == 2
 
 
 CONFIGS = {
@@ -91,6 +103,9 @@ CONFIGS = {
     "siso-general K=4 n=2 default": (
         SchemeConfig("siso-general", K=4, n=2), [_trial_seed(1002, 0)]),
 }
+# trials built and then broken on purpose, so that receiver 1 fails
+CONFIGS.update({f"{label} broken": CONFIGS[label]
+                for label in ("siso-k3 n=3", "mimo M=3", "siso-general K=4 n=2 default")})
 
 
 def joint_products(scheme, ext, k, unit_desired):
@@ -110,29 +125,42 @@ def joint_products(scheme, ext, k, unit_desired):
 
 
 def per_part_checks(scheme, ext):
-    """Each receiver's check with each part equilibrated on its own."""
+    """Each receiver's check with each part equilibrated on its own: the
+    desired rank, the interference rank, and that plus the rank, from a
+    scale of 1, of the desired part projected onto the interference's
+    complement."""
     out = []
     for k in range(scheme.K):
         J = joint_products(scheme, ext, k, False)
         dk = scheme.stream_counts[k]
-        out.append(ReceiverCheck(k, dk, numerical_rank(J[..., :dk])[0],
-                                 numerical_rank(J[..., dk:])[0], numerical_rank(J)[0],
-                                 ext.dim))
+        u, rank = complement_and_rank(equilibrate_columns(J[..., dk:]))
+        projected = u[..., rank[0]:].conj().swapaxes(-1, -2) @ equilibrate_columns(
+            J[..., :dk])
+        kept = _rank(np.linalg.svd(projected, compute_uv=False), RANK_TOL, 1.0)
+        out.append(ReceiverCheck(k, dk, numerical_rank(J[..., :dk])[0], rank[0],
+                                 rank[0] + kept[0], ext.dim))
     return tuple(out)
 
 
 @pytest.mark.parametrize("label", list(CONFIGS))
-def test_one_equilibration_equals_one_per_part(label):
+def test_one_equilibration_equals_one_per_part(monkeypatch, label):
+    # every receiver takes the dense complement of its interference, which
+    # is what the parts give on their own
+    for name, family in list(ia_lab.families.FAMILIES.items()):
+        monkeypatch.setitem(ia_lab.families.FAMILIES, name,
+                            dataclasses.replace(family, interference_image=None))
     config, seeds = CONFIGS[label]
     for seed in seeds:
         scheme, ext = config.build(seed)
+        broken = label.endswith(" broken")
+        if broken:
+            scheme = corrupt(scheme, seed)
         for unit_desired in (False, True):
             for k in range(scheme.K):
                 J = joint_products(scheme, ext, k, unit_desired)
                 dk = scheme.stream_counts[k]
                 E = equilibrate_columns(J)
-                for view, part in ((E[..., :dk], J[..., :dk]), (E, J),
-                                   (E[..., dk:], J[..., dk:])):
+                for view, part in ((E[..., :dk], J[..., :dk]), (E[..., dk:], J[..., dk:])):
                     s_view = np.linalg.svd(view, compute_uv=False)
                     s_part = np.linalg.svd(equilibrate_columns(part), compute_uv=False)
                     assert _rank(s_view, RANK_TOL).tolist() == _rank(s_part,
@@ -146,6 +174,7 @@ def test_one_equilibration_equals_one_per_part(label):
                 assert u.tobytes() == u_alone.tobytes()
         report = check_alignment(scheme, ext)
         assert report.receivers == per_part_checks(scheme, ext)
+        assert report.passed == (not broken)
         ranks, _, _, _ = _pass(scheme[None], ext, True)
         checks = pass_checks(scheme, ext, ranks)
-        assert checks == report.receivers[:len(checks)]
+        assert checks == without_desired(report.receivers[:len(checks)])

@@ -25,7 +25,7 @@ from ia_lab.evaluation import TRIAL_ERRORS, BuiltStack, _trial_seed
 from ia_lab.linalg import orthonormal_complement
 from ia_lab.receiver import _pass, check_alignment, zf_ok
 
-from conftest import stacked
+from conftest import corrupt, stacked
 
 CONFIGS = {
     "siso-k3 n=1": SchemeConfig("siso-k3", n=1),
@@ -151,16 +151,6 @@ def test_the_large_case_is_cut_to_one_trial_per_stack():
     # an L=275 trial alone exceeds the budget, so it is built alone
     config = SchemeConfig("siso-general", K=4, n=2)
     assert ia_lab.evaluation._trial_bytes(config) > ia_lab.evaluation.STACK_BYTES
-
-
-def corrupt(scheme, seed):
-    """Transmitter 2's precoder replaced by a random one: receiver 1 then
-    sees unaligned interference and its check fails."""
-    rng = np.random.default_rng(seed)
-    v = scheme.precoders[1]
-    broken = rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)
-    return dataclasses.replace(
-        scheme, precoders=(scheme.precoders[0], broken) + scheme.precoders[2:])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -516,18 +506,19 @@ def test_receiver_stage_svd_calls_do_not_grow_with_trials(monkeypatch, M):
         assert passed.all()
         counts.append(len(calls))
         calls.clear()
-    # the 3 receivers share one shape, so one call each for the desired,
-    # joint and interference SVDs and one projection (all trials share
-    # their interference ranks), not one of each per receiver; then one for
-    # the span relation's bases of both sides and one for its residual's norm
-    assert counts == [6, 6, 6]
+    # the 3 receivers share one shape, so one call for the interference SVD
+    # and one each for the projection the verdict and the gains read (all
+    # trials share their interference ranks), not one of each per receiver;
+    # then one for the span relation's bases of both sides and one for its
+    # residual's norm
+    assert counts == [5, 5, 5]
 
 
 def test_no_receiver_after_a_failed_check_in_a_stack():
     k3, ext = CONFIGS["siso-k3 n=1"].build(4)
     scheme, ext = stacked([(corrupt(k3, 4), ext), (k3, ext)])
     ranks, _, passed, gains = _pass(scheme, ext, True)
-    ok = zf_ok(np.array(scheme.stream_counts)[:, None], *ranks)
+    ok = zf_ok(np.array(scheme.stream_counts)[:, None], *ranks[1:])
     # the bad trial fails receiver 1 and reaches no other
     assert not ok[0, 0] and np.all(ranks[:, 1:, 0] == -1)
     assert ok[:, 1].all()
@@ -535,7 +526,9 @@ def test_no_receiver_after_a_failed_check_in_a_stack():
     # the checks without gains keep every trial to the last receiver
     full, _, _, _ = _pass(scheme, ext, False)
     assert np.all(full >= 0)
-    assert np.array_equal(full[:, 0, 0], ranks[:, 0, 0])
+    # a pass with gains leaves the desired ranks to check_alignment
+    assert np.all(ranks[0] == -1)
+    assert np.array_equal(full[1:, 0, 0], ranks[1:, 0, 0])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -574,7 +567,7 @@ def test_a_stacks_rates_equal_each_trial_alone(label):
     ranks, _, passed, _ = _pass(scheme, ext, True)
     assert passed.tolist() == [True, True, False, True, True]
     # the failing trial fails its first receiver
-    assert not zf_ok(scheme.stream_counts[0], *ranks[:, 0, 2])
+    assert not zf_ok(scheme.stream_counts[0], *ranks[1:, 0, 2])
     for t, rates in enumerate(out):
         [alone] = zf_rates(scheme[t], ext[t], RHOS)
         assert (rates is None) == (alone is None)
@@ -586,9 +579,12 @@ def test_a_stacks_rates_equal_each_trial_alone(label):
 
 def test_an_over_budget_trial_stops_at_its_failing_receiver(monkeypatch):
     # a default-law L=275 trial (sweep root 1002 of the large benchmark
-    # workload) whose receiver 2 fails: its receivers go one at a time
+    # workload), broken so that receiver 1 fails: its receivers go one at a
+    # time, and the pass stops at the first
     config = SchemeConfig("siso-general", K=4, n=2)
-    scheme, ext = one_stack(config, [_trial_seed(1002, 0)])
+    seed = _trial_seed(1002, 0)
+    scheme, ext = one_stack(config, [seed])
+    scheme = corrupt(scheme, seed)
     shapes = []
     svd = np.linalg.svd
 
@@ -598,12 +594,12 @@ def test_an_over_budget_trial_stops_at_its_failing_receiver(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     ranks, _, passed, _ = _pass(scheme, ext, True)
-    ok = zf_ok(np.array(scheme.stream_counts), *ranks[..., 0])
-    assert not passed[0] and ok.tolist() == [True, False, False, False]
-    assert np.all(ranks[:, 2:] == -1)
-    # desired, joint and interference at receivers 1 and 2, and the
-    # projection of receiver 1; none for receivers 3 and 4
-    assert len(shapes) == 7 and {shape[0] for shape in shapes} == {1}
+    ok = zf_ok(np.array(scheme.stream_counts), *ranks[1:, :, 0])
+    assert not passed[0] and ok.tolist() == [False, False, False, False]
+    assert np.all(ranks[:, 1:] == -1)
+    # the interference and the verdict's projection at receiver 1, and no
+    # gains; none for receivers 2 to 4, nor for transmitter 1's complement
+    assert len(shapes) == 2 and {shape[0] for shape in shapes} == {1}
     shapes.clear()
     assert zf_rates(scheme, ext, RHOS) == [None]
-    assert len(shapes) == 7
+    assert len(shapes) == 2

@@ -2,8 +2,6 @@
 decide both ``zf_rates``'s mask and ``check_alignment``'s report, and a
 build checks the full column rank of same-shape transmitters together."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,7 @@ from ia_lab.errors import DegeneracyError
 from ia_lab.evaluation import TRIAL_ERRORS, _trial_seed
 from ia_lab.schemes import TrialStack, full_rank_schemes
 
-from conftest import stacked
+from conftest import corrupt, stacked
 
 SMALL = {
     "siso-k3 n=1": SchemeConfig("siso-k3", n=1),
@@ -26,19 +24,10 @@ SMALL = {
     "designed K=3": SchemeConfig("designed", K=3),
     "designed K=5": SchemeConfig("designed", K=5),
 }
-# the two L=275 trials of the large golden reports: the unit law's seed 0
-# passes, the default law's trial of sweep root 1002 fails receivers 2 and 4
+# the two L=275 trials of the large golden reports, both passing: the unit
+# law's seed 0 and the default law's trial of sweep root 1002
 LARGE = [(SchemeConfig("siso-general", K=4, n=2, a_min=1.0, a_max=1.0), 0),
          (SchemeConfig("siso-general", K=4, n=2), _trial_seed(1002, 0))]
-
-
-def corrupted(scheme, seed):
-    """The scheme with transmitter 2's precoder replaced by a random one."""
-    rng = np.random.default_rng(seed)
-    v = scheme.precoders[1]
-    broken = rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)
-    return dataclasses.replace(scheme, precoders=(scheme.precoders[0], broken)
-                               + scheme.precoders[2:])
 
 
 def assert_rates_none_where_reports_fail(trials):
@@ -56,15 +45,18 @@ def test_rates_are_none_exactly_where_the_report_fails(label):
             scheme, ext = SMALL[label].build(seed)
         except TRIAL_ERRORS:
             continue
-        trials += [(scheme, ext), (corrupted(scheme, seed), ext)]
+        trials += [(scheme, ext), (corrupt(scheme, seed), ext)]
     verdicts = assert_rates_none_where_reports_fail(trials)
     assert verdicts[::2] == [True] * (len(trials) // 2)
     assert not any(verdicts[1::2])
 
 
 def test_large_rates_are_none_exactly_where_the_report_fails():
-    verdicts = assert_rates_none_where_reports_fail([config.build(seed) for config, seed in LARGE])
-    assert verdicts == [True, False]
+    trials = [config.build(seed) for config, seed in LARGE]
+    # and the default-law trial with transmitter 2's precoder broken
+    (scheme, ext), seed = trials[1], LARGE[1][1]
+    verdicts = assert_rates_none_where_reports_fail(trials + [(corrupt(scheme, seed), ext)])
+    assert verdicts == [True, True, False]
 
 
 @pytest.mark.parametrize("config, calls", [
