@@ -311,19 +311,33 @@ def _check(batch, joint, ext, T, dk, image, image_complement, rank_tol, ranks, p
         scaled = scaled[0] if len(scaled) == 1 else np.concatenate(scaled)
         groups.append(([p for _, rows in members for p in rows], np.linalg.qr(scaled)[0], r))
     for rows, basis, r in groups:
-        projected = basis.conj().swapaxes(-1, -2) @ E[rows, :, :dk]
-        joint_rank = r + _rank(np.linalg.svd(projected, compute_uv=False), rank_tol, 1.0)
+        doubtful = list(range(len(rows)))
+        if gains is not None:
+            desired = J[rows, :, :dk]
+            s = np.linalg.svd(basis.conj().swapaxes(-1, -2) @ desired, compute_uv=False)
+            # E_D is J_D with column i divided by its norm nu_i, so the
+            # verdict's s_min(B^H E_D) >= s_min(B^H J_D) / max nu: a row past
+            # twice the tolerance keeps rank d_k without the verdict's SVD
+            if s.shape[-1] == dk:
+                nu = np.sqrt(np.add.reduce((desired.conj() * desired).real, axis=-2))
+                sure = s[:, -1] >= 2 * rank_tol * np.maximum.reduce(nu, axis=-1)
+                doubtful = np.flatnonzero(~sure).tolist()
+        joint_rank = np.full(len(rows), r + dk)
+        if doubtful:
+            whole = len(doubtful) == len(rows)
+            projected = ((basis if whole else basis[doubtful]).conj().swapaxes(-1, -2)
+                         @ E[[rows[i] for i in doubtful], :, :dk])
+            joint_rank[doubtful] = r + _rank(np.linalg.svd(projected, compute_uv=False),
+                                             rank_tol, 1.0)
         rks, rts = [ks[p] for p in rows], [ts[p] for p in rows]
         ranks[1, rks, rts], ranks[2, rks, rts] = r, joint_rank
         for t, ok in zip(rts, zf_ok(dk, r, joint_rank).tolist()):
             passed[t] = passed[t] and ok
-        chosen = [i for i, t in enumerate(rts) if passed[t]]
-        if gains is not None and chosen:
+        if gains is not None:
             # a passing row's basis has dim - r >= d_k columns for its streams
-            basis = basis if len(chosen) == len(rows) else basis[chosen]
-            effective = basis.conj().swapaxes(-1, -2) @ J[[rows[i] for i in chosen], :, :dk]
-            for i, g in zip(chosen, np.linalg.svd(effective, compute_uv=False) ** 2):
-                gains[rks[i]][rts[i]] = g
+            for i, t in enumerate(rts):
+                if passed[t]:
+                    gains[rks[i]][t] = s[i] ** 2
 
 
 def _check_dimensions(scheme, ext) -> None:

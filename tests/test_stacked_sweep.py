@@ -507,11 +507,11 @@ def test_receiver_stage_svd_calls_do_not_grow_with_trials(monkeypatch, M):
         counts.append(len(calls))
         calls.clear()
     # the 3 receivers share one shape, so one call for the interference SVD
-    # and one each for the projection the verdict and the gains read (all
-    # trials share their interference ranks), not one of each per receiver;
-    # then one for the span relation's bases of both sides and one for its
-    # residual's norm
-    assert counts == [5, 5, 5]
+    # and one for the projection the gains read (all trials share their
+    # interference ranks, and every row's gains certify its verdict), not
+    # one of each per receiver; then one for the span relation's bases of
+    # both sides and one for its residual's norm
+    assert counts == [4, 4, 4]
 
 
 def test_no_receiver_after_a_failed_check_in_a_stack():
@@ -597,9 +597,10 @@ def test_an_over_budget_trial_stops_at_its_failing_receiver(monkeypatch):
     ok = zf_ok(np.array(scheme.stream_counts), *ranks[1:, :, 0])
     assert not passed[0] and ok.tolist() == [False, False, False, False]
     assert np.all(ranks[:, 1:] == -1)
-    # the interference and the verdict's projection at receiver 1, and no
-    # gains; none for receivers 2 to 4, nor for transmitter 1's complement
-    assert len(shapes) == 2 and {shape[0] for shape in shapes} == {1}
+    # the interference, the gains' projection, which certifies nothing, and
+    # the verdict's projection at receiver 1, and no gains kept; none for
+    # receivers 2 to 4, nor for transmitter 1's complement
+    assert len(shapes) == 3 and {shape[0] for shape in shapes} == {1}
     shapes.clear()
     assert zf_rates(scheme, ext, RHOS) == [None]
-    assert len(shapes) == 2
+    assert len(shapes) == 3
