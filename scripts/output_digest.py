@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 over what ia_lab computes on a fixed set of configurations:
-per configuration, the alignment reports and zero-forcing rates of a few
-seeds, an SNR sweep's table, and its DoF and gap estimates (or their errors).
-Run it on two checkouts to see whether a change keeps every output bit for bit:
+"""Print SHA-256 digests of what ia_lab computes on a fixed set of
+configurations: per configuration, the alignment reports and zero-forcing
+rates of a few seeds, an SNR sweep's table, and its DoF and gap estimates
+(or their errors). One line per configuration gives its own digest, and the
+last line one digest over all of them. Run it on two checkouts to see
+whether a change keeps every output bit for bit, and which configurations
+moved:
 
     PYTHONPATH=src python3 scripts/output_digest.py
 
@@ -21,6 +24,7 @@ import json
 from ia_lab import (InsufficientDataError, ParameterError, SchemeConfig, check_alignment,
                     estimate_dof, estimate_o1_gap, snr_sweep, zf_rates)
 from ia_lab.evaluation import TRIAL_ERRORS
+from ia_lab.families import FAMILIES
 
 LAWS = ((0.5, 2.0), (1.0, 1.0))
 # siso-k3 n=7 and n=8 hold near-tolerance verdicts (n=7 fails a receiver
@@ -35,13 +39,25 @@ GRID = (40.0, 60.0, 80.0)
 RHOS = [10.0 ** (s / 10.0) for s in GRID]
 
 
-def digest() -> str:
+def label(config) -> str:
+    """The configuration's family, K, M and the fields its family reads."""
+    return " ".join([config.family, f"K={config.K}", f"M={config.M}"]
+                    + [f"{name}={getattr(config, name)}"
+                       for name in FAMILIES[config.family].reads if name != "seed"])
+
+
+def digest(each=None) -> str:
+    """The overall digest; ``each(config, hexdigest)`` is called with each
+    configuration's own digest, when given."""
     sha = hashlib.sha256()
 
     def put(value):
-        sha.update(json.dumps(value, sort_keys=True, default=repr).encode() + b"\n")
+        line = json.dumps(value, sort_keys=True, default=repr).encode() + b"\n"
+        sha.update(line)
+        one.update(line)
 
     for config in CONFIGS:
+        one = hashlib.sha256()
         large = config.family == "siso-general" and config.n == 2  # L=275
         near = config.family == "siso-k3" and config.n >= 7
         for seed in range(2 if large else 16 if near else 4):
@@ -61,8 +77,10 @@ def digest() -> str:
                 put(vars(estimate()))
             except (InsufficientDataError, ParameterError) as err:
                 put(repr(err))
+        if each is not None:
+            each(config, one.hexdigest())
     return sha.hexdigest()
 
 
 if __name__ == "__main__":
-    print(digest())
+    print(digest(lambda config, hexdigest: print(f"{hexdigest}  {label(config)}")))

@@ -45,7 +45,10 @@ class Family:
     reads: tuple
     # K -> per receiver k, the transmitter j whose image H_kj span(V_j) spans
     # k's interference once the relations hold, or None where k takes the
-    # dense complement of its interference; None if every receiver does
+    # dense complement of its interference; None if every receiver does. An
+    # image only k names is decomposed at k, from j's columns among k's
+    # products; one several receivers name is decomposed once per stack, as
+    # V_j, and carried to each by H_kj^{-H}
     interference_image: Callable = None
 
 
@@ -132,15 +135,16 @@ FAMILIES = {
         channel_shape=lambda c: (3, 1, 2 * c.n + 1),
         build=_k3_build, relations=_k3_relations,
         reads=("n", "a_min", "a_max", "seed"),
-        # the subset relations put receivers 2 and 3's interference in tx1's image
-        interference_image=lambda K: (None, 0, 0)),
+        # the equality relation puts receiver 1's interference in tx2's image,
+        # the subset relations receivers 2 and 3's in tx1's
+        interference_image=lambda K: (1, 0, 0)),
     "siso-general": Family(
         check=lambda K, M: _require(K >= 3 and M == 1, "siso-general requires K>=3, M=1"),
         default_M=1, extension=_general_extension,
         channel_shape=lambda c: (c.K, 1, guarded_extension_general(c.K, c.n, c.size_cap)),
         build=_general_build, relations=_general_relations,
         reads=("n", "a_min", "a_max", "size_cap", "seed"),
-        interference_image=lambda K: (None,) + (0,) * (K - 1)),
+        interference_image=lambda K: (1,) + (0,) * (K - 1)),
     "mimo": Family(
         check=lambda K, M: _require(K == 3 and M >= 2, "mimo requires K=3, M>=2"),
         # even M: M/2 streams each on one slot; odd M: M each over two

@@ -17,11 +17,18 @@ keep rank d_k after the projection (:func:`zf_ok`; a report's joint rank
 is the interference rank plus that projected rank), their singular values
 counted from RANK_TOL times 1, the unprojected scale, so that a desired
 signal inside the interference counts nothing. Where a family names the
-transmitter j whose image spans receiver k's interference once its
-relations hold (``Family.interference_image``), k's complement is
-H_kj^{-H} span(V_j)^perp: one full-U SVD of V_j per stack, shared by its
-receivers, a diagonal solve and a thin QR; the relations are still
-evaluated. Every other receiver takes the full-U SVD of its interference.
+transmitter j whose image H_kj span(V_j) spans receiver k's interference
+once its relations hold (``Family.interference_image``), k's complement is
+that image's. An image no other receiver names is decomposed at k: the
+full-U SVD of j's equilibrated columns among k's products. An image that
+several receivers name takes one full-U SVD of V_j per stack, and at each
+of them H_kj^{-H} span(V_j)^perp: a diagonal solve and a thin QR. The
+relations are still evaluated. Every other receiver takes the full-U SVD of
+its interference. With gains, each row first takes the SVD of its projected
+effective channel B^H J_D, and that certifies its verdict where the
+smallest singular value over J_D's largest column norm reaches twice
+RANK_TOL, a lower bound on the equilibrated projection's; only the other
+rows, and every row of :func:`check_alignment`, take the verdict's SVD.
 
 The pass runs over a stack of trials of one family and shape, as a stacked
 build gives them, or over one trial as the stack of one. Each link's
@@ -187,6 +194,11 @@ def _pass(scheme, ext, with_gains, rank_tol=RANK_TOL, residual_tol=RESIDUAL_TOL,
 
     family = get_family(scheme.family)
     image = family.interference_image(K) if family.interference_image else (None,) * K
+    # receiver k's columns whose complement it takes itself: its interference,
+    # or an image no other receiver has; None where it shares its image
+    own = [(d[k], streams) if j is None else
+           (offsets[k][j], offsets[k][j] + d[j]) if image.count(j) == 1 else None
+           for k, j in enumerate(image)]
     listed = list(family.relations(K))
     # built per call from the module names, so whatever rebinds them sees it
     residual = {"equality": equality_residual, "subset": subset_residual,
@@ -242,8 +254,8 @@ def _pass(scheme, ext, with_gains, rank_tol=RANK_TOL, residual_tol=RESIDUAL_TOL,
             done += len(batch)
             batch = [(k, t) for k, t in batch if passed[t] or not with_gains]
             if batch:
-                _check(batch, joint, ext, T, dk, image, image_complement, rank_tol, ranks,
-                       passed, gains)
+                _check(batch, joint, ext, T, dk, own, image, image_complement, rank_tol,
+                       ranks, passed, gains)
             # receivers whose every row has been checked
             completed = [k for k in members[:done // T] if products[k] is not None]
             relate(completed)
@@ -260,19 +272,33 @@ def _by_rank(ranks) -> dict:
     return out
 
 
-def _check(batch, joint, ext, T, dk, image, image_complement, rank_tol, ranks, passed,
-           gains) -> None:
+def _certified(s, desired, tol):
+    """Which rows keep projected rank d_k for sure, from ``s``, the singular
+    values of B^H J_D, with J_D the rows' ``desired`` (dim, d_k) columns.
+    E_D is J_D with column i divided by its norm nu_i, so the verdict's
+    s_min(B^H E_D) >= s_min(B^H J_D) / max nu: a row whose bound reaches
+    twice ``tol`` needs no verdict SVD. A basis of fewer than d_k columns
+    certifies nothing."""
+    if s.shape[-1] < desired.shape[-1]:
+        return np.zeros(len(s), dtype=bool)
+    nu = np.sqrt(np.add.reduce((desired.conj() * desired).real, axis=-2))
+    return s[:, -1] >= 2 * tol * np.maximum.reduce(nu, axis=-1)
+
+
+def _check(batch, joint, ext, T, dk, own, image, image_complement, rank_tol, ranks,
+           passed, gains) -> None:
     """Check the (receiver k, trial t) rows of a batch, ``joint(k)`` being
     receiver k's (T, dim, streams) products, desired streams first: set their
     ``ranks``, clear ``passed`` for each failing trial and set the gains of
     the others (unless gains is None).
 
-    Where ``image[k]`` names a transmitter j, a row's complement is
-    ext's H_kj^{-H} applied to the columns past the rank of
-    ``image_complement(j)``, orthonormalized; otherwise it comes from the
-    full-U SVD of the row's equilibrated interference. The verdict and the
-    gains project onto it. Its matrices live only for this call, so that
-    dropping a receiver's products frees them."""
+    Where ``own[k]`` gives a range of receiver k's columns, a row's
+    complement comes from the full-U SVD of those columns equilibrated;
+    otherwise it is ext's H_kj^{-H}, j = ``image[k]``, applied to the columns
+    past the rank of ``image_complement(j)``, orthonormalized. The verdict
+    and the gains project onto it; with gains, a row whose gains certify
+    rank d_k takes no verdict SVD. Its matrices live only for this call, so
+    that dropping a receiver's products frees them."""
     trials = {}
     for k, t in batch:
         trials.setdefault(k, []).append(t)
@@ -285,18 +311,22 @@ def _check(batch, joint, ext, T, dk, image, image_complement, rank_tol, ranks, p
     if gains is None:
         ranks[0, ks, ts] = _rank(np.linalg.svd(E[..., :dk], compute_uv=False), rank_tol)
     groups = []  # (rows of the batch, bases of their complements, interference rank)
-    dense = [p for p, k in enumerate(ks) if image[k] is None]
-    if dense:
-        whole = len(dense) == len(batch)
-        u, interference = complement_and_rank(E[..., dk:] if whole else E[dense, :, dk:],
+    # the rows that decompose columns of their own, by those columns
+    local = {}
+    for p, k in enumerate(ks):
+        if own[k] is not None:
+            local.setdefault(own[k], []).append(p)
+    for (lo, hi), members in local.items():
+        whole = len(members) == len(batch)
+        u, interference = complement_and_rank(E[..., lo:hi] if whole else E[members, :, lo:hi],
                                               rank_tol)
-        groups += [([dense[i] for i in rows], u[rows, :, r:], r)
+        groups += [([members[i] for i in rows], u[rows, :, r:], r)
                    for r, rows in _by_rank(interference).items()]
     # the other rows by image and its rank, each group's receivers in one QR
     structured = {}
     at = 0
     for k, kts in trials.items():
-        if image[k] is not None:
+        if own[k] is None:
             for r, rows in _by_rank(image_complement(image[k])[1][kts]).items():
                 structured.setdefault((image[k], r), []).append((k, [at + p for p in rows]))
         at += len(kts)
@@ -315,13 +345,7 @@ def _check(batch, joint, ext, T, dk, image, image_complement, rank_tol, ranks, p
         if gains is not None:
             desired = J[rows, :, :dk]
             s = np.linalg.svd(basis.conj().swapaxes(-1, -2) @ desired, compute_uv=False)
-            # E_D is J_D with column i divided by its norm nu_i, so the
-            # verdict's s_min(B^H E_D) >= s_min(B^H J_D) / max nu: a row past
-            # twice the tolerance keeps rank d_k without the verdict's SVD
-            if s.shape[-1] == dk:
-                nu = np.sqrt(np.add.reduce((desired.conj() * desired).real, axis=-2))
-                sure = s[:, -1] >= 2 * rank_tol * np.maximum.reduce(nu, axis=-1)
-                doubtful = np.flatnonzero(~sure).tolist()
+            doubtful = np.flatnonzero(~_certified(s, desired, rank_tol)).tolist()
         joint_rank = np.full(len(rows), r + dk)
         if doubtful:
             whole = len(doubtful) == len(rows)

@@ -152,21 +152,16 @@ def _exponent_columns(gains: dict, pairs: list, radix: int) -> np.ndarray:
     for each trial of the (T, L) stacks ``gains[p]``.
 
     Tuples are enumerated in mixed-radix order with the first pair as the
-    least significant digit, fixing a deterministic column identity.
+    least significant digit, fixing a deterministic column identity. Each
+    pair takes one broadcast product of the columns so far (left operand,
+    as numpy's complex product is not bitwise commutative) with the pair's
+    powers, whose exponent 0 is exactly 1.
     """
-    count = radix ** len(pairs)
-    tables = {p: gains[p][..., None] ** np.arange(radix) for p in pairs}
     lead = gains[pairs[0]].shape
-    cols = np.empty(lead + (count,), dtype=complex)
-    for idx in range(count):
-        col = np.ones(lead, dtype=complex)
-        rest = idx
-        for p in pairs:
-            digit = rest % radix
-            rest //= radix
-            if digit:
-                col = col * tables[p][..., digit]
-        cols[..., idx] = col
+    cols = np.ones(lead + (1,), dtype=complex)
+    for p in pairs:
+        table = gains[p][..., None] ** np.arange(radix)
+        cols = (cols[..., None, :] * table[..., :, None]).reshape(lead + (-1,))
     return cols
 
 

@@ -21,12 +21,25 @@ def interference_at(scheme, ext, k):
 
 def corrupt(scheme, seed):
     """Transmitter 2's precoder replaced by a random one: receiver 1 then
-    sees unaligned interference and its check fails."""
+    sees unaligned interference, and its relation fails (its check, too,
+    where it takes the complement of all its interference)."""
     rng = np.random.default_rng(seed)
     v = scheme.precoders[1]
     broken = rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)
     return dataclasses.replace(
         scheme, precoders=(scheme.precoders[0], broken) + scheme.precoders[2:])
+
+
+def steer(scheme, ext):
+    """One trial's transmitter 2 precoder steered so that its image at
+    receiver 1 lies on receiver 1's first desired columns: receiver 1's
+    interference swallows part of its desired signal, and its check fails
+    whether its complement comes from that image or from all its
+    interference."""
+    v1, v2 = scheme.precoders[:2]
+    image = ext.apply(0, 0, v1[:, :v2.shape[-1]])
+    return dataclasses.replace(scheme, precoders=(
+        v1, np.linalg.solve(ext.matrix(0, 1), image)) + scheme.precoders[2:])
 
 
 def stacked(pairs):

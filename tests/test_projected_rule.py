@@ -1,6 +1,6 @@
-"""Zero forcing is decided on the projected desired channel, and siso
-receivers 2..K take their complements from the alignment the relations
-verify.
+"""Zero forcing is decided on the projected desired channel, siso receivers
+take their complements from the alignment the relations verify, and a pass
+with gains lets the gains certify a verdict.
 
 Receiver k passes iff its equilibrated desired columns, projected onto the
 complement of its interference, keep rank d_k, counted from RANK_TOL times
@@ -11,9 +11,16 @@ arithmetic the two agree, so the new rule may only turn receivers that
 lose a power-basis rank decision from fail to pass, never the other way.
 
 At siso receivers 2..K the interference spans H_k1 span(V_1) once the
-relations hold, so its complement is H_k1^{-H} span(V_1)^perp. The dense
-complement of the interference, which every receiver takes when the
-family's ``interference_image`` is None, is the oracle for it.
+relations hold, so its complement is H_k1^{-H} span(V_1)^perp; at receiver
+1 it spans H_12 span(V_2), whose complement receiver 1 takes from those
+columns alone. The dense complement of the interference, which every
+receiver takes when the family's ``interference_image`` is None, is the
+oracle for both.
+
+With gains, a row whose smallest singular value of B^H J_D, over the
+largest column norm of J_D, reaches twice RANK_TOL keeps rank d_k without
+the verdict's SVD. The pass that takes that SVD on every row is the oracle
+for it.
 """
 
 import dataclasses
@@ -23,12 +30,13 @@ import numpy as np
 import pytest
 
 import ia_lab.families
+import ia_lab.receiver
 from ia_lab import (SchemeConfig, check_alignment, demonstrate_diagonal_infeasibility,
                     snr_sweep, zf_rates)
 from ia_lab.cli import main
 from ia_lab.evaluation import TRIAL_ERRORS, _trial_seed
 from ia_lab.linalg import equilibrate_columns, numerical_rank
-from ia_lab.receiver import _pass
+from ia_lab.receiver import _pass, zf_ok
 
 LARGE_DEFAULT = SchemeConfig("siso-general", K=4, n=2)
 LARGE_UNIT = SchemeConfig("siso-general", K=4, n=2, a_min=1.0, a_max=1.0)
@@ -177,3 +185,87 @@ def test_a_short_rank_image_gives_the_dense_complement(monkeypatch):
     assert [rx.ok for rx in report.receivers] == [False, True, True]
     assert all(r.ok for r in report.relations)
     assert [rx.interference_rank for rx in report.receivers][1:] == [3, 3]
+
+
+# configuration and seeds whose pass with gains is compared with the pass
+# that takes the verdict's SVD on every row: every family's small seeds,
+# the siso-k3 trials whose receiver checks fail near the tolerance, and the
+# two L=275 golden seeds of test_shared_pass.py
+CERTIFIED = {
+    **{f"siso-k3 n={n}": (SchemeConfig("siso-k3", n=n), range(8)) for n in (1, 2, 3)},
+    **{f"siso-general K={K} n=1": (SchemeConfig("siso-general", K=K, n=1), range(8))
+       for K in (3, 4)},
+    **{f"mimo M={M}": (SchemeConfig("mimo", M=M), range(8)) for M in (2, 3, 4, 5)},
+    **{f"designed K={K}": (SchemeConfig("designed", K=K), range(1)) for K in (3, 5)},
+    "siso-k3 n=7": (SchemeConfig("siso-k3", n=7), [15]),
+    "siso-k3 n=8": (SchemeConfig("siso-k3", n=8), [1, 11]),
+    "siso-general K=4 n=2 unit": (LARGE_UNIT, [0]),
+    "siso-general K=4 n=2 default": (LARGE_DEFAULT, [_trial_seed(1002, 0)]),
+}
+
+
+def spied_certificates(monkeypatch):
+    """Record, per row the pass with gains asks about, (s_min(B^H J_D) /
+    max nu, whether it was certified); nan where the basis is too narrow."""
+    seen = []
+    certified = ia_lab.receiver._certified
+
+    def spy(s, desired, tol):
+        out = certified(s, desired, tol)
+        nu = np.max(np.linalg.norm(desired, axis=-2), axis=-1)
+        ratio = s[:, -1] / nu if s.shape[-1] == desired.shape[-1] else np.full(len(s), np.nan)
+        seen.extend(zip(ratio.tolist(), out.tolist()))
+        return out
+
+    monkeypatch.setattr(ia_lab.receiver, "_certified", spy)
+    return seen
+
+
+def always_verdict(monkeypatch):
+    """The pass with gains with every row taking the verdict's SVD."""
+    monkeypatch.setattr(ia_lab.receiver, "_certified",
+                        lambda s, desired, tol: np.zeros(len(s), dtype=bool))
+
+
+@pytest.mark.parametrize("label", list(CERTIFIED))
+def test_certified_passes_keep_the_verdicts_of_the_verdict_svd(monkeypatch, label):
+    config, seeds = CERTIFIED[label]
+    stacks = [stack.trial for stack in config.build_trials(seeds)
+              if len(stack.trial[0].precoders[0])]
+    seen = spied_certificates(monkeypatch)
+    shortcut = [_pass(scheme, ext, True) for scheme, ext in stacks]
+    always_verdict(monkeypatch)
+    for (scheme, ext), (ranks, residuals, passed, gains) in zip(stacks, shortcut):
+        oracle_ranks, oracle_residuals, oracle_passed, oracle_gains = _pass(scheme, ext, True)
+        assert np.array_equal(ranks, oracle_ranks)
+        assert np.array_equal(residuals, oracle_residuals, equal_nan=True)
+        assert passed.tolist() == oracle_passed.tolist()
+        for g, oracle_g in zip(gains, oracle_gains):
+            assert g[passed].tobytes() == oracle_g[passed].tobytes()
+        for t, ok in enumerate(passed.tolist()):
+            assert ok == check_alignment(scheme[t], ext[t]).passed
+    # a certified row clears twice the tolerance, and where a trial passes,
+    # some row is certified
+    assert all(ratio >= 2 * 1e-8 for ratio, ok in seen if ok)
+    assert any(ok for _, ok in seen) or not any(p.any() for _, _, p, _ in shortcut)
+
+
+def test_a_row_inside_the_band_takes_the_verdict_svd(monkeypatch):
+    # mimo M=2 seed 0 with receiver 1's desired image turned to 1.5e-8 of
+    # its interference's complement: its projection keeps rank 1 at
+    # RANK_TOL, but its gains fall short of twice the tolerance, so the
+    # verdict's SVD decides it
+    scheme, ext = SchemeConfig("mimo", M=2).build(0)
+    a = ext.apply(0, 1, scheme.precoders[1])[:, 0]
+    a = a / np.linalg.norm(a)
+    b = np.array([-a[1].conj(), a[0].conj()])
+    v1 = np.linalg.solve(ext.matrix(0, 0), (a + 1.5e-8 * b)[:, None])
+    scheme = dataclasses.replace(scheme, precoders=(v1,) + scheme.precoders[1:])
+    seen = spied_certificates(monkeypatch)
+    ranks, _, _, _ = _pass(scheme[None], ext, True)
+    [(ratio, ok)] = [(ratio, ok) for ratio, ok in seen if not np.isnan(ratio)]
+    assert 1e-8 <= ratio < 2e-8 and not ok
+    always_verdict(monkeypatch)
+    oracle, _, _, _ = _pass(scheme[None], ext, True)
+    assert np.array_equal(ranks, oracle)
+    assert zf_ok(1, *ranks[1:, 0, 0])

@@ -12,7 +12,7 @@ from ia_lab import (ParameterError, SchemeConfig, ShapeError,
 from ia_lab.linalg import orthonormal_complement
 from ia_lab.receiver import _grid_rates, _pass
 
-from conftest import interference_at
+from conftest import interference_at, steer
 
 
 def k3_case(seed=7, n=1):
@@ -68,13 +68,11 @@ def test_designed_rank_structure():
 
 def test_corrupted_precoder_fails_and_rates_refuse():
     scheme, ext = k3_case()
-    rng = np.random.default_rng(0)
-    broken = rng.normal(size=(3, 1)) + 1j * rng.normal(size=(3, 1))
-    corrupted = dataclasses.replace(
-        scheme, precoders=(scheme.precoders[0], broken, scheme.precoders[2]))
+    corrupted = steer(scheme, ext)
     report = check_alignment(corrupted, ext)
     assert not report.passed
-    # desired streams now exceed the interference-free dimensions at rx 1
+    # rx 1's interference covers one of its desired streams, which leaves
+    # the interference-free dimensions
     rx1 = report.receivers[0]
     assert rx1.joint_rank < rx1.interference_rank + rx1.desired_streams
     assert rates_of(corrupted, ext, [1e4]) is None

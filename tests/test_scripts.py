@@ -58,3 +58,11 @@ def test_output_digest(monkeypatch):
     monkeypatch.setattr(module, "CONFIGS", [SchemeConfig("siso-k3", n=1),
                                             SchemeConfig("mimo", M=2)])
     assert re.fullmatch(r"[0-9a-f]{64}", module.digest())
+    # one digest per configuration, in order, and the same overall digest
+    each = []
+    overall = module.digest(lambda config, hexdigest: each.append((config, hexdigest)))
+    assert overall == module.digest()
+    assert [config for config, _ in each] == module.CONFIGS
+    assert all(re.fullmatch(r"[0-9a-f]{64}", hexdigest) for _, hexdigest in each)
+    assert len({hexdigest for _, hexdigest in each}) == 2
+    assert module.label(module.CONFIGS[0]) == "siso-k3 K=3 M=1 n=1 a_min=0.5 a_max=2.0"

@@ -9,7 +9,8 @@ point alone bit for bit. Golden SHA-256 digests pin both against silent
 drift. The report digests were recorded with the implementation that ran
 ``check_alignment`` and then one separate complement SVD per receiver; the
 siso rate digests were re-recorded when siso receivers 2..K took their
-complements from transmitter 1's precoder, and the default-law L=275
+complements from transmitter 1's precoder, and again when receiver 1 took
+its complement from transmitter 2's image alone, and the default-law L=275
 report when zero forcing came to be decided on the projected desired rank.
 """
 
@@ -26,7 +27,7 @@ from ia_lab.linalg import complement_and_rank, equilibrate_columns
 from ia_lab.evaluation import BuiltStack, _trial_seed
 from ia_lab.receiver import _grid_rates, _pass
 
-from conftest import interference_at, pass_checks, stacked, without_desired
+from conftest import interference_at, pass_checks, stacked, steer, without_desired
 
 CONFIGS = {
     "siso-k3 n=1": SchemeConfig("siso-k3", n=1),
@@ -49,13 +50,13 @@ RHOS = [10.0 ** (s / 10.0) for s in SNR_DB]
 GOLDEN = {
     "siso-k3 n=1": (
         "6c75cfab7f3211ce623648a5c4c4a197c2368d05b72b09b284dffc55fb39ecbf",
-        "d704c55f2c98e23b14cf122ffd586b94ccc175e5ebd002da5b107dcddc5ee153"),
+        "375861302b3c13864d7a1d1842d031f543febfdb4d24383f18817ae73bc783a3"),
     "siso-k3 n=3": (
         "22dd922553dad7e312f788defe68c7a1788ba57c218db60358e220f2b5663ca3",
-        "66e0c183ce19ec767920532c03a01137c0687e96f59a91ec1185ba1a4f1f116f"),
+        "30464daa09b8a2388f6e327119fa6940c37f8245ed4b092e24fa26ff4517e3b5"),
     "siso-general K=4 n=1": (
         "9b9fd2c1dbc82a3df8803de81bc9757ef71d60f9e64aad968f6b639de058dc36",
-        "01ef1a1fec5fce29a6b87ef593d56640dbde8b3530f8b5f0dbb33bdd9bdfc062"),
+        "f18b307a29ac3f2e853d259e7877aec08e554c7194dde178fbf3256d55698c95"),
     "mimo M=2": (
         "a1170085719ff7b90860508905ebadcfb6b552ce7fe85956920103159f416fe7",
         "fb8170108e4b4db8a91cde86cb13e5c5247213164748610e66303935c400b472"),
@@ -182,13 +183,10 @@ def test_large_reports_match_golden_digests(law):
 
 
 def corrupted_k3(seed=7):
-    """A siso-k3 scheme whose transmitter 2 precoder is random, so receiver 1
-    sees unaligned interference and its check fails."""
+    """A siso-k3 scheme whose transmitter 2 precoder is steered onto
+    receiver 1's desired signal, so receiver 1's check fails."""
     scheme, ext = SchemeConfig("siso-k3", n=1).build(seed)
-    rng = np.random.default_rng(seed)
-    broken = rng.normal(size=(3, 1)) + 1j * rng.normal(size=(3, 1))
-    return dataclasses.replace(
-        scheme, precoders=(scheme.precoders[0], broken, scheme.precoders[2])), ext
+    return steer(scheme, ext), ext
 
 
 def test_no_gains_after_a_failed_receiver_check(monkeypatch):

@@ -5,7 +5,7 @@ from conftest import identity_channels
 
 from ia_lab import (ParameterError, ShapeError, SizeGuardError, extend_channel,
                     generate_channels)
-from ia_lab.siso import (_reference_scalings, build_precoders_general,
+from ia_lab.siso import (_exponent_columns, _reference_scalings, build_precoders_general,
                          build_precoders_k3, cross_pair_gains, loop_gains,
                          required_extension_general)
 
@@ -140,6 +140,44 @@ def test_general_k4_columns_are_binary_products():
             rest //= 2
         col = scheme.precoders[0][:, idx]
         assert np.allclose(col, expected, rtol=1e-12)
+
+
+def looped_exponent_columns(gains, pairs, radix):
+    """The column-by-column product _exponent_columns replaced: each mixed-
+    radix index multiplies a ones column by the powers its nonzero digits
+    pick, first pair first."""
+    count = radix ** len(pairs)
+    tables = {p: gains[p][..., None] ** np.arange(radix) for p in pairs}
+    lead = gains[pairs[0]].shape
+    cols = np.empty(lead + (count,), dtype=complex)
+    for idx in range(count):
+        col = np.ones(lead, dtype=complex)
+        rest = idx
+        for p in pairs:
+            digit = rest % radix
+            rest //= radix
+            if digit:
+                col = col * tables[p][..., digit]
+        cols[..., idx] = col
+    return cols
+
+
+# every (pairs, radix) of at most 3**8 columns: all that a build under the
+# default size cap takes (K=5 n=1 is 11 pairs of radix 2)
+EXPONENT_CASES = [(count, radix) for count in range(1, 12) for radix in (1, 2, 3)
+                  if radix ** count <= 3 ** 8]
+
+
+@pytest.mark.parametrize("count,radix", EXPONENT_CASES)
+def test_exponent_columns_equal_the_column_loop_bit_for_bit(count, radix):
+    rng = np.random.default_rng(count * 3 + radix)
+    pairs = [(m, m + 1) for m in range(count)]
+    for T in (1, 3):
+        gains = {p: rng.normal(size=(T, 5)) + 1j * rng.normal(size=(T, 5)) for p in pairs}
+        got = _exponent_columns(gains, pairs, radix)
+        want = looped_exponent_columns(gains, pairs, radix)
+        assert got.shape == want.shape == (T, 5, radix ** count)
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("K,n", [(3, 1), (3, 2), (3, 3), (4, 1)])

@@ -25,7 +25,7 @@ from ia_lab.evaluation import TRIAL_ERRORS, BuiltStack, _trial_seed
 from ia_lab.linalg import orthonormal_complement
 from ia_lab.receiver import _pass, check_alignment, zf_ok
 
-from conftest import corrupt, stacked
+from conftest import corrupt, stacked, steer
 
 CONFIGS = {
     "siso-k3 n=1": SchemeConfig("siso-k3", n=1),
@@ -516,7 +516,7 @@ def test_receiver_stage_svd_calls_do_not_grow_with_trials(monkeypatch, M):
 
 def test_no_receiver_after_a_failed_check_in_a_stack():
     k3, ext = CONFIGS["siso-k3 n=1"].build(4)
-    scheme, ext = stacked([(corrupt(k3, 4), ext), (k3, ext)])
+    scheme, ext = stacked([(steer(k3, ext), ext), (k3, ext)])
     ranks, _, passed, gains = _pass(scheme, ext, True)
     ok = zf_ok(np.array(scheme.stream_counts)[:, None], *ranks[1:])
     # the bad trial fails receiver 1 and reaches no other
@@ -556,10 +556,10 @@ def test_a_stacks_rates_equal_each_trial_alone(label):
     if len(scheme.precoders[0]) == 1:  # designed builds one trial for every seed
         scheme, ext = stacked([(scheme[0], ext[0])] * 5)
     assert len(scheme.precoders[0]) == 5
-    # the middle trial's transmitter 2 precoder replaced by a random one
-    rng = np.random.default_rng(5)
+    # the middle trial's transmitter 2 precoder steered onto receiver 1's
+    # desired signal
     v = np.copy(scheme.precoders[1], order="K")
-    v[2] = rng.normal(size=v[2].shape) + 1j * rng.normal(size=v[2].shape)
+    v[2] = steer(scheme[2], ext[2]).precoders[1]
     scheme = dataclasses.replace(scheme, precoders=(scheme.precoders[0], v)
                                  + scheme.precoders[2:])
     out = zf_rates(scheme, ext, RHOS)
@@ -584,7 +584,7 @@ def test_an_over_budget_trial_stops_at_its_failing_receiver(monkeypatch):
     config = SchemeConfig("siso-general", K=4, n=2)
     seed = _trial_seed(1002, 0)
     scheme, ext = one_stack(config, [seed])
-    scheme = corrupt(scheme, seed)
+    scheme = steer(scheme[0], ext[0])[None]
     shapes = []
     svd = np.linalg.svd
 
