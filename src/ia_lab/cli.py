@@ -217,6 +217,8 @@ def cmd_delay(args) -> int:
 
 
 def cmd_infeasible(args) -> int:
+    if args.seeds < 1:
+        raise ParameterError(f"need at least one seed, got {args.seeds}")
     deficient = 0
     control_full = 0
     ranks = set()

@@ -27,6 +27,7 @@ from enum import IntEnum
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain, compress, repeat
+from numbers import Integral
 from operator import add, attrgetter
 
 import numpy as np
@@ -190,9 +191,8 @@ class RateTable:
             means[rows] = np.add.reduce(values[starts[rows, None] + np.arange(n)], axis=1) / n
         return _View(ok, sums, point, counts, means)
 
-    def ok_records(self, snr_db: float = None):
-        ok = [r for r in self.records if r.status == "ok"]
-        return ok if snr_db is None else [r for r in ok if r.snr_db == snr_db]
+    def ok_records(self):
+        return [r for r in self.records if r.status == "ok"]
 
     def failures(self):
         return [r for r in self.records if r.status != "ok"]
@@ -302,8 +302,8 @@ def snr_sweep(config: SchemeConfig, snr_db, trials: int, seed: int) -> RateTable
     whole grid. ``config`` needs ``K`` and :meth:`SchemeConfig.build_trials`.
     """
     grid = snr_grid(snr_db)
-    if trials < 1:
-        raise ParameterError(f"need at least one trial, got {trials}")
+    if not isinstance(trials, Integral) or trials < 1:
+        raise ParameterError(f"need a whole number of trials, at least one, got {trials!r}")
     if not 0 <= seed < 2 ** 64:
         raise ParameterError("seed must fit in an unsigned 64-bit integer")
 
@@ -438,15 +438,15 @@ def check_dof_point(point) -> None:
         raise ParameterError("a degrees-of-freedom point must be finite")
 
 
-def in_dof_region(point, tol: float = _REGION_TOL) -> bool:
+def in_dof_region(point) -> bool:
     """Membership in the region: nonnegative with all pairwise sums <= 1.
     ParameterError unless the point has 3 finite components."""
     d = np.asarray(point, dtype=float)
     if d.shape != (3,):
         raise ParameterError("a degrees-of-freedom point has exactly 3 components")
     check_dof_point(d)
-    pair_ok = all(d[i] + d[j] <= 1.0 + tol for i in range(3) for j in range(i + 1, 3))
-    return bool(np.all(d >= -tol) and pair_ok)
+    pair_ok = all(d[i] + d[j] <= 1.0 + _REGION_TOL for i in range(3) for j in range(i + 1, 3))
+    return bool(np.all(d >= -_REGION_TOL) and pair_ok)
 
 
 def decompose_dof_point(point) -> np.ndarray:

@@ -12,7 +12,7 @@ from typing import Callable
 from .channels import extend_channel
 from .designed import build_designed_channel
 from .errors import ParameterError
-from .mimo import build_mimo_even, build_mimo_odd, odd_extension
+from .mimo import build_mimo_even, build_mimo_odd
 from .siso import (build_precoders_general, build_precoders_k3,
                    guarded_extension_general, required_extension_general)
 
@@ -101,11 +101,9 @@ def _general_relations(K):
 
 
 def _mimo_build(config, channels):
-    if channels.M % 2 == 0:
-        return _paired(build_mimo_even(channels),
-                       extend_channel(channels, 1, mode="constant-time"))
-    ext = odd_extension(channels)  # built once, for the solves and for the caller
-    return _paired(build_mimo_odd(channels, ext), ext)
+    odd = channels.M % 2
+    ext = extend_channel(channels, 1 + odd, mode="constant-time")
+    return _paired((build_mimo_odd if odd else build_mimo_even)(ext), ext)
 
 
 def _mimo_relations(K):

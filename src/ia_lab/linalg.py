@@ -1,12 +1,12 @@
 """Rank decisions and subspace residuals for complex matrices.
 
-All rank decisions in the package go through one rule, ``_rank``, so a
-single tolerance convention applies: a singular value counts toward the rank
-iff it is at least ``tol`` times the largest one, or times a scale the
-caller knows (1 for a projection of unit-norm columns). As singular values
-come in descending order, the count walks each row from its tail and stops
-at the last value that counts. Columns are rescaled to unit norm first by
-default; rescaling by a nonzero scalar per column leaves the rank unchanged
+All rank decisions in the package go through one rule, ``_rank``, at one
+tolerance, RANK_TOL: a singular value counts toward the rank iff it is at
+least RANK_TOL times the largest one, or times a scale the caller knows (1
+for a projection of unit-norm columns). As singular values come in
+descending order, the count walks each row from its tail and stops at the
+last value that counts. The rank functions rescale columns to unit norm
+first; rescaling by a nonzero scalar per column leaves the rank unchanged
 but greatly improves the spread of singular values when column norms differ
 by orders of magnitude (power-basis precoders do).
 
@@ -52,16 +52,15 @@ def _rank(s: np.ndarray, tol: float, scale: float = None):
     return np.array(counts, dtype=int) if s.ndim == 2 else counts[0]
 
 
-def singular_values(matrix: np.ndarray, equilibrate: bool = True) -> np.ndarray:
-    a = equilibrate_columns(matrix) if equilibrate else np.asarray(matrix)
-    return np.linalg.svd(a, compute_uv=False)
+def singular_values(matrix: np.ndarray) -> np.ndarray:
+    """Singular values of a matrix, or of each of a stack, columns equilibrated."""
+    return np.linalg.svd(equilibrate_columns(matrix), compute_uv=False)
 
 
-def numerical_rank(matrix: np.ndarray, tol: float = RANK_TOL,
-                   equilibrate: bool = True):
-    """Number of singular values >= tol times the largest one; an array of
-    them for a stack of matrices."""
-    return _rank(singular_values(matrix, equilibrate=equilibrate), tol)
+def numerical_rank(matrix: np.ndarray):
+    """Number of singular values >= RANK_TOL times the largest one, columns
+    equilibrated; an array of them for a stack of matrices."""
+    return _rank(singular_values(matrix), RANK_TOL)
 
 
 def has_full_column_rank(matrix: np.ndarray):
@@ -70,24 +69,23 @@ def has_full_column_rank(matrix: np.ndarray):
     return _rank(singular_values(matrix), RANK_TOL) == np.shape(matrix)[-1]
 
 
-def complement_and_rank(matrix: np.ndarray, tol: float = RANK_TOL) -> tuple:
+def complement_and_rank(matrix: np.ndarray) -> tuple:
     """(basis, rank): an orthonormal basis of the orthogonal complement of the
-    column space and the rank it is cut at, both from one SVD of ``matrix``
-    as given (not equilibrated), so the basis always has ``rows - rank``
-    columns.
+    column space and the rank it is cut at, at RANK_TOL, both from one SVD of
+    ``matrix`` as given (not equilibrated): ``rows - rank`` basis columns.
 
     For a stack (T, rows, cols), (u, ranks): the T left singular bases, the
     columns of ``u[t]`` from ``ranks[t]`` on being trial t's basis, and an
     array of the T ranks.
     """
     u, s, _ = np.linalg.svd(matrix)
-    rank = _rank(s, tol)
+    rank = _rank(s, RANK_TOL)
     return (u[:, rank:], rank) if u.ndim == 2 else (u, rank)
 
 
-def orthonormal_complement(matrix: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+def orthonormal_complement(matrix: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of the column space."""
-    return complement_and_rank(equilibrate_columns(matrix), tol)[0]
+    return complement_and_rank(equilibrate_columns(matrix))[0]
 
 
 def _norms(stack: np.ndarray) -> np.ndarray:
@@ -142,13 +140,13 @@ def subset_residual(columns: np.ndarray, pool: np.ndarray) -> np.ndarray:
     return np.fmax.reduce(_ratio(np.sqrt(dist), norms), axis=-1, initial=0.0)
 
 
-def span_residual(left: np.ndarray, right: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+def span_residual(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Sine of the largest principal angle between the two column spans of
     each trial of a stack, as an array.
 
     1.0 outright when the spans have different dimensions. Each span's
     orthonormal basis comes from a batched SVD, its rank decided at
-    ``tol``; sides of one shape share one SVD call. The small-angle regime
+    RANK_TOL; sides of one shape share one SVD call. The small-angle regime
     is computed as ``||Ql - Qr (Qr^H Ql)||_2``, which does not suffer the
     cancellation of the arccos-of-cosine route.
     """
@@ -160,7 +158,7 @@ def span_residual(left: np.ndarray, right: np.ndarray, tol: float = RANK_TOL) ->
     else:
         sides = [np.linalg.svd(equilibrate_columns(m), full_matrices=False)[:2]
                  for m in (left, right)]
-    (ul, rl), (ur, rr) = [(u, _rank(s, tol)) for u, s in sides]
+    (ul, rl), (ur, rr) = [(u, _rank(s, RANK_TOL)) for u, s in sides]
     out = np.where(rl == rr, 0.0, 1.0)
     by_rank = {}
     for t, (a, b) in enumerate(zip(rl.tolist(), rr.tolist())):

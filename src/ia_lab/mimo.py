@@ -3,17 +3,18 @@
 With M antennas per node and a single frequency slot, transmitter 1 signals
 along eigenvectors of the M x M closed-loop map of the cross links; the
 other two precoders are solved from the exact alignment equalities at
-receivers 2 and 3. Even M needs no extension (M/2 streams each); odd M uses
-a two-slot constant-time extension and an interleaved eigenvector layout to
-fit M streams per user into 2M dimensions. Every step (solves,
-eigendecomposition, checks) also runs over a stack of trials at once.
+receivers 2 and 3. Each builder takes a constant-time extension: even M the
+one-slot one, the constant channel itself (M/2 streams each); odd M the
+two-slot one and an interleaved eigenvector layout to fit M streams per user
+into 2M dimensions. Every step (solves, eigendecomposition, checks) also
+runs over a stack of trials at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channels import ChannelSet, ChannelStack, ExtendedChannel, extend_channel
+from .channels import ChannelSet, ExtendedChannel
 from .errors import DegeneracyError, ParameterError, ShapeError, SingularChannelError
 from .schemes import TrialStack, full_rank_schemes
 
@@ -42,16 +43,10 @@ def _solve(stack: TrialStack, *systems) -> np.ndarray:
     return x.reshape(len(names), -1, *b.shape[1:])
 
 
-def _coefficients(ch) -> tuple:
-    """(coefficients with a leading trial axis, bookkeeping of a build over
-    them) of a channel set or a ChannelStack."""
-    if ch.K != 3:
-        raise ShapeError("loop_matrix needs exactly 3 users")
-    coeffs = ch.coeffs if isinstance(ch, ChannelStack) else ch.coeffs[None]
-    return coeffs, TrialStack(len(coeffs))
-
-
 def _loop_matrix(coeffs: np.ndarray, stack: TrialStack) -> np.ndarray:
+    """Loop maps of a build's (T, 3, 3, F, M, M) coefficients, from slot 1."""
+    if coeffs.shape[1] != 3:
+        raise ShapeError("loop_matrix needs exactly 3 users")
     H = lambda k, j: coeffs[:, k, j, 0]
     x31, x12, x23 = _solve(stack, (H(2, 0), H(2, 1), "H31"), (H(0, 1), H(0, 2), "H12"),
                            (H(1, 2), H(1, 0), "H23"))
@@ -66,8 +61,8 @@ def loop_matrix(ch: ChannelSet) -> np.ndarray:
     from transmitters 2 and 3 coincide once the exact alignment equalities
     at receivers 2 and 3 are enforced.
     """
-    coeffs, stack = _coefficients(ch)
-    return stack.one(_loop_matrix(coeffs, stack))
+    stack = TrialStack(1)
+    return stack.one(_loop_matrix(ch.coeffs[None], stack))
 
 
 def _sorted_eigenbasis(matrices: np.ndarray, stack: TrialStack) -> tuple:
@@ -104,33 +99,43 @@ def sorted_eigenbasis(matrix: np.ndarray) -> tuple:
     return stack.one(values), vectors[0]
 
 
-def build_mimo_even(ch):
-    """Even-M precoders on the unextended constant channel.
+def _build(ext: ExtendedChannel, L: int, seed, parity: str):
+    """Either parity's construction over its L-slot ``ext`` (see the builders):
+    transmitter 1's precoder is ``seed`` of the loop map's sorted eigenbasis."""
+    blocks = ext.blocks if ext.stacked else ext.blocks[None]
+    if ext.L != L:
+        raise ShapeError(f"{parity}-M construction needs a {L}-slot extension, got L={ext.L}")
+    if not (blocks[..., 1:, :, :] == blocks[..., :1, :, :]).all():
+        raise ShapeError("constant-channel construction expects equal slots")
+    stack = TrialStack(len(blocks))
+    blocks, loop = stack.cut(blocks, _loop_matrix(blocks, stack))
+    _, vectors = _sorted_eigenbasis(loop, stack)
+    blocks, vectors = stack.cut(blocks, vectors)
+    built = ExtendedChannel(K=3, M=ext.M, L=L, blocks=blocks)
+    v_tx1 = seed(vectors)
+    link = "H" if L == 1 else "extended H"
+    v_tx2, v_tx3 = _solve(stack, (built.matrix(2, 1), built.apply(2, 0, v_tx1), link + "32"),
+                          (built.matrix(1, 2), built.apply(1, 0, v_tx1), link + "23"))
+    schemes = full_rank_schemes(stack, DegeneracyError, (v_tx1, v_tx2, v_tx3),
+                                family="mimo", K=3, M=ext.M, L=L, parity=parity)
+    return (schemes, stack.slots()) if ext.stacked else stack.one(schemes)
+
+
+def build_mimo_even(ext: ExtendedChannel):
+    """Even-M precoders over the one-slot constant-time extension.
 
     Transmitter 1 uses the first M/2 eigenvectors of the loop map; the
     others are solved from the exact equalities H21 V1 = H23 V3 and
     H31 V1 = H32 V2, leaving M/2 interference dimensions at every receiver.
 
-    For a ChannelStack, every step runs over the whole stack: (the stacked
-    scheme of the trials that built, each trial's row in it or the error
-    its build gives alone).
+    For a stacked ``ext``, every step runs over the whole stack: (the
+    stacked scheme of the trials that built, each trial's row in it or the
+    error its build gives alone).
     """
-    M = ch.M
+    M = ext.M
     if M < 2 or M % 2:
         raise ParameterError(f"even construction needs even M >= 2, got M={M}")
-    if ch.F != 1:
-        raise ShapeError("constant-channel construction expects F=1")
-    coeffs, stack = _coefficients(ch)
-    coeffs, loop = stack.cut(coeffs, _loop_matrix(coeffs, stack))
-    _, vectors = _sorted_eigenbasis(loop, stack)
-    coeffs, vectors = stack.cut(coeffs, vectors)
-    H = lambda k, j: coeffs[:, k, j, 0]
-    v_tx1 = vectors[..., : M // 2]
-    v_tx2, v_tx3 = _solve(stack, (H(2, 1), H(2, 0) @ v_tx1, "H32"),
-                          (H(1, 2), H(1, 0) @ v_tx1, "H23"))
-    schemes = full_rank_schemes(stack, DegeneracyError, (v_tx1, v_tx2, v_tx3),
-                                family="mimo", K=3, M=M, L=1, parity="even")
-    return (schemes, stack.slots()) if isinstance(ch, ChannelStack) else stack.one(schemes)
+    return _build(ext, 1, lambda vectors: vectors[..., : M // 2], "even")
 
 
 def interleaved_seed(vectors: np.ndarray) -> np.ndarray:
@@ -153,42 +158,16 @@ def interleaved_seed(vectors: np.ndarray) -> np.ndarray:
     return seed
 
 
-def build_mimo_odd(ch, ext: ExtendedChannel = None):
-    """Odd-M precoders over a two-slot constant-time extension.
+def build_mimo_odd(ext: ExtendedChannel):
+    """Odd-M precoders over the two-slot constant-time extension.
 
     Same loop map and alignment equalities as the even case, applied to the
     block-diagonal two-slot extension, with the interleaved eigenvector seed
     at transmitter 1. Each user gets M streams over 2 slots, so the total
-    stays 3M/2 per channel use. ``ext`` is that extension of ``ch`` (see
-    :func:`odd_extension`) when the caller already holds it; otherwise it
-    is built here.
-
-    For a ChannelStack, every step runs over the whole stack: (the stacked
-    scheme of the trials that built, each trial's row in it or the error
-    its build gives alone).
+    stays 3M/2 per channel use. A stacked ``ext`` gives what it gives
+    :func:`build_mimo_even`.
     """
-    M = ch.M
+    M = ext.M
     if M < 3 or M % 2 == 0:
         raise ParameterError(f"odd construction needs odd M >= 3, got M={M}")
-    if ch.F != 1:
-        raise ShapeError("constant-channel construction expects F=1")
-    coeffs, stack = _coefficients(ch)
-    if ext is None:
-        ext = odd_extension(ch)
-    blocks = ext.blocks if ext.stacked else ext.blocks[None]
-    blocks, loop = stack.cut(blocks, _loop_matrix(coeffs, stack))
-    _, vectors = _sorted_eigenbasis(loop, stack)
-    blocks, vectors = stack.cut(blocks, vectors)
-    ext = ExtendedChannel(K=3, M=M, L=2, blocks=blocks)
-    v_tx1 = interleaved_seed(vectors)
-    v_tx2, v_tx3 = _solve(stack, (ext.matrix(2, 1), ext.apply(2, 0, v_tx1), "extended H32"),
-                          (ext.matrix(1, 2), ext.apply(1, 0, v_tx1), "extended H23"))
-    schemes = full_rank_schemes(stack, DegeneracyError, (v_tx1, v_tx2, v_tx3),
-                                family="mimo", K=3, M=M, L=2, parity="odd")
-    return (schemes, stack.slots()) if isinstance(ch, ChannelStack) else stack.one(schemes)
-
-
-def odd_extension(ch) -> ExtendedChannel:
-    """The two-slot constant-time extension the odd-M construction uses."""
-    return extend_channel(ch, 2, mode="constant-time")
-
+    return _build(ext, 2, interleaved_seed, "odd")

@@ -132,8 +132,8 @@ class AlignmentReport:
         doc["max_residual"] = self.max_residual
         return doc
 
-    def to_json(self, indent: int = 1) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=1)
 
 
 # bytes of receiver-pass matrices one batch of a pass, or one stack of a
@@ -154,8 +154,7 @@ def _batches(rows: list, row_bytes: int) -> list:
     return [rows[lo:lo + size] for lo in range(0, len(rows), size)]
 
 
-def _pass(scheme, ext, with_gains, rank_tol=RANK_TOL, residual_tol=RESIDUAL_TOL,
-          span_tol=SPAN_TOL) -> tuple:
+def _pass(scheme, ext, with_gains) -> tuple:
     """One pass over the receivers of a stack of T trials, checking ranks and
     relations; returns the verdicts as arrays, (ranks, residuals, passed, gains).
 
@@ -222,7 +221,7 @@ def _pass(scheme, ext, with_gains, rank_tol=RANK_TOL, residual_tol=RESIDUAL_TOL,
             return hv if len(rows) == T else hv[rows]
 
         for (kind, dl, dr), members in kinds.items():
-            tol = span_tol if kind == "span" else residual_tol
+            tol = SPAN_TOL if kind == "span" else RESIDUAL_TOL
             # operands, temporaries of their size, a subset's (dl, dr) ranks
             for batch in _batches(members, 32 * len(rows) * (dim * (dl + dr) + dl * dr)):
                 out = residual[kind](
@@ -240,7 +239,7 @@ def _pass(scheme, ext, with_gains, rank_tol=RANK_TOL, residual_tol=RESIDUAL_TOL,
         taken once per stack for every receiver whose interference is its
         image."""
         if j not in spans:
-            spans[j] = complement_and_rank(equilibrate_columns(scheme.precoders[j]), rank_tol)
+            spans[j] = complement_and_rank(equilibrate_columns(scheme.precoders[j]))
         return spans[j]
 
     groups = {}
@@ -254,8 +253,8 @@ def _pass(scheme, ext, with_gains, rank_tol=RANK_TOL, residual_tol=RESIDUAL_TOL,
             done += len(batch)
             batch = [(k, t) for k, t in batch if passed[t] or not with_gains]
             if batch:
-                _check(batch, joint, ext, T, dk, own, image, image_complement, rank_tol,
-                       ranks, passed, gains)
+                _check(batch, joint, ext, T, dk, own, image, image_complement, ranks,
+                       passed, gains)
             # receivers whose every row has been checked
             completed = [k for k in members[:done // T] if products[k] is not None]
             relate(completed)
@@ -272,21 +271,21 @@ def _by_rank(ranks) -> dict:
     return out
 
 
-def _certified(s, desired, tol):
+def _certified(s, desired):
     """Which rows keep projected rank d_k for sure, from ``s``, the singular
     values of B^H J_D, with J_D the rows' ``desired`` (dim, d_k) columns.
     E_D is J_D with column i divided by its norm nu_i, so the verdict's
     s_min(B^H E_D) >= s_min(B^H J_D) / max nu: a row whose bound reaches
-    twice ``tol`` needs no verdict SVD. A basis of fewer than d_k columns
+    twice RANK_TOL needs no verdict SVD. A basis of fewer than d_k columns
     certifies nothing."""
     if s.shape[-1] < desired.shape[-1]:
         return np.zeros(len(s), dtype=bool)
     nu = np.sqrt(np.add.reduce((desired.conj() * desired).real, axis=-2))
-    return s[:, -1] >= 2 * tol * np.maximum.reduce(nu, axis=-1)
+    return s[:, -1] >= 2 * RANK_TOL * np.maximum.reduce(nu, axis=-1)
 
 
-def _check(batch, joint, ext, T, dk, own, image, image_complement, rank_tol, ranks,
-           passed, gains) -> None:
+def _check(batch, joint, ext, T, dk, own, image, image_complement, ranks, passed,
+           gains) -> None:
     """Check the (receiver k, trial t) rows of a batch, ``joint(k)`` being
     receiver k's (T, dim, streams) products, desired streams first: set their
     ``ranks``, clear ``passed`` for each failing trial and set the gains of
@@ -309,7 +308,7 @@ def _check(batch, joint, ext, T, dk, own, image, image_complement, rank_tol, ran
     E = equilibrate_columns(J)
     ks, ts = zip(*batch)
     if gains is None:
-        ranks[0, ks, ts] = _rank(np.linalg.svd(E[..., :dk], compute_uv=False), rank_tol)
+        ranks[0, ks, ts] = _rank(np.linalg.svd(E[..., :dk], compute_uv=False), RANK_TOL)
     groups = []  # (rows of the batch, bases of their complements, interference rank)
     # the rows that decompose columns of their own, by those columns
     local = {}
@@ -318,8 +317,7 @@ def _check(batch, joint, ext, T, dk, own, image, image_complement, rank_tol, ran
             local.setdefault(own[k], []).append(p)
     for (lo, hi), members in local.items():
         whole = len(members) == len(batch)
-        u, interference = complement_and_rank(E[..., lo:hi] if whole else E[members, :, lo:hi],
-                                              rank_tol)
+        u, interference = complement_and_rank(E[..., lo:hi] if whole else E[members, :, lo:hi])
         groups += [([members[i] for i in rows], u[rows, :, r:], r)
                    for r, rows in _by_rank(interference).items()]
     # the other rows by image and its rank, each group's receivers in one QR
@@ -345,14 +343,14 @@ def _check(batch, joint, ext, T, dk, own, image, image_complement, rank_tol, ran
         if gains is not None:
             desired = J[rows, :, :dk]
             s = np.linalg.svd(basis.conj().swapaxes(-1, -2) @ desired, compute_uv=False)
-            doubtful = np.flatnonzero(~_certified(s, desired, rank_tol)).tolist()
+            doubtful = np.flatnonzero(~_certified(s, desired)).tolist()
         joint_rank = np.full(len(rows), r + dk)
         if doubtful:
             whole = len(doubtful) == len(rows)
             projected = ((basis if whole else basis[doubtful]).conj().swapaxes(-1, -2)
                          @ E[[rows[i] for i in doubtful], :, :dk])
             joint_rank[doubtful] = r + _rank(np.linalg.svd(projected, compute_uv=False),
-                                             rank_tol, 1.0)
+                                             RANK_TOL, 1.0)
         rks, rts = [ks[p] for p in rows], [ts[p] for p in rows]
         ranks[1, rks, rts], ranks[2, rks, rts] = r, joint_rank
         for t, ok in zip(rts, zf_ok(dk, r, joint_rank).tolist()):
@@ -376,31 +374,28 @@ def _check_dimensions(scheme, ext) -> None:
         raise ShapeError("a scheme and its extension must stack the same trials")
 
 
-def check_alignment(scheme: PrecoderScheme, ext: ExtendedChannel,
-                    rank_tol: float = RANK_TOL,
-                    residual_tol: float = RESIDUAL_TOL,
-                    span_tol: float = SPAN_TOL) -> AlignmentReport:
+def check_alignment(scheme: PrecoderScheme, ext: ExtendedChannel) -> AlignmentReport:
     """Measure every rank and alignment relation of a scheme of one trial on
     its extended channel (or any channel of matching dimensions).
 
-    Singular values below ``rank_tol`` times the largest do not count toward
-    a rank, nor those of a projected desired signal below ``rank_tol``
-    times 1; ``residual_tol`` bounds equality and subset residuals,
-    ``span_tol`` the sine of a span equality's largest principal angle.
-    ``report.passed`` is True iff every receiver check and relation holds.
+    Singular values below RANK_TOL times the largest do not count toward a
+    rank, nor those of a projected desired signal below RANK_TOL times 1;
+    RESIDUAL_TOL bounds equality and subset residuals, SPAN_TOL the sine of
+    a span equality's largest principal angle. ``report.passed`` is True iff
+    every receiver check and relation holds.
     """
     _check_dimensions(scheme, ext)
     if scheme.stacked:
         raise ShapeError("check_alignment takes one trial")
-    ranks, residuals, _, _ = _pass(scheme[None], ext, False, rank_tol, residual_tol, span_tol)
+    ranks, residuals, _, _ = _pass(scheme[None], ext, False)
     d, listed = scheme.stream_counts, get_family(scheme.family).relations(scheme.K)
     return AlignmentReport(
-        family=scheme.family, K=scheme.K, M=ext.M, L=ext.L, rank_tol=rank_tol,
-        residual_tol=residual_tol,
+        family=scheme.family, K=scheme.K, M=ext.M, L=ext.L, rank_tol=RANK_TOL,
+        residual_tol=RESIDUAL_TOL,
         receivers=tuple(ReceiverCheck(k, d[k], *r, full_dim=ext.dim)
                         for k, r in enumerate(ranks[..., 0].T.tolist())),
         relations=tuple(RelationCheck(desc, k, kind, value,
-                                      span_tol if kind == "span" else residual_tol)
+                                      SPAN_TOL if kind == "span" else RESIDUAL_TOL)
                         for (kind, k, desc, _, _), value in zip(listed, residuals[:, 0].tolist())))
 
 

@@ -26,8 +26,8 @@ from .siso import loop_gains
 class RankProbe:
     """Singular values of one matrix and the rank they decide.
 
-    The decided rank counts singular values at least ``tolerance`` times the
-    largest one (after unit-norm column scaling when ``equilibrated``).
+    The decided rank counts singular values at least ``tolerance``, RANK_TOL,
+    times the largest one after unit-norm column scaling (``equilibrated``).
     """
 
     rows: int
@@ -38,13 +38,11 @@ class RankProbe:
     equilibrated: bool
 
     @classmethod
-    def of(cls, matrix: np.ndarray, tolerance: float = RANK_TOL,
-           equilibrate: bool = True) -> "RankProbe":
-        s = singular_values(matrix, equilibrate=equilibrate)
+    def of(cls, matrix: np.ndarray) -> "RankProbe":
+        s = singular_values(matrix)
         return cls(rows=matrix.shape[0], cols=matrix.shape[1],
                    singular_values=tuple(float(x) for x in s),
-                   tolerance=tolerance, rank=_rank(s, tolerance),
-                   equilibrated=equilibrate)
+                   tolerance=RANK_TOL, rank=_rank(s, RANK_TOL), equilibrated=True)
 
     @property
     def full_rank(self) -> bool:
@@ -113,8 +111,7 @@ def vandermonde_check(nodes) -> VandermondeCheck:
                             relative_error=float(rel))
 
 
-def diagonal_channels(M: int, seed: int, a_min: float = 0.5,
-                      a_max: float = 2.0) -> ChannelSet:
+def diagonal_channels(M: int, seed: int) -> ChannelSet:
     """Constant 3-user channels whose M x M links are diagonal.
 
     This is what an M-slot symbol extension of single-antenna links looks
@@ -123,13 +120,13 @@ def diagonal_channels(M: int, seed: int, a_min: float = 0.5,
     """
     if M < 1:
         raise ParameterError(f"M must be positive, got {M}")
-    scalars = generate_channels(3, 1, M, a_min, a_max, seed)
+    scalars = generate_channels(3, 1, M, seed=seed)
     coeffs = np.zeros((3, 3, 1, M, M), dtype=complex)
     for k in range(3):
         for j in range(3):
             np.fill_diagonal(coeffs[k, j, 0], scalars.coeffs[k, j, :, 0, 0])
     coeffs.setflags(write=False)
-    return ChannelSet(K=3, M=M, F=1, a_min=a_min, a_max=a_max,
+    return ChannelSet(K=3, M=M, F=1, a_min=scalars.a_min, a_max=scalars.a_max,
                       seed=seed, coeffs=coeffs)
 
 
@@ -147,6 +144,5 @@ def demonstrate_diagonal_infeasibility(M: int, seed: int,
     if M < 2 or M % 2:
         raise ParameterError(f"demonstration needs even M >= 2, got M={M}")
     ch = generate_channels(3, M, 1, seed=seed) if dense else diagonal_channels(M, seed)
-    scheme = build_mimo_even(ch)
     ext = extend_channel(ch, 1, mode="constant-time")
-    return check_alignment(scheme, ext)
+    return check_alignment(build_mimo_even(ext), ext)

@@ -133,9 +133,8 @@ def test_c06_mimo_even_slope_and_gap():
 def test_c07_mimo_odd_three_antennas():
     from ia_lab.mimo import build_mimo_odd
     for seed in range(100):
-        ch = generate_channels(3, 3, 1, seed=seed)
-        scheme = build_mimo_odd(ch)
-        report = check_alignment(scheme, extend_channel(ch, scheme.L, mode="constant-time"))
+        ext = extend_channel(generate_channels(3, 3, 1, seed=seed), 2, mode="constant-time")
+        report = check_alignment(build_mimo_odd(ext), ext)
         assert report.passed, f"seed={seed}"
     est = slope_of(dict(family="mimo", M=3), [60, 70, 80])
     assert abs(est.slope - 4.5) <= 0.02 * 4.5
@@ -166,8 +165,8 @@ def test_c09_vandermonde_and_separability():
         length = 2 * n + 1
         for seed in range(1000):
             ext = extend_channel(generate_channels(3, 1, length, seed=seed), length)
-            probe = RankProbe.of(separability_matrix(ext, n), tolerance=1e-8)
-            assert probe.full_rank, f"n={n}, seed={seed}"
+            probe = RankProbe.of(separability_matrix(ext, n))
+            assert probe.tolerance == 1e-8 and probe.full_rank, f"n={n}, seed={seed}"
             s = probe.singular_values
             worst = min(worst, s[-1] / s[0])
     report_pass(9, f"1000 determinant agreements at 1e-9; 3000 separability "

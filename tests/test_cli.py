@@ -138,6 +138,16 @@ def test_infeasible_demo(capsys):
     assert doc["joint_ranks_seen"] == [1]  # desired and interference share one line
 
 
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_infeasible_without_a_seed_is_a_parameter_error(capsys, seeds):
+    # as --trials 0 is: exit 1 with an error line, and no summary
+    code, out, err = run(capsys, "infeasible", "--m", "2", "--seeds", seeds)
+    assert code == 1 and out == ""
+    assert f"error: need at least one seed, got {seeds}" in err
+    code, out, err = run(capsys, "dof", "--scheme", "siso-k3", "--trials", "0")
+    assert code == 1 and out == "" and "error: " in err
+
+
 def test_unknown_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["dof", "--scheme", "siso-k3", "--bogus"])

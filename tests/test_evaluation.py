@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ia_lab.evaluation
 from ia_lab import (CognitiveScenario, DegeneracyError, InsufficientDataError,
                     ParameterError, RateRecord, RateTable, RegionMembershipError,
                     SchemeConfig, cognitive_dof, decompose_dof_point,
@@ -50,6 +51,20 @@ def test_sweep_rejects_bad_grid():
         snr_sweep(config, [], trials=1, seed=0)
     with pytest.raises(ParameterError):
         snr_sweep(config, [60, 80], trials=0, seed=0)
+
+
+@pytest.mark.parametrize("trials", [2.0, 1.5, "2", None])
+def test_sweep_rejects_a_trial_count_that_is_not_an_integer(monkeypatch, trials):
+    drawn = []
+    monkeypatch.setattr(ia_lab.evaluation, "generate_channels", lambda *args: drawn.append(args))
+    with pytest.raises(ParameterError, match="whole number of trials"):
+        snr_sweep(SchemeConfig(family="siso-k3"), [60, 80], trials, seed=0)
+    assert drawn == []
+
+
+def test_sweep_takes_a_numpy_integer_trial_count():
+    config = SchemeConfig(family="siso-k3")
+    assert snr_sweep(config, [60], np.int64(2), 0) == snr_sweep(config, [60], 2, 0)
 
 
 class FailingConfig:
@@ -271,7 +286,7 @@ def test_mean_sum_rates_alignment_with_grid():
     assert math.isclose(means[0], math.log2(1e4), rel_tol=1e-12)
 
 
-def test_ok_records_per_point_match_a_full_scan():
+def test_ok_records_and_means_match_a_full_scan():
     records = []
     for seed in range(5):
         for snr in (40.0, 60.0, 80.0):
@@ -279,12 +294,10 @@ def test_ok_records_per_point_match_a_full_scan():
             records.append(RateRecord(snr, seed, (snr + seed, 0.5, 0.25) if ok else None,
                                       "ok" if ok else "failed"))
     table = RateTable(K=3, snr_db=(40.0, 60.0, 80.0), records=tuple(records))
-    for snr in (40.0, 60.0, 80.0, 100.0):
-        scan = [r for r in records if r.status == "ok" and r.snr_db == snr]
-        assert table.ok_records(snr) == scan
-        table.ok_records(snr).clear()  # callers get their own list
-        assert table.ok_records(snr) == scan
-    assert table.ok_records() == [r for r in records if r.status == "ok"]
+    scan = [r for r in records if r.status == "ok"]
+    assert table.ok_records() == scan
+    table.ok_records().clear()  # callers get their own list
+    assert table.ok_records() == scan
     expected = [np.mean([r.sum_rate for r in records if r.status == "ok" and r.snr_db == s])
                 for s in table.snr_db]
     assert table.mean_sum_rates().tolist() == expected

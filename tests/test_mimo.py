@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import ia_lab.channels
-from ia_lab import (DegeneracyError, ParameterError, SchemeConfig, extend_channel,
-                    generate_channels)
+from ia_lab import (DegeneracyError, ParameterError, SchemeConfig, ShapeError,
+                    extend_channel, generate_channels)
 from ia_lab.channels import ChannelSet
 from ia_lab.mimo import (build_mimo_even, build_mimo_odd, interleaved_seed,
                          loop_matrix, sorted_eigenbasis)
@@ -15,6 +15,12 @@ def rank_of(matrix, tol=1e-8):
     a = matrix / np.linalg.norm(matrix, axis=0)
     s = np.linalg.svd(a, compute_uv=False)
     return int(np.sum(s >= tol * s[0]))
+
+
+def extension(ch):
+    """The constant-time extension each parity builds on: one slot for even
+    M, two for odd."""
+    return extend_channel(ch, 1 + ch.M % 2, mode="constant-time")
 
 
 def identity_mimo_channels(M=2):
@@ -40,14 +46,14 @@ def test_eigenbasis_order_is_deterministic():
 
 def test_identity_channels_flagged_degenerate():
     with pytest.raises(DegeneracyError):
-        build_mimo_even(identity_mimo_channels(2))
+        build_mimo_even(extension(identity_mimo_channels(2)))
 
 
 @pytest.mark.parametrize("M", [2, 4, 6])
 def test_even_alignment_equations(M):
     for seed in range(20):
         ch = generate_channels(3, M, 1, seed=seed)
-        scheme = build_mimo_even(ch)
+        scheme = build_mimo_even(extension(ch))
         H = lambda k, j: ch.coeffs[k, j, 0]
         v = scheme.precoders
         # exact equalities at receivers 2 and 3
@@ -63,7 +69,7 @@ def test_even_alignment_equations(M):
 def test_even_desired_plus_interference_full_rank(M):
     for seed in range(100):
         ch = generate_channels(3, M, 1, seed=seed)
-        scheme = build_mimo_even(ch)
+        scheme = build_mimo_even(extension(ch))
         H = lambda k, j: ch.coeffs[k, j, 0]
         v = scheme.precoders
         for k in range(3):
@@ -74,9 +80,34 @@ def test_even_desired_plus_interference_full_rank(M):
 
 def test_even_rejects_odd_antennas():
     with pytest.raises(ParameterError):
-        build_mimo_even(generate_channels(3, 3, 1, seed=0))
+        build_mimo_even(extension(generate_channels(3, 3, 1, seed=0)))
     with pytest.raises(ParameterError):
-        build_mimo_odd(generate_channels(3, 2, 1, seed=0))
+        build_mimo_odd(extension(generate_channels(3, 2, 1, seed=0)))
+
+
+@pytest.mark.parametrize("M", [2, 3])
+def test_builders_reject_an_extension_of_the_wrong_length(M):
+    build = build_mimo_odd if M % 2 else build_mimo_even
+    ch = generate_channels(3, M, 1, seed=0)
+    for L in (1, 2, 3):
+        if L != 1 + M % 2:
+            ext = extend_channel(ch, L, mode="constant-time")
+            with pytest.raises(ShapeError, match="extension"):
+                build(ext)
+            with pytest.raises(ShapeError, match="extension"):
+                build(ext[None])
+
+
+def test_odd_builder_rejects_slots_that_differ():
+    # a frequency extension of F=2 channels has the right length, but it is
+    # not a constant channel
+    ext = extend_channel(generate_channels(3, 3, 2, seed=0), 2)
+    with pytest.raises(ShapeError, match="equal slots"):
+        build_mimo_odd(ext)
+    with pytest.raises(ShapeError, match="equal slots"):
+        build_mimo_odd(extend_channel(generate_channels(3, 3, 2, seed=[0, 1]), 2))
+    # the constant-time extension of the same channels repeats their first slot
+    build_mimo_odd(extend_channel(generate_channels(3, 3, 2, seed=0), 2, mode="constant-time"))
 
 
 def test_odd_seed_layout_m3():
@@ -97,8 +128,8 @@ def test_odd_seed_layout_m3():
 def test_odd_interference_dimension_and_joint_rank(M):
     for seed in range(100):
         ch = generate_channels(3, M, 1, seed=seed)
-        scheme = build_mimo_odd(ch)
-        ext = extend_channel(ch, scheme.L, mode="constant-time")
+        ext = extension(ch)
+        scheme = build_mimo_odd(ext)
         v = scheme.precoders
         for k in range(3):
             interference = np.hstack([ext.matrix(k, j) @ v[j]
@@ -111,8 +142,8 @@ def test_odd_interference_dimension_and_joint_rank(M):
 def test_odd_alignment_equalities_m3():
     for seed in range(20):
         ch = generate_channels(3, 3, 1, seed=seed)
-        scheme = build_mimo_odd(ch)
-        ext = extend_channel(ch, scheme.L, mode="constant-time")
+        ext = extension(ch)
+        scheme = build_mimo_odd(ext)
         v = scheme.precoders
         for left, right in ((ext.matrix(1, 0) @ v[0], ext.matrix(1, 2) @ v[2]),
                             (ext.matrix(2, 0) @ v[0], ext.matrix(2, 1) @ v[1])):
@@ -122,7 +153,7 @@ def test_odd_alignment_equalities_m3():
 @pytest.mark.parametrize("M,expected", [(2, 3), (3, 4.5), (4, 6), (5, 7.5), (6, 9)])
 def test_total_streams_per_channel_use(M, expected):
     ch = generate_channels(3, M, 1, seed=1)
-    scheme = build_mimo_even(ch) if M % 2 == 0 else build_mimo_odd(ch)
+    scheme = (build_mimo_odd if M % 2 else build_mimo_even)(extension(ch))
     assert scheme.total_streams / scheme.L == expected
     counts = scheme.stream_counts
     assert counts[0] == counts[1] == counts[2]
@@ -132,7 +163,7 @@ def test_eigenvector_scaling_leaves_span_checks_unchanged():
     # rescaling the eigenvector columns (and pushing the same scaling through
     # the derived precoders) must not move any span or rank decision
     ch = generate_channels(3, 4, 1, seed=13)
-    scheme = build_mimo_even(ch)
+    scheme = build_mimo_even(extension(ch))
     rng = np.random.default_rng(0)
     scaling = np.diag(rng.uniform(0.2, 3.0, 2) * np.exp(2j * np.pi * rng.uniform(size=2)))
     H = lambda k, j: ch.coeffs[k, j, 0]
@@ -147,7 +178,7 @@ def test_eigenvector_scaling_leaves_span_checks_unchanged():
 
 @pytest.mark.parametrize("M", [2, 3, 4, 5])
 def test_one_extension_per_build(monkeypatch, M):
-    # the odd construction solves on the same two-slot extension it returns
+    # both parities solve on the same extension the family build returns
     original = ia_lab.channels.extend_channel
     calls = []
 
@@ -161,8 +192,7 @@ def test_one_extension_per_build(monkeypatch, M):
     scheme, ext = SchemeConfig("mimo", M=M).build(seed=3)
     assert len(calls) == 1
     assert ext.L == scheme.L == (1 if M % 2 == 0 else 2)
-    if M % 2:
-        # the same precoders as when the solve builds its own extension
-        alone = build_mimo_odd(generate_channels(3, M, 1, seed=3))
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(scheme.precoders, alone.precoders))
+    # the same precoders as the builder gives on that extension of the channels
+    alone = (build_mimo_odd if M % 2 else build_mimo_even)(
+        extension(generate_channels(3, M, 1, seed=3)))
+    assert all(np.array_equal(a, b) for a, b in zip(scheme.precoders, alone.precoders))

@@ -35,7 +35,7 @@ from ia_lab import (SchemeConfig, check_alignment, demonstrate_diagonal_infeasib
                     snr_sweep, zf_rates)
 from ia_lab.cli import main
 from ia_lab.evaluation import TRIAL_ERRORS, _trial_seed
-from ia_lab.linalg import equilibrate_columns, numerical_rank
+from ia_lab.linalg import RANK_TOL, _rank, equilibrate_columns
 from ia_lab.receiver import _pass, zf_ok
 
 LARGE_DEFAULT = SchemeConfig("siso-general", K=4, n=2)
@@ -52,7 +52,7 @@ def old_rule(scheme, ext):
         E = equilibrate_columns(np.hstack([ext.apply(k, j, scheme.precoders[j])
                                            for j in order]))
         dk = scheme.stream_counts[k]
-        desired, interference, joint = (numerical_rank(part, equilibrate=False)
+        desired, interference, joint = (_rank(np.linalg.svd(part, compute_uv=False), RANK_TOL)
                                         for part in (E[:, :dk], E[:, dk:], E))
         out.append(desired == dk and joint == interference + dk)
     return out
@@ -210,8 +210,8 @@ def spied_certificates(monkeypatch):
     seen = []
     certified = ia_lab.receiver._certified
 
-    def spy(s, desired, tol):
-        out = certified(s, desired, tol)
+    def spy(s, desired):
+        out = certified(s, desired)
         nu = np.max(np.linalg.norm(desired, axis=-2), axis=-1)
         ratio = s[:, -1] / nu if s.shape[-1] == desired.shape[-1] else np.full(len(s), np.nan)
         seen.extend(zip(ratio.tolist(), out.tolist()))
@@ -224,7 +224,7 @@ def spied_certificates(monkeypatch):
 def always_verdict(monkeypatch):
     """The pass with gains with every row taking the verdict's SVD."""
     monkeypatch.setattr(ia_lab.receiver, "_certified",
-                        lambda s, desired, tol: np.zeros(len(s), dtype=bool))
+                        lambda s, desired: np.zeros(len(s), dtype=bool))
 
 
 @pytest.mark.parametrize("label", list(CERTIFIED))
