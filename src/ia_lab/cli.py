@@ -17,9 +17,9 @@ import numpy as np
 from .channels import generate_channels, load_channels, save_channels
 from .designed import DelayMatrix, check_delay_parity, simulate_delay_schedule
 from .errors import IaLabError, ParameterError
-from .evaluation import (SchemeConfig, check_dof_point, cognitive_dof,
-                         decompose_dof_point, estimate_dof, estimate_o1_gap,
-                         in_dof_region, snr_grid, snr_sweep)
+from .evaluation import (MIN_FIT_SNR_DB, SchemeConfig, check_dof_point,
+                         cognitive_dof, decompose_dof_point, estimate_dof,
+                         estimate_o1_gap, in_dof_region, snr_grid, snr_sweep)
 from .families import FAMILIES
 from .receiver import check_alignment
 from .schemes import save_scheme
@@ -170,7 +170,7 @@ def cmd_dof(args) -> int:
         "failures": estimate.trials_failed,
         "snr_db": list(estimate.snr_db),
     }
-    if table.snr_db[-1] - table.snr_db[0] >= 40.0 - 1e-9:
+    if table.snr_db[-1] - table.snr_db[0] >= MIN_FIT_SNR_DB - 1e-9:
         summary["gap_oscillation"] = estimate_o1_gap(
             table, float(config.claimed_dof)).oscillation
     if args.out:

@@ -13,22 +13,22 @@ extension of the trials that built (none, if none did) to
 broadcast over the grid. A family that draws no channels (designed) is
 built once per sweep as a stack of one, and evaluated once, and its rows
 are written for every trial seed. Failed trials are recorded as failure rows.
-The estimators read one array view of a rate table's records, derived once
-per table, and fit every trial's slope in one least-squares call.
+The estimators read a rate table's records in one pass, which groups the
+ok sum rates by grid point and by seed, and fit every trial's slope in one
+least-squares call.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from functools import cached_property, reduce
-from itertools import chain, compress, repeat
+from functools import reduce
+from itertools import repeat
 from numbers import Integral
-from operator import add, attrgetter
+from operator import add
 
 import numpy as np
 
@@ -152,7 +152,8 @@ class RateRecord:
 
     @property
     def sum_rate(self) -> float:
-        # in user order, one addition at a time, as a table's view sums it
+        # in user order, one addition at a time (numpy's unrolled sum would
+        # round some rows differently)
         return float(reduce(add, self.rates, 0.0)) if self.rates is not None else math.nan
 
 
@@ -164,33 +165,6 @@ class RateTable:
     snr_db: tuple
     records: tuple
 
-    @cached_property
-    def _view(self) -> "_View":
-        """The records as arrays, derived once for the estimators: per
-        record, whether it is ``ok``, its sum rate (``sums``, nan where it
-        failed) and the grid ``point`` of its SNR (-1 off the grid); per
-        grid point, the ``counts`` of its ok records and the ``means`` of
-        their sum rates in record order (nan where none)."""
-        position = {s: i for i, s in enumerate(self.snr_db)}
-        ok_list = [r.status == "ok" for r in self.records]
-        ok = np.array(ok_list, dtype=bool)
-        point = np.fromiter([position.get(r.snr_db, -1) for r in self.records], int, len(ok))
-        rates = np.fromiter(chain.from_iterable(map(attrgetter("rates"), compress(
-            self.records, ok_list))), float).reshape(-1, self.K)
-        sums = np.full(len(ok), np.nan)
-        # user by user, as RateRecord.sum_rate adds them
-        sums[ok] = reduce(add, rates.T, np.zeros(len(rates)))
-        on_grid = ok & (point >= 0)
-        values = sums[on_grid][np.argsort(point[on_grid], kind="stable")]
-        counts = np.bincount(point[on_grid], minlength=len(self.snr_db))
-        starts = np.cumsum(counts) - counts
-        means = np.full(len(self.snr_db), np.nan)
-        for n in set(counts.tolist()) - {0}:
-            # rows of n contiguous sums, each summed pairwise as np.mean sums a list
-            rows = np.flatnonzero(counts == n)
-            means[rows] = np.add.reduce(values[starts[rows, None] + np.arange(n)], axis=1) / n
-        return _View(ok, sums, point, counts, means)
-
     def ok_records(self):
         return [r for r in self.records if r.status == "ok"]
 
@@ -199,7 +173,7 @@ class RateTable:
 
     def mean_sum_rates(self) -> np.ndarray:
         """Mean sum rate per grid point over successful trials (nan if none)."""
-        return self._view.means.copy()
+        return _means(_by_point(self)[0])
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -214,7 +188,32 @@ class RateTable:
                                      rec.status])
 
 
-_View = namedtuple("_View", "ok sums point counts means")
+def _by_point(table: RateTable) -> tuple:
+    """One pass over a table's records: per grid point, the sum rates of its
+    ok records in record order, and each seed's last of them (seeds in order
+    of their first ok record there); and the seeds with a failed row."""
+    column = {s: i for i, s in enumerate(table.snr_db)}
+    sums = [[] for _ in table.snr_db]
+    last = [{} for _ in table.snr_db]
+    failed = set()
+    for r in table.records:
+        if r.status != "ok":
+            failed.add(r.seed)
+        elif (i := column.get(r.snr_db)) is not None:
+            sums[i].append(r.sum_rate)
+            last[i][r.seed] = sums[i][-1]
+    return sums, last, failed
+
+
+def _means(lists) -> np.ndarray:
+    """np.mean of each list, nan where one is empty. Lists of one length
+    reduce as the rows of one array, each row pairwise as np.mean sums a
+    list."""
+    means = np.full(len(lists), np.nan)
+    for n in {len(values) for values in lists} - {0}:
+        rows = [i for i, values in enumerate(lists) if len(values) == n]
+        means[rows] = np.add.reduce(np.array([lists[i] for i in rows]), axis=1) / n
+    return means
 
 
 # numpy's SeedSequence, of whose spawned children _trial_seed takes one
@@ -304,8 +303,11 @@ def snr_sweep(config: SchemeConfig, snr_db, trials: int, seed: int) -> RateTable
     grid = snr_grid(snr_db)
     if not isinstance(trials, Integral) or trials < 1:
         raise ParameterError(f"need a whole number of trials, at least one, got {trials!r}")
+    if not isinstance(seed, Integral):
+        raise ParameterError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2 ** 64:
         raise ParameterError("seed must fit in an unsigned 64-bit integer")
+    seed = int(seed)
 
     rhos = [10.0 ** (snr / 10.0) for snr in grid]
     root = _root_pool(seed)
@@ -347,47 +349,36 @@ def estimate_dof(table: RateTable) -> DofEstimate:
     successful trials are required. The half-width is a normal 95% interval
     from the spread of per-trial slopes.
     """
-    view = table._view
-    # a trial id per record, in order of first appearance
-    ids = {}
-    seed = np.array([ids.setdefault(r.seed, len(ids)) for r in table.records], dtype=int)
-    trials = len(ids)
+    sums, last, failed = _by_point(table)
     high = [i for i, s in enumerate(table.snr_db) if s >= MIN_FIT_SNR_DB]
-    usable = [i for i in high if view.counts[i]]
-    # the ok records at usable points (all ok ones at high points): trial, column
-    column = np.full(len(table.snr_db) + 1, -1)  # -1 at point -1 too, off the grid
-    column[usable] = np.arange(len(usable))
-    rows = np.flatnonzero(view.ok & (column[view.point] >= 0))
-    trial, at = seed[rows], column[view.point[rows]]
+    usable = [i for i in high if sums[i]]
     if len(high) >= 2 and len(usable) < 2:
         # the grid is long enough; failed trials left too little to fit
-        failed = trials - np.count_nonzero(np.bincount(trial, minlength=trials))
-        if failed == trials:
+        trials = len({r.seed for r in table.records})
+        lost = trials - len(set().union(*(last[i] for i in usable)))
+        if lost == trials:
             raise InsufficientDataError(f"all {trials} trials failed")
         raise InsufficientDataError(
-            f"{failed} of {trials} trials failed, leaving {len(usable)} of "
+            f"{lost} of {trials} trials failed, leaving {len(usable)} of "
             f"{len(high)} SNR points at >= 40 dB with successful trials")
     if len(usable) < 2:
         raise InsufficientDataError(
             "need at least two SNR points at >= 40 dB with successful trials")
     x = np.array([table.snr_db[i] / 10.0 * math.log2(10.0) for i in usable])
-    slope = float(np.polyfit(x, view.means[usable], 1)[0])
+    slope = float(np.polyfit(x, _means([sums[i] for i in usable]), 1)[0])
 
-    # per trial, its last ok record at each usable point; the trials with all
-    # of them, in order of their first at the first point (as a dict keeps them)
-    last = np.full((trials, len(usable)), -1)
-    np.maximum.at(last, (trial, at), rows)
-    full = np.all(last >= 0, axis=1).tolist()
-    complete = [t for t in dict.fromkeys(trial[at == 0].tolist()) if full[t]]
+    # the trials with an ok record at every usable point, in order of their
+    # first at the first point, each at its last ok record per point
+    first, *rest = (last[i] for i in usable)
+    complete = [seed for seed in first if all(seed in at for at in rest)]
     half = 0.0
     if len(complete) > 1:
         # one least-squares fit of every complete trial
-        trial_slopes = np.polyfit(x, view.sums[last[complete]].T, 1)[0]
+        trial_slopes = np.polyfit(x, [[last[i][seed] for seed in complete] for i in usable], 1)[0]
         half = 1.96 * float(np.std(trial_slopes, ddof=1)) / math.sqrt(len(complete))
     return DofEstimate(slope=slope, half_width=half,
                        snr_db=tuple(table.snr_db[i] for i in usable),
-                       trials_used=len(complete),
-                       trials_failed=len(set(seed[~view.ok].tolist())))
+                       trials_used=len(complete), trials_failed=len(failed))
 
 
 @dataclass(frozen=True)
@@ -407,14 +398,14 @@ def estimate_o1_gap(table: RateTable, claimed_dof: float) -> GapProbe:
     """
     if table.snr_db[-1] - table.snr_db[0] < MIN_FIT_SNR_DB - 1e-9:
         raise ParameterError("gap probing needs a grid spanning at least 40 dB")
-    view = table._view
-    usable = np.flatnonzero(view.counts).tolist()
+    sums = _by_point(table)[0]
+    usable = [i for i, values in enumerate(sums) if values]
     if not usable:
         raise InsufficientDataError(
             f"all {len({r.seed for r in table.records})} trials failed")
     snr_db = tuple(table.snr_db[i] for i in usable)
     gaps = tuple(mean - float(claimed_dof) * math.log2(1.0 + 10.0 ** (s / 10.0))
-                 for s, mean in zip(snr_db, view.means[usable].tolist()))
+                 for s, mean in zip(snr_db, _means([sums[i] for i in usable]).tolist()))
     return GapProbe(claimed_dof=float(claimed_dof), snr_db=snr_db, gaps=gaps,
                     oscillation=float(max(gaps) - min(gaps)))
 
@@ -478,6 +469,10 @@ def decompose_dof_point(point) -> np.ndarray:
 
 def sample_dof_region(count: int, seed: int = 0) -> np.ndarray:
     """Uniform samples from the region by rejection from the unit cube."""
+    if not isinstance(count, Integral) or count < 0:
+        raise ParameterError(f"need a whole, nonnegative number of samples, got {count!r}")
+    if not isinstance(seed, Integral) or not 0 <= seed < 2 ** 128:
+        raise ParameterError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     out = np.empty((count, 3))
     have = 0
@@ -516,4 +511,9 @@ def cognitive_dof(scenario) -> Fraction:
     it knows about, a cognitive receiver without its own message cannot
     contribute, hence the asymmetry.
     """
-    return _COGNITIVE_DOF[CognitiveScenario(scenario)]
+    try:
+        scenario = CognitiveScenario(scenario)
+    except ValueError:
+        raise ParameterError(f"no cognitive-sharing scenario {scenario!r}; "
+                             "the scenarios are 1-4") from None
+    return _COGNITIVE_DOF[scenario]

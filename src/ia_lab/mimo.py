@@ -86,19 +86,6 @@ def _sorted_eigenbasis(matrices: np.ndarray, stack: TrialStack) -> tuple:
     return values, vectors
 
 
-def sorted_eigenbasis(matrix: np.ndarray) -> tuple:
-    """Full eigenbasis sorted by |eigenvalue| descending, phase ascending.
-
-    Returns (eigenvalues, eigenvectors) with unit-norm eigenvector columns.
-    Raises DegeneracyError when the basis is ill conditioned or eigenvalues
-    collide; random continuous channels hit neither almost surely, so a
-    failure here signals structured input.
-    """
-    stack = TrialStack(1)
-    values, vectors = _sorted_eigenbasis(np.asarray(matrix)[None], stack)
-    return stack.one(values), vectors[0]
-
-
 def _build(ext: ExtendedChannel, L: int, seed, parity: str):
     """Either parity's construction over its L-slot ``ext`` (see the builders):
     transmitter 1's precoder is ``seed`` of the loop map's sorted eigenbasis."""

@@ -1,12 +1,13 @@
-"""The estimators read a rate table's array view; on any table, regular or
-not, they must give what the per-record code gives.
+"""The estimators read a rate table's records in one pass, grouped by grid
+point and by seed; on any table, regular or not, they must give what the
+plain per-record code gives.
 
-The oracles below are the per-record ``mean_sum_rates``, ``estimate_dof``
-and ``estimate_o1_gap`` the view replaced. Everything but ``half_width``
-must match bit for bit. The per-trial slopes behind ``half_width`` come
-from one least-squares fit of every trial, where the oracle fits each trial
-alone: LAPACK rounds the two alike for fits of up to 7 points, and from 8
-points on each slope may differ in its last bits.
+The oracles below are per-record ``mean_sum_rates``, ``estimate_dof`` and
+``estimate_o1_gap``, which filter the records anew for every point.
+Everything but ``half_width`` must match bit for bit. The per-trial slopes
+behind ``half_width`` come from one least-squares fit of every trial, where
+the oracle fits each trial alone: LAPACK rounds the two alike for fits of
+up to 7 points, and from 8 points on each slope may differ in its last bits.
 """
 
 import math

@@ -62,6 +62,20 @@ def test_sweep_rejects_a_trial_count_that_is_not_an_integer(monkeypatch, trials)
     assert drawn == []
 
 
+@pytest.mark.parametrize("seed", [2.0, 1.5, "2", None])
+def test_sweep_rejects_a_seed_that_is_not_an_integer(monkeypatch, seed):
+    drawn = []
+    monkeypatch.setattr(ia_lab.evaluation, "generate_channels", lambda *args: drawn.append(args))
+    with pytest.raises(ParameterError, match="seed must be an integer"):
+        snr_sweep(SchemeConfig(family="siso-k3"), [60], 1, seed)
+    assert drawn == []
+
+
+def test_sweep_takes_a_numpy_integer_seed():
+    config = SchemeConfig(family="siso-k3")
+    assert snr_sweep(config, [60], 2, np.uint64(7)) == snr_sweep(config, [60], 2, 7)
+
+
 def test_sweep_takes_a_numpy_integer_trial_count():
     config = SchemeConfig(family="siso-k3")
     assert snr_sweep(config, [60], np.int64(2), 0) == snr_sweep(config, [60], 2, 0)
@@ -208,6 +222,18 @@ def test_sampled_points_lie_in_region():
     assert np.array_equal(points, again)
 
 
+@pytest.mark.parametrize("count", [-1, 2.5])
+def test_region_sampling_rejects_a_count_that_is_not_a_whole_number(count):
+    with pytest.raises(ParameterError, match="number of samples"):
+        sample_dof_region(count)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, 2 ** 128])
+def test_region_sampling_rejects_a_seed_outside_philox_keys(seed):
+    with pytest.raises(ParameterError, match="seed must be an integer"):
+        sample_dof_region(3, seed)
+
+
 def test_cognitive_lookup_values():
     assert cognitive_dof(CognitiveScenario.ONE_MESSAGE_SHARED) == Fraction(3, 2)
     assert cognitive_dof(CognitiveScenario.TWO_MESSAGES_SHARED) == Fraction(2)
@@ -215,6 +241,11 @@ def test_cognitive_lookup_values():
     assert cognitive_dof(CognitiveScenario.COGNITIVE_TRANSMITTER) == Fraction(2)
     assert cognitive_dof(2) == 2
     with pytest.raises(ValueError):
+        cognitive_dof(5)
+
+
+def test_cognitive_lookup_names_an_unknown_scenario():
+    with pytest.raises(ParameterError, match="no cognitive-sharing scenario 5"):
         cognitive_dof(5)
 
 

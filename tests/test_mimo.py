@@ -7,8 +7,9 @@ import ia_lab.channels
 from ia_lab import (DegeneracyError, ParameterError, SchemeConfig, ShapeError,
                     extend_channel, generate_channels)
 from ia_lab.channels import ChannelSet
-from ia_lab.mimo import (build_mimo_even, build_mimo_odd, interleaved_seed,
-                         loop_matrix, sorted_eigenbasis)
+from ia_lab.mimo import (_sorted_eigenbasis, build_mimo_even, build_mimo_odd,
+                         interleaved_seed, loop_matrix)
+from ia_lab.schemes import TrialStack
 
 
 def rank_of(matrix, tol=1e-8):
@@ -39,7 +40,7 @@ def test_loop_matrix_matches_explicit_inverses():
 
 def test_eigenbasis_order_is_deterministic():
     ch = generate_channels(3, 4, 1, seed=8)
-    values, vectors = sorted_eigenbasis(loop_matrix(ch))
+    [values], [vectors] = _sorted_eigenbasis(loop_matrix(ch)[None], TrialStack(1))
     assert np.all(np.diff(np.abs(values)) <= 1e-12)
     assert np.allclose(np.linalg.norm(vectors, axis=0), 1.0)
 
@@ -112,7 +113,7 @@ def test_odd_builder_rejects_slots_that_differ():
 
 def test_odd_seed_layout_m3():
     ch = generate_channels(3, 3, 1, seed=6)
-    _, vectors = sorted_eigenbasis(loop_matrix(ch))
+    _, [vectors] = _sorted_eigenbasis(loop_matrix(ch)[None], TrialStack(1))
     seed = interleaved_seed(vectors)
     assert seed.shape == (6, 3)
     # column 1: first eigenvector on the first slot, exact zeros below
