@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -117,6 +118,8 @@ class ExtendedChannel:
         return self.blocks.ndim == 6
 
     def __getitem__(self, t) -> "ExtendedChannel":
+        if t is not None and not self.stacked:
+            raise ShapeError("only a stacked extension takes a trial index")
         return ExtendedChannel(K=self.K, M=self.M, L=self.L, blocks=self.blocks[t])
 
     def matrix(self, k: int, j: int) -> np.ndarray:
@@ -227,6 +230,8 @@ def generate_channels(K: int, M: int, F: int,
     """
     one = np.ndim(seed) == 0
     seeds = [int(s) for s in ([seed] if one else seed)]
+    if not all(isinstance(n, Integral) for n in (K, M, F)):
+        raise ParameterError(f"K, M and F must be integers, got K={K!r}, M={M!r}, F={F!r}")
     if K < 2:
         raise ParameterError(f"need at least 2 users, got K={K}")
     if M < 1 or F < 1:
@@ -264,8 +269,8 @@ def extend_channel(ch, L: int, mode: str = "frequency") -> ExtendedChannel:
     ``mode="constant-time"`` repeats slot 1 L times, which models coding over
     L time slots of a constant channel.
     """
-    if L < 1:
-        raise ParameterError(f"extension length must be positive, got {L}")
+    if not isinstance(L, Integral) or L < 1:
+        raise ParameterError(f"extension length must be a positive integer, got {L!r}")
     if mode == "frequency":
         if L > ch.F:
             raise ParameterError(

@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .channels import generate_channels, load_channels, save_channels
+from .channels import (DEFAULT_A_MAX, DEFAULT_A_MIN, generate_channels, load_channels,
+                       save_channels)
 from .designed import DelayMatrix, check_delay_parity, simulate_delay_schedule
 from .errors import IaLabError, ParameterError
 from .evaluation import (MIN_FIT_SNR_DB, SchemeConfig, check_dof_point,
@@ -247,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--f", type=int, default=3, help="frequency slots")
-    p.add_argument("--a-min", type=float, default=0.5)
-    p.add_argument("--a-max", type=float, default=2.0)
+    p.add_argument("--a-min", type=float, default=DEFAULT_A_MIN)
+    p.add_argument("--a-max", type=float, default=DEFAULT_A_MAX)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)

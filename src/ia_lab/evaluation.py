@@ -6,9 +6,10 @@ estimates), rebuilds the scheme, and records zero-forcing rates. It works
 on its trials as stacks (:meth:`SchemeConfig.build_trials`) of as many as
 fit ``STACK_BYTES``, so a sweep's memory stays that of one stack; a trial
 larger than that (an L=275 extension) goes alone. Each stack takes one
-channel draw and one build call over the whole stack, which gives each
-trial that fails the error it gets alone, and hands the stacked scheme and
-extension of the trials that built (none, if none did) to
+channel draw and one build call, every step of which runs over all the
+stack's trials; a trial that fails keeps the error it gets alone, and the
+build selects the trials that built once, at its end, and hands their
+stacked scheme and extension (none, if none did) to
 :func:`~ia_lab.receiver.zf_rates`: one pass over the receivers, and one
 broadcast over the grid. A family that draws no channels (designed) is
 built once per sweep as a stack of one, and evaluated once, and its rows
@@ -32,7 +33,8 @@ from operator import add
 
 import numpy as np
 
-from .channels import ChannelSet, ChannelStack, generate_channels
+from .channels import (DEFAULT_A_MAX, DEFAULT_A_MIN, ChannelSet, ChannelStack,
+                       generate_channels)
 from .errors import (DegeneracyError, InsufficientDataError, ParameterError,
                      RegionMembershipError, SingularChannelError)
 from .families import get_family
@@ -53,8 +55,8 @@ class SchemeConfig:
     K: int = 3
     M: int = 1
     n: int = 1
-    a_min: float = 0.5
-    a_max: float = 2.0
+    a_min: float = DEFAULT_A_MIN
+    a_max: float = DEFAULT_A_MAX
     size_cap: int = DEFAULT_SIZE_CAP
 
     def __post_init__(self):

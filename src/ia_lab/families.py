@@ -28,11 +28,11 @@ class Family:
     # by size_cap; their ratio is the claimed degrees of freedom
     extension: Callable
     channel_shape: Callable  # config -> (K, M, F) one realization draws, None if fixed
-    # (config, ChannelStack) -> (trial, slots): trial is the stacked (scheme,
-    # extended channel) of the channel sets that built, and slots[t] is set
-    # t's row in it or the TRIAL_ERRORS instance its build gives; a family
-    # that draws no channels takes None and gives its one trial as the
-    # stack of one
+    # (config, ChannelStack) -> (trial, slots), the builder's own result:
+    # trial is the stacked (scheme, extended channel) of the channel sets
+    # that built, selected once at the build's end, and slots[t] is set t's
+    # row in it or the TRIAL_ERRORS instance its build gives; a family that
+    # draws no channels takes None and gives its one trial as the stack of one
     build: Callable
     # K -> (kind, receiver k, description, j, i) of every promised relation
     # between transmitter j's precoder seen at receiver k (left) and
@@ -57,18 +57,9 @@ def _require(ok: bool, requirement: str) -> None:
         raise ParameterError(requirement)
 
 
-def _paired(built, ext) -> tuple:
-    """(trial, slots) of a stacked build of (scheme, slots) on ``ext``: the
-    extension keeps the rows of the trials that built, and stays ``ext``
-    itself when every trial built."""
-    scheme, slots = built
-    kept = [t for t, slot in enumerate(slots) if not isinstance(slot, Exception)]
-    return (scheme, ext if len(kept) == len(slots) else ext[kept]), slots
-
-
 def _k3_build(config, channels):
     ext = extend_channel(channels, 2 * config.n + 1)
-    return _paired(build_precoders_k3(ext, config.n), ext)
+    return build_precoders_k3(ext, config.n)
 
 
 def _k3_relations(K):
@@ -86,7 +77,7 @@ def _general_extension(c):
 def _general_build(config, channels):
     ext = extend_channel(channels, guarded_extension_general(channels.K, config.n,
                                                              config.size_cap))
-    return _paired(build_precoders_general(ext, config.n, size_cap=config.size_cap), ext)
+    return build_precoders_general(ext, config.n, size_cap=config.size_cap)
 
 
 def _general_relations(K):
@@ -103,7 +94,7 @@ def _general_relations(K):
 def _mimo_build(config, channels):
     odd = channels.M % 2
     ext = extend_channel(channels, 1 + odd, mode="constant-time")
-    return _paired((build_mimo_odd if odd else build_mimo_even)(ext), ext)
+    return (build_mimo_odd if odd else build_mimo_even)(ext)
 
 
 def _mimo_relations(K):

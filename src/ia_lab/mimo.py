@@ -89,23 +89,20 @@ def _sorted_eigenbasis(matrices: np.ndarray, stack: TrialStack) -> tuple:
 def _build(ext: ExtendedChannel, L: int, seed, parity: str):
     """Either parity's construction over its L-slot ``ext`` (see the builders):
     transmitter 1's precoder is ``seed`` of the loop map's sorted eigenbasis."""
-    blocks = ext.blocks if ext.stacked else ext.blocks[None]
     if ext.L != L:
         raise ShapeError(f"{parity}-M construction needs a {L}-slot extension, got L={ext.L}")
-    if not (blocks[..., 1:, :, :] == blocks[..., :1, :, :]).all():
+    trials = ext if ext.stacked else ext[None]
+    if not (trials.blocks[..., 1:, :, :] == trials.blocks[..., :1, :, :]).all():
         raise ShapeError("constant-channel construction expects equal slots")
-    stack = TrialStack(len(blocks))
-    blocks, loop = stack.cut(blocks, _loop_matrix(blocks, stack))
-    _, vectors = _sorted_eigenbasis(loop, stack)
-    blocks, vectors = stack.cut(blocks, vectors)
-    built = ExtendedChannel(K=3, M=ext.M, L=L, blocks=blocks)
+    stack = TrialStack(len(trials.blocks))
+    _, vectors = _sorted_eigenbasis(_loop_matrix(trials.blocks, stack), stack)
     v_tx1 = seed(vectors)
     link = "H" if L == 1 else "extended H"
-    v_tx2, v_tx3 = _solve(stack, (built.matrix(2, 1), built.apply(2, 0, v_tx1), link + "32"),
-                          (built.matrix(1, 2), built.apply(1, 0, v_tx1), link + "23"))
+    v_tx2, v_tx3 = _solve(stack, (trials.matrix(2, 1), trials.apply(2, 0, v_tx1), link + "32"),
+                          (trials.matrix(1, 2), trials.apply(1, 0, v_tx1), link + "23"))
     schemes = full_rank_schemes(stack, DegeneracyError, (v_tx1, v_tx2, v_tx3),
                                 family="mimo", K=3, M=ext.M, L=L, parity=parity)
-    return (schemes, stack.slots()) if ext.stacked else stack.one(schemes)
+    return stack.finish(schemes, ext)
 
 
 def build_mimo_even(ext: ExtendedChannel):
@@ -115,9 +112,9 @@ def build_mimo_even(ext: ExtendedChannel):
     others are solved from the exact equalities H21 V1 = H23 V3 and
     H31 V1 = H32 V2, leaving M/2 interference dimensions at every receiver.
 
-    For a stacked ``ext``, every step runs over the whole stack: (the
-    stacked scheme of the trials that built, each trial's row in it or the
-    error its build gives alone).
+    For a stacked ``ext``, every step runs over the whole stack: ((the
+    stacked scheme and extension of the trials that built), each trial's row
+    in them or the error its build gives alone).
     """
     M = ext.M
     if M < 2 or M % 2:

@@ -363,6 +363,8 @@ def _check(batch, joint, ext, T, dk, own, image, image_complement, ranks, passed
 
 
 def _check_dimensions(scheme, ext) -> None:
+    if len(scheme.precoders) != scheme.K:
+        raise ShapeError(f"scheme has K={scheme.K} but {len(scheme.precoders)} precoders")
     if scheme.K != ext.K:
         raise ShapeError(f"scheme has K={scheme.K}, channel has K={ext.K}")
     if scheme.precoders[0].shape[-2] != ext.dim:

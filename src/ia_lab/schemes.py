@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import ShapeError
 from .linalg import has_full_column_rank
 
 
@@ -42,6 +43,8 @@ class PrecoderScheme:
         return self.precoders[0].ndim == 3
 
     def __getitem__(self, t) -> "PrecoderScheme":
+        if t is not None and not self.stacked:
+            raise ShapeError("only a stack of schemes takes a trial index")
         return replace(self, precoders=tuple(v[t] for v in self.precoders))
 
     @property
@@ -59,48 +62,43 @@ class PrecoderScheme:
 
 
 class TrialStack:
-    """Bookkeeping of a build over a stack of trials: which trials are still
-    in it, and the error of each one that failed.
+    """Bookkeeping of a build over a stack of trials: the error of each trial
+    that failed.
 
-    A stacked build computes on arrays with a leading axis over the trials
-    still in it; row r of those arrays is trial ``rows[r]``. ``fail`` gives
-    each row whose ``ok`` entry is False its own error, unless its trial has
-    one already, so a trial keeps the error of the first step it fails, as
-    it does alone. ``cut`` drops the rows of failed trials; every array that
-    the build still uses goes through the same ``cut`` call.
+    Every step of a stacked build runs over all the stack's rows, row t
+    being trial t. ``fail`` gives each row whose ``ok`` entry is False its
+    own error, unless its trial has one already, so a trial keeps the error
+    of the first step it fails, as it does alone. A failed row stays in the
+    build, finite, and ``finish`` selects the trials that built once, at the
+    end, for the scheme and the extension together.
     """
 
     def __init__(self, size: int):
-        self.rows = np.arange(size)
         self.errors = [None] * size
-        self._failed = False  # whether a row failed since the last cut
 
     def fail(self, ok, error: type, message: str) -> None:
         if np.logical_and.reduce(ok, axis=None):
             return
-        for t in self.rows[~ok]:
+        for t in np.flatnonzero(~ok):
             if self.errors[t] is None:
                 self.errors[t] = error(message)
-                self._failed = True
 
-    def cut(self, *arrays) -> tuple:
-        """``arrays`` without the rows of failed trials. Indexing the first
-        axis keeps each row's memory layout, so whatever is summed over a
-        row later sums in the same order as for the trial alone."""
-        if not self._failed:
-            return arrays
-        self._failed = False
-        keep = np.array([self.errors[t] is None for t in self.rows], dtype=bool)
-        self.rows = self.rows[keep]
-        return tuple(a[keep] for a in arrays)
-
-    def slots(self) -> tuple:
-        """Per trial of the stack: its row among the trials still in it, or
-        its error."""
-        out = list(self.errors)
-        for r, t in enumerate(self.rows):
-            out[t] = r
-        return tuple(out)
+    def finish(self, scheme: PrecoderScheme, ext):
+        """What a build over ``ext`` returns of ``scheme``, which stacks every
+        row: for a stacked ``ext``, ((scheme, ext) of the trials that built,
+        each trial's row in them or its error), the two themselves when every
+        trial built; for one extension, ``one(scheme)``. Indexing the first
+        axis keeps each row's memory layout, so whatever is summed over a row
+        later sums in the same order as for the trial alone."""
+        if not ext.stacked:
+            return self.one(scheme)
+        kept = [t for t, error in enumerate(self.errors) if error is None]
+        if len(kept) < len(self.errors):
+            scheme, ext = scheme[kept], ext[kept]
+        slots = list(self.errors)
+        for r, t in enumerate(kept):
+            slots[t] = r
+        return (scheme, ext), tuple(slots)
 
     def one(self, result):
         """For a stack of one: ``result[0]``, or the trial's error raised."""
@@ -112,16 +110,14 @@ class TrialStack:
 
 def full_rank_schemes(stack: TrialStack, error: type, precoders: tuple,
                       **fields) -> PrecoderScheme:
-    """The stacked PrecoderScheme of the trials of a stacked build whose
-    precoders all have full column rank, in the rows of ``stack``.
+    """The stacked PrecoderScheme of a stacked build's precoders, every row
+    kept; ``precoders[i]`` stacks transmitter i's over the rows of ``stack``.
 
-    ``precoders[i]`` stacks transmitter i's precoders over the rows of
-    ``stack``. A trial whose precoder does not have full column rank gets
-    ``error`` naming its first such transmitter, and leaves the stack.
-    Transmitters of one shape share one full-rank call, column-major ones
-    apart (they sum their column norms in another order).
+    A trial whose precoder does not have full column rank gets ``error``
+    naming its first such transmitter. Transmitters of one shape share one
+    full-rank call, column-major ones apart (they sum their column norms in
+    another order).
     """
-    precoders = stack.cut(*precoders)
     groups, ok = {}, {}
     for i, v in enumerate(precoders):
         groups.setdefault((v.shape[1:], v.shape[-1] > 1 and v.strides[-2] < v.strides[-1]),
@@ -129,10 +125,10 @@ def full_rank_schemes(stack: TrialStack, error: type, precoders: tuple,
     for members in groups.values():
         full = has_full_column_rank(np.concatenate([precoders[i] for i in members])
                                     if len(members) > 1 else precoders[members[0]])
-        ok.update(zip(members, full.reshape(len(members), len(stack.rows))))
+        ok.update(zip(members, full.reshape(len(members), len(stack.errors))))
     for i in range(len(precoders)):
         stack.fail(ok[i], error, f"precoder of transmitter {i + 1} lost full column rank")
-    return PrecoderScheme(precoders=stack.cut(*precoders), **fields)
+    return PrecoderScheme(precoders=precoders, **fields)
 
 
 def _matrix_entries(v: np.ndarray) -> list:

@@ -27,7 +27,7 @@ def _diagonals(ext: ExtendedChannel) -> tuple:
     of link (k, j)'s diagonals, checked when first asked for, and ``stack``
     the bookkeeping of the build. A trial whose link is singular fails, and
     its row reads ones, so that what is computed from it stays finite until
-    its trial leaves the stack."""
+    the build's final selection drops it."""
     blocks = ext.blocks if ext.stacked else ext.blocks[None]
     stack = TrialStack(len(blocks))
     checked = {}
@@ -77,9 +77,9 @@ def build_precoders_k3(ext: ExtendedChannel, n: int):
     coincides column by column, while at receivers 2 and 3 the single-user
     interference columns land inside transmitter 1's column set.
 
-    For a stacked ``ext``, elementwise over its (T, L) diagonals: (the
-    stacked scheme of the trials that built, each trial's row in it or the
-    SingularChannelError its build gives alone).
+    For a stacked ``ext``, elementwise over its (T, L) diagonals: ((the
+    stacked scheme and extension of the trials that built), each trial's row
+    in them or the SingularChannelError its build gives alone).
     """
     if n < 1:
         raise ParameterError(f"alignment order must be >= 1, got n={n}")
@@ -94,7 +94,7 @@ def build_precoders_k3(ext: ExtendedChannel, n: int):
     v_tx3 = (h(1, 0) / h(1, 2))[..., None] * powers[..., 1:]
     schemes = full_rank_schemes(stack, SingularChannelError, (v_tx1, v_tx2, v_tx3),
                                 family="siso-k3", K=3, M=1, L=L, n=n)
-    return (schemes, stack.slots()) if ext.stacked else stack.one(schemes)
+    return stack.finish(schemes, ext)
 
 
 def required_extension_general(K: int, n: int) -> int:
@@ -175,9 +175,9 @@ def build_precoders_general(ext: ExtendedChannel, n: int,
     inside transmitter 1's column set. ``size_cap`` bounds the extension
     length; raise it explicitly for configurations beyond desk scale.
 
-    For a stacked ``ext``, elementwise over its (T, L) diagonals: (the
-    stacked scheme of the trials that built, each trial's row in it or the
-    SingularChannelError its build gives alone).
+    For a stacked ``ext``, elementwise over its (T, L) diagonals: ((the
+    stacked scheme and extension of the trials that built), each trial's row
+    in them or the SingularChannelError its build gives alone).
     """
     K = ext.K
     if ext.M != 1:
@@ -195,4 +195,4 @@ def build_precoders_general(ext: ExtendedChannel, n: int,
     precoders = [v_tx1] + [scale[j][..., None] * seed_block for j in range(1, K)]
     schemes = full_rank_schemes(stack, SingularChannelError, tuple(precoders),
                                 family="siso-general", K=K, M=1, L=L, n=n)
-    return (schemes, stack.slots()) if ext.stacked else stack.one(schemes)
+    return stack.finish(schemes, ext)

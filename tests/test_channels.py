@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import identity_channels
 
-from ia_lab import (ChannelFileError, ParameterError, extend_channel,
+from ia_lab import (ChannelFileError, ParameterError, ShapeError, extend_channel,
                     generate_channels, load_channels, save_channels)
 from ia_lab.channels import ChannelSet
 
@@ -121,6 +121,12 @@ def test_single_user_rejected():
         generate_channels(1, 1, 3, seed=0)
 
 
+@pytest.mark.parametrize("shape", [(3.0, 1, 3), (3, 1.0, 3), (3, 1, 2.0), (3, 1, "3")])
+def test_non_integer_sizes_rejected(shape):
+    with pytest.raises(ParameterError, match="must be integers"):
+        generate_channels(*shape, seed=0)
+
+
 def test_extend_frequency_diagonal():
     ch = generate_channels(3, 1, 3, seed=7)
     ext = extend_channel(ch, 3)
@@ -182,6 +188,23 @@ def test_frequency_extension_needs_enough_slots():
     ch = generate_channels(3, 1, 3, seed=0)
     with pytest.raises(ParameterError):
         extend_channel(ch, 4)
+
+
+@pytest.mark.parametrize("mode", ["frequency", "constant-time"])
+@pytest.mark.parametrize("L", [2.0, 3.0, "2"])
+def test_non_integer_extension_length_rejected(mode, L):
+    ch = generate_channels(3, 1, 3, seed=0)
+    with pytest.raises(ParameterError, match="positive integer"):
+        extend_channel(ch, L, mode=mode)
+
+
+def test_only_a_stacked_extension_takes_a_trial_index():
+    one = extend_channel(generate_channels(3, 2, 1, seed=0), 1)
+    with pytest.raises(ShapeError):
+        one[0]
+    assert one[None].stacked and np.array_equal(one[None].blocks[0], one.blocks)
+    stack = extend_channel(generate_channels(3, 2, 1, seed=[0, 1]), 1)
+    assert not stack[1].stacked and np.array_equal(stack[1].blocks, stack.blocks[1])
 
 
 @settings(max_examples=25, deadline=None)

@@ -85,6 +85,25 @@ def test_dimension_mismatch_raises():
         check_alignment(scheme, ext5)
 
 
+def test_a_scheme_short_of_precoders_raises():
+    scheme, ext = k3_case(n=1)
+    short = dataclasses.replace(scheme, precoders=scheme.precoders[:2])
+    with pytest.raises(ShapeError, match="K=3 but 2 precoders"):
+        check_alignment(short, ext)
+    with pytest.raises(ShapeError, match="K=3 but 2 precoders"):
+        zf_rates(short, ext, [1.0])
+
+
+def test_only_a_stacked_scheme_takes_a_trial_index():
+    scheme, ext = k3_case(n=1)
+    with pytest.raises(ShapeError):
+        scheme[0]
+    with pytest.raises(ShapeError):
+        check_alignment(scheme[0], ext)
+    assert scheme[None].stacked
+    assert check_alignment(scheme[None][0], ext) == check_alignment(scheme, ext)
+
+
 def test_zero_power_gives_zero_rates():
     scheme, ext = k3_case()
     [rates] = rates_of(scheme, ext, [0.0]).tolist()

@@ -401,7 +401,9 @@ BROKEN = [
 
 def assert_fails_alone_in_the_middle(monkeypatch, label, breaks, message):
     """Break the middle trial of a 5-trial stack: it fails with the error it
-    gets alone, and every other trial builds as it does alone."""
+    gets alone, and every other trial builds as it does alone. The failed row
+    stays finite through the build, and the stack's extension holds exactly
+    the survivors' blocks."""
     config = BUILD_CONFIGS[label]
     draws = []
     draw = ia_lab.evaluation.generate_channels
@@ -414,19 +416,23 @@ def assert_fails_alone_in_the_middle(monkeypatch, label, breaks, message):
         return draws[-1]
 
     monkeypatch.setattr(ia_lab.evaluation, "generate_channels", breaking_the_middle)
-    [stack] = config.build_trials(range(5))
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        [stack] = config.build_trials(range(5))
     [channels] = draws
+    survivors = []
     for t, (_, built) in enumerate(stack):
         if t != 2:
             scheme, ext = built
-            scheme_alone, _ = config.build_on(channels[t])
+            scheme_alone, ext_alone = config.build_on(channels[t])
             for v, w in zip(scheme.precoders, scheme_alone.precoders, strict=True):
                 assert v.tobytes() == w.tobytes() and v.strides == w.strides
+            survivors.append(ext_alone.blocks)
             continue
         assert isinstance(built, TRIAL_ERRORS)
         with pytest.raises(type(built), match=message) as alone:
             config.build_on(channels[t])
         assert str(alone.value) == str(built)
+    assert np.array_equal(stack.trial[1].blocks, np.stack(survivors))
 
 
 @pytest.mark.parametrize("label,breaks,message", BROKEN)
