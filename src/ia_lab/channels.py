@@ -219,8 +219,8 @@ def generate_channels(K: int, M: int, F: int,
         M: antennas per node, at least 1.
         F: number of frequency slots, at least 1.
         a_min, a_max: magnitude bounds, 0 < a_min <= a_max.
-        seed: 64-bit generation seed, or a sequence of them; identical seeds
-            reproduce identical coefficients bit for bit.
+        seed: integer 64-bit generation seed, or a sequence of them;
+            identical seeds reproduce identical coefficients bit for bit.
 
     Returns:
         A ChannelSet with K*K*F coefficient matrices of size M x M whose
@@ -229,7 +229,7 @@ def generate_channels(K: int, M: int, F: int,
         each seed in order, every one bit-identical to drawing it alone.
     """
     one = np.ndim(seed) == 0
-    seeds = [int(s) for s in ([seed] if one else seed)]
+    seeds = [seed] if one else list(seed)
     if not all(isinstance(n, Integral) for n in (K, M, F)):
         raise ParameterError(f"K, M and F must be integers, got K={K!r}, M={M!r}, F={F!r}")
     if K < 2:
@@ -239,8 +239,9 @@ def generate_channels(K: int, M: int, F: int,
     if not (0.0 < a_min <= a_max):
         raise ParameterError(
             f"magnitude bounds must satisfy 0 < a_min <= a_max, got [{a_min}, {a_max}]")
-    if not all(0 <= s < 2 ** 64 for s in seeds):
-        raise ParameterError("seed must fit in an unsigned 64-bit integer")
+    if not all(isinstance(s, Integral) and 0 <= s < 2 ** 64 for s in seeds):
+        raise ParameterError(f"seed must fit in an unsigned 64-bit integer, got {seed!r}")
+    seeds = [int(s) for s in seeds]
 
     # block (k, j, f) of a seed has key (its flat index, seed) and reads
     # counters 1..per_block; its first M*M words give magnitudes, the next

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -59,11 +60,13 @@ class DelayMatrix:
 
     @classmethod
     def from_array(cls, values) -> "DelayMatrix":
-        arr = np.array(values, dtype=int)  # copy; freezing must not leak out
+        raw = np.asarray(values)
+        if raw.dtype.kind not in "biuf" or not np.all(
+                np.isfinite(raw) & (raw == np.round(raw)) & (raw >= 0)):
+            raise ParameterError(f"delays must be nonnegative integers, got {values!r}")
+        arr = raw.astype(int)  # a copy; freezing must not leak out
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ParameterError(f"delay matrix must be square, got shape {arr.shape}")
-        if np.any(arr < 0):
-            raise ParameterError("delays must be nonnegative")
         arr.setflags(write=False)
         return cls(delays=arr)
 
@@ -107,9 +110,9 @@ def simulate_delay_schedule(d: DelayMatrix, slots: int) -> np.ndarray:
         raise ParameterError(
             "delay matrix fails the parity condition (own even, cross odd)")
     max_delay = int(np.max(d.delays))
-    if slots % 2 or slots < max(2, 2 * max_delay):
-        raise ParameterError(
-            f"slots must be even and >= 2*max(delay)={2 * max_delay}, got {slots}")
+    if not isinstance(slots, Integral) or slots % 2 or slots < max(2, 2 * max_delay):
+        raise ParameterError(f"slots must be an even integer >= 2*max(delay)="
+                             f"{2 * max_delay}, got {slots!r}")
     emissions = range(0, slots, 2)
     fractions = np.empty(d.K, dtype=float)
     for k in range(d.K):

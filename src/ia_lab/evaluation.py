@@ -279,8 +279,9 @@ def _trial_seed(root_seed: int, trial: int, root_pool: tuple = None) -> int:
 
 
 def _trial_bytes(config: SchemeConfig) -> int:
-    """Rough bytes one trial of ``config`` adds to each receiver batch of a
-    receiver pass."""
+    """Rough bytes one trial of ``config`` adds to each receiver of a
+    receiver pass, whose batches hold whole receivers with all their
+    trials: a stack this sizes fits at least one receiver per batch."""
     L, streams = get_family(config.family).extension(config)
     return _receiver_bytes(L * config.M, streams)
 

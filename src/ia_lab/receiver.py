@@ -31,21 +31,23 @@ RANK_TOL, a lower bound on the equilibrated projection's; only the other
 rows, and every row of :func:`check_alignment`, take the verdict's SVD.
 
 The pass runs over a stack of trials of one family and shape, as a stacked
-build gives them, or over one trial as the stack of one. Each link's
-product H_kj V_j is formed once per stack, into receiver k's array of all
-its products, of which the desired and interference matrices, the gain
-projection and the family relations read views. Receivers of one shape
-share each batched SVD, over (receiver, trial) rows cut into batches of
-STACK_BYTES, so a trial above that budget walks its receivers one at a
-time, and each batch is equilibrated once; then the relations at a
-receiver are evaluated, those of one kind and operand shape in one residual
-call. The verdicts are arrays: ranks per (receiver, trial) and residuals
-per (relation, trial), and the pass mask follows from them.
-:func:`check_alignment` builds its report from its one trial's column, and
-only it measures desired ranks; :func:`zf_rates` drops a failing trial
-after its batch and takes its gains from the complement that gives the
-verdict. Every trial gets, bit for bit, the answer it gets alone, and the
-whole power grid takes one broadcast per stream count.
+build gives them, or over one trial as the stack of one. It takes the
+receivers of one stream count and complement route (the columns they
+decompose, or the transmitter whose shared image they carry) in batches of
+whole receivers with all their trials, as many as fit STACK_BYTES and at
+least one. A batch forms the product H_kj V_j of each of its links once,
+into receiver k's array of all its products, of which the desired and
+interference matrices, the gain projection and the family relations read
+views; it is equilibrated once and shares each batched SVD, and then the
+relations at its receivers are evaluated, those of one kind and operand
+shape in one residual call, before its products go. The verdicts are
+arrays: ranks per (receiver, trial) and residuals per (relation, trial),
+and the pass mask follows from them. :func:`check_alignment` builds its
+report from its one trial's column, and only it measures desired ranks;
+:func:`zf_rates` drops a failing trial after its batch and takes its gains
+from the complement that gives the verdict. Every trial gets, bit for bit,
+the answer it gets alone, and the whole power grid takes one broadcast per
+stream count.
 """
 
 from __future__ import annotations
@@ -147,11 +149,11 @@ def _receiver_bytes(dim: int, streams: int) -> int:
     return 16 * dim * (dim + 4 * streams)
 
 
-def _batches(rows: list, row_bytes: int) -> list:
-    """``rows`` cut into consecutive batches of as many as fit STACK_BYTES,
+def _batches(items: list, item_bytes: int) -> list:
+    """``items`` cut into consecutive batches of as many as fit STACK_BYTES,
     at least one each."""
-    size = max(1, STACK_BYTES // row_bytes)
-    return [rows[lo:lo + size] for lo in range(0, len(rows), size)]
+    size = max(1, STACK_BYTES // item_bytes)
+    return [items[lo:lo + size] for lo in range(0, len(items), size)]
 
 
 def _pass(scheme, ext, with_gains) -> tuple:
@@ -164,9 +166,9 @@ def _pass(scheme, ext, with_gains) -> tuple:
     residual of the family's relation i; an entry the pass did not reach
     is -1 or nan, and so is every desired rank of a pass with gains, which
     does not need it. ``passed`` masks the trials that pass every check and
-    relation. Each receiver's products (its own streams first, through
-    unit-norm columns for gains, then the others' in order) live from the
-    first batch that reaches it until its relations are evaluated.
+    relation. A batch of whole receivers forms their products (own streams
+    first, through unit-norm columns for gains, then the others' in order),
+    checks them, evaluates their relations and lets the products go.
 
     Without gains every trial stays to the last receiver and relation, and
     gains is None. With gains, a trial that fails a check or relation
@@ -179,25 +181,24 @@ def _pass(scheme, ext, with_gains) -> tuple:
     streams = sum(d)
     order = [[k] + [j for j in range(K) if j != k] for k in range(K)]
     offsets = [dict(zip(o, accumulate((d[j] for j in o), initial=0))) for o in order]
-    products = [None] * K
 
-    def joint(k):
-        if products[k] is None:
-            products[k] = np.empty((T, dim, streams), dtype=complex)
-            for j in order[k]:
-                v = scheme.precoders[j]
-                # the gains take the desired streams through unit-norm columns
-                products[k][..., offsets[k][j]:offsets[k][j] + d[j]] = ext.apply(
-                    k, j, equilibrate_columns(v) if j == k and with_gains else v)
-        return products[k]
+    def products(k):
+        out = np.empty((T, dim, streams), dtype=complex)
+        for j in order[k]:
+            v = scheme.precoders[j]
+            # the gains take the desired streams through unit-norm columns
+            out[..., offsets[k][j]:offsets[k][j] + d[j]] = ext.apply(
+                k, j, equilibrate_columns(v) if j == k and with_gains else v)
+        return out
 
     family = get_family(scheme.family)
     image = family.interference_image(K) if family.interference_image else (None,) * K
-    # receiver k's columns whose complement it takes itself: its interference,
-    # or an image no other receiver has; None where it shares its image
-    own = [(d[k], streams) if j is None else
-           (offsets[k][j], offsets[k][j] + d[j]) if image.count(j) == 1 else None
-           for k, j in enumerate(image)]
+    # receiver k's complement route: the range of its columns it decomposes
+    # itself (its interference, or an image no other receiver names), or
+    # else the transmitter whose shared image it carries
+    routes = [(d[k], streams) if j is None else
+              (offsets[k][j], offsets[k][j] + d[j]) if image.count(j) == 1 else j
+              for k, j in enumerate(image)]
     listed = list(family.relations(K))
     # built per call from the module names, so whatever rebinds them sees it
     residual = {"equality": equality_residual, "subset": subset_residual,
@@ -207,17 +208,17 @@ def _pass(scheme, ext, with_gains) -> tuple:
     # whether each trial passed every check and relation so far
     passed = [True] * T
 
-    def relate(receivers):
+    def relate(joint):
         rows = [t for t in range(T) if passed[t] or not with_gains]
         if not rows:
             return
         kinds = {}
         for i, (kind, k, _, jl, jr) in enumerate(listed):
-            if k in receivers:
+            if k in joint:
                 kinds.setdefault((kind, d[jl], d[jr]), []).append(i)
 
         def operand(k, j):
-            hv = products[k][..., offsets[k][j]:offsets[k][j] + d[j]]
+            hv = joint[k][..., offsets[k][j]:offsets[k][j] + d[j]]
             return hv if len(rows) == T else hv[rows]
 
         for (kind, dl, dr), members in kinds.items():
@@ -244,22 +245,15 @@ def _pass(scheme, ext, with_gains) -> tuple:
 
     groups = {}
     for k in range(K):
-        groups.setdefault((d[k], streams - d[k]), []).append(k)
+        groups.setdefault((d[k], routes[k]), []).append(k)
     gains = tuple(np.empty((T, dk)) for dk in d) if with_gains else None
-    for (dk, _), members in groups.items():
-        rows = [(k, t) for k in members for t in range(T)]
-        done = 0
-        for batch in _batches(rows, _receiver_bytes(dim, streams)):
-            done += len(batch)
-            batch = [(k, t) for k, t in batch if passed[t] or not with_gains]
-            if batch:
-                _check(batch, joint, ext, T, dk, own, image, image_complement, ranks,
-                       passed, gains)
-            # receivers whose every row has been checked
-            completed = [k for k in members[:done // T] if products[k] is not None]
-            relate(completed)
-            for k in completed:
-                products[k] = None
+    for (dk, route), members in groups.items():
+        for batch in _batches(members, max(T, 1) * _receiver_bytes(dim, streams)):
+            live = [t for t in range(T) if passed[t] or not with_gains]
+            if live:
+                joint = {k: products(k) for k in batch}
+                _check(joint, live, route, ext, dk, image_complement, ranks, passed, gains)
+                relate(joint)
     return ranks, residuals, np.array(passed, dtype=bool), gains
 
 
@@ -284,60 +278,43 @@ def _certified(s, desired):
     return s[:, -1] >= 2 * RANK_TOL * np.maximum.reduce(nu, axis=-1)
 
 
-def _check(batch, joint, ext, T, dk, own, image, image_complement, ranks, passed,
+def _check(joint, trials, route, ext, dk, image_complement, ranks, passed,
            gains) -> None:
-    """Check the (receiver k, trial t) rows of a batch, ``joint(k)`` being
-    receiver k's (T, dim, streams) products, desired streams first: set their
-    ``ranks``, clear ``passed`` for each failing trial and set the gains of
-    the others (unless gains is None).
+    """Check the receivers of a batch of one ``route`` at the stack's live
+    ``trials``, ``joint[k]`` being receiver k's (T, dim, streams) products,
+    desired streams first: set their ``ranks``, clear ``passed`` for each
+    failing trial and set the gains of the others (unless gains is None).
+    A row is one (receiver, trial) pair, receiver by receiver.
 
-    Where ``own[k]`` gives a range of receiver k's columns, a row's
-    complement comes from the full-U SVD of those columns equilibrated;
-    otherwise it is ext's H_kj^{-H}, j = ``image[k]``, applied to the columns
-    past the rank of ``image_complement(j)``, orthonormalized. The verdict
-    and the gains project onto it; with gains, a row whose gains certify
-    rank d_k takes no verdict SVD. Its matrices live only for this call, so
-    that dropping a receiver's products frees them."""
-    trials = {}
-    for k, t in batch:
-        trials.setdefault(k, []).append(t)
-    # a view of receiver k's products when the batch is all of them
-    parts = [joint(k) if len(ts) == T else joint(k)[ts] for k, ts in trials.items()]
+    A range route (lo, hi) takes every row's complement from one full-U
+    SVD of those columns equilibrated. A transmitter route j takes ext's
+    H_kj^{-H} applied to the columns past the rank of
+    ``image_complement(j)``, orthonormalized: one solve per receiver and
+    one QR per rank. The verdict and the gains project onto it; with gains,
+    a row whose gains certify rank d_k takes no verdict SVD."""
+    whole = len(trials) == len(passed)
+    # views of the products when every trial is live
+    parts = [p if whole else p[trials] for p in joint.values()]
     J = parts[0] if len(parts) == 1 else np.concatenate(parts)
     # each column is scaled alone, so every SVD reads columns of one equilibration
     E = equilibrate_columns(J)
-    ks, ts = zip(*batch)
+    ks, ts = [k for k in joint for _ in trials], trials * len(joint)
     if gains is None:
         ranks[0, ks, ts] = _rank(np.linalg.svd(E[..., :dk], compute_uv=False), RANK_TOL)
-    groups = []  # (rows of the batch, bases of their complements, interference rank)
-    # the rows that decompose columns of their own, by those columns
-    local = {}
-    for p, k in enumerate(ks):
-        if own[k] is not None:
-            local.setdefault(own[k], []).append(p)
-    for (lo, hi), members in local.items():
-        whole = len(members) == len(batch)
-        u, interference = complement_and_rank(E[..., lo:hi] if whole else E[members, :, lo:hi])
-        groups += [([members[i] for i in rows], u[rows, :, r:], r)
-                   for r, rows in _by_rank(interference).items()]
-    # the other rows by image and its rank, each group's receivers in one QR
-    structured = {}
-    at = 0
-    for k, kts in trials.items():
-        if own[k] is None:
-            for r, rows in _by_rank(image_complement(image[k])[1][kts]).items():
-                structured.setdefault((image[k], r), []).append((k, [at + p for p in rows]))
-        at += len(kts)
-    for (j, r), members in structured.items():
-        u = image_complement(j)[0]
-        scaled = []
-        for k, rows in members:
-            chosen = [ts[p] for p in rows]
-            whole = len(chosen) == T
-            scaled.append((ext if whole else ext[chosen]).solve_adjoint(
-                k, j, (u if whole else u[chosen])[..., r:]))
-        scaled = scaled[0] if len(scaled) == 1 else np.concatenate(scaled)
-        groups.append(([p for _, rows in members for p in rows], np.linalg.qr(scaled)[0], r))
+    # (rows of the batch, bases of their complements, interference rank)
+    if isinstance(route, tuple):
+        u, interference = complement_and_rank(E[..., route[0]:route[1]])
+        groups = [(rows, u[rows, :, r:], r) for r, rows in _by_rank(interference).items()]
+    else:
+        u, image = image_complement(route)
+        groups = []
+        for r, rows in _by_rank(image[trials]).items():
+            chosen = [trials[p] for p in rows]
+            base = u if len(chosen) == len(passed) else u[chosen]
+            sub = ext[chosen] if ext.stacked and len(chosen) < len(passed) else ext
+            scaled = np.concatenate([sub.solve_adjoint(k, route, base[..., r:]) for k in joint])
+            groups.append(([i * len(trials) + p for i in range(len(joint)) for p in rows],
+                           np.linalg.qr(scaled)[0], r))
     for rows, basis, r in groups:
         doubtful = list(range(len(rows)))
         if gains is not None:
@@ -430,20 +407,22 @@ def zf_rates(scheme, ext, rhos) -> list:
     """Zero-forcing rates of a stack of trials over one power grid, from one
     pass over the receivers.
 
-    ``scheme`` and ``ext`` are stacked alike, as a stacked build gives them,
-    or one trial, taken as the stack of one. ``rhos`` holds total transmit
-    powers per orthogonal dimension, split equally over transmitters and
-    then over each one's streams; a power that is not finite and
-    nonnegative raises ParameterError before the pass. Receiver k decodes
-    its own streams jointly in the interference-free subspace: rate_k =
-    log2 det(I + p_k G G^H) / L, with G the projected effective channel
-    through unit-norm precoder columns and p_k = (rho / K) * L / d_k per
-    stream. Returns, per trial, its per-user rates as a (len(rhos), K)
-    array, or None where the pass mask fails it: a failed check means the
-    construction is broken and any rate would be meaningless.
+    ``scheme`` and ``ext`` are stacked alike, as a stacked build gives them, or
+    one trial, taken as the stack of one. ``rhos``, a 1-D grid, holds total
+    transmit powers per orthogonal dimension, split equally over transmitters
+    and then over each one's streams; any other shape, or a power that is not
+    finite and nonnegative, raises ParameterError before the pass. Receiver k
+    decodes its own streams jointly in the interference-free subspace: rate_k =
+    log2 det(I + p_k G G^H) / L, with G the projected effective channel through
+    unit-norm precoder columns and p_k = (rho / K) * L / d_k per stream.
+    Returns, per trial, its per-user rates as a (len(rhos), K) array, or None
+    where the pass mask fails it: a failed check means the construction is
+    broken and any rate would be meaningless.
     """
     _check_dimensions(scheme, ext)
     rhos = np.asarray(rhos, dtype=float)
+    if rhos.ndim != 1:
+        raise ParameterError(f"the power grid must be one-dimensional, got shape {rhos.shape}")
     bad = ~(np.isfinite(rhos) & (rhos >= 0))
     if bad.any():
         raise ParameterError(

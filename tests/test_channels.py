@@ -127,6 +127,21 @@ def test_non_integer_sizes_rejected(shape):
         generate_channels(*shape, seed=0)
 
 
+@pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(2.0), [0, 2.5], np.array([1.0, 2.0])])
+def test_non_integer_seeds_rejected(seed):
+    with pytest.raises(ParameterError, match="seed"):
+        generate_channels(3, 1, 3, seed=seed)
+
+
+def test_numpy_integer_seeds_draw_as_their_values():
+    one = generate_channels(3, 1, 3, seed=np.uint64(7))
+    assert one.seed == 7 and type(one.seed) is int
+    assert np.array_equal(one.coeffs, generate_channels(3, 1, 3, seed=7).coeffs)
+    stack = generate_channels(3, 1, 3, seed=np.array([7, 8]))
+    assert stack.seeds == (7, 8)
+    assert np.array_equal(stack.coeffs, generate_channels(3, 1, 3, seed=[7, 8]).coeffs)
+
+
 def test_extend_frequency_diagonal():
     ch = generate_channels(3, 1, 3, seed=7)
     ext = extend_channel(ch, 3)

@@ -125,3 +125,23 @@ def test_delay_matrix_rejects_negative_and_nonsquare():
         DelayMatrix.from_array([[2, -1], [1, 2]])
     with pytest.raises(ParameterError):
         DelayMatrix.from_array([[2, 1, 1], [1, 2, 1]])
+
+
+@pytest.mark.parametrize("bad", [1.5, np.nan, np.inf, "1"])
+def test_delay_matrix_rejects_non_integer_delays(bad):
+    values = np.array([[2, 1], [1, 2]], dtype=object)
+    values[0, 1] = bad
+    with pytest.raises(ParameterError, match="integers"):
+        DelayMatrix.from_array(values.tolist())
+
+
+def test_delay_matrix_takes_whole_float_delays():
+    matrix = DelayMatrix.from_array([[2.0, 1.0], [1.0, 2.0]])
+    assert matrix.delays.dtype.kind == "i"
+    assert matrix.delays.tolist() == [[2, 1], [1, 2]]
+
+
+@pytest.mark.parametrize("slots", [10.0, "10", None])
+def test_schedule_rejects_a_non_integer_horizon(slots):
+    with pytest.raises(ParameterError, match="even integer"):
+        simulate_delay_schedule(canonical_delays(), slots)

@@ -119,6 +119,15 @@ def test_negative_power_rejected():
             zf_rates(scheme, ext, [1.0, bad])
 
 
+@pytest.mark.parametrize("rhos", [100.0, [[100.0], [1000.0]], [[100.0, 1000.0]]])
+def test_power_grid_must_be_one_dimensional(rhos):
+    scheme, ext = k3_case()
+    with pytest.raises(ParameterError, match="one-dimensional"):
+        zf_rates(scheme, ext, rhos)
+    # the grid it would stand for has one row per power
+    assert len(set(map(tuple, rates_of(scheme, ext, np.ravel(rhos)).tolist()))) == np.size(rhos)
+
+
 def test_rates_monotone_over_snr_grid():
     scheme, ext = k3_case(seed=3)
     grid_db = np.linspace(0, 95, 20)

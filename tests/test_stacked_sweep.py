@@ -491,38 +491,99 @@ DESIGNED_TABLES = {
 def test_build_trials_rejects_a_bad_seed():
     with pytest.raises(ParameterError):
         list(SchemeConfig("siso-k3").build_trials([0, -1]))
+    # a seed that is not an integer is not cut to one
+    with pytest.raises(ParameterError):
+        SchemeConfig("siso-k3").build(2.5)
 
 
-@pytest.mark.parametrize("M", [2, 3, 4])
-def test_receiver_stage_svd_calls_do_not_grow_with_trials(monkeypatch, M):
-    config = SchemeConfig("mimo", M=M)
-    calls = []
-    svd = np.linalg.svd
+def receiver_stage_calls(monkeypatch, config):
+    """(SVD calls, QR calls) of the pass with gains over one stack of 1, 4
+    and 8 trials of ``config``, every trial passing."""
+    originals = {name: getattr(np.linalg, name) for name in ("svd", "qr")}
+    calls = collections.Counter()
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
+    def counting(name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+        return call
 
     counts = []
     for trials in (1, 4, 8):
         scheme, ext = one_stack(config, range(trials))
-        monkeypatch.setattr(np.linalg, "svd", counting)
-        _, _, passed, _ = _pass(scheme, ext, True)
-        monkeypatch.setattr(np.linalg, "svd", svd)
-        assert passed.all()
-        counts.append(len(calls))
         calls.clear()
+        for name in originals:
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        _, _, passed, _ = _pass(scheme, ext, True)
+        for name, original in originals.items():
+            monkeypatch.setattr(np.linalg, name, original)
+        assert passed.all()
+        counts.append((calls["svd"], calls["qr"]))
+    return counts
+
+
+@pytest.mark.parametrize("M", [2, 3, 4])
+def test_receiver_stage_svd_calls_do_not_grow_with_trials(monkeypatch, M):
     # the 3 receivers share one shape, so one call for the interference SVD
     # and one for the projection the gains read (all trials share their
     # interference ranks, and every row's gains certify its verdict), not
     # one of each per receiver; then one for the span relation's bases of
     # both sides and one for its residual's norm
-    assert counts == [4, 4, 4]
+    assert receiver_stage_calls(monkeypatch, SchemeConfig("mimo", M=M)) == [(4, 0)] * 3
+
+
+@pytest.mark.parametrize("label", ["siso-k3 n=1", "siso-general K=4 n=1"])
+def test_siso_receiver_stage_calls_do_not_grow_with_trials(monkeypatch, label):
+    # receiver 1 decomposes transmitter 2's image among its own products:
+    # one interference SVD and one projection; receivers 2..K carry
+    # transmitter 1's image, one SVD of V_1 per stack, and share one QR and
+    # one projection, as all trials share the image's rank
+    assert receiver_stage_calls(monkeypatch, CONFIGS[label]) == [(4, 1)] * 3
+
+
+BATCHED = ["siso-k3 n=1", "siso-general K=4 n=1", "mimo M=2", "mimo M=3", "designed K=3"]
+
+
+@pytest.mark.parametrize("label", BATCHED)
+@pytest.mark.parametrize("trials", [3, 5])
+def test_a_pass_over_the_budget_takes_one_receiver_per_batch(monkeypatch, label, trials):
+    scheme, ext = one_stack(CONFIGS[label], range(trials))
+    T = len(scheme.precoders[0])
+    default = [_pass(scheme, ext, with_gains) for with_gains in (False, True)]
+    formed, widths = collections.Counter(), []
+    apply, check = ia_lab.channels.ExtendedChannel.apply, ia_lab.receiver._check
+
+    def counting(ext, k, j, v):
+        formed[k, j] += 1
+        return apply(ext, k, j, v)
+
+    def recording(joint, *args):
+        widths.append(len(joint))
+        return check(joint, *args)
+
+    monkeypatch.setattr(ia_lab.channels.ExtendedChannel, "apply", counting)
+    monkeypatch.setattr(ia_lab.receiver, "_check", recording)
+    # room for 2T - 1 (receiver, trial) rows, not a multiple of T: one whole
+    # receiver per batch, with all its trials
+    one = ia_lab.receiver._receiver_bytes(ext.dim, sum(scheme.stream_counts))
+    monkeypatch.setattr(ia_lab.receiver, "STACK_BYTES", (2 * T - 1) * one)
+    for with_gains, (ranks, residuals, passed, gains) in zip((False, True), default):
+        formed.clear()
+        small = _pass(scheme, ext, with_gains)
+        assert formed == {(k, j): 1 for k in range(scheme.K) for j in range(scheme.K)}
+        assert passed.all()
+        assert np.array_equal(small[0], ranks)
+        assert np.array_equal(small[1], residuals, equal_nan=True)
+        assert small[2].tolist() == passed.tolist()
+        if with_gains:
+            for g, g_small in zip(gains, small[3]):
+                assert g_small.tobytes() == g.tobytes()
+    assert widths == [1] * (2 * scheme.K)
 
 
 def test_no_receiver_after_a_failed_check_in_a_stack():
-    k3, ext = CONFIGS["siso-k3 n=1"].build(4)
-    scheme, ext = stacked([(steer(k3, ext), ext), (k3, ext)])
+    k3, one = CONFIGS["siso-k3 n=1"].build(4)
+    scheme, ext = stacked([(steer(k3, one), one), (k3, one)])
     ranks, _, passed, gains = _pass(scheme, ext, True)
     ok = zf_ok(np.array(scheme.stream_counts)[:, None], *ranks[1:])
     # the bad trial fails receiver 1 and reaches no other
@@ -535,6 +596,11 @@ def test_no_receiver_after_a_failed_check_in_a_stack():
     # a pass with gains leaves the desired ranks to check_alignment
     assert np.all(ranks[0] == -1)
     assert np.array_equal(full[1:, 0, 0], ranks[1:, 0, 0])
+    # the one extension both trials share gives the same answers, where
+    # receivers 2 and 3 carry transmitter 1's image for the live trial only
+    shared = _pass(scheme, one, True)
+    assert np.array_equal(shared[0], ranks) and shared[2].tolist() == passed.tolist()
+    assert all(g[1].tobytes() == g_shared[1].tobytes() for g, g_shared in zip(gains, shared[3]))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
