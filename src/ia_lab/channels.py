@@ -12,16 +12,16 @@ evaluates all of them at once, so generation costs a fixed number of array
 operations instead of one generator per block. Given a sequence of seeds,
 :func:`generate_channels` draws the blocks of every seed in that same one
 kernel call (a Monte-Carlo sweep draws all its trials so) and returns them
-as a :class:`ChannelStack`. Each block's coefficients depend only on its
-key, never on the order in which blocks are drawn or on what is drawn with
-them, and are bit-identical to drawing them with ``np.random.Philox`` one
-block at a time.
+as a stack: one :class:`ChannelSet` with a leading trial axis, which its
+extension keeps. Each block's coefficients depend only on its key, never on
+the order in which blocks are drawn or on what is drawn with them, and are
+bit-identical to drawing them with ``np.random.Philox`` one block at a time.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Integral
 
 import numpy as np
@@ -42,8 +42,11 @@ class ChannelSet:
     """All per-slot channel matrices of a K-user, M-antenna network.
 
     ``coeffs`` has shape (K, K, F, M, M); entry ``coeffs[k, j, f]`` is the
-    matrix from transmitter j to receiver k on frequency slot f. Instances
-    are immutable after construction and safe to share across threads.
+    matrix from transmitter j to receiver k on frequency slot f. A stack of
+    sets, one per seed, puts a leading trial axis on ``coeffs`` and holds
+    its seeds as a tuple in ``seed``; ``ch[t]`` is trial t's set, and an
+    array of trials, or None (the stack of one), gives a stack, as numpy
+    indexing does. Instances are immutable and safe to share across threads.
     """
 
     K: int
@@ -54,44 +57,22 @@ class ChannelSet:
     seed: int
     coeffs: np.ndarray
 
+    @property
+    def stacked(self) -> bool:
+        """True for a stack of channel sets."""
+        return self.coeffs.ndim == 6
 
-@dataclass(frozen=True)
-class ChannelStack:
-    """Channel sets of one shape drawn for a sequence of seeds.
-
-    ``coeffs[t]`` holds the coefficients of seed ``seeds[t]``, shaped as a
-    ChannelSet's; indexing and iteration give the ChannelSets themselves.
-    """
-
-    K: int
-    M: int
-    F: int
-    a_min: float
-    a_max: float
-    seeds: tuple
-    coeffs: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.seeds)
-
-    def __getitem__(self, t: int) -> ChannelSet:
-        return ChannelSet(K=self.K, M=self.M, F=self.F, a_min=self.a_min,
-                          a_max=self.a_max, seed=self.seeds[t], coeffs=self.coeffs[t])
-
-    def __iter__(self):
-        return (self[t] for t in range(len(self)))
-
-    @classmethod
-    def of(cls, ch: ChannelSet) -> "ChannelStack":
-        """The stack of one channel set."""
-        return cls(K=ch.K, M=ch.M, F=ch.F, a_min=ch.a_min, a_max=ch.a_max,
-                   seeds=(ch.seed,), coeffs=ch.coeffs[None])
+    def __getitem__(self, t) -> "ChannelSet":
+        if t is not None and not self.stacked:
+            raise ShapeError("only a stack of channel sets takes a trial index")
+        seed = (self.seed,) if t is None else np.array(self.seed, dtype=object)[t]
+        return replace(self, seed=seed if np.ndim(seed) == 0 else tuple(seed),
+                       coeffs=_freeze(self.coeffs[t]))
 
 
 @dataclass(frozen=True)
 class ExtendedChannel:
-    """Block-diagonal symbol extension of a channel set, or of every set of
-    a ChannelStack.
+    """Block-diagonal symbol extension of a channel set, or of a stack of them.
 
     ``blocks[k, j, f]`` is the f-th diagonal block (M x M) of the extended
     matrix for the link from transmitter j to receiver k; off-block entries
@@ -114,7 +95,7 @@ class ExtendedChannel:
 
     @property
     def stacked(self) -> bool:
-        """True for the extension of a ChannelStack."""
+        """True for the extension of a stack of channel sets."""
         return self.blocks.ndim == 6
 
     def __getitem__(self, t) -> "ExtendedChannel":
@@ -208,6 +189,13 @@ def _philox4x64(counter: np.ndarray, key0: np.ndarray, key1: np.ndarray) -> np.n
     return np.stack((even[0], odd[0], even[1], odd[1]), axis=-1)
 
 
+def check_magnitude_law(a_min, a_max, error=ParameterError, where: str = "") -> None:
+    """Refuse magnitude bounds outside 0 < a_min <= a_max < inf."""
+    if not 0.0 < a_min <= a_max < np.inf:
+        raise error(f"{where}magnitude bounds must satisfy 0 < a_min <= a_max < inf, "
+                    f"got [{a_min}, {a_max}]")
+
+
 def generate_channels(K: int, M: int, F: int,
                       a_min: float = DEFAULT_A_MIN,
                       a_max: float = DEFAULT_A_MAX,
@@ -218,15 +206,15 @@ def generate_channels(K: int, M: int, F: int,
         K: number of transmitter/receiver pairs, at least 2.
         M: antennas per node, at least 1.
         F: number of frequency slots, at least 1.
-        a_min, a_max: magnitude bounds, 0 < a_min <= a_max.
+        a_min, a_max: magnitude bounds, 0 < a_min <= a_max < inf.
         seed: integer 64-bit generation seed, or a sequence of them;
             identical seeds reproduce identical coefficients bit for bit.
 
     Returns:
         A ChannelSet with K*K*F coefficient matrices of size M x M whose
         entries are independent across links, slots, and matrix positions;
-        for a sequence of seeds, a ChannelStack holding the ChannelSet of
-        each seed in order, every one bit-identical to drawing it alone.
+        for a sequence of seeds, the stack of the sets of every seed in
+        order, ``stack[t]`` bit-identical to drawing seed t alone.
     """
     one = np.ndim(seed) == 0
     seeds = [seed] if one else list(seed)
@@ -236,9 +224,7 @@ def generate_channels(K: int, M: int, F: int,
         raise ParameterError(f"need at least 2 users, got K={K}")
     if M < 1 or F < 1:
         raise ParameterError(f"M and F must be positive, got M={M}, F={F}")
-    if not (0.0 < a_min <= a_max):
-        raise ParameterError(
-            f"magnitude bounds must satisfy 0 < a_min <= a_max, got [{a_min}, {a_max}]")
+    check_magnitude_law(a_min, a_max)
     if not all(isinstance(s, Integral) and 0 <= s < 2 ** 64 for s in seeds):
         raise ParameterError(f"seed must fit in an unsigned 64-bit integer, got {seed!r}")
     seeds = [int(s) for s in seeds]
@@ -257,14 +243,14 @@ def generate_channels(K: int, M: int, F: int,
     mag = a_min + (a_max - a_min) * u[:, :M * M]
     phase = (2.0 * np.pi) * u[:, M * M:]
     coeffs = (mag * np.exp(1j * phase)).reshape(len(seeds), K, K, F, M, M)
-    stack = ChannelStack(K=K, M=M, F=F, a_min=float(a_min), a_max=float(a_max),
-                         seeds=tuple(seeds), coeffs=_freeze(coeffs))
+    stack = ChannelSet(K=K, M=M, F=F, a_min=float(a_min), a_max=float(a_max),
+                       seed=tuple(seeds), coeffs=_freeze(coeffs))
     return stack[0] if one else stack
 
 
 def extend_channel(ch, L: int, mode: str = "frequency") -> ExtendedChannel:
     """Build the L-slot block-diagonal extension of a channel set, or the
-    stacked extension of every set of a ChannelStack.
+    stacked extension of every set of a stack (``ch.stacked``).
 
     ``mode="frequency"`` stacks slots 1..L of the source (requires L <= F);
     ``mode="constant-time"`` repeats slot 1 L times, which models coding over
@@ -290,7 +276,10 @@ def _fmt(x: float) -> str:
 
 
 def save_channels(ch: ChannelSet, path) -> None:
-    """Write a channel file (JSON, coefficients flat in (k, j, f, row, col) order)."""
+    """Write one channel set, not a stack, to a channel file (JSON,
+    coefficients flat in (k, j, f, row, col) order)."""
+    if ch.stacked:
+        raise ShapeError("a channel file holds one channel set, not a stack")
     lines = [
         "{",
         f'  "schema_version": {SCHEMA_VERSION},',
@@ -342,9 +331,10 @@ def load_channels(path) -> ChannelSet:
         if name not in doc:
             raise ChannelFileError(f"{path}: missing field {name!r}")
         value = doc[name]
-        if kind is int and not (isinstance(value, int) and not isinstance(value, bool)):
+        # JSON true and false load as bool, which is no number here
+        if kind is int and type(value) is not int:
             raise ChannelFileError(f"{path}: field {name!r} must be an integer")
-        if kind is float and not isinstance(value, (int, float)):
+        if kind is float and type(value) not in (int, float):
             raise ChannelFileError(f"{path}: field {name!r} must be a number")
         return value
 
@@ -358,9 +348,7 @@ def load_channels(path) -> ChannelSet:
         raise ChannelFileError(f"{path}: need at least 2 users, file has K={K}")
     if M < 1 or F < 1:
         raise ChannelFileError(f"{path}: M and F must be positive, got M={M}, F={F}")
-    if not (0.0 < a_min <= a_max):
-        raise ChannelFileError(
-            f"{path}: magnitude bounds must satisfy 0 < a_min <= a_max")
+    check_magnitude_law(a_min, a_max, ChannelFileError, f"{path}: ")
 
     raw = field("coeffs", list)
     if not isinstance(raw, list):
@@ -376,8 +364,8 @@ def load_channels(path) -> ChannelSet:
     hi = a_max * (1.0 + _MAG_SLACK)
     for idx, entry in enumerate(raw):
         if (not isinstance(entry, dict) or "re" not in entry or "im" not in entry
-                or not isinstance(entry["re"], (int, float))
-                or not isinstance(entry["im"], (int, float))):
+                or type(entry["re"]) not in (int, float)
+                or type(entry["im"]) not in (int, float)):
             raise ChannelFileError(
                 f"{path}: {_coeff_context(idx, K, M, F)}: expected {{re, im}} numbers")
         z = complex(entry["re"], entry["im"])

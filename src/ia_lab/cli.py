@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .channels import (DEFAULT_A_MAX, DEFAULT_A_MIN, generate_channels, load_channels,
-                       save_channels)
+from .channels import (DEFAULT_A_MAX, DEFAULT_A_MIN, check_magnitude_law,
+                       generate_channels, load_channels, save_channels)
 from .designed import DelayMatrix, check_delay_parity, simulate_delay_schedule
 from .errors import IaLabError, ParameterError
 from .evaluation import (MIN_FIT_SNR_DB, SchemeConfig, check_dof_point,
@@ -311,6 +311,8 @@ def main(argv=None) -> int:
             args.snr = list(snr_grid(args.snr))
         if getattr(args, "point", None) is not None:
             check_dof_point(args.point)
+        if getattr(args, "a_max", None) is not None:
+            check_magnitude_law(args.a_min, args.a_max)
         options = {key: value for key, value in vars(args).items()
                    if key not in ("func", "command") and value is not None}
         RunConfig(command=args.command, options=options).echo()

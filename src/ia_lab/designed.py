@@ -60,7 +60,10 @@ class DelayMatrix:
 
     @classmethod
     def from_array(cls, values) -> "DelayMatrix":
-        raw = np.asarray(values)
+        try:
+            raw = np.asarray(values)
+        except ValueError as err:  # rows of unequal length
+            raise ParameterError(f"delay matrix must be square, got {values!r}") from err
         if raw.dtype.kind not in "biuf" or not np.all(
                 np.isfinite(raw) & (raw == np.round(raw)) & (raw >= 0)):
             raise ParameterError(f"delays must be nonnegative integers, got {values!r}")

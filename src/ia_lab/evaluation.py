@@ -33,10 +33,9 @@ from operator import add
 
 import numpy as np
 
-from .channels import (DEFAULT_A_MAX, DEFAULT_A_MIN, ChannelSet, ChannelStack,
-                       generate_channels)
+from .channels import DEFAULT_A_MAX, DEFAULT_A_MIN, ChannelSet, generate_channels
 from .errors import (DegeneracyError, InsufficientDataError, ParameterError,
-                     RegionMembershipError, SingularChannelError)
+                     RegionMembershipError, ShapeError, SingularChannelError)
 from .families import get_family
 from .receiver import STACK_BYTES, _receiver_bytes, zf_rates
 from .siso import DEFAULT_SIZE_CAP
@@ -101,8 +100,10 @@ class SchemeConfig:
         return _raised(built)
 
     def build_on(self, ch: ChannelSet):
-        """Build (scheme, extended channel) against a channel set with this
-        configuration's K and M."""
+        """Build (scheme, extended channel) against one channel set, not a
+        stack, with this configuration's K and M."""
+        if ch.stacked:
+            raise ShapeError("build_on takes one channel set, not a stack")
         family = get_family(self.family)
         if family.channel_shape(self) is None:
             raise ParameterError(
@@ -111,7 +112,7 @@ class SchemeConfig:
             raise ParameterError(
                 f"channel set has K={ch.K}, M={ch.M}, but the scheme is "
                 f"configured for K={self.K}, M={self.M}")
-        trial, slots = family.build(self, ChannelStack.of(ch))
+        trial, slots = family.build(self, ch[None])
         [(_, built)] = BuiltStack((ch.seed,), slots, trial)
         return _raised(built)
 

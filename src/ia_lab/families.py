@@ -28,7 +28,7 @@ class Family:
     # by size_cap; their ratio is the claimed degrees of freedom
     extension: Callable
     channel_shape: Callable  # config -> (K, M, F) one realization draws, None if fixed
-    # (config, ChannelStack) -> (trial, slots), the builder's own result:
+    # (config, stacked ChannelSet) -> (trial, slots), the builder's own result:
     # trial is the stacked (scheme, extended channel) of the channel sets
     # that built, selected once at the build's end, and slots[t] is set t's
     # row in it or the TRIAL_ERRORS instance its build gives; a family that

@@ -61,8 +61,9 @@ def loop_matrix(ch: ChannelSet) -> np.ndarray:
     from transmitters 2 and 3 coincide once the exact alignment equalities
     at receivers 2 and 3 are enforced.
     """
-    stack = TrialStack(1)
-    return stack.one(_loop_matrix(ch.coeffs[None], stack))
+    trials = ch if ch.stacked else ch[None]
+    stack = TrialStack(len(trials.coeffs))
+    return stack.one(_loop_matrix(trials.coeffs, stack))
 
 
 def _sorted_eigenbasis(matrices: np.ndarray, stack: TrialStack) -> tuple:

@@ -101,7 +101,10 @@ class TrialStack:
         return (scheme, ext), tuple(slots)
 
     def one(self, result):
-        """For a stack of one: ``result[0]``, or the trial's error raised."""
+        """``result[0]`` of a stack of one, or its trial's error raised: what a
+        single-trial helper returns. A larger stack raises ShapeError."""
+        if len(self.errors) != 1:
+            raise ShapeError(f"expected one trial, got a stack of {len(self.errors)}")
         [error] = self.errors
         if error is not None:
             raise error

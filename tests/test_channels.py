@@ -138,7 +138,7 @@ def test_numpy_integer_seeds_draw_as_their_values():
     assert one.seed == 7 and type(one.seed) is int
     assert np.array_equal(one.coeffs, generate_channels(3, 1, 3, seed=7).coeffs)
     stack = generate_channels(3, 1, 3, seed=np.array([7, 8]))
-    assert stack.seeds == (7, 8)
+    assert stack.seed == (7, 8)
     assert np.array_equal(stack.coeffs, generate_channels(3, 1, 3, seed=[7, 8]).coeffs)
 
 
@@ -306,3 +306,62 @@ def test_coefficients_are_immutable():
     ch = generate_channels(2, 1, 2, seed=3)
     with pytest.raises(ValueError):
         ch.coeffs[0, 0, 0, 0, 0] = 0.0
+
+
+def test_only_a_stack_of_channel_sets_takes_a_trial_index():
+    one = generate_channels(3, 2, 1, seed=4)
+    with pytest.raises(ShapeError):
+        one[0]
+    stack = generate_channels(3, 2, 1, seed=[4, 5, 6])
+    alone, picked, rows, nested = one[None], stack[1], stack[np.array([2, 0])], stack[None]
+    assert alone.stacked and alone.seed == (4,)
+    assert np.array_equal(alone.coeffs, one.coeffs[None])
+    assert stack.stacked and stack.seed == (4, 5, 6)
+    assert not picked.stacked and picked.seed == 5 and type(picked.seed) is int
+    assert np.array_equal(picked.coeffs, stack.coeffs[1])
+    assert rows.stacked and rows.seed == (6, 4) and all(type(s) is int for s in rows.seed)
+    assert np.array_equal(rows.coeffs, stack.coeffs[[2, 0]])
+    # None adds an axis, as numpy indexing does
+    assert nested.seed == ((4, 5, 6),) and np.array_equal(nested.coeffs, stack.coeffs[None])
+    for ch in (alone, picked, rows, nested):
+        assert not ch.coeffs.flags.writeable
+
+
+@pytest.mark.parametrize("mode,L", [("frequency", 3), ("constant-time", 2)])
+def test_the_stack_of_one_extends_to_the_stacked_extension(mode, L):
+    ch = generate_channels(3, 1, 3, seed=8)
+    ext = extend_channel(ch[None], L, mode)
+    assert ext.stacked
+    assert np.array_equal(ext.blocks, extend_channel(ch, L, mode)[None].blocks)
+
+
+@pytest.mark.parametrize("a_min,a_max", [(0.5, np.inf), (0.5, np.nan), (np.nan, 2.0),
+                                         (np.inf, np.inf)])
+def test_non_finite_bounds_rejected(a_min, a_max):
+    with pytest.raises(ParameterError, match="a_max < inf"):
+        generate_channels(3, 1, 3, a_min, a_max, 1)
+
+
+def _channel_file(tmp_path, a_min="0.5", a_max="2.0", re="1.0", im="0.0"):
+    path = tmp_path / "channels.json"
+    coeffs = ", ".join([f'{{"re": {re}, "im": {im}}}'] + ['{"re": 1.0, "im": 0.0}'] * 3)
+    path.write_text('{"schema_version": 1, "K": 2, "M": 1, "F": 1, "seed": 0, '
+                    f'"a_min": {a_min}, "a_max": {a_max}, "coeffs": [{coeffs}]}}')
+    return path
+
+
+def test_channel_file_helper_writes_a_loadable_file(tmp_path):
+    assert load_channels(_channel_file(tmp_path)).coeffs.shape == (2, 2, 1, 1, 1)
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"a_max": "Infinity", "re": "1e6"}, "magnitude bounds"),
+    ({"a_min": "NaN"}, "magnitude bounds"),
+    ({"a_min": "true"}, "'a_min' must be a number"),
+    ({"a_max": "true"}, "'a_max' must be a number"),
+    ({"re": "true"}, "expected {re, im} numbers"),
+    ({"im": "false"}, "expected {re, im} numbers"),
+])
+def test_load_rejects_non_finite_bounds_and_booleans(tmp_path, fields, message):
+    with pytest.raises(ChannelFileError, match=message):
+        load_channels(_channel_file(tmp_path, **fields))

@@ -302,3 +302,16 @@ def test_dof_summary_counts_failed_trials(capsys, monkeypatch):
     assert code == 0
     summary = json.loads(out)
     assert (summary["trials_used"], summary["failures"]) == (2, 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--a-max", "inf"],
+    ["gen", "--a-min", "nan"],
+    ["sweep", "--scheme", "siso-k3", "--a-max", "inf", "--snr", "40,60", "--trials", "2"],
+])
+def test_non_finite_magnitude_bounds_fail_before_the_echo(tmp_path, capsys, argv):
+    out_path = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: magnitude bounds must satisfy 0 < a_min <= a_max < inf")
+    assert "config" not in err and not out_path.exists()

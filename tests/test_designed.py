@@ -145,3 +145,8 @@ def test_delay_matrix_takes_whole_float_delays():
 def test_schedule_rejects_a_non_integer_horizon(slots):
     with pytest.raises(ParameterError, match="even integer"):
         simulate_delay_schedule(canonical_delays(), slots)
+
+
+def test_delay_matrix_rejects_ragged_rows():
+    with pytest.raises(ParameterError, match="square"):
+        DelayMatrix.from_array([[2, 1, 1], [1, 2]])

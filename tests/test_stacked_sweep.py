@@ -19,7 +19,9 @@ import ia_lab.families
 import ia_lab.mimo
 import ia_lab.receiver
 import ia_lab.schemes
-from ia_lab import (ChannelStack, ParameterError, SchemeConfig, extend_channel,
+import ia_lab.siso
+import ia_lab.verification
+from ia_lab import (ParameterError, ShapeError, SchemeConfig, extend_channel,
                     generate_channels, snr_sweep, zf_rates)
 from ia_lab.evaluation import TRIAL_ERRORS, BuiltStack, _trial_seed
 from ia_lab.linalg import orthonormal_complement
@@ -128,7 +130,7 @@ def test_sweep_across_stack_boundaries_equals_each_trial_alone(monkeypatch):
         return original(scheme, ext, rhos)
 
     def recording_build(config, channels):
-        built.append(len(channels))
+        built.append(len(channels.seed))
         return family.build(config, channels)
 
     monkeypatch.setattr(ia_lab.evaluation, "zf_rates", recording)
@@ -240,9 +242,10 @@ def test_families_of_one_shape_take_their_own_relations(monkeypatch):
 def test_stacked_draw_is_bit_identical_to_one_seed_at_a_time(shape, law):
     seeds = [0, 1, 2 ** 63 + 5, 2 ** 64 - 1, 12345]
     stack = generate_channels(*shape, *law, seeds)
-    assert isinstance(stack, ChannelStack)
-    assert len(stack) == len(seeds)
-    for seed, ch in zip(seeds, stack):
+    assert stack.stacked
+    assert len(stack.seed) == len(seeds)
+    for t, seed in enumerate(seeds):
+        ch = stack[t]
         alone = generate_channels(*shape, *law, seed)
         assert ch == dataclasses.replace(alone, coeffs=ch.coeffs)
         assert ch.coeffs.tobytes() == alone.coeffs.tobytes()
@@ -267,11 +270,11 @@ def test_build_trials_puts_each_build_error_in_its_slot(monkeypatch):
 
     def flaky(config, channels):
         # the real build, with seed 1's trial failing
-        calls.append(channels.seeds)
+        calls.append(channels.seed)
         (scheme, ext), _ = family.build(config, channels)
-        rows = [t for t, seed in enumerate(channels.seeds) if seed != 1]
+        rows = [t for t, seed in enumerate(channels.seed) if seed != 1]
         slots = [DegeneracyError("synthetic") if seed == 1 else rows.index(t)
-                 for t, seed in enumerate(channels.seeds)]
+                 for t, seed in enumerate(channels.seed)]
         return (scheme[rows], ext[rows]), tuple(slots)
 
     monkeypatch.setitem(ia_lab.families.FAMILIES, "mimo",
@@ -676,3 +679,35 @@ def test_an_over_budget_trial_stops_at_its_failing_receiver(monkeypatch):
     shapes.clear()
     assert zf_rates(scheme, ext, RHOS) == [None]
     assert len(shapes) == 3
+
+
+def _two_trial_extension():
+    return extend_channel(generate_channels(3, 1, 3, seed=[1, 2]), 3)
+
+
+SINGLE_TRIAL_HELPERS = {
+    "mimo.loop_matrix": lambda tmp: ia_lab.mimo.loop_matrix(
+        generate_channels(3, 2, 1, seed=[1, 2, 3])),
+    "siso.loop_gains": lambda tmp: ia_lab.siso.loop_gains(_two_trial_extension()),
+    "siso.cross_pair_gains": lambda tmp: ia_lab.siso.cross_pair_gains(_two_trial_extension()),
+    "separability_matrix": lambda tmp: ia_lab.verification.separability_matrix(
+        _two_trial_extension(), 1),
+    "save_channels": lambda tmp: ia_lab.channels.save_channels(
+        generate_channels(3, 1, 3, seed=[1, 2]), tmp / "channels.json"),
+    "build_on": lambda tmp: SchemeConfig("siso-k3").build_on(
+        generate_channels(3, 1, 3, seed=[1, 2])),
+}
+
+
+@pytest.mark.parametrize("helper", sorted(SINGLE_TRIAL_HELPERS))
+def test_single_trial_helpers_refuse_a_stack(tmp_path, helper):
+    with pytest.raises(ShapeError):
+        SINGLE_TRIAL_HELPERS[helper](tmp_path)
+    assert not (tmp_path / "channels.json").exists()
+
+
+def test_single_trial_helpers_take_the_stack_of_one_as_its_trial():
+    ch = generate_channels(3, 2, 1, seed=3)
+    assert np.array_equal(ia_lab.mimo.loop_matrix(ch[None]), ia_lab.mimo.loop_matrix(ch))
+    ext = extend_channel(generate_channels(3, 1, 3, seed=3), 3)
+    assert np.array_equal(ia_lab.siso.loop_gains(ext[None]), ia_lab.siso.loop_gains(ext))
