@@ -1,7 +1,7 @@
 """Desk-scale interference-alignment experiments for the K-user channel."""
 
-from .channels import (ChannelSet, ExtendedChannel, extend_channel, generate_channels,
-                       load_channels, save_channels)
+from .channels import (ChannelSet, extend_channel, generate_channels, load_channels,
+                       save_channels)
 from .designed import (DelayMatrix, build_designed_channel, check_delay_parity,
                        simulate_delay_schedule)
 from .errors import (ChannelFileError, DegeneracyError, IaLabError,

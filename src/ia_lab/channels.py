@@ -12,10 +12,12 @@ evaluates all of them at once, so generation costs a fixed number of array
 operations instead of one generator per block. Given a sequence of seeds,
 :func:`generate_channels` draws the blocks of every seed in that same one
 kernel call (a Monte-Carlo sweep draws all its trials so) and returns them
-as a stack: one :class:`ChannelSet` with a leading trial axis, which its
-extension keeps. Each block's coefficients depend only on its key, never on
-the order in which blocks are drawn or on what is drawn with them, and are
-bit-identical to drawing them with ``np.random.Philox`` one block at a time.
+as a stack: one :class:`ChannelSet` with a leading trial axis. Each block's
+coefficients depend only on its key, never on the order in which blocks are
+drawn or on what is drawn with them, and are bit-identical to drawing them
+with ``np.random.Philox`` one block at a time.
+A set of F slots is also its F-slot block-diagonal symbol extension, and
+:func:`extend_channel` gives an extension as the channel set of its L slots.
 """
 
 from __future__ import annotations
@@ -39,14 +41,17 @@ _MAG_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """All per-slot channel matrices of a K-user, M-antenna network.
+    """All per-slot channel matrices of a K-user, M-antenna network, which
+    are also its F-slot block-diagonal symbol extension.
 
-    ``coeffs`` has shape (K, K, F, M, M); entry ``coeffs[k, j, f]`` is the
-    matrix from transmitter j to receiver k on frequency slot f. A stack of
-    sets, one per seed, puts a leading trial axis on ``coeffs`` and holds
-    its seeds as a tuple in ``seed``; ``ch[t]`` is trial t's set, and an
-    array of trials, or None (the stack of one), gives a stack, as numpy
-    indexing does. Instances are immutable and safe to share across threads.
+    ``coeffs`` has shape (K, K, F, M, M); ``coeffs[k, j, f]`` is the matrix
+    from transmitter j to receiver k on slot f, the f-th diagonal block of
+    link (k, j)'s (F*M) x (F*M) extended matrix, zero off the blocks. A stack
+    of sets, one per seed, puts a leading trial axis on ``coeffs`` and on
+    what the link methods take and return, and holds its seeds as a tuple in
+    ``seed``. ``ch[t]`` is trial t's set, an array of trials gives a stack,
+    and None, on a single set only, the stack of one. Instances are
+    immutable and safe to share across threads.
     """
 
     K: int
@@ -58,87 +63,63 @@ class ChannelSet:
     coeffs: np.ndarray
 
     @property
+    def dim(self) -> int:
+        """Row dimension F*M of the extended matrices."""
+        return self.F * self.M
+
+    @property
     def stacked(self) -> bool:
         """True for a stack of channel sets."""
         return self.coeffs.ndim == 6
 
     def __getitem__(self, t) -> "ChannelSet":
-        if t is not None and not self.stacked:
-            raise ShapeError("only a stack of channel sets takes a trial index")
+        if (t is None) == self.stacked:
+            raise ShapeError("a trial index needs a stack of channel sets, None one set")
         seed = (self.seed,) if t is None else np.array(self.seed, dtype=object)[t]
         return replace(self, seed=seed if np.ndim(seed) == 0 else tuple(seed),
                        coeffs=_freeze(self.coeffs[t]))
 
-
-@dataclass(frozen=True)
-class ExtendedChannel:
-    """Block-diagonal symbol extension of a channel set, or of a stack of them.
-
-    ``blocks[k, j, f]`` is the f-th diagonal block (M x M) of the extended
-    matrix for the link from transmitter j to receiver k; off-block entries
-    of the full matrix are exactly zero by construction. The extension of a
-    stack puts a leading trial axis on ``blocks`` and on whatever its
-    methods take and return, and ``ext[t]`` is the extension of trial t;
-    indexing with an array of trials, or with None (the stack of one),
-    gives a stacked extension, as numpy indexing does.
-    """
-
-    K: int
-    M: int
-    L: int
-    blocks: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        """Row dimension L*M of the extended matrices."""
-        return self.L * self.M
-
-    @property
-    def stacked(self) -> bool:
-        """True for the extension of a stack of channel sets."""
-        return self.blocks.ndim == 6
-
-    def __getitem__(self, t) -> "ExtendedChannel":
-        if t is not None and not self.stacked:
-            raise ShapeError("only a stacked extension takes a trial index")
-        return ExtendedChannel(K=self.K, M=self.M, L=self.L, blocks=self.blocks[t])
-
     def matrix(self, k: int, j: int) -> np.ndarray:
-        """Dense (L*M) x (L*M) block-diagonal matrix of one link."""
-        out = np.zeros(self.blocks.shape[:-5] + (self.dim, self.dim), dtype=complex)
-        for f in range(self.L):
+        """Dense (F*M) x (F*M) block-diagonal matrix of one link."""
+        out = np.zeros(self.coeffs.shape[:-5] + (self.dim, self.dim), dtype=complex)
+        for f in range(self.F):
             lo = f * self.M
-            out[..., lo:lo + self.M, lo:lo + self.M] = self.blocks[..., k, j, f, :, :]
+            out[..., lo:lo + self.M, lo:lo + self.M] = self.coeffs[..., k, j, f, :, :]
         return out
 
     def apply(self, k: int, j: int, v: np.ndarray) -> np.ndarray:
-        """``matrix(k, j) @ v`` for an (L*M) x d ``v``, from the blocks alone.
+        """``matrix(k, j) @ v`` for an (F*M) x d ``v``, from the blocks alone.
 
-        Elementwise for M = 1, one batched (L, M, M) @ (L, M, d) product
+        Elementwise for M = 1, one batched (F, M, M) @ (F, M, d) product
         otherwise; the zero off-block entries are never formed.
         """
         if self.M == 1:
-            return self.blocks[..., k, j, :, :, 0] * v
+            return self.coeffs[..., k, j, :, :, 0] * v
         lead, d = v.shape[:-2], v.shape[-1]
-        return (self.blocks[..., k, j, :, :, :]
-                @ v.reshape(lead + (self.L, self.M, d))).reshape(lead + (self.dim, d))
+        return (self.coeffs[..., k, j, :, :, :]
+                @ v.reshape(lead + (self.F, self.M, d))).reshape(lead + (self.dim, d))
 
     def solve_adjoint(self, k: int, j: int, v: np.ndarray) -> np.ndarray:
-        """``matrix(k, j)^{-H} @ v`` for an (L*M) x d ``v``, from the blocks
+        """``matrix(k, j)^{-H} @ v`` for an (F*M) x d ``v``, from the blocks
         alone: elementwise for M = 1, one batched solve with the blocks'
         conjugate transposes otherwise."""
         if self.M == 1:
-            return v / self.blocks[..., k, j, :, :, 0].conj()
+            return v / self.coeffs[..., k, j, :, :, 0].conj()
         lead, d = v.shape[:-2], v.shape[-1]
-        blocks = self.blocks[..., k, j, :, :, :].conj().swapaxes(-1, -2)
-        return np.linalg.solve(blocks, v.reshape(lead + (self.L, self.M, d))).reshape(
+        blocks = self.coeffs[..., k, j, :, :, :].conj().swapaxes(-1, -2)
+        return np.linalg.solve(blocks, v.reshape(lead + (self.F, self.M, d))).reshape(
             lead + (self.dim, d))
 
     def diagonal(self, k: int, j: int) -> np.ndarray:
         """Diagonal entries of one link's extended matrix (M = 1 only)."""
         if self.M != 1:
             raise ShapeError("diagonal() requires single-antenna nodes (M=1)")
-        return self.blocks[..., k, j, :, 0, 0]
+        return self.coeffs[..., k, j, :, 0, 0]
+
+
+# perfbench/tracing.py wraps the extension's products by the name
+# ``ExtendedChannel.matrix``, which this alias keeps
+ExtendedChannel = ChannelSet
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -248,11 +229,12 @@ def generate_channels(K: int, M: int, F: int,
     return stack[0] if one else stack
 
 
-def extend_channel(ch, L: int, mode: str = "frequency") -> ExtendedChannel:
-    """Build the L-slot block-diagonal extension of a channel set, or the
-    stacked extension of every set of a stack (``ch.stacked``).
+def extend_channel(ch: ChannelSet, L: int, mode: str = "frequency") -> ChannelSet:
+    """The L-slot block-diagonal extension of a channel set, or of every set
+    of a stack: the channel set of those L slots (F = L), with the source's
+    magnitude law and seeds.
 
-    ``mode="frequency"`` stacks slots 1..L of the source (requires L <= F);
+    ``mode="frequency"`` takes slots 1..L of the source (requires L <= F);
     ``mode="constant-time"`` repeats slot 1 L times, which models coding over
     L time slots of a constant channel.
     """
@@ -267,7 +249,7 @@ def extend_channel(ch, L: int, mode: str = "frequency") -> ExtendedChannel:
         blocks = np.repeat(ch.coeffs[..., :1, :, :], L, axis=-3)
     else:
         raise ParameterError(f"unknown extension mode {mode!r}")
-    return ExtendedChannel(K=ch.K, M=ch.M, L=L, blocks=_freeze(blocks))
+    return replace(ch, F=L, coeffs=_freeze(blocks))
 
 
 def _fmt(x: float) -> str:
@@ -275,11 +257,24 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _check_distinct_slots(coeffs: np.ndarray, error=ParameterError, where: str = "") -> None:
+    """Refuse a single-antenna link of (K, K, F, M, M) ``coeffs`` whose F
+    slot values are not pairwise distinct."""
+    if coeffs.shape[-1] == 1:
+        for k, j in np.ndindex(coeffs.shape[:2]):
+            if len(np.unique(coeffs[k, j, :, 0, 0])) != coeffs.shape[2]:
+                raise error(f"{where}link (k={k + 1}, j={j + 1}) repeats a slot value")
+
+
 def save_channels(ch: ChannelSet, path) -> None:
     """Write one channel set, not a stack, to a channel file (JSON,
-    coefficients flat in (k, j, f, row, col) order)."""
+    coefficients flat in (k, j, f, row, col) order); ParameterError for a
+    set without an integer seed or with a repeated slot value."""
     if ch.stacked:
         raise ShapeError("a channel file holds one channel set, not a stack")
+    if not isinstance(ch.seed, Integral):
+        raise ParameterError(f"a channel file needs an integer seed, got {ch.seed!r}")
+    _check_distinct_slots(ch.coeffs)
     lines = [
         "{",
         f'  "schema_version": {SCHEMA_VERSION},',
@@ -376,14 +371,6 @@ def load_channels(path) -> ChannelSet:
                 f"outside [{a_min}, {a_max}]")
         flat[idx] = z
     coeffs = flat.reshape(K, K, F, M, M)
-
-    if M == 1:
-        # single-antenna slot values must be pairwise distinct per link
-        for k in range(K):
-            for j in range(K):
-                vals = coeffs[k, j, :, 0, 0]
-                if len(np.unique(vals)) != F:
-                    raise ChannelFileError(
-                        f"{path}: link (k={k + 1}, j={j + 1}) repeats a slot value")
+    _check_distinct_slots(coeffs, ChannelFileError, f"{path}: ")
     return ChannelSet(K=K, M=M, F=F, a_min=a_min, a_max=a_max,
                       seed=seed, coeffs=_freeze(coeffs))

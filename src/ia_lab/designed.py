@@ -16,7 +16,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .channels import ExtendedChannel
+from .channels import ChannelSet
 from .errors import ChannelFileError, ParameterError
 from .schemes import PrecoderScheme
 
@@ -31,13 +31,13 @@ def build_designed_channel(K: int) -> tuple:
     """
     if K < 2:
         raise ParameterError(f"need at least 2 users, got K={K}")
-    blocks = np.zeros((K, K, 2, 1, 1), dtype=complex)
-    blocks[:, :, 0] = 1.0
-    blocks[:, :, 1] = -1.0
+    coeffs = np.zeros((K, K, 2, 1, 1), dtype=complex)
+    coeffs[:, :, 0] = 1.0
+    coeffs[:, :, 1] = -1.0
     for k in range(K):
-        blocks[k, k, 1] = 1.0
-    blocks.setflags(write=False)
-    ext = ExtendedChannel(K=K, M=1, L=2, blocks=blocks)
+        coeffs[k, k, 1] = 1.0
+    coeffs.setflags(write=False)
+    ext = ChannelSet(K=K, M=1, F=2, a_min=1.0, a_max=1.0, seed=None, coeffs=coeffs)
     beam = np.ones((2, 1), dtype=complex)
     scheme = PrecoderScheme(family="designed", K=K, M=1, L=2,
                             precoders=tuple(beam for _ in range(K)))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import ChannelSet, ExtendedChannel
+from .channels import ChannelSet
 from .errors import DegeneracyError, ParameterError, ShapeError, SingularChannelError
 from .schemes import TrialStack, full_rank_schemes
 
@@ -87,16 +87,16 @@ def _sorted_eigenbasis(matrices: np.ndarray, stack: TrialStack) -> tuple:
     return values, vectors
 
 
-def _build(ext: ExtendedChannel, L: int, seed, parity: str):
+def _build(ext: ChannelSet, L: int, seed, parity: str):
     """Either parity's construction over its L-slot ``ext`` (see the builders):
     transmitter 1's precoder is ``seed`` of the loop map's sorted eigenbasis."""
-    if ext.L != L:
-        raise ShapeError(f"{parity}-M construction needs a {L}-slot extension, got L={ext.L}")
+    if ext.F != L:
+        raise ShapeError(f"{parity}-M construction needs a {L}-slot extension, got L={ext.F}")
     trials = ext if ext.stacked else ext[None]
-    if not (trials.blocks[..., 1:, :, :] == trials.blocks[..., :1, :, :]).all():
+    if not (trials.coeffs[..., 1:, :, :] == trials.coeffs[..., :1, :, :]).all():
         raise ShapeError("constant-channel construction expects equal slots")
-    stack = TrialStack(len(trials.blocks))
-    _, vectors = _sorted_eigenbasis(_loop_matrix(trials.blocks, stack), stack)
+    stack = TrialStack(len(trials.coeffs))
+    _, vectors = _sorted_eigenbasis(_loop_matrix(trials.coeffs, stack), stack)
     v_tx1 = seed(vectors)
     link = "H" if L == 1 else "extended H"
     v_tx2, v_tx3 = _solve(stack, (trials.matrix(2, 1), trials.apply(2, 0, v_tx1), link + "32"),
@@ -106,7 +106,7 @@ def _build(ext: ExtendedChannel, L: int, seed, parity: str):
     return stack.finish(schemes, ext)
 
 
-def build_mimo_even(ext: ExtendedChannel):
+def build_mimo_even(ext: ChannelSet):
     """Even-M precoders over the one-slot constant-time extension.
 
     Transmitter 1 uses the first M/2 eigenvectors of the loop map; the
@@ -143,7 +143,7 @@ def interleaved_seed(vectors: np.ndarray) -> np.ndarray:
     return seed
 
 
-def build_mimo_odd(ext: ExtendedChannel):
+def build_mimo_odd(ext: ChannelSet):
     """Odd-M precoders over the two-slot constant-time extension.
 
     Same loop map and alignment equalities as the even case, applied to the

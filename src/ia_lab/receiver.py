@@ -9,7 +9,7 @@ alignment relations (exact equalities, column-subset containments, span
 equalities). :func:`zf_rates` gives the zero-forcing rates of a stack of
 trials over one power grid: the projection keeps the noise white, so a
 receiver's rate is a log-det over its projected effective channel. Channel
-products go through ``ExtendedChannel.apply``, which never forms dense
+products go through ``ChannelSet.apply``, which never forms dense
 block-diagonal matrices.
 
 Zero forcing succeeds at receiver k iff its equilibrated desired columns
@@ -58,7 +58,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .channels import ExtendedChannel
+from .channels import ChannelSet
 from .errors import ParameterError, ShapeError
 from .families import get_family
 from .linalg import (RANK_TOL, _rank, complement_and_rank, equality_residual,
@@ -349,11 +349,11 @@ def _check_dimensions(scheme, ext) -> None:
             f"precoders act on {scheme.precoders[0].shape[-2]} dimensions, "
             f"channel extension has {ext.dim}")
     if scheme.stacked != ext.stacked or (
-            scheme.stacked and len(scheme.precoders[0]) != len(ext.blocks)):
+            scheme.stacked and len(scheme.precoders[0]) != len(ext.coeffs)):
         raise ShapeError("a scheme and its extension must stack the same trials")
 
 
-def check_alignment(scheme: PrecoderScheme, ext: ExtendedChannel) -> AlignmentReport:
+def check_alignment(scheme: PrecoderScheme, ext: ChannelSet) -> AlignmentReport:
     """Measure every rank and alignment relation of a scheme of one trial on
     its extended channel (or any channel of matching dimensions).
 
@@ -369,7 +369,7 @@ def check_alignment(scheme: PrecoderScheme, ext: ExtendedChannel) -> AlignmentRe
     ranks, residuals, _, _ = _pass(scheme[None], ext, False)
     d, listed = scheme.stream_counts, get_family(scheme.family).relations(scheme.K)
     return AlignmentReport(
-        family=scheme.family, K=scheme.K, M=ext.M, L=ext.L, rank_tol=RANK_TOL,
+        family=scheme.family, K=scheme.K, M=ext.M, L=ext.F, rank_tol=RANK_TOL,
         residual_tol=RESIDUAL_TOL,
         receivers=tuple(ReceiverCheck(k, d[k], *r, full_dim=ext.dim)
                         for k, r in enumerate(ranks[..., 0].T.tolist())),
@@ -430,5 +430,5 @@ def zf_rates(scheme, ext, rhos) -> list:
     if not scheme.stacked:
         scheme = scheme[None]
     _, _, passed, gains = _pass(scheme, ext, True)
-    rates = iter(_grid_rates(ext.L, tuple(g[passed] for g in gains), rhos))
+    rates = iter(_grid_rates(ext.F, tuple(g[passed] for g in gains), rhos))
     return [next(rates) if ok else None for ok in passed.tolist()]

@@ -25,8 +25,8 @@ class PrecoderScheme:
 
     The schemes of one family and shape built together form a stack: every
     precoder gets a leading trial axis, (T, L*M, d_i). ``scheme[t]`` is the
-    scheme of trial t, and indexing with an array of trials, or with None
-    (the stack of one), gives a stack, as numpy indexing does.
+    scheme of trial t, an array of trials gives a stack, and None, on a
+    single scheme only, the stack of one, as for a ChannelSet.
     """
 
     family: str
@@ -43,8 +43,8 @@ class PrecoderScheme:
         return self.precoders[0].ndim == 3
 
     def __getitem__(self, t) -> "PrecoderScheme":
-        if t is not None and not self.stacked:
-            raise ShapeError("only a stack of schemes takes a trial index")
+        if (t is None) == self.stacked:
+            raise ShapeError("a trial index needs a stack of schemes, None one scheme")
         return replace(self, precoders=tuple(v[t] for v in self.precoders))
 
     @property

@@ -14,27 +14,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import ExtendedChannel
+from .channels import ChannelSet
 from .errors import ParameterError, ShapeError, SingularChannelError, SizeGuardError
 from .schemes import TrialStack, full_rank_schemes
 
 DEFAULT_SIZE_CAP = 4096
 
 
-def _diagonals(ext: ExtendedChannel) -> tuple:
+def _diagonals(ext: ChannelSet) -> tuple:
     """(h, stack) for a build over a stacked extension, or over the stack of
     one that a single extension stands for: ``h(k, j)`` is the (T, L) stack
     of link (k, j)'s diagonals, checked when first asked for, and ``stack``
     the bookkeeping of the build. A trial whose link is singular fails, and
     its row reads ones, so that what is computed from it stays finite until
     the build's final selection drops it."""
-    blocks = ext.blocks if ext.stacked else ext.blocks[None]
-    stack = TrialStack(len(blocks))
+    trials = ext if ext.stacked else ext[None]
+    stack = TrialStack(len(trials.coeffs))
     checked = {}
 
     def h(k: int, j: int) -> np.ndarray:
         if (k, j) not in checked:
-            d = blocks[:, k, j, :, 0, 0]
+            d = trials.diagonal(k, j)
             mag = np.abs(d)
             # a row whose largest entry is 0 fails on every entry
             bad = np.logical_or.reduce(
@@ -48,13 +48,13 @@ def _diagonals(ext: ExtendedChannel) -> tuple:
     return h, stack
 
 
-def _loop_gains(ext: ExtendedChannel, h) -> np.ndarray:
+def _loop_gains(ext: ChannelSet, h) -> np.ndarray:
     if ext.K != 3 or ext.M != 1:
         raise ShapeError("loop_gains needs K=3 single-antenna extended channels")
     return h(0, 1) * h(1, 2) * h(2, 0) / (h(1, 0) * h(2, 1) * h(0, 2))
 
 
-def loop_gains(ext: ExtendedChannel) -> np.ndarray:
+def loop_gains(ext: ChannelSet) -> np.ndarray:
     """Per-slot gain of the closed cross-link loop of a 3-user network.
 
     Slot by slot this is h12*h23*h31 / (h21*h32*h13) (1-based user indices,
@@ -68,7 +68,7 @@ def loop_gains(ext: ExtendedChannel) -> np.ndarray:
     return stack.one(_loop_gains(ext, h))
 
 
-def build_precoders_k3(ext: ExtendedChannel, n: int):
+def build_precoders_k3(ext: ChannelSet, n: int):
     """Closed-form 3-user precoders over a (2n+1)-slot extension.
 
     Transmitter 1 gets the n+1 columns loop^0 .. loop^n applied to the
@@ -84,8 +84,8 @@ def build_precoders_k3(ext: ExtendedChannel, n: int):
     if n < 1:
         raise ParameterError(f"alignment order must be >= 1, got n={n}")
     L = 2 * n + 1
-    if ext.L != L:
-        raise ShapeError(f"order n={n} needs a {L}-slot extension, got L={ext.L}")
+    if ext.F != L:
+        raise ShapeError(f"order n={n} needs a {L}-slot extension, got L={ext.F}")
     h, stack = _diagonals(ext)
     powers = _loop_gains(ext, h)[..., None] ** np.arange(n + 1)
 
@@ -132,7 +132,7 @@ def _cross_pair_gains(K: int, h, scale: dict) -> dict:
             for m in range(1, K) for k in range(1, K) if m != k and (m, k) != (1, 2)}
 
 
-def cross_pair_gains(ext: ExtendedChannel) -> dict:
+def cross_pair_gains(ext: ChannelSet) -> dict:
     """Diagonal alignment maps, one per ordered pair of non-reference users.
 
     With user 1 as the reference (0-based index 0), the map for pair (m, k)
@@ -165,7 +165,7 @@ def _exponent_columns(gains: dict, pairs: list, radix: int) -> np.ndarray:
     return cols
 
 
-def build_precoders_general(ext: ExtendedChannel, n: int,
+def build_precoders_general(ext: ChannelSet, n: int,
                             size_cap: int = DEFAULT_SIZE_CAP):
     """General-K single-antenna precoders over an (n+1)^N + n^N extension.
 
@@ -183,8 +183,8 @@ def build_precoders_general(ext: ExtendedChannel, n: int,
     if ext.M != 1:
         raise ShapeError("general construction needs single-antenna nodes")
     L = guarded_extension_general(K, n, size_cap)
-    if ext.L != L:
-        raise ShapeError(f"(K={K}, n={n}) needs a {L}-slot extension, got L={ext.L}")
+    if ext.F != L:
+        raise ShapeError(f"(K={K}, n={n}) needs a {L}-slot extension, got L={ext.F}")
     h, stack = _diagonals(ext)
     scale = _reference_scalings(K, h)
     gains = _cross_pair_gains(K, h, scale)

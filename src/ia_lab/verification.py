@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelSet, ExtendedChannel, extend_channel, generate_channels
+from .channels import ChannelSet, generate_channels
 from .errors import ParameterError, ShapeError
 from .linalg import RANK_TOL, _rank, singular_values
 from .mimo import build_mimo_even
@@ -56,7 +56,7 @@ class RankProbe:
         })
 
 
-def separability_matrix(ext: ExtendedChannel, n: int) -> np.ndarray:
+def separability_matrix(ext: ChannelSet, n: int) -> np.ndarray:
     """Square (2n+1) x (2n+1) matrix whose nonsingularity certifies that the
     desired streams at receiver 1 separate from the aligned interference.
 
@@ -66,8 +66,8 @@ def separability_matrix(ext: ExtendedChannel, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ParameterError(f"alignment order must be >= 1, got n={n}")
-    if ext.L != 2 * n + 1:
-        raise ShapeError(f"order n={n} needs a {2 * n + 1}-slot extension, got {ext.L}")
+    if ext.F != 2 * n + 1:
+        raise ShapeError(f"order n={n} needs a {2 * n + 1}-slot extension, got {ext.F}")
     loop = loop_gains(ext)
     ratio = ext.diagonal(0, 1) / ext.diagonal(0, 0)
     powers = loop[:, None] ** np.arange(n + 1)
@@ -144,5 +144,4 @@ def demonstrate_diagonal_infeasibility(M: int, seed: int,
     if M < 2 or M % 2:
         raise ParameterError(f"demonstration needs even M >= 2, got M={M}")
     ch = generate_channels(3, M, 1, seed=seed) if dense else diagonal_channels(M, seed)
-    ext = extend_channel(ch, 1, mode="constant-time")
-    return check_alignment(build_mimo_even(ext), ext)
+    return check_alignment(build_mimo_even(ch), ch)

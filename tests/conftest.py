@@ -47,7 +47,8 @@ def stacked(pairs):
     each precoder keeps its memory layout in its row."""
     scheme = dataclasses.replace(pairs[0][0], precoders=tuple(
         np.stack(v) for v in zip(*(s.precoders for s, _ in pairs))))
-    ext = dataclasses.replace(pairs[0][1], blocks=np.stack([e.blocks for _, e in pairs]))
+    ext = dataclasses.replace(pairs[0][1], seed=tuple(e.seed for _, e in pairs),
+                              coeffs=np.stack([e.coeffs for _, e in pairs]))
     return scheme, ext
 
 

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import identity_channels
 
-from ia_lab import (ChannelFileError, ParameterError, ShapeError, extend_channel,
-                    generate_channels, load_channels, save_channels)
-from ia_lab.channels import ChannelSet
+from ia_lab import (ChannelFileError, ParameterError, ShapeError, build_designed_channel,
+                    extend_channel, generate_channels, load_channels, save_channels)
 
 
 def test_generate_shapes_and_bounds():
@@ -190,7 +189,7 @@ def test_solve_adjoint_inverts_the_adjoint_product(M):
     channels = generate_channels(3, M, 4, seed=[13, 14])
     rng = np.random.default_rng(7)
     for ext in (extend_channel(channels[0], 4), extend_channel(channels, 4)):
-        lead = ext.blocks.shape[:-5]
+        lead = ext.coeffs.shape[:-5]
         v = rng.normal(size=lead + (ext.dim, 3)) + 1j * rng.normal(size=lead + (ext.dim, 3))
         for k, j in ((0, 0), (1, 0), (2, 1)):
             got = ext.solve_adjoint(k, j, v)
@@ -217,9 +216,9 @@ def test_only_a_stacked_extension_takes_a_trial_index():
     one = extend_channel(generate_channels(3, 2, 1, seed=0), 1)
     with pytest.raises(ShapeError):
         one[0]
-    assert one[None].stacked and np.array_equal(one[None].blocks[0], one.blocks)
+    assert one[None].stacked and np.array_equal(one[None].coeffs[0], one.coeffs)
     stack = extend_channel(generate_channels(3, 2, 1, seed=[0, 1]), 1)
-    assert not stack[1].stacked and np.array_equal(stack[1].blocks, stack.blocks[1])
+    assert not stack[1].stacked and np.array_equal(stack[1].coeffs, stack.coeffs[1])
 
 
 @settings(max_examples=25, deadline=None)
@@ -229,8 +228,8 @@ def test_extension_commutes_with_scalar_scaling(scale, phase):
     factor = scale * np.exp(1j * phase)
     ch = generate_channels(3, 1, 3, seed=11)
     scaled = dataclasses.replace(ch, coeffs=ch.coeffs * factor)
-    left = extend_channel(scaled, 3).blocks
-    right = extend_channel(ch, 3).blocks * factor
+    left = extend_channel(scaled, 3).coeffs
+    right = extend_channel(ch, 3).coeffs * factor
     assert np.allclose(left, right, rtol=0, atol=0)
 
 
@@ -294,10 +293,11 @@ def test_load_rejects_wrong_coefficient_count(tmp_path):
 
 
 def test_load_rejects_repeated_slot_values(tmp_path):
-    coeffs = np.full((2, 2, 2, 1, 1), 1.0 + 0j)
-    ch = ChannelSet(K=2, M=1, F=2, a_min=0.5, a_max=2.0, seed=0, coeffs=coeffs)
+    # save_channels refuses such a set, so the file is written by hand
     path = tmp_path / "channels.json"
-    save_channels(ch, path)
+    path.write_text('{"schema_version": 1, "K": 2, "M": 1, "F": 2, "seed": 0, '
+                    '"a_min": 0.5, "a_max": 2.0, "coeffs": ['
+                    + ", ".join(['{"re": 1.0, "im": 0.0}'] * 8) + ']}')
     with pytest.raises(ChannelFileError, match="repeats a slot value"):
         load_channels(path)
 
@@ -313,7 +313,7 @@ def test_only_a_stack_of_channel_sets_takes_a_trial_index():
     with pytest.raises(ShapeError):
         one[0]
     stack = generate_channels(3, 2, 1, seed=[4, 5, 6])
-    alone, picked, rows, nested = one[None], stack[1], stack[np.array([2, 0])], stack[None]
+    alone, picked, rows = one[None], stack[1], stack[np.array([2, 0])]
     assert alone.stacked and alone.seed == (4,)
     assert np.array_equal(alone.coeffs, one.coeffs[None])
     assert stack.stacked and stack.seed == (4, 5, 6)
@@ -321,9 +321,10 @@ def test_only_a_stack_of_channel_sets_takes_a_trial_index():
     assert np.array_equal(picked.coeffs, stack.coeffs[1])
     assert rows.stacked and rows.seed == (6, 4) and all(type(s) is int for s in rows.seed)
     assert np.array_equal(rows.coeffs, stack.coeffs[[2, 0]])
-    # None adds an axis, as numpy indexing does
-    assert nested.seed == ((4, 5, 6),) and np.array_equal(nested.coeffs, stack.coeffs[None])
-    for ch in (alone, picked, rows, nested):
+    # None gives the stack of one of a single set only
+    with pytest.raises(ShapeError):
+        stack[None]
+    for ch in (alone, picked, rows):
         assert not ch.coeffs.flags.writeable
 
 
@@ -332,7 +333,7 @@ def test_the_stack_of_one_extends_to_the_stacked_extension(mode, L):
     ch = generate_channels(3, 1, 3, seed=8)
     ext = extend_channel(ch[None], L, mode)
     assert ext.stacked
-    assert np.array_equal(ext.blocks, extend_channel(ch, L, mode)[None].blocks)
+    assert np.array_equal(ext.coeffs, extend_channel(ch, L, mode)[None].coeffs)
 
 
 @pytest.mark.parametrize("a_min,a_max", [(0.5, np.inf), (0.5, np.nan), (np.nan, 2.0),
@@ -365,3 +366,51 @@ def test_channel_file_helper_writes_a_loadable_file(tmp_path):
 def test_load_rejects_non_finite_bounds_and_booleans(tmp_path, fields, message):
     with pytest.raises(ChannelFileError, match=message):
         load_channels(_channel_file(tmp_path, **fields))
+
+
+@pytest.mark.parametrize("mode", ["frequency", "constant-time"])
+def test_an_extension_keeps_its_sources_law_and_seeds(mode):
+    stack = generate_channels(3, 2, 3, 0.25, 4.0, seed=[9, 2, 7])
+    ext = extend_channel(stack, 2, mode)
+    assert (ext.K, ext.M, ext.F, ext.a_min, ext.a_max) == (3, 2, 2, 0.25, 4.0)
+    assert ext.seed == stack.seed
+    for t in range(3):
+        assert ext[t].seed == stack[t].seed
+        assert np.array_equal(ext[t].coeffs, extend_channel(stack[t], 2, mode).coeffs)
+
+
+def test_a_fancy_indexed_extension_is_read_only():
+    ext = extend_channel(generate_channels(3, 1, 3, seed=[1, 2]), 3)[[0, 1]]
+    assert ext.stacked and ext.seed == (1, 2)
+    assert not ext.coeffs.flags.writeable
+
+
+def test_save_refuses_a_set_without_an_integer_seed(tmp_path):
+    path = tmp_path / "channels.json"
+    designed, _ = build_designed_channel(3)
+    with pytest.raises(ParameterError, match="integer seed"):
+        save_channels(designed, path)
+    ch = generate_channels(3, 1, 3, seed=1)
+    with pytest.raises(ParameterError, match="integer seed"):
+        save_channels(dataclasses.replace(ch, seed=1.5), path)
+    assert not path.exists()
+
+
+def test_save_refuses_repeated_slot_values(tmp_path):
+    path = tmp_path / "channels.json"
+    ext = extend_channel(generate_channels(3, 1, 1, seed=2), 3, mode="constant-time")
+    with pytest.raises(ParameterError, match=r"link \(k=1, j=1\) repeats a slot value"):
+        save_channels(ext, path)
+    assert not path.exists()
+    # an M > 1 constant-time extension repeats its blocks, and saves
+    save_channels(extend_channel(generate_channels(3, 2, 1, seed=2), 2, "constant-time"), path)
+    assert load_channels(path).F == 2
+
+
+def test_a_frequency_extension_round_trips(tmp_path):
+    ext = extend_channel(generate_channels(3, 1, 5, seed=4), 3)
+    path = tmp_path / "channels.json"
+    save_channels(ext, path)
+    back = load_channels(path)
+    assert (back.K, back.M, back.F, back.a_min, back.a_max, back.seed) == (3, 1, 3, 0.5, 2.0, 4)
+    assert np.array_equal(back.coeffs, ext.coeffs)

@@ -192,8 +192,22 @@ def test_one_extension_per_build(monkeypatch, M):
             monkeypatch.setattr(module, "extend_channel", counting)
     scheme, ext = SchemeConfig("mimo", M=M).build(seed=3)
     assert len(calls) == 1
-    assert ext.L == scheme.L == (1 if M % 2 == 0 else 2)
+    assert ext.F == scheme.L == (1 if M % 2 == 0 else 2)
     # the same precoders as the builder gives on that extension of the channels
     alone = (build_mimo_odd if M % 2 else build_mimo_even)(
         extension(generate_channels(3, M, 1, seed=3)))
     assert all(np.array_equal(a, b) for a, b in zip(scheme.precoders, alone.precoders))
+
+
+@pytest.mark.parametrize("M", [2, 4])
+def test_even_build_on_a_one_slot_set_equals_it_on_its_extension(M):
+    for seed in (1, [6, 7, 8]):
+        ch = generate_channels(3, M, 1, seed=seed)
+        direct = build_mimo_even(ch)
+        extended = build_mimo_even(extend_channel(ch, 1, mode="constant-time"))
+        if ch.stacked:
+            (direct, ext), slots = direct
+            (extended, _), extended_slots = extended
+            assert slots == extended_slots and ext.seed == ch.seed
+        for v, w in zip(direct.precoders, extended.precoders, strict=True):
+            assert v.tobytes() == w.tobytes() and v.strides == w.strides

@@ -33,7 +33,7 @@ class MatrixOverrideChannel:
     stacked = False
 
     def __init__(self, ext, overrides):
-        self.K, self.M, self.L, self.dim = ext.K, ext.M, ext.L, ext.dim
+        self.K, self.M, self.F, self.dim = ext.K, ext.M, ext.F, ext.dim
         self._ext = ext
         self._overrides = overrides
 
@@ -178,7 +178,7 @@ def test_relabeling_users_permutes_rates(monkeypatch):
         # every receiver reached and passed (a pass with gains leaves the
         # desired ranks at -1)
         assert passed.tolist() == [True] and np.all(ranks[1:] >= 0)
-        return _grid_rates(ext.L, gains, [1e5])[0, 0].tolist()
+        return _grid_rates(ext.F, gains, [1e5])[0, 0].tolist()
 
     baseline = rates(scheme, ext)
     perm = [2, 0, 1]

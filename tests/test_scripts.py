@@ -1,19 +1,27 @@
 """The scripts under ``scripts/`` run end to end on small inputs.
 
-Only the form of their output is checked: their values are pinned
-elsewhere, and a digest's value depends on the BLAS thread count.
+The form of their output is checked in process, and the full output
+digest's value once, in a subprocess that pins BLAS to one thread before
+numpy loads: a digest's value depends on the BLAS thread count.
 """
 
 import importlib.util
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
 
 from ia_lab import SchemeConfig
 
-SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+# the overall digest of ``scripts/output_digest.py`` at one BLAS thread, as
+# recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64; a change that
+# keeps every output bit for bit keeps it
+OUTPUT_DIGEST = "7a8539c4159e3b330e71afb45c8d721f1caba12b525c9c47d8740811e60a6aaf"
 NUMBER = r"-?\d+\.\d+(e[+-]\d+)?"
 
 
@@ -66,3 +74,13 @@ def test_output_digest(monkeypatch):
     assert all(re.fullmatch(r"[0-9a-f]{64}", hexdigest) for _, hexdigest in each)
     assert len({hexdigest for _, hexdigest in each}) == 2
     assert module.label(module.CONFIGS[0]) == "siso-k3 K=3 M=1 n=1 a_min=0.5 a_max=2.0"
+
+
+def test_output_digest_is_pinned():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, str(SCRIPTS / "output_digest.py")], env=env,
+                         capture_output=True, text=True, check=True, timeout=300).stdout
+    lines = out.splitlines()
+    assert len(lines) == 21
+    assert lines[-1] == OUTPUT_DIGEST

@@ -128,7 +128,7 @@ def test_one_point_rates_equal_grid_rates(trials):
     _, rows = trials
     for t in passing(rows):
         for rho, row in zip(RHOS, t.rates.tolist()):
-            assert _grid_rates(t.ext.L, t.gains, [rho])[0].tolist() == [row]
+            assert _grid_rates(t.ext.F, t.gains, [rho])[0].tolist() == [row]
 
 
 def test_interference_rank_is_dim_minus_complement(trials):

@@ -247,3 +247,17 @@ def test_general_k4_alignment_residuals_hundred_seeds():
         ext = general_setup(4, 1, seed=seed)
         report = check_alignment(build_precoders_general(ext, 1), ext)
         assert report.passed and report.max_residual <= 1e-9, f"seed={seed}"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_k3_builds_on_a_drawn_set_as_on_its_extension(n):
+    for seed in (0, [3, 4, 5]):
+        ch = generate_channels(3, 1, 2 * n + 1, seed=seed)
+        direct, extended = build_precoders_k3(ch, n), build_precoders_k3(
+            extend_channel(ch, 2 * n + 1), n)
+        if ch.stacked:
+            (direct, ext), slots = direct
+            (extended, _), extended_slots = extended
+            assert slots == extended_slots and ext.seed == ch.seed
+        for v, w in zip(direct.precoders, extended.precoders, strict=True):
+            assert v.tobytes() == w.tobytes() and v.strides == w.strides

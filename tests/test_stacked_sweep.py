@@ -82,7 +82,7 @@ def written_out_grid_rates(scheme, ext, rhos):
     """Zero-forcing rates of one trial, computed receiver by receiver with
     2-D arrays only: the unit-norm precoder, the complement of the stacked
     interference, and the gains of the projected effective channel."""
-    K, L = scheme.K, ext.L
+    K, L = scheme.K, ext.F
     out = np.empty((len(rhos), K))
     for k in range(K):
         interference = np.hstack([ext.apply(k, j, scheme.precoders[j])
@@ -200,13 +200,13 @@ def one_stack(config, seeds):
 def test_a_relation_pass_forms_each_link_product_once(monkeypatch, label):
     scheme, ext = one_stack(CONFIGS[label], range(3))
     formed = collections.Counter()
-    apply = ia_lab.channels.ExtendedChannel.apply
+    apply = ia_lab.channels.ChannelSet.apply
 
     def counting(ext, k, j, v):
         formed[k, j] += 1
         return apply(ext, k, j, v)
 
-    monkeypatch.setattr(ia_lab.channels.ExtendedChannel, "apply", counting)
+    monkeypatch.setattr(ia_lab.channels.ChannelSet, "apply", counting)
     # once per stack, for the checks and relations of check_alignment and for
     # a whole zf_rates call: the relations and the gains read the products
     # of the receiver pass
@@ -222,7 +222,7 @@ def test_families_of_one_shape_take_their_own_relations(monkeypatch):
     # siso-k3 n=1 and siso-general K=3 n=1 build trials of one shape
     k3 = one_stack(CONFIGS["siso-k3 n=1"], [4, 5])
     general = one_stack(SchemeConfig("siso-general", K=3, n=1), [4])
-    assert k3[1].blocks.shape[1:] == general[1].blocks.shape[1:]
+    assert k3[1].coeffs.shape[1:] == general[1].coeffs.shape[1:]
     assert k3[0].stream_counts == general[0].stream_counts
     relations = []
     get_family = ia_lab.receiver.get_family
@@ -258,8 +258,8 @@ def test_build_trials_channels_match_per_seed_generation():
         K, M, F = ia_lab.families.FAMILIES[config.family].channel_shape(config)
         for seed, (scheme, ext) in zip(seeds, builds(config, seeds)):
             ch = generate_channels(K, M, F, config.a_min, config.a_max, seed)
-            assert np.array_equal(ext.blocks, extend_channel(ch, ext.L).blocks)
-            assert np.array_equal(ext.blocks, config.build(seed)[1].blocks)
+            assert np.array_equal(ext.coeffs, extend_channel(ch, ext.F).coeffs)
+            assert np.array_equal(ext.coeffs, config.build(seed)[1].coeffs)
 
 
 def test_build_trials_puts_each_build_error_in_its_slot(monkeypatch):
@@ -284,8 +284,8 @@ def test_build_trials_puts_each_build_error_in_its_slot(monkeypatch):
     built = [b for _, b in stack]
     for seed in (0, 2):
         scheme, ext = built[seed]
-        assert np.array_equal(ext.blocks, extend_channel(
-            generate_channels(3, 2, 1, seed=seed), 1, mode="constant-time").blocks)
+        assert np.array_equal(ext.coeffs, extend_channel(
+            generate_channels(3, 2, 1, seed=seed), 1, mode="constant-time").coeffs)
         assert scheme.K == 3 and not scheme.stacked
     assert isinstance(built[1], DegeneracyError)
     assert calls == [(0, 1, 2)]
@@ -303,7 +303,7 @@ def test_a_stack_none_of_whose_trials_built_gives_no_rates(monkeypatch, label):
     [stack] = config.build_trials(range(3))
     assert all(isinstance(built, TRIAL_ERRORS) for _, built in stack)
     scheme, ext = stack.trial
-    assert len(scheme.precoders[0]) == len(ext.blocks) == 0
+    assert len(scheme.precoders[0]) == len(ext.coeffs) == 0
     assert zf_rates(scheme, ext, RHOS) == []
     table = snr_sweep(config, GRID, 3, seed=0)
     assert len(table.records) == 3 * len(GRID)
@@ -342,7 +342,7 @@ def test_stacked_build_equals_each_build_alone(label, trials):
     verdicts = [stacked_verdicts(*trial)[slot] for slot in stack.slots]
     for seed, (scheme, ext), verdict in zip(seeds, built, verdicts, strict=True):
         scheme_alone, ext_alone = config.build(seed)
-        assert np.array_equal(ext.blocks, ext_alone.blocks)
+        assert np.array_equal(ext.coeffs, ext_alone.coeffs)
         for v, v_alone in zip(scheme.precoders, scheme_alone.precoders, strict=True):
             assert v.tobytes() == v_alone.tobytes()
             # the memory layout too: from M=8 on it decides the order in which
@@ -429,13 +429,13 @@ def assert_fails_alone_in_the_middle(monkeypatch, label, breaks, message):
             scheme_alone, ext_alone = config.build_on(channels[t])
             for v, w in zip(scheme.precoders, scheme_alone.precoders, strict=True):
                 assert v.tobytes() == w.tobytes() and v.strides == w.strides
-            survivors.append(ext_alone.blocks)
+            survivors.append(ext_alone.coeffs)
             continue
         assert isinstance(built, TRIAL_ERRORS)
         with pytest.raises(type(built), match=message) as alone:
             config.build_on(channels[t])
         assert str(alone.value) == str(built)
-    assert np.array_equal(stack.trial[1].blocks, np.stack(survivors))
+    assert np.array_equal(stack.trial[1].coeffs, np.stack(survivors))
 
 
 @pytest.mark.parametrize("label,breaks,message", BROKEN)
@@ -554,7 +554,7 @@ def test_a_pass_over_the_budget_takes_one_receiver_per_batch(monkeypatch, label,
     T = len(scheme.precoders[0])
     default = [_pass(scheme, ext, with_gains) for with_gains in (False, True)]
     formed, widths = collections.Counter(), []
-    apply, check = ia_lab.channels.ExtendedChannel.apply, ia_lab.receiver._check
+    apply, check = ia_lab.channels.ChannelSet.apply, ia_lab.receiver._check
 
     def counting(ext, k, j, v):
         formed[k, j] += 1
@@ -564,7 +564,7 @@ def test_a_pass_over_the_budget_takes_one_receiver_per_batch(monkeypatch, label,
         widths.append(len(joint))
         return check(joint, *args)
 
-    monkeypatch.setattr(ia_lab.channels.ExtendedChannel, "apply", counting)
+    monkeypatch.setattr(ia_lab.channels.ChannelSet, "apply", counting)
     monkeypatch.setattr(ia_lab.receiver, "_check", recording)
     # room for 2T - 1 (receiver, trial) rows, not a multiple of T: one whole
     # receiver per batch, with all its trials
@@ -711,3 +711,28 @@ def test_single_trial_helpers_take_the_stack_of_one_as_its_trial():
     assert np.array_equal(ia_lab.mimo.loop_matrix(ch[None]), ia_lab.mimo.loop_matrix(ch))
     ext = extend_channel(generate_channels(3, 1, 3, seed=3), 3)
     assert np.array_equal(ia_lab.siso.loop_gains(ext[None]), ia_lab.siso.loop_gains(ext))
+
+
+def test_none_takes_a_single_trial_and_a_trial_index_a_stack():
+    channels = generate_channels(3, 2, 1, seed=[1, 2, 3])
+    (scheme, ext), _ = ia_lab.mimo.build_mimo_even(channels)
+    for stack in (channels, ext, scheme):
+        with pytest.raises(ShapeError, match="None"):
+            stack[None]
+        with pytest.raises(ShapeError, match="trial index"):
+            stack[1][0]
+        assert stack[1][None].stacked and not stack[1][None][0].stacked
+    with pytest.raises(ShapeError):
+        ia_lab.mimo.loop_matrix(channels[None])
+
+
+def test_the_survivors_extension_is_read_only_and_holds_their_seeds():
+    channels = generate_channels(3, 1, 3, seed=[5, 6, 7, 8])
+    coeffs = channels.coeffs.copy()
+    coeffs[1, 0, 1, 2] = 0.0  # trial 1's link (1, 2) is singular on slot 3
+    (scheme, ext), slots = ia_lab.siso.build_precoders_k3(
+        dataclasses.replace(channels, coeffs=coeffs), 1)
+    assert isinstance(slots[1], TRIAL_ERRORS) and slots[::2] == (0, 1) and slots[3] == 2
+    assert ext.seed == (5, 7, 8) and len(scheme.precoders[0]) == 3
+    assert not ext.coeffs.flags.writeable
+    assert np.array_equal(ext.coeffs, channels.coeffs[[0, 2, 3]])
