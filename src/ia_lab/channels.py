@@ -266,14 +266,29 @@ def _check_distinct_slots(coeffs: np.ndarray, error=ParameterError, where: str =
                 raise error(f"{where}link (k={k + 1}, j={j + 1}) repeats a slot value")
 
 
+def _check_magnitudes(ch: ChannelSet, error=ParameterError, where: str = "") -> None:
+    """Refuse a set with a coefficient that is not finite or whose magnitude
+    lies outside its law [a_min, a_max], widened by _MAG_SLACK."""
+    mag = np.abs(ch.coeffs.reshape(-1))
+    bad = np.flatnonzero(~((ch.a_min * (1.0 - _MAG_SLACK) <= mag)
+                           & (mag <= ch.a_max * (1.0 + _MAG_SLACK))))
+    if bad.size:
+        idx = int(bad[0])
+        raise error(f"{where}{_coeff_context(idx, ch.K, ch.M, ch.F)}: magnitude "
+                    f"{mag[idx]:.6g} outside [{ch.a_min}, {ch.a_max}]")
+
+
 def save_channels(ch: ChannelSet, path) -> None:
     """Write one channel set, not a stack, to a channel file (JSON,
-    coefficients flat in (k, j, f, row, col) order); ParameterError for a
-    set without an integer seed or with a repeated slot value."""
+    coefficients flat in (k, j, f, row, col) order); ParameterError, before
+    the file is opened, for a set that :func:`load_channels` would reject:
+    one without an integer seed, with a coefficient that is not finite or
+    breaks its magnitude law, or with a repeated slot value."""
     if ch.stacked:
         raise ShapeError("a channel file holds one channel set, not a stack")
     if not isinstance(ch.seed, Integral):
         raise ParameterError(f"a channel file needs an integer seed, got {ch.seed!r}")
+    _check_magnitudes(ch)
     _check_distinct_slots(ch.coeffs)
     lines = [
         "{",
@@ -355,22 +370,15 @@ def load_channels(path) -> ChannelSet:
             f"found {len(raw)}")
 
     flat = np.empty(expected, dtype=complex)
-    lo = a_min * (1.0 - _MAG_SLACK)
-    hi = a_max * (1.0 + _MAG_SLACK)
     for idx, entry in enumerate(raw):
         if (not isinstance(entry, dict) or "re" not in entry or "im" not in entry
                 or type(entry["re"]) not in (int, float)
                 or type(entry["im"]) not in (int, float)):
             raise ChannelFileError(
                 f"{path}: {_coeff_context(idx, K, M, F)}: expected {{re, im}} numbers")
-        z = complex(entry["re"], entry["im"])
-        mag = abs(z)
-        if not (lo <= mag <= hi):
-            raise ChannelFileError(
-                f"{path}: {_coeff_context(idx, K, M, F)}: magnitude {mag:.6g} "
-                f"outside [{a_min}, {a_max}]")
-        flat[idx] = z
-    coeffs = flat.reshape(K, K, F, M, M)
-    _check_distinct_slots(coeffs, ChannelFileError, f"{path}: ")
-    return ChannelSet(K=K, M=M, F=F, a_min=a_min, a_max=a_max,
-                      seed=seed, coeffs=_freeze(coeffs))
+        flat[idx] = complex(entry["re"], entry["im"])
+    ch = ChannelSet(K=K, M=M, F=F, a_min=a_min, a_max=a_max,
+                    seed=seed, coeffs=_freeze(flat.reshape(K, K, F, M, M)))
+    _check_magnitudes(ch, ChannelFileError, f"{path}: ")
+    _check_distinct_slots(ch.coeffs, ChannelFileError, f"{path}: ")
+    return ch

@@ -47,9 +47,15 @@ class Family:
     # k's interference once the relations hold, or None where k takes the
     # dense complement of its interference; None if every receiver does. An
     # image only k names is decomposed at k, from j's columns among k's
-    # products; one several receivers name is decomposed once per stack, as
-    # V_j, and carried to each by H_kj^{-H}
+    # products; one several receivers name (shared_images) is decomposed once
+    # per stack, as V_j, by the build, and carried to each by H_kj^{-H}
     interference_image: Callable = None
+
+    def shared_images(self, K: int) -> tuple:
+        """The transmitters whose image several receivers carry, in order:
+        the build decomposes each one's precoders, and the pass reads it."""
+        image = self.interference_image(K) if self.interference_image else ()
+        return tuple(j for j in range(K) if image.count(j) > 1)
 
 
 def _require(ok: bool, requirement: str) -> None:

@@ -20,15 +20,18 @@ signal inside the interference counts nothing. Where a family names the
 transmitter j whose image H_kj span(V_j) spans receiver k's interference
 once its relations hold (``Family.interference_image``), k's complement is
 that image's. An image no other receiver names is decomposed at k: the
-full-U SVD of j's equilibrated columns among k's products. An image that
-several receivers name takes one full-U SVD of V_j per stack, and at each
-of them H_kj^{-H} span(V_j)^perp: a diagonal solve and a thin QR. The
-relations are still evaluated. Every other receiver takes the full-U SVD of
-its interference. With gains, each row first takes the SVD of its projected
-effective channel B^H J_D, and that certifies its verdict where the
-smallest singular value over J_D's largest column norm reaches twice
-RANK_TOL, a lower bound on the equilibrated projection's; only the other
-rows, and every row of :func:`check_alignment`, take the verdict's SVD.
+full-U SVD of j's equilibrated columns among k's products. For an image
+that several receivers name (``Family.shared_images``), the build takes
+one full-U SVD of V_j per stack, which decides V_j's full column rank, and
+the scheme keeps it (``PrecoderScheme.complement``); the pass reads it and
+takes at each of those receivers H_kj^{-H} span(V_j)^perp: a diagonal
+solve and a thin QR. The relations are still evaluated. Every other
+receiver takes the full-U SVD of its interference. With gains, each row
+first takes the SVD of its projected effective channel B^H J_D, and that
+certifies its verdict where the smallest singular value over J_D's largest
+column norm reaches twice RANK_TOL, a lower bound on the equilibrated
+projection's; only the other rows, and every row of :func:`check_alignment`,
+take the verdict's SVD.
 
 The pass runs over a stack of trials of one family and shape, as a stacked
 build gives them, or over one trial as the stack of one. It takes the
@@ -193,11 +196,12 @@ def _pass(scheme, ext, with_gains) -> tuple:
 
     family = get_family(scheme.family)
     image = family.interference_image(K) if family.interference_image else (None,) * K
+    shared = family.shared_images(K)
     # receiver k's complement route: the range of its columns it decomposes
     # itself (its interference, or an image no other receiver names), or
     # else the transmitter whose shared image it carries
     routes = [(d[k], streams) if j is None else
-              (offsets[k][j], offsets[k][j] + d[j]) if image.count(j) == 1 else j
+              j if j in shared else (offsets[k][j], offsets[k][j] + d[j])
               for k, j in enumerate(image)]
     listed = list(family.relations(K))
     # built per call from the module names, so whatever rebinds them sees it
@@ -233,16 +237,6 @@ def _pass(scheme, ext, with_gains) -> tuple:
                 for t, ok in zip(rows, (out <= tol).all(axis=0).tolist()):
                     passed[t] = passed[t] and ok
 
-    spans = {}
-
-    def image_complement(j):
-        """complement_and_rank of transmitter j's equilibrated precoders,
-        taken once per stack for every receiver whose interference is its
-        image."""
-        if j not in spans:
-            spans[j] = complement_and_rank(equilibrate_columns(scheme.precoders[j]))
-        return spans[j]
-
     groups = {}
     for k in range(K):
         groups.setdefault((d[k], routes[k]), []).append(k)
@@ -252,7 +246,7 @@ def _pass(scheme, ext, with_gains) -> tuple:
             live = [t for t in range(T) if passed[t] or not with_gains]
             if live:
                 joint = {k: products(k) for k in batch}
-                _check(joint, live, route, ext, dk, image_complement, ranks, passed, gains)
+                _check(joint, live, route, scheme, ext, dk, ranks, passed, gains)
                 relate(joint)
     return ranks, residuals, np.array(passed, dtype=bool), gains
 
@@ -278,8 +272,7 @@ def _certified(s, desired):
     return s[:, -1] >= 2 * RANK_TOL * np.maximum.reduce(nu, axis=-1)
 
 
-def _check(joint, trials, route, ext, dk, image_complement, ranks, passed,
-           gains) -> None:
+def _check(joint, trials, route, scheme, ext, dk, ranks, passed, gains) -> None:
     """Check the receivers of a batch of one ``route`` at the stack's live
     ``trials``, ``joint[k]`` being receiver k's (T, dim, streams) products,
     desired streams first: set their ``ranks``, clear ``passed`` for each
@@ -289,9 +282,10 @@ def _check(joint, trials, route, ext, dk, image_complement, ranks, passed,
     A range route (lo, hi) takes every row's complement from one full-U
     SVD of those columns equilibrated. A transmitter route j takes ext's
     H_kj^{-H} applied to the columns past the rank of
-    ``image_complement(j)``, orthonormalized: one solve per receiver and
-    one QR per rank. The verdict and the gains project onto it; with gains,
-    a row whose gains certify rank d_k takes no verdict SVD."""
+    ``scheme.complement(j)``, the decomposition of V_j the build kept,
+    orthonormalized: one solve per receiver and one QR per rank. The
+    verdict and the gains project onto it; with gains, a row whose gains
+    certify rank d_k takes no verdict SVD."""
     whole = len(trials) == len(passed)
     # views of the products when every trial is live
     parts = [p if whole else p[trials] for p in joint.values()]
@@ -306,7 +300,7 @@ def _check(joint, trials, route, ext, dk, image_complement, ranks, passed,
         u, interference = complement_and_rank(E[..., route[0]:route[1]])
         groups = [(rows, u[rows, :, r:], r) for r, rows in _by_rank(interference).items()]
     else:
-        u, image = image_complement(route)
+        u, image = scheme.complement(route)
         groups = []
         for r, rows in _by_rank(image[trials]).items():
             chosen = [trials[p] for p in rows]

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import has_full_column_rank
+from .linalg import complement_and_rank, equilibrate_columns, has_full_column_rank
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,12 @@ class PrecoderScheme:
     precoder gets a leading trial axis, (T, L*M, d_i). ``scheme[t]`` is the
     scheme of trial t, an array of trials gives a stack, and None, on a
     single scheme only, the stack of one, as for a ChannelSet.
+
+    ``complements`` maps a transmitter j whose image several receivers carry
+    to :meth:`complement` of j, as the build that decided j's rank took it,
+    and selection takes its rows along with the precoders'. It is only a
+    cache: == and repr leave it out, and a scheme made by hand or by
+    ``dataclasses.replace`` starts without it.
     """
 
     family: str
@@ -36,6 +42,7 @@ class PrecoderScheme:
     precoders: tuple
     n: int = None
     parity: str = None
+    complements: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def stacked(self) -> bool:
@@ -45,7 +52,18 @@ class PrecoderScheme:
     def __getitem__(self, t) -> "PrecoderScheme":
         if (t is None) == self.stacked:
             raise ShapeError("a trial index needs a stack of schemes, None one scheme")
-        return replace(self, precoders=tuple(v[t] for v in self.precoders))
+        out = replace(self, precoders=tuple(v[t] for v in self.precoders))
+        out.complements.update((j, (u[t], ranks[t])) for j, (u, ranks) in self.complements.items())
+        return out
+
+    def complement(self, j: int) -> tuple:
+        """complement_and_rank of transmitter j's equilibrated precoders, of
+        a stack: (u, ranks), the columns of ``u[t]`` from ``ranks[t]`` on
+        spanning the complement of trial t's. The one in ``complements``, or
+        else taken now by the same call."""
+        if j in self.complements:
+            return self.complements[j]
+        return complement_and_rank(equilibrate_columns(self.precoders[j]))
 
     @property
     def stream_counts(self) -> tuple:
@@ -117,21 +135,33 @@ def full_rank_schemes(stack: TrialStack, error: type, precoders: tuple,
     kept; ``precoders[i]`` stacks transmitter i's over the rows of ``stack``.
 
     A trial whose precoder does not have full column rank gets ``error``
-    naming its first such transmitter. Transmitters of one shape share one
-    full-rank call, column-major ones apart (they sum their column norms in
-    another order).
+    naming its first such transmitter. A transmitter j whose image several
+    receivers carry (``Family.shared_images``) has full column rank where
+    the rank of its :meth:`PrecoderScheme.complement` is d_j, and the scheme
+    keeps that decomposition for the receiver pass to read. The other
+    transmitters of one shape share one full-rank call, column-major ones
+    apart (they sum their column norms in another order).
     """
+    # families imports the builders, which import this module
+    from .families import get_family
+
+    scheme = PrecoderScheme(precoders=precoders, **fields)
+    shared = get_family(scheme.family).shared_images(scheme.K)
     groups, ok = {}, {}
+    for j in shared:
+        scheme.complements[j] = scheme.complement(j)
+        ok[j] = scheme.complements[j][1] == precoders[j].shape[-1]
     for i, v in enumerate(precoders):
-        groups.setdefault((v.shape[1:], v.shape[-1] > 1 and v.strides[-2] < v.strides[-1]),
-                          []).append(i)
+        if i not in shared:
+            groups.setdefault((v.shape[1:], v.shape[-1] > 1 and v.strides[-2] < v.strides[-1]),
+                              []).append(i)
     for members in groups.values():
         full = has_full_column_rank(np.concatenate([precoders[i] for i in members])
                                     if len(members) > 1 else precoders[members[0]])
         ok.update(zip(members, full.reshape(len(members), len(stack.errors))))
     for i in range(len(precoders)):
         stack.fail(ok[i], error, f"precoder of transmitter {i + 1} lost full column rank")
-    return PrecoderScheme(precoders=precoders, **fields)
+    return scheme
 
 
 def _matrix_entries(v: np.ndarray) -> list:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from conftest import identity_channels
 
 from ia_lab import (ChannelFileError, ParameterError, ShapeError, build_designed_channel,
-                    extend_channel, generate_channels, load_channels, save_channels)
+                    diagonal_channels, extend_channel, generate_channels, load_channels,
+                    save_channels)
 
 
 def test_generate_shapes_and_bounds():
@@ -405,6 +406,26 @@ def test_save_refuses_repeated_slot_values(tmp_path):
     # an M > 1 constant-time extension repeats its blocks, and saves
     save_channels(extend_channel(generate_channels(3, 2, 1, seed=2), 2, "constant-time"), path)
     assert load_channels(path).F == 2
+
+
+def test_save_refuses_what_load_rejects(tmp_path):
+    path = tmp_path / "channels.json"
+    # diagonal_channels zeroes the off-diagonal entries, outside [0.5, 2]
+    with pytest.raises(ParameterError,
+                       match=r"coeffs\[1\] \(k=1, j=1, f=1, row=1, col=2\): magnitude 0 "
+                             r"outside \[0\.5, 2\.0\]"):
+        save_channels(diagonal_channels(2, 0), path)
+    assert not path.exists()
+    ch = generate_channels(2, 1, 2, seed=1)
+    coeffs = ch.coeffs.copy()
+    coeffs[1, 0, 1, 0, 0] = complex(np.nan, 0.0)
+    with pytest.raises(ParameterError, match=r"coeffs\[5\] \(k=2, j=1, f=2, row=1, col=1\): "
+                                             r"magnitude nan"):
+        save_channels(dataclasses.replace(ch, coeffs=coeffs), path)
+    assert not path.exists()
+    # a drawn set still round-trips exactly
+    save_channels(ch, path)
+    assert np.array_equal(load_channels(path).coeffs, ch.coeffs)
 
 
 def test_a_frequency_extension_round_trips(tmp_path):

@@ -187,6 +187,63 @@ def test_a_short_rank_image_gives_the_dense_complement(monkeypatch):
     assert [rx.interference_rank for rx in report.receivers][1:] == [3, 3]
 
 
+def test_new_precoders_of_transmitter_1_give_their_own_verdict():
+    # transmitter 1's first column replaced, after the build, by one whose
+    # image at receiver 2 is receiver 2's first desired column: receiver 2
+    # loses a stream. The build's decomposition of the old precoders, which
+    # would pass it, does not come along
+    built, ext = SchemeConfig("siso-k3", n=2).build(4)
+    v1, v2 = built.precoders[:2]
+    column = np.linalg.solve(ext.matrix(1, 0), ext.apply(1, 1, v2[:, :1]))
+    scheme = dataclasses.replace(built, precoders=(np.hstack([column, v1[:, 1:]]),)
+                                 + built.precoders[1:])
+    assert 0 in built.complements and not scheme.complements
+    assert check_alignment(built, ext).receivers[1].ok
+    assert not check_alignment(scheme, ext).receivers[1].ok
+    assert zf_rates(scheme, ext, [1.0]) == [None]
+    stale = dataclasses.replace(scheme)
+    stale.complements.update(built.complements)
+    assert check_alignment(stale, ext).receivers[1].ok
+
+
+# siso configurations and seeds whose builds keep transmitter 1's
+# decomposition, and the two L=275 golden seeds of test_shared_pass.py
+KEPT = {
+    **{f"siso-k3 n={n}": (SchemeConfig("siso-k3", n=n), range(10)) for n in (1, 3, 5)},
+    "siso-general K=4 n=1": (SchemeConfig("siso-general", K=4, n=1), range(10)),
+    "siso-general K=4 n=2 unit": (LARGE_UNIT, [0]),
+    "siso-general K=4 n=2 default": (LARGE_DEFAULT, [_trial_seed(1002, 0)]),
+}
+
+
+@pytest.mark.parametrize("label", list(KEPT))
+def test_the_kept_decomposition_is_only_a_cache(label):
+    # a scheme made by dataclasses.replace starts without it, and the pass
+    # takes it by the same call: every answer is the same, bit for bit
+    config, seeds = KEPT[label]
+    [stack] = config.build_trials(seeds)
+    scheme, ext = stack.trial
+    bare = dataclasses.replace(scheme, precoders=scheme.precoders)
+    assert tuple(scheme.complements) == (0,) and not bare.complements
+    assert bare == scheme and repr(bare) == repr(scheme)
+    for with_gains in (False, True):
+        (ranks, residuals, passed, gains), oracle = (_pass(s, ext, with_gains)
+                                                     for s in (scheme, bare))
+        assert np.array_equal(ranks, oracle[0])
+        assert np.array_equal(residuals, oracle[1], equal_nan=True)
+        assert np.array_equal(passed, oracle[2])
+        for g, g_bare in zip(gains or (), oracle[3] or (), strict=True):
+            assert np.array_equal(g[passed], g_bare[passed])
+    rhos = [1.0, 1e8]
+    for rates, rates_bare in zip(zf_rates(scheme, ext, rhos), zf_rates(bare, ext, rhos),
+                                 strict=True):
+        assert (rates is None) == (rates_bare is None)
+        assert rates is None or np.array_equal(rates, rates_bare)
+    for t in range(len(ext.coeffs)):
+        assert (check_alignment(scheme[t], ext[t]).to_json()
+                == check_alignment(bare[t], ext[t]).to_json())
+
+
 # configuration and seeds whose pass with gains is compared with the pass
 # that takes the verdict's SVD on every row: every family's small seeds,
 # the siso-k3 trials whose receiver checks fail near the tolerance, and the

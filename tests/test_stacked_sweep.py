@@ -404,9 +404,11 @@ BROKEN = [
 
 def assert_fails_alone_in_the_middle(monkeypatch, label, breaks, message):
     """Break the middle trial of a 5-trial stack: it fails with the error it
-    gets alone, and every other trial builds as it does alone. The failed row
-    stays finite through the build, and the stack's extension holds exactly
-    the survivors' blocks."""
+    gets alone, and every other trial builds as it does alone and gets, from
+    the stack's pass, the rates its lone build gets, bit for bit (the
+    decompositions a siso build keeps are selected along with the
+    precoders). The failed row stays finite through the build, and the
+    stack's extension holds exactly the survivors' blocks."""
     config = BUILD_CONFIGS[label]
     draws = []
     draw = ia_lab.evaluation.generate_channels
@@ -423,12 +425,17 @@ def assert_fails_alone_in_the_middle(monkeypatch, label, breaks, message):
         [stack] = config.build_trials(range(5))
     [channels] = draws
     survivors = []
+    rates = zf_rates(*stack.trial, RHOS)
     for t, (_, built) in enumerate(stack):
         if t != 2:
             scheme, ext = built
             scheme_alone, ext_alone = config.build_on(channels[t])
             for v, w in zip(scheme.precoders, scheme_alone.precoders, strict=True):
                 assert v.tobytes() == w.tobytes() and v.strides == w.strides
+            [rates_alone] = zf_rates(scheme_alone, ext_alone, RHOS)
+            for got in (rates[stack.slots[t]], zf_rates(scheme, ext, RHOS)[0]):
+                assert (got is None) == (rates_alone is None)
+                assert got is None or got.tobytes() == rates_alone.tobytes()
             survivors.append(ext_alone.coeffs)
             continue
         assert isinstance(built, TRIAL_ERRORS)
@@ -436,6 +443,8 @@ def assert_fails_alone_in_the_middle(monkeypatch, label, breaks, message):
             config.build_on(channels[t])
         assert str(alone.value) == str(built)
     assert np.array_equal(stack.trial[1].coeffs, np.stack(survivors))
+    family = ia_lab.families.FAMILIES[config.family]
+    assert tuple(stack.trial[0].complements) == family.shared_images(config.K)
 
 
 @pytest.mark.parametrize("label,breaks,message", BROKEN)
@@ -539,9 +548,9 @@ def test_receiver_stage_svd_calls_do_not_grow_with_trials(monkeypatch, M):
 def test_siso_receiver_stage_calls_do_not_grow_with_trials(monkeypatch, label):
     # receiver 1 decomposes transmitter 2's image among its own products:
     # one interference SVD and one projection; receivers 2..K carry
-    # transmitter 1's image, one SVD of V_1 per stack, and share one QR and
-    # one projection, as all trials share the image's rank
-    assert receiver_stage_calls(monkeypatch, CONFIGS[label]) == [(4, 1)] * 3
+    # transmitter 1's image, whose SVD the build took and the scheme keeps,
+    # and share one QR and one projection, as all trials share its rank
+    assert receiver_stage_calls(monkeypatch, CONFIGS[label]) == [(3, 1)] * 3
 
 
 BATCHED = ["siso-k3 n=1", "siso-general K=4 n=1", "mimo M=2", "mimo M=3", "designed K=3"]

@@ -66,18 +66,23 @@ def test_large_rates_are_none_exactly_where_the_report_fails():
     # transmitter 1 of an even M >= 4 is column-major: it sums its column
     # norms in another order than the other two, so it goes alone
     (SchemeConfig("mimo", M=4), 2),
+    # transmitter 1, whose image receivers 2..K carry, decides its rank from
+    # the complement_and_rank the receiver pass reads; the others of one
+    # shape share one full-rank call
     (SchemeConfig("siso-k3", n=2), 2),
     (SchemeConfig("siso-general", K=4, n=1), 2),
 ])
 def test_a_stacked_build_checks_full_rank_once_per_precoder_shape(monkeypatch, config, calls):
     counted = []
-    check = ia_lab.schemes.has_full_column_rank
 
-    def counting(matrix):
-        counted.append(matrix.shape)
-        return check(matrix)
+    def counting(check):
+        def call(matrix):
+            counted.append(matrix.shape)
+            return check(matrix)
+        return call
 
-    monkeypatch.setattr(ia_lab.schemes, "has_full_column_rank", counting)
+    for name in ("has_full_column_rank", "complement_and_rank"):
+        monkeypatch.setattr(ia_lab.schemes, name, counting(getattr(ia_lab.schemes, name)))
     [stack] = config.build_trials(range(5))
     assert len(counted) == calls
     assert sum(shape[0] for shape in counted) == 5 * config.K
