@@ -33,12 +33,13 @@ from operator import add
 
 import numpy as np
 
-from .channels import DEFAULT_A_MAX, DEFAULT_A_MIN, ChannelSet, generate_channels
+from .channels import (DEFAULT_A_MAX, DEFAULT_A_MIN, ChannelSet, check_magnitude_law,
+                       extend_channel, generate_channels)
 from .errors import (DegeneracyError, InsufficientDataError, ParameterError,
                      RegionMembershipError, ShapeError, SingularChannelError)
 from .families import get_family
 from .receiver import STACK_BYTES, _receiver_bytes, zf_rates
-from .siso import DEFAULT_SIZE_CAP
+from .siso import DEFAULT_SIZE_CAP, check_order
 
 # failures of one realization, which a build reports in that trial's slot;
 # any other error belongs to the configuration and propagates
@@ -59,6 +60,13 @@ class SchemeConfig:
     size_cap: int = DEFAULT_SIZE_CAP
 
     def __post_init__(self):
+        for name in ("K", "M", "size_cap"):
+            if not isinstance(value := getattr(self, name), Integral):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+        check_order(self.n)
+        if self.size_cap < 1:
+            raise ParameterError(f"size_cap must be >= 1, got {self.size_cap}")
+        check_magnitude_law(self.a_min, self.a_max)
         get_family(self.family).check(self.K, self.M)
 
     @property
@@ -101,18 +109,20 @@ class SchemeConfig:
 
     def build_on(self, ch: ChannelSet):
         """Build (scheme, extended channel) against one channel set, not a
-        stack, with this configuration's K and M."""
+        stack, with this configuration's K and M, from its first F slots of
+        the F the family draws."""
         if ch.stacked:
             raise ShapeError("build_on takes one channel set, not a stack")
         family = get_family(self.family)
-        if family.channel_shape(self) is None:
+        if (shape := family.channel_shape(self)) is None:
             raise ParameterError(
                 f"{self.family} fixes its own channels and takes no channel set")
         if (ch.K, ch.M) != (self.K, self.M):
             raise ParameterError(
                 f"channel set has K={ch.K}, M={ch.M}, but the scheme is "
                 f"configured for K={self.K}, M={self.M}")
-        trial, slots = family.build(self, ch[None])
+        F = shape[2]
+        trial, slots = family.build(self, (ch if ch.F == F else extend_channel(ch, F))[None])
         [(_, built)] = BuiltStack((ch.seed,), slots, trial)
         return _raised(built)
 
@@ -219,64 +229,10 @@ def _means(lists) -> np.ndarray:
     return means
 
 
-# numpy's SeedSequence, of whose spawned children _trial_seed takes one
-# uint64 of state without importing numpy.random
-_MASK32 = 0xFFFFFFFF
-
-
-def _hashmix(value: int, const: int, mult: int = 0x931E8875) -> tuple:
-    value ^= const
-    const = const * mult & _MASK32
-    value = value * const & _MASK32
-    return value ^ value >> 16, const
-
-
-def _mix(x: int, y: int) -> int:
-    value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-    return value ^ value >> 16
-
-
-def _words(n: int) -> list:
-    """The 32-bit words of a nonnegative integer, least significant first."""
-    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
-
-
-def _mixed(pool: list, const: int, words) -> tuple:
-    """(pool, hash constant) once ``words`` are mixed into every pool word."""
-    pool = list(pool)
-    for word in words:
-        for i in range(4):
-            hashed, const = _hashmix(word, const)
-            pool[i] = _mix(pool[i], hashed)
-    return pool, const
-
-
-def _root_pool(root: int) -> tuple:
-    """(pool, hash constant) of ``SeedSequence(root, spawn_key=...)`` once
-    its root, padded to the pool's 4 words as a spawn key has it, is mixed
-    in: what the trials of one root share."""
-    words = _words(root)
-    words += [0] * (4 - len(words))
-    pool, const = [], 0x43B0D7E5
-    for word in words[:4]:
-        hashed, const = _hashmix(word, const)
-        pool.append(hashed)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                hashed, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], hashed)
-    return _mixed(pool, const, words[4:])
-
-
-def _trial_seed(root_seed: int, trial: int, root_pool: tuple = None) -> int:
-    """``SeedSequence(root_seed, spawn_key=(trial,)).generate_state(1,
-    np.uint64)[0]``; ``root_pool`` is ``_root_pool(root_seed)`` when the
-    caller has it."""
-    pool, _ = _mixed(*(root_pool or _root_pool(root_seed)), _words(trial))
-    low, const = _hashmix(pool[0], 0x8B51F9DD, 0x58F38DED)
-    high, _ = _hashmix(pool[1], const, 0x58F38DED)
-    return low | high << 32
+def _trial_seed(root: int, trial: int) -> int:
+    """The first uint64 of state of numpy's ``SeedSequence(root, spawn_key=(trial,))``.
+    Only this call, not ``import ia_lab``, imports ``numpy.random``."""
+    return int(np.random.SeedSequence(root, spawn_key=(trial,)).generate_state(1, np.uint64)[0])
 
 
 def _trial_bytes(config: SchemeConfig) -> int:
@@ -300,9 +256,9 @@ def snr_grid(snr_db) -> tuple:
 def snr_sweep(config: SchemeConfig, snr_db, trials: int, seed: int) -> RateTable:
     """Evaluate a scheme family over an SNR grid with fresh channels per trial.
 
-    The channel seed of each trial is derived from ``seed``, an unsigned
-    64-bit integer, and the trial index only, so one realization spans the
-    whole grid. ``config`` needs ``K`` and :meth:`SchemeConfig.build_trials`.
+    Trial t draws its channels from seed ``_trial_seed(seed, t)`` (``seed``
+    an unsigned 64-bit integer), so one realization spans the whole grid.
+    ``config`` needs ``K`` and :meth:`SchemeConfig.build_trials`.
     """
     grid = snr_grid(snr_db)
     if not isinstance(trials, Integral) or trials < 1:
@@ -314,8 +270,7 @@ def snr_sweep(config: SchemeConfig, snr_db, trials: int, seed: int) -> RateTable
     seed = int(seed)
 
     rhos = [10.0 ** (snr / 10.0) for snr in grid]
-    root = _root_pool(seed)
-    seeds = [_trial_seed(seed, t, root) for t in range(trials)]
+    seeds = [_trial_seed(seed, t) for t in range(trials)]
     records = []
     for stack in config.build_trials(seeds):
         # seeds that share one build (a family that draws no channels)
@@ -402,6 +357,8 @@ def estimate_o1_gap(table: RateTable, claimed_dof: float) -> GapProbe:
     """
     if table.snr_db[-1] - table.snr_db[0] < MIN_FIT_SNR_DB - 1e-9:
         raise ParameterError("gap probing needs a grid spanning at least 40 dB")
+    if not math.isfinite(claimed_dof):
+        raise ParameterError(f"claimed degrees of freedom must be finite, got {claimed_dof!r}")
     sums = _by_point(table)[0]
     usable = [i for i, values in enumerate(sums) if values]
     if not usable:

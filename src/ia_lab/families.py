@@ -63,11 +63,6 @@ def _require(ok: bool, requirement: str) -> None:
         raise ParameterError(requirement)
 
 
-def _k3_build(config, channels):
-    ext = extend_channel(channels, 2 * config.n + 1)
-    return build_precoders_k3(ext, config.n)
-
-
 def _k3_relations(K):
     yield ("equality", 0, "rx1: interference from tx2 equals interference from tx3", 1, 2)
     yield ("subset", 1, "rx2: interference from tx3 within interference from tx1", 2, 0)
@@ -78,12 +73,6 @@ def _general_extension(c):
     big_n = (c.K - 1) * (c.K - 2) - 1
     return (required_extension_general(c.K, c.n),
             (c.n + 1) ** big_n + (c.K - 1) * c.n ** big_n)
-
-
-def _general_build(config, channels):
-    ext = extend_channel(channels, guarded_extension_general(channels.K, config.n,
-                                                             config.size_cap))
-    return build_precoders_general(ext, config.n, size_cap=config.size_cap)
 
 
 def _general_relations(K):
@@ -128,7 +117,7 @@ FAMILIES = {
         check=lambda K, M: _require((K, M) == (3, 1), "siso-k3 requires K=3, M=1"),
         default_M=1, extension=lambda c: (2 * c.n + 1, 3 * c.n + 1),
         channel_shape=lambda c: (3, 1, 2 * c.n + 1),
-        build=_k3_build, relations=_k3_relations,
+        build=lambda c, channels: build_precoders_k3(channels, c.n), relations=_k3_relations,
         reads=("n", "a_min", "a_max", "seed"),
         # the equality relation puts receiver 1's interference in tx2's image,
         # the subset relations receivers 2 and 3's in tx1's
@@ -137,8 +126,8 @@ FAMILIES = {
         check=lambda K, M: _require(K >= 3 and M == 1, "siso-general requires K>=3, M=1"),
         default_M=1, extension=_general_extension,
         channel_shape=lambda c: (c.K, 1, guarded_extension_general(c.K, c.n, c.size_cap)),
-        build=_general_build, relations=_general_relations,
-        reads=("n", "a_min", "a_max", "size_cap", "seed"),
+        build=lambda c, channels: build_precoders_general(channels, c.n, size_cap=c.size_cap),
+        relations=_general_relations, reads=("n", "a_min", "a_max", "size_cap", "seed"),
         interference_image=lambda K: (1,) + (0,) * (K - 1)),
     "mimo": Family(
         check=lambda K, M: _require(K == 3 and M >= 2, "mimo requires K=3, M>=2"),

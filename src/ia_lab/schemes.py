@@ -28,11 +28,11 @@ class PrecoderScheme:
     scheme of trial t, an array of trials gives a stack, and None, on a
     single scheme only, the stack of one, as for a ChannelSet.
 
-    ``complements`` maps a transmitter j whose image several receivers carry
-    to :meth:`complement` of j, as the build that decided j's rank took it,
-    and selection takes its rows along with the precoders'. It is only a
-    cache: == and repr leave it out, and a scheme made by hand or by
-    ``dataclasses.replace`` starts without it.
+    ``complements`` keeps :meth:`complement` of each j it was taken for (by
+    the build that decides a shared transmitter's rank, or else by the
+    receiver pass), and selection takes its rows along with the precoders'.
+    It is only a cache: == and repr leave it out, and a scheme made by hand
+    or by ``dataclasses.replace`` starts without it.
     """
 
     family: str
@@ -59,11 +59,13 @@ class PrecoderScheme:
     def complement(self, j: int) -> tuple:
         """complement_and_rank of transmitter j's equilibrated precoders, of
         a stack: (u, ranks), the columns of ``u[t]`` from ``ranks[t]`` on
-        spanning the complement of trial t's. The one in ``complements``, or
-        else taken now by the same call."""
-        if j in self.complements:
-            return self.complements[j]
-        return complement_and_rank(equilibrate_columns(self.precoders[j]))
+        spanning the complement of trial t's. Taken on the first call and
+        kept in ``complements``."""
+        if not self.stacked:
+            raise ShapeError("complement needs a stack of schemes")
+        if j not in self.complements:
+            self.complements[j] = complement_and_rank(equilibrate_columns(self.precoders[j]))
+        return self.complements[j]
 
     @property
     def stream_counts(self) -> tuple:
@@ -149,8 +151,7 @@ def full_rank_schemes(stack: TrialStack, error: type, precoders: tuple,
     shared = get_family(scheme.family).shared_images(scheme.K)
     groups, ok = {}, {}
     for j in shared:
-        scheme.complements[j] = scheme.complement(j)
-        ok[j] = scheme.complements[j][1] == precoders[j].shape[-1]
+        ok[j] = scheme.complement(j)[1] == precoders[j].shape[-1]
     for i, v in enumerate(precoders):
         if i not in shared:
             groups.setdefault((v.shape[1:], v.shape[-1] > 1 and v.strides[-2] < v.strides[-1]),

@@ -12,6 +12,8 @@ of those maps.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 from .channels import ChannelSet
@@ -19,6 +21,14 @@ from .errors import ParameterError, ShapeError, SingularChannelError, SizeGuardE
 from .schemes import TrialStack, full_rank_schemes
 
 DEFAULT_SIZE_CAP = 4096
+
+
+def check_order(n) -> None:
+    """ParameterError unless the alignment order ``n`` is an integer >= 1."""
+    if not isinstance(n, Integral):
+        raise ParameterError(f"alignment order must be an integer, got n={n!r}")
+    if n < 1:
+        raise ParameterError(f"alignment order must be >= 1, got n={n}")
 
 
 def _diagonals(ext: ChannelSet) -> tuple:
@@ -81,8 +91,7 @@ def build_precoders_k3(ext: ChannelSet, n: int):
     stacked scheme and extension of the trials that built), each trial's row
     in them or the SingularChannelError its build gives alone).
     """
-    if n < 1:
-        raise ParameterError(f"alignment order must be >= 1, got n={n}")
+    check_order(n)
     L = 2 * n + 1
     if ext.F != L:
         raise ShapeError(f"order n={n} needs a {L}-slot extension, got L={ext.F}")
@@ -101,8 +110,7 @@ def required_extension_general(K: int, n: int) -> int:
     """Extension length (n+1)^N + n^N with N = (K-1)(K-2) - 1."""
     if K < 3:
         raise ParameterError(f"general construction needs K >= 3, got K={K}")
-    if n < 1:
-        raise ParameterError(f"alignment order must be >= 1, got n={n}")
+    check_order(n)
     N = (K - 1) * (K - 2) - 1
     return (n + 1) ** N + n ** N
 

@@ -19,7 +19,7 @@ from .errors import ParameterError, ShapeError
 from .linalg import RANK_TOL, _rank, singular_values
 from .mimo import build_mimo_even
 from .receiver import AlignmentReport, check_alignment
-from .siso import loop_gains
+from .siso import check_order, loop_gains
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,7 @@ def separability_matrix(ext: ChannelSet, n: int) -> np.ndarray:
     the same columns up to power n-1 scaled by the diagonal ratio
     h12/h11 per slot.
     """
-    if n < 1:
-        raise ParameterError(f"alignment order must be >= 1, got n={n}")
+    check_order(n)
     if ext.F != 2 * n + 1:
         raise ShapeError(f"order n={n} needs a {2 * n + 1}-slot extension, got {ext.F}")
     loop = loop_gains(ext)

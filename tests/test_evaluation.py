@@ -9,11 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ia_lab.evaluation
+import ia_lab.families
 from ia_lab import (CognitiveScenario, DegeneracyError, InsufficientDataError,
                     ParameterError, RateRecord, RateTable, RegionMembershipError,
                     SchemeConfig, cognitive_dof, decompose_dof_point,
                     estimate_dof, estimate_o1_gap, in_dof_region,
                     sample_dof_region, snr_sweep, REGION_CORNERS)
+from ia_lab.channels import extend_channel, generate_channels
 from ia_lab.evaluation import BuiltStack
 
 
@@ -69,6 +71,39 @@ def test_sweep_rejects_a_seed_that_is_not_an_integer(monkeypatch, seed):
     with pytest.raises(ParameterError, match="seed must be an integer"):
         snr_sweep(SchemeConfig(family="siso-k3"), [60], 1, seed)
     assert drawn == []
+
+
+@pytest.mark.parametrize("fields,message", [
+    (dict(family="siso-k3", n=1.5), "alignment order must be an integer"),
+    (dict(family="siso-k3", n=0), "alignment order must be >= 1"),
+    (dict(family="siso-general", K=4.0, n=1), "K must be an integer"),
+    (dict(family="mimo", M=2.0), "M must be an integer"),
+    (dict(family="mimo", n=-1), "alignment order must be >= 1"),
+    (dict(family="siso-general", K=4, size_cap=0), "size_cap must be >= 1"),
+    (dict(family="siso-general", K=4, size_cap=4096.0), "size_cap must be an integer"),
+    (dict(family="siso-k3", a_min=3.0), "magnitude bounds"),
+    (dict(family="mimo", a_max=float("inf")), "magnitude bounds"),
+    (dict(family="designed", a_min=float("nan")), "magnitude bounds"),
+])
+def test_scheme_config_checks_its_fields_when_built(fields, message):
+    # claimed_dof, build and snr_sweep would otherwise meet them later, or
+    # (n=0) claim the degrees of freedom of a scheme that cannot build
+    with pytest.raises(ParameterError, match=message):
+        SchemeConfig(**fields)
+
+
+@pytest.mark.parametrize("config", [SchemeConfig("siso-k3", n=1),
+                                    SchemeConfig("siso-general", K=4, n=1)])
+def test_build_on_a_longer_set_builds_on_its_first_slots(config):
+    # a siso build takes a drawn set as its own extension; a longer set, such
+    # as a channel file's, is cut to the slots the family draws first
+    K, M, F = ia_lab.families.get_family(config.family).channel_shape(config)
+    ch = generate_channels(K, M, F + 2, seed=11)
+    scheme, ext = config.build_on(ch)
+    first = extend_channel(ch, F)
+    alone = config.build_on(first)[0]
+    assert ext.F == F and np.array_equal(ext.coeffs, first.coeffs)
+    assert all(np.array_equal(a, b) for a, b in zip(scheme.precoders, alone.precoders))
 
 
 def test_sweep_takes_a_numpy_integer_seed():
@@ -169,6 +204,10 @@ def test_gap_needs_wide_grid():
     table = synthetic_table([40, 60], lambda rho: math.log2(rho))
     with pytest.raises(ParameterError):
         estimate_o1_gap(table, 1.0)
+    wide = synthetic_table([40, 60, 80], lambda rho: math.log2(rho))
+    for claim in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ParameterError, match="must be finite"):
+            estimate_o1_gap(wide, claim)
 
 
 def test_decompose_corners():

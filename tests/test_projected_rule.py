@@ -31,8 +31,9 @@ import pytest
 
 import ia_lab.families
 import ia_lab.receiver
-from ia_lab import (SchemeConfig, check_alignment, demonstrate_diagonal_infeasibility,
-                    snr_sweep, zf_rates)
+import ia_lab.schemes
+from ia_lab import (SchemeConfig, ShapeError, check_alignment,
+                    demonstrate_diagonal_infeasibility, snr_sweep, zf_rates)
 from ia_lab.cli import main
 from ia_lab.evaluation import TRIAL_ERRORS, _trial_seed
 from ia_lab.linalg import RANK_TOL, _rank, equilibrate_columns
@@ -242,6 +243,35 @@ def test_the_kept_decomposition_is_only_a_cache(label):
     for t in range(len(ext.coeffs)):
         assert (check_alignment(scheme[t], ext[t]).to_json()
                 == check_alignment(bare[t], ext[t]).to_json())
+
+
+def test_a_shared_precoder_is_decomposed_once_however_its_receivers_are_batched(
+        monkeypatch):
+    # one receiver per batch: receivers 2..4 carry transmitter 1's image in
+    # three batches. A scheme made by dataclasses.replace decomposes V_1 at
+    # the first of them and keeps it for the other two
+    [stack] = SchemeConfig("siso-general", K=4, n=1).build_trials(range(4))
+    scheme, ext = stack.trial
+    assert len(ext.coeffs) == 4
+    rhos = [1.0, 1e8]
+    expected = zf_rates(scheme, ext, rhos)
+    bare = dataclasses.replace(scheme, precoders=scheme.precoders)
+    calls = []
+    original = ia_lab.schemes.complement_and_rank
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return original(matrix)
+
+    monkeypatch.setattr(ia_lab.schemes, "complement_and_rank", counting)
+    monkeypatch.setattr(ia_lab.receiver, "STACK_BYTES", 1)
+    rates = zf_rates(bare, ext, rhos)
+    assert calls == [scheme.precoders[0].shape]
+    assert tuple(bare.complements) == (0,)
+    assert all(np.array_equal(a, b) for a, b in zip(rates, expected, strict=True))
+    # a single scheme keeps no decomposition a stack of it could not read
+    with pytest.raises(ShapeError):
+        scheme[0].complement(0)
 
 
 # configuration and seeds whose pass with gains is compared with the pass

@@ -8,6 +8,7 @@ from ia_lab import (ParameterError, ShapeError, SizeGuardError, extend_channel,
 from ia_lab.siso import (_exponent_columns, _reference_scalings, build_precoders_general,
                          build_precoders_k3, cross_pair_gains, loop_gains,
                          required_extension_general)
+from ia_lab.verification import separability_matrix
 
 # loop gains for (K=3, M=1, F=3, bounds [0.5, 2.0], seed=7), frozen from the
 # dense-matrix oracle H01 inv(H10) H12 inv(H21) H20 inv(H02)
@@ -234,6 +235,15 @@ def test_size_guard_blocks_oversized_builds():
     ext = extend_channel(generate_channels(5, 1, 3, seed=0), 3)
     with pytest.raises(SizeGuardError):
         build_precoders_general(ext, 2)
+
+
+@pytest.mark.parametrize("n", [0, -2, 1.0, 1.5, "1"])
+def test_every_order_check_refuses_a_non_positive_or_non_integer_order(n):
+    ext = k3_setup(7, 1)
+    for check in (lambda: build_precoders_k3(ext, n), lambda: separability_matrix(ext, n),
+                  lambda: required_extension_general(4, n)):
+        with pytest.raises(ParameterError, match="^alignment order must be"):
+            check()
 
 
 def test_general_rejects_two_users():
