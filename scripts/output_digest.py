@@ -3,9 +3,13 @@
 configurations: per configuration, the alignment reports and zero-forcing
 rates of a few seeds, an SNR sweep's table, and its DoF and gap estimates
 (or their errors). One line per configuration gives its own digest, and the
-last line one digest over all of them. Run it on two checkouts to see
-whether a change keeps every output bit for bit, and which configurations
-moved:
+last line one digest over all of them. The line before it, labelled
+``verdicts``, is a digest over only what decides verdicts: per seed the
+build's error, or else each receiver's ranks, each relation's ok flag and
+whether the report passed; and each sweep record's status. A change to the
+numerics that moves rates in their last bits keeps it. Run it on two
+checkouts to see whether a change keeps every output bit for bit, and which
+configurations moved:
 
     PYTHONPATH=src python3 scripts/output_digest.py
 
@@ -46,15 +50,18 @@ def label(config) -> str:
                        for name in FAMILIES[config.family].reads if name != "seed"])
 
 
-def digest(each=None) -> str:
-    """The overall digest; ``each(config, hexdigest)`` is called with each
-    configuration's own digest, when given."""
-    sha = hashlib.sha256()
+def digest(each=None) -> tuple:
+    """(overall digest, verdict digest); ``each(config, hexdigest)`` is called
+    with each configuration's own digest, when given."""
+    sha, verdicts = hashlib.sha256(), hashlib.sha256()
 
     def put(value):
         line = json.dumps(value, sort_keys=True, default=repr).encode() + b"\n"
         sha.update(line)
         one.update(line)
+
+    def verdict(value):
+        verdicts.update(json.dumps(value).encode() + b"\n")
 
     for config in CONFIGS:
         one = hashlib.sha256()
@@ -65,12 +72,18 @@ def digest(each=None) -> str:
                 scheme, ext = config.build(seed)
             except TRIAL_ERRORS as err:
                 put(repr(err))
+                verdict([type(err).__name__, str(err)])
                 continue
-            put(check_alignment(scheme, ext).to_dict())
+            report = check_alignment(scheme, ext)
+            put(report.to_dict())
+            verdict([[[r.desired_rank, r.interference_rank, r.joint_rank]
+                      for r in report.receivers],
+                     [r.ok for r in report.relations], report.passed])
             [rates] = zf_rates(scheme, ext, RHOS)
             put(None if rates is None else rates.tobytes().hex())
         table = snr_sweep(config, GRID, 2 if large else 6, seed=3)
         put([(r.snr_db, r.seed, r.rates, r.status) for r in table.records])
+        verdict([r.status for r in table.records])
         for estimate in (lambda: estimate_dof(table),
                          lambda: estimate_o1_gap(table, float(config.claimed_dof))):
             try:
@@ -79,8 +92,10 @@ def digest(each=None) -> str:
                 put(repr(err))
         if each is not None:
             each(config, one.hexdigest())
-    return sha.hexdigest()
+    return sha.hexdigest(), verdicts.hexdigest()
 
 
 if __name__ == "__main__":
-    print(digest(lambda config, hexdigest: print(f"{hexdigest}  {label(config)}")))
+    overall, verdicts = digest(lambda config, hexdigest: print(f"{hexdigest}  {label(config)}"))
+    print(f"{verdicts}  verdicts")
+    print(overall)

@@ -22,6 +22,9 @@ SCRIPTS = ROOT / "scripts"
 # recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64; a change that
 # keeps every output bit for bit keeps it
 OUTPUT_DIGEST = "7a8539c4159e3b330e71afb45c8d721f1caba12b525c9c47d8740811e60a6aaf"
+# its verdict digest, recorded alike: a change to the numerics that moves no
+# build error, rank, relation flag, report verdict or sweep status keeps it
+VERDICT_DIGEST = "2bc3fb9d8654da9c1dc0dc36faabe0d50680680d3924d8a3c56adc7a679133c6"
 NUMBER = r"-?\d+\.\d+(e[+-]\d+)?"
 
 
@@ -65,11 +68,13 @@ def test_output_digest(monkeypatch):
     module = load(monkeypatch, "output_digest")
     monkeypatch.setattr(module, "CONFIGS", [SchemeConfig("siso-k3", n=1),
                                             SchemeConfig("mimo", M=2)])
-    assert re.fullmatch(r"[0-9a-f]{64}", module.digest())
-    # one digest per configuration, in order, and the same overall digest
+    overall, verdicts = module.digest()
+    assert re.fullmatch(r"[0-9a-f]{64}", overall)
+    assert re.fullmatch(r"[0-9a-f]{64}", verdicts)
+    # one digest per configuration, in order, and the same two overall digests
     each = []
-    overall = module.digest(lambda config, hexdigest: each.append((config, hexdigest)))
-    assert overall == module.digest()
+    assert module.digest(lambda config, hexdigest: each.append((config, hexdigest))) == (
+        overall, verdicts)
     assert [config for config, _ in each] == module.CONFIGS
     assert all(re.fullmatch(r"[0-9a-f]{64}", hexdigest) for _, hexdigest in each)
     assert len({hexdigest for _, hexdigest in each}) == 2
@@ -82,5 +87,6 @@ def test_output_digest_is_pinned():
     out = subprocess.run([sys.executable, str(SCRIPTS / "output_digest.py")], env=env,
                          capture_output=True, text=True, check=True, timeout=300).stdout
     lines = out.splitlines()
-    assert len(lines) == 21
+    assert len(lines) == 22
+    assert lines[-2] == f"{VERDICT_DIGEST}  verdicts"
     assert lines[-1] == OUTPUT_DIGEST
