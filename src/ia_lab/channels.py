@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -170,8 +170,18 @@ def _philox4x64(counter: np.ndarray, key0: np.ndarray, key1: np.ndarray) -> np.n
     return np.stack((even[0], odd[0], even[1], odd[1]), axis=-1)
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer argument: an Integral that is not a
+    bool (bool is an Integral, but True counts nothing)."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def check_magnitude_law(a_min, a_max, error=ParameterError, where: str = "") -> None:
-    """Refuse magnitude bounds outside 0 < a_min <= a_max < inf."""
+    """Refuse magnitude bounds that are not real numbers, or outside
+    0 < a_min <= a_max < inf."""
+    for name, bound in (("a_min", a_min), ("a_max", a_max)):
+        if isinstance(bound, bool) or not isinstance(bound, Real):
+            raise error(f"{where}magnitude bound {name} must be a real number, got {bound!r}")
     if not 0.0 < a_min <= a_max < np.inf:
         raise error(f"{where}magnitude bounds must satisfy 0 < a_min <= a_max < inf, "
                     f"got [{a_min}, {a_max}]")
@@ -199,14 +209,14 @@ def generate_channels(K: int, M: int, F: int,
     """
     one = np.ndim(seed) == 0
     seeds = [seed] if one else list(seed)
-    if not all(isinstance(n, Integral) for n in (K, M, F)):
+    if not all(is_integer(n) for n in (K, M, F)):
         raise ParameterError(f"K, M and F must be integers, got K={K!r}, M={M!r}, F={F!r}")
     if K < 2:
         raise ParameterError(f"need at least 2 users, got K={K}")
     if M < 1 or F < 1:
         raise ParameterError(f"M and F must be positive, got M={M}, F={F}")
     check_magnitude_law(a_min, a_max)
-    if not all(isinstance(s, Integral) and 0 <= s < 2 ** 64 for s in seeds):
+    if not all(is_integer(s) and 0 <= s < 2 ** 64 for s in seeds):
         raise ParameterError(f"seed must fit in an unsigned 64-bit integer, got {seed!r}")
     seeds = [int(s) for s in seeds]
 
@@ -238,7 +248,7 @@ def extend_channel(ch: ChannelSet, L: int, mode: str = "frequency") -> ChannelSe
     ``mode="constant-time"`` repeats slot 1 L times, which models coding over
     L time slots of a constant channel.
     """
-    if not isinstance(L, Integral) or L < 1:
+    if not is_integer(L) or L < 1:
         raise ParameterError(f"extension length must be a positive integer, got {L!r}")
     if mode == "frequency":
         if L > ch.F:
@@ -286,7 +296,7 @@ def save_channels(ch: ChannelSet, path) -> None:
     breaks its magnitude law, or with a repeated slot value."""
     if ch.stacked:
         raise ShapeError("a channel file holds one channel set, not a stack")
-    if not isinstance(ch.seed, Integral):
+    if not is_integer(ch.seed):
         raise ParameterError(f"a channel file needs an integer seed, got {ch.seed!r}")
     _check_magnitudes(ch)
     _check_distinct_slots(ch.coeffs)

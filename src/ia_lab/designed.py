@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .channels import ChannelSet
+from .channels import ChannelSet, is_integer
 from .errors import ChannelFileError, ParameterError
 from .schemes import PrecoderScheme
 
@@ -113,7 +112,7 @@ def simulate_delay_schedule(d: DelayMatrix, slots: int) -> np.ndarray:
         raise ParameterError(
             "delay matrix fails the parity condition (own even, cross odd)")
     max_delay = int(np.max(d.delays))
-    if not isinstance(slots, Integral) or slots % 2 or slots < max(2, 2 * max_delay):
+    if not is_integer(slots) or slots % 2 or slots < max(2, 2 * max_delay):
         raise ParameterError(f"slots must be an even integer >= 2*max(delay)="
                              f"{2 * max_delay}, got {slots!r}")
     emissions = range(0, slots, 2)

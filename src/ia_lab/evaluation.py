@@ -28,13 +28,12 @@ from enum import IntEnum
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
-from numbers import Integral
 from operator import add
 
 import numpy as np
 
 from .channels import (DEFAULT_A_MAX, DEFAULT_A_MIN, ChannelSet, check_magnitude_law,
-                       extend_channel, generate_channels)
+                       extend_channel, generate_channels, is_integer)
 from .errors import (DegeneracyError, InsufficientDataError, ParameterError,
                      RegionMembershipError, ShapeError, SingularChannelError)
 from .families import get_family
@@ -61,7 +60,7 @@ class SchemeConfig:
 
     def __post_init__(self):
         for name in ("K", "M", "size_cap"):
-            if not isinstance(value := getattr(self, name), Integral):
+            if not is_integer(value := getattr(self, name)):
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
         check_order(self.n)
         if self.size_cap < 1:
@@ -261,9 +260,9 @@ def snr_sweep(config: SchemeConfig, snr_db, trials: int, seed: int) -> RateTable
     ``config`` needs ``K`` and :meth:`SchemeConfig.build_trials`.
     """
     grid = snr_grid(snr_db)
-    if not isinstance(trials, Integral) or trials < 1:
+    if not is_integer(trials) or trials < 1:
         raise ParameterError(f"need a whole number of trials, at least one, got {trials!r}")
-    if not isinstance(seed, Integral):
+    if not is_integer(seed):
         raise ParameterError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2 ** 64:
         raise ParameterError("seed must fit in an unsigned 64-bit integer")
@@ -430,9 +429,9 @@ def decompose_dof_point(point) -> np.ndarray:
 
 def sample_dof_region(count: int, seed: int = 0) -> np.ndarray:
     """Uniform samples from the region by rejection from the unit cube."""
-    if not isinstance(count, Integral) or count < 0:
+    if not is_integer(count) or count < 0:
         raise ParameterError(f"need a whole, nonnegative number of samples, got {count!r}")
-    if not isinstance(seed, Integral) or not 0 <= seed < 2 ** 128:
+    if not is_integer(seed) or not 0 <= seed < 2 ** 128:
         raise ParameterError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     out = np.empty((count, 3))

@@ -21,17 +21,18 @@ transmitter j whose image H_kj span(V_j) spans receiver k's interference
 once its relations hold (``Family.interference_image``), k's complement is
 that image's. An image no other receiver names is decomposed at k: the
 full-U SVD of j's equilibrated columns among k's products. For an image
-that several receivers name (``Family.shared_images``), the build takes
-one full-U SVD of V_j per stack, which decides V_j's full column rank, and
-the scheme keeps it (``PrecoderScheme.complement``); the pass reads it and
-takes at each of those receivers H_kj^{-H} span(V_j)^perp: a diagonal
-solve and a thin QR. The relations are still evaluated. Every other
-receiver takes the full-U SVD of its interference. With gains, each row
-first takes the SVD of its projected effective channel B^H J_D, and that
-certifies its verdict where the smallest singular value over J_D's largest
-column norm reaches twice RANK_TOL, a lower bound on the equilibrated
-projection's; only the other rows, and every row of :func:`check_alignment`,
-take the verdict's SVD.
+that several receivers name (``Family.shared_images``), the build decides
+V_j's full column rank from a values-only SVD of its equilibrated columns
+and, for the trials that built, takes the complete QR of those columns,
+whose trailing columns span the complement; the scheme keeps it
+(``PrecoderScheme.complement``). The pass reads it and takes at each of
+those receivers H_kj^{-H} span(V_j)^perp: a diagonal solve and a thin QR.
+The relations are still evaluated. Every other receiver takes the full-U
+SVD of its interference. With gains, each row first takes the SVD of its
+projected effective channel B^H J_D, and that certifies its verdict where
+the smallest singular value over J_D's largest column norm reaches twice
+RANK_TOL, a lower bound on the equilibrated projection's; only the other
+rows, and every row of :func:`check_alignment`, take the verdict's SVD.
 
 The pass runs over a stack of trials of one family and shape, as a stacked
 build gives them, or over one trial as the stack of one. It takes the
@@ -41,16 +42,17 @@ whole receivers with all their trials, as many as fit STACK_BYTES and at
 least one. A batch forms the product H_kj V_j of each of its links once,
 into receiver k's array of all its products, of which the desired and
 interference matrices, the gain projection and the family relations read
-views; it is equilibrated once and shares each batched SVD, and then the
-relations at its receivers are evaluated, those of one kind and operand
-shape in one residual call, before its products go. The verdicts are
-arrays: ranks per (receiver, trial) and residuals per (relation, trial),
-and the pass mask follows from them. :func:`check_alignment` builds its
-report from its one trial's column, and only it measures desired ranks;
-:func:`zf_rates` drops a failing trial after its batch and takes its gains
-from the complement that gives the verdict. Every trial gets, bit for bit,
-the answer it gets alone, and the whole power grid takes one broadcast per
-stream count.
+views. One call equilibrates the leading columns its checks read (the
+desired ones, and a range route's up to its last), each batched SVD is
+shared, and then the relations at its receivers are evaluated, those of
+one kind and operand shape in one residual call, before its products go.
+The verdicts are arrays: ranks per (receiver, trial) and residuals per
+(relation, trial), and the pass mask follows from them.
+:func:`check_alignment` builds its report from its one trial's column, and
+only it measures desired ranks; :func:`zf_rates` drops a failing trial
+after its batch and takes its gains from the complement that gives the
+verdict. Every trial gets, bit for bit, the answer it gets alone, and the
+whole power grid takes one broadcast per stream count.
 """
 
 from __future__ import annotations
@@ -279,19 +281,20 @@ def _check(joint, trials, route, scheme, ext, dk, ranks, passed, gains) -> None:
     failing trial and set the gains of the others (unless gains is None).
     A row is one (receiver, trial) pair, receiver by receiver.
 
-    A range route (lo, hi) takes every row's complement from one full-U
-    SVD of those columns equilibrated. A transmitter route j takes ext's
-    H_kj^{-H} applied to the columns past the rank of
-    ``scheme.complement(j)``, the decomposition of V_j the build kept,
-    orthonormalized: one solve per receiver and one QR per rank. The
+    One call equilibrates the columns the batch reads: the desired ones,
+    and a range route's up to its last. A range route (lo, hi) takes every
+    row's complement from one full-U SVD of those columns equilibrated. A
+    transmitter route j takes ext's H_kj^{-H} applied to the columns past
+    the rank of ``scheme.complement(j)``, the decomposition of V_j the build
+    kept, orthonormalized: one solve per receiver and one QR per rank. The
     verdict and the gains project onto it; with gains, a row whose gains
     certify rank d_k takes no verdict SVD."""
     whole = len(trials) == len(passed)
     # views of the products when every trial is live
     parts = [p if whole else p[trials] for p in joint.values()]
     J = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    # each column is scaled alone, so every SVD reads columns of one equilibration
-    E = equilibrate_columns(J)
+    # each column is scaled alone, so only the columns read need it
+    E = equilibrate_columns(J[..., :route[1] if isinstance(route, tuple) else dk])
     ks, ts = [k for k in joint for _ in trials], trials * len(joint)
     if gains is None:
         ranks[0, ks, ts] = _rank(np.linalg.svd(E[..., :dk], compute_uv=False), RANK_TOL)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import complement_and_rank, equilibrate_columns, has_full_column_rank
+from .linalg import RANK_TOL, _rank, equilibrate_columns, has_full_column_rank, qr_complement
 
 
 @dataclass(frozen=True)
@@ -57,14 +57,17 @@ class PrecoderScheme:
         return out
 
     def complement(self, j: int) -> tuple:
-        """complement_and_rank of transmitter j's equilibrated precoders, of
-        a stack: (u, ranks), the columns of ``u[t]`` from ``ranks[t]`` on
-        spanning the complement of trial t's. Taken on the first call and
-        kept in ``complements``."""
+        """The complement of the span of transmitter j's precoders, of a
+        stack: (u, ranks), the columns of ``u[t]`` from ``ranks[t]`` on
+        spanning the complement of trial t's. The ranks come from a
+        values-only SVD of the equilibrated precoders, and the bases from
+        their ``qr_complement``. Taken on the first call and kept in
+        ``complements``."""
         if not self.stacked:
             raise ShapeError("complement needs a stack of schemes")
         if j not in self.complements:
-            self.complements[j] = complement_and_rank(equilibrate_columns(self.precoders[j]))
+            e = equilibrate_columns(self.precoders[j])
+            self.complements[j] = qr_complement(e, _column_ranks(e))
         return self.complements[j]
 
     @property
@@ -131,6 +134,12 @@ class TrialStack:
         return result[0]
 
 
+def _column_ranks(e: np.ndarray) -> np.ndarray:
+    """The rank of each matrix of a stack of equilibrated columns, from one
+    values-only SVD: ``has_full_column_rank``'s rule."""
+    return _rank(np.linalg.svd(e, compute_uv=False), RANK_TOL)
+
+
 def full_rank_schemes(stack: TrialStack, error: type, precoders: tuple,
                       **fields) -> PrecoderScheme:
     """The stacked PrecoderScheme of a stacked build's precoders, every row
@@ -139,19 +148,24 @@ def full_rank_schemes(stack: TrialStack, error: type, precoders: tuple,
     A trial whose precoder does not have full column rank gets ``error``
     naming its first such transmitter. A transmitter j whose image several
     receivers carry (``Family.shared_images``) has full column rank where
-    the rank of its :meth:`PrecoderScheme.complement` is d_j, and the scheme
-    keeps that decomposition for the receiver pass to read. The other
-    transmitters of one shape share one full-rank call, column-major ones
-    apart (they sum their column norms in another order).
+    the values-only SVD of its equilibrated columns gives rank d_j, the rank
+    :meth:`PrecoderScheme.complement` reads. The scheme keeps that
+    complement for the receiver pass, taken once every transmitter's rank
+    is known and for the trials that built only: the rows of the others,
+    which :meth:`TrialStack.finish` drops, are zero. The other transmitters
+    of one shape share one full-rank call, column-major ones apart (they sum
+    their column norms in another order).
     """
     # families imports the builders, which import this module
     from .families import get_family
 
     scheme = PrecoderScheme(precoders=precoders, **fields)
     shared = get_family(scheme.family).shared_images(scheme.K)
-    groups, ok = {}, {}
+    groups, ok, pending = {}, {}, {}
     for j in shared:
-        ok[j] = scheme.complement(j)[1] == precoders[j].shape[-1]
+        e = equilibrate_columns(precoders[j])
+        ranks = _column_ranks(e)
+        ok[j], pending[j] = ranks == precoders[j].shape[-1], (e, ranks)
     for i, v in enumerate(precoders):
         if i not in shared:
             groups.setdefault((v.shape[1:], v.shape[-1] > 1 and v.strides[-2] < v.strides[-1]),
@@ -162,6 +176,14 @@ def full_rank_schemes(stack: TrialStack, error: type, precoders: tuple,
         ok.update(zip(members, full.reshape(len(members), len(stack.errors))))
     for i in range(len(precoders)):
         stack.fail(ok[i], error, f"precoder of transmitter {i + 1} lost full column rank")
+    built = [t for t, err in enumerate(stack.errors) if err is None]
+    for j, (e, ranks) in pending.items():
+        if len(built) == len(ranks):
+            scheme.complements[j] = qr_complement(e, ranks)
+        elif built:
+            u = np.zeros(e.shape[:-1] + e.shape[-2:-1], dtype=e.dtype)
+            u[built] = qr_complement(e[built], ranks[built])[0]
+            scheme.complements[j] = u, ranks
     return scheme
 
 

@@ -12,11 +12,9 @@ of those maps.
 
 from __future__ import annotations
 
-from numbers import Integral
-
 import numpy as np
 
-from .channels import ChannelSet
+from .channels import ChannelSet, is_integer
 from .errors import ParameterError, ShapeError, SingularChannelError, SizeGuardError
 from .schemes import TrialStack, full_rank_schemes
 
@@ -25,7 +23,7 @@ DEFAULT_SIZE_CAP = 4096
 
 def check_order(n) -> None:
     """ParameterError unless the alignment order ``n`` is an integer >= 1."""
-    if not isinstance(n, Integral):
+    if not is_integer(n):
         raise ParameterError(f"alignment order must be an integer, got n={n!r}")
     if n < 1:
         raise ParameterError(f"alignment order must be >= 1, got n={n}")

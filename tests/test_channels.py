@@ -110,7 +110,8 @@ def test_bounds_hold_over_many_draws():
     assert total >= 10_000
 
 
-@pytest.mark.parametrize("a_min,a_max", [(0.0, 1.0), (-1.0, 1.0), (2.0, 1.0)])
+@pytest.mark.parametrize("a_min,a_max", [(0.0, 1.0), (-1.0, 1.0), (2.0, 1.0), ("x", 2.0),
+                                         (0.5, None), (True, 2.0)])
 def test_invalid_bounds_rejected(a_min, a_max):
     with pytest.raises(ParameterError):
         generate_channels(3, 1, 3, a_min, a_max, seed=0)
@@ -121,13 +122,15 @@ def test_single_user_rejected():
         generate_channels(1, 1, 3, seed=0)
 
 
-@pytest.mark.parametrize("shape", [(3.0, 1, 3), (3, 1.0, 3), (3, 1, 2.0), (3, 1, "3")])
+@pytest.mark.parametrize("shape", [(3.0, 1, 3), (3, 1.0, 3), (3, 1, 2.0), (3, 1, "3"),
+                                   (True, 1, 3), (3, True, 3), (3, 1, True)])
 def test_non_integer_sizes_rejected(shape):
     with pytest.raises(ParameterError, match="must be integers"):
         generate_channels(*shape, seed=0)
 
 
-@pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(2.0), [0, 2.5], np.array([1.0, 2.0])])
+@pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(2.0), [0, 2.5], np.array([1.0, 2.0]), True,
+                                  [0, False]])
 def test_non_integer_seeds_rejected(seed):
     with pytest.raises(ParameterError, match="seed"):
         generate_channels(3, 1, 3, seed=seed)
@@ -206,7 +209,7 @@ def test_frequency_extension_needs_enough_slots():
 
 
 @pytest.mark.parametrize("mode", ["frequency", "constant-time"])
-@pytest.mark.parametrize("L", [2.0, 3.0, "2"])
+@pytest.mark.parametrize("L", [2.0, 3.0, "2", True])
 def test_non_integer_extension_length_rejected(mode, L):
     ch = generate_channels(3, 1, 3, seed=0)
     with pytest.raises(ParameterError, match="positive integer"):

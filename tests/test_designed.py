@@ -141,7 +141,7 @@ def test_delay_matrix_takes_whole_float_delays():
     assert matrix.delays.tolist() == [[2, 1], [1, 2]]
 
 
-@pytest.mark.parametrize("slots", [10.0, "10", None])
+@pytest.mark.parametrize("slots", [10.0, "10", None, True])
 def test_schedule_rejects_a_non_integer_horizon(slots):
     with pytest.raises(ParameterError, match="even integer"):
         simulate_delay_schedule(canonical_delays(), slots)

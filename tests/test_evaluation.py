@@ -55,7 +55,7 @@ def test_sweep_rejects_bad_grid():
         snr_sweep(config, [60, 80], trials=0, seed=0)
 
 
-@pytest.mark.parametrize("trials", [2.0, 1.5, "2", None])
+@pytest.mark.parametrize("trials", [2.0, 1.5, "2", None, True])
 def test_sweep_rejects_a_trial_count_that_is_not_an_integer(monkeypatch, trials):
     drawn = []
     monkeypatch.setattr(ia_lab.evaluation, "generate_channels", lambda *args: drawn.append(args))
@@ -64,7 +64,7 @@ def test_sweep_rejects_a_trial_count_that_is_not_an_integer(monkeypatch, trials)
     assert drawn == []
 
 
-@pytest.mark.parametrize("seed", [2.0, 1.5, "2", None])
+@pytest.mark.parametrize("seed", [2.0, 1.5, "2", None, False])
 def test_sweep_rejects_a_seed_that_is_not_an_integer(monkeypatch, seed):
     drawn = []
     monkeypatch.setattr(ia_lab.evaluation, "generate_channels", lambda *args: drawn.append(args))
@@ -84,6 +84,15 @@ def test_sweep_rejects_a_seed_that_is_not_an_integer(monkeypatch, seed):
     (dict(family="siso-k3", a_min=3.0), "magnitude bounds"),
     (dict(family="mimo", a_max=float("inf")), "magnitude bounds"),
     (dict(family="designed", a_min=float("nan")), "magnitude bounds"),
+    # bool is an Integral, but no count
+    (dict(family="siso-k3", n=True), "alignment order must be an integer"),
+    (dict(family="siso-general", K=True, n=1), "K must be an integer"),
+    (dict(family="mimo", M=True), "M must be an integer"),
+    (dict(family="siso-general", K=4, size_cap=True), "size_cap must be an integer"),
+    # a bound that is not a number is named
+    (dict(family="siso-k3", a_min="1"), "magnitude bound a_min must be a real number"),
+    (dict(family="siso-k3", a_min=None), "magnitude bound a_min must be a real number"),
+    (dict(family="mimo", a_max="2"), "magnitude bound a_max must be a real number"),
 ])
 def test_scheme_config_checks_its_fields_when_built(fields, message):
     # claimed_dof, build and snr_sweep would otherwise meet them later, or
@@ -261,7 +270,7 @@ def test_sampled_points_lie_in_region():
     assert np.array_equal(points, again)
 
 
-@pytest.mark.parametrize("count", [-1, 2.5])
+@pytest.mark.parametrize("count", [-1, 2.5, True])
 def test_region_sampling_rejects_a_count_that_is_not_a_whole_number(count):
     with pytest.raises(ParameterError, match="number of samples"):
         sample_dof_region(count)

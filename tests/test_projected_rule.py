@@ -249,7 +249,8 @@ def test_a_shared_precoder_is_decomposed_once_however_its_receivers_are_batched(
         monkeypatch):
     # one receiver per batch: receivers 2..4 carry transmitter 1's image in
     # three batches. A scheme made by dataclasses.replace decomposes V_1 at
-    # the first of them and keeps it for the other two
+    # the first of them, one rank and one complement call, and keeps it for
+    # the other two
     [stack] = SchemeConfig("siso-general", K=4, n=1).build_trials(range(4))
     scheme, ext = stack.trial
     assert len(ext.coeffs) == 4
@@ -257,16 +258,21 @@ def test_a_shared_precoder_is_decomposed_once_however_its_receivers_are_batched(
     expected = zf_rates(scheme, ext, rhos)
     bare = dataclasses.replace(scheme, precoders=scheme.precoders)
     calls = []
-    original = ia_lab.schemes.complement_and_rank
 
-    def counting(matrix):
-        calls.append(matrix.shape)
-        return original(matrix)
+    def counting(name):
+        original = getattr(ia_lab.schemes, name)
 
-    monkeypatch.setattr(ia_lab.schemes, "complement_and_rank", counting)
+        def call(matrix, *args):
+            calls.append((name, matrix.shape))
+            return original(matrix, *args)
+        return call
+
+    for name in ("_column_ranks", "qr_complement"):
+        monkeypatch.setattr(ia_lab.schemes, name, counting(name))
     monkeypatch.setattr(ia_lab.receiver, "STACK_BYTES", 1)
     rates = zf_rates(bare, ext, rhos)
-    assert calls == [scheme.precoders[0].shape]
+    assert calls == [(name, scheme.precoders[0].shape)
+                     for name in ("_column_ranks", "qr_complement")]
     assert tuple(bare.complements) == (0,)
     assert all(np.array_equal(a, b) for a, b in zip(rates, expected, strict=True))
     # a single scheme keeps no decomposition a stack of it could not read

@@ -1,0 +1,138 @@
+"""The complement of a shared precoder, from a values-only SVD for its rank
+and a complete QR for its basis, against the full-U SVD it replaced.
+
+``linalg.complement_and_rank`` of the equilibrated precoder is the oracle:
+the ranks must match it, the two complements must agree to within what
+float64 can resolve at the precoder's condition, and the rates read from
+them must agree to 1e-10 relative. A precoder short of rank keeps the
+full-U SVD, so the report of a scheme made by hand does not change.
+"""
+
+import dataclasses
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+import ia_lab.schemes
+from ia_lab import DegeneracyError, SchemeConfig, check_alignment, zf_rates
+from ia_lab.channels import ChannelSet
+from ia_lab.evaluation import _trial_seed
+from ia_lab.linalg import complement_and_rank, equilibrate_columns, qr_complement
+from ia_lab.receiver import _pass
+from ia_lab.schemes import TrialStack, full_rank_schemes
+
+EPS = np.finfo(float).eps
+RHOS = [10.0 ** (s / 10.0) for s in (20.0, 100.0, 200.0)]
+
+# the two L=275 seeds of test_shared_pass.py's LARGE_GOLDEN, and siso-k3
+# seeds whose receiver checks sit near the tolerance
+CASES = {
+    "siso-general K=4 n=2 unit 0":
+        (SchemeConfig("siso-general", K=4, n=2, a_min=1.0, a_max=1.0), 0),
+    "siso-general K=4 n=2 default root 1002":
+        (SchemeConfig("siso-general", K=4, n=2), _trial_seed(1002, 0)),
+    **{f"siso-k3 n=8 seed {seed}": (SchemeConfig("siso-k3", n=8), seed)
+       for seed in (1, 11, 21, 22)},
+    **{f"siso-k3 n=10 seed {seed}": (SchemeConfig("siso-k3", n=10), seed) for seed in (0, 2)},
+}
+
+
+def largest_sine(a, b):
+    """Sine of the largest principal angle between the spans of two
+    orthonormal bases of one dimension."""
+    return np.linalg.norm(a - b @ (b.conj().T @ a), 2)
+
+
+@pytest.mark.parametrize("label", list(CASES))
+def test_the_complement_agrees_with_the_full_u_svd(label):
+    config, seed = CASES[label]
+    scheme, ext = config.build(seed)
+    stack = scheme[None]
+    u, ranks = stack.complement(0)
+    e = equilibrate_columns(scheme.precoders[0])
+    basis, rank = complement_and_rank(e)
+    assert ranks.tolist() == [rank] == [e.shape[-1]]
+    s = np.linalg.svd(e, compute_uv=False)
+    assert largest_sine(u[0][:, rank:], basis) <= 100 * EPS / (s[-1] / s[0])
+
+    # the pass on the oracle's complement: the same verdicts, and rates
+    # within 1e-10 relative
+    oracle = dataclasses.replace(stack)
+    oracle.complements[0] = (np.linalg.svd(e)[0][None], np.array([rank]))
+    assert (check_alignment(oracle[0], ext).to_dict()
+            == check_alignment(scheme, ext).to_dict())
+    [rates], [expected] = zf_rates(stack, ext[None], RHOS), zf_rates(oracle, ext[None], RHOS)
+    assert (rates is None) == (expected is None)
+    if rates is not None:
+        assert np.all(np.abs(rates - expected) <= 1e-10 * np.abs(expected))
+
+
+def test_a_row_short_of_rank_keeps_the_full_u_svd():
+    rng = np.random.default_rng(5)
+    e = equilibrate_columns(rng.normal(size=(3, 7, 4)) + 1j * rng.normal(size=(3, 7, 4)))
+    e[1, :, 3] = e[1, :, 0]
+    u, ranks = qr_complement(e, np.array([4, 3, 4]))
+    assert ranks.tolist() == [4, 3, 4]
+    assert np.array_equal(u[1], np.linalg.svd(e[1])[0])
+    for t in (0, 2):
+        assert np.array_equal(u[t], np.linalg.qr(e[t], mode="complete")[0])
+
+
+# transmitter 1's precoder of a siso-k3 n=2 stack of three trials with
+# trial 1's third column replaced by its first; SHA-256 of each trial's
+# check_alignment report as json.dumps(report.to_dict(), sort_keys=True)
+# plus a newline, as recorded with the full-U SVD of every row
+HAND_MADE_REPORTS = "0e72c37c31d9687c4318286d9c0346954c8fd1e242d90c1b1e2f860242a0bdb9"
+
+
+def test_a_hand_made_stack_short_of_rank_in_one_row_keeps_its_reports():
+    [built] = SchemeConfig("siso-k3", n=2).build_trials(range(3))
+    scheme, ext = built.trial
+    v1 = scheme.precoders[0].copy()
+    v1[1, :, 2] = v1[1, :, 0]
+    hand = dataclasses.replace(scheme, precoders=(v1,) + scheme.precoders[1:])
+    reports = [check_alignment(hand[t], ext[t]) for t in range(3)]
+    sha = hashlib.sha256()
+    for report in reports:
+        sha.update(json.dumps(report.to_dict(), sort_keys=True).encode() + b"\n")
+    assert sha.hexdigest() == HAND_MADE_REPORTS
+    assert [r.passed for r in reports] == [True, False, True]
+    # the stacked pass, which decomposes the full rows by QR and the short
+    # one by the full-U SVD in one call, reads the same ranks
+    ranks, _, passed, _ = _pass(hand, ext, False)
+    assert hand.complements[0][1].tolist() == [3, 2, 3]
+    assert passed.tolist() == [r.passed for r in reports]
+    for t, report in enumerate(reports):
+        assert ranks[:, :, t].T.tolist() == [
+            [r.desired_rank, r.interference_rank, r.joint_rank] for r in report.receivers]
+
+
+def test_a_trial_the_build_rejects_is_not_decomposed(monkeypatch):
+    # siso-k3's transmitter 1 is shared; trial 1's precoder loses a column
+    rng = np.random.default_rng(3)
+    precoders = [rng.normal(size=(3, 5, d)) + 1j * rng.normal(size=(3, 5, d)) for d in (3, 2, 2)]
+    precoders[0][1, :, 2] = precoders[0][1, :, 0]
+    decomposed = []
+    original = ia_lab.schemes.qr_complement
+
+    def counting(matrix, ranks):
+        decomposed.append(len(matrix))
+        return original(matrix, ranks)
+
+    monkeypatch.setattr(ia_lab.schemes, "qr_complement", counting)
+    stack = TrialStack(3)
+    ext = ChannelSet(K=3, M=1, F=5, a_min=1.0, a_max=1.0, seed=(0, 1, 2),
+                     coeffs=np.ones((3, 3, 3, 5, 1, 1), dtype=complex))
+    scheme = full_rank_schemes(stack, DegeneracyError, tuple(precoders),
+                               family="siso-k3", K=3, M=1, L=5, n=2)
+    assert decomposed == [2]
+    (kept, _), slots = stack.finish(scheme, ext)
+    assert slots[0] == 0 and slots[2] == 1
+    assert str(slots[1]) == "precoder of transmitter 1 lost full column rank"
+    u, ranks = kept.complements[0]
+    assert ranks.tolist() == [3, 3]
+    for row, t in enumerate((0, 2)):
+        e = equilibrate_columns(precoders[0][t])
+        assert np.array_equal(u[row], np.linalg.qr(e, mode="complete")[0])

@@ -237,7 +237,7 @@ def test_size_guard_blocks_oversized_builds():
         build_precoders_general(ext, 2)
 
 
-@pytest.mark.parametrize("n", [0, -2, 1.0, 1.5, "1"])
+@pytest.mark.parametrize("n", [0, -2, 1.0, 1.5, "1", True])
 def test_every_order_check_refuses_a_non_positive_or_non_integer_order(n):
     ext = k3_setup(7, 1)
     for check in (lambda: build_precoders_k3(ext, n), lambda: separability_matrix(ext, n),
