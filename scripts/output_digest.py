@@ -13,6 +13,12 @@ configurations moved:
 
     PYTHONPATH=src python3 scripts/output_digest.py
 
+``--save FILE`` also writes every rate array it computes to FILE as JSON,
+and ``--against FILE`` then prints, after the digests, the largest relative
+rate difference of each configuration from such a file: run it with
+``--save`` on one checkout and with ``--against`` on the other to see how
+far rates moved (``inf`` where a rate exists in one run only).
+
 BLAS is pinned to one thread, since the last bits of L=275 rates change with
 the thread count.
 """
@@ -22,8 +28,10 @@ import os
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
+import argparse
 import hashlib
 import json
+import math
 
 from ia_lab import (InsufficientDataError, ParameterError, SchemeConfig, check_alignment,
                     estimate_dof, estimate_o1_gap, snr_sweep, zf_rates)
@@ -50,9 +58,12 @@ def label(config) -> str:
                        for name in FAMILIES[config.family].reads if name != "seed"])
 
 
-def digest(each=None) -> tuple:
+def digest(each=None, rates=None) -> tuple:
     """(overall digest, verdict digest); ``each(config, hexdigest)`` is called
-    with each configuration's own digest, when given."""
+    with each configuration's own digest, when given. A ``rates`` dict gets,
+    by label, each configuration's rates as lists: per seed its zero-forcing
+    rates (None where the build or the check fails), then per sweep record
+    its rates (None where it failed)."""
     sha, verdicts = hashlib.sha256(), hashlib.sha256()
 
     def put(value):
@@ -64,7 +75,7 @@ def digest(each=None) -> tuple:
         verdicts.update(json.dumps(value).encode() + b"\n")
 
     for config in CONFIGS:
-        one = hashlib.sha256()
+        one, seeds = hashlib.sha256(), []
         large = config.family == "siso-general" and config.n == 2  # L=275
         near = config.family == "siso-k3" and config.n >= 7
         for seed in range(2 if large else 16 if near else 4):
@@ -73,15 +84,19 @@ def digest(each=None) -> tuple:
             except TRIAL_ERRORS as err:
                 put(repr(err))
                 verdict([type(err).__name__, str(err)])
+                seeds.append(None)
                 continue
             report = check_alignment(scheme, ext)
             put(report.to_dict())
             verdict([[[r.desired_rank, r.interference_rank, r.joint_rank]
                       for r in report.receivers],
                      [r.ok for r in report.relations], report.passed])
-            [rates] = zf_rates(scheme, ext, RHOS)
-            put(None if rates is None else rates.tobytes().hex())
+            [got] = zf_rates(scheme, ext, RHOS)
+            put(None if got is None else got.tobytes().hex())
+            seeds.append(None if got is None else got.tolist())
         table = snr_sweep(config, GRID, 2 if large else 6, seed=3)
+        if rates is not None:
+            rates[label(config)] = seeds + [r.rates for r in table.records]
         put([(r.snr_db, r.seed, r.rates, r.status) for r in table.records])
         verdict([r.status for r in table.records])
         for estimate in (lambda: estimate_dof(table),
@@ -95,7 +110,41 @@ def digest(each=None) -> tuple:
     return sha.hexdigest(), verdicts.hexdigest()
 
 
-if __name__ == "__main__":
-    overall, verdicts = digest(lambda config, hexdigest: print(f"{hexdigest}  {label(config)}"))
+def largest_change(saved, now) -> float:
+    """Largest relative difference |now - saved| / |saved| over two rate
+    lists of :func:`digest`; inf where one holds a rate the other lacks."""
+    if saved is None or now is None or isinstance(saved, float) != isinstance(now, float):
+        return 0.0 if saved is None and now is None else math.inf
+    if isinstance(now, float):
+        return abs(now - saved) / abs(saved) if saved else (0.0 if now == saved else math.inf)
+    if len(saved) != len(now):
+        return math.inf
+    return max(map(largest_change, saved, now), default=0.0)
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--save", metavar="FILE", help="write every rate array as JSON")
+    parser.add_argument("--against", metavar="FILE",
+                        help="print each configuration's largest relative rate "
+                             "difference from a file of --save")
+    args = parser.parse_args(argv)
+    saved = None
+    if args.against:
+        with open(args.against, encoding="ascii") as fh:
+            saved = json.load(fh)
+    rates = {}
+    overall, verdicts = digest(lambda config, hexdigest: print(f"{hexdigest}  {label(config)}"),
+                               rates)
     print(f"{verdicts}  verdicts")
     print(overall)
+    if args.save:
+        with open(args.save, "w", encoding="ascii") as fh:
+            json.dump(rates, fh)
+    if saved is not None:
+        for name, now in rates.items():
+            print(f"{largest_change(saved.get(name), now):.3g}  {name}")
+
+
+if __name__ == "__main__":
+    main()

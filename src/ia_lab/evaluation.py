@@ -299,6 +299,13 @@ class DofEstimate:
 MIN_FIT_SNR_DB = 40.0
 
 
+def _require_trials(table: RateTable) -> None:
+    """InsufficientDataError for a table with no records: it holds no
+    trials, so none of them failed."""
+    if not table.records:
+        raise InsufficientDataError("the rate table holds no trials")
+
+
 def estimate_dof(table: RateTable) -> DofEstimate:
     """Least-squares slope of mean sum rate against log2(rho).
 
@@ -307,6 +314,7 @@ def estimate_dof(table: RateTable) -> DofEstimate:
     successful trials are required. The half-width is a normal 95% interval
     from the spread of per-trial slopes.
     """
+    _require_trials(table)
     sums, last, failed = _by_point(table)
     high = [i for i, s in enumerate(table.snr_db) if s >= MIN_FIT_SNR_DB]
     usable = [i for i in high if sums[i]]
@@ -358,6 +366,7 @@ def estimate_o1_gap(table: RateTable, claimed_dof: float) -> GapProbe:
         raise ParameterError("gap probing needs a grid spanning at least 40 dB")
     if not math.isfinite(claimed_dof):
         raise ParameterError(f"claimed degrees of freedom must be finite, got {claimed_dof!r}")
+    _require_trials(table)
     sums = _by_point(table)[0]
     usable = [i for i, values in enumerate(sums) if values]
     if not usable:

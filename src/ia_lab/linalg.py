@@ -19,6 +19,8 @@ A subset residual ranks its pool by one product, then measures the nearest.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 RANK_TOL = 1e-8
@@ -83,24 +85,76 @@ def complement_and_rank(matrix: np.ndarray) -> tuple:
     return (u[:, rank:], rank) if u.ndim == 2 else (u, rank)
 
 
-def qr_complement(matrix: np.ndarray, ranks: np.ndarray) -> tuple:
-    """complement_and_rank of a stack (T, rows, cols) whose ranks at RANK_TOL
-    are known, ``ranks``, in its form: (u, ranks), the columns of ``u[t]``
-    from ``ranks[t]`` on spanning the complement of trial t's column space.
-    A matrix of full column rank takes the Q of its complete QR, whose
-    columns from ``cols`` on span the complement (at 275 x 243, a third of
-    the time of the full-U SVD); any other keeps complement_and_rank's basis
-    and rank.
+# reflectors per block of the compact WY form: at 275 x 243, applying Q to
+# 32 columns is fastest at 32 per block
+HOUSEHOLDER_BLOCK = 32
+
+
+@functools.lru_cache(maxsize=64)
+def _triangles(rows: int, cols: int) -> tuple:
+    """(strictly lower, upper, identity) masks of a rows x cols matrix, the
+    identity as complex numbers: read-only, shared by every call."""
+    lower = np.tri(rows, cols, -1, dtype=bool)
+    out = (lower, ~lower, np.eye(rows, cols, dtype=complex))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def householder(matrix: np.ndarray) -> tuple:
+    """(reflectors, ranks) of a stack (T, rows, cols) from one Householder QR,
+    ``np.linalg.qr(matrix, mode="raw")``.
+
+    ``ranks`` holds each matrix's rank at RANK_TOL, from the singular values
+    of its triangular R. ``reflectors`` keeps Q = H_1 ... H_p (p = min(rows,
+    cols), H_i = I - tau_i v_i v_i^H) for :func:`apply_householder` in the
+    compact WY form of blocks of HOUSEHOLDER_BLOCK reflectors V_b, Q_b =
+    I - V_b T_b V_b^H (Schreiber and Van Loan 1989). With T_b^-1 =
+    striu(V_b^H V_b) + diag(1/tau_b) (Joffrain et al. 2006), T_b = D_b M_b^-1
+    for D_b = diag(tau_b) and the unit upper triangular M_b = I +
+    striu(V_b^H V_b D_b): no division, and a reflector of tau 0, the
+    identity, needs no case of its own. ``reflectors`` is a tuple of arrays
+    over the stack: V, the (T, rows, p) unit lower trapezoidal reflectors,
+    W = V diag(tau), then each block's M_b; a row selection of every array
+    selects the trials. The columns of Q from a full column rank on span the
+    complement of the column space, so no rows x rows Q need be formed.
     """
-    full = ranks == matrix.shape[-1]
-    if full.all():
-        return np.linalg.qr(matrix, mode="complete")[0], ranks
-    u = np.empty(matrix.shape[:-1] + matrix.shape[-2:-1], dtype=matrix.dtype)
-    ranks = np.array(ranks)
-    if full.any():
-        u[full] = np.linalg.qr(matrix[full], mode="complete")[0]
-    u[~full], ranks[~full] = complement_and_rank(matrix[~full])
-    return u, ranks
+    h, tau = np.linalg.qr(matrix, mode="raw")
+    # the C-ordered (T, rows, cols) LAPACK layout: R on and above the
+    # diagonal, the reflectors' entries below it
+    a = h.swapaxes(-1, -2)
+    p = tau.shape[-1]
+    lower, upper, eye = _triangles(*a.shape[-2:])
+    s = np.linalg.svd(np.where(upper[:p], a[..., :p, :], 0.0), compute_uv=False)
+    v = np.where(lower[:, :p], a[..., :p], eye[:, :p])
+    w = v * tau[..., None, :]
+    blocks = []
+    for lo in range(0, p, HOUSEHOLDER_BLOCK):
+        vb, wb = v[..., lo:lo + HOUSEHOLDER_BLOCK], w[..., lo:lo + HOUSEHOLDER_BLOCK]
+        strict, _, unit = _triangles(vb.shape[-1], vb.shape[-1])
+        blocks.append(np.where(strict.T, vb.conj().swapaxes(-1, -2) @ wb, unit))
+    return (v, w, *blocks), _rank(s, RANK_TOL)
+
+
+def apply_householder(reflectors: tuple, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """Q x, or Q^H x when ``adjoint``, for the Q of :func:`householder`'s
+    ``reflectors`` and a (rows, n) ``x`` or a stack of them, one block at a
+    time: Q_b x = x - W_b M_b^-1 V_b^H x and Q_b^H x = x - V_b M_b^-H W_b^H x,
+    each two products and a solve with the b x b triangle M_b. ``x`` is
+    read, never written."""
+    v, w, *blocks = reflectors
+    # each block's reflectors, from the blocks' own widths
+    cuts, lo = [], 0
+    for m in blocks:
+        cuts.append((slice(lo, lo + m.shape[-1]), m))
+        lo += m.shape[-1]
+    for cut, m in cuts if adjoint else cuts[::-1]:
+        if adjoint:
+            x = x - v[..., cut] @ np.linalg.solve(
+                m.conj().swapaxes(-1, -2), w[..., cut].conj().swapaxes(-1, -2) @ x)
+        else:
+            x = x - w[..., cut] @ np.linalg.solve(m, v[..., cut].conj().swapaxes(-1, -2) @ x)
+    return x
 
 
 def orthonormal_complement(matrix: np.ndarray) -> np.ndarray:

@@ -13,11 +13,16 @@ up to 7 points, and from 8 points on each slope may differ in its last bits.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ia_lab import (InsufficientDataError, ParameterError, RateRecord, RateTable,
                     estimate_dof, estimate_o1_gap)
+
+
+# what both estimators raise on a table without records
+NO_TRIALS = "the rate table holds no trials"
 
 
 def ok_at(table, s):
@@ -42,7 +47,7 @@ def oracle_estimate_dof(table):
         trials = len({r.seed for r in table.records})
         failed = trials - len({r.seed for s in high for r in ok_at(table, s)})
         if failed == trials:
-            return f"all {trials} trials failed"
+            return f"all {trials} trials failed" if trials else NO_TRIALS
         return (f"{failed} of {trials} trials failed, leaving {len(usable)} of "
                 f"{len(high)} SNR points at >= 40 dB with successful trials")
     if len(usable) < 2:
@@ -67,7 +72,8 @@ def oracle_estimate_dof(table):
 def oracle_estimate_o1_gap(table, claimed_dof):
     usable = [s for s in table.snr_db if ok_at(table, s)]
     if not usable:
-        return f"all {len({r.seed for r in table.records})} trials failed"
+        trials = len({r.seed for r in table.records})
+        return f"all {trials} trials failed" if trials else NO_TRIALS
     gaps = []
     for s in usable:
         rho = 10.0 ** (s / 10.0)
@@ -164,3 +170,22 @@ def test_sum_rates_add_users_in_order():
     for r in rates:
         total += r
     assert table.mean_sum_rates().tolist() == [total] == [table.records[0].sum_rate]
+
+
+@pytest.mark.parametrize("grid", [(40.0, 60.0, 80.0), (0.0, 20.0, 40.0), (40.0,)])
+def test_a_table_without_records_holds_no_trials_to_fit(grid):
+    # not "all 0 trials failed": the table never held a trial
+    table = RateTable(K=3, snr_db=grid, records=())
+    with pytest.raises(InsufficientDataError) as err:
+        estimate_dof(table)
+    assert str(err.value) == NO_TRIALS
+
+
+def test_a_table_without_records_holds_no_trials_to_probe():
+    table = RateTable(K=3, snr_db=(40.0, 60.0, 80.0), records=())
+    with pytest.raises(InsufficientDataError) as err:
+        estimate_o1_gap(table, 1.5)
+    assert str(err.value) == NO_TRIALS
+    # a grid too narrow to probe is still the caller's error
+    with pytest.raises(ParameterError):
+        estimate_o1_gap(RateTable(K=3, snr_db=(40.0, 60.0), records=()), 1.5)

@@ -1,0 +1,208 @@
+"""Householder QR kept as reflectors: ``linalg.householder`` and
+``linalg.apply_householder``, and receiver 1's image route that reads them.
+
+``np.linalg.qr(..., mode="complete")`` is the oracle of the helpers: Q's
+columns past a full column rank span the complement it gives, to within
+what float64 resolves at the matrix's condition, and Q^H x agrees with its
+Q to 1e-13 of |x|. Each matrix of a stack gets the bits it gets alone. The
+receiver's oracle is the full-U SVD it replaced, which a row short of rank
+still takes: the reports must be equal and the gains agree to 1e-12 of
+each receiver's largest.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import ia_lab.linalg
+import ia_lab.receiver
+from ia_lab import SchemeConfig, check_alignment, zf_rates
+from ia_lab.evaluation import _trial_seed
+from ia_lab.linalg import HOUSEHOLDER_BLOCK, apply_householder, equilibrate_columns, householder
+from ia_lab.receiver import _pass
+
+EPS = np.finfo(float).eps
+
+
+def complex_normal(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def largest_sine(a, b):
+    """Sine of the largest principal angle between the spans of two
+    orthonormal bases of one dimension."""
+    return np.linalg.norm(a - b @ (b.conj().T @ a), 2)
+
+
+def power_basis(n):
+    """siso-k3's equilibrated transmitter 1 precoder of order n, seed 1: a
+    power basis, ill-conditioned from n = 8 on."""
+    scheme, _ = SchemeConfig("siso-k3", n=n).build(1)
+    return equilibrate_columns(scheme.precoders[0])
+
+
+# (label, matrix): random ones of a single block, of more than one (243
+# columns, 275 x 243 as siso-general K=4 n=2's transmitter 1: eight blocks),
+# square, and power bases
+MATRICES = {
+    "7 x 4": lambda rng: complex_normal(rng, (7, 4)),
+    "275 x 32": lambda rng: complex_normal(rng, (275, 32)),
+    "275 x 243": lambda rng: complex_normal(rng, (275, 243)),
+    "square 5 x 5": lambda rng: complex_normal(rng, (5, 5)),
+    "power basis n=3": lambda rng: power_basis(3),
+    "power basis n=8": lambda rng: power_basis(8),
+}
+
+
+@pytest.mark.parametrize("label", list(MATRICES))
+def test_trailing_columns_span_the_complete_qr_complement(label):
+    rng = np.random.default_rng(7)
+    a = MATRICES[label](rng)
+    rows, cols = a.shape
+    reflectors, rank = householder(a)
+    assert rank == cols
+    q = apply_householder(reflectors, np.eye(rows, rows - cols, -cols))
+    complete = np.linalg.qr(a, mode="complete")[0]
+    s = np.linalg.svd(a, compute_uv=False)
+    if rows > cols:
+        assert largest_sine(q, complete[:, cols:]) <= 100 * EPS / (s[-1] / s[0])
+        assert np.abs(q.conj().T @ q - np.eye(rows - cols)).max() <= 1e-14
+    else:
+        assert q.shape == (rows, 0)
+    # Q^H x, and Q x, against the complete Q
+    x = complex_normal(rng, (rows, 3))
+    bound = 1e-13 * np.linalg.norm(x)
+    assert np.abs(apply_householder(reflectors, x, adjoint=True)
+                  - complete.conj().T @ x).max() <= bound
+    assert np.abs(apply_householder(reflectors, x) - complete @ x).max() <= bound
+
+
+def test_blocks_of_reflectors_apply_as_one(monkeypatch):
+    # 243 reflectors in blocks of HOUSEHOLDER_BLOCK, and all in one block
+    rng = np.random.default_rng(3)
+    a = MATRICES["275 x 243"](rng)
+    x = complex_normal(rng, (275, 5))
+    assert HOUSEHOLDER_BLOCK < 243
+    reflectors, _ = householder(a)
+    blocked = [apply_householder(reflectors, x, adjoint) for adjoint in (False, True)]
+    monkeypatch.setattr(ia_lab.linalg, "HOUSEHOLDER_BLOCK", 243)
+    reflectors, _ = householder(a)
+    for adjoint, got in zip((False, True), blocked):
+        assert (np.abs(got - apply_householder(reflectors, x, adjoint)).max()
+                <= 1e-13 * np.linalg.norm(x))
+
+
+@pytest.mark.parametrize("shape", [(3, 7, 4), (2, 275, 243), (3, 5, 5), (2, 4, 6)])
+def test_each_row_of_a_stack_gets_its_bits_alone(shape):
+    rng = np.random.default_rng(11)
+    a = complex_normal(rng, shape)
+    a[-1, :, -1] = a[-1, :, 0]  # one matrix short of rank
+    x = complex_normal(rng, shape[:-1] + (2,))
+    reflectors, ranks = householder(a)
+    product, adjoint = apply_householder(reflectors, x), apply_householder(reflectors, x, True)
+    for t in range(shape[0]):
+        for alone, index in ((a[t], t), (a[t:t + 1], slice(t, t + 1))):
+            got, rank = householder(alone)
+            assert np.all(rank == ranks[index])
+            assert all(g.tobytes() == r[index].tobytes() for g, r in zip(got, reflectors,
+                                                                         strict=True))
+            assert apply_householder(got, x[index]).tobytes() == product[index].tobytes()
+            assert (apply_householder(got, x[index], True).tobytes()
+                    == adjoint[index].tobytes())
+    # the repeated column costs a rank only where the columns could be
+    # independent
+    assert ranks[-1] == min(shape[1:]) - (shape[1] >= shape[2])
+
+
+def test_a_reduced_column_takes_tau_0_and_the_identity():
+    # a real diagonal is upper triangular already: every reflector is the
+    # identity, which LAPACK marks with tau 0
+    a = np.zeros((2, 5, 3), dtype=complex)
+    a[:, :3, :3] = np.diag([1.0, 2.0, 3.0])
+    reflectors, ranks = householder(a)
+    assert ranks.tolist() == [3, 3]
+    assert not reflectors[1].any()  # W = V diag(tau)
+    x = complex_normal(np.random.default_rng(2), (2, 5, 4))
+    assert np.array_equal(apply_householder(reflectors, x), x)
+    assert np.array_equal(apply_householder(reflectors, x, adjoint=True), x)
+
+
+def test_a_stack_of_no_matrices():
+    reflectors, ranks = householder(np.zeros((0, 7, 4), dtype=complex))
+    assert ranks.shape == (0,)
+    assert apply_householder(reflectors, np.eye(7, 3, -4)).shape == (0, 7, 3)
+    assert apply_householder(reflectors, np.zeros((0, 7, 2)), adjoint=True).shape == (0, 7, 2)
+
+
+def test_a_short_rank_is_read_from_r():
+    rng = np.random.default_rng(4)
+    a = complex_normal(rng, (3, 9, 4))
+    a[1, :, 3] = 2.0 * a[1, :, 1] - a[1, :, 0]
+    a[2, :, 2:] = 0.0
+    assert householder(a)[1].tolist() == [4, 3, 2]
+
+
+def full_u_route(monkeypatch):
+    """Make receiver 1 take the full-U SVD for every row, as it did before
+    the reflectors: every span it factors reads as short of rank, so each
+    row keeps ``complement_and_rank``."""
+    factor = ia_lab.receiver.householder
+
+    def short(matrix):
+        reflectors, ranks = factor(matrix)
+        return reflectors, np.full_like(ranks, -1)
+
+    monkeypatch.setattr(ia_lab.receiver, "householder", short)
+
+
+# siso-k3 n=1, 3, 5 and siso-general K=4 n=1 at seeds 0-19, and the two
+# L=275 seeds of test_shared_pass.py's LARGE_GOLDEN
+ROUTES = {
+    **{f"siso-k3 n={n}": (SchemeConfig("siso-k3", n=n), range(20)) for n in (1, 3, 5)},
+    "siso-general K=4 n=1": (SchemeConfig("siso-general", K=4, n=1), range(20)),
+    "siso-general K=4 n=2 unit": (
+        SchemeConfig("siso-general", K=4, n=2, a_min=1.0, a_max=1.0), [0]),
+    "siso-general K=4 n=2 default": (
+        SchemeConfig("siso-general", K=4, n=2), [_trial_seed(1002, 0)]),
+}
+
+
+@pytest.mark.parametrize("label", list(ROUTES))
+def test_the_reflector_route_agrees_with_the_full_u_route(monkeypatch, label):
+    config, seeds = ROUTES[label]
+    built = [config.build(seed) for seed in seeds]
+    reports = [check_alignment(*trial).to_dict() for trial in built]
+    gains = [_pass(scheme[None], ext, True)[3] for scheme, ext in built]
+    full_u_route(monkeypatch)
+    for (scheme, ext), report, got in zip(built, reports, gains, strict=True):
+        assert check_alignment(scheme, ext).to_dict() == report
+        _, _, passed, expected = _pass(scheme[None], ext, True)
+        if not passed[0]:
+            continue  # no gains are kept for a failing trial
+        # relative to each receiver's largest gain: the smallest gains of
+        # the L=275 receivers lie 15 orders below it, where either route
+        # resolves only their leading digits
+        for g, e in zip(got, expected, strict=True):
+            assert np.abs(g - e).max() <= 1e-12 * e.max()
+
+
+def test_the_route_is_decided_per_row():
+    # trial 1's transmitter 2 loses a column, so receiver 1's image in it is
+    # short of rank and takes the full-U SVD; the other trials keep the
+    # reflectors, and their rates, bit for bit those of each alone
+    [stack] = SchemeConfig("siso-k3", n=3).build_trials(range(3))
+    scheme, ext = stack.trial
+    v2 = scheme.precoders[1].copy()
+    v2[1, :, 2] = v2[1, :, 0]
+    broken = dataclasses.replace(scheme, precoders=(scheme.precoders[0], v2,
+                                                    scheme.precoders[2]))
+    broken.complements.update(scheme.complements)
+    ranks, _, passed, _ = _pass(broken, ext, False)
+    assert ranks[1, 0].tolist() == [3, 2, 3] and passed.tolist() == [True, False, True]
+    rhos = [1e2, 1e8]
+    rates = zf_rates(broken, ext, rhos)
+    assert rates[1] is None
+    for t in (0, 2):
+        [alone] = zf_rates(scheme[t], ext[t], rhos)
+        assert rates[t].tobytes() == alone.tobytes()

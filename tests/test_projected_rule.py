@@ -249,8 +249,8 @@ def test_a_shared_precoder_is_decomposed_once_however_its_receivers_are_batched(
         monkeypatch):
     # one receiver per batch: receivers 2..4 carry transmitter 1's image in
     # three batches. A scheme made by dataclasses.replace decomposes V_1 at
-    # the first of them, one rank and one complement call, and keeps it for
-    # the other two
+    # the first of them, one Householder QR for the ranks and one product
+    # that forms the complement, and keeps it for the other two
     [stack] = SchemeConfig("siso-general", K=4, n=1).build_trials(range(4))
     scheme, ext = stack.trial
     assert len(ext.coeffs) == 4
@@ -262,17 +262,18 @@ def test_a_shared_precoder_is_decomposed_once_however_its_receivers_are_batched(
     def counting(name):
         original = getattr(ia_lab.schemes, name)
 
-        def call(matrix, *args):
-            calls.append((name, matrix.shape))
-            return original(matrix, *args)
+        def call(first, *args):
+            # the matrix factored, or the reflectors applied (V first)
+            calls.append((name, (first if name == "householder" else first[0]).shape))
+            return original(first, *args)
         return call
 
-    for name in ("_column_ranks", "qr_complement"):
+    for name in ("householder", "apply_householder"):
         monkeypatch.setattr(ia_lab.schemes, name, counting(name))
     monkeypatch.setattr(ia_lab.receiver, "STACK_BYTES", 1)
     rates = zf_rates(bare, ext, rhos)
     assert calls == [(name, scheme.precoders[0].shape)
-                     for name in ("_column_ranks", "qr_complement")]
+                     for name in ("householder", "apply_householder")]
     assert tuple(bare.complements) == (0,)
     assert all(np.array_equal(a, b) for a, b in zip(rates, expected, strict=True))
     # a single scheme keeps no decomposition a stack of it could not read

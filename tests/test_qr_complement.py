@@ -1,5 +1,5 @@
-"""The complement of a shared precoder, from a values-only SVD for its rank
-and a complete QR for its basis, against the full-U SVD it replaced.
+"""The complement of a shared precoder, from one Householder QR for its rank
+and its basis, against the full-U SVD it replaced.
 
 ``linalg.complement_and_rank`` of the equilibrated precoder is the oracle:
 the ranks must match it, the two complements must agree to within what
@@ -19,9 +19,9 @@ import ia_lab.schemes
 from ia_lab import DegeneracyError, SchemeConfig, check_alignment, zf_rates
 from ia_lab.channels import ChannelSet
 from ia_lab.evaluation import _trial_seed
-from ia_lab.linalg import complement_and_rank, equilibrate_columns, qr_complement
+from ia_lab.linalg import complement_and_rank, equilibrate_columns, householder
 from ia_lab.receiver import _pass
-from ia_lab.schemes import TrialStack, full_rank_schemes
+from ia_lab.schemes import TrialStack, _complement, full_rank_schemes
 
 EPS = np.finfo(float).eps
 RHOS = [10.0 ** (s / 10.0) for s in (20.0, 100.0, 200.0)]
@@ -55,12 +55,12 @@ def test_the_complement_agrees_with_the_full_u_svd(label):
     basis, rank = complement_and_rank(e)
     assert ranks.tolist() == [rank] == [e.shape[-1]]
     s = np.linalg.svd(e, compute_uv=False)
-    assert largest_sine(u[0][:, rank:], basis) <= 100 * EPS / (s[-1] / s[0])
+    assert largest_sine(u[0][:, :e.shape[-2] - rank], basis) <= 100 * EPS / (s[-1] / s[0])
 
     # the pass on the oracle's complement: the same verdicts, and rates
     # within 1e-10 relative
     oracle = dataclasses.replace(stack)
-    oracle.complements[0] = (np.linalg.svd(e)[0][None], np.array([rank]))
+    oracle.complements[0] = (basis[None], np.array([rank]))
     assert (check_alignment(oracle[0], ext).to_dict()
             == check_alignment(scheme, ext).to_dict())
     [rates], [expected] = zf_rates(stack, ext[None], RHOS), zf_rates(oracle, ext[None], RHOS)
@@ -73,11 +73,20 @@ def test_a_row_short_of_rank_keeps_the_full_u_svd():
     rng = np.random.default_rng(5)
     e = equilibrate_columns(rng.normal(size=(3, 7, 4)) + 1j * rng.normal(size=(3, 7, 4)))
     e[1, :, 3] = e[1, :, 0]
-    u, ranks = qr_complement(e, np.array([4, 3, 4]))
+    u, ranks = _complement(e, *householder(e))
     assert ranks.tolist() == [4, 3, 4]
-    assert np.array_equal(u[1], np.linalg.svd(e[1])[0])
+    # the width the shortest row needs; each row's complement leads
+    assert u.shape == (3, 7, 4)
+    assert np.array_equal(u[1], np.linalg.svd(e[1])[0][:, 3:])
     for t in (0, 2):
-        assert np.array_equal(u[t], np.linalg.qr(e[t], mode="complete")[0])
+        # Q's columns past the rank, as the row alone gives them, and zero
+        # past the complement
+        alone, _ = _complement(e[t:t + 1], *householder(e[t:t + 1]))
+        assert u[t, :, :3].tobytes() == alone[0].tobytes()
+        assert not u[t, :, 3:].any()
+        complete = np.linalg.qr(e[t], mode="complete")[0]
+        s = np.linalg.svd(e[t], compute_uv=False)
+        assert largest_sine(u[t, :, :3], complete[:, 4:]) <= 100 * EPS / (s[-1] / s[0])
 
 
 # transmitter 1's precoder of a siso-k3 n=2 stack of three trials with
@@ -99,8 +108,8 @@ def test_a_hand_made_stack_short_of_rank_in_one_row_keeps_its_reports():
         sha.update(json.dumps(report.to_dict(), sort_keys=True).encode() + b"\n")
     assert sha.hexdigest() == HAND_MADE_REPORTS
     assert [r.passed for r in reports] == [True, False, True]
-    # the stacked pass, which decomposes the full rows by QR and the short
-    # one by the full-U SVD in one call, reads the same ranks
+    # the stacked pass, which decomposes the full rows by Householder QR and
+    # the short one by the full-U SVD, reads the same ranks
     ranks, _, passed, _ = _pass(hand, ext, False)
     assert hand.complements[0][1].tolist() == [3, 2, 3]
     assert passed.tolist() == [r.passed for r in reports]
@@ -110,24 +119,31 @@ def test_a_hand_made_stack_short_of_rank_in_one_row_keeps_its_reports():
 
 
 def test_a_trial_the_build_rejects_is_not_decomposed(monkeypatch):
-    # siso-k3's transmitter 1 is shared; trial 1's precoder loses a column
+    # siso-k3's transmitter 1 is shared; trial 1's precoder loses a column.
+    # One QR of all three decides their ranks; only the trials that built
+    # form a complement
     rng = np.random.default_rng(3)
     precoders = [rng.normal(size=(3, 5, d)) + 1j * rng.normal(size=(3, 5, d)) for d in (3, 2, 2)]
     precoders[0][1, :, 2] = precoders[0][1, :, 0]
-    decomposed = []
-    original = ia_lab.schemes.qr_complement
+    decomposed, formed = [], []
+    factor, apply = ia_lab.schemes.householder, ia_lab.schemes.apply_householder
 
-    def counting(matrix, ranks):
+    def counting_factor(matrix):
         decomposed.append(len(matrix))
-        return original(matrix, ranks)
+        return factor(matrix)
 
-    monkeypatch.setattr(ia_lab.schemes, "qr_complement", counting)
+    def counting_apply(reflectors, x, *args):
+        formed.append(len(reflectors[0]))
+        return apply(reflectors, x, *args)
+
+    monkeypatch.setattr(ia_lab.schemes, "householder", counting_factor)
+    monkeypatch.setattr(ia_lab.schemes, "apply_householder", counting_apply)
     stack = TrialStack(3)
     ext = ChannelSet(K=3, M=1, F=5, a_min=1.0, a_max=1.0, seed=(0, 1, 2),
                      coeffs=np.ones((3, 3, 3, 5, 1, 1), dtype=complex))
     scheme = full_rank_schemes(stack, DegeneracyError, tuple(precoders),
                                family="siso-k3", K=3, M=1, L=5, n=2)
-    assert decomposed == [2]
+    assert decomposed == [3] and formed == [2]
     (kept, _), slots = stack.finish(scheme, ext)
     assert slots[0] == 0 and slots[2] == 1
     assert str(slots[1]) == "precoder of transmitter 1 lost full column rank"
@@ -135,4 +151,7 @@ def test_a_trial_the_build_rejects_is_not_decomposed(monkeypatch):
     assert ranks.tolist() == [3, 3]
     for row, t in enumerate((0, 2)):
         e = equilibrate_columns(precoders[0][t])
-        assert np.array_equal(u[row], np.linalg.qr(e, mode="complete")[0])
+        alone, _ = _complement(e[None], *householder(e[None]))
+        assert u[row].tobytes() == alone[0].tobytes()
+        assert np.allclose(u[row].conj().T @ u[row], np.eye(2), rtol=0.0, atol=1e-14)
+        assert np.allclose(u[row].conj().T @ e, 0.0, rtol=0.0, atol=1e-14)

@@ -6,6 +6,8 @@ numpy loads: a digest's value depends on the BLAS thread count.
 """
 
 import importlib.util
+import json
+import math
 import os
 import pathlib
 import re
@@ -21,7 +23,7 @@ SCRIPTS = ROOT / "scripts"
 # the overall digest of ``scripts/output_digest.py`` at one BLAS thread, as
 # recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64; a change that
 # keeps every output bit for bit keeps it
-OUTPUT_DIGEST = "1562d34dc6452025a08fbc11a9df05c0f77a0760c99c6e3403543018b778f871"
+OUTPUT_DIGEST = "361205873ed06601149d9860790d08ca3022c20b527c32ca820ac3f1c9f20889"
 # its verdict digest, recorded alike: a change to the numerics that moves no
 # build error, rank, relation flag, report verdict or sweep status keeps it
 VERDICT_DIGEST = "2bc3fb9d8654da9c1dc0dc36faabe0d50680680d3924d8a3c56adc7a679133c6"
@@ -79,6 +81,50 @@ def test_output_digest(monkeypatch):
     assert all(re.fullmatch(r"[0-9a-f]{64}", hexdigest) for _, hexdigest in each)
     assert len({hexdigest for _, hexdigest in each}) == 2
     assert module.label(module.CONFIGS[0]) == "siso-k3 K=3 M=1 n=1 a_min=0.5 a_max=2.0"
+
+
+def test_output_digest_saves_rates_and_compares_against_them(monkeypatch, capsys, tmp_path):
+    module = load(monkeypatch, "output_digest")
+    monkeypatch.setattr(module, "CONFIGS", [SchemeConfig("siso-k3", n=1),
+                                            SchemeConfig("mimo", M=2)])
+    labels = [module.label(config) for config in module.CONFIGS]
+    saved = tmp_path / "rates.json"
+
+    def run(*args):
+        module.main(list(args))
+        return capsys.readouterr().out.splitlines()
+
+    lines = run("--save", str(saved))
+    # the flag prints nothing more: one line per configuration and two digests
+    assert len(lines) == len(labels) + 2
+    rates = json.loads(saved.read_text())
+    assert list(rates) == labels
+    # four seeds, then the sweep's 6 trials x 3 points, each a list of rates
+    assert all(len(per) == 4 + 6 * len(module.GRID) for per in rates.values())
+    first = rates[labels[0]][0]
+    assert len(first) == len(module.RHOS) and len(first[0]) == 3
+
+    # the run compared with itself has moved nothing; a rate scaled by
+    # 1 + 1e-9 in the saved file reads as that change, at its configuration
+    rates[labels[1]][-1][2] *= 1.0 + 1e-9
+    moved = tmp_path / "moved.json"
+    moved.write_text(json.dumps(rates))
+    for against, changes in ((saved, [0.0, 0.0]), (moved, [0.0, 1e-9])):
+        lines = run("--against", str(against))
+        head, tail = lines[:len(labels) + 2], lines[len(labels) + 2:]
+        assert [line.split("  ", 1)[1] for line in head[:-1]] == labels + ["verdicts"]
+        assert [line.split("  ", 1)[1] for line in tail] == labels
+        got = [float(line.split("  ", 1)[0]) for line in tail]
+        assert got[0] == changes[0] and math.isclose(got[1], changes[1], rel_tol=1e-6,
+                                                     abs_tol=0.0)
+
+
+def test_largest_change_marks_a_rate_of_one_run_only(monkeypatch):
+    module = load(monkeypatch, "output_digest")
+    assert module.largest_change([None, [[1.0, 2.0]]], [None, [[1.0, 2.0]]]) == 0.0
+    assert module.largest_change([[[1.0, 2.0]]], [[[1.0, 2.5]]]) == 0.25
+    assert module.largest_change([[[1.0]]], [None]) == math.inf
+    assert module.largest_change([[0.0]], [[0.0]]) == 0.0
 
 
 def test_output_digest_is_pinned():

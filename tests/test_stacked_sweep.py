@@ -547,10 +547,11 @@ def test_receiver_stage_svd_calls_do_not_grow_with_trials(monkeypatch, M):
 @pytest.mark.parametrize("label", ["siso-k3 n=1", "siso-general K=4 n=1"])
 def test_siso_receiver_stage_calls_do_not_grow_with_trials(monkeypatch, label):
     # receiver 1 decomposes transmitter 2's image among its own products:
-    # one interference SVD and one projection; receivers 2..K carry
-    # transmitter 1's image, whose SVD the build took and the scheme keeps,
-    # and share one QR and one projection, as all trials share its rank
-    assert receiver_stage_calls(monkeypatch, CONFIGS[label]) == [(3, 1)] * 3
+    # one Householder QR, the SVD of its R for the rank, and one projection;
+    # receivers 2..K carry transmitter 1's image, whose complement the build
+    # formed and the scheme keeps, and share one QR and one projection, as
+    # all trials share its rank
+    assert receiver_stage_calls(monkeypatch, CONFIGS[label]) == [(3, 2)] * 3
 
 
 BATCHED = ["siso-k3 n=1", "siso-general K=4 n=1", "mimo M=2", "mimo M=3", "designed K=3"]

@@ -67,8 +67,9 @@ def test_large_rates_are_none_exactly_where_the_report_fails():
     # norms in another order than the other two, so it goes alone
     (SchemeConfig("mimo", M=4), 2),
     # transmitter 1, whose image receivers 2..K carry, decides its rank from
-    # a values-only SVD of its own, before the build decomposes it for the
-    # receiver pass; the others of one shape share one full-rank call
+    # a Householder QR of its own, which the build keeps to form the
+    # complement for the receiver pass; the others of one shape share one
+    # full-rank call
     (SchemeConfig("siso-k3", n=2), 2),
     (SchemeConfig("siso-general", K=4, n=1), 2),
 ])
@@ -81,7 +82,7 @@ def test_a_stacked_build_checks_full_rank_once_per_precoder_shape(monkeypatch, c
             return check(matrix)
         return call
 
-    for name in ("has_full_column_rank", "_column_ranks"):
+    for name in ("has_full_column_rank", "householder"):
         monkeypatch.setattr(ia_lab.schemes, name, counting(getattr(ia_lab.schemes, name)))
     [stack] = config.build_trials(range(5))
     assert len(counted) == calls
