@@ -5,10 +5,13 @@ tolerance, RANK_TOL: a singular value counts toward the rank iff it is at
 least RANK_TOL times the largest one, or times a scale the caller knows (1
 for a projection of unit-norm columns). As singular values come in
 descending order, the count walks each row from its tail and stops at the
-last value that counts. The rank functions rescale columns to unit norm
-first; rescaling by a nonzero scalar per column leaves the rank unchanged
-but greatly improves the spread of singular values when column norms differ
-by orders of magnitude (power-basis precoders do).
+last value that counts. Only :func:`householder` may skip the singular
+values, of its triangular R: a bound on R's condition from its inverse
+certifies full rank, and it only ever answers "full", and only where
+``_rank`` would. The rank functions rescale columns to unit norm first;
+rescaling by a nonzero scalar per column leaves the rank unchanged but
+greatly improves the spread of singular values when column norms differ by
+orders of magnitude (power-basis precoders do).
 
 The rank functions also take a stack of matrices, shape (T, rows, cols),
 and then answer for every matrix of the stack from one batched SVD. The
@@ -105,11 +108,13 @@ def householder(matrix: np.ndarray) -> tuple:
     """(reflectors, ranks) of a stack (T, rows, cols) from one Householder QR,
     ``np.linalg.qr(matrix, mode="raw")``.
 
-    ``ranks`` holds each matrix's rank at RANK_TOL, from the singular values
-    of its triangular R. ``reflectors`` keeps Q = H_1 ... H_p (p = min(rows,
-    cols), H_i = I - tau_i v_i v_i^H) for :func:`apply_householder` in the
-    compact WY form of blocks of HOUSEHOLDER_BLOCK reflectors V_b, Q_b =
-    I - V_b T_b V_b^H (Schreiber and Van Loan 1989). With T_b^-1 =
+    ``ranks`` holds each matrix's rank at RANK_TOL, read from its triangular
+    R by :func:`_triangular_rank`: a certificate of full rank from R's
+    inverse where it decides, else R's singular values. ``reflectors``
+    keeps Q = H_1 ... H_p (p = min(rows, cols), H_i = I - tau_i v_i v_i^H)
+    for :func:`apply_householder` in the compact WY form of blocks of
+    HOUSEHOLDER_BLOCK reflectors V_b, Q_b = I - V_b T_b V_b^H (Schreiber
+    and Van Loan 1989). With T_b^-1 =
     striu(V_b^H V_b) + diag(1/tau_b) (Joffrain et al. 2006), T_b = D_b M_b^-1
     for D_b = diag(tau_b) and the unit upper triangular M_b = I +
     striu(V_b^H V_b D_b): no division, and a reflector of tau 0, the
@@ -125,7 +130,7 @@ def householder(matrix: np.ndarray) -> tuple:
     a = h.swapaxes(-1, -2)
     p = tau.shape[-1]
     lower, upper, eye = _triangles(*a.shape[-2:])
-    s = np.linalg.svd(np.where(upper[:p], a[..., :p, :], 0.0), compute_uv=False)
+    ranks = _triangular_rank(np.where(upper[:p], a[..., :p, :], 0.0))
     v = np.where(lower[:, :p], a[..., :p], eye[:, :p])
     w = v * tau[..., None, :]
     blocks = []
@@ -133,7 +138,72 @@ def householder(matrix: np.ndarray) -> tuple:
         vb, wb = v[..., lo:lo + HOUSEHOLDER_BLOCK], w[..., lo:lo + HOUSEHOLDER_BLOCK]
         strict, _, unit = _triangles(vb.shape[-1], vb.shape[-1])
         blocks.append(np.where(strict.T, vb.conj().swapaxes(-1, -2) @ wb, unit))
-    return (v, w, *blocks), _rank(s, RANK_TOL)
+    return (v, w, *blocks), ranks
+
+
+def _invert_triangular(r: np.ndarray) -> np.ndarray:
+    """Overwrite each upper triangular matrix of a (T, p, p) stack with its
+    inverse, and return the stack, by halves: [[A, B], [0, D]]^-1 =
+    [[A^-1, -A^-1 B D^-1], [0, D^-1]], the halves cut at a multiple of
+    HOUSEHOLDER_BLOCK and inverted down to one block, which
+    ``np.linalg.inv`` takes."""
+    p = r.shape[-1]
+    if p <= HOUSEHOLDER_BLOCK:
+        r[...] = np.linalg.inv(r)
+        return r
+    m = HOUSEHOLDER_BLOCK * -(-p // (2 * HOUSEHOLDER_BLOCK))
+    a, d = _invert_triangular(r[..., :m, :m]), _invert_triangular(r[..., m:, m:])
+    r[..., :m, m:] = -(a @ r[..., :m, m:]) @ d
+    return r
+
+
+def _triangular_rank(r: np.ndarray):
+    """The rank at RANK_TOL of an upper triangular (p, cols) R, or an array
+    of them for a stack, as ``_rank`` of its singular values gives it.
+
+    A square R of at least HOUSEHOLDER_BLOCK columns first tries a
+    certificate of full rank. With f = ||R||_F >= sigma_max and X = R^-1,
+    sigma_min = 1 / ||X||_2 >= 1 / ||X||_F, so ||X||_F f <= 1 / (2 RANK_TOL)
+    puts sigma_min / sigma_max at 2 RANK_TOL or more. X comes from
+    :func:`_invert_triangular` of R / f. Triangular inversion is forward
+    stable: the computed X has a relative error of about c p u kappa(R)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch.
+    14), some 1e-6 at p = 243 and a certified kappa_F of 5e7 or less, and
+    the values SVD resolves sigma_min / sigma_max to about p u. Both lie far
+    inside the factor 2, so a certified R is one whose values ``_rank``
+    counts as p: the answer is the SVD's, bit for bit, however the rounding
+    of X falls, in a stack or alone. Only an R with every entry finite and
+    min |r_ii| >= 2 RANK_TOL f > 0 is inverted (|r_ii| >= sigma_min, so no
+    other R can pass), which keeps R / f's inverse blocks finite and
+    ``np.linalg.inv`` from raising; overflow in the products only fails the
+    certificate. Every other R takes the values SVD, and so does a wide R
+    and one narrower than a block, where numpy's per-call cost makes the
+    certificate dearer than the SVD (one R: at 16 x 16, 65 us against 48
+    us; at 24 x 24, 91 us against 87 us; at 32 x 32, 105 us against 144 us;
+    and at 243 x 243, 2.4 ms against 11.5 ms; medians of 41 in alternation,
+    one BLAS thread of a shared 2-core x86-64 machine).
+    """
+    p, cols = r.shape[-2:]
+    if p != cols or p < HOUSEHOLDER_BLOCK:
+        return _rank(np.linalg.svd(r, compute_uv=False), RANK_TOL)
+    stack = r.reshape(-1, p, p)
+    full = np.zeros(len(stack), dtype=bool)
+    with np.errstate(all="ignore"):
+        f = _norms(stack.reshape(len(stack), p * p))
+        least = np.minimum.reduce(np.abs(np.diagonal(stack, axis1=-2, axis2=-1)), axis=-1)
+        live = np.flatnonzero(np.isfinite(f) & (least > 0.0) & (least >= 2 * RANK_TOL * f))
+        if len(live):
+            every = len(live) == len(stack)
+            x = _invert_triangular((stack if every else stack[live])
+                                   / (f if every else f[live])[:, None, None])
+            full[live] = _norms(x.reshape(len(x), p * p)) <= 0.5 / RANK_TOL
+    ranks = np.full(len(stack), p)
+    doubtful = np.flatnonzero(~full)
+    if len(doubtful):
+        values = np.linalg.svd(stack if len(doubtful) == len(stack) else stack[doubtful],
+                               compute_uv=False)
+        ranks[doubtful] = _rank(values, RANK_TOL)
+    return ranks if r.ndim == 3 else int(ranks[0])
 
 
 def apply_householder(reflectors: tuple, x: np.ndarray, adjoint: bool = False) -> np.ndarray:

@@ -21,15 +21,16 @@ transmitter j whose image H_kj span(V_j) spans receiver k's interference
 once its relations hold (``Family.interference_image``), k's complement is
 that image's. An image no other receiver names is decomposed at k by one
 Householder QR of j's equilibrated columns among k's products
-(``linalg.householder``): the singular values of its R give the rank, and a
-row of full column rank projects by applying Q^H to its desired columns
-and keeping the rows past the rank, with no dim x dim basis formed; a row
-short of rank takes the full-U SVD of those columns. For an image that
-several receivers name (``Family.shared_images``), the build decides V_j's
-full column rank from one Householder QR of its equilibrated columns and,
-for the trials that built, forms Q's columns past d_j, which span the
-complement; the scheme keeps them (``PrecoderScheme.complement``). The
-pass reads them and takes at each of those receivers H_kj^{-H}
+(``linalg.householder``): its R gives the rank (full where a bound from R's
+inverse certifies it, else read from R's singular values), and a row of
+full column rank projects by applying Q^H to its desired columns and
+keeping the rows past the rank, with no dim x dim basis formed; a row short
+of rank takes the full-U SVD of those columns. For an image that several
+receivers name (``Family.shared_images``), the build decides V_j's full
+column rank from one Householder QR of its equilibrated columns, ranked
+alike, and, for the trials that built, forms Q's columns past d_j, which
+span the complement; the scheme keeps them (``PrecoderScheme.complement``).
+The pass reads them and takes at each of those receivers H_kj^{-H}
 span(V_j)^perp: a diagonal solve and a thin QR. The relations are still
 evaluated. Every other receiver takes the full-U SVD of its interference.
 With gains, each row first takes the SVD of its projected effective channel

@@ -64,8 +64,7 @@ class PrecoderScheme:
         :func:`~ia_lab.linalg.householder` of the equilibrated precoders
         gives the ranks and, for a trial of full column rank d_j, the
         complement as Q's columns from d_j on, the only ones formed (at
-        L=275, 21 ms per trial against 26 ms for the values-only SVD and
-        complete QR this replaces; see :func:`full_rank_schemes`); a trial
+        L=275, 8-11 ms per trial; see :func:`full_rank_schemes`); a trial
         short of rank keeps complement_and_rank's basis and rank. Taken on
         the first call and kept in ``complements``: a stacked build takes
         it, and the receiver pass of a scheme made by hand."""
@@ -172,17 +171,18 @@ def full_rank_schemes(stack: TrialStack, error: type, precoders: tuple,
     naming its first such transmitter. A transmitter j whose image several
     receivers carry (``Family.shared_images``) has full column rank where
     the :func:`~ia_lab.linalg.householder` of its equilibrated columns gives
-    rank d_j: one QR and the values of its R. The scheme keeps that
-    transmitter's :meth:`PrecoderScheme.complement` for the receiver pass,
-    formed once every transmitter's rank is known and for the trials that
-    built only: Q's trailing dim - d_j columns. At L=275 (a 275 x 243
-    precoder, a 275 x 32 complement) the QR, the values of R and the
-    complement take 21 ms per trial, against 26 ms for the values-only SVD
-    of the precoder and its complete QR that they replace (medians of 15,
-    one BLAS thread of a 2-core x86-64 machine). The rows of the others,
-    which :meth:`TrialStack.finish` drops, are zero. The other transmitters
-    of one shape share one full-rank call, column-major ones apart (they sum
-    their column norms in another order).
+    rank d_j: one QR, and R's certificate of full rank or else its
+    singular values. The scheme keeps that transmitter's
+    :meth:`PrecoderScheme.complement` for the receiver pass, formed once
+    every transmitter's rank is known and for the trials that built only:
+    Q's trailing dim - d_j columns. At L=275 (a 275 x 243 precoder, a 275 x
+    32 complement) the QR, the rank and the complement take 8-11 ms per
+    trial, against 15-20 ms when the values SVD of R decided every rank
+    (medians of 15, one BLAS thread of a shared 2-core x86-64 machine); the
+    certificate decides 11 of the 12 L=275 builds of perfbench's pools. The
+    rows of the others, which :meth:`TrialStack.finish` drops, are zero.
+    The other transmitters of one shape share one full-rank call,
+    column-major ones apart (they sum their column norms in another order).
     """
     # families imports the builders, which import this module
     from .families import get_family

@@ -1,6 +1,9 @@
 """Householder QR kept as reflectors: ``linalg.householder`` and
 ``linalg.apply_householder``, and receiver 1's image route that reads them.
 
+``householder``'s ranks are those of ``_rank`` of the singular values of
+its R, whether the certificate on R's inverse decides a row or the SVD does.
+
 ``np.linalg.qr(..., mode="complete")`` is the oracle of the helpers: Q's
 columns past a full column rank span the complement it gives, to within
 what float64 resolves at the matrix's condition, and Q^H x agrees with its
@@ -10,16 +13,20 @@ still takes: the reports must be equal and the gains agree to 1e-12 of
 each receiver's largest.
 """
 
+import collections
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 import ia_lab.linalg
 import ia_lab.receiver
+import ia_lab.schemes
 from ia_lab import SchemeConfig, check_alignment, zf_rates
 from ia_lab.evaluation import _trial_seed
-from ia_lab.linalg import HOUSEHOLDER_BLOCK, apply_householder, equilibrate_columns, householder
+from ia_lab.linalg import (HOUSEHOLDER_BLOCK, RANK_TOL, _rank, apply_householder,
+                           equilibrate_columns, householder)
 from ia_lab.receiver import _pass
 
 EPS = np.finfo(float).eps
@@ -40,6 +47,17 @@ def power_basis(n):
     power basis, ill-conditioned from n = 8 on."""
     scheme, _ = SchemeConfig("siso-k3", n=n).build(1)
     return equilibrate_columns(scheme.precoders[0])
+
+
+def planted(ratio, rows=60, cols=48, seed=0):
+    """A rows x cols matrix with sigma_max 1 and sigma_min ``ratio``, its
+    other singular values at 1e-4, between random unitary bases: at ratio
+    3e-8 the certificate's bound reaches it, at 1.5e-8 only the SVD does."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(complex_normal(rng, (rows, cols)))[0]
+    v = np.linalg.qr(complex_normal(rng, (cols, cols)))[0]
+    s = np.r_[1.0, np.full(cols - 2, 1e-4), ratio]
+    return (u * s) @ v.conj().T
 
 
 # (label, matrix): random ones of a single block, of more than one (243
@@ -93,15 +111,31 @@ def test_blocks_of_reflectors_apply_as_one(monkeypatch):
                 <= 1e-13 * np.linalg.norm(x))
 
 
-@pytest.mark.parametrize("shape", [(3, 7, 4), (2, 275, 243), (3, 5, 5), (2, 4, 6)])
+def short_in_its_last_row(shape):
+    """A random stack whose last matrix repeats a column, and its ranks: the
+    repeated column costs a rank only where the columns could be
+    independent."""
+    a = complex_normal(np.random.default_rng(11), shape)
+    a[-1, :, -1] = a[-1, :, 0]
+    full = min(shape[1:])
+    return a, [full] * (shape[0] - 1) + [full - (shape[1] >= shape[2])]
+
+
+def mixed_stack():
+    """A stack that mixes rows the certificate decides (1e-6, 3e-8) with
+    rows it leaves to the SVD, full and short of rank, and its ranks."""
+    ratios = [1e-6, 1e-9, 3e-8, 0.0, 1.5e-8]
+    return np.stack([planted(r, seed=t) for t, r in enumerate(ratios)]), [48, 47, 48, 47, 48]
+
+
+@pytest.mark.parametrize("shape", [(3, 7, 4), (2, 275, 243), (3, 5, 5), (2, 4, 6), "mixed"])
 def test_each_row_of_a_stack_gets_its_bits_alone(shape):
-    rng = np.random.default_rng(11)
-    a = complex_normal(rng, shape)
-    a[-1, :, -1] = a[-1, :, 0]  # one matrix short of rank
-    x = complex_normal(rng, shape[:-1] + (2,))
+    a, expected = mixed_stack() if shape == "mixed" else short_in_its_last_row(shape)
+    x = complex_normal(np.random.default_rng(12), a.shape[:-1] + (2,))
     reflectors, ranks = householder(a)
+    assert ranks.tolist() == expected
     product, adjoint = apply_householder(reflectors, x), apply_householder(reflectors, x, True)
-    for t in range(shape[0]):
+    for t in range(len(a)):
         for alone, index in ((a[t], t), (a[t:t + 1], slice(t, t + 1))):
             got, rank = householder(alone)
             assert np.all(rank == ranks[index])
@@ -110,9 +144,6 @@ def test_each_row_of_a_stack_gets_its_bits_alone(shape):
             assert apply_householder(got, x[index]).tobytes() == product[index].tobytes()
             assert (apply_householder(got, x[index], True).tobytes()
                     == adjoint[index].tobytes())
-    # the repeated column costs a rank only where the columns could be
-    # independent
-    assert ranks[-1] == min(shape[1:]) - (shape[1] >= shape[2])
 
 
 def test_a_reduced_column_takes_tau_0_and_the_identity():
@@ -133,6 +164,8 @@ def test_a_stack_of_no_matrices():
     assert ranks.shape == (0,)
     assert apply_householder(reflectors, np.eye(7, 3, -4)).shape == (0, 7, 3)
     assert apply_householder(reflectors, np.zeros((0, 7, 2)), adjoint=True).shape == (0, 7, 2)
+    # nor of R wide enough for the certificate
+    assert householder(np.zeros((0, 40, 36), dtype=complex))[1].shape == (0,)
 
 
 def test_a_short_rank_is_read_from_r():
@@ -141,6 +174,119 @@ def test_a_short_rank_is_read_from_r():
     a[1, :, 3] = 2.0 * a[1, :, 1] - a[1, :, 0]
     a[2, :, 2:] = 0.0
     assert householder(a)[1].tolist() == [4, 3, 2]
+
+
+def svd_rank(a):
+    """The rank rule the certificate stands in for: ``_rank`` of the
+    singular values of the R of ``a``'s Householder QR."""
+    h, tau = np.linalg.qr(a, mode="raw")
+    r = np.triu(h.swapaxes(-1, -2)[..., :tau.shape[-1], :])
+    return _rank(np.linalg.svd(r, compute_uv=False), RANK_TOL)
+
+
+def svd_calls(monkeypatch):
+    """The leading (stack) sizes of the np.linalg.svd calls made from here on."""
+    calls, svd = [], np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape[0] if a.ndim == 3 else None)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+RATIOS = [0.0, 1e-9, 1e-8, 1.5e-8, 2e-8, 3e-8, 1e-6]
+
+
+def zero_column(rng):
+    a = complex_normal(rng, (50, 40))
+    a[:, 17] = 0.0
+    return a
+
+
+# matrices the certificate may or may not decide, at one block's width and
+# past it, and those it must leave to the SVD
+RULE_CASES = {
+    **{f"planted {ratio:g}": lambda rng, ratio=ratio: planted(ratio) for ratio in RATIOS},
+    "planted 3e-8, 275 x 243": lambda rng: planted(3e-8, 275, 243),
+    "planted 1.5e-8, 33 x 32": lambda rng: planted(1.5e-8, 33, 32),
+    "a zero column": zero_column,
+    "all zero": lambda rng: np.zeros((40, 36), dtype=complex),
+    "wide 32 x 40": lambda rng: complex_normal(rng, (32, 40)),
+    "wide 3 x 7": lambda rng: complex_normal(rng, (3, 7)),
+    **{f"random {label}": MATRICES[label] for label in MATRICES},
+}
+
+
+@pytest.mark.parametrize("label", list(RULE_CASES))
+def test_the_certificate_answers_as_the_svd_rule(label):
+    a = RULE_CASES[label](np.random.default_rng(5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rank = householder(a)[1]
+    assert rank == svd_rank(a)
+
+
+def test_planted_ratios_are_certified_only_above_twice_the_tolerance(monkeypatch):
+    stack = np.stack([planted(ratio) for ratio in RATIOS])
+    calls = svd_calls(monkeypatch)
+    ranks = householder(stack)[1]
+    monkeypatch.undo()
+    assert ranks.tolist() == [svd_rank(a) for a in stack]
+    assert ranks.tolist() == [47, 47, 48, 48, 48, 48, 48]
+    # one SVD of the rows below 3e-8 (2e-8 sits on the bound itself, where
+    # rounding decides), none of the rows the certificate decides
+    assert calls in ([5], [4])
+
+
+def test_a_certified_row_takes_no_svd(monkeypatch):
+    a = np.stack([planted(1e-6, seed=t) for t in range(3)])
+    calls = svd_calls(monkeypatch)
+    assert householder(a)[1].tolist() == [48] * 3
+    assert householder(a[0])[1] == 48
+    assert calls == []
+
+
+def test_an_r_whose_norm_overflows_takes_the_svd_without_a_warning(monkeypatch):
+    a = np.stack([planted(1e-6), planted(1e-6, seed=1)])
+    a[1, 0, 0] = 1e300  # R's norm overflows
+    calls = svd_calls(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ranks = householder(a)[1]
+    assert calls == [1]
+    monkeypatch.undo()
+    assert ranks.tolist() == [48, svd_rank(a[1])]
+
+
+def test_the_benchmark_pool_builds_rank_as_the_svd_rule(monkeypatch):
+    # transmitter 1's 275 x 243 precoders of trial 0 of the large benchmark
+    # workload's pools: sweep roots 1000-1005 under the default law and
+    # 2000-2005 under the unit law. The certificate decides all but root
+    # 1004's, whose sigma_min / sigma_max of 2.2e-9 fails the build
+    ranked = []
+    factor = ia_lab.schemes.householder
+
+    def keeping(e):
+        reflectors, ranks = factor(e)
+        ranked.append((e, ranks))
+        return reflectors, ranks
+
+    monkeypatch.setattr(ia_lab.schemes, "householder", keeping)
+    calls = svd_calls(monkeypatch)
+    for config, base in ((SchemeConfig("siso-general", K=4, n=2), 1000),
+                         (SchemeConfig("siso-general", K=4, n=2, a_min=1.0, a_max=1.0), 2000)):
+        collections.deque(config.build_trials([_trial_seed(base + i, 0) for i in range(6)]), 0)
+    monkeypatch.undo()
+    e = np.concatenate([e for e, _ in ranked])
+    ranks = np.concatenate([r for _, r in ranked])
+    assert e.shape == (12, 275, 243)
+    assert ranks.tolist() == [svd_rank(a) for a in e]
+    assert (ranks == 243).tolist() == [True] * 4 + [False] + [True] * 7
+    # the other transmitters' full-rank checks take SVDs of a row per
+    # transmitter and trial; the R of root 1004 is the only single row
+    assert calls.count(1) == 1
 
 
 def full_u_route(monkeypatch):
@@ -204,5 +350,30 @@ def test_the_route_is_decided_per_row():
     rates = zf_rates(broken, ext, rhos)
     assert rates[1] is None
     for t in (0, 2):
+        [alone] = zf_rates(scheme[t], ext[t], rhos)
+        assert rates[t].tobytes() == alone.tobytes()
+
+
+def test_the_route_is_decided_per_row_of_one_stream_receivers():
+    # siso-general K=4 n=1: receiver 1's image is transmitter 2's one
+    # column, and receivers 2..4 take one stream each, whose products are
+    # matrix-vector ones that round by the layout they read. Trial 1's
+    # column is zeroed, so its image is short of rank and takes the full-U
+    # SVD; the other trials keep the reflectors, and their rates, bit for
+    # bit those of each alone
+    [stack] = SchemeConfig("siso-general", K=4, n=1).build_trials(range(4))
+    scheme, ext = stack.trial
+    v2 = scheme.precoders[1].copy()
+    v2[1] = 0.0
+    broken = dataclasses.replace(scheme, precoders=(scheme.precoders[0], v2,
+                                                    *scheme.precoders[2:]))
+    broken.complements.update(scheme.complements)
+    ranks, _, passed, _ = _pass(broken, ext, False)
+    assert ranks[1, 0].tolist() == [1, 0, 1, 1]
+    assert passed.tolist() == [True, False, True, True]
+    rhos = [1e2, 1e8]
+    rates = zf_rates(broken, ext, rhos)
+    assert rates[1] is None
+    for t in (0, 2, 3):
         [alone] = zf_rates(scheme[t], ext[t], rhos)
         assert rates[t].tobytes() == alone.tobytes()
