@@ -31,13 +31,13 @@ __version__ = "0.1.0"
 
 def _keep_freed_heap() -> None:
     """Let glibc keep freed heap for reuse instead of handing it back to the
-    kernel at once. A Monte-Carlo trial at L=275 allocates and frees about
-    12 MiB of temporaries, none larger than about 2 MiB. glibc's adaptive
-    rule trims the heap past twice the largest block freed so far, so it
-    handed the heap back after every trial and the next trial faulted it in
-    again, about 3000 minor page faults each. The values set are those the
-    adaptive rule reaches at its cap, after freeing a block of 32 MiB. Other
-    C libraries are left as they are."""
+    kernel at once. ``import ia_lab`` sets glibc's mmap and trim thresholds
+    for the whole host process, not only for ia_lab's own arrays. A trial at
+    L=275 allocates and frees about 12 MiB of temporaries, none over about 2
+    MiB; glibc's adaptive rule trims the heap past twice the largest block
+    freed so far, so it handed the heap back after every trial, and the next
+    faulted it in again (about 3000 minor faults). The values set are those
+    the rule reaches at its cap; other C libraries are left as they are."""
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
             return

@@ -13,8 +13,8 @@ from .channels import extend_channel
 from .designed import build_designed_channel
 from .errors import ParameterError
 from .mimo import build_mimo_even, build_mimo_odd
-from .siso import (build_precoders_general, build_precoders_k3,
-                   guarded_extension_general, required_extension_general)
+from .siso import (build_precoders_general, build_precoders_k3, guarded_extension_general,
+                   image_columns_general, image_columns_k3, required_extension_general)
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,10 @@ class Family:
     # row in it or the TRIAL_ERRORS instance its build gives; a family that
     # draws no channels takes None and gives its one trial as the stack of one
     build: Callable
-    # K -> (kind, receiver k, description, j, i) of every promised relation
-    # between transmitter j's precoder seen at receiver k (left) and
-    # transmitter i's (right); kind is equality, subset (left's columns
-    # among right's) or span
+    # (K, n) -> (kind, receiver k, description, j, i, columns) of every
+    # promised relation between transmitter j's precoder seen at receiver k
+    # (left) and transmitter i's (right); kind is equality, span or subset,
+    # whose columns map left's column a to right's column columns[a]
     relations: Callable
     # what changes what the family builds besides K and M: configuration
     # fields, and "seed" for the channel seed of the families that draw
@@ -45,10 +45,8 @@ class Family:
     reads: tuple
     # K -> per receiver k, the transmitter j whose image H_kj span(V_j) spans
     # k's interference once the relations hold, or None where k takes the
-    # dense complement of its interference; None if every receiver does. An
-    # image only k names is decomposed at k, from j's columns among k's
-    # products; one several receivers name (shared_images) is decomposed once
-    # per stack, as V_j, by the build, and carried to each by H_kj^{-H}
+    # dense complement of its interference (see ia_lab.receiver); None if
+    # every receiver does
     interference_image: Callable = None
 
     def shared_images(self, K: int) -> tuple:
@@ -63,10 +61,14 @@ def _require(ok: bool, requirement: str) -> None:
         raise ParameterError(requirement)
 
 
-def _k3_relations(K):
-    yield ("equality", 0, "rx1: interference from tx2 equals interference from tx3", 1, 2)
-    yield ("subset", 1, "rx2: interference from tx3 within interference from tx1", 2, 0)
-    yield ("subset", 2, "rx3: interference from tx2 within interference from tx1", 1, 0)
+def _subset_relations(columns: tuple, within: str):
+    for (m, k), cols in columns:
+        yield ("subset", m, f"rx{m + 1}: interference from tx{k + 1} within {within}", k, 0, cols)
+
+
+def _k3_relations(K, n):
+    yield ("equality", 0, "rx1: interference from tx2 equals interference from tx3", 1, 2, None)
+    yield from _subset_relations(image_columns_k3(n), "interference from tx1")
 
 
 def _general_extension(c):
@@ -75,15 +77,11 @@ def _general_extension(c):
             (c.n + 1) ** big_n + (c.K - 1) * c.n ** big_n)
 
 
-def _general_relations(K):
+def _general_relations(K, n):
     for j in range(2, K):
         yield ("equality", 0,
-               f"rx1: interference from tx{j + 1} equals interference from tx2", j, 1)
-    for i in range(1, K):
-        for j in range(1, K):
-            if j != i:
-                yield ("subset", i, f"rx{i + 1}: interference from tx{j + 1} within tx1's",
-                       j, 0)
+               f"rx1: interference from tx{j + 1} equals interference from tx2", j, 1, None)
+    yield from _subset_relations(image_columns_general(K, n), "tx1's")
 
 
 def _mimo_build(config, channels):
@@ -92,10 +90,10 @@ def _mimo_build(config, channels):
     return (build_mimo_odd if odd else build_mimo_even)(ext)
 
 
-def _mimo_relations(K):
-    yield ("span", 0, "rx1: spans of interference from tx2 and tx3 coincide", 1, 2)
-    yield ("equality", 1, "rx2: interference from tx1 equals interference from tx3", 0, 2)
-    yield ("equality", 2, "rx3: interference from tx1 equals interference from tx2", 0, 1)
+def _mimo_relations(K, n):
+    yield ("span", 0, "rx1: spans of interference from tx2 and tx3 coincide", 1, 2, None)
+    yield ("equality", 1, "rx2: interference from tx1 equals interference from tx3", 0, 2, None)
+    yield ("equality", 2, "rx3: interference from tx1 equals interference from tx2", 0, 1, None)
 
 
 def _designed_build(config, channels):
@@ -103,13 +101,13 @@ def _designed_build(config, channels):
     return (scheme[None], ext[None]), (0,)
 
 
-def _designed_relations(K):
+def _designed_relations(K, n):
     for k in range(K):
         others = [j for j in range(K) if j != k]
         for j in others[1:]:
             yield ("equality", k,
                    f"rx{k + 1}: interference from tx{j + 1} equals tx{others[0] + 1}'s",
-                   j, others[0])
+                   j, others[0], None)
 
 
 FAMILIES = {

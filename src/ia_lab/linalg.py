@@ -17,7 +17,6 @@ The rank functions also take a stack of matrices, shape (T, rows, cols),
 and then answer for every matrix of the stack from one batched SVD. The
 residuals take stacks only, and answer with an array over the stack. Each
 matrix gets bit for bit the answer it gets alone, or as a stack of one.
-A subset residual ranks its pool by one product, then measures the nearest.
 """
 
 from __future__ import annotations
@@ -256,32 +255,16 @@ def equality_residual(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return _ratio(norms[2 * T:], np.maximum(norms[:T], norms[T:2 * T]))
 
 
-def subset_residual(columns: np.ndarray, pool: np.ndarray) -> np.ndarray:
-    """Worst relative distance from a column of ``columns`` to its nearest
-    column of ``pool``, for each trial of a stack of them, as an array.
-
-    Zero (up to rounding) iff the column set of ``columns`` is contained in
-    the column set of ``pool``; a zero column lies in any pool. Its cost is
-    one product, ``columns^H pool``, which ranks the pool columns p of a
-    column c by |p|^2 - 2 Re<c, p>. The nearest p, and each p ranked within
-    16 rows 2^-52 (max |p|^2 + |c|^2) of it (twice the ranks' rounding
-    bound; duplicates tie), get the exact distance, summed in row order as
-    ``np.linalg.norm`` sums a column of a wider matrix; the least is kept.
-    """
-    norms = _norms(columns.swapaxes(-1, -2))
-    # only to rank, so in any order: one walk over the real and imaginary
-    # parts side by side (a C-ordered pool, as the receiver's, is not copied)
-    flat = np.ascontiguousarray(pool).view(float)
-    pool_sq = np.einsum("tij,tij->tj", flat, flat)
-    pool_sq = pool_sq[..., ::2] + pool_sq[..., 1::2]
-    rank = pool_sq[:, None, :] - 2.0 * (columns.conj().swapaxes(-1, -2) @ pool).real
-    slack = (16 * 2.0 ** -52 * columns.shape[-2]) * (
-        np.maximum.reduce(pool_sq, axis=-1, initial=0.0)[:, None] + norms ** 2)[..., None]
-    t, i, j = np.nonzero(rank <= np.minimum.reduce(rank, axis=-1, keepdims=True) + slack)
-    diff = pool[t, :, j] - columns[t, :, i]
-    dist = np.full(norms.shape, np.inf)
-    np.minimum.at(dist, (t, i), np.add.accumulate((diff.conj() * diff).real, axis=-1)[:, -1])
-    return np.fmax.reduce(_ratio(np.sqrt(dist), norms), axis=-1, initial=0.0)
+def subset_residual(columns: np.ndarray, mapped: np.ndarray) -> np.ndarray:
+    """Worst relative distance from a column of ``columns`` to the pool column
+    mapped to it, in its place in ``mapped``, for each trial of a stack, as an
+    array; 1.0 for sides of two shapes. A zero column matches any. Distances
+    sum in row order, as ``np.linalg.norm`` sums a column of a wider matrix."""
+    if columns.shape != mapped.shape:
+        return np.ones(len(columns))
+    diff = mapped - columns
+    dist = np.sqrt(np.add.accumulate((diff.conj() * diff).real, axis=-2)[..., -1, :])
+    return np.fmax.reduce(_ratio(dist, _norms(columns.swapaxes(-1, -2))), axis=-1, initial=0.0)
 
 
 def span_residual(left: np.ndarray, right: np.ndarray) -> np.ndarray:

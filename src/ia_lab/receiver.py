@@ -4,13 +4,14 @@ Two entry points share one pass over the receivers.
 :func:`check_alignment` verifies one scheme on one channel: at every
 receiver it measures the rank of the desired signal, of the stacked
 interference, and of the desired signal projected onto the orthogonal
-complement of the interference, and it evaluates the family-specific
-alignment relations (exact equalities, column-subset containments, span
-equalities). :func:`zf_rates` gives the zero-forcing rates of a stack of
-trials over one power grid: the projection keeps the noise white, so a
-receiver's rate is a log-det over its projected effective channel. Channel
-products go through ``ChannelSet.apply``, which never forms dense
-block-diagonal matrices.
+complement of the interference, and it evaluates the family's alignment
+relations (``Family.relations``): exact and span equalities, and column
+subsets, where each column of an interfering image must equal the column
+its family maps it to, in a scheme made by hand too (permuted columns fail).
+:func:`zf_rates` gives the zero-forcing rates of a stack of trials over one
+power grid: the projection keeps the noise white, so a receiver's rate is a
+log-det over its projected effective channel. Channel products go through
+``ChannelSet.apply``, which never forms dense block-diagonal matrices.
 
 Zero forcing succeeds at receiver k iff its equilibrated desired columns
 keep rank d_k after the projection (:func:`zf_ok`; a report's joint rank
@@ -19,20 +20,11 @@ counted from RANK_TOL times 1, the unprojected scale, so that a desired
 signal inside the interference counts nothing. Where a family names the
 transmitter j whose image H_kj span(V_j) spans receiver k's interference
 once its relations hold (``Family.interference_image``), k's complement is
-that image's. An image no other receiver names is decomposed at k by one
-Householder QR of j's equilibrated columns among k's products
-(``linalg.householder``): its R gives the rank (full where a bound from R's
-inverse certifies it, else read from R's singular values), and a row of
-full column rank projects by applying Q^H to its desired columns and
-keeping the rows past the rank, with no dim x dim basis formed; a row short
-of rank takes the full-U SVD of those columns. For an image that several
-receivers name (``Family.shared_images``), the build decides V_j's full
-column rank from one Householder QR of its equilibrated columns, ranked
-alike, and, for the trials that built, forms Q's columns past d_j, which
-span the complement; the scheme keeps them (``PrecoderScheme.complement``).
-The pass reads them and takes at each of those receivers H_kj^{-H}
-span(V_j)^perp: a diagonal solve and a thin QR. The relations are still
-evaluated. Every other receiver takes the full-U SVD of its interference.
+that image's: decomposed at k by a Householder QR where no other receiver
+names it, else carried by H_kj^{-H} from the decomposition of V_j the build
+keeps (``Family.shared_images``, ``PrecoderScheme.complement``), as
+:func:`_check` says. The relations are still evaluated. Every other
+receiver takes the full-U SVD of its interference.
 With gains, each row first takes the SVD of its projected effective channel
 B^H J_D (B an orthonormal basis of the complement, as Q's columns past the
 rank are), and that certifies its verdict where the smallest singular
@@ -214,7 +206,10 @@ def _pass(scheme, ext, with_gains) -> tuple:
     routes = [None if j is None else
               j if j in shared else (offsets[k][j], offsets[k][j] + d[j])
               for k, j in enumerate(image)]
-    listed = list(family.relations(K))
+    listed = list(family.relations(K, scheme.n))
+    # each relation's right-side columns: all, its map, or none for a map past them
+    reads = [slice(None) if c is None else c if all(0 <= a < d[i] for a in c) else ()
+             for *_, i, c in listed]
     # built per call from the module names, so whatever rebinds them sees it
     residual = {"equality": equality_residual, "subset": subset_residual,
                 "span": span_residual}
@@ -228,21 +223,23 @@ def _pass(scheme, ext, with_gains) -> tuple:
         if not rows:
             return
         kinds = {}
-        for i, (kind, k, _, jl, jr) in enumerate(listed):
+        for i, (kind, k, _, jl, jr, columns) in enumerate(listed):
             if k in joint:
-                kinds.setdefault((kind, d[jl], d[jr]), []).append(i)
+                right = d[jr] if columns is None else len(reads[i])
+                kinds.setdefault((kind, d[jl], right), []).append(i)
 
-        def operand(k, j):
-            hv = joint[k][..., offsets[k][j]:offsets[k][j] + d[j]]
+        def operand(k, j, columns=slice(None)):
+            hv = joint[k][..., offsets[k][j]:offsets[k][j] + d[j]][..., columns]
             return hv if len(rows) == T else hv[rows]
 
         for (kind, dl, dr), members in kinds.items():
             tol = SPAN_TOL if kind == "span" else RESIDUAL_TOL
-            # operands, temporaries of their size, a subset's (dl, dr) ranks
-            for batch in _batches(members, 32 * len(rows) * (dim * (dl + dr) + dl * dr)):
+            # operands and temporaries of their size
+            for batch in _batches(members, 32 * len(rows) * dim * (dl + dr)):
                 out = residual[kind](
                     np.concatenate([operand(listed[i][1], listed[i][3]) for i in batch]),
-                    np.concatenate([operand(listed[i][1], listed[i][4]) for i in batch]))
+                    np.concatenate([operand(listed[i][1], listed[i][4], reads[i])
+                                    for i in batch]))
                 out = out.reshape(len(batch), -1)
                 residuals[batch if len(rows) == T else np.ix_(batch, rows)] = out
                 for t, ok in zip(rows, (out <= tol).all(axis=0).tolist()):
@@ -320,11 +317,9 @@ def _check(joint, trials, route, scheme, ext, dk, ranks, passed, gains) -> None:
     takes every row's complement from one full-U SVD of its interference
     columns equilibrated. A range route (lo, hi), an image of rank hi - lo
     once the relations hold, takes one Householder QR of those columns: a
-    row of full column rank projects by applying Q^H (at L=275, a 275 x 32
-    image: 2.5 ms per trial for the QR and Q^H of the 243 desired columns,
-    against 6.7 ms for the full-U SVD and the product with its basis;
-    medians of 15, one BLAS thread of a 2-core x86-64 machine), and any
-    other row keeps the full-U SVD. A transmitter route j takes ext's
+    row of full column rank projects by applying Q^H (at L=275, 2.5 ms per
+    trial against 6.7 ms for the full-U SVD; see the README), and any other
+    row keeps the full-U SVD. A transmitter route j takes ext's
     H_kj^{-H} applied to ``scheme.complement(j)``, the decomposition of V_j
     the build kept, orthonormalized: one solve per receiver and one QR per
     rank. The verdict and the gains project onto the complement; with
@@ -423,7 +418,7 @@ def check_alignment(scheme: PrecoderScheme, ext: ChannelSet) -> AlignmentReport:
     if scheme.stacked:
         raise ShapeError("check_alignment takes one trial")
     ranks, residuals, _, _ = _pass(scheme[None], ext, False)
-    d, listed = scheme.stream_counts, get_family(scheme.family).relations(scheme.K)
+    d, listed = scheme.stream_counts, get_family(scheme.family).relations(scheme.K, scheme.n)
     return AlignmentReport(
         family=scheme.family, K=scheme.K, M=ext.M, L=ext.F, rank_tol=RANK_TOL,
         residual_tol=RESIDUAL_TOL,
@@ -431,7 +426,7 @@ def check_alignment(scheme: PrecoderScheme, ext: ChannelSet) -> AlignmentReport:
                         for k, r in enumerate(ranks[..., 0].T.tolist())),
         relations=tuple(RelationCheck(desc, k, kind, value,
                                       SPAN_TOL if kind == "span" else RESIDUAL_TOL)
-                        for (kind, k, desc, _, _), value in zip(listed, residuals[:, 0].tolist())))
+                        for (kind, k, desc, *_), value in zip(listed, residuals[:, 0].tolist())))
 
 
 def _grid_rates(L, gains, rhos) -> np.ndarray:

@@ -175,12 +175,10 @@ def full_rank_schemes(stack: TrialStack, error: type, precoders: tuple,
     singular values. The scheme keeps that transmitter's
     :meth:`PrecoderScheme.complement` for the receiver pass, formed once
     every transmitter's rank is known and for the trials that built only:
-    Q's trailing dim - d_j columns. At L=275 (a 275 x 243 precoder, a 275 x
-    32 complement) the QR, the rank and the complement take 8-11 ms per
-    trial, against 15-20 ms when the values SVD of R decided every rank
-    (medians of 15, one BLAS thread of a shared 2-core x86-64 machine); the
-    certificate decides 11 of the 12 L=275 builds of perfbench's pools. The
-    rows of the others, which :meth:`TrialStack.finish` drops, are zero.
+    Q's trailing dim - d_j columns (at L=275, 8-11 ms per trial; see the
+    README); the certificate decides 11 of the 12 L=275 builds of
+    perfbench's pools. The rows of the others, which
+    :meth:`TrialStack.finish` drops, are zero.
     The other transmitters of one shape share one full-rank call,
     column-major ones apart (they sum their column norms in another order).
     """

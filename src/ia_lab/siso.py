@@ -12,6 +12,8 @@ of those maps.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .channels import ChannelSet, is_integer
@@ -133,9 +135,13 @@ def _reference_scalings(K: int, h) -> dict:
     return {j: h(0, 2) * h(1, 0) / (h(0, j) * h(1, 2)) for j in range(1, K)}
 
 
+def _cross_pairs(K: int) -> list:
+    """The pairs (m, k) of non-reference users with a map, in digit order."""
+    return [(m, k) for m in range(1, K) for k in range(1, K) if m != k and (m, k) != (1, 2)]
+
+
 def _cross_pair_gains(K: int, h, scale: dict) -> dict:
-    return {(m, k): h(m, k) * scale[k] / h(m, 0)
-            for m in range(1, K) for k in range(1, K) if m != k and (m, k) != (1, 2)}
+    return {(m, k): h(m, k) * scale[k] / h(m, 0) for m, k in _cross_pairs(K)}
 
 
 def cross_pair_gains(ext: ChannelSet) -> dict:
@@ -171,6 +177,26 @@ def _exponent_columns(gains: dict, pairs: list, radix: int) -> np.ndarray:
     return cols
 
 
+@functools.cache
+def image_columns_k3(n: int) -> tuple:
+    """((m, k), columns) pairs: receiver m sees transmitter k's precoder of
+    :func:`build_precoders_k3` as transmitter 1's ``columns`` (0-based)."""
+    return ((1, 2), tuple(range(1, n + 1))), ((2, 1), tuple(range(n)))
+
+
+@functools.cache
+def image_columns_general(K: int, n: int) -> tuple:
+    """As image_columns_k3, for :func:`build_precoders_general`: H_mk scale_k
+    is H_m1 times pair (m, k)'s map, which raises that pair's exponent (its
+    digit of a column's index) by one; pair (2, 3) has none to raise."""
+    pairs = _cross_pairs(K)
+    seed = np.unravel_index(np.arange(n ** len(pairs)), (n,) * len(pairs), order="F")
+    base = np.ravel_multi_index(seed, (n + 1,) * len(pairs), order="F")
+    step = {p: (n + 1) ** q for q, p in enumerate(pairs)}
+    return tuple(((m, k), tuple((base + step.get((m, k), 0)).tolist()))
+                 for m in range(1, K) for k in range(1, K) if m != k)
+
+
 def build_precoders_general(ext: ChannelSet, n: int,
                             size_cap: int = DEFAULT_SIZE_CAP):
     """General-K single-antenna precoders over an (n+1)^N + n^N extension.
@@ -194,7 +220,7 @@ def build_precoders_general(ext: ChannelSet, n: int,
     h, stack = _diagonals(ext)
     scale = _reference_scalings(K, h)
     gains = _cross_pair_gains(K, h, scale)
-    pairs = sorted(gains)
+    pairs = _cross_pairs(K)
     seed_block = _exponent_columns(gains, pairs, n)
     v_tx1 = _exponent_columns(gains, pairs, n + 1)
 

@@ -87,3 +87,19 @@ def test_traced_sweep_records_the_builder_and_every_relation_kind(tracing, famil
     names = {s.name for s in tracer.spans}
     assert builder in names
     assert {f"linalg.{kind}_residual" for kind in kinds} <= names
+
+
+def test_traced_siso_general_sweep_records_its_subset_residuals(tracing):
+    # the benchmark's linalg.subset_residual metrics read these spans, so
+    # the receiver pass must call the residual through the name the tracer
+    # wraps: under every pass with gains, at least one span each
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        table = ia_lab.snr_sweep(SchemeConfig("siso-general", K=4, n=1), [40.0, 60.0],
+                                 trials=3, seed=0)
+    assert all(r.status == "ok" for r in table.records)
+    spans = {s.id: s for s in tracer.spans}
+    passes = {s.id for s in spans.values() if s.name == "receiver.zf_rates"}
+    subset = [s for s in spans.values() if s.name == "linalg.subset_residual"]
+    assert passes and subset
+    assert {s.parent for s in subset} == passes

@@ -171,14 +171,14 @@ def test_structured_complements_agree_with_the_dense_pass(monkeypatch, label):
 
 
 def test_a_short_rank_image_gives_the_dense_complement(monkeypatch):
-    # transmitter 1 sends its second power column twice, first and second:
+    # transmitter 1 sends its second power column twice, second and last:
     # its rank is short, and its complement has more columns than its
-    # precoder's rows leave. The relations still hold, and receivers 2 and 3
-    # see the interference the dense pass sees, while receiver 1 loses a
-    # stream
+    # precoder's rows leave. The relations, whose maps read its first
+    # columns, still hold, and receivers 2 and 3 see the interference the
+    # dense pass sees, while receiver 1 loses a stream
     scheme, ext = SchemeConfig("siso-k3", n=2).build(4)
     v = scheme.precoders[0]
-    scheme = dataclasses.replace(scheme, precoders=(np.hstack([v[:, 1:2], v]),)
+    scheme = dataclasses.replace(scheme, precoders=(np.hstack([v, v[:, 1:2]]),)
                                  + scheme.precoders[1:])
     report = check_alignment(scheme, ext)
     dense(monkeypatch, "siso-k3")

@@ -92,8 +92,11 @@ def test_a_row_short_of_rank_keeps_the_full_u_svd():
 # transmitter 1's precoder of a siso-k3 n=2 stack of three trials with
 # trial 1's third column replaced by its first; SHA-256 of each trial's
 # check_alignment report as json.dumps(report.to_dict(), sort_keys=True)
-# plus a newline, as recorded with the full-U SVD of every row
-HAND_MADE_REPORTS = "0e72c37c31d9687c4318286d9c0346954c8fd1e242d90c1b1e2f860242a0bdb9"
+# plus a newline, as recorded with the full-U SVD of every row, and again
+# when subset relations came to measure each image column against the pool
+# column the family maps it to: trial 1's rx2 residual, of the replaced
+# column, went from 0.907 (its nearest column) to 1.307; it fails either way
+HAND_MADE_REPORTS = "01c3fdb42ff3b6933dd086045cced47e5099680496c38176229002745c2b0c00"
 
 
 def test_a_hand_made_stack_short_of_rank_in_one_row_keeps_its_reports():

@@ -170,7 +170,7 @@ def test_relabeling_users_permutes_rates(monkeypatch):
     assert check_alignment(scheme, ext).passed
     family = ia_lab.families.FAMILIES["siso-k3"]
     monkeypatch.setitem(ia_lab.families.FAMILIES, "siso-k3",
-                        dataclasses.replace(family, relations=lambda K: (),
+                        dataclasses.replace(family, relations=lambda K, n: (),
                                             interference_image=None))
 
     def rates(scheme, ext):
@@ -196,7 +196,9 @@ def test_relabeling_users_permutes_rates(monkeypatch):
 def test_relabeled_k3_scheme_fails_its_relations_without_raising():
     # relabeled, the siso-k3 relations pair precoders of different widths:
     # the equality relation fails with residual 1.0, as a span relation
-    # between spans of different dimensions does, instead of raising
+    # between spans of different dimensions does, instead of raising; so do
+    # the subset relations, whose maps no longer fit: rx2's points past its
+    # one-column pool, and rx3's has one entry for two image columns
     scheme, ext = k3_case(seed=17)
     perm = [2, 0, 1]
     permuted_ext = MatrixOverrideChannel(
@@ -207,6 +209,8 @@ def test_relabeled_k3_scheme_fails_its_relations_without_raising():
     assert all(check.ok for check in report.receivers)
     [equality] = [r for r in report.relations if r.kind == "equality"]
     assert equality.residual == 1.0 and not equality.ok
+    subsets = [r for r in report.relations if r.kind == "subset"]
+    assert [r.residual for r in subsets] == [1.0, 1.0]
     assert not report.passed and report.max_residual == 1.0
     assert zf_rates(permuted_scheme, permuted_ext, [1e5]) == [None]
 
