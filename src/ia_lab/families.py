@@ -43,16 +43,14 @@ class Family:
     # fields, and "seed" for the channel seed of the families that draw
     # channels; the others have no effect on it
     reads: tuple
-    # K -> per receiver k, the transmitter j whose image H_kj span(V_j) spans
-    # k's interference once the relations hold, or None where k takes the
-    # dense complement of its interference (see ia_lab.receiver); None if
-    # every receiver does
-    interference_image: Callable = None
+    # K -> per receiver k, the transmitter j != k whose image H_kj span(V_j)
+    # spans k's interference once the relations hold (see ia_lab.receiver)
+    interference_image: Callable
 
     def shared_images(self, K: int) -> tuple:
         """The transmitters whose image several receivers carry, in order:
         the build decomposes each one's precoders, and the pass reads it."""
-        image = self.interference_image(K) if self.interference_image else ()
+        image = self.interference_image(K)
         return tuple(j for j in range(K) if image.count(j) > 1)
 
 
@@ -133,12 +131,17 @@ FAMILIES = {
         default_M=2, extension=lambda c: (1, 3 * c.M // 2) if c.M % 2 == 0 else (2, 3 * c.M),
         channel_shape=lambda c: (3, c.M, 1),
         build=_mimo_build, relations=_mimo_relations,
-        reads=("a_min", "a_max", "seed")),
+        reads=("a_min", "a_max", "seed"),
+        # rx1's span relation ties tx2 to tx3, rx2's and rx3's equalities tx1
+        # to the other; each transmitter is named once, so none is shared
+        interference_image=lambda K: (1, 2, 0)),
     "designed": Family(
         check=lambda K, M: _require(K >= 2 and M == 1, "designed requires K>=2, M=1"),
         default_M=1, extension=lambda c: (2, c.K),
         channel_shape=lambda c: None,
-        build=_designed_build, relations=_designed_relations, reads=()),
+        build=_designed_build, relations=_designed_relations, reads=(),
+        # the equalities make every interferer's image one; none is shared
+        interference_image=lambda K: tuple((k + 1) % K for k in range(K))),
 }
 
 

@@ -2,9 +2,9 @@
 
 Two entry points share one pass over the receivers.
 :func:`check_alignment` verifies one scheme on one channel: at every
-receiver it measures the rank of the desired signal, of the stacked
-interference, and of the desired signal projected onto the orthogonal
-complement of the interference, and it evaluates the family's alignment
+receiver it measures the rank of the desired signal, of the interference,
+and of the desired signal projected onto the orthogonal complement of the
+interference, and it evaluates the family's alignment
 relations (``Family.relations``): exact and span equalities, and column
 subsets, where each column of an interfering image must equal the column
 its family maps it to, in a scheme made by hand too (permuted columns fail).
@@ -17,36 +17,35 @@ Zero forcing succeeds at receiver k iff its equilibrated desired columns
 keep rank d_k after the projection (:func:`zf_ok`; a report's joint rank
 is the interference rank plus that projected rank), their singular values
 counted from RANK_TOL times 1, the unprojected scale, so that a desired
-signal inside the interference counts nothing. Where a family names the
-transmitter j whose image H_kj span(V_j) spans receiver k's interference
-once its relations hold (``Family.interference_image``), k's complement is
-that image's: decomposed at k by a Householder QR where no other receiver
-names it, else carried by H_kj^{-H} from the decomposition of V_j the build
-keeps (``Family.shared_images``, ``PrecoderScheme.complement``), as
-:func:`_check` says. The relations are still evaluated. Every other
-receiver takes the full-U SVD of its interference.
-With gains, each row first takes the SVD of its projected effective channel
-B^H J_D (B an orthonormal basis of the complement, as Q's columns past the
-rank are), and that certifies its verdict where the smallest singular
+signal inside the interference counts nothing. Every family names, per
+receiver k, the transmitter j whose image H_kj span(V_j) spans k's
+interference once its relations hold (``Family.interference_image``); k's
+interference rank and complement are that image's, by one of two routes
+(:func:`_check`): decomposed at k where no other receiver names it, else
+carried by H_kj^{-H} from the decomposition of V_j the build keeps
+(``Family.shared_images``, ``PrecoderScheme.complement``). The relations
+are still evaluated. With gains, each row first takes the SVD of its
+projected effective channel B^H J_D (B an orthonormal basis of the
+complement), and that certifies its verdict where the smallest singular
 value over J_D's largest column norm reaches twice RANK_TOL, a lower bound
 on the equilibrated projection's; only the other rows, and every row of
 :func:`check_alignment`, take the verdict's SVD.
 
 The pass runs over a stack of trials of one family and shape, as a stacked
 build gives them, or over one trial as the stack of one. It takes the
-receivers of one stream count and complement route (their whole
-interference, the columns of an image they decompose, or the transmitter
-whose shared image they carry) in batches of whole receivers with all
-their trials, as many as fit STACK_BYTES and at least one. A batch forms
-the product H_kj V_j of each of its links once, into receiver k's array of
-all its products, of which the desired and interference matrices, the gain
-projection and the family relations read views. One call equilibrates the
-leading columns its checks read (the desired ones, and those of the
-interference or image they decompose), each batched decomposition is
-shared, and then the relations at its receivers are evaluated, those of
-one kind and operand shape in one residual call, before its products go.
-The verdicts are arrays: ranks per (receiver, trial) and residuals per
-(relation, trial), and the pass mask follows from them.
+receivers of one stream count and complement route (the columns of the
+image they decompose, or the transmitter whose shared image they carry)
+in batches of whole receivers with all their trials, as many as fit
+STACK_BYTES and at least one. A batch forms the product H_kj V_j of each
+of its links once, into receiver k's array of all its products, of which
+the desired and image matrices, the gain projection and the family
+relations read views. One call equilibrates the leading columns its
+checks read (the desired ones, and those of the image they decompose),
+each batched decomposition is shared, and then the relations at its
+receivers are evaluated, those of one kind and operand shape in one
+residual call, before its products go. The verdicts are arrays: ranks per
+(receiver, trial) and residuals per (relation, trial), and the pass mask
+follows from them.
 :func:`check_alignment` builds its report from its one trial's column, and
 only it measures desired ranks; :func:`zf_rates` drops a failing trial
 after its batch and takes its gains from the complement that gives the
@@ -172,8 +171,9 @@ def _pass(scheme, ext, with_gains) -> tuple:
     is -1 or nan, and so is every desired rank of a pass with gains, which
     does not need it. ``passed`` masks the trials that pass every check and
     relation. A batch of whole receivers forms their products (own streams
-    first, through unit-norm columns for gains, then the others' in order),
-    checks them, evaluates their relations and lets the products go.
+    first, through unit-norm columns for gains, then their image's, then the
+    others' in order), checks them, evaluates their relations and lets the
+    products go.
 
     Without gains every trial stays to the last receiver and relation, and
     gains is None. With gains, a trial that fails a check or relation
@@ -184,7 +184,12 @@ def _pass(scheme, ext, with_gains) -> tuple:
     T, K, dim = len(scheme.precoders[0]), scheme.K, ext.dim
     d = scheme.stream_counts
     streams = sum(d)
-    order = [[k] + [j for j in range(K) if j != k] for k in range(K)]
+    family = get_family(scheme.family)
+    image = family.interference_image(K)
+    shared = family.shared_images(K)
+    # an image a receiver decomposes is its columns d_k:d_k + d_j, so that
+    # receivers of one stream count and image width batch together
+    order = [[k, j] + [i for i in range(K) if i not in (k, j)] for k, j in enumerate(image)]
     offsets = [dict(zip(o, accumulate((d[j] for j in o), initial=0))) for o in order]
 
     def products(k):
@@ -196,16 +201,6 @@ def _pass(scheme, ext, with_gains) -> tuple:
                 k, j, equilibrate_columns(v) if j == k and with_gains else v)
         return out
 
-    family = get_family(scheme.family)
-    image = family.interference_image(K) if family.interference_image else (None,) * K
-    shared = family.shared_images(K)
-    # receiver k's complement route: None for the dense complement of its
-    # whole interference, the range (lo, hi) of its columns that hold an
-    # image no other receiver names, which it decomposes itself, or else
-    # the transmitter whose shared image it carries
-    routes = [None if j is None else
-              j if j in shared else (offsets[k][j], offsets[k][j] + d[j])
-              for k, j in enumerate(image)]
     listed = list(family.relations(K, scheme.n))
     # each relation's right-side columns: all, its map, or none for a map past them
     reads = [slice(None) if c is None else c if all(0 <= a < d[i] for a in c) else ()
@@ -246,8 +241,11 @@ def _pass(scheme, ext, with_gains) -> tuple:
                     passed[t] = passed[t] and ok
 
     groups = {}
-    for k in range(K):
-        groups.setdefault((d[k], routes[k]), []).append(k)
+    for k, j in enumerate(image):
+        # receiver k's complement route: the transmitter whose shared image
+        # it carries, or else the range (lo, hi) of its columns that hold
+        # the image no other receiver names, which it decomposes itself
+        groups.setdefault((d[k], j if j in shared else (d[k], d[k] + d[j])), []).append(k)
     gains = tuple(np.empty((T, dk)) for dk in d) if with_gains else None
     for (dk, route), members in groups.items():
         for batch in _batches(members, max(T, 1) * _receiver_bytes(dim, streams)):
@@ -287,22 +285,35 @@ def _projection(basis):
         basis if among is None else basis[among]).conj().swapaxes(-1, -2) @ x
 
 
-def _reflection(reflectors, r):
-    """Q^H x, cut to its rows from ``r`` on, of the rows ``among`` of a
-    stack of Householder ``reflectors`` whose columns have full rank r, or
-    of all of them: the complement's coordinates, as a projection onto
-    Q's columns from r on gives them."""
-    return lambda x, among=None: apply_householder(
-        reflectors if among is None else tuple(a[among] for a in reflectors),
-        x, adjoint=True)[..., r:, :]
+# rows from which a span takes the Householder QR, not the full-U SVD: QR
+# time over SVD time of the decomposition and projected desired SVD of two
+# trials, medians of 41 in alternation, one BLAS thread of a shared 2-core
+# x86-64 machine, read 1.54 at 7 x 3, 1.21 at 17 x 8, 1.07 at 33 x 1, 0.81 at
+# 33 x 16, 1.00 at 48 x 1, 0.71 at 48 x 24, 0.95 at 64 x 1, 0.58 at 128 x 64
+# and 0.78 at 275 x 32 (one trial): one-column spans break even last
+REFLECTOR_ROWS = 48
 
 
-def _dense(columns, positions) -> list:
-    """(positions, projection, rank) of ``columns``, a stack of equilibrated
-    spans, by rank: the full-U SVD's complement."""
-    u, span = complement_and_rank(columns)
-    return [([positions[p] for p in rows], _projection(u[rows, :, r:]), r)
-            for r, rows in _by_rank(span).items()]
+def _decomposed(columns) -> list:
+    """(rows, projection, rank) of ``columns``, a stack of equilibrated spans,
+    by rank, projecting onto each row's complement. From REFLECTOR_ROWS rows
+    on, one Householder QR: a row of full column rank r applies Q^H and keeps
+    the rows from r on. Every other row takes the full-U SVD's complement."""
+    dim, width = columns.shape[-2:]
+    groups, short = [], list(range(len(columns)))
+    if dim >= REFLECTOR_ROWS:
+        reflectors, image = householder(columns)
+        rows, short = np.flatnonzero(image == width).tolist(), np.flatnonzero(image < width).tolist()
+        if rows:
+            kept = tuple(a[rows] for a in reflectors) if short else reflectors
+            groups.append((rows, lambda x, among=None: apply_householder(
+                kept if among is None else tuple(a[among] for a in kept),
+                x, adjoint=True)[..., width:, :], width))
+    if short:
+        u, span = complement_and_rank(columns[short] if groups else columns)
+        groups += [([short[p] for p in group], _projection(u[group, :, r:]), r)
+                   for r, group in _by_rank(span).items()]
+    return groups
 
 
 def _check(joint, trials, route, scheme, ext, dk, ranks, passed, gains) -> None:
@@ -313,43 +324,26 @@ def _check(joint, trials, route, scheme, ext, dk, ranks, passed, gains) -> None:
     A row is one (receiver, trial) pair, receiver by receiver.
 
     One call equilibrates the columns the batch reads: the desired ones,
-    and those of the route's interference or image. The dense route None
-    takes every row's complement from one full-U SVD of its interference
-    columns equilibrated. A range route (lo, hi), an image of rank hi - lo
-    once the relations hold, takes one Householder QR of those columns: a
-    row of full column rank projects by applying Q^H (at L=275, 2.5 ms per
-    trial against 6.7 ms for the full-U SVD; see the README), and any other
-    row keeps the full-U SVD. A transmitter route j takes ext's
-    H_kj^{-H} applied to ``scheme.complement(j)``, the decomposition of V_j
-    the build kept, orthonormalized: one solve per receiver and one QR per
-    rank. The verdict and the gains project onto the complement; with
-    gains, a row whose gains certify rank d_k takes no verdict SVD."""
+    and those of the image a range route (lo, hi) decomposes, whose rank is
+    hi - lo once the relations hold; :func:`_decomposed` takes its
+    complement row by row. A transmitter route j takes ext's H_kj^{-H}
+    applied to ``scheme.complement(j)``, the decomposition of V_j the build
+    kept, orthonormalized: one solve per receiver and one QR per rank. The
+    verdict and the gains project onto the complement; with gains, a row
+    whose gains certify rank d_k takes no verdict SVD."""
     whole = len(trials) == len(passed)
     # views of the products when every trial is live
     parts = [p if whole else p[trials] for p in joint.values()]
     J = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    if route is None:
-        lo, hi = dk, J.shape[-1]
-    else:
-        lo, hi = route if isinstance(route, tuple) else (dk, dk)
+    lo, hi = route if isinstance(route, tuple) else (dk, dk)
     # each column is scaled alone, so only the columns read need it
     E = equilibrate_columns(J[..., :hi])
     ks, ts = [k for k in joint for _ in trials], trials * len(joint)
     if gains is None:
         ranks[0, ks, ts] = _rank(np.linalg.svd(E[..., :dk], compute_uv=False), RANK_TOL)
     # (rows of the batch, projection onto their complements, interference rank)
-    if route is None:
-        groups = _dense(E[..., lo:hi], list(range(len(ks))))
-    elif isinstance(route, tuple):
-        # decided row by row: a row short of rank keeps the full-U SVD
-        reflectors, image = householder(E[..., lo:hi])
-        full = image == hi - lo
-        rows, short = np.flatnonzero(full).tolist(), np.flatnonzero(~full).tolist()
-        if short:
-            reflectors = tuple(a[rows] for a in reflectors)
-        groups = [(rows, _reflection(reflectors, hi - lo), hi - lo)] if rows else []
-        if short:
-            groups += _dense(E[short, :, lo:hi], short)
+    if isinstance(route, tuple):
+        groups = _decomposed(E[..., lo:hi])
     else:
         u, image = scheme.complement(route)
         groups = []

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 
 from ia_lab.channels import ChannelSet
+from ia_lab.linalg import RANK_TOL, _rank, complement_and_rank, equilibrate_columns
 from ia_lab.receiver import ReceiverCheck
 
 
@@ -19,10 +20,29 @@ def interference_at(scheme, ext, k):
                       for j in range(scheme.K) if j != k])
 
 
+def dense_receivers(scheme, ext):
+    """The dense oracle of one trial's receiver checks and gains, written out
+    with 2-D arrays: per receiver k, (interference rank, joint rank, gains)
+    from the full-U SVD of k's whole interference, columns equilibrated. The
+    joint rank adds the rank of the equilibrated desired columns projected
+    onto the complement, counted from RANK_TOL times 1, and the gains are
+    the squared singular values of the projected desired channel through
+    unit-norm precoder columns."""
+    out = []
+    for k in range(scheme.K):
+        basis, rank = complement_and_rank(equilibrate_columns(interference_at(scheme, ext, k)))
+        desired = ext.apply(k, k, equilibrate_columns(scheme.precoders[k]))
+        projected = basis.conj().T @ equilibrate_columns(desired)
+        kept = _rank(np.linalg.svd(projected, compute_uv=False), RANK_TOL, 1.0)
+        gains = np.linalg.svd(basis.conj().T @ desired, compute_uv=False) ** 2
+        out.append((rank, rank + kept, gains))
+    return out
+
+
 def corrupt(scheme, seed):
     """Transmitter 2's precoder replaced by a random one: receiver 1 then
-    sees unaligned interference, and its relation fails (its check, too,
-    where it takes the complement of all its interference)."""
+    sees unaligned interference, and its relation fails (its check, too, in
+    the dense oracle, which takes the complement of all its interference)."""
     rng = np.random.default_rng(seed)
     v = scheme.precoders[1]
     broken = rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)

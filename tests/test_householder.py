@@ -1,5 +1,6 @@
 """Householder QR kept as reflectors: ``linalg.householder`` and
-``linalg.apply_householder``, and receiver 1's image route that reads them.
+``linalg.apply_householder``, and the receiver image route that reads them
+from REFLECTOR_ROWS rows on.
 
 ``householder``'s ranks are those of ``_rank`` of the singular values of
 its R, whether the certificate on R's inverse decides a row or the SVD does.
@@ -28,6 +29,8 @@ from ia_lab.evaluation import _trial_seed
 from ia_lab.linalg import (HOUSEHOLDER_BLOCK, RANK_TOL, _rank, apply_householder,
                            equilibrate_columns, householder)
 from ia_lab.receiver import _pass
+
+from conftest import stacked
 
 EPS = np.finfo(float).eps
 
@@ -302,6 +305,18 @@ def full_u_route(monkeypatch):
     monkeypatch.setattr(ia_lab.receiver, "householder", short)
 
 
+def counted_householder(monkeypatch):
+    """The stack sizes of receiver 1's Householder QRs from here on."""
+    calls, factor = [], ia_lab.receiver.householder
+
+    def counting(matrix):
+        calls.append(len(matrix))
+        return factor(matrix)
+
+    monkeypatch.setattr(ia_lab.receiver, "householder", counting)
+    return calls
+
+
 # siso-k3 n=1, 3, 5 and siso-general K=4 n=1 at seeds 0-19, and the two
 # L=275 seeds of test_shared_pass.py's LARGE_GOLDEN
 ROUTES = {
@@ -316,6 +331,8 @@ ROUTES = {
 
 @pytest.mark.parametrize("label", list(ROUTES))
 def test_the_reflector_route_agrees_with_the_full_u_route(monkeypatch, label):
+    # the reflectors at every size, the spans below REFLECTOR_ROWS rows too
+    monkeypatch.setattr(ia_lab.receiver, "REFLECTOR_ROWS", 0)
     config, seeds = ROUTES[label]
     built = [config.build(seed) for seed in seeds]
     reports = [check_alignment(*trial).to_dict() for trial in built]
@@ -333,47 +350,54 @@ def test_the_reflector_route_agrees_with_the_full_u_route(monkeypatch, label):
             assert np.abs(g - e).max() <= 1e-12 * e.max()
 
 
-def test_the_route_is_decided_per_row():
-    # trial 1's transmitter 2 loses a column, so receiver 1's image in it is
-    # short of rank and takes the full-U SVD; the other trials keep the
-    # reflectors, and their rates, bit for bit those of each alone
-    [stack] = SchemeConfig("siso-k3", n=3).build_trials(range(3))
-    scheme, ext = stack.trial
+def assert_mixed_stack(monkeypatch, config, seeds, broken_column, image_ranks, factored):
+    """Stack the trials of ``seeds``, zero transmitter 2's ``broken_column``
+    in trial 1, so that receiver 1's image there is short of rank, and check
+    that receiver 1's ``image_ranks`` are read per trial, that its Householder
+    QRs take the stack sizes ``factored``, that only trial 1 fails, and that
+    every other trial's rates are bit for bit those it gets alone."""
+    scheme, ext = stacked([config.build(seed) for seed in seeds])
     v2 = scheme.precoders[1].copy()
-    v2[1, :, 2] = v2[1, :, 0]
-    broken = dataclasses.replace(scheme, precoders=(scheme.precoders[0], v2,
-                                                    scheme.precoders[2]))
-    broken.complements.update(scheme.complements)
-    ranks, _, passed, _ = _pass(broken, ext, False)
-    assert ranks[1, 0].tolist() == [3, 2, 3] and passed.tolist() == [True, False, True]
-    rhos = [1e2, 1e8]
-    rates = zf_rates(broken, ext, rhos)
-    assert rates[1] is None
-    for t in (0, 2):
-        [alone] = zf_rates(scheme[t], ext[t], rhos)
-        assert rates[t].tobytes() == alone.tobytes()
-
-
-def test_the_route_is_decided_per_row_of_one_stream_receivers():
-    # siso-general K=4 n=1: receiver 1's image is transmitter 2's one
-    # column, and receivers 2..4 take one stream each, whose products are
-    # matrix-vector ones that round by the layout they read. Trial 1's
-    # column is zeroed, so its image is short of rank and takes the full-U
-    # SVD; the other trials keep the reflectors, and their rates, bit for
-    # bit those of each alone
-    [stack] = SchemeConfig("siso-general", K=4, n=1).build_trials(range(4))
-    scheme, ext = stack.trial
-    v2 = scheme.precoders[1].copy()
-    v2[1] = 0.0
+    v2[1, :, broken_column] = 0.0
     broken = dataclasses.replace(scheme, precoders=(scheme.precoders[0], v2,
                                                     *scheme.precoders[2:]))
-    broken.complements.update(scheme.complements)
+    calls = counted_householder(monkeypatch)
     ranks, _, passed, _ = _pass(broken, ext, False)
-    assert ranks[1, 0].tolist() == [1, 0, 1, 1]
-    assert passed.tolist() == [True, False, True, True]
+    assert ranks[1, 0].tolist() == image_ranks and calls == factored
+    assert passed.tolist() == [t != 1 for t in range(len(seeds))]
     rhos = [1e2, 1e8]
     rates = zf_rates(broken, ext, rhos)
     assert rates[1] is None
-    for t in (0, 2, 3):
-        [alone] = zf_rates(scheme[t], ext[t], rhos)
-        assert rates[t].tobytes() == alone.tobytes()
+    for t in range(len(seeds)):
+        if t != 1:
+            [alone] = zf_rates(scheme[t], ext[t], rhos)
+            assert rates[t].tobytes() == alone.tobytes()
+
+
+def test_the_route_is_decided_per_row(monkeypatch):
+    # siso-general K=4 n=2 (L=275), unit law: receiver 1's 275 x 32 image
+    # takes one Householder QR for the stack of three. Trial 1's image is
+    # short of rank and takes the full-U SVD; the other trials keep the
+    # reflectors
+    config = SchemeConfig("siso-general", K=4, n=2, a_min=1.0, a_max=1.0)
+    assert_mixed_stack(monkeypatch, config, range(3), 0, [32, 31, 32], [3])
+
+
+def test_the_route_is_decided_per_row_of_one_stream_receivers(monkeypatch):
+    # siso-general K=4 n=1: receiver 1's image is transmitter 2's one
+    # column, and receivers 2..4 take one stream each, whose products are
+    # matrix-vector ones that round by the layout they read. The cut-off is
+    # put at its 33 rows, so the stack takes the reflectors; trial 1's
+    # column is zeroed, so its image is short of rank and takes the full-U
+    # SVD
+    monkeypatch.setattr(ia_lab.receiver, "REFLECTOR_ROWS", 33)
+    assert_mixed_stack(monkeypatch, SchemeConfig("siso-general", K=4, n=1), range(4), 0,
+                       [1, 0, 1, 1], [4])
+
+
+def test_a_span_below_the_cut_off_takes_no_householder(monkeypatch):
+    # siso-k3 n=3: receiver 1's 7 x 3 image has fewer than REFLECTOR_ROWS
+    # rows, so every trial takes the full-U SVD, grouped by rank
+    assert 7 < ia_lab.receiver.REFLECTOR_ROWS
+    assert_mixed_stack(monkeypatch, SchemeConfig("siso-k3", n=3), range(3), 2,
+                       [3, 2, 3], [])

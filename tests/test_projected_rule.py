@@ -10,12 +10,12 @@ singular value; it is re-implemented here as the oracle. In exact
 arithmetic the two agree, so the new rule may only turn receivers that
 lose a power-basis rank decision from fail to pass, never the other way.
 
-At siso receivers 2..K the interference spans H_k1 span(V_1) once the
-relations hold, so its complement is H_k1^{-H} span(V_1)^perp; at receiver
-1 it spans H_12 span(V_2), whose complement receiver 1 takes from those
-columns alone. The dense complement of the interference, which every
-receiver takes when the family's ``interference_image`` is None, is the
-oracle for both.
+Every receiver's interference spans one transmitter's image once the
+relations hold (``Family.interference_image``): at siso receivers 2..K it
+spans H_k1 span(V_1), so its complement is H_k1^{-H} span(V_1)^perp, and
+every other receiver takes its complement from the image's columns alone.
+The dense complement of the whole interference, written out in
+``conftest.dense_receivers``, is the oracle for both.
 
 With gains, a row whose smallest singular value of B^H J_D, over the
 largest column norm of J_D, reaches twice RANK_TOL keeps rank d_k without
@@ -29,7 +29,6 @@ import json
 import numpy as np
 import pytest
 
-import ia_lab.families
 import ia_lab.receiver
 import ia_lab.schemes
 from ia_lab import (SchemeConfig, ShapeError, check_alignment,
@@ -38,6 +37,8 @@ from ia_lab.cli import main
 from ia_lab.evaluation import TRIAL_ERRORS, _trial_seed
 from ia_lab.linalg import RANK_TOL, _rank, equilibrate_columns
 from ia_lab.receiver import _pass, zf_ok
+
+from conftest import dense_receivers
 
 LARGE_DEFAULT = SchemeConfig("siso-general", K=4, n=2)
 LARGE_UNIT = SchemeConfig("siso-general", K=4, n=2, a_min=1.0, a_max=1.0)
@@ -135,54 +136,54 @@ ORACLE = {
     "siso-k3 n=8": (SchemeConfig("siso-k3", n=8), range(24), 1e-7),
     "siso-general K=3 n=1": (SchemeConfig("siso-general", K=3, n=1), range(8), 1e-10),
     "siso-general K=4 n=1": (SchemeConfig("siso-general", K=4, n=1), range(8), 1e-10),
-    "mimo M=2": (SchemeConfig("mimo", M=2), range(8), 0.0),
-    "mimo M=3": (SchemeConfig("mimo", M=3), range(8), 0.0),
-    "designed K=3": (SchemeConfig("designed", K=3), range(1), 0.0),
+    "mimo M=2": (SchemeConfig("mimo", M=2), range(8), 1e-10),
+    "mimo M=3": (SchemeConfig("mimo", M=3), range(8), 1e-10),
+    "designed K=3": (SchemeConfig("designed", K=3), range(1), 1e-10),
     # the two L=275 golden seeds of test_shared_pass.py
     "siso-general K=4 n=2 unit": (LARGE_UNIT, [0], 1e-7),
     "siso-general K=4 n=2 default": (LARGE_DEFAULT, [_trial_seed(1002, 0)], 1e-7),
 }
 
 
-def dense(monkeypatch, family):
-    """The family with every receiver taking the dense complement."""
-    monkeypatch.setitem(ia_lab.families.FAMILIES, family, dataclasses.replace(
-        ia_lab.families.FAMILIES[family], interference_image=None))
+def dense_ranks(scheme, ext):
+    """Per receiver, the dense oracle's (interference rank, joint rank)."""
+    return [(rank, joint) for rank, joint, _ in dense_receivers(scheme, ext)]
 
 
 @pytest.mark.parametrize("label", list(ORACLE))
-def test_structured_complements_agree_with_the_dense_pass(monkeypatch, label):
+def test_structured_complements_agree_with_the_dense_pass(label):
     config, seeds, bound = ORACLE[label]
-    trials = [config.build(seed) for seed in seeds]
-    structured = [(check_alignment(*trial), _pass(trial[0][None], trial[1], True))
-                  for trial in trials]
-    dense(monkeypatch, config.family)
-    for (scheme, ext), (report, (_, _, passed, gains)) in zip(trials, structured):
-        dense_report = check_alignment(scheme, ext)
-        _, _, dense_passed, dense_gains = _pass(scheme[None], ext, True)
-        assert report.passed == dense_report.passed
-        assert [rx.ok for rx in report.receivers] == [rx.ok for rx in dense_report.receivers]
-        assert passed.tolist() == dense_passed.tolist()
+    for seed in seeds:
+        scheme, ext = config.build(seed)
+        report = check_alignment(scheme, ext)
+        _, _, passed, gains = _pass(scheme[None], ext, True)
+        dense = dense_receivers(scheme, ext)
+        dense_ok = [zf_ok(dk, rank, joint)
+                    for dk, (rank, joint, _) in zip(scheme.stream_counts, dense)]
+        assert [rx.ok for rx in report.receivers] == dense_ok
+        assert report.passed == passed[0] == (all(dense_ok)
+                                              and all(r.ok for r in report.relations))
         if passed[0]:
             # where the relations hold, the image's rank is the interference's
-            assert report.receivers == dense_report.receivers
-            for g, g_dense in zip(gains, dense_gains):
-                assert np.max(np.abs(np.log2(g[0]) - np.log2(g_dense[0]))) <= bound
+            assert [(rx.interference_rank, rx.joint_rank)
+                    for rx in report.receivers] == [(rank, joint) for rank, joint, _ in dense]
+            for g, (_, _, g_dense) in zip(gains, dense):
+                assert np.max(np.abs(np.log2(g[0]) - np.log2(g_dense))) <= bound
 
 
-def test_a_short_rank_image_gives_the_dense_complement(monkeypatch):
+def test_a_short_rank_image_gives_the_dense_complement():
     # transmitter 1 sends its second power column twice, second and last:
     # its rank is short, and its complement has more columns than its
     # precoder's rows leave. The relations, whose maps read its first
     # columns, still hold, and receivers 2 and 3 see the interference the
-    # dense pass sees, while receiver 1 loses a stream
+    # dense oracle sees, while receiver 1 loses a stream
     scheme, ext = SchemeConfig("siso-k3", n=2).build(4)
     v = scheme.precoders[0]
     scheme = dataclasses.replace(scheme, precoders=(np.hstack([v, v[:, 1:2]]),)
                                  + scheme.precoders[1:])
     report = check_alignment(scheme, ext)
-    dense(monkeypatch, "siso-k3")
-    assert report == check_alignment(scheme, ext)
+    assert [(rx.interference_rank, rx.joint_rank)
+            for rx in report.receivers] == dense_ranks(scheme, ext)
     assert [rx.ok for rx in report.receivers] == [False, True, True]
     assert all(r.ok for r in report.relations)
     assert [rx.interference_rank for rx in report.receivers][1:] == [3, 3]
@@ -357,7 +358,9 @@ def test_a_row_inside_the_band_takes_the_verdict_svd(monkeypatch):
     scheme = dataclasses.replace(scheme, precoders=(v1,) + scheme.precoders[1:])
     seen = spied_certificates(monkeypatch)
     ranks, _, _, _ = _pass(scheme[None], ext, True)
-    [(ratio, ok)] = [(ratio, ok) for ratio, ok in seen if not np.isnan(ratio)]
+    # the three receivers go in one batch, receiver 1's row first
+    assert len(seen) == 3
+    ratio, ok = seen[0]
     assert 1e-8 <= ratio < 2e-8 and not ok
     always_verdict(monkeypatch)
     oracle, _, _, _ = _pass(scheme[None], ext, True)

@@ -4,29 +4,28 @@
 must give the counting rule's answer, value by value, on every row, from
 the row's largest value or from a given scale. The receiver pass
 equilibrates each batch's joint products once and takes the desired and
-interference SVDs, and the projection of the desired columns onto the
-interference's complement, on column views of them; since each column is
-scaled alone, that must give the ranks and reports of equilibrating each
-part on its own, and the same singular values bit for bit wherever a part
-has two or more columns (numpy may sum a one-column part's norm pairwise,
-which cannot change a one-column rank).
+image SVDs, and the projection of the desired columns onto the image's
+complement, on column views of them; since each column is scaled alone,
+that must give the ranks and reports of equilibrating each part on its
+own, and the same singular values bit for bit wherever a part has two or
+more columns (numpy may sum a one-column part's norm pairwise, which
+cannot change a one-column rank). Where the relations hold, the ranks are
+also those of the dense oracle, the complement of the whole interference.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ia_lab.families
 from ia_lab import SchemeConfig, check_alignment
 from ia_lab.evaluation import _trial_seed
+from ia_lab.families import get_family
 from ia_lab.linalg import (RANK_TOL, _rank, complement_and_rank, equilibrate_columns,
                            numerical_rank)
 from ia_lab.receiver import ReceiverCheck, _pass
 
-from conftest import corrupt, pass_checks, without_desired
+from conftest import corrupt, dense_receivers, pass_checks, without_desired
 
 
 def counted(row, tol, scale=None):
@@ -103,16 +102,23 @@ CONFIGS = {
     "siso-general K=4 n=2 default": (
         SchemeConfig("siso-general", K=4, n=2), [_trial_seed(1002, 0)]),
 }
-# trials built and then broken on purpose, so that receiver 1 fails
+# trials built and then broken on purpose, so that a relation at receiver 1
+# fails
 CONFIGS.update({f"{label} broken": CONFIGS[label]
                 for label in ("siso-k3 n=3", "mimo M=3", "siso-general K=4 n=2 default")})
+
+
+def image_of(scheme, k):
+    """The transmitter whose image spans receiver k's interference."""
+    return get_family(scheme.family).interference_image(scheme.K)[k]
 
 
 def joint_products(scheme, ext, k, unit_desired):
     """Receiver k's products as the pass lays them out, a stack of one: its
     own streams first (through unit-norm columns when ``unit_desired``),
-    then the others' in transmitter order."""
-    order = [k] + [j for j in range(scheme.K) if j != k]
+    then its image's, then the others' in transmitter order."""
+    j = image_of(scheme, k)
+    order = [k, j] + [i for i in range(scheme.K) if i not in (k, j)]
     J = np.empty((1, ext.dim, scheme.total_streams), dtype=complex)
     at = 0
     for j in order:
@@ -126,14 +132,14 @@ def joint_products(scheme, ext, k, unit_desired):
 
 def per_part_checks(scheme, ext):
     """Each receiver's check with each part equilibrated on its own: the
-    desired rank, the interference rank, and that plus the rank, from a
-    scale of 1, of the desired part projected onto the interference's
-    complement."""
+    desired rank, the image's rank, and that plus the rank, from a scale of
+    1, of the desired part projected onto the image's complement."""
     out = []
     for k in range(scheme.K):
         J = joint_products(scheme, ext, k, False)
         dk = scheme.stream_counts[k]
-        u, rank = complement_and_rank(equilibrate_columns(J[..., dk:]))
+        hi = dk + scheme.stream_counts[image_of(scheme, k)]
+        u, rank = complement_and_rank(equilibrate_columns(J[..., dk:hi]))
         projected = u[..., rank[0]:].conj().swapaxes(-1, -2) @ equilibrate_columns(
             J[..., :dk])
         kept = _rank(np.linalg.svd(projected, compute_uv=False), RANK_TOL, 1.0)
@@ -143,12 +149,7 @@ def per_part_checks(scheme, ext):
 
 
 @pytest.mark.parametrize("label", list(CONFIGS))
-def test_one_equilibration_equals_one_per_part(monkeypatch, label):
-    # every receiver takes the dense complement of its interference, which
-    # is what the parts give on their own
-    for name, family in list(ia_lab.families.FAMILIES.items()):
-        monkeypatch.setitem(ia_lab.families.FAMILIES, name,
-                            dataclasses.replace(family, interference_image=None))
+def test_one_equilibration_equals_one_per_part(label):
     config, seeds = CONFIGS[label]
     for seed in seeds:
         scheme, ext = config.build(seed)
@@ -159,22 +160,28 @@ def test_one_equilibration_equals_one_per_part(monkeypatch, label):
             for k in range(scheme.K):
                 J = joint_products(scheme, ext, k, unit_desired)
                 dk = scheme.stream_counts[k]
-                E = equilibrate_columns(J)
-                for view, part in ((E[..., :dk], J[..., :dk]), (E[..., dk:], J[..., dk:])):
+                hi = dk + scheme.stream_counts[image_of(scheme, k)]
+                E = equilibrate_columns(J[..., :hi])
+                for view, part in ((E[..., :dk], J[..., :dk]), (E[..., dk:], J[..., dk:hi])):
                     s_view = np.linalg.svd(view, compute_uv=False)
                     s_part = np.linalg.svd(equilibrate_columns(part), compute_uv=False)
                     assert _rank(s_view, RANK_TOL).tolist() == _rank(s_part,
                                                                       RANK_TOL).tolist()
                     if part.shape[-1] > 1:
                         assert s_view.tobytes() == s_part.tobytes(), (seed, k)
-                # the complement the gains project on, bit for bit
+                # the complement the gains project on, bit for bit where
+                # the image has two or more columns
                 u, rank = complement_and_rank(E[..., dk:])
-                u_alone, rank_alone = complement_and_rank(equilibrate_columns(J[..., dk:]))
+                u_alone, rank_alone = complement_and_rank(equilibrate_columns(J[..., dk:hi]))
                 assert rank.tolist() == rank_alone.tolist()
-                assert u.tobytes() == u_alone.tobytes()
+                if hi - dk > 1:
+                    assert u.tobytes() == u_alone.tobytes()
         report = check_alignment(scheme, ext)
         assert report.receivers == per_part_checks(scheme, ext)
         assert report.passed == (not broken)
+        if not broken:
+            assert [(rx.interference_rank, rx.joint_rank) for rx in report.receivers] == [
+                (rank, joint) for rank, joint, _ in dense_receivers(scheme, ext)]
         ranks, _, _, _ = _pass(scheme[None], ext, True)
         checks = pass_checks(scheme, ext, ranks)
         assert checks == without_desired(report.receivers[:len(checks)])

@@ -12,7 +12,7 @@ from ia_lab import (ParameterError, SchemeConfig, ShapeError,
 from ia_lab.linalg import orthonormal_complement
 from ia_lab.receiver import _grid_rates, _pass
 
-from conftest import interference_at, steer
+from conftest import dense_receivers, interference_at, steer
 
 
 def k3_case(seed=7, n=1):
@@ -164,30 +164,37 @@ def test_relabeling_users_permutes_rates(monkeypatch):
     # permuting the channel tensor and the precoders together relabels the
     # computation exactly, so the rate vector permutes with no error; the
     # family relation list is anchored to the special role of user 1, so the
-    # rates come from the receiver pass's gains, without the relations and
-    # without the interference images, which hold only under them
+    # rates come from the receiver pass's gains, without the relations, and
+    # with the interference images relabeled along with the users. The dense
+    # oracle, which reads no image, gives the same rates both ways
     scheme, ext = k3_case(seed=17)
     assert check_alignment(scheme, ext).passed
     family = ia_lab.families.FAMILIES["siso-k3"]
-    monkeypatch.setitem(ia_lab.families.FAMILIES, "siso-k3",
-                        dataclasses.replace(family, relations=lambda K, n: (),
-                                            interference_image=None))
+    perm = [2, 0, 1]
+    image = family.interference_image(3)
 
-    def rates(scheme, ext):
+    def rates(scheme, ext, image):
+        monkeypatch.setitem(ia_lab.families.FAMILIES, "siso-k3", dataclasses.replace(
+            family, relations=lambda K, n: (), interference_image=lambda K: image))
         ranks, _, passed, gains = _pass(scheme[None], ext, True)
         # every receiver reached and passed (a pass with gains leaves the
         # desired ranks at -1)
         assert passed.tolist() == [True] and np.all(ranks[1:] >= 0)
-        return _grid_rates(ext.F, gains, [1e5])[0, 0].tolist()
+        out = _grid_rates(ext.F, gains, [1e5])[0, 0]
+        dense = _grid_rates(ext.F, tuple(g[None] for *_, g in dense_receivers(scheme, ext)),
+                            [1e5])[0, 0]
+        assert np.allclose(out, dense, rtol=1e-12, atol=0.0)
+        return out.tolist()
 
-    baseline = rates(scheme, ext)
-    perm = [2, 0, 1]
+    baseline = rates(scheme, ext, image)
     permuted_ext = MatrixOverrideChannel(
         ext, {(k, j): ext.matrix(perm[k], perm[j])
               for k in range(3) for j in range(3)})
     permuted_scheme = dataclasses.replace(
         scheme, precoders=tuple(scheme.precoders[perm[j]] for j in range(3)))
-    result = rates(permuted_scheme, permuted_ext)
+    # receiver k is the original receiver perm[k], and its image relabeled
+    result = rates(permuted_scheme, permuted_ext,
+                   tuple(perm.index(image[perm[k]]) for k in range(3)))
     for k in range(3):
         assert math.isclose(result[k], baseline[perm[k]], rel_tol=1e-12)
     assert math.isclose(sum(result), sum(baseline), rel_tol=1e-12)

@@ -13,7 +13,9 @@ complements from transmitter 1's precoder, and again when receiver 1 took
 its complement from transmitter 2's image alone, and the default-law L=275
 report when zero forcing came to be decided on the projected desired rank;
 the siso-general rates once more when transmitter 1's complement came from
-a complete QR in place of a full-U SVD.
+a complete QR in place of a full-U SVD; and every rate digest but designed
+K=10's when every receiver took its complement from one transmitter's
+image, decomposed by the full-U SVD below REFLECTOR_ROWS rows.
 """
 
 import dataclasses
@@ -52,25 +54,25 @@ RHOS = [10.0 ** (s / 10.0) for s in SNR_DB]
 GOLDEN = {
     "siso-k3 n=1": (
         "6c75cfab7f3211ce623648a5c4c4a197c2368d05b72b09b284dffc55fb39ecbf",
-        "177bb1592e00330242a7248829c83e122490327481fbe67ae8145a1161db8bf7"),
+        "774597373c7f96c50c44abde563deeae95e2fa1a79e4d39f27dd7dff3cc2658b"),
     "siso-k3 n=3": (
         "22dd922553dad7e312f788defe68c7a1788ba57c218db60358e220f2b5663ca3",
-        "fbd688ba7fb160a1c32f68ae5fb837392a267eedb7067e927e4ca13c36a6e007"),
+        "a189ac6e71646481bd820d08cc7bd495d9b8734114f22fa409a8877e35774dd6"),
     "siso-general K=4 n=1": (
         "9b9fd2c1dbc82a3df8803de81bc9757ef71d60f9e64aad968f6b639de058dc36",
-        "98f3d8b751075fb381fa166845f09a3104a2de2d2adadc1cf90c8c1100d8c394"),
+        "010c1f4239d072443b77bf3aaba8f789a751421fea7b6ec5539210407084c96a"),
     "mimo M=2": (
         "a1170085719ff7b90860508905ebadcfb6b552ce7fe85956920103159f416fe7",
-        "fb8170108e4b4db8a91cde86cb13e5c5247213164748610e66303935c400b472"),
+        "45b268d2c9aeced914d4855e80610c26292445ae4057509c3c8587bad57323b9"),
     "mimo M=3": (
         "e1c713ecafa3f431f5a9d9197bb7b2b078f464c885853aa64f6f28e94ff5f67a",
-        "4f07b25db2212ef812b911c1aecd00884195816f610b1b9219caefd59caf2453"),
+        "c85c6d2a1d086945338b9c19ece37606cdf2564c18c289886cbb8789142fe325"),
     "mimo M=4": (
         "a95c6533624a0525db797d175354dd7f14068e6417d10ef13529e012bf72f064",
-        "0038400c89fd890512f832454d1ec11b3cc22aa1e03665b9386fbb7ca42d54b4"),
+        "669080d57e431f8cfacc3611c0c485acb0a660ab3b6fd3183fdc6c4ba6288386"),
     "designed K=3": (
         "d848626af66252b29a9026ac55d2d5c456fe091b2129041db9ea1b7c0f3b460e",
-        "339ce40018142b7b316c2688633941a7c86eb096bde4556c69f71c18f976d04f"),
+        "e9888529d0a3b27dc5637e98483c864ca7d954bf1da1c7e3123c3b7bf694d581"),
     "designed K=10": (
         "ca29390304bbe8e9c56b51919d7ad84cc8497d8db6827a49701bb6b1b17d145b",
         "6b17c0dd6a40b8fd160d8e52f0b84413493632d5329c481f4e8779bed3fc884d"),
@@ -193,23 +195,27 @@ def corrupted_k3(seed=7):
 
 def test_no_gains_after_a_failed_receiver_check(monkeypatch):
     calls = []
-    factor = ia_lab.receiver.householder
 
-    def counting(matrix):
-        calls.append(matrix.shape)
-        return factor(matrix)
+    def counting(name):
+        original = getattr(ia_lab.receiver, name)
+
+        def call(matrix):
+            calls.append((name, matrix.shape))
+            return original(matrix)
+        return call
 
     scheme, ext = corrupted_k3()
     report = check_alignment(scheme, ext)
-    # receiver 1 decomposes transmitter 2's image, of full column rank, by
-    # one Householder QR
-    monkeypatch.setattr(ia_lab.receiver, "householder", counting)
+    # receiver 1 decomposes transmitter 2's image, 3 x 1, by one full-U SVD:
+    # it has fewer than REFLECTOR_ROWS rows, so it takes no Householder QR
+    for name in ("complement_and_rank", "householder"):
+        monkeypatch.setattr(ia_lab.receiver, name, counting(name))
     ranks, _, passed, _ = _pass(scheme[None], ext, True)
     receivers = pass_checks(scheme, ext, ranks)
     assert not passed[0] and len(receivers) == 1 and not receivers[0].ok
     # receiver 1 failed, so the pass stops there: no ranks and no complement
     # for 2 and 3
-    assert np.all(ranks[:, 1:] == -1) and len(calls) == 1
+    assert np.all(ranks[:, 1:] == -1) and calls == [("complement_and_rank", (1, 3, 1))]
     assert receivers == without_desired(report.receivers[:1])
     assert zf_rates(scheme, ext, RHOS) == [None]
     assert len(calls) == 2

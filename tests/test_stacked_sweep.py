@@ -80,14 +80,14 @@ def test_stacked_sweep_equals_each_trial_alone(label, trials):
 
 def written_out_grid_rates(scheme, ext, rhos):
     """Zero-forcing rates of one trial, computed receiver by receiver with
-    2-D arrays only: the unit-norm precoder, the complement of the stacked
-    interference, and the gains of the projected effective channel."""
+    2-D arrays only: the unit-norm precoder, the complement of the image
+    that spans the interference, and the gains of the projected effective
+    channel."""
     K, L = scheme.K, ext.F
+    image = ia_lab.families.get_family(scheme.family).interference_image(K)
     out = np.empty((len(rhos), K))
     for k in range(K):
-        interference = np.hstack([ext.apply(k, j, scheme.precoders[j])
-                                  for j in range(K) if j != k])
-        basis = orthonormal_complement(interference)
+        basis = orthonormal_complement(ext.apply(k, image[k], scheme.precoders[image[k]]))
         v = scheme.precoders[k]
         effective = basis.conj().T @ ext.apply(k, k, v / np.linalg.norm(v, axis=0))
         gains = np.linalg.svd(effective, compute_uv=False) ** 2
@@ -493,9 +493,10 @@ def test_a_designed_sweep_builds_and_evaluates_once(monkeypatch, K, trials):
 
 
 # SHA-256 of the records of the designed sweeps above, recorded when every
-# trial was built and evaluated on its own
+# trial was built and evaluated on its own; K=4's re-recorded when each
+# receiver took its complement from the next transmitter's image
 DESIGNED_TABLES = {
-    4: "9a8946d5e9990ca63e4fffe1f781d5aa8192a4523e27631240572622f968137b",
+    4: "e8e64dc833877769466f172e43c13d43a94fc5894bcf4aacb58c4ef8c0525027",
     10: "86e2a394daec31208a9e3b304813bf2401545f193ea9d92993c1d64efd63924d",
 }
 
@@ -534,26 +535,29 @@ def receiver_stage_calls(monkeypatch, config):
     return counts
 
 
-@pytest.mark.parametrize("M", [2, 3, 4])
-def test_receiver_stage_svd_calls_do_not_grow_with_trials(monkeypatch, M):
-    # the 3 receivers share one shape, so one call for the interference SVD
-    # and one for the projection the gains read (all trials share their
-    # interference ranks, and every row's gains certify its verdict), not
-    # one of each per receiver; then one for the span relation's bases of
-    # both sides and one for its residual's norm
-    assert receiver_stage_calls(monkeypatch, SchemeConfig("mimo", M=M)) == [(4, 0)] * 3
+@pytest.mark.parametrize("config, svd_calls", [
+    *(pytest.param(SchemeConfig("mimo", M=M), 4, id=str(M)) for M in (2, 3, 4)),
+    *(pytest.param(SchemeConfig("designed", K=K), 2, id=f"designed K={K}")
+      for K in (3, 4, 10))])
+def test_receiver_stage_svd_calls_do_not_grow_with_trials(monkeypatch, config, svd_calls):
+    # each receiver decomposes one transmitter's image, laid out right after
+    # its own streams, and the receivers share one stream count and image
+    # width: so one call for the image SVD and one for the projection the
+    # gains read (all trials share their image ranks, and every row's gains
+    # certify its verdict), not one of each per receiver, at any K. mimo
+    # adds one for the span relation's bases of both sides and one for its
+    # residual's norm
+    assert receiver_stage_calls(monkeypatch, config) == [(svd_calls, 0)] * 3
 
 
 @pytest.mark.parametrize("label", ["siso-k3 n=1", "siso-general K=4 n=1"])
 def test_siso_receiver_stage_calls_do_not_grow_with_trials(monkeypatch, label):
-    # receiver 1 decomposes transmitter 2's image among its own products:
-    # one Householder QR, the SVD of its R for the rank (one column, too
-    # narrow for the certificate that spares a wider R its SVD), and one
-    # projection;
+    # receiver 1 decomposes transmitter 2's image among its own products,
+    # of fewer than REFLECTOR_ROWS rows: one full-U SVD and one projection;
     # receivers 2..K carry transmitter 1's image, whose complement the build
     # formed and the scheme keeps, and share one QR and one projection, as
     # all trials share its rank
-    assert receiver_stage_calls(monkeypatch, CONFIGS[label]) == [(3, 2)] * 3
+    assert receiver_stage_calls(monkeypatch, CONFIGS[label]) == [(3, 1)] * 3
 
 
 BATCHED = ["siso-k3 n=1", "siso-general K=4 n=1", "mimo M=2", "mimo M=3", "designed K=3"]
