@@ -5,10 +5,12 @@ tolerance, RANK_TOL: a singular value counts toward the rank iff it is at
 least RANK_TOL times the largest one, or times a scale the caller knows (1
 for a projection of unit-norm columns). As singular values come in
 descending order, the count walks each row from its tail and stops at the
-last value that counts. Only :func:`householder` may skip the singular
-values, of its triangular R: a bound on R's condition from its inverse
-certifies full rank, and it only ever answers "full", and only where
-``_rank`` would. The rank functions rescale columns to unit norm first;
+last value that counts. Only :func:`_full_rank` may skip the singular
+values, of a triangular R, and only where it answers as ``_rank`` would:
+an upper bound on R's condition from its inverse certifies full rank, and
+R's least diagonal entry over a lower bound on its largest singular value
+shows it short. Only an R neither bound decides takes the singular values.
+The rank functions rescale columns to unit norm first;
 rescaling by a nonzero scalar per column leaves the rank unchanged but
 greatly improves the spread of singular values when column norms differ by
 orders of magnitude (power-basis precoders do).
@@ -28,15 +30,22 @@ import numpy as np
 RANK_TOL = 1e-8
 
 
-def equilibrate_columns(matrix: np.ndarray) -> np.ndarray:
-    """Rescale each nonzero column (of each matrix of a stack) to unit
-    Euclidean norm."""
+def column_norms(matrix: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column (of each matrix of a stack), shape
+    (..., 1, cols)."""
     a = np.asarray(matrix)
     # np.linalg.norm's own formula for one axis, without its argument
     # handling: rank decisions make many of these calls on tiny matrices
-    norms = np.sqrt(np.add.reduce((a.conj() * a).real, axis=-2, keepdims=True))
-    safe = np.where(norms > 0.0, norms, 1.0)
-    return a / safe
+    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=-2, keepdims=True))
+
+
+def equilibrate_columns(matrix: np.ndarray, norms: np.ndarray = None) -> np.ndarray:
+    """Rescale each nonzero column (of each matrix of a stack) to unit
+    Euclidean norm, dividing by its :func:`column_norms`, or by ``norms``
+    where a caller has them."""
+    a = np.asarray(matrix)
+    norms = column_norms(a) if norms is None else norms
+    return a / np.where(norms > 0.0, norms, 1.0)
 
 
 def _rank(s: np.ndarray, tol: float, scale: float = None):
@@ -69,8 +78,17 @@ def numerical_rank(matrix: np.ndarray):
 
 def has_full_column_rank(matrix: np.ndarray):
     """True iff the columns are linearly independent, rank decided at
-    RANK_TOL; a boolean array of the answers for a stack of matrices."""
-    return _rank(singular_values(matrix), RANK_TOL) == np.shape(matrix)[-1]
+    RANK_TOL; a boolean array of the answers for a stack of matrices.
+
+    From HOUSEHOLDER_BLOCK equilibrated columns on, and no more of them
+    than rows, :func:`_full_rank` decides from the R of their QR, and a
+    matrix it leaves open takes the SVD of its equilibrated columns. Fewer
+    columns, or more than rows, take that SVD alone."""
+    rows, cols = np.shape(matrix)[-2:]
+    if cols < HOUSEHOLDER_BLOCK or rows < cols:
+        return _rank(singular_values(matrix), RANK_TOL) == cols
+    e = equilibrate_columns(matrix)
+    return _full_rank(np.linalg.qr(e, mode="r"), e)
 
 
 def complement_and_rank(matrix: np.ndarray) -> tuple:
@@ -104,12 +122,11 @@ def _triangles(rows: int, cols: int) -> tuple:
 
 
 def householder(matrix: np.ndarray) -> tuple:
-    """(reflectors, ranks) of a stack (T, rows, cols) from one Householder QR,
-    ``np.linalg.qr(matrix, mode="raw")``.
+    """(reflectors, full) of a stack (T, rows, cols) from one Householder
+    QR, ``np.linalg.qr(matrix, mode="raw")``.
 
-    ``ranks`` holds each matrix's rank at RANK_TOL, read from its triangular
-    R by :func:`_triangular_rank`: a certificate of full rank from R's
-    inverse where it decides, else R's singular values. ``reflectors``
+    ``full`` holds whether each matrix has full column rank at RANK_TOL, as
+    :func:`_full_rank` decides it from its triangular R. ``reflectors``
     keeps Q = H_1 ... H_p (p = min(rows, cols), H_i = I - tau_i v_i v_i^H)
     for :func:`apply_householder` in the compact WY form of blocks of
     HOUSEHOLDER_BLOCK reflectors V_b, Q_b = I - V_b T_b V_b^H (Schreiber
@@ -129,7 +146,7 @@ def householder(matrix: np.ndarray) -> tuple:
     a = h.swapaxes(-1, -2)
     p = tau.shape[-1]
     lower, upper, eye = _triangles(*a.shape[-2:])
-    ranks = _triangular_rank(np.where(upper[:p], a[..., :p, :], 0.0))
+    full = _full_rank(np.where(upper[:p], a[..., :p, :], 0.0))
     v = np.where(lower[:, :p], a[..., :p], eye[:, :p])
     w = v * tau[..., None, :]
     blocks = []
@@ -137,7 +154,7 @@ def householder(matrix: np.ndarray) -> tuple:
         vb, wb = v[..., lo:lo + HOUSEHOLDER_BLOCK], w[..., lo:lo + HOUSEHOLDER_BLOCK]
         strict, _, unit = _triangles(vb.shape[-1], vb.shape[-1])
         blocks.append(np.where(strict.T, vb.conj().swapaxes(-1, -2) @ wb, unit))
-    return (v, w, *blocks), ranks
+    return (v, w, *blocks), full
 
 
 def _invert_triangular(r: np.ndarray) -> np.ndarray:
@@ -156,53 +173,78 @@ def _invert_triangular(r: np.ndarray) -> np.ndarray:
     return r
 
 
-def _triangular_rank(r: np.ndarray):
-    """The rank at RANK_TOL of an upper triangular (p, cols) R, or an array
-    of them for a stack, as ``_rank`` of its singular values gives it.
+# power steps on R^H R, from the all-ones vector, behind the lower bound on
+# sigma_max(R) that shows an R short of rank: however far they converge,
+# ||R x|| / ||x|| <= sigma_max
+POWER_STEPS = 4
 
-    A square R of at least HOUSEHOLDER_BLOCK columns first tries a
-    certificate of full rank. With f = ||R||_F >= sigma_max and X = R^-1,
+
+def _full_rank(r: np.ndarray, values: np.ndarray = None):
+    """Whether an upper triangular (p, cols) R has full column rank at
+    RANK_TOL, as ``_rank`` of its singular values decides it; a boolean
+    array of the answers for a stack of them.
+
+    A square R of at least HOUSEHOLDER_BLOCK columns is decided by bounds
+    where they can. Full: with f = ||R||_F >= sigma_max and X = R^-1,
     sigma_min = 1 / ||X||_2 >= 1 / ||X||_F, so ||X||_F f <= 1 / (2 RANK_TOL)
     puts sigma_min / sigma_max at 2 RANK_TOL or more. X comes from
     :func:`_invert_triangular` of R / f. Triangular inversion is forward
     stable: the computed X has a relative error of about c p u kappa(R)
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch.
-    14), some 1e-6 at p = 243 and a certified kappa_F of 5e7 or less, and
-    the values SVD resolves sigma_min / sigma_max to about p u. Both lie far
-    inside the factor 2, so a certified R is one whose values ``_rank``
-    counts as p: the answer is the SVD's, bit for bit, however the rounding
-    of X falls, in a stack or alone. Only an R with every entry finite and
-    min |r_ii| >= 2 RANK_TOL f > 0 is inverted (|r_ii| >= sigma_min, so no
-    other R can pass), which keeps R / f's inverse blocks finite and
-    ``np.linalg.inv`` from raising; overflow in the products only fails the
-    certificate. Every other R takes the values SVD, and so does a wide R
-    and one narrower than a block, where numpy's per-call cost makes the
+    14), some 1e-6 at p = 243 and a certified kappa_F of 5e7 or less. Only
+    an R with every entry finite and min |r_ii| >= 2 RANK_TOL f > 0 is
+    inverted (|r_ii| >= sigma_min, so no other R can pass), which keeps R /
+    f's inverse blocks finite and ``np.linalg.inv`` from raising; overflow
+    in the products only fails the certificate. Short: sigma_min <= min
+    |r_ii| (ch. 8), and ||R x|| / ||x|| <= sigma_max for the x of
+    POWER_STEPS power steps on R^H R, so min |r_ii| < (RANK_TOL / 2) ||R x||
+    / ||x|| puts sigma_min / sigma_max below RANK_TOL / 2; an R whose
+    estimate is zero or not finite stays open. The values SVD resolves
+    sigma_min / sigma_max to about p u, far inside both factors of 2, so
+    either bound answers as ``_rank`` does, bit for bit, however the
+    rounding falls, in a stack or alone.
+
+    Every R neither bound decides takes the values SVD: of the rows of
+    ``values`` where given (the matrices R was factored from, whose
+    singular values R's stand for), else of R. So does a wide R and one
+    narrower than a block, where numpy's per-call cost makes the
     certificate dearer than the SVD (one R: at 16 x 16, 65 us against 48
     us; at 24 x 24, 91 us against 87 us; at 32 x 32, 105 us against 144 us;
     and at 243 x 243, 2.4 ms against 11.5 ms; medians of 41 in alternation,
     one BLAS thread of a shared 2-core x86-64 machine).
     """
     p, cols = r.shape[-2:]
-    if p != cols or p < HOUSEHOLDER_BLOCK:
-        return _rank(np.linalg.svd(r, compute_uv=False), RANK_TOL)
-    stack = r.reshape(-1, p, p)
+    stack = r.reshape(-1, p, cols)
     full = np.zeros(len(stack), dtype=bool)
-    with np.errstate(all="ignore"):
-        f = _norms(stack.reshape(len(stack), p * p))
-        least = np.minimum.reduce(np.abs(np.diagonal(stack, axis1=-2, axis2=-1)), axis=-1)
-        live = np.flatnonzero(np.isfinite(f) & (least > 0.0) & (least >= 2 * RANK_TOL * f))
-        if len(live):
-            every = len(live) == len(stack)
-            x = _invert_triangular((stack if every else stack[live])
-                                   / (f if every else f[live])[:, None, None])
-            full[live] = _norms(x.reshape(len(x), p * p)) <= 0.5 / RANK_TOL
-    ranks = np.full(len(stack), p)
-    doubtful = np.flatnonzero(~full)
-    if len(doubtful):
-        values = np.linalg.svd(stack if len(doubtful) == len(stack) else stack[doubtful],
-                               compute_uv=False)
-        ranks[doubtful] = _rank(values, RANK_TOL)
-    return ranks if r.ndim == 3 else int(ranks[0])
+    undecided = np.arange(len(stack))
+    if p == cols >= HOUSEHOLDER_BLOCK:
+        with np.errstate(all="ignore"):
+            f = _norms(stack.reshape(len(stack), p * p))
+            least = np.minimum.reduce(np.abs(np.diagonal(stack, axis1=-2, axis2=-1)), axis=-1)
+            live = np.flatnonzero(np.isfinite(f) & (least > 0.0) & (least >= 2 * RANK_TOL * f))
+            if len(live):
+                every = len(live) == len(stack)
+                x = _invert_triangular((stack if every else stack[live])
+                                       / (f if every else f[live])[:, None, None])
+                full[live] = _norms(x.reshape(len(x), p * p)) <= 0.5 / RANK_TOL
+            undecided = np.flatnonzero(~full)
+            if len(undecided):
+                rest = stack if len(undecided) == len(stack) else stack[undecided]
+                adjoint = rest.conj().swapaxes(-1, -2)
+                x = np.ones((len(rest), p, 1), dtype=rest.dtype)
+                for _ in range(POWER_STEPS):
+                    x = adjoint @ (rest @ x)
+                    x = x / _norms(x[..., 0])[:, None, None]
+                largest = _norms((rest @ x)[..., 0]) / _norms(x[..., 0])
+                short = (np.isfinite(largest) & (largest > 0.0)
+                         & (least[undecided] < 0.5 * RANK_TOL * largest))
+                undecided = undecided[~short]
+    if len(undecided):
+        values = stack if values is None else values.reshape(-1, *values.shape[-2:])
+        s = np.linalg.svd(values if len(undecided) == len(stack) else values[undecided],
+                          compute_uv=False)
+        full[undecided] = _rank(s, RANK_TOL) == cols
+    return full if r.ndim == 3 else bool(full[0])
 
 
 def apply_householder(reflectors: tuple, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
@@ -219,10 +261,12 @@ def apply_householder(reflectors: tuple, x: np.ndarray, adjoint: bool = False) -
         lo += m.shape[-1]
     for cut, m in cuts if adjoint else cuts[::-1]:
         if adjoint:
-            x = x - v[..., cut] @ np.linalg.solve(
+            y = v[..., cut] @ np.linalg.solve(
                 m.conj().swapaxes(-1, -2), w[..., cut].conj().swapaxes(-1, -2) @ x)
         else:
-            x = x - w[..., cut] @ np.linalg.solve(m, v[..., cut].conj().swapaxes(-1, -2) @ x)
+            y = w[..., cut] @ np.linalg.solve(m, v[..., cut].conj().swapaxes(-1, -2) @ x)
+        # x - y, into y's memory: y has the broadcast shape
+        x = np.subtract(x, y, out=y)
     return x
 
 

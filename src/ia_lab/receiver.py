@@ -36,14 +36,18 @@ build gives them, or over one trial as the stack of one. It takes the
 receivers of one stream count and complement route (the columns of the
 image they decompose, or the transmitter whose shared image they carry)
 in batches of whole receivers with all their trials, as many as fit
-STACK_BYTES and at least one. A batch forms the product H_kj V_j of each
-of its links once, into receiver k's array of all its products, of which
-the desired and image matrices, the gain projection and the family
-relations read views. One call equilibrates the leading columns its
+STACK_BYTES and at least one. A batch forms, once, the columns of each of
+its links' products H_kj V_j that a check, a gain or a relation reads
+(:func:`_plan`, worked out once per configuration: at L=275, 64 of
+transmitter 1's 243 at each of receivers 2..4), into receiver k's array
+of all its products, of which the desired and image matrices, the gain
+projection and the family relations read views; the other columns are
+never written. One call takes the norms of the leading columns its
 checks read (the desired ones, and those of the image they decompose),
-each batched decomposition is shared, and then the relations at its
-receivers are evaluated, those of one kind and operand shape in one
-residual call, before its products go. The verdicts are arrays: ranks per
+which scale the image's columns, and the desired ones only where a
+verdict SVD reads them; each batched decomposition is shared, and then
+the relations at its receivers are evaluated, those of one kind and
+operand shape in one residual call, before its products go. The verdicts are arrays: ranks per
 (receiver, trial) and residuals per (relation, trial), and the pass mask
 follows from them.
 :func:`check_alignment` builds its report from its one trial's column, and
@@ -55,6 +59,7 @@ whole power grid takes one broadcast per stream count.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass
 from itertools import accumulate
@@ -64,7 +69,7 @@ import numpy as np
 from .channels import ChannelSet
 from .errors import ParameterError, ShapeError
 from .families import get_family
-from .linalg import (RANK_TOL, _rank, apply_householder, complement_and_rank,
+from .linalg import (RANK_TOL, _rank, apply_householder, column_norms, complement_and_rank,
                      equality_residual, equilibrate_columns, householder, span_residual,
                      subset_residual)
 from .schemes import PrecoderScheme
@@ -160,6 +165,55 @@ def _batches(items: list, item_bytes: int) -> list:
     return [items[lo:lo + size] for lo in range(0, len(items), size)]
 
 
+@functools.lru_cache(maxsize=64)
+def _plan(family, K: int, n, d: tuple) -> tuple:
+    """What a pass over the schemes of one ``family`` record, K, order n and
+    stream counts d reads, worked out once per configuration: (relations,
+    reads, routes, offsets, formed).
+
+    ``reads[i]`` holds relation i's right-side columns: all, its map, or
+    none for a map past them. ``routes`` pairs each (d_k, route) with its
+    receivers (see :func:`_pass`). Receiver k's products lie in
+    ``offsets[k][j]``-based blocks: its own streams first, then its image's,
+    then the others' in order. ``formed[k]`` lists (columns of k's products,
+    j, columns of V_j) of each product k reads: every column of its own
+    streams, of an image it decomposes and of every relation operand
+    without a map, else the union of the subset maps that read it, and
+    nothing of the others.
+    """
+    image = family.interference_image(K)
+    shared = family.shared_images(K)
+    listed = tuple(family.relations(K, n))
+    reads = tuple(slice(None) if c is None else c if all(0 <= a < d[i] for a in c) else ()
+                  for *_, i, c in listed)
+    routes, offsets, formed = {}, [], []
+    for k, j in enumerate(image):
+        # receiver k's complement route: the transmitter whose shared image
+        # it carries, or else the range (lo, hi) of its columns that hold
+        # the image no other receiver names, which it decomposes itself
+        routes.setdefault((d[k], j if j in shared else (d[k], d[k] + d[j])), []).append(k)
+        # an image a receiver decomposes is its columns d_k:d_k + d_j, so
+        # that receivers of one stream count and image width batch together
+        order = [k, j] + [i for i in range(K) if i not in (k, j)]
+        offsets.append(dict(zip(order, accumulate((d[i] for i in order), initial=0))))
+        wanted = {i: set() for i in order}
+        for i in [k] + ([] if j in shared else [j]):
+            wanted[i].update(range(d[i]))
+        for (_, m, _, jl, jr, columns), cols in zip(listed, reads):
+            if m == k:
+                wanted[jl].update(range(d[jl]))
+                wanted[jr].update(range(d[jr]) if columns is None else cols)
+        products = []
+        for i in order:
+            lo, cols = offsets[k][i], np.array(sorted(wanted[i]), dtype=int)
+            if len(cols) == d[i]:
+                products.append((slice(lo, lo + d[i]), i, slice(None)))
+            elif len(cols):
+                products.append((lo + cols, i, cols))
+        formed.append(tuple(products))
+    return listed, reads, tuple(routes.items()), tuple(offsets), tuple(formed)
+
+
 def _pass(scheme, ext, with_gains) -> tuple:
     """One pass over the receivers of a stack of T trials, checking ranks and
     relations; returns the verdicts as arrays, (ranks, residuals, passed, gains).
@@ -170,10 +224,11 @@ def _pass(scheme, ext, with_gains) -> tuple:
     residual of the family's relation i; an entry the pass did not reach
     is -1 or nan, and so is every desired rank of a pass with gains, which
     does not need it. ``passed`` masks the trials that pass every check and
-    relation. A batch of whole receivers forms their products (own streams
-    first, through unit-norm columns for gains, then their image's, then the
-    others' in order), checks them, evaluates their relations and lets the
-    products go.
+    relation. A batch of whole receivers forms the columns of their
+    products that :func:`_plan` says are read (own streams first, through
+    unit-norm columns for gains, then their image's, then the others' in
+    order), checks them, evaluates their relations and lets the products
+    go; the other columns of a receiver's array are never written.
 
     Without gains every trial stays to the last receiver and relation, and
     gains is None. With gains, a trial that fails a check or relation
@@ -184,27 +239,16 @@ def _pass(scheme, ext, with_gains) -> tuple:
     T, K, dim = len(scheme.precoders[0]), scheme.K, ext.dim
     d = scheme.stream_counts
     streams = sum(d)
-    family = get_family(scheme.family)
-    image = family.interference_image(K)
-    shared = family.shared_images(K)
-    # an image a receiver decomposes is its columns d_k:d_k + d_j, so that
-    # receivers of one stream count and image width batch together
-    order = [[k, j] + [i for i in range(K) if i not in (k, j)] for k, j in enumerate(image)]
-    offsets = [dict(zip(o, accumulate((d[j] for j in o), initial=0))) for o in order]
+    listed, reads, routes, offsets, formed = _plan(get_family(scheme.family), K, scheme.n, d)
 
     def products(k):
         out = np.empty((T, dim, streams), dtype=complex)
-        for j in order[k]:
-            v = scheme.precoders[j]
+        for dst, j, src in formed[k]:
+            v = scheme.precoders[j][..., src]
             # the gains take the desired streams through unit-norm columns
-            out[..., offsets[k][j]:offsets[k][j] + d[j]] = ext.apply(
-                k, j, equilibrate_columns(v) if j == k and with_gains else v)
+            out[..., dst] = ext.apply(k, j, equilibrate_columns(v) if j == k and with_gains else v)
         return out
 
-    listed = list(family.relations(K, scheme.n))
-    # each relation's right-side columns: all, its map, or none for a map past them
-    reads = [slice(None) if c is None else c if all(0 <= a < d[i] for a in c) else ()
-             for *_, i, c in listed]
     # built per call from the module names, so whatever rebinds them sees it
     residual = {"equality": equality_residual, "subset": subset_residual,
                 "span": span_residual}
@@ -240,14 +284,8 @@ def _pass(scheme, ext, with_gains) -> tuple:
                 for t, ok in zip(rows, (out <= tol).all(axis=0).tolist()):
                     passed[t] = passed[t] and ok
 
-    groups = {}
-    for k, j in enumerate(image):
-        # receiver k's complement route: the transmitter whose shared image
-        # it carries, or else the range (lo, hi) of its columns that hold
-        # the image no other receiver names, which it decomposes itself
-        groups.setdefault((d[k], j if j in shared else (d[k], d[k] + d[j])), []).append(k)
     gains = tuple(np.empty((T, dk)) for dk in d) if with_gains else None
-    for (dk, route), members in groups.items():
+    for (dk, route), members in routes:
         for batch in _batches(members, max(T, 1) * _receiver_bytes(dim, streams)):
             live = [t for t in range(T) if passed[t] or not with_gains]
             if live:
@@ -265,17 +303,16 @@ def _by_rank(ranks) -> dict:
     return out
 
 
-def _certified(s, desired):
+def _certified(s, norms):
     """Which rows keep projected rank d_k for sure, from ``s``, the singular
-    values of B^H J_D, with J_D the rows' ``desired`` (dim, d_k) columns.
-    E_D is J_D with column i divided by its norm nu_i, so the verdict's
+    values of B^H J_D, and ``norms``, the rows' (d_k) column norms nu_i of
+    J_D. E_D is J_D with column i divided by nu_i, so the verdict's
     s_min(B^H E_D) >= s_min(B^H J_D) / max nu: a row whose bound reaches
     twice RANK_TOL needs no verdict SVD. A basis of fewer than d_k columns
     certifies nothing."""
-    if s.shape[-1] < desired.shape[-1]:
+    if s.shape[-1] < norms.shape[-1]:
         return np.zeros(len(s), dtype=bool)
-    nu = np.sqrt(np.add.reduce((desired.conj() * desired).real, axis=-2))
-    return s[:, -1] >= 2 * RANK_TOL * np.maximum.reduce(nu, axis=-1)
+    return s[:, -1] >= 2 * RANK_TOL * np.maximum.reduce(norms, axis=-1)
 
 
 def _projection(basis):
@@ -302,8 +339,8 @@ def _decomposed(columns) -> list:
     dim, width = columns.shape[-2:]
     groups, short = [], list(range(len(columns)))
     if dim >= REFLECTOR_ROWS:
-        reflectors, image = householder(columns)
-        rows, short = np.flatnonzero(image == width).tolist(), np.flatnonzero(image < width).tolist()
+        reflectors, full = householder(columns)
+        rows, short = np.flatnonzero(full).tolist(), np.flatnonzero(~full).tolist()
         if rows:
             kept = tuple(a[rows] for a in reflectors) if short else reflectors
             groups.append((rows, lambda x, among=None: apply_householder(
@@ -323,27 +360,39 @@ def _check(joint, trials, route, scheme, ext, dk, ranks, passed, gains) -> None:
     failing trial and set the gains of the others (unless gains is None).
     A row is one (receiver, trial) pair, receiver by receiver.
 
-    One call equilibrates the columns the batch reads: the desired ones,
-    and those of the image a range route (lo, hi) decomposes, whose rank is
-    hi - lo once the relations hold; :func:`_decomposed` takes its
-    complement row by row. A transmitter route j takes ext's H_kj^{-H}
-    applied to ``scheme.complement(j)``, the decomposition of V_j the build
-    kept, orthonormalized: one solve per receiver and one QR per rank. The
+    One call takes the norms of the columns the batch reads: the desired
+    ones, and those of the image a range route (lo, hi) decomposes, whose
+    rank is hi - lo once the relations hold. The image's columns are
+    scaled by them, and :func:`_decomposed` takes their complement row by
+    row. A transmitter route j takes ext's H_kj^{-H} applied to
+    ``scheme.complement(j)``, the decomposition of V_j the build kept,
+    orthonormalized: one solve per receiver and one QR per rank. The
     verdict and the gains project onto the complement; with gains, a row
-    whose gains certify rank d_k takes no verdict SVD."""
+    whose gains certify rank d_k takes no verdict SVD, and only the rows
+    that take it have their desired columns scaled."""
     whole = len(trials) == len(passed)
     # views of the products when every trial is live
     parts = [p if whole else p[trials] for p in joint.values()]
     J = parts[0] if len(parts) == 1 else np.concatenate(parts)
     lo, hi = route if isinstance(route, tuple) else (dk, dk)
     # each column is scaled alone, so only the columns read need it
-    E = equilibrate_columns(J[..., :hi])
+    nu = column_norms(J[..., :hi])
+
+    def scaled(cols, rows=None):
+        """J's columns ``cols`` over their norms, of the batch's arrays, or
+        of copies of ``rows``, so that a row is laid out alike in any group."""
+        if rows is None or len(rows) == len(J):
+            return equilibrate_columns(J[..., cols], nu[..., cols])
+        return equilibrate_columns(J[rows, :, cols], nu[rows, :, cols])
+
+    # every row of check_alignment reads its desired columns scaled
+    E = scaled(slice(hi)) if gains is None else None
     ks, ts = [k for k in joint for _ in trials], trials * len(joint)
     if gains is None:
         ranks[0, ks, ts] = _rank(np.linalg.svd(E[..., :dk], compute_uv=False), RANK_TOL)
     # (rows of the batch, projection onto their complements, interference rank)
     if isinstance(route, tuple):
-        groups = _decomposed(E[..., lo:hi])
+        groups = _decomposed(scaled(slice(lo, hi)) if E is None else E[..., lo:hi])
     else:
         u, image = scheme.complement(route)
         groups = []
@@ -351,10 +400,10 @@ def _check(joint, trials, route, scheme, ext, dk, ranks, passed, gains) -> None:
             chosen = [trials[p] for p in rows]
             base = u if len(chosen) == len(passed) else u[chosen]
             sub = ext[chosen] if ext.stacked and len(chosen) < len(passed) else ext
-            scaled = np.concatenate([sub.solve_adjoint(k, route, base[..., :ext.dim - r])
-                                     for k in joint])
+            adjoint = np.concatenate([sub.solve_adjoint(k, route, base[..., :ext.dim - r])
+                                      for k in joint])
             groups.append(([i * len(trials) + p for i in range(len(joint)) for p in rows],
-                           _projection(np.linalg.qr(scaled)[0]), r))
+                           _projection(np.linalg.qr(adjoint)[0]), r))
     for rows, project, r in groups:
         # the desired columns as views: of the batch's arrays when the group
         # holds all its rows, else of copies of the group's rows, so that a
@@ -364,12 +413,15 @@ def _check(joint, trials, route, scheme, ext, dk, ranks, passed, gains) -> None:
         if gains is not None:
             desired = (J if every else J[rows])[..., :dk]
             s = np.linalg.svd(project(desired), compute_uv=False)
-            doubtful = np.flatnonzero(~_certified(s, desired)).tolist()
+            doubtful = np.flatnonzero(
+                ~_certified(s, (nu if every else nu[rows])[..., 0, :dk])).tolist()
         joint_rank = np.full(len(rows), r + dk)
         if doubtful:
             whole = len(doubtful) == len(rows)
-            projected = project((E if whole and every else E[[rows[i] for i in doubtful]])
-                                [..., :dk], None if whole else doubtful)
+            # check_alignment's rows are all doubtful
+            projected = project(scaled(slice(dk), [rows[i] for i in doubtful]) if E is None
+                                else E[..., :dk] if every else E[rows][..., :dk],
+                                None if whole else doubtful)
             joint_rank[doubtful] = r + _rank(np.linalg.svd(projected, compute_uv=False),
                                              RANK_TOL, 1.0)
         rks, rts = [ks[p] for p in rows], [ts[p] for p in rows]
@@ -412,7 +464,8 @@ def check_alignment(scheme: PrecoderScheme, ext: ChannelSet) -> AlignmentReport:
     if scheme.stacked:
         raise ShapeError("check_alignment takes one trial")
     ranks, residuals, _, _ = _pass(scheme[None], ext, False)
-    d, listed = scheme.stream_counts, get_family(scheme.family).relations(scheme.K, scheme.n)
+    d = scheme.stream_counts
+    listed = _plan(get_family(scheme.family), scheme.K, scheme.n, d)[0]
     return AlignmentReport(
         family=scheme.family, K=scheme.K, M=ext.M, L=ext.F, rank_tol=RANK_TOL,
         residual_tol=RESIDUAL_TOL,

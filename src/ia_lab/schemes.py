@@ -62,7 +62,7 @@ class PrecoderScheme:
         stack: (u, ranks), the first ``dim - ranks[t]`` columns of ``u[t]``
         spanning the complement of trial t's, orthonormal. One
         :func:`~ia_lab.linalg.householder` of the equilibrated precoders
-        gives the ranks and, for a trial of full column rank d_j, the
+        tells which trials have full column rank d_j and gives their
         complement as Q's columns from d_j on, the only ones formed (at
         L=275, 8-11 ms per trial; see :func:`full_rank_schemes`); a trial
         short of rank keeps complement_and_rank's basis and rank. Taken on
@@ -139,20 +139,19 @@ class TrialStack:
         return result[0]
 
 
-def _complement(e: np.ndarray, reflectors: tuple, ranks: np.ndarray) -> tuple:
+def _complement(e: np.ndarray, reflectors: tuple, full: np.ndarray) -> tuple:
     """:meth:`PrecoderScheme.complement` of a stack of equilibrated columns
     ``e`` from their :func:`~ia_lab.linalg.householder`: Q's trailing
-    columns where a trial has full column rank, complement_and_rank's basis
-    and rank where it is short of it."""
+    columns and rank d where a trial has full column rank, and
+    complement_and_rank's basis and rank where it is short of it."""
     dim, d = e.shape[-2:]
     # Q applied to the identity's columns from d on
     trailing = _triangles(dim, dim)[2][:, d:]
-    full = ranks == d
+    ranks = np.full(len(full), d)
     if full.all():
         return apply_householder(reflectors, trailing), ranks
     short = np.flatnonzero(~full)
     basis, short_ranks = complement_and_rank(e[short])
-    ranks = np.array(ranks)
     ranks[short] = short_ranks
     u = np.zeros((len(ranks), dim, dim - ranks.min()), dtype=e.dtype)
     if full.any():
@@ -170,15 +169,15 @@ def full_rank_schemes(stack: TrialStack, error: type, precoders: tuple,
     A trial whose precoder does not have full column rank gets ``error``
     naming its first such transmitter. A transmitter j whose image several
     receivers carry (``Family.shared_images``) has full column rank where
-    the :func:`~ia_lab.linalg.householder` of its equilibrated columns gives
-    rank d_j: one QR, and R's certificate of full rank or else its
-    singular values. The scheme keeps that transmitter's
+    the :func:`~ia_lab.linalg.householder` of its equilibrated columns says
+    so: one QR, and bounds on R, or else its singular values. The scheme
+    keeps that transmitter's
     :meth:`PrecoderScheme.complement` for the receiver pass, formed once
     every transmitter's rank is known and for the trials that built only:
     Q's trailing dim - d_j columns (at L=275, 8-11 ms per trial; see the
-    README); the certificate decides 11 of the 12 L=275 builds of
-    perfbench's pools. The rows of the others, which
-    :meth:`TrialStack.finish` drops, are zero.
+    README); the bounds decide all 12 L=275 builds of perfbench's pools.
+    The rows of the others, which :meth:`TrialStack.finish` drops, are
+    zero, their ranks d_j unread.
     The other transmitters of one shape share one full-rank call,
     column-major ones apart (they sum their column norms in another order).
     """
@@ -190,8 +189,8 @@ def full_rank_schemes(stack: TrialStack, error: type, precoders: tuple,
     groups, ok, pending = {}, {}, {}
     for j in shared:
         e = equilibrate_columns(precoders[j])
-        reflectors, ranks = householder(e)
-        ok[j], pending[j] = ranks == precoders[j].shape[-1], (e, reflectors, ranks)
+        reflectors, full = householder(e)
+        ok[j], pending[j] = full, (e, reflectors, full)
     for i, v in enumerate(precoders):
         if i not in shared:
             groups.setdefault((v.shape[1:], v.shape[-1] > 1 and v.strides[-2] < v.strides[-1]),
@@ -203,15 +202,15 @@ def full_rank_schemes(stack: TrialStack, error: type, precoders: tuple,
     for i in range(len(precoders)):
         stack.fail(ok[i], error, f"precoder of transmitter {i + 1} lost full column rank")
     built = [t for t, err in enumerate(stack.errors) if err is None]
-    for j, (e, reflectors, ranks) in pending.items():
-        if len(built) == len(ranks):
-            scheme.complements[j] = _complement(e, reflectors, ranks)
+    for j, (e, reflectors, full) in pending.items():
+        if len(built) == len(full):
+            scheme.complements[j] = _complement(e, reflectors, full)
         elif built:
             # every trial that built has full column rank d_j here
             u = np.zeros(e.shape[:-1] + (e.shape[-2] - e.shape[-1],), dtype=e.dtype)
             u[built] = _complement(e[built], tuple(a[built] for a in reflectors),
-                                   ranks[built])[0]
-            scheme.complements[j] = u, ranks
+                                   full[built])[0]
+            scheme.complements[j] = u, np.full(len(full), e.shape[-1])
     return scheme
 
 

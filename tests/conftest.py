@@ -1,10 +1,26 @@
 import dataclasses
+import importlib.util
+import pathlib
 
 import numpy as np
 
 from ia_lab.channels import ChannelSet
 from ia_lab.linalg import RANK_TOL, _rank, complement_and_rank, equilibrate_columns
 from ia_lab.receiver import ReceiverCheck
+
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load(monkeypatch, name):
+    """The module of ``scripts/<name>.py``, loaded."""
+    # output_digest pins BLAS threads in os.environ; restored after the test
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def identity_channels(K=3, F=3):

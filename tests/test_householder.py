@@ -2,8 +2,12 @@
 ``linalg.apply_householder``, and the receiver image route that reads them
 from REFLECTOR_ROWS rows on.
 
-``householder``'s ranks are those of ``_rank`` of the singular values of
-its R, whether the certificate on R's inverse decides a row or the SVD does.
+``householder`` tells whether each matrix has full column rank as ``_rank``
+of the singular values of its R does, whether a bound on R decides a row
+(the certificate on R's inverse, or R's least diagonal entry against a
+lower bound on its largest singular value) or the SVD does.
+``has_full_column_rank`` takes the same decision from the R of its
+equilibrated columns, and answers as the SVD of those columns does.
 
 ``np.linalg.qr(..., mode="complete")`` is the oracle of the helpers: Q's
 columns past a full column rank span the complement it gives, to within
@@ -26,8 +30,8 @@ import ia_lab.receiver
 import ia_lab.schemes
 from ia_lab import SchemeConfig, check_alignment, zf_rates
 from ia_lab.evaluation import _trial_seed
-from ia_lab.linalg import (HOUSEHOLDER_BLOCK, RANK_TOL, _rank, apply_householder,
-                           equilibrate_columns, householder)
+from ia_lab.linalg import (HOUSEHOLDER_BLOCK, RANK_TOL, _full_rank, _rank, apply_householder,
+                           equilibrate_columns, has_full_column_rank, householder)
 from ia_lab.receiver import _pass
 
 from conftest import stacked
@@ -81,8 +85,8 @@ def test_trailing_columns_span_the_complete_qr_complement(label):
     rng = np.random.default_rng(7)
     a = MATRICES[label](rng)
     rows, cols = a.shape
-    reflectors, rank = householder(a)
-    assert rank == cols
+    reflectors, full = householder(a)
+    assert full is True
     q = apply_householder(reflectors, np.eye(rows, rows - cols, -cols))
     complete = np.linalg.qr(a, mode="complete")[0]
     s = np.linalg.svd(a, compute_uv=False)
@@ -115,33 +119,34 @@ def test_blocks_of_reflectors_apply_as_one(monkeypatch):
 
 
 def short_in_its_last_row(shape):
-    """A random stack whose last matrix repeats a column, and its ranks: the
-    repeated column costs a rank only where the columns could be
-    independent."""
+    """A random stack whose last matrix repeats a column, and whether each
+    has full column rank: none of a wide stack, and all but the last of a
+    tall or square one."""
     a = complex_normal(np.random.default_rng(11), shape)
     a[-1, :, -1] = a[-1, :, 0]
-    full = min(shape[1:])
-    return a, [full] * (shape[0] - 1) + [full - (shape[1] >= shape[2])]
+    return a, [shape[1] >= shape[2]] * (shape[0] - 1) + [False]
 
 
 def mixed_stack():
     """A stack that mixes rows the certificate decides (1e-6, 3e-8) with
-    rows it leaves to the SVD, full and short of rank, and its ranks."""
+    rows it leaves to the other bound or the SVD, full and short of rank,
+    and whether each has full column rank."""
     ratios = [1e-6, 1e-9, 3e-8, 0.0, 1.5e-8]
-    return np.stack([planted(r, seed=t) for t, r in enumerate(ratios)]), [48, 47, 48, 47, 48]
+    return (np.stack([planted(r, seed=t) for t, r in enumerate(ratios)]),
+            [True, False, True, False, True])
 
 
 @pytest.mark.parametrize("shape", [(3, 7, 4), (2, 275, 243), (3, 5, 5), (2, 4, 6), "mixed"])
 def test_each_row_of_a_stack_gets_its_bits_alone(shape):
     a, expected = mixed_stack() if shape == "mixed" else short_in_its_last_row(shape)
     x = complex_normal(np.random.default_rng(12), a.shape[:-1] + (2,))
-    reflectors, ranks = householder(a)
-    assert ranks.tolist() == expected
+    reflectors, full = householder(a)
+    assert full.tolist() == expected
     product, adjoint = apply_householder(reflectors, x), apply_householder(reflectors, x, True)
     for t in range(len(a)):
         for alone, index in ((a[t], t), (a[t:t + 1], slice(t, t + 1))):
-            got, rank = householder(alone)
-            assert np.all(rank == ranks[index])
+            got, full_alone = householder(alone)
+            assert np.all(full_alone == full[index])
             assert all(g.tobytes() == r[index].tobytes() for g, r in zip(got, reflectors,
                                                                          strict=True))
             assert apply_householder(got, x[index]).tobytes() == product[index].tobytes()
@@ -154,8 +159,8 @@ def test_a_reduced_column_takes_tau_0_and_the_identity():
     # identity, which LAPACK marks with tau 0
     a = np.zeros((2, 5, 3), dtype=complex)
     a[:, :3, :3] = np.diag([1.0, 2.0, 3.0])
-    reflectors, ranks = householder(a)
-    assert ranks.tolist() == [3, 3]
+    reflectors, full = householder(a)
+    assert full.tolist() == [True, True]
     assert not reflectors[1].any()  # W = V diag(tau)
     x = complex_normal(np.random.default_rng(2), (2, 5, 4))
     assert np.array_equal(apply_householder(reflectors, x), x)
@@ -163,12 +168,13 @@ def test_a_reduced_column_takes_tau_0_and_the_identity():
 
 
 def test_a_stack_of_no_matrices():
-    reflectors, ranks = householder(np.zeros((0, 7, 4), dtype=complex))
-    assert ranks.shape == (0,)
+    reflectors, full = householder(np.zeros((0, 7, 4), dtype=complex))
+    assert full.shape == (0,)
     assert apply_householder(reflectors, np.eye(7, 3, -4)).shape == (0, 7, 3)
     assert apply_householder(reflectors, np.zeros((0, 7, 2)), adjoint=True).shape == (0, 7, 2)
-    # nor of R wide enough for the certificate
+    # nor of R wide enough for the bounds
     assert householder(np.zeros((0, 40, 36), dtype=complex))[1].shape == (0,)
+    assert has_full_column_rank(np.zeros((0, 40, 36), dtype=complex)).shape == (0,)
 
 
 def test_a_short_rank_is_read_from_r():
@@ -176,15 +182,16 @@ def test_a_short_rank_is_read_from_r():
     a = complex_normal(rng, (3, 9, 4))
     a[1, :, 3] = 2.0 * a[1, :, 1] - a[1, :, 0]
     a[2, :, 2:] = 0.0
-    assert householder(a)[1].tolist() == [4, 3, 2]
+    # ranks 4, 3 and 2 of 4 columns
+    assert householder(a)[1].tolist() == [True, False, False]
 
 
-def svd_rank(a):
-    """The rank rule the certificate stands in for: ``_rank`` of the
-    singular values of the R of ``a``'s Householder QR."""
+def svd_full(a):
+    """The rule the bounds stand in for: whether ``_rank`` of the singular
+    values of the R of ``a``'s Householder QR counts every column."""
     h, tau = np.linalg.qr(a, mode="raw")
     r = np.triu(h.swapaxes(-1, -2)[..., :tau.shape[-1], :])
-    return _rank(np.linalg.svd(r, compute_uv=False), RANK_TOL)
+    return _rank(np.linalg.svd(r, compute_uv=False), RANK_TOL) == a.shape[-1]
 
 
 def svd_calls(monkeypatch):
@@ -227,27 +234,30 @@ def test_the_certificate_answers_as_the_svd_rule(label):
     a = RULE_CASES[label](np.random.default_rng(5))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rank = householder(a)[1]
-    assert rank == svd_rank(a)
+        full = householder(a)[1]
+    assert full == svd_full(a)
 
 
 def test_planted_ratios_are_certified_only_above_twice_the_tolerance(monkeypatch):
     stack = np.stack([planted(ratio) for ratio in RATIOS])
     calls = svd_calls(monkeypatch)
-    ranks = householder(stack)[1]
+    full = householder(stack)[1]
     monkeypatch.undo()
-    assert ranks.tolist() == [svd_rank(a) for a in stack]
-    assert ranks.tolist() == [47, 47, 48, 48, 48, 48, 48]
-    # one SVD of the rows below 3e-8 (2e-8 sits on the bound itself, where
-    # rounding decides), none of the rows the certificate decides
-    assert calls in ([5], [4])
+    assert full.tolist() == [svd_full(a) for a in stack]
+    assert full.tolist() == [False, False, True, True, True, True, True]
+    # one SVD of the rows from 1e-8 to below 3e-8 (2e-8 sits on the
+    # certificate's bound itself, where rounding decides), none of the rows
+    # a bound decides: the certificate 3e-8 and 1e-6, R's diagonal 0 and
+    # 1e-9 (whose least |r_ii| is 4.9e-9 of sigma_max, just under the short
+    # bound's 5e-9; a least |r_ii| lies some five times above sigma_min here)
+    assert calls in ([3], [2])
 
 
 def test_a_certified_row_takes_no_svd(monkeypatch):
     a = np.stack([planted(1e-6, seed=t) for t in range(3)])
     calls = svd_calls(monkeypatch)
-    assert householder(a)[1].tolist() == [48] * 3
-    assert householder(a[0])[1] == 48
+    assert householder(a)[1].tolist() == [True] * 3
+    assert householder(a[0])[1] is True
     assert calls == []
 
 
@@ -257,10 +267,79 @@ def test_an_r_whose_norm_overflows_takes_the_svd_without_a_warning(monkeypatch):
     calls = svd_calls(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ranks = householder(a)[1]
+        full = householder(a)[1]
+    # the power steps overflow too, so neither bound decides it
     assert calls == [1]
     monkeypatch.undo()
-    assert ranks.tolist() == [48, svd_rank(a[1])]
+    assert full.tolist() == [True, svd_full(a[1])]
+
+
+# planted sigma_min / sigma_max around both bounds: R's diagonal shows the
+# lowest short, the certificate the highest full, and the SVD decides the
+# band between, as far as the bounds leave it (a least |r_ii| of these
+# lies some five to sixteen times above sigma_min)
+BAND = [1e-11, 1e-9, 4e-9, 5e-9, 6e-9, 1e-8, 1.5e-8, 2e-8, 2.1e-8]
+
+
+@pytest.mark.parametrize("shape", [(275, 243), (33, 32), (48, 48)])
+def test_the_two_sided_decision_answers_as_the_svd_rule(monkeypatch, shape):
+    stack = np.stack([planted(ratio, *shape, seed=t) for t, ratio in enumerate(BAND)])
+    calls = svd_calls(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        full = householder(stack)[1]
+    assert len(calls) == 1 and calls[0] <= len(stack) - 2
+    monkeypatch.undo()
+    alone = [householder(a)[1] for a in stack]
+    expected = [svd_full(a) for a in stack]
+    assert full.tolist() == expected and alone == expected
+    assert expected[0] is False and expected[-1] is True
+
+
+def test_a_non_finite_r_takes_the_svd_without_a_warning(monkeypatch):
+    # an infinite entry makes the power steps' estimate not finite, so
+    # neither bound decides; the SVD's answer stands
+    r = np.triu(complex_normal(np.random.default_rng(6), (40, 40)))
+    r[3, 7] = np.inf
+    calls = svd_calls(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        full = _full_rank(r[None])
+    assert calls == [1]
+    monkeypatch.undo()
+    assert full.tolist() == [_rank(np.linalg.svd(r, compute_uv=False), RANK_TOL) == 40]
+
+
+def column_rank_stacks():
+    """(label, stack) of (3, 275, 32) and (2, 33, 32) matrices around the
+    tolerance, their columns scaled over six orders, and the three 275 x 32
+    precoders of transmitters 2-4 of an L=275 trial."""
+    rng = np.random.default_rng(8)
+    out = []
+    for size, rows in ((3, 275), (2, 33)):
+        for lo in range(0, len(BAND), size):
+            ratios = (BAND + BAND[:size])[lo:lo + size]
+            stack = np.stack([planted(r, rows, 32, seed=lo + t) for t, r in enumerate(ratios)])
+            out.append((f"{size} x {rows} x 32 from {ratios[0]:g}", stack))
+            out.append((f"{size} x {rows} x 32 from {ratios[0]:g}, scaled",
+                        stack * 10.0 ** rng.uniform(-3, 3, size=(size, 1, 32))))
+    scheme, _ = SchemeConfig("siso-general", K=4, n=2).build(_trial_seed(1000, 0))
+    out.append(("L=275 transmitters 2-4", np.stack(scheme.precoders[1:])))
+    return out
+
+
+def test_has_full_column_rank_answers_as_the_svd_of_the_equilibrated_columns(monkeypatch):
+    stacks = column_rank_stacks()
+    for label, stack in stacks:
+        expected = (_rank(np.linalg.svd(equilibrate_columns(stack), compute_uv=False), RANK_TOL)
+                    == 32).tolist()
+        assert has_full_column_rank(stack).tolist() == expected, label
+        assert [has_full_column_rank(a) for a in stack] == expected, label
+    # the precoders of a trial that builds are decided by the bounds alone
+    _, precoders = stacks[-1]
+    calls = svd_calls(monkeypatch)
+    assert has_full_column_rank(precoders).tolist() == [True] * 3
+    assert calls == []
 
 
 def test_the_benchmark_pool_builds_rank_as_the_svd_rule(monkeypatch):
@@ -272,9 +351,9 @@ def test_the_benchmark_pool_builds_rank_as_the_svd_rule(monkeypatch):
     factor = ia_lab.schemes.householder
 
     def keeping(e):
-        reflectors, ranks = factor(e)
-        ranked.append((e, ranks))
-        return reflectors, ranks
+        reflectors, full = factor(e)
+        ranked.append((e, full))
+        return reflectors, full
 
     monkeypatch.setattr(ia_lab.schemes, "householder", keeping)
     calls = svd_calls(monkeypatch)
@@ -283,13 +362,15 @@ def test_the_benchmark_pool_builds_rank_as_the_svd_rule(monkeypatch):
         collections.deque(config.build_trials([_trial_seed(base + i, 0) for i in range(6)]), 0)
     monkeypatch.undo()
     e = np.concatenate([e for e, _ in ranked])
-    ranks = np.concatenate([r for _, r in ranked])
+    full = np.concatenate([f for _, f in ranked])
     assert e.shape == (12, 275, 243)
-    assert ranks.tolist() == [svd_rank(a) for a in e]
-    assert (ranks == 243).tolist() == [True] * 4 + [False] + [True] * 7
-    # the other transmitters' full-rank checks take SVDs of a row per
-    # transmitter and trial; the R of root 1004 is the only single row
-    assert calls.count(1) == 1
+    assert full.tolist() == [svd_full(a) for a in e]
+    assert full.tolist() == [True] * 4 + [False] + [True] * 7
+    # the bounds on R decide every build: root 1004's R, whose least
+    # |r_ii| is 2.84e-9 of sigma_max, takes no values SVD, and the other
+    # transmitters' full-rank checks (three 275 x 32 precoders a trial)
+    # take none either
+    assert calls == []
 
 
 def full_u_route(monkeypatch):
@@ -299,8 +380,8 @@ def full_u_route(monkeypatch):
     factor = ia_lab.receiver.householder
 
     def short(matrix):
-        reflectors, ranks = factor(matrix)
-        return reflectors, np.full_like(ranks, -1)
+        reflectors, full = factor(matrix)
+        return reflectors, np.zeros_like(full)
 
     monkeypatch.setattr(ia_lab.receiver, "householder", short)
 

@@ -305,10 +305,11 @@ def spied_certificates(monkeypatch):
     seen = []
     certified = ia_lab.receiver._certified
 
-    def spy(s, desired):
-        out = certified(s, desired)
-        nu = np.max(np.linalg.norm(desired, axis=-2), axis=-1)
-        ratio = s[:, -1] / nu if s.shape[-1] == desired.shape[-1] else np.full(len(s), np.nan)
+    def spy(s, norms):
+        # norms: each row's column norms of J_D
+        out = certified(s, norms)
+        nu = np.max(norms, axis=-1)
+        ratio = s[:, -1] / nu if s.shape[-1] == norms.shape[-1] else np.full(len(s), np.nan)
         seen.extend(zip(ratio.tolist(), out.tolist()))
         return out
 
@@ -319,7 +320,7 @@ def spied_certificates(monkeypatch):
 def always_verdict(monkeypatch):
     """The pass with gains with every row taking the verdict's SVD."""
     monkeypatch.setattr(ia_lab.receiver, "_certified",
-                        lambda s, desired: np.zeros(len(s), dtype=bool))
+                        lambda s, norms: np.zeros(len(s), dtype=bool))
 
 
 @pytest.mark.parametrize("label", list(CERTIFIED))

@@ -5,7 +5,6 @@ digest's value once, in a subprocess that pins BLAS to one thread before
 numpy loads: a digest's value depends on the BLAS thread count.
 """
 
-import importlib.util
 import json
 import math
 import os
@@ -18,8 +17,9 @@ import pytest
 
 from ia_lab import SchemeConfig
 
+from conftest import SCRIPTS, load
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SCRIPTS = ROOT / "scripts"
 # the overall digest of ``scripts/output_digest.py`` at one BLAS thread, as
 # recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64; a change that
 # keeps every output bit for bit keeps it
@@ -28,16 +28,6 @@ OUTPUT_DIGEST = "083beb4acd9063f046a300564dde1ec2e4c85ea6400f6dbcb4de97e4db627c1
 # build error, rank, relation flag, report verdict or sweep status keeps it
 VERDICT_DIGEST = "2bc3fb9d8654da9c1dc0dc36faabe0d50680680d3924d8a3c56adc7a679133c6"
 NUMBER = r"-?\d+\.\d+(e[+-]\d+)?"
-
-
-def load(monkeypatch, name):
-    # output_digest pins BLAS threads in os.environ; restored after the test
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def run_main(monkeypatch, capsys, name, *args):

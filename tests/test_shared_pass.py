@@ -31,7 +31,7 @@ from ia_lab.linalg import complement_and_rank, equilibrate_columns
 from ia_lab.evaluation import BuiltStack, _trial_seed
 from ia_lab.receiver import _grid_rates, _pass
 
-from conftest import interference_at, pass_checks, stacked, steer, without_desired
+from conftest import interference_at, load, pass_checks, stacked, steer, without_desired
 
 CONFIGS = {
     "siso-k3 n=1": SchemeConfig("siso-k3", n=1),
@@ -184,6 +184,48 @@ def test_large_reports_match_golden_digests(law):
     report = check_alignment(*config.build(seed))
     assert report.passed
     assert hashlib.sha256(report_json(report)).hexdigest() == digest
+
+
+class PoisonedNumpy:
+    """numpy, with ``empty`` filling its arrays with NaN."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float):
+        return np.full(shape, np.nan, dtype=dtype)
+
+
+def poisoned_stacks(monkeypatch):
+    """The stacked trials of every configuration of scripts/output_digest.py,
+    over its seeds, and the two L=275 golden trials."""
+    digest = load(monkeypatch, "output_digest")
+    out = []
+    for config in digest.CONFIGS:
+        large = config.family == "siso-general" and config.n == 2
+        near = config.family == "siso-k3" and config.n >= 7
+        seeds = range(2 if large else 16 if near else 4)
+        out += [stack.trial for stack in config.build_trials(seeds)
+                if len(stack.trial[0].precoders[0])]
+    return out + [stacked([config.build(seed)]) for config, seed, _ in LARGE_GOLDEN.values()]
+
+
+@pytest.mark.parametrize("with_gains", [False, True])
+def test_the_pass_reads_no_product_column_it_does_not_form(monkeypatch, with_gains):
+    # a receiver's array of products holds only the columns its checks,
+    # gains and relations read; filled with NaN, the others change nothing
+    stacks = poisoned_stacks(monkeypatch)
+    expected = [_pass(scheme, ext, with_gains) for scheme, ext in stacks]
+    monkeypatch.setattr(ia_lab.receiver, "np", PoisonedNumpy())
+    for (scheme, ext), (ranks, residuals, passed, gains) in zip(stacks, expected, strict=True):
+        got_ranks, got_residuals, got_passed, got_gains = _pass(scheme, ext, with_gains)
+        assert np.array_equal(got_ranks, ranks)
+        assert got_residuals.tobytes() == residuals.tobytes()
+        assert got_passed.tolist() == passed.tolist()
+        assert (gains is None) == (got_gains is None) == (not with_gains)
+        for g, got in zip(gains or (), got_gains or (), strict=True):
+            assert got[passed].tobytes() == g[passed].tobytes()
 
 
 def corrupted_k3(seed=7):
