@@ -58,6 +58,14 @@ def label(config) -> str:
                        for name in FAMILIES[config.family].reads if name != "seed"])
 
 
+def build_seeds(config) -> range:
+    """The seeds a configuration is built and checked at: two at L=275, 16
+    for the near-tolerance siso-k3 orders, else four."""
+    large = config.family == "siso-general" and config.n == 2
+    near = config.family == "siso-k3" and config.n >= 7
+    return range(2 if large else 16 if near else 4)
+
+
 def digest(each=None, rates=None) -> tuple:
     """(overall digest, verdict digest); ``each(config, hexdigest)`` is called
     with each configuration's own digest, when given. A ``rates`` dict gets,
@@ -77,8 +85,7 @@ def digest(each=None, rates=None) -> tuple:
     for config in CONFIGS:
         one, seeds = hashlib.sha256(), []
         large = config.family == "siso-general" and config.n == 2  # L=275
-        near = config.family == "siso-k3" and config.n >= 7
-        for seed in range(2 if large else 16 if near else 4):
+        for seed in build_seeds(config):
             try:
                 scheme, ext = config.build(seed)
             except TRIAL_ERRORS as err:

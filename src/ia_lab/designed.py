@@ -63,12 +63,13 @@ class DelayMatrix:
             raw = np.asarray(values)
         except ValueError as err:  # rows of unequal length
             raise ParameterError(f"delay matrix must be square, got {values!r}") from err
-        if raw.dtype.kind not in "biuf" or not np.all(
+        # a bool is no integer here, as nowhere else in the package
+        if raw.dtype.kind not in "iuf" or not np.all(
                 np.isfinite(raw) & (raw == np.round(raw)) & (raw >= 0)):
             raise ParameterError(f"delays must be nonnegative integers, got {values!r}")
         arr = raw.astype(int)  # a copy; freezing must not leak out
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ParameterError(f"delay matrix must be square, got shape {arr.shape}")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
+            raise ParameterError(f"delay matrix must be a nonempty square, got shape {arr.shape}")
         arr.setflags(write=False)
         return cls(delays=arr)
 

@@ -48,17 +48,17 @@ def equilibrate_columns(matrix: np.ndarray, norms: np.ndarray = None) -> np.ndar
     return a / np.where(norms > 0.0, norms, 1.0)
 
 
-def _rank(s: np.ndarray, tol: float, scale: float = None):
-    """Count of singular values ``s`` (descending) >= tol times the largest,
-    or times ``scale`` when given, from the tail; zero for an empty or
-    all-zero matrix. For the rows of a (T, n) stack of them, an integer
-    array of T counts."""
+def _rank(s: np.ndarray, scale: float = None):
+    """Count of singular values ``s`` (descending) >= RANK_TOL times the
+    largest, or times ``scale`` when given, from the tail; zero for an
+    empty or all-zero matrix. For the rows of a (T, n) stack of them, an
+    integer array of T counts."""
     counts = []
     # in Python floats, which compare as float64 do: cheaper than numpy
     # calls on the few values of a row
     for row in s.tolist() if s.ndim == 2 else [s.tolist()]:
         n = len(row) if row and row[0] > 0.0 else 0
-        cut = tol * (row[0] if scale is None else scale) if n else 0.0
+        cut = RANK_TOL * (row[0] if scale is None else scale) if n else 0.0
         while n and not row[n - 1] >= cut:
             n -= 1
         counts.append(n)
@@ -73,7 +73,7 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
 def numerical_rank(matrix: np.ndarray):
     """Number of singular values >= RANK_TOL times the largest one, columns
     equilibrated; an array of them for a stack of matrices."""
-    return _rank(singular_values(matrix), RANK_TOL)
+    return _rank(singular_values(matrix))
 
 
 def has_full_column_rank(matrix: np.ndarray):
@@ -86,7 +86,7 @@ def has_full_column_rank(matrix: np.ndarray):
     columns, or more than rows, take that SVD alone."""
     rows, cols = np.shape(matrix)[-2:]
     if cols < HOUSEHOLDER_BLOCK or rows < cols:
-        return _rank(singular_values(matrix), RANK_TOL) == cols
+        return _rank(singular_values(matrix)) == cols
     e = equilibrate_columns(matrix)
     return _full_rank(np.linalg.qr(e, mode="r"), e)
 
@@ -101,7 +101,7 @@ def complement_and_rank(matrix: np.ndarray) -> tuple:
     array of the T ranks.
     """
     u, s, _ = np.linalg.svd(matrix)
-    rank = _rank(s, RANK_TOL)
+    rank = _rank(s)
     return (u[:, rank:], rank) if u.ndim == 2 else (u, rank)
 
 
@@ -243,7 +243,7 @@ def _full_rank(r: np.ndarray, values: np.ndarray = None):
         values = stack if values is None else values.reshape(-1, *values.shape[-2:])
         s = np.linalg.svd(values if len(undecided) == len(stack) else values[undecided],
                           compute_uv=False)
-        full[undecided] = _rank(s, RANK_TOL) == cols
+        full[undecided] = _rank(s) == cols
     return full if r.ndim == 3 else bool(full[0])
 
 
@@ -329,7 +329,7 @@ def span_residual(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     else:
         sides = [np.linalg.svd(equilibrate_columns(m), full_matrices=False)[:2]
                  for m in (left, right)]
-    (ul, rl), (ur, rr) = [(u, _rank(s, RANK_TOL)) for u, s in sides]
+    (ul, rl), (ur, rr) = [(u, _rank(s)) for u, s in sides]
     out = np.where(rl == rr, 0.0, 1.0)
     by_rank = {}
     for t, (a, b) in enumerate(zip(rl.tolist(), rr.tolist())):

@@ -21,20 +21,20 @@ signal inside the interference counts nothing. Every family names, per
 receiver k, the transmitter j whose image H_kj span(V_j) spans k's
 interference once its relations hold (``Family.interference_image``); k's
 interference rank and complement are that image's, by one of two routes
-(:func:`_check`): decomposed at k where no other receiver names it, else
-carried by H_kj^{-H} from the decomposition of V_j the build keeps
-(``Family.shared_images``, ``PrecoderScheme.complement``). The relations
-are still evaluated. With gains, each row first takes the SVD of its
-projected effective channel B^H J_D (B an orthonormal basis of the
-complement), and that certifies its verdict where the smallest singular
-value over J_D's largest column norm reaches twice RANK_TOL, a lower bound
-on the equilibrated projection's; only the other rows, and every row of
-:func:`check_alignment`, take the verdict's SVD.
+(:func:`_check`): carried by H_kj^{-H} from the complement of V_j the build
+kept (``PrecoderScheme.complements``), else decomposed at k, as every image
+of a scheme made by hand is. The relations are still evaluated. With
+gains, each row first takes the SVD of its projected effective channel
+B^H J_D (B an orthonormal basis of the complement), and that certifies its
+verdict where the smallest singular value over J_D's largest column norm
+reaches twice RANK_TOL, a lower bound on the equilibrated projection's;
+only the other rows, and every row of :func:`check_alignment`, take the
+verdict's SVD.
 
 The pass runs over a stack of trials of one family and shape, as a stacked
 build gives them, or over one trial as the stack of one. It takes the
 receivers of one stream count and complement route (the columns of the
-image they decompose, or the transmitter whose shared image they carry)
+image they decompose, or the transmitter whose kept complement they carry)
 in batches of whole receivers with all their trials, as many as fit
 STACK_BYTES and at least one. A batch forms, once, the columns of each of
 its links' products H_kj V_j that a check, a gain or a relation reads
@@ -51,10 +51,11 @@ operand shape in one residual call, before its products go. The verdicts are arr
 (receiver, trial) and residuals per (relation, trial), and the pass mask
 follows from them.
 :func:`check_alignment` builds its report from its one trial's column, and
-only it measures desired ranks; :func:`zf_rates` drops a failing trial
-after its batch and takes its gains from the complement that gives the
-verdict. Every trial gets, bit for bit, the answer it gets alone, and the
-whole power grid takes one broadcast per stream count.
+only it measures desired ranks; :func:`zf_rates` keeps a failing trial in
+the stack's batches, stops once no trial can still pass, and takes its
+gains from the complement that gives the verdict. Every trial that passes
+gets, bit for bit, the answer it gets alone, and the whole power grid takes
+one broadcast per stream count.
 """
 
 from __future__ import annotations
@@ -166,10 +167,11 @@ def _batches(items: list, item_bytes: int) -> list:
 
 
 @functools.lru_cache(maxsize=64)
-def _plan(family, K: int, n, d: tuple) -> tuple:
+def _plan(family, K: int, n, d: tuple, carried: tuple) -> tuple:
     """What a pass over the schemes of one ``family`` record, K, order n and
-    stream counts d reads, worked out once per configuration: (relations,
-    reads, routes, offsets, formed).
+    stream counts d reads, where the scheme keeps the complements of the
+    transmitters ``carried``, worked out once per configuration:
+    (relations, reads, routes, offsets, formed).
 
     ``reads[i]`` holds relation i's right-side columns: all, its map, or
     none for a map past them. ``routes`` pairs each (d_k, route) with its
@@ -182,22 +184,21 @@ def _plan(family, K: int, n, d: tuple) -> tuple:
     nothing of the others.
     """
     image = family.interference_image(K)
-    shared = family.shared_images(K)
     listed = tuple(family.relations(K, n))
     reads = tuple(slice(None) if c is None else c if all(0 <= a < d[i] for a in c) else ()
                   for *_, i, c in listed)
     routes, offsets, formed = {}, [], []
     for k, j in enumerate(image):
-        # receiver k's complement route: the transmitter whose shared image
-        # it carries, or else the range (lo, hi) of its columns that hold
-        # the image no other receiver names, which it decomposes itself
-        routes.setdefault((d[k], j if j in shared else (d[k], d[k] + d[j])), []).append(k)
+        # receiver k's complement route: the transmitter whose kept
+        # complement it carries, or else the range (lo, hi) of its columns
+        # that hold the image, which it decomposes itself
+        routes.setdefault((d[k], j if j in carried else (d[k], d[k] + d[j])), []).append(k)
         # an image a receiver decomposes is its columns d_k:d_k + d_j, so
         # that receivers of one stream count and image width batch together
         order = [k, j] + [i for i in range(K) if i not in (k, j)]
         offsets.append(dict(zip(order, accumulate((d[i] for i in order), initial=0))))
         wanted = {i: set() for i in order}
-        for i in [k] + ([] if j in shared else [j]):
+        for i in [k] + ([] if j in carried else [j]):
             wanted[i].update(range(d[i]))
         for (_, m, _, jl, jr, columns), cols in zip(listed, reads):
             if m == k:
@@ -227,19 +228,22 @@ def _pass(scheme, ext, with_gains) -> tuple:
     relation. A batch of whole receivers forms the columns of their
     products that :func:`_plan` says are read (own streams first, through
     unit-norm columns for gains, then their image's, then the others' in
-    order), checks them, evaluates their relations and lets the products
-    go; the other columns of a receiver's array are never written.
+    order), checks them at every trial of the stack, evaluates their
+    relations and lets the products go; the other columns of a receiver's
+    array are never written.
 
-    Without gains every trial stays to the last receiver and relation, and
-    gains is None. With gains, a trial that fails a check or relation
-    leaves the pass after its batch, and ``gains[k][t]`` holds the squared
-    singular values of receiver k's projected effective channel for every
-    trial t of ``passed``.
+    Without gains every batch runs, and gains is None. With gains, the
+    pass stops before a batch once no trial of the stack can still pass
+    (at once for a stack of no trials); a failed trial stays in the batches
+    before that, and nothing reads what they give it. ``gains[k][t]`` holds
+    the squared singular values of receiver k's projected effective
+    channel for every trial t of ``passed``.
     """
     T, K, dim = len(scheme.precoders[0]), scheme.K, ext.dim
     d = scheme.stream_counts
     streams = sum(d)
-    listed, reads, routes, offsets, formed = _plan(get_family(scheme.family), K, scheme.n, d)
+    listed, reads, routes, offsets, formed = _plan(get_family(scheme.family), K, scheme.n, d,
+                                                   tuple(sorted(scheme.complements)))
 
     def products(k):
         out = np.empty((T, dim, streams), dtype=complex)
@@ -258,9 +262,6 @@ def _pass(scheme, ext, with_gains) -> tuple:
     passed = [True] * T
 
     def relate(joint):
-        rows = [t for t in range(T) if passed[t] or not with_gains]
-        if not rows:
-            return
         kinds = {}
         for i, (kind, k, _, jl, jr, columns) in enumerate(listed):
             if k in joint:
@@ -268,30 +269,29 @@ def _pass(scheme, ext, with_gains) -> tuple:
                 kinds.setdefault((kind, d[jl], right), []).append(i)
 
         def operand(k, j, columns=slice(None)):
-            hv = joint[k][..., offsets[k][j]:offsets[k][j] + d[j]][..., columns]
-            return hv if len(rows) == T else hv[rows]
+            return joint[k][..., offsets[k][j]:offsets[k][j] + d[j]][..., columns]
 
         for (kind, dl, dr), members in kinds.items():
             tol = SPAN_TOL if kind == "span" else RESIDUAL_TOL
             # operands and temporaries of their size
-            for batch in _batches(members, 32 * len(rows) * dim * (dl + dr)):
+            for batch in _batches(members, 32 * T * dim * (dl + dr)):
                 out = residual[kind](
                     np.concatenate([operand(listed[i][1], listed[i][3]) for i in batch]),
                     np.concatenate([operand(listed[i][1], listed[i][4], reads[i])
                                     for i in batch]))
-                out = out.reshape(len(batch), -1)
-                residuals[batch if len(rows) == T else np.ix_(batch, rows)] = out
-                for t, ok in zip(rows, (out <= tol).all(axis=0).tolist()):
+                residuals[batch] = out = out.reshape(len(batch), -1)
+                for t, ok in enumerate((out <= tol).all(axis=0).tolist()):
                     passed[t] = passed[t] and ok
 
     gains = tuple(np.empty((T, dk)) for dk in d) if with_gains else None
-    for (dk, route), members in routes:
-        for batch in _batches(members, max(T, 1) * _receiver_bytes(dim, streams)):
-            live = [t for t in range(T) if passed[t] or not with_gains]
-            if live:
-                joint = {k: products(k) for k in batch}
-                _check(joint, live, route, scheme, ext, dk, ranks, passed, gains)
-                relate(joint)
+    size = max(T, 1) * _receiver_bytes(dim, streams)
+    for dk, route, batch in [(dk, route, batch) for (dk, route), members in routes
+                             for batch in _batches(members, size)]:
+        if with_gains and not any(passed):
+            break
+        joint = {k: products(k) for k in batch}
+        _check(joint, route, scheme, ext, dk, ranks, passed, gains)
+        relate(joint)
     return ranks, residuals, np.array(passed, dtype=bool), gains
 
 
@@ -353,9 +353,9 @@ def _decomposed(columns) -> list:
     return groups
 
 
-def _check(joint, trials, route, scheme, ext, dk, ranks, passed, gains) -> None:
-    """Check the receivers of a batch of one ``route`` at the stack's live
-    ``trials``, ``joint[k]`` being receiver k's (T, dim, streams) products,
+def _check(joint, route, scheme, ext, dk, ranks, passed, gains) -> None:
+    """Check the receivers of a batch of one ``route`` at every trial of the
+    stack, ``joint[k]`` being receiver k's (T, dim, streams) products,
     desired streams first: set their ``ranks``, clear ``passed`` for each
     failing trial and set the gains of the others (unless gains is None).
     A row is one (receiver, trial) pair, receiver by receiver.
@@ -365,14 +365,12 @@ def _check(joint, trials, route, scheme, ext, dk, ranks, passed, gains) -> None:
     rank is hi - lo once the relations hold. The image's columns are
     scaled by them, and :func:`_decomposed` takes their complement row by
     row. A transmitter route j takes ext's H_kj^{-H} applied to
-    ``scheme.complement(j)``, the decomposition of V_j the build kept,
-    orthonormalized: one solve per receiver and one QR per rank. The
+    ``scheme.complements[j]``, the complement of V_j the build kept,
+    orthonormalized: one solve per receiver and one QR, of rank d_j. The
     verdict and the gains project onto the complement; with gains, a row
     whose gains certify rank d_k takes no verdict SVD, and only the rows
     that take it have their desired columns scaled."""
-    whole = len(trials) == len(passed)
-    # views of the products when every trial is live
-    parts = [p if whole else p[trials] for p in joint.values()]
+    parts = list(joint.values())
     J = parts[0] if len(parts) == 1 else np.concatenate(parts)
     lo, hi = route if isinstance(route, tuple) else (dk, dk)
     # each column is scaled alone, so only the columns read need it
@@ -387,23 +385,18 @@ def _check(joint, trials, route, scheme, ext, dk, ranks, passed, gains) -> None:
 
     # every row of check_alignment reads its desired columns scaled
     E = scaled(slice(hi)) if gains is None else None
+    trials = list(range(len(passed)))
     ks, ts = [k for k in joint for _ in trials], trials * len(joint)
     if gains is None:
-        ranks[0, ks, ts] = _rank(np.linalg.svd(E[..., :dk], compute_uv=False), RANK_TOL)
+        ranks[0, ks, ts] = _rank(np.linalg.svd(E[..., :dk], compute_uv=False))
     # (rows of the batch, projection onto their complements, interference rank)
     if isinstance(route, tuple):
         groups = _decomposed(scaled(slice(lo, hi)) if E is None else E[..., lo:hi])
     else:
-        u, image = scheme.complement(route)
-        groups = []
-        for r, rows in _by_rank(image[trials]).items():
-            chosen = [trials[p] for p in rows]
-            base = u if len(chosen) == len(passed) else u[chosen]
-            sub = ext[chosen] if ext.stacked and len(chosen) < len(passed) else ext
-            adjoint = np.concatenate([sub.solve_adjoint(k, route, base[..., :ext.dim - r])
-                                      for k in joint])
-            groups.append(([i * len(trials) + p for i in range(len(joint)) for p in rows],
-                           _projection(np.linalg.qr(adjoint)[0]), r))
+        adjoint = np.concatenate([ext.solve_adjoint(k, route, scheme.complements[route])
+                                  for k in joint])
+        groups = [(list(range(len(J))), _projection(np.linalg.qr(adjoint)[0]),
+                   scheme.precoders[route].shape[-1])]
     for rows, project, r in groups:
         # the desired columns as views: of the batch's arrays when the group
         # holds all its rows, else of copies of the group's rows, so that a
@@ -423,7 +416,7 @@ def _check(joint, trials, route, scheme, ext, dk, ranks, passed, gains) -> None:
                                 else E[..., :dk] if every else E[rows][..., :dk],
                                 None if whole else doubtful)
             joint_rank[doubtful] = r + _rank(np.linalg.svd(projected, compute_uv=False),
-                                             RANK_TOL, 1.0)
+                                             scale=1.0)
         rks, rts = [ks[p] for p in rows], [ts[p] for p in rows]
         ranks[1, rks, rts], ranks[2, rks, rts] = r, joint_rank
         for t, ok in zip(rts, zf_ok(dk, r, joint_rank).tolist()):
@@ -465,7 +458,8 @@ def check_alignment(scheme: PrecoderScheme, ext: ChannelSet) -> AlignmentReport:
         raise ShapeError("check_alignment takes one trial")
     ranks, residuals, _, _ = _pass(scheme[None], ext, False)
     d = scheme.stream_counts
-    listed = _plan(get_family(scheme.family), scheme.K, scheme.n, d)[0]
+    listed = _plan(get_family(scheme.family), scheme.K, scheme.n, d,
+                   tuple(sorted(scheme.complements)))[0]
     return AlignmentReport(
         family=scheme.family, K=scheme.K, M=ext.M, L=ext.F, rank_tol=RANK_TOL,
         residual_tol=RESIDUAL_TOL,

@@ -9,8 +9,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import (_triangles, apply_householder, complement_and_rank, equilibrate_columns,
-                     has_full_column_rank, householder)
+from .linalg import (_triangles, apply_householder, equilibrate_columns, has_full_column_rank,
+                     householder)
 
 
 @dataclass(frozen=True)
@@ -29,11 +29,13 @@ class PrecoderScheme:
     scheme of trial t, an array of trials gives a stack, and None, on a
     single scheme only, the stack of one, as for a ChannelSet.
 
-    ``complements`` keeps :meth:`complement` of each j it was taken for (by
-    the build that decides a shared transmitter's rank, or else by the
-    receiver pass), and selection takes its rows along with the precoders'.
-    It is only a cache: == and repr leave it out, and a scheme made by hand
-    or by ``dataclasses.replace`` starts without it.
+    ``complements[j]`` holds, for each transmitter j whose image several
+    receivers carry, the complement of the span of its precoders that
+    :func:`full_rank_schemes` kept, the only one the receiver pass
+    carries: a (T, L*M, L*M - d_j) stack of orthonormal bases. Selection
+    takes its rows along with the precoders'; == and repr leave it out,
+    and a scheme made by hand or by ``dataclasses.replace`` starts without
+    it, its receivers then decomposing each image themselves.
     """
 
     family: str
@@ -54,26 +56,8 @@ class PrecoderScheme:
         if (t is None) == self.stacked:
             raise ShapeError("a trial index needs a stack of schemes, None one scheme")
         out = replace(self, precoders=tuple(v[t] for v in self.precoders))
-        out.complements.update((j, (u[t], ranks[t])) for j, (u, ranks) in self.complements.items())
+        out.complements.update((j, u[t]) for j, u in self.complements.items())
         return out
-
-    def complement(self, j: int) -> tuple:
-        """The complement of the span of transmitter j's precoders, of a
-        stack: (u, ranks), the first ``dim - ranks[t]`` columns of ``u[t]``
-        spanning the complement of trial t's, orthonormal. One
-        :func:`~ia_lab.linalg.householder` of the equilibrated precoders
-        tells which trials have full column rank d_j and gives their
-        complement as Q's columns from d_j on, the only ones formed (at
-        L=275, 8-11 ms per trial; see :func:`full_rank_schemes`); a trial
-        short of rank keeps complement_and_rank's basis and rank. Taken on
-        the first call and kept in ``complements``: a stacked build takes
-        it, and the receiver pass of a scheme made by hand."""
-        if not self.stacked:
-            raise ShapeError("complement needs a stack of schemes")
-        if j not in self.complements:
-            e = equilibrate_columns(self.precoders[j])
-            self.complements[j] = _complement(e, *householder(e))
-        return self.complements[j]
 
     @property
     def stream_counts(self) -> tuple:
@@ -139,28 +123,6 @@ class TrialStack:
         return result[0]
 
 
-def _complement(e: np.ndarray, reflectors: tuple, full: np.ndarray) -> tuple:
-    """:meth:`PrecoderScheme.complement` of a stack of equilibrated columns
-    ``e`` from their :func:`~ia_lab.linalg.householder`: Q's trailing
-    columns and rank d where a trial has full column rank, and
-    complement_and_rank's basis and rank where it is short of it."""
-    dim, d = e.shape[-2:]
-    # Q applied to the identity's columns from d on
-    trailing = _triangles(dim, dim)[2][:, d:]
-    ranks = np.full(len(full), d)
-    if full.all():
-        return apply_householder(reflectors, trailing), ranks
-    short = np.flatnonzero(~full)
-    basis, short_ranks = complement_and_rank(e[short])
-    ranks[short] = short_ranks
-    u = np.zeros((len(ranks), dim, dim - ranks.min()), dtype=e.dtype)
-    if full.any():
-        u[full, :, :dim - d] = apply_householder(tuple(a[full] for a in reflectors), trailing)
-    for t, b, r in zip(short, basis, short_ranks.tolist()):
-        u[t, :, :dim - r] = b[:, r:]
-    return u, ranks
-
-
 def full_rank_schemes(stack: TrialStack, error: type, precoders: tuple,
                       **fields) -> PrecoderScheme:
     """The stacked PrecoderScheme of a stacked build's precoders, every row
@@ -171,13 +133,12 @@ def full_rank_schemes(stack: TrialStack, error: type, precoders: tuple,
     receivers carry (``Family.shared_images``) has full column rank where
     the :func:`~ia_lab.linalg.householder` of its equilibrated columns says
     so: one QR, and bounds on R, or else its singular values. The scheme
-    keeps that transmitter's
-    :meth:`PrecoderScheme.complement` for the receiver pass, formed once
-    every transmitter's rank is known and for the trials that built only:
-    Q's trailing dim - d_j columns (at L=275, 8-11 ms per trial; see the
-    README); the bounds decide all 12 L=275 builds of perfbench's pools.
-    The rows of the others, which :meth:`TrialStack.finish` drops, are
-    zero, their ranks d_j unread.
+    keeps, in ``complements[j]``, the complement of its span for the
+    receiver pass, formed once every transmitter's rank is known and for
+    the trials that built only, each of rank d_j: Q's trailing dim - d_j
+    columns (at L=275, 8-11 ms per trial; see the README); the bounds
+    decide all 12 L=275 builds of perfbench's pools. The rows of the
+    others, which :meth:`TrialStack.finish` drops, are zero.
     The other transmitters of one shape share one full-rank call,
     column-major ones apart (they sum their column norms in another order).
     """
@@ -188,9 +149,7 @@ def full_rank_schemes(stack: TrialStack, error: type, precoders: tuple,
     shared = get_family(scheme.family).shared_images(scheme.K)
     groups, ok, pending = {}, {}, {}
     for j in shared:
-        e = equilibrate_columns(precoders[j])
-        reflectors, full = householder(e)
-        ok[j], pending[j] = full, (e, reflectors, full)
+        pending[j], ok[j] = householder(equilibrate_columns(precoders[j]))
     for i, v in enumerate(precoders):
         if i not in shared:
             groups.setdefault((v.shape[1:], v.shape[-1] > 1 and v.strides[-2] < v.strides[-1]),
@@ -202,15 +161,16 @@ def full_rank_schemes(stack: TrialStack, error: type, precoders: tuple,
     for i in range(len(precoders)):
         stack.fail(ok[i], error, f"precoder of transmitter {i + 1} lost full column rank")
     built = [t for t, err in enumerate(stack.errors) if err is None]
-    for j, (e, reflectors, full) in pending.items():
-        if len(built) == len(full):
-            scheme.complements[j] = _complement(e, reflectors, full)
+    for j, reflectors in pending.items():
+        dim, d = precoders[j].shape[-2:]
+        # Q applied to the identity's columns from d_j on
+        trailing = _triangles(dim, dim)[2][:, d:]
+        if len(built) == len(stack.errors):
+            scheme.complements[j] = apply_householder(reflectors, trailing)
         elif built:
-            # every trial that built has full column rank d_j here
-            u = np.zeros(e.shape[:-1] + (e.shape[-2] - e.shape[-1],), dtype=e.dtype)
-            u[built] = _complement(e[built], tuple(a[built] for a in reflectors),
-                                   full[built])[0]
-            scheme.complements[j] = u, np.full(len(full), e.shape[-1])
+            u = apply_householder(tuple(a[built] for a in reflectors), trailing)
+            scheme.complements[j] = np.zeros((len(stack.errors),) + u.shape[1:], dtype=u.dtype)
+            scheme.complements[j][built] = u
     return scheme
 
 

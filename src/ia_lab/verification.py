@@ -42,7 +42,7 @@ class RankProbe:
         s = singular_values(matrix)
         return cls(rows=matrix.shape[0], cols=matrix.shape[1],
                    singular_values=tuple(float(x) for x in s),
-                   tolerance=RANK_TOL, rank=_rank(s, RANK_TOL), equilibrated=True)
+                   tolerance=RANK_TOL, rank=_rank(s), equilibrated=True)
 
     @property
     def full_rank(self) -> bool:

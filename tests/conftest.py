@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 
 from ia_lab.channels import ChannelSet
-from ia_lab.linalg import RANK_TOL, _rank, complement_and_rank, equilibrate_columns
+from ia_lab.linalg import _rank, complement_and_rank, equilibrate_columns
 from ia_lab.receiver import ReceiverCheck
 
 
@@ -49,9 +49,18 @@ def dense_receivers(scheme, ext):
         basis, rank = complement_and_rank(equilibrate_columns(interference_at(scheme, ext, k)))
         desired = ext.apply(k, k, equilibrate_columns(scheme.precoders[k]))
         projected = basis.conj().T @ equilibrate_columns(desired)
-        kept = _rank(np.linalg.svd(projected, compute_uv=False), RANK_TOL, 1.0)
+        kept = _rank(np.linalg.svd(projected, compute_uv=False), scale=1.0)
         gains = np.linalg.svd(basis.conj().T @ desired, compute_uv=False) ** 2
         out.append((rank, rank + kept, gains))
+    return out
+
+
+def replaced(scheme, precoders):
+    """``scheme`` with ``precoders``, keeping the complement its build kept
+    of every transmitter whose precoder stays."""
+    out = dataclasses.replace(scheme, precoders=precoders)
+    out.complements.update((j, u) for j, u in scheme.complements.items()
+                           if precoders[j] is scheme.precoders[j])
     return out
 
 
@@ -62,8 +71,7 @@ def corrupt(scheme, seed):
     rng = np.random.default_rng(seed)
     v = scheme.precoders[1]
     broken = rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)
-    return dataclasses.replace(
-        scheme, precoders=(scheme.precoders[0], broken) + scheme.precoders[2:])
+    return replaced(scheme, (scheme.precoders[0], broken) + scheme.precoders[2:])
 
 
 def steer(scheme, ext):
@@ -74,15 +82,20 @@ def steer(scheme, ext):
     interference."""
     v1, v2 = scheme.precoders[:2]
     image = ext.apply(0, 0, v1[:, :v2.shape[-1]])
-    return dataclasses.replace(scheme, precoders=(
-        v1, np.linalg.solve(ext.matrix(0, 1), image)) + scheme.precoders[2:])
+    return replaced(scheme, (v1, np.linalg.solve(ext.matrix(0, 1), image))
+                    + scheme.precoders[2:])
 
 
 def stacked(pairs):
     """One stacked (scheme, ext) of one-trial pairs of one family and shape;
-    each precoder keeps its memory layout in its row."""
-    scheme = dataclasses.replace(pairs[0][0], precoders=tuple(
-        np.stack(v) for v in zip(*(s.precoders for s, _ in pairs))))
+    each precoder keeps its memory layout in its row, and the complement
+    every scheme keeps of a transmitter is kept, stacked row by row."""
+    schemes = [s for s, _ in pairs]
+    scheme = dataclasses.replace(schemes[0], precoders=tuple(
+        np.stack(v) for v in zip(*(s.precoders for s in schemes))))
+    scheme.complements.update((j, np.stack([s.complements[j] for s in schemes]))
+                              for j in schemes[0].complements
+                              if all(j in s.complements for s in schemes))
     ext = dataclasses.replace(pairs[0][1], seed=tuple(e.seed for _, e in pairs),
                               coeffs=np.stack([e.coeffs for _, e in pairs]))
     return scheme, ext

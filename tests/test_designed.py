@@ -147,6 +147,16 @@ def test_schedule_rejects_a_non_integer_horizon(slots):
         simulate_delay_schedule(canonical_delays(), slots)
 
 
+def test_delay_matrix_rejects_an_empty_matrix():
+    with pytest.raises(ParameterError, match="nonempty square"):
+        DelayMatrix.from_array(np.zeros((0, 0), dtype=int))
+
+
+def test_delay_matrix_rejects_boolean_delays():
+    with pytest.raises(ParameterError, match="integers"):
+        DelayMatrix.from_array([[True, False], [False, True]])
+
+
 def test_delay_matrix_rejects_ragged_rows():
     with pytest.raises(ParameterError, match="square"):
         DelayMatrix.from_array([[2, 1, 1], [1, 2]])

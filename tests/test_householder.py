@@ -19,7 +19,6 @@ each receiver's largest.
 """
 
 import collections
-import dataclasses
 import warnings
 
 import numpy as np
@@ -30,11 +29,11 @@ import ia_lab.receiver
 import ia_lab.schemes
 from ia_lab import SchemeConfig, check_alignment, zf_rates
 from ia_lab.evaluation import _trial_seed
-from ia_lab.linalg import (HOUSEHOLDER_BLOCK, RANK_TOL, _full_rank, _rank, apply_householder,
+from ia_lab.linalg import (HOUSEHOLDER_BLOCK, _full_rank, _rank, apply_householder,
                            equilibrate_columns, has_full_column_rank, householder)
 from ia_lab.receiver import _pass
 
-from conftest import stacked
+from conftest import replaced, stacked
 
 EPS = np.finfo(float).eps
 
@@ -191,7 +190,7 @@ def svd_full(a):
     values of the R of ``a``'s Householder QR counts every column."""
     h, tau = np.linalg.qr(a, mode="raw")
     r = np.triu(h.swapaxes(-1, -2)[..., :tau.shape[-1], :])
-    return _rank(np.linalg.svd(r, compute_uv=False), RANK_TOL) == a.shape[-1]
+    return _rank(np.linalg.svd(r, compute_uv=False)) == a.shape[-1]
 
 
 def svd_calls(monkeypatch):
@@ -307,7 +306,7 @@ def test_a_non_finite_r_takes_the_svd_without_a_warning(monkeypatch):
         full = _full_rank(r[None])
     assert calls == [1]
     monkeypatch.undo()
-    assert full.tolist() == [_rank(np.linalg.svd(r, compute_uv=False), RANK_TOL) == 40]
+    assert full.tolist() == [_rank(np.linalg.svd(r, compute_uv=False)) == 40]
 
 
 def column_rank_stacks():
@@ -331,7 +330,7 @@ def column_rank_stacks():
 def test_has_full_column_rank_answers_as_the_svd_of_the_equilibrated_columns(monkeypatch):
     stacks = column_rank_stacks()
     for label, stack in stacks:
-        expected = (_rank(np.linalg.svd(equilibrate_columns(stack), compute_uv=False), RANK_TOL)
+        expected = (_rank(np.linalg.svd(equilibrate_columns(stack), compute_uv=False))
                     == 32).tolist()
         assert has_full_column_rank(stack).tolist() == expected, label
         assert [has_full_column_rank(a) for a in stack] == expected, label
@@ -440,8 +439,8 @@ def assert_mixed_stack(monkeypatch, config, seeds, broken_column, image_ranks, f
     scheme, ext = stacked([config.build(seed) for seed in seeds])
     v2 = scheme.precoders[1].copy()
     v2[1, :, broken_column] = 0.0
-    broken = dataclasses.replace(scheme, precoders=(scheme.precoders[0], v2,
-                                                    *scheme.precoders[2:]))
+    # transmitter 1's complement, which the build kept, stays
+    broken = replaced(scheme, (scheme.precoders[0], v2, *scheme.precoders[2:]))
     calls = counted_householder(monkeypatch)
     ranks, _, passed, _ = _pass(broken, ext, False)
     assert ranks[1, 0].tolist() == image_ranks and calls == factored

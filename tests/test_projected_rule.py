@@ -31,14 +31,14 @@ import pytest
 
 import ia_lab.receiver
 import ia_lab.schemes
-from ia_lab import (SchemeConfig, ShapeError, check_alignment,
+from ia_lab import (SchemeConfig, check_alignment,
                     demonstrate_diagonal_infeasibility, snr_sweep, zf_rates)
 from ia_lab.cli import main
 from ia_lab.evaluation import TRIAL_ERRORS, _trial_seed
-from ia_lab.linalg import RANK_TOL, _rank, equilibrate_columns
+from ia_lab.linalg import _rank, equilibrate_columns
 from ia_lab.receiver import _pass, zf_ok
 
-from conftest import dense_receivers
+from conftest import dense_receivers, load
 
 LARGE_DEFAULT = SchemeConfig("siso-general", K=4, n=2)
 LARGE_UNIT = SchemeConfig("siso-general", K=4, n=2, a_min=1.0, a_max=1.0)
@@ -54,7 +54,7 @@ def old_rule(scheme, ext):
         E = equilibrate_columns(np.hstack([ext.apply(k, j, scheme.precoders[j])
                                            for j in order]))
         dk = scheme.stream_counts[k]
-        desired, interference, joint = (_rank(np.linalg.svd(part, compute_uv=False), RANK_TOL)
+        desired, interference, joint = (_rank(np.linalg.svd(part, compute_uv=False))
                                         for part in (E[:, :dk], E[:, dk:], E))
         out.append(desired == dk and joint == interference + dk)
     return out
@@ -208,78 +208,78 @@ def test_new_precoders_of_transmitter_1_give_their_own_verdict():
     assert check_alignment(stale, ext).receivers[1].ok
 
 
-# siso configurations and seeds whose builds keep transmitter 1's
-# decomposition, and the two L=275 golden seeds of test_shared_pass.py
-KEPT = {
-    **{f"siso-k3 n={n}": (SchemeConfig("siso-k3", n=n), range(10)) for n in (1, 3, 5)},
-    "siso-general K=4 n=1": (SchemeConfig("siso-general", K=4, n=1), range(10)),
-    "siso-general K=4 n=2 unit": (LARGE_UNIT, [0]),
-    "siso-general K=4 n=2 default": (LARGE_DEFAULT, [_trial_seed(1002, 0)]),
-}
+# the siso configurations of scripts/output_digest.py, in its order; their
+# builds keep transmitter 1's complement
+DIGEST_SISO = [*(f"siso-k3 n={n}" for n in (1, 2, 3, 4, 5, 7, 8)),
+               *(f"siso-general K=4 n={n} {law}" for n in (1, 2) for law in ("default", "unit"))]
 
 
-@pytest.mark.parametrize("label", list(KEPT))
-def test_the_kept_decomposition_is_only_a_cache(label):
-    # a scheme made by dataclasses.replace starts without it, and the pass
-    # takes it by the same call: every answer is the same, bit for bit
-    config, seeds = KEPT[label]
-    [stack] = config.build_trials(seeds)
-    scheme, ext = stack.trial
-    bare = dataclasses.replace(scheme, precoders=scheme.precoders)
-    assert tuple(scheme.complements) == (0,) and not bare.complements
-    assert bare == scheme and repr(bare) == repr(scheme)
-    for with_gains in (False, True):
-        (ranks, residuals, passed, gains), oracle = (_pass(s, ext, with_gains)
-                                                     for s in (scheme, bare))
-        assert np.array_equal(ranks, oracle[0])
-        assert np.array_equal(residuals, oracle[1], equal_nan=True)
-        assert np.array_equal(passed, oracle[2])
-        for g, g_bare in zip(gains or (), oracle[3] or (), strict=True):
-            assert np.array_equal(g[passed], g_bare[passed])
-    rhos = [1.0, 1e8]
-    for rates, rates_bare in zip(zf_rates(scheme, ext, rhos), zf_rates(bare, ext, rhos),
-                                 strict=True):
-        assert (rates is None) == (rates_bare is None)
-        assert rates is None or np.array_equal(rates, rates_bare)
-    for t in range(len(ext.coeffs)):
-        assert (check_alignment(scheme[t], ext[t]).to_json()
-                == check_alignment(bare[t], ext[t]).to_json())
+@pytest.mark.parametrize("index", range(len(DIGEST_SISO)), ids=DIGEST_SISO)
+def test_a_scheme_made_by_hand_decomposes_at_each_receiver(monkeypatch, index):
+    # a scheme made by dataclasses.replace keeps no complement: receivers
+    # 2..K decompose transmitter 1's image among their own products, and
+    # give the built scheme's reports, and its rates to 1e-10 relative
+    digest = load(monkeypatch, "output_digest")
+    siso = [c for c in digest.CONFIGS if c.family.startswith("siso")]
+    assert len(siso) == len(DIGEST_SISO)
+    config = siso[index]
+    family, *fields = DIGEST_SISO[index].split()
+    assert family == config.family and f"n={config.n}" in fields
+    rhos = digest.RHOS
+    for seed in digest.build_seeds(config):
+        try:
+            scheme, ext = config.build(seed)
+        except TRIAL_ERRORS:
+            continue
+        hand = dataclasses.replace(scheme)
+        assert tuple(scheme.complements) == (0,) and hand.complements == {}
+        # == and repr leave the complements out
+        assert hand == scheme and repr(hand) == repr(scheme)
+        assert check_alignment(hand, ext).to_dict() == check_alignment(scheme, ext).to_dict()
+        [rates], [expected] = zf_rates(hand, ext, rhos), zf_rates(scheme, ext, rhos)
+        assert (rates is None) == (expected is None)
+        if rates is not None:
+            assert np.all(np.abs(rates - expected) <= 1e-10 * np.abs(expected)), seed
+        assert hand.complements == {}
 
 
 def test_a_shared_precoder_is_decomposed_once_however_its_receivers_are_batched(
         monkeypatch):
     # one receiver per batch: receivers 2..4 carry transmitter 1's image in
-    # three batches. A scheme made by dataclasses.replace decomposes V_1 at
-    # the first of them, one Householder QR for the ranks and one product
-    # that forms the complement, and keeps it for the other two
+    # three batches, all from the complement the build kept, so the pass
+    # decomposes only receiver 1's image. A scheme made by
+    # dataclasses.replace keeps none: each of its receivers decomposes its
+    # image, and the pass keeps nothing in it
     [stack] = SchemeConfig("siso-general", K=4, n=1).build_trials(range(4))
     scheme, ext = stack.trial
     assert len(ext.coeffs) == 4
     rhos = [1.0, 1e8]
     expected = zf_rates(scheme, ext, rhos)
-    bare = dataclasses.replace(scheme, precoders=scheme.precoders)
+    bare = dataclasses.replace(scheme)
     calls = []
 
-    def counting(name):
-        original = getattr(ia_lab.schemes, name)
+    def counting(module, name):
+        original = getattr(module, name)
 
         def call(first, *args):
-            # the matrix factored, or the reflectors applied (V first)
-            calls.append((name, (first if name == "householder" else first[0]).shape))
+            # the columns decomposed, or the reflectors applied (V first)
+            calls.append((name, (first[0] if name == "apply_householder" else first).shape))
             return original(first, *args)
         return call
 
-    for name in ("householder", "apply_householder"):
-        monkeypatch.setattr(ia_lab.schemes, name, counting(name))
+    for module, name in ((ia_lab.schemes, "householder"), (ia_lab.schemes, "apply_householder"),
+                         (ia_lab.receiver, "householder"), (ia_lab.receiver, "_decomposed")):
+        monkeypatch.setattr(module, name, counting(module, name))
     monkeypatch.setattr(ia_lab.receiver, "STACK_BYTES", 1)
-    rates = zf_rates(bare, ext, rhos)
-    assert calls == [(name, scheme.precoders[0].shape)
-                     for name in ("householder", "apply_householder")]
-    assert tuple(bare.complements) == (0,)
+    rates = zf_rates(scheme, ext, rhos)
+    assert calls == [("_decomposed", (4, 33, 1))]
     assert all(np.array_equal(a, b) for a, b in zip(rates, expected, strict=True))
-    # a single scheme keeps no decomposition a stack of it could not read
-    with pytest.raises(ShapeError):
-        scheme[0].complement(0)
+    calls.clear()
+    rates = zf_rates(bare, ext, rhos)
+    assert calls == [("_decomposed", (4, 33, 1))] + [("_decomposed", (4, 33, 32))] * 3
+    assert bare.complements == {}
+    for got, want in zip(rates, expected, strict=True):
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
 
 
 # configuration and seeds whose pass with gains is compared with the pass

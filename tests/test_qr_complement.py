@@ -4,8 +4,9 @@ and its basis, against the full-U SVD it replaced.
 ``linalg.complement_and_rank`` of the equilibrated precoder is the oracle:
 the ranks must match it, the two complements must agree to within what
 float64 can resolve at the precoder's condition, and the rates read from
-them must agree to 1e-10 relative. A precoder short of rank keeps the
-full-U SVD, so the report of a scheme made by hand does not change.
+them must agree to 1e-10 relative. A scheme made by hand keeps no
+complement: its receivers decompose each image themselves, so its report
+does not change, a precoder short of rank too.
 """
 
 import dataclasses
@@ -19,9 +20,9 @@ import ia_lab.schemes
 from ia_lab import DegeneracyError, SchemeConfig, check_alignment, zf_rates
 from ia_lab.channels import ChannelSet
 from ia_lab.evaluation import _trial_seed
-from ia_lab.linalg import complement_and_rank, equilibrate_columns, householder
+from ia_lab.linalg import complement_and_rank, equilibrate_columns
 from ia_lab.receiver import _pass
-from ia_lab.schemes import TrialStack, _complement, full_rank_schemes
+from ia_lab.schemes import TrialStack, full_rank_schemes
 
 EPS = np.finfo(float).eps
 RHOS = [10.0 ** (s / 10.0) for s in (20.0, 100.0, 200.0)]
@@ -50,43 +51,23 @@ def test_the_complement_agrees_with_the_full_u_svd(label):
     config, seed = CASES[label]
     scheme, ext = config.build(seed)
     stack = scheme[None]
-    u, ranks = stack.complement(0)
+    u = scheme.complements[0]
     e = equilibrate_columns(scheme.precoders[0])
     basis, rank = complement_and_rank(e)
-    assert ranks.tolist() == [rank] == [e.shape[-1]]
+    assert rank == e.shape[-1] and u.shape == basis.shape
     s = np.linalg.svd(e, compute_uv=False)
-    assert largest_sine(u[0][:, :e.shape[-2] - rank], basis) <= 100 * EPS / (s[-1] / s[0])
+    assert largest_sine(u, basis) <= 100 * EPS / (s[-1] / s[0])
 
     # the pass on the oracle's complement: the same verdicts, and rates
     # within 1e-10 relative
     oracle = dataclasses.replace(stack)
-    oracle.complements[0] = (basis[None], np.array([rank]))
+    oracle.complements[0] = basis[None]
     assert (check_alignment(oracle[0], ext).to_dict()
             == check_alignment(scheme, ext).to_dict())
     [rates], [expected] = zf_rates(stack, ext[None], RHOS), zf_rates(oracle, ext[None], RHOS)
     assert (rates is None) == (expected is None)
     if rates is not None:
         assert np.all(np.abs(rates - expected) <= 1e-10 * np.abs(expected))
-
-
-def test_a_row_short_of_rank_keeps_the_full_u_svd():
-    rng = np.random.default_rng(5)
-    e = equilibrate_columns(rng.normal(size=(3, 7, 4)) + 1j * rng.normal(size=(3, 7, 4)))
-    e[1, :, 3] = e[1, :, 0]
-    u, ranks = _complement(e, *householder(e))
-    assert ranks.tolist() == [4, 3, 4]
-    # the width the shortest row needs; each row's complement leads
-    assert u.shape == (3, 7, 4)
-    assert np.array_equal(u[1], np.linalg.svd(e[1])[0][:, 3:])
-    for t in (0, 2):
-        # Q's columns past the rank, as the row alone gives them, and zero
-        # past the complement
-        alone, _ = _complement(e[t:t + 1], *householder(e[t:t + 1]))
-        assert u[t, :, :3].tobytes() == alone[0].tobytes()
-        assert not u[t, :, 3:].any()
-        complete = np.linalg.qr(e[t], mode="complete")[0]
-        s = np.linalg.svd(e[t], compute_uv=False)
-        assert largest_sine(u[t, :, :3], complete[:, 4:]) <= 100 * EPS / (s[-1] / s[0])
 
 
 # transmitter 1's precoder of a siso-k3 n=2 stack of three trials with
@@ -111,10 +92,10 @@ def test_a_hand_made_stack_short_of_rank_in_one_row_keeps_its_reports():
         sha.update(json.dumps(report.to_dict(), sort_keys=True).encode() + b"\n")
     assert sha.hexdigest() == HAND_MADE_REPORTS
     assert [r.passed for r in reports] == [True, False, True]
-    # the stacked pass, which decomposes the full rows by Householder QR and
-    # the short one by the full-U SVD, reads the same ranks
+    # the stacked pass, whose receivers decompose each image among their
+    # own products, by rank, reads the same ranks and keeps nothing in hand
     ranks, _, passed, _ = _pass(hand, ext, False)
-    assert hand.complements[0][1].tolist() == [3, 2, 3]
+    assert hand.complements == {}
     assert passed.tolist() == [r.passed for r in reports]
     for t, report in enumerate(reports):
         assert ranks[:, :, t].T.tolist() == [
@@ -150,11 +131,13 @@ def test_a_trial_the_build_rejects_is_not_decomposed(monkeypatch):
     (kept, _), slots = stack.finish(scheme, ext)
     assert slots[0] == 0 and slots[2] == 1
     assert str(slots[1]) == "precoder of transmitter 1 lost full column rank"
-    u, ranks = kept.complements[0]
-    assert ranks.tolist() == [3, 3]
+    u = kept.complements[0]
+    assert u.shape == (2, 5, 2)
     for row, t in enumerate((0, 2)):
         e = equilibrate_columns(precoders[0][t])
-        alone, _ = _complement(e[None], *householder(e[None]))
+        alone = full_rank_schemes(TrialStack(1), DegeneracyError,
+                                  tuple(v[t:t + 1] for v in precoders),
+                                  family="siso-k3", K=3, M=1, L=5, n=2).complements[0]
         assert u[row].tobytes() == alone[0].tobytes()
         assert np.allclose(u[row].conj().T @ u[row], np.eye(2), rtol=0.0, atol=1e-14)
         assert np.allclose(u[row].conj().T @ e, 0.0, rtol=0.0, atol=1e-14)

@@ -28,58 +28,56 @@ from ia_lab.receiver import ReceiverCheck, _pass
 from conftest import corrupt, dense_receivers, pass_checks, without_desired
 
 
-def counted(row, tol, scale=None):
-    """The counting rule: every value of the row >= tol times its first, or
-    times ``scale`` when given."""
-    cut = tol * (row[0] if scale is None else scale) if row else 0.0
+def counted(row, scale=None):
+    """The counting rule: every value of the row >= RANK_TOL times its
+    first, or times ``scale`` when given."""
+    cut = RANK_TOL * (row[0] if scale is None else scale) if row else 0.0
     return sum(x >= cut for x in row) if row and row[0] > 0.0 else 0
 
 
 @st.composite
 def descending_stacks(draw):
     """(T, n) stacks of descending nonnegative rows, with zeros, all-zero
-    rows and values exactly at tol times the row's first; and the tol."""
-    tol = draw(st.sampled_from([RANK_TOL, 0.0, 1e-300, 0.25, 0.5, 1.0, 2.0]))
+    rows and values exactly at RANK_TOL times the row's first."""
     T, n = draw(st.integers(0, 5)), draw(st.integers(0, 8))
     rows = []
     for _ in range(T):
         lead = draw(st.sampled_from([0.0, 1.0, 3.0, 5e-324, 1e300])
                     | st.floats(0.0, 1e10, allow_subnormal=True))
-        rest = draw(st.lists(st.sampled_from([0.0, tol * lead, lead])
+        rest = draw(st.lists(st.sampled_from([0.0, RANK_TOL * lead, lead])
                              | st.floats(0.0, 1.0).map(lambda f: f * lead),
                              min_size=max(n - 1, 0), max_size=max(n - 1, 0)))
         rows.append(sorted([lead] + rest, reverse=True)[:n])
-    return np.array(rows, dtype=float).reshape(T, n), tol
+    return np.array(rows, dtype=float).reshape(T, n)
 
 
 @settings(max_examples=300, deadline=None)
 @given(descending_stacks(), st.sampled_from([None, 1.0, 0.5, 3.0, 1e300]))
-def test_tail_count_is_the_counting_rule(case, scale):
-    s, tol = case
-    expected = [counted(row, tol, scale) for row in s.tolist()]
-    ranks = _rank(s, tol, scale)
+def test_tail_count_is_the_counting_rule(s, scale):
+    expected = [counted(row, scale) for row in s.tolist()]
+    ranks = _rank(s, scale)
     assert ranks.dtype == int and ranks.shape == (len(s),)
     assert ranks.tolist() == expected
     for row, count in zip(s, expected):
-        alone = _rank(row, tol, scale)
+        alone = _rank(row, scale)
         assert type(alone) is int and alone == count
 
 
 def test_tail_count_on_edge_rows():
-    assert _rank(np.empty((3, 0)), RANK_TOL).tolist() == [0, 0, 0]
-    assert _rank(np.empty((0, 4)), RANK_TOL).tolist() == []
-    assert _rank(np.empty(0), RANK_TOL) == 0
-    assert _rank(np.zeros(4), RANK_TOL) == 0
+    assert _rank(np.empty((3, 0))).tolist() == [0, 0, 0]
+    assert _rank(np.empty((0, 4))).tolist() == []
+    assert _rank(np.empty(0)) == 0
+    assert _rank(np.zeros(4)) == 0
     # a value exactly at the cut counts, the one just below does not
     cut = RANK_TOL * 3.0
     row = np.array([3.0, 1.0, cut, np.nextafter(cut, 0.0), 0.0])
-    assert _rank(row, RANK_TOL) == 3
-    assert _rank(row[None], RANK_TOL).tolist() == [3]
+    assert _rank(row) == 3
+    assert _rank(row[None]).tolist() == [3]
     # from a scale of 1, as a projection of unit-norm columns counts: a
     # value at 1e-16 (a desired signal inside the interference) counts nothing
-    assert _rank(np.array([0.5, RANK_TOL, np.nextafter(RANK_TOL, 0.0)]), RANK_TOL, 1.0) == 2
-    assert _rank(np.array([1e-16, 1e-17]), RANK_TOL, 1.0) == 0
-    assert _rank(np.array([1e-16, 1e-17]), RANK_TOL) == 2
+    assert _rank(np.array([0.5, RANK_TOL, np.nextafter(RANK_TOL, 0.0)]), scale=1.0) == 2
+    assert _rank(np.array([1e-16, 1e-17]), scale=1.0) == 0
+    assert _rank(np.array([1e-16, 1e-17])) == 2
 
 
 CONFIGS = {
@@ -142,7 +140,7 @@ def per_part_checks(scheme, ext):
         u, rank = complement_and_rank(equilibrate_columns(J[..., dk:hi]))
         projected = u[..., rank[0]:].conj().swapaxes(-1, -2) @ equilibrate_columns(
             J[..., :dk])
-        kept = _rank(np.linalg.svd(projected, compute_uv=False), RANK_TOL, 1.0)
+        kept = _rank(np.linalg.svd(projected, compute_uv=False), scale=1.0)
         out.append(ReceiverCheck(k, dk, numerical_rank(J[..., :dk])[0], rank[0],
                                  rank[0] + kept[0], ext.dim))
     return tuple(out)
@@ -165,8 +163,7 @@ def test_one_equilibration_equals_one_per_part(label):
                 for view, part in ((E[..., :dk], J[..., :dk]), (E[..., dk:], J[..., dk:hi])):
                     s_view = np.linalg.svd(view, compute_uv=False)
                     s_part = np.linalg.svd(equilibrate_columns(part), compute_uv=False)
-                    assert _rank(s_view, RANK_TOL).tolist() == _rank(s_part,
-                                                                      RANK_TOL).tolist()
+                    assert _rank(s_view).tolist() == _rank(s_part).tolist()
                     if part.shape[-1] > 1:
                         assert s_view.tobytes() == s_part.tobytes(), (seed, k)
                 # the complement the gains project on, bit for bit where

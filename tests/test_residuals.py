@@ -8,8 +8,8 @@ import pytest
 from ia_lab import SchemeConfig
 from ia_lab.evaluation import TRIAL_ERRORS, _trial_seed
 from ia_lab.families import get_family
-from ia_lab.linalg import (RANK_TOL, _rank, equality_residual, equilibrate_columns,
-                           span_residual, subset_residual)
+from ia_lab.linalg import (_rank, equality_residual, equilibrate_columns, span_residual,
+                           subset_residual)
 from ia_lab.receiver import RESIDUAL_TOL
 
 
@@ -33,7 +33,7 @@ def subset_alone(columns, pool, index):
 
 def basis_alone(matrix):
     u, s, _ = np.linalg.svd(equilibrate_columns(matrix), full_matrices=False)
-    return u[:, :_rank(s, RANK_TOL)]
+    return u[:, :_rank(s)]
 
 
 def span_alone(left, right):

@@ -27,7 +27,7 @@ from ia_lab.evaluation import TRIAL_ERRORS, BuiltStack, _trial_seed
 from ia_lab.linalg import orthonormal_complement
 from ia_lab.receiver import _pass, check_alignment, zf_ok
 
-from conftest import corrupt, stacked, steer
+from conftest import corrupt, pass_checks, replaced, stacked, steer
 
 CONFIGS = {
     "siso-k3 n=1": SchemeConfig("siso-k3", n=1),
@@ -600,23 +600,62 @@ def test_a_pass_over_the_budget_takes_one_receiver_per_batch(monkeypatch, label,
     assert widths == [1] * (2 * scheme.K)
 
 
-def test_no_receiver_after_a_failed_check_in_a_stack():
+def checked_receivers(monkeypatch):
+    """The receivers of each ``_check`` call of a pass, in call order."""
+    calls, check = [], ia_lab.receiver._check
+
+    def recording(joint, *args):
+        calls.append(list(joint))
+        return check(joint, *args)
+
+    monkeypatch.setattr(ia_lab.receiver, "_check", recording)
+    return calls
+
+
+def test_no_receiver_after_a_failed_check_in_a_stack(monkeypatch):
+    k3, one = CONFIGS["siso-k3 n=1"].build(4)
+    calls = checked_receivers(monkeypatch)
+    for trials in (1, 3):
+        scheme, ext = stacked([(steer(k3, one), one)] * trials)
+        calls.clear()
+        ranks, _, passed, _ = _pass(scheme, ext, True)
+        # every trial fails receiver 1, and the pass stops there
+        assert calls == [[0]] and not passed.any()
+        assert not zf_ok(scheme.stream_counts[0], *ranks[1:, 0]).any()
+        assert np.all(ranks[:, 1:] == -1)
+        calls.clear()
+        assert zf_rates(scheme, ext, RHOS) == [None] * trials and calls == [[0]]
+        # the checks without gains go on to the last receiver
+        calls.clear()
+        full, _, _, _ = _pass(scheme, ext, False)
+        assert calls == [[0], [1, 2]] and np.all(full >= 0)
+
+
+def test_a_stack_of_no_trials_takes_no_batch(monkeypatch):
+    [stack] = CONFIGS["siso-k3 n=1"].build_trials(range(2))
+    scheme, ext = stack.trial
+    calls = checked_receivers(monkeypatch)
+    # the pass stops at once: a batch of no trials would divide by zero
+    # sizing its relations
+    assert zf_rates(scheme[[]], ext[[]], RHOS) == [] and calls == []
+
+
+def test_a_failed_trial_stays_in_its_stack():
     k3, one = CONFIGS["siso-k3 n=1"].build(4)
     scheme, ext = stacked([(steer(k3, one), one), (k3, one)])
     ranks, _, passed, gains = _pass(scheme, ext, True)
     ok = zf_ok(np.array(scheme.stream_counts)[:, None], *ranks[1:])
-    # the bad trial fails receiver 1 and reaches no other
-    assert not ok[0, 0] and np.all(ranks[:, 1:, 0] == -1)
+    # the bad trial fails receiver 1 and, as the other trial passes, is
+    # checked at every receiver
+    assert not ok[0, 0] and np.all(ranks[1:, :, 0] >= 0)
     assert ok[:, 1].all()
     assert passed.tolist() == [False, True] and all(np.all(np.isfinite(g[1])) for g in gains)
-    # the checks without gains keep every trial to the last receiver
+    # the checks without gains give the same ranks, and the desired ones a
+    # pass with gains leaves to check_alignment
     full, _, _, _ = _pass(scheme, ext, False)
-    assert np.all(full >= 0)
-    # a pass with gains leaves the desired ranks to check_alignment
-    assert np.all(ranks[0] == -1)
-    assert np.array_equal(full[1:, 0, 0], ranks[1:, 0, 0])
-    # the one extension both trials share gives the same answers, where
-    # receivers 2 and 3 carry transmitter 1's image for the live trial only
+    assert np.all(full >= 0) and np.all(ranks[0] == -1)
+    assert np.array_equal(full[1:], ranks[1:])
+    # the one extension both trials share gives the same answers
     shared = _pass(scheme, one, True)
     assert np.array_equal(shared[0], ranks) and shared[2].tolist() == passed.tolist()
     assert all(g[1].tobytes() == g_shared[1].tobytes() for g, g_shared in zip(gains, shared[3]))
@@ -648,11 +687,11 @@ def test_a_stacks_rates_equal_each_trial_alone(label):
         scheme, ext = stacked([(scheme[0], ext[0])] * 5)
     assert len(scheme.precoders[0]) == 5
     # the middle trial's transmitter 2 precoder steered onto receiver 1's
-    # desired signal
+    # desired signal; it stays in every batch of the stack, and the trials
+    # after it still get, bit for bit, the rates they get alone
     v = np.copy(scheme.precoders[1], order="K")
     v[2] = steer(scheme[2], ext[2]).precoders[1]
-    scheme = dataclasses.replace(scheme, precoders=(scheme.precoders[0], v)
-                                 + scheme.precoders[2:])
+    scheme = replaced(scheme, (scheme.precoders[0], v) + scheme.precoders[2:])
     out = zf_rates(scheme, ext, RHOS)
     assert [rates is None for rates in out] == [False, False, True, False, False]
     ranks, _, passed, _ = _pass(scheme, ext, True)
@@ -662,10 +701,15 @@ def test_a_stacks_rates_equal_each_trial_alone(label):
     for t, rates in enumerate(out):
         [alone] = zf_rates(scheme[t], ext[t], RHOS)
         assert (rates is None) == (alone is None)
+        ranks_alone, _, _, _ = _pass(scheme[t][None], ext[t], True)
         if rates is not None:
             assert rates.tobytes() == alone.tobytes()
-        ranks_alone, _, _, _ = _pass(scheme[t][None], ext[t], True)
-        assert np.array_equal(ranks[..., t], ranks_alone[..., 0])
+            assert np.array_equal(ranks[..., t], ranks_alone[..., 0])
+        else:
+            # the failed trial alone stops at its failing receiver, which
+            # the stack goes on from
+            assert (pass_checks(scheme, ext, ranks, t)
+                    == pass_checks(scheme, ext, ranks_alone))
 
 
 def test_an_over_budget_trial_stops_at_its_failing_receiver(monkeypatch):
