@@ -63,8 +63,11 @@ class DelayMatrix:
             raw = np.asarray(values)
         except ValueError as err:  # rows of unequal length
             raise ParameterError(f"delay matrix must be square, got {values!r}") from err
-        # a bool is no integer here, as nowhere else in the package
-        if raw.dtype.kind not in "iuf" or not np.all(
+        # a bool is no integer here, as nowhere else in the package; numpy
+        # makes a list that mixes bools and numbers a number array, so each
+        # element is looked at as given
+        bools = any(isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat)
+        if bools or raw.dtype.kind not in "iuf" or not np.all(
                 np.isfinite(raw) & (raw == np.round(raw)) & (raw >= 0)):
             raise ParameterError(f"delays must be nonnegative integers, got {values!r}")
         arr = raw.astype(int)  # a copy; freezing must not leak out

@@ -15,8 +15,8 @@ broadcast over the grid. A family that draws no channels (designed) is
 built once per sweep as a stack of one, and evaluated once, and its rows
 are written for every trial seed. Failed trials are recorded as failure rows.
 The estimators read a rate table's records in one pass, which groups the
-ok sum rates by grid point and by seed, and fit every trial's slope in one
-least-squares call.
+ok sum rates by grid point and by seed, and fit the mean curve and every
+trial's slope in one closed-form least-squares pass.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from enum import IntEnum
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
-from operator import add
+from operator import add, mul
 
 import numpy as np
 
@@ -244,11 +244,18 @@ def _trial_bytes(config: SchemeConfig) -> int:
 
 def snr_grid(snr_db) -> tuple:
     """The grid as floats; ParameterError unless it is nonempty, finite and
-    strictly increasing."""
+    strictly increasing, and each point's linear power 10^(snr/10) is a
+    float64 (up to about 3082.5 dB)."""
     grid = tuple(float(s) for s in snr_db)
     if (not grid or not all(math.isfinite(s) for s in grid)
             or any(b <= a for a, b in zip(grid, grid[1:]))):
         raise ParameterError("snr grid must be nonempty, finite and strictly increasing")
+    for s in grid:
+        try:
+            10.0 ** (s / 10.0)
+        except OverflowError:
+            raise ParameterError(
+                f"snr point {s!r} dB overflows float64 as a linear power") from None
     return grid
 
 
@@ -306,13 +313,34 @@ def _require_trials(table: RateTable) -> None:
         raise InsufficientDataError("the rate table holds no trials")
 
 
+def _slopes(x, rows) -> np.ndarray:
+    """Least-squares slopes of the columns of ``rows`` (points x columns)
+    against the points ``x``, a list of floats not all equal, in the closed
+    form :func:`estimate_dof` states. The sums add one row at a time:
+    np.add.reduce over the points would sum a lone column pairwise from 8
+    points on, and its slope would then depend on its stack."""
+    center = reduce(add, x) / len(x)
+    scale = max(abs(v - center) for v in x)
+    w = [(v - center) / scale for v in x]
+    return reduce(add, map(mul, w, rows)) / reduce(add, map(mul, w, x))
+
+
 def estimate_dof(table: RateTable) -> DofEstimate:
     """Least-squares slope of mean sum rate against log2(rho).
 
     Only grid points at 40 dB or above enter the fit (lower points bias the
     slope through their constant terms); at least two such points with
     successful trials are required. The half-width is a normal 95% interval
-    from the spread of per-trial slopes.
+    from the sample standard deviation of the per-trial slopes, over the
+    trials with an ok record at every fitted point.
+
+    The mean curve and every such trial take one closed-form fit, with no
+    LAPACK call: slope = sum w_i y_i / sum w_i x_i over x = log2(rho), with
+    w the centered x scaled by its largest magnitude. |w| <= 1, so no
+    product w_i y_i or w_i x_i exceeds its other factor, where a squared
+    spread of x overflows on grids far above 40 dB. Each sum runs in point
+    order, so a trial's slope has the same bits whether it is fitted alone
+    or among others.
     """
     _require_trials(table)
     sums, last, failed = _by_point(table)
@@ -330,19 +358,28 @@ def estimate_dof(table: RateTable) -> DofEstimate:
     if len(usable) < 2:
         raise InsufficientDataError(
             "need at least two SNR points at >= 40 dB with successful trials")
-    x = np.array([table.snr_db[i] / 10.0 * math.log2(10.0) for i in usable])
-    slope = float(np.polyfit(x, _means([sums[i] for i in usable]), 1)[0])
+    x = [table.snr_db[i] / 10.0 * math.log2(10.0) for i in usable]
+    if x[0] == x[-1]:
+        # grid points a few ulps apart can round to one log2(rho)
+        raise InsufficientDataError(
+            "the SNR points at >= 40 dB with successful trials share one log2(rho)")
 
     # the trials with an ok record at every usable point, in order of their
     # first at the first point, each at its last ok record per point
-    first, *rest = (last[i] for i in usable)
+    ats = [last[i] for i in usable]
+    first, *rest = ats
     complete = [seed for seed in first if all(seed in at for at in rest)]
+    # column 0 is the mean curve, then one column per complete trial
+    means = _means([sums[i] for i in usable]).tolist()
+    slopes = _slopes(x, np.array([[mean, *(at[seed] for seed in complete)]
+                                  for mean, at in zip(means, ats)]))
     half = 0.0
     if len(complete) > 1:
-        # one least-squares fit of every complete trial
-        trial_slopes = np.polyfit(x, [[last[i][seed] for seed in complete] for i in usable], 1)[0]
-        half = 1.96 * float(np.std(trial_slopes, ddof=1)) / math.sqrt(len(complete))
-    return DofEstimate(slope=slope, half_width=half,
+        # np.std(..., ddof=1) of the trial slopes, written out
+        spread = slopes[1:] - np.add.reduce(slopes[1:]) / len(complete)
+        half = (1.96 * math.sqrt(np.add.reduce(spread * spread) / (len(complete) - 1))
+                / math.sqrt(len(complete)))
+    return DofEstimate(slope=float(slopes[0]), half_width=half,
                        snr_db=tuple(table.snr_db[i] for i in usable),
                        trials_used=len(complete), trials_failed=len(failed))
 

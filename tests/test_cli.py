@@ -236,6 +236,8 @@ def test_channel_file_and_seed_take_one_build_path(tmp_path, capsys, config,
      "seed must fit in an unsigned 64-bit integer"),
     (["dof", "--scheme", "siso-k3", "--snr", "60,80", "--trials", "2",
       "--seed", str(2 ** 64)], None, "seed must fit in an unsigned 64-bit integer"),
+    (["dof", "--scheme", "siso-k3", "--snr", "40,4000"], None,
+     "snr point 4000.0 dB overflows float64 as a linear power"),
 ])
 def test_contradictory_scheme_flags_fail_fast(tmp_path, capsys, argv, file_shape, message):
     if file_shape is not None:

@@ -157,6 +157,14 @@ def test_delay_matrix_rejects_boolean_delays():
         DelayMatrix.from_array([[True, False], [False, True]])
 
 
+@pytest.mark.parametrize("values", [[[True, 1], [1, 2]], [[2, 1], [np.True_, 2]],
+                                    [[2.0, False], [1, 2]]])
+def test_delay_matrix_rejects_a_boolean_among_numbers(values):
+    # numpy makes these lists number arrays before any dtype is seen
+    with pytest.raises(ParameterError, match="integers"):
+        DelayMatrix.from_array(values)
+
+
 def test_delay_matrix_rejects_ragged_rows():
     with pytest.raises(ParameterError, match="square"):
         DelayMatrix.from_array([[2, 1, 1], [1, 2]])

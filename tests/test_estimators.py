@@ -3,14 +3,17 @@ point and by seed; on any table, regular or not, they must give what the
 plain per-record code gives.
 
 The oracles below are per-record ``mean_sum_rates``, ``estimate_dof`` and
-``estimate_o1_gap``, which filter the records anew for every point.
-Everything but ``half_width`` must match bit for bit. The per-trial slopes
-behind ``half_width`` come from one least-squares fit of every trial, where
-the oracle fits each trial alone: LAPACK rounds the two alike for fits of
-up to 7 points, and from 8 points on each slope may differ in its last bits.
+``estimate_o1_gap``, which filter the records anew for every point. They
+must match bit for bit. ``estimate_dof`` fits the mean curve and every
+trial in one closed-form pass over the points, where the oracle fits each
+curve alone in plain floats, so each sum must run in point order whatever
+the number of trials. ``np.polyfit`` stays as an independent reference for
+the fit, to within a stated bound.
 """
 
 import math
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 import pytest
@@ -18,7 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ia_lab import (InsufficientDataError, ParameterError, RateRecord, RateTable,
-                    estimate_dof, estimate_o1_gap)
+                    estimate_dof, estimate_o1_gap, snr_sweep)
+
+from conftest import load
 
 
 # what both estimators raise on a table without records
@@ -38,9 +43,32 @@ def oracle_mean_sum_rates(table):
     return out
 
 
+def closed_form_slope(x, y):
+    """Least-squares slope of the floats y against the floats x, one point
+    at a time: sum w_i y_i / sum w_i x_i, with w the centered x over its
+    largest magnitude."""
+    center = reduce(add, x) / len(x)
+    scale = max(abs(v - center) for v in x)
+    w = [(v - center) / scale for v in x]
+    return reduce(add, map(mul, w, y)) / reduce(add, map(mul, w, x))
+
+
+def usable_curves(table, usable):
+    """The mean sum rate at each usable point, and each seed's sum rates
+    there, for the seeds with an ok record at all of them, in order of
+    their first at the first point."""
+    means = [float(np.mean([r.sum_rate for r in ok_at(table, s)])) for s in usable]
+    by_seed = {}
+    for s in usable:
+        for rec in ok_at(table, s):
+            by_seed.setdefault(rec.seed, {})[s] = rec.sum_rate
+    return means, [[rows[s] for s in usable]
+                   for rows in by_seed.values() if len(rows) == len(usable)]
+
+
 def oracle_estimate_dof(table):
-    """(slope, half_width, snr_db, trials_used, trials_failed) and the
-    per-trial slopes, or the InsufficientDataError message."""
+    """(slope, half_width, snr_db, trials_used, trials_failed), or the
+    InsufficientDataError message."""
     high = [s for s in table.snr_db if s >= 40.0]
     usable = [s for s in high if ok_at(table, s)]
     if len(high) >= 2 and len(usable) < 2:
@@ -52,21 +80,16 @@ def oracle_estimate_dof(table):
                 f"{len(high)} SNR points at >= 40 dB with successful trials")
     if len(usable) < 2:
         return "need at least two SNR points at >= 40 dB with successful trials"
-    x = np.array([s / 10.0 * math.log2(10.0) for s in usable])
-    means = np.array([np.mean([r.sum_rate for r in ok_at(table, s)]) for s in usable])
-    slope = float(np.polyfit(x, means, 1)[0])
-    by_seed = {}
-    for s in usable:
-        for rec in ok_at(table, s):
-            by_seed.setdefault(rec.seed, {})[s] = rec.sum_rate
-    trial_slopes = [np.polyfit(x, [rows[s] for s in usable], 1)[0]
-                    for rows in by_seed.values() if len(rows) == len(usable)]
+    x = [s / 10.0 * math.log2(10.0) for s in usable]
+    means, trials = usable_curves(table, usable)
+    slope = closed_form_slope(x, means)
+    trial_slopes = [closed_form_slope(x, y) for y in trials]
     if len(trial_slopes) > 1:
         half = 1.96 * float(np.std(trial_slopes, ddof=1)) / math.sqrt(len(trial_slopes))
     else:
         half = 0.0
     failed = len({r.seed for r in table.records if r.status != "ok"})
-    return (slope, half, tuple(usable), len(trial_slopes), failed), trial_slopes
+    return slope, half, tuple(usable), len(trial_slopes), failed
 
 
 def oracle_estimate_o1_gap(table, claimed_dof):
@@ -126,15 +149,8 @@ def test_view_estimates_equal_the_per_record_code(table):
     if isinstance(want, str):
         assert got == want
     else:
-        (slope, half, snr_db, used, failed), trial_slopes = want
-        assert (got.slope, got.snr_db, got.trials_used, got.trials_failed) == (
-            slope, snr_db, used, failed)
-        if len(snr_db) < 8:
-            assert math.isclose(got.half_width, half, rel_tol=1e-12, abs_tol=0.0)
-        else:
-            # last-bit differences of the slopes, over a spread of any size
-            scale = max(abs(s) for s in trial_slopes) if trial_slopes else 0.0
-            assert abs(got.half_width - half) <= 1e-12 * half + 1e-13 * scale
+        assert (got.slope, got.half_width, got.snr_db, got.trials_used,
+                got.trials_failed) == want
 
     if table.snr_db[-1] - table.snr_db[0] < 40.0 - 1e-9:
         try:
@@ -147,6 +163,105 @@ def test_view_estimates_equal_the_per_record_code(table):
         assert got == want
     else:
         assert (got.snr_db, got.gaps, got.oscillation) == want
+
+
+@pytest.mark.parametrize("failing,used", [(1, 9), (10, 0)])
+def test_many_trials_over_many_points_equal_the_per_record_code(failing, used):
+    # from 8 points numpy would sum a lone column pairwise, and from 8
+    # trials the half-width's sums are pairwise. Trial t < failing fails at
+    # point t; with no trial complete, the mean curve is fitted alone. A
+    # pairwise sum can round as the sequential one does, so five tables
+    grid = tuple(40.0 + 10.0 * p for p in range(10))
+    for draw in range(5):
+        rng = np.random.default_rng(draw)
+        records = [RateRecord(s, seed, (float(rng.exponential(10.0)),), "ok")
+                   if seed >= failing or p != seed else RateRecord(s, seed, None, "failed")
+                   for seed in range(10) for p, s in enumerate(grid)]
+        table = RateTable(K=1, snr_db=grid, records=tuple(records))
+        got = estimate_dof(table)
+        assert (got.slope, got.half_width, got.snr_db, got.trials_used,
+                got.trials_failed) == oracle_estimate_dof(table)
+        assert got.trials_used == used
+
+
+def polyfit_scale(x, y):
+    """The slope scale of points (x, y): max |y| over the span of x."""
+    return max(abs(v) for v in y) / (x[-1] - x[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables())
+def test_slopes_agree_with_np_polyfit(table):
+    # np.polyfit solves the scaled Vandermonde system through LAPACK, an
+    # independent route to the same least-squares slope. Bound: 1e-12 of
+    # the slope scale, where the closed form reads at most 2.2e-14 over
+    # 20000 random fits
+    want = oracle_estimate_dof(table)
+    if isinstance(want, str):
+        return
+    usable = want[2]
+    x = [s / 10.0 * math.log2(10.0) for s in usable]
+    means, trials = usable_curves(table, usable)
+    reference = np.polyfit(x, means, 1)[0]
+    assert abs(estimate_dof(table).slope - reference) <= 1e-12 * polyfit_scale(x, means)
+    # the per-trial slopes equal the oracle's bit for bit (test above)
+    for y in trials:
+        assert (abs(closed_form_slope(x, y) - np.polyfit(x, y, 1)[0])
+                <= 1e-12 * polyfit_scale(x, y))
+
+
+def test_sweep_slopes_agree_with_np_polyfit(monkeypatch):
+    # the cases of scripts/run_dof_slopes.py: slopes near their degrees of
+    # freedom, so the bound is relative to the slope itself
+    for _, config, grid in load(monkeypatch, "run_dof_slopes").CASES:
+        for seed in range(3):
+            table = snr_sweep(config, grid, 2, seed)
+            x = [s / 10.0 * math.log2(10.0) for s in grid]
+            reference = np.polyfit(x, table.mean_sum_rates(), 1)[0]
+            assert math.isclose(estimate_dof(table).slope, reference, rel_tol=1e-12)
+
+
+def test_the_fit_takes_no_polyfit_std_or_lapack(monkeypatch):
+    class Refused:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.linalg.{name} was called")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.polyfit or np.std was called")
+
+    grid = (40.0, 60.0, 80.0)
+    table = RateTable(K=1, snr_db=grid, records=tuple(
+        RateRecord(s, seed, (1.5 * s / 10.0 * math.log2(10.0) + seed,), "ok")
+        for seed in range(3) for s in grid))
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np, "std", refuse)
+    monkeypatch.setattr(np, "linalg", Refused())
+    estimate = estimate_dof(table)
+    assert math.isclose(estimate.slope, 1.5, rel_tol=1e-12)
+    assert estimate.trials_used == 3
+
+
+def test_a_line_on_a_huge_grid_keeps_its_slope():
+    # a squared spread of log2(rho) overflows here; the scaled weights do not
+    grid = (40.0, 1e300)
+    table = RateTable(K=1, snr_db=grid, records=tuple(
+        RateRecord(s, seed, (1.5 * s / 10.0 * math.log2(10.0) + seed,), "ok")
+        for seed in range(3) for s in grid))
+    estimate = estimate_dof(table)
+    assert math.isclose(estimate.slope, 1.5, rel_tol=1e-12)
+    assert math.isfinite(estimate.half_width) and estimate.half_width <= 1e-12
+
+
+def test_points_that_share_one_log2_rho_are_not_fitted():
+    # adjacent floats near 40 dB can round to one log2(rho), which leaves no
+    # spread to fit a slope over
+    low = 40.000000000000014
+    grid = (low, math.nextafter(low, math.inf))
+    assert grid[0] / 10.0 * math.log2(10.0) == grid[1] / 10.0 * math.log2(10.0)
+    table = RateTable(K=1, snr_db=grid, records=tuple(
+        RateRecord(s, 0, (13.0 + i,), "ok") for i, s in enumerate(grid)))
+    with pytest.raises(InsufficientDataError, match="share one log2"):
+        estimate_dof(table)
 
 
 @settings(max_examples=200, deadline=None)

@@ -55,6 +55,16 @@ def test_sweep_rejects_bad_grid():
         snr_sweep(config, [60, 80], trials=0, seed=0)
 
 
+def test_sweep_refuses_a_point_whose_power_overflows(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(ia_lab.evaluation, "generate_channels", lambda *args: drawn.append(args))
+    with pytest.raises(ParameterError, match=r"^snr point 3082\.6 dB overflows float64"):
+        snr_sweep(SchemeConfig(family="siso-k3"), [40, 3082.6, 4000], 1, seed=0)
+    assert drawn == []
+    # 10^308.25 is still a float64
+    assert ia_lab.evaluation.snr_grid([40, 3082.5]) == (40.0, 3082.5)
+
+
 @pytest.mark.parametrize("trials", [2.0, 1.5, "2", None, True])
 def test_sweep_rejects_a_trial_count_that_is_not_an_integer(monkeypatch, trials):
     drawn = []
