@@ -193,11 +193,11 @@ class RateTable:
             writer.writerow(["snr_db", "seed", "user", "rate_bits",
                              "sum_rate_bits", "status"])
             for rec in self.records:
+                total = repr(rec.sum_rate)
                 for user in range(self.K):
                     rate = rec.rates[user] if rec.rates is not None else math.nan
                     writer.writerow([rec.snr_db, rec.seed, user + 1,
-                                     repr(float(rate)), repr(rec.sum_rate),
-                                     rec.status])
+                                     repr(float(rate)), total, rec.status])
 
 
 def _by_point(table: RateTable) -> tuple:
@@ -397,9 +397,11 @@ def estimate_o1_gap(table: RateTable, claimed_dof: float) -> GapProbe:
 
     A bounded oscillation (max minus min of the gap) over a wide grid is
     evidence that the rate curve differs from the claimed line by a
-    constant; growing oscillation is evidence against.
+    constant; growing oscillation is evidence against. The table's grid
+    must be one :func:`snr_grid` takes.
     """
-    if table.snr_db[-1] - table.snr_db[0] < MIN_FIT_SNR_DB - 1e-9:
+    grid = snr_grid(table.snr_db)
+    if grid[-1] - grid[0] < MIN_FIT_SNR_DB - 1e-9:
         raise ParameterError("gap probing needs a grid spanning at least 40 dB")
     if not math.isfinite(claimed_dof):
         raise ParameterError(f"claimed degrees of freedom must be finite, got {claimed_dof!r}")

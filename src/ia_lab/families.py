@@ -30,9 +30,11 @@ class Family:
     channel_shape: Callable  # config -> (K, M, F) one realization draws, None if fixed
     # (config, stacked ChannelSet) -> (trial, slots), the builder's own result:
     # trial is the stacked (scheme, extended channel) of the channel sets
-    # that built, selected once at the build's end, and slots[t] is set t's
-    # row in it or the TRIAL_ERRORS instance its build gives; a family that
-    # draws no channels takes None and gives its one trial as the stack of one
+    # that built, selected once by the build's TrialStack.finish, which then
+    # forms the scheme's complements for the kept trials only, and slots[t]
+    # is set t's row in it or the TRIAL_ERRORS instance its build gives; a
+    # family that draws no channels takes None and gives its one trial as the
+    # stack of one
     build: Callable
     # (K, n) -> (kind, receiver k, description, j, i, columns) of every
     # promised relation between transmitter j's precoder seen at receiver k

@@ -16,7 +16,7 @@ import numpy as np
 
 from .channels import ChannelSet
 from .errors import DegeneracyError, ParameterError, ShapeError, SingularChannelError
-from .schemes import TrialStack, full_rank_schemes
+from .schemes import TrialStack
 
 EIGENBASIS_COND_CAP = 1e8
 EIGENVALUE_GAP_TOL = 1e-10
@@ -61,9 +61,8 @@ def loop_matrix(ch: ChannelSet) -> np.ndarray:
     from transmitters 2 and 3 coincide once the exact alignment equalities
     at receivers 2 and 3 are enforced.
     """
-    trials = ch if ch.stacked else ch[None]
-    stack = TrialStack(len(trials.coeffs))
-    return stack.one(_loop_matrix(trials.coeffs, stack))
+    stack = TrialStack(ch)
+    return stack.one(_loop_matrix(stack.trials.coeffs, stack))
 
 
 def _sorted_eigenbasis(matrices: np.ndarray, stack: TrialStack) -> tuple:
@@ -92,18 +91,17 @@ def _build(ext: ChannelSet, L: int, seed, parity: str):
     transmitter 1's precoder is ``seed`` of the loop map's sorted eigenbasis."""
     if ext.F != L:
         raise ShapeError(f"{parity}-M construction needs a {L}-slot extension, got L={ext.F}")
-    trials = ext if ext.stacked else ext[None]
-    if not (trials.coeffs[..., 1:, :, :] == trials.coeffs[..., :1, :, :]).all():
+    if not (ext.coeffs[..., 1:, :, :] == ext.coeffs[..., :1, :, :]).all():
         raise ShapeError("constant-channel construction expects equal slots")
-    stack = TrialStack(len(trials.coeffs))
+    stack = TrialStack(ext)
+    trials = stack.trials
     _, vectors = _sorted_eigenbasis(_loop_matrix(trials.coeffs, stack), stack)
     v_tx1 = seed(vectors)
     link = "H" if L == 1 else "extended H"
     v_tx2, v_tx3 = _solve(stack, (trials.matrix(2, 1), trials.apply(2, 0, v_tx1), link + "32"),
                           (trials.matrix(1, 2), trials.apply(1, 0, v_tx1), link + "23"))
-    schemes = full_rank_schemes(stack, DegeneracyError, (v_tx1, v_tx2, v_tx3),
-                                family="mimo", K=3, M=ext.M, L=L, parity=parity)
-    return stack.finish(schemes, ext)
+    return stack.finish(DegeneracyError, (v_tx1, v_tx2, v_tx3),
+                        family="mimo", K=3, M=ext.M, L=L, parity=parity)
 
 
 def build_mimo_even(ext: ChannelSet):

@@ -30,10 +30,11 @@ class PrecoderScheme:
     single scheme only, the stack of one, as for a ChannelSet.
 
     ``complements[j]`` holds, for each transmitter j whose image several
-    receivers carry, the complement of the span of its precoders that
-    :func:`full_rank_schemes` kept, the only one the receiver pass
-    carries: a (T, L*M, L*M - d_j) stack of orthonormal bases. Selection
-    takes its rows along with the precoders'; == and repr leave it out,
+    receivers carry, the complement of the span of its precoders, the only
+    one the receiver pass carries: a (T, L*M, L*M - d_j) stack of
+    orthonormal bases, which :meth:`TrialStack.finish` forms after it
+    selects the trials that built, for those trials only. Selection takes
+    its rows along with the precoders'; == and repr leave it out,
     and a scheme made by hand or by ``dataclasses.replace`` starts without
     it, its receivers then decomposing each image themselves.
     """
@@ -74,19 +75,22 @@ class PrecoderScheme:
 
 
 class TrialStack:
-    """Bookkeeping of a build over a stack of trials: the error of each trial
-    that failed.
+    """Bookkeeping of a build over ``ext``: ``trials`` is ``ext`` as a stack,
+    a single extension standing for the stack of one, and ``errors`` holds
+    the error of each trial that failed.
 
-    Every step of a stacked build runs over all the stack's rows, row t
-    being trial t. ``fail`` gives each row whose ``ok`` entry is False its
+    Every step of a stacked build runs over all the rows of ``trials``, row
+    t being trial t. ``fail`` gives each row whose ``ok`` entry is False its
     own error, unless its trial has one already, so a trial keeps the error
     of the first step it fails, as it does alone. A failed row stays in the
     build, finite, and ``finish`` selects the trials that built once, at the
     end, for the scheme and the extension together.
     """
 
-    def __init__(self, size: int):
-        self.errors = [None] * size
+    def __init__(self, ext):
+        self.ext = ext
+        self.trials = ext if ext.stacked else ext[None]
+        self.errors = [None] * len(self.trials.coeffs)
 
     def fail(self, ok, error: type, message: str) -> None:
         if np.logical_and.reduce(ok, axis=None):
@@ -95,22 +99,63 @@ class TrialStack:
             if self.errors[t] is None:
                 self.errors[t] = error(message)
 
-    def finish(self, scheme: PrecoderScheme, ext):
-        """What a build over ``ext`` returns of ``scheme``, which stacks every
-        row: for a stacked ``ext``, ((scheme, ext) of the trials that built,
-        each trial's row in them or its error), the two themselves when every
-        trial built; for one extension, ``one(scheme)``. Indexing the first
-        axis keeps each row's memory layout, so whatever is summed over a row
-        later sums in the same order as for the trial alone."""
-        if not ext.stacked:
-            return self.one(scheme)
-        kept = [t for t, error in enumerate(self.errors) if error is None]
+    def finish(self, error: type, precoders: tuple, **fields):
+        """What the build returns of its ``precoders``, ``precoders[i]``
+        stacking transmitter i's over the rows of ``trials``, and the
+        PrecoderScheme ``fields``: for a stacked ``ext``, ((scheme, ext) of
+        the trials that built, each trial's row in them or its error), the
+        two themselves when every trial built; for one extension, its scheme
+        or its error raised.
+
+        A trial whose precoder does not have full column rank gets ``error``
+        naming its first such transmitter. A transmitter j whose image
+        several receivers carry (``Family.shared_images``) has full column
+        rank where the :func:`~ia_lab.linalg.householder` of its
+        equilibrated columns says so: one QR, and bounds on R, or else its
+        singular values. The other transmitters of one shape share one
+        full-rank call, column-major ones apart (they sum their column norms
+        in another order). Once every rank is known the trials that built
+        are selected, and only then does the scheme keep, in
+        ``complements[j]``, the complement of j's span for the receiver
+        pass, for those trials alone: Q's trailing dim - d_j columns.
+        Indexing the first axis keeps each row's memory layout, so whatever
+        is summed over a row later sums in the same order as for the trial
+        alone.
+        """
+        # families imports the builders, which import this module
+        from .families import get_family
+
+        scheme = PrecoderScheme(precoders=precoders, **fields)
+        shared = get_family(scheme.family).shared_images(scheme.K)
+        groups, ok, pending = {}, {}, {}
+        for j in shared:
+            pending[j], ok[j] = householder(equilibrate_columns(precoders[j]))
+        for i, v in enumerate(precoders):
+            if i not in shared:
+                groups.setdefault((v.shape[1:], v.shape[-1] > 1 and v.strides[-2] < v.strides[-1]),
+                                  []).append(i)
+        for members in groups.values():
+            full = has_full_column_rank(np.concatenate([precoders[i] for i in members])
+                                        if len(members) > 1 else precoders[members[0]])
+            ok.update(zip(members, full.reshape(len(members), len(self.errors))))
+        for i in range(len(precoders)):
+            self.fail(ok[i], error, f"precoder of transmitter {i + 1} lost full column rank")
+        trials = self.trials
+        kept = [t for t, err in enumerate(self.errors) if err is None]
         if len(kept) < len(self.errors):
-            scheme, ext = scheme[kept], ext[kept]
+            scheme, trials = scheme[kept], trials[kept]
+            pending = {j: tuple(a[kept] for a in r) for j, r in pending.items()}
+        for j, reflectors in pending.items():
+            dim, d = precoders[j].shape[-2:]
+            # Q applied to the identity's columns from d_j on
+            scheme.complements[j] = apply_householder(reflectors,
+                                                      _triangles(dim, dim)[2][:, d:])
+        if not self.ext.stacked:
+            return self.one(scheme)
         slots = list(self.errors)
         for r, t in enumerate(kept):
             slots[t] = r
-        return (scheme, ext), tuple(slots)
+        return (scheme, trials), tuple(slots)
 
     def one(self, result):
         """``result[0]`` of a stack of one, or its trial's error raised: what a
@@ -121,57 +166,6 @@ class TrialStack:
         if error is not None:
             raise error
         return result[0]
-
-
-def full_rank_schemes(stack: TrialStack, error: type, precoders: tuple,
-                      **fields) -> PrecoderScheme:
-    """The stacked PrecoderScheme of a stacked build's precoders, every row
-    kept; ``precoders[i]`` stacks transmitter i's over the rows of ``stack``.
-
-    A trial whose precoder does not have full column rank gets ``error``
-    naming its first such transmitter. A transmitter j whose image several
-    receivers carry (``Family.shared_images``) has full column rank where
-    the :func:`~ia_lab.linalg.householder` of its equilibrated columns says
-    so: one QR, and bounds on R, or else its singular values. The scheme
-    keeps, in ``complements[j]``, the complement of its span for the
-    receiver pass, formed once every transmitter's rank is known and for
-    the trials that built only, each of rank d_j: Q's trailing dim - d_j
-    columns (at L=275, 8-11 ms per trial; see the README); the bounds
-    decide all 12 L=275 builds of perfbench's pools. The rows of the
-    others, which :meth:`TrialStack.finish` drops, are zero.
-    The other transmitters of one shape share one full-rank call,
-    column-major ones apart (they sum their column norms in another order).
-    """
-    # families imports the builders, which import this module
-    from .families import get_family
-
-    scheme = PrecoderScheme(precoders=precoders, **fields)
-    shared = get_family(scheme.family).shared_images(scheme.K)
-    groups, ok, pending = {}, {}, {}
-    for j in shared:
-        pending[j], ok[j] = householder(equilibrate_columns(precoders[j]))
-    for i, v in enumerate(precoders):
-        if i not in shared:
-            groups.setdefault((v.shape[1:], v.shape[-1] > 1 and v.strides[-2] < v.strides[-1]),
-                              []).append(i)
-    for members in groups.values():
-        full = has_full_column_rank(np.concatenate([precoders[i] for i in members])
-                                    if len(members) > 1 else precoders[members[0]])
-        ok.update(zip(members, full.reshape(len(members), len(stack.errors))))
-    for i in range(len(precoders)):
-        stack.fail(ok[i], error, f"precoder of transmitter {i + 1} lost full column rank")
-    built = [t for t, err in enumerate(stack.errors) if err is None]
-    for j, reflectors in pending.items():
-        dim, d = precoders[j].shape[-2:]
-        # Q applied to the identity's columns from d_j on
-        trailing = _triangles(dim, dim)[2][:, d:]
-        if len(built) == len(stack.errors):
-            scheme.complements[j] = apply_householder(reflectors, trailing)
-        elif built:
-            u = apply_householder(tuple(a[built] for a in reflectors), trailing)
-            scheme.complements[j] = np.zeros((len(stack.errors),) + u.shape[1:], dtype=u.dtype)
-            scheme.complements[j][built] = u
-    return scheme
 
 
 def _matrix_entries(v: np.ndarray) -> list:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channels import ChannelSet, is_integer
 from .errors import ParameterError, ShapeError, SingularChannelError, SizeGuardError
-from .schemes import TrialStack, full_rank_schemes
+from .schemes import TrialStack
 
 DEFAULT_SIZE_CAP = 4096
 
@@ -38,13 +38,12 @@ def _diagonals(ext: ChannelSet) -> tuple:
     the bookkeeping of the build. A trial whose link is singular fails, and
     its row reads ones, so that what is computed from it stays finite until
     the build's final selection drops it."""
-    trials = ext if ext.stacked else ext[None]
-    stack = TrialStack(len(trials.coeffs))
+    stack = TrialStack(ext)
     checked = {}
 
     def h(k: int, j: int) -> np.ndarray:
         if (k, j) not in checked:
-            d = trials.diagonal(k, j)
+            d = stack.trials.diagonal(k, j)
             mag = np.abs(d)
             # a row whose largest entry is 0 fails on every entry
             bad = np.logical_or.reduce(
@@ -101,9 +100,8 @@ def build_precoders_k3(ext: ChannelSet, n: int):
     v_tx1 = powers
     v_tx2 = (h(2, 0) / h(2, 1))[..., None] * powers[..., :n]
     v_tx3 = (h(1, 0) / h(1, 2))[..., None] * powers[..., 1:]
-    schemes = full_rank_schemes(stack, SingularChannelError, (v_tx1, v_tx2, v_tx3),
-                                family="siso-k3", K=3, M=1, L=L, n=n)
-    return stack.finish(schemes, ext)
+    return stack.finish(SingularChannelError, (v_tx1, v_tx2, v_tx3),
+                        family="siso-k3", K=3, M=1, L=L, n=n)
 
 
 def required_extension_general(K: int, n: int) -> int:
@@ -225,6 +223,5 @@ def build_precoders_general(ext: ChannelSet, n: int,
     v_tx1 = _exponent_columns(gains, pairs, n + 1)
 
     precoders = [v_tx1] + [scale[j][..., None] * seed_block for j in range(1, K)]
-    schemes = full_rank_schemes(stack, SingularChannelError, tuple(precoders),
-                                family="siso-general", K=K, M=1, L=L, n=n)
-    return stack.finish(schemes, ext)
+    return stack.finish(SingularChannelError, tuple(precoders),
+                        family="siso-general", K=K, M=1, L=L, n=n)

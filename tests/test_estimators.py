@@ -252,6 +252,15 @@ def test_a_line_on_a_huge_grid_keeps_its_slope():
     assert math.isfinite(estimate.half_width) and estimate.half_width <= 1e-12
 
 
+@pytest.mark.parametrize("grid", [(), (40.0, 1e300)])
+def test_the_gap_probe_names_a_grid_it_cannot_take(grid):
+    # an empty grid has no span; 1e300 dB overflows float64 as a power
+    table = RateTable(K=1, snr_db=grid, records=tuple(
+        RateRecord(s, 0, (1.5 * s / 10.0 * math.log2(10.0),), "ok") for s in grid))
+    with pytest.raises(ParameterError, match="snr"):
+        estimate_o1_gap(table, 1.5)
+
+
 def test_points_that_share_one_log2_rho_are_not_fitted():
     # adjacent floats near 40 dB can round to one log2(rho), which leaves no
     # spread to fit a slope over

@@ -40,7 +40,7 @@ def test_loop_matrix_matches_explicit_inverses():
 
 def test_eigenbasis_order_is_deterministic():
     ch = generate_channels(3, 4, 1, seed=8)
-    [values], [vectors] = _sorted_eigenbasis(loop_matrix(ch)[None], TrialStack(1))
+    [values], [vectors] = _sorted_eigenbasis(loop_matrix(ch)[None], TrialStack(ch))
     assert np.all(np.diff(np.abs(values)) <= 1e-12)
     assert np.allclose(np.linalg.norm(vectors, axis=0), 1.0)
 
@@ -113,7 +113,7 @@ def test_odd_builder_rejects_slots_that_differ():
 
 def test_odd_seed_layout_m3():
     ch = generate_channels(3, 3, 1, seed=6)
-    _, [vectors] = _sorted_eigenbasis(loop_matrix(ch)[None], TrialStack(1))
+    _, [vectors] = _sorted_eigenbasis(loop_matrix(ch)[None], TrialStack(ch))
     seed = interleaved_seed(vectors)
     assert seed.shape == (6, 3)
     # column 1: first eigenvector on the first slot, exact zeros below

@@ -22,7 +22,7 @@ from ia_lab.channels import ChannelSet
 from ia_lab.evaluation import _trial_seed
 from ia_lab.linalg import complement_and_rank, equilibrate_columns
 from ia_lab.receiver import _pass
-from ia_lab.schemes import TrialStack, full_rank_schemes
+from ia_lab.schemes import TrialStack
 
 EPS = np.finfo(float).eps
 RHOS = [10.0 ** (s / 10.0) for s in (20.0, 100.0, 200.0)]
@@ -122,22 +122,19 @@ def test_a_trial_the_build_rejects_is_not_decomposed(monkeypatch):
 
     monkeypatch.setattr(ia_lab.schemes, "householder", counting_factor)
     monkeypatch.setattr(ia_lab.schemes, "apply_householder", counting_apply)
-    stack = TrialStack(3)
     ext = ChannelSet(K=3, M=1, F=5, a_min=1.0, a_max=1.0, seed=(0, 1, 2),
                      coeffs=np.ones((3, 3, 3, 5, 1, 1), dtype=complex))
-    scheme = full_rank_schemes(stack, DegeneracyError, tuple(precoders),
-                               family="siso-k3", K=3, M=1, L=5, n=2)
+    (kept, _), slots = TrialStack(ext).finish(DegeneracyError, tuple(precoders),
+                                              family="siso-k3", K=3, M=1, L=5, n=2)
     assert decomposed == [3] and formed == [2]
-    (kept, _), slots = stack.finish(scheme, ext)
     assert slots[0] == 0 and slots[2] == 1
     assert str(slots[1]) == "precoder of transmitter 1 lost full column rank"
     u = kept.complements[0]
     assert u.shape == (2, 5, 2)
     for row, t in enumerate((0, 2)):
         e = equilibrate_columns(precoders[0][t])
-        alone = full_rank_schemes(TrialStack(1), DegeneracyError,
-                                  tuple(v[t:t + 1] for v in precoders),
-                                  family="siso-k3", K=3, M=1, L=5, n=2).complements[0]
-        assert u[row].tobytes() == alone[0].tobytes()
+        alone = TrialStack(ext[t]).finish(DegeneracyError, tuple(v[t:t + 1] for v in precoders),
+                                          family="siso-k3", K=3, M=1, L=5, n=2)
+        assert u[row].tobytes() == alone.complements[0].tobytes()
         assert np.allclose(u[row].conj().T @ u[row], np.eye(2), rtol=0.0, atol=1e-14)
         assert np.allclose(u[row].conj().T @ e, 0.0, rtol=0.0, atol=1e-14)

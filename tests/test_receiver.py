@@ -10,7 +10,7 @@ from ia_lab import (ParameterError, SchemeConfig, ShapeError,
                     build_designed_channel, build_precoders_k3, check_alignment,
                     extend_channel, generate_channels, snr_sweep, zf_rates)
 from ia_lab.linalg import orthonormal_complement
-from ia_lab.receiver import _grid_rates, _pass
+from ia_lab.receiver import _certified, _grid_rates, _pass
 
 from conftest import dense_receivers, interference_at, steer
 
@@ -83,6 +83,15 @@ def test_dimension_mismatch_raises():
     _, ext5 = k3_case(n=2)
     with pytest.raises(ShapeError):
         check_alignment(scheme, ext5)
+    with pytest.raises(ShapeError, match="scheme has K=3, channel has K=4"):
+        check_alignment(scheme, generate_channels(4, 1, 3, seed=0))
+
+
+def test_a_basis_narrower_than_the_streams_certifies_no_row():
+    s = np.ones((3, 1))
+    norms = np.ones((3, 2))
+    assert _certified(s, norms).tolist() == [False, False, False]
+    assert _certified(np.ones((3, 2)), norms).tolist() == [True, True, True]
 
 
 def test_a_scheme_short_of_precoders_raises():
@@ -102,6 +111,11 @@ def test_only_a_stacked_scheme_takes_a_trial_index():
         check_alignment(scheme[0], ext)
     assert scheme[None].stacked
     assert check_alignment(scheme[None][0], ext) == check_alignment(scheme, ext)
+    with pytest.raises(ShapeError, match="stack the same trials"):
+        zf_rates(scheme[None], ext, [1.0])
+    # check_alignment takes one trial, even of a matching stack
+    with pytest.raises(ShapeError, match="takes one trial"):
+        check_alignment(scheme[None], ext[None])
 
 
 def test_zero_power_gives_zero_rates():

@@ -142,3 +142,15 @@ def test_span_residual_of_a_stack_is_each_alone(rows, cols):
     left[4] = right[4] = 0.0  # no span at all
     got = span_residual(left, right)
     assert got.tolist() == [span_alone(a, b) for a, b in zip(left, right)]
+
+
+def test_span_residual_of_sides_of_different_widths_compares_their_ranks():
+    # each side takes its own SVD; trial 0's three columns span the same
+    # plane as its two, trial 1's a space of one more dimension
+    rng = np.random.default_rng(9)
+    left = stack(rng, 2, 7, 2)
+    right = np.concatenate((left @ stack(rng, 2, 2, 2), stack(rng, 2, 7, 1)), axis=-1)
+    right[0, :, 2] = right[0, :, 0] + 0.5 * right[0, :, 1]
+    got = span_residual(left, right)
+    assert got.tolist() == [span_alone(a, b) for a, b in zip(left, right)]
+    assert got[0] < 1e-14 and got[1] == 1.0

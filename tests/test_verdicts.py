@@ -10,7 +10,7 @@ from ia_lab import SchemeConfig, check_alignment, zf_rates
 from ia_lab.channels import ChannelSet
 from ia_lab.errors import DegeneracyError
 from ia_lab.evaluation import TRIAL_ERRORS, _trial_seed
-from ia_lab.schemes import TrialStack, full_rank_schemes
+from ia_lab.schemes import TrialStack
 
 from conftest import corrupt, stacked
 
@@ -96,11 +96,10 @@ def test_each_trial_names_its_first_rank_deficient_transmitter():
     precoders[0][2, :, 1] = precoders[0][2, :, 0]  # trial 2: transmitters 1 and 3
     precoders[2][2, :, 1] = 0.0
     precoders[2][3, :, 0] = 0.0  # trial 3: transmitter 3
-    stack = TrialStack(4)
     ext = ChannelSet(K=3, M=6, F=1, a_min=1.0, a_max=1.0, seed=(0, 1, 2, 3),
                      coeffs=np.zeros((4, 3, 3, 1, 6, 6), dtype=complex))
-    (scheme, _), slots = stack.finish(full_rank_schemes(
-        stack, DegeneracyError, tuple(precoders), family="mimo", K=3, M=6, L=1), ext)
+    (scheme, _), slots = TrialStack(ext).finish(
+        DegeneracyError, tuple(precoders), family="mimo", K=3, M=6, L=1)
     assert slots[0] == 0 and len(scheme.precoders[0]) == 1
     assert [str(slots[t]) for t in (1, 2, 3)] == [
         f"precoder of transmitter {i} lost full column rank" for i in (2, 1, 3)]
