@@ -2,7 +2,9 @@
 """Print SHA-256 digests of what ia_lab computes on a fixed set of
 configurations: per configuration, the alignment reports and zero-forcing
 rates of a few seeds, an SNR sweep's table, and its DoF and gap estimates
-(or their errors). One line per configuration gives its own digest, and the
+(or their errors); at L=275 also the seeds' rates and a sweep on a second
+grid of 160-200 dB, where receiver 1 takes its rates from its projected
+channel's R. One line per configuration gives its own digest, and the
 last line one digest over all of them. The line before it, labelled
 ``verdicts``, is a digest over only what decides verdicts: per seed the
 build's error, or else each receiver's ranks, each relation's ok flag and
@@ -49,6 +51,11 @@ CONFIGS = ([SchemeConfig("siso-k3", n=n) for n in (1, 2, 3, 4, 5, 7, 8)]
            + [SchemeConfig("designed", K=K) for K in (3, 10)])
 GRID = (40.0, 60.0, 80.0)
 RHOS = [10.0 ** (s / 10.0) for s in GRID]
+# L=275 configurations are also rated and swept here, the grid of the large
+# benchmark workload: on GRID every receiver 1 takes its rates from its
+# gains' SVD, here from its projected channel's R
+HIGH_GRID = (160.0, 180.0, 200.0)
+HIGH_RHOS = [10.0 ** (s / 10.0) for s in HIGH_GRID]
 
 
 def label(config) -> str:
@@ -71,7 +78,8 @@ def digest(each=None, rates=None) -> tuple:
     with each configuration's own digest, when given. A ``rates`` dict gets,
     by label, each configuration's rates as lists: per seed its zero-forcing
     rates (None where the build or the check fails), then per sweep record
-    its rates (None where it failed)."""
+    its rates (None where it failed); at L=275 each seed's and sweep
+    record's on HIGH_GRID follow, which only the overall digest reads."""
     sha, verdicts = hashlib.sha256(), hashlib.sha256()
 
     def put(value):
@@ -83,7 +91,7 @@ def digest(each=None, rates=None) -> tuple:
         verdicts.update(json.dumps(value).encode() + b"\n")
 
     for config in CONFIGS:
-        one, seeds = hashlib.sha256(), []
+        one, seeds, high = hashlib.sha256(), [], []
         large = config.family == "siso-general" and config.n == 2  # L=275
         for seed in build_seeds(config):
             try:
@@ -92,20 +100,27 @@ def digest(each=None, rates=None) -> tuple:
                 put(repr(err))
                 verdict([type(err).__name__, str(err)])
                 seeds.append(None)
+                high.append(None)
                 continue
             report = check_alignment(scheme, ext)
             put(report.to_dict())
             verdict([[[r.desired_rank, r.interference_rank, r.joint_rank]
                       for r in report.receivers],
                      [r.ok for r in report.relations], report.passed])
-            [got] = zf_rates(scheme, ext, RHOS)
-            put(None if got is None else got.tobytes().hex())
-            seeds.append(None if got is None else got.tolist())
+            for grid, out in [(RHOS, seeds)] + ([(HIGH_RHOS, high)] if large else []):
+                [got] = zf_rates(scheme, ext, grid)
+                put(None if got is None else got.tobytes().hex())
+                out.append(None if got is None else got.tolist())
         table = snr_sweep(config, GRID, 2 if large else 6, seed=3)
-        if rates is not None:
-            rates[label(config)] = seeds + [r.rates for r in table.records]
         put([(r.snr_db, r.seed, r.rates, r.status) for r in table.records])
         verdict([r.status for r in table.records])
+        records = [r.rates for r in table.records]
+        if large:
+            high_table = snr_sweep(config, HIGH_GRID, 2, seed=3)
+            put([(r.snr_db, r.seed, r.rates, r.status) for r in high_table.records])
+            records += high + [r.rates for r in high_table.records]
+        if rates is not None:
+            rates[label(config)] = seeds + records
         for estimate in (lambda: estimate_dof(table),
                          lambda: estimate_o1_gap(table, float(config.claimed_dof))):
             try:

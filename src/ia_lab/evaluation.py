@@ -10,8 +10,8 @@ channel draw and one build call, every step of which runs over all the
 stack's trials; a trial that fails keeps the error it gets alone, and the
 build selects the trials that built once, at its end, and hands their
 stacked scheme and extension (none, if none did) to
-:func:`~ia_lab.receiver.zf_rates`: one pass over the receivers, and one
-broadcast over the grid. A family that draws no channels (designed) is
+:func:`~ia_lab.receiver.zf_rates`: one pass over the receivers, each of
+which takes its rates over the whole grid at once. A family that draws no channels (designed) is
 built once per sweep as a stack of one, and evaluated once, and its rows
 are written for every trial seed. Failed trials are recorded as failure rows.
 The estimators read a rate table's records in one pass, which groups the

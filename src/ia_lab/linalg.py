@@ -5,11 +5,13 @@ tolerance, RANK_TOL: a singular value counts toward the rank iff it is at
 least RANK_TOL times the largest one, or times a scale the caller knows (1
 for a projection of unit-norm columns). As singular values come in
 descending order, the count walks each row from its tail and stops at the
-last value that counts. Only :func:`_full_rank` may skip the singular
-values, of a triangular R, and only where it answers as ``_rank`` would:
-an upper bound on R's condition from its inverse certifies full rank, and
-R's least diagonal entry over a lower bound on its largest singular value
-shows it short. Only an R neither bound decides takes the singular values.
+last value that counts. Only :func:`_full_rank`, and the certificate of a
+wide receiver's projected channel (``rates._Factored``), may skip the
+singular values, of a triangular R, and only where they answer as ``_rank``
+would: an upper bound on R's condition from its inverse certifies full
+rank, and an upper bound on R's least singular value (its least diagonal
+entry, or power steps on its inverse) over a lower bound on its largest
+shows it short. Only an R no bound decides takes the singular values.
 The rank functions rescale columns to unit norm first;
 rescaling by a nonzero scalar per column leaves the rank unchanged but
 greatly improves the spread of singular values when column norms differ by
@@ -173,10 +175,22 @@ def _invert_triangular(r: np.ndarray) -> np.ndarray:
     return r
 
 
-# power steps on R^H R, from the all-ones vector, behind the lower bound on
-# sigma_max(R) that shows an R short of rank: however far they converge,
-# ||R x|| / ||x|| <= sigma_max
+# power steps on A^H A, from the all-ones vector, behind the lower bound
+# ||A x|| / ||x|| on sigma_max(A) that :func:`_full_rank` takes, however far
+# they converge: of R, and of R's inverse, whose sigma_max is 1 / sigma_min(R)
 POWER_STEPS = 4
+
+
+def _power_bound(a: np.ndarray) -> np.ndarray:
+    """||A x|| / ||x|| of each matrix A of a (T, p, p) stack, for the x of
+    POWER_STEPS power steps on A^H A: a lower bound on sigma_max(A), nan or
+    zero where the steps under- or overflow."""
+    adjoint = a.conj().swapaxes(-1, -2)
+    x = np.ones((len(a), a.shape[-1], 1), dtype=a.dtype)
+    for _ in range(POWER_STEPS):
+        x = adjoint @ (a @ x)
+        x = x / _norms(x[..., 0])[:, None, None]
+    return _norms((a @ x)[..., 0]) / _norms(x[..., 0])
 
 
 def _full_rank(r: np.ndarray, values: np.ndarray = None):
@@ -193,18 +207,25 @@ def _full_rank(r: np.ndarray, values: np.ndarray = None):
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch.
     14), some 1e-6 at p = 243 and a certified kappa_F of 5e7 or less. Only
     an R with every entry finite and min |r_ii| >= 2 RANK_TOL f > 0 is
-    inverted (|r_ii| >= sigma_min, so no other R can pass), which keeps R /
-    f's inverse blocks finite and ``np.linalg.inv`` from raising; overflow
-    in the products only fails the certificate. Short: sigma_min <= min
-    |r_ii| (ch. 8), and ||R x|| / ||x|| <= sigma_max for the x of
-    POWER_STEPS power steps on R^H R, so min |r_ii| < (RANK_TOL / 2) ||R x||
-    / ||x|| puts sigma_min / sigma_max below RANK_TOL / 2; an R whose
-    estimate is zero or not finite stays open. The values SVD resolves
+    inverted for the certificate (|r_ii| >= sigma_min, so no other R can
+    pass), which keeps R / f's inverse blocks finite and ``np.linalg.inv``
+    from raising; overflow in the products only fails the certificate.
+
+    Short: ||R x|| / ||x|| <= sigma_max for the x of POWER_STEPS power steps
+    on R^H R (:func:`_power_bound`), and sigma_min <= min |r_ii| (ch. 8), so
+    min |r_ii| < (RANK_TOL / 2) ||R x|| / ||x|| puts sigma_min / sigma_max
+    below RANK_TOL / 2. An R that bound leaves open, every entry finite and
+    min |r_ii| > 0, takes power steps on X^H X too, from the X of the
+    certificate or one formed now: sigma_min <= ||y|| / ||X y|| for any y,
+    far closer than the diagonal, as a few steps come near sigma_max(X).
+    An R of full rank has kappa at most 1 / RANK_TOL, so its X is accurate
+    to some 1e-5, and the bound cannot fall a factor 2 short. An R whose
+    estimates are zero or not finite stays open. The values SVD resolves
     sigma_min / sigma_max to about p u, far inside both factors of 2, so
-    either bound answers as ``_rank`` does, bit for bit, however the
+    every bound answers as ``_rank`` does, bit for bit, however the
     rounding falls, in a stack or alone.
 
-    Every R neither bound decides takes the values SVD: of the rows of
+    Every R no bound decides takes the values SVD: of the rows of
     ``values`` where given (the matrices R was factored from, whose
     singular values R's stand for), else of R. So does a wide R and one
     narrower than a block, where numpy's per-call cost makes the
@@ -221,23 +242,43 @@ def _full_rank(r: np.ndarray, values: np.ndarray = None):
         with np.errstate(all="ignore"):
             f = _norms(stack.reshape(len(stack), p * p))
             least = np.minimum.reduce(np.abs(np.diagonal(stack, axis1=-2, axis2=-1)), axis=-1)
-            live = np.flatnonzero(np.isfinite(f) & (least > 0.0) & (least >= 2 * RANK_TOL * f))
+            invertible = np.isfinite(f) & (least > 0.0)
+
+            def inverse(rows):
+                every = len(rows) == len(stack)
+                return _invert_triangular((stack if every else stack[rows])
+                                          / (f if every else f[rows])[:, None, None])
+
+            # each R's place in the inverses the certificate formed, or -1
+            slot = np.full(len(stack), -1)
+            live = np.flatnonzero(invertible & (least >= 2 * RANK_TOL * f))
             if len(live):
-                every = len(live) == len(stack)
-                x = _invert_triangular((stack if every else stack[live])
-                                       / (f if every else f[live])[:, None, None])
+                x = inverse(live)
+                slot[live] = range(len(live))
                 full[live] = _norms(x.reshape(len(x), p * p)) <= 0.5 / RANK_TOL
             undecided = np.flatnonzero(~full)
             if len(undecided):
-                rest = stack if len(undecided) == len(stack) else stack[undecided]
-                adjoint = rest.conj().swapaxes(-1, -2)
-                x = np.ones((len(rest), p, 1), dtype=rest.dtype)
-                for _ in range(POWER_STEPS):
-                    x = adjoint @ (rest @ x)
-                    x = x / _norms(x[..., 0])[:, None, None]
-                largest = _norms((rest @ x)[..., 0]) / _norms(x[..., 0])
-                short = (np.isfinite(largest) & (largest > 0.0)
-                         & (least[undecided] < 0.5 * RANK_TOL * largest))
+                largest = _power_bound(stack if len(undecided) == len(stack)
+                                       else stack[undecided])
+                bounded = np.isfinite(largest) & (largest > 0.0)
+                short = bounded & (least[undecided] < 0.5 * RANK_TOL * largest)
+                # the R the diagonal leaves open: for X, R / f's inverse,
+                # sigma_min(R) <= f ||y|| / ||X y||, so f < (RANK_TOL / 2)
+                # sigma_max ||X y|| / ||y|| shows them short
+                open_ = np.flatnonzero(bounded & ~short & invertible[undecided])
+                if len(open_):
+                    rows = undecided[open_]
+                    kept = slot[rows]
+                    fresh = kept < 0
+                    if fresh.all():
+                        inverses = inverse(rows)
+                    else:
+                        inverses = x[kept]
+                        if fresh.any():
+                            inverses[fresh] = inverse(rows[fresh])
+                    growth = _power_bound(inverses)
+                    short[open_] = (np.isfinite(growth)
+                                    & (f[rows] < 0.5 * RANK_TOL * largest[open_] * growth))
                 undecided = undecided[~short]
     if len(undecided):
         values = stack if values is None else values.reshape(-1, *values.shape[-2:])

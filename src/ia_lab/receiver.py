@@ -24,12 +24,15 @@ interference rank and complement are that image's, by one of two routes
 (:func:`_check`): carried by H_kj^{-H} from the complement of V_j the build
 kept (``PrecoderScheme.complements``), else decomposed at k, as every image
 of a scheme made by hand is. The relations are still evaluated. With
-gains, each row first takes the SVD of its projected effective channel
-B^H J_D (B an orthonormal basis of the complement), and that certifies its
-verdict where the smallest singular value over J_D's largest column norm
-reaches twice RANK_TOL, a lower bound on the equilibrated projection's;
-only the other rows, and every row of :func:`check_alignment`, take the
-verdict's SVD.
+rates, each row's projected effective channel G = B^H J_D (B an
+orthonormal basis of the complement) gives both its rates and, where a
+lower bound on the equilibrated projection's smallest singular value
+reaches twice RANK_TOL, its verdict (see ``rates``): a row of fewer than
+QR_STREAMS streams takes G's values SVD, and the bound is G's smallest
+singular value over J_D's largest column norm; a wider row takes one QR of
+G, and the bound is 1 / ||R^-1||_F over that norm. Only the rows a bound
+leaves, and every row of :func:`check_alignment`, take the verdict's SVD,
+and a row that fails takes no rates.
 
 The pass runs over a stack of trials of one family and shape, as a stacked
 build gives them, or over one trial as the stack of one. It takes the
@@ -37,25 +40,26 @@ receivers of one stream count and complement route (the columns of the
 image they decompose, or the transmitter whose kept complement they carry)
 in batches of whole receivers with all their trials, as many as fit
 STACK_BYTES and at least one. A batch forms, once, the columns of each of
-its links' products H_kj V_j that a check, a gain or a relation reads
+its links' products H_kj V_j that a check, a rate or a relation reads
 (:func:`_plan`, worked out once per configuration: at L=275, 64 of
 transmitter 1's 243 at each of receivers 2..4), into receiver k's array
-of all its products, of which the desired and image matrices, the gain
-projection and the family relations read views; the other columns are
-never written. One call takes the norms of the leading columns its
-checks read (the desired ones, and those of the image they decompose),
-which scale the image's columns, and the desired ones only where a
-verdict SVD reads them; each batched decomposition is shared, and then
-the relations at its receivers are evaluated, those of one kind and
-operand shape in one residual call, before its products go. The verdicts are arrays: ranks per
-(receiver, trial) and residuals per (relation, trial), and the pass mask
-follows from them.
+of all its products, of which the desired and image matrices, the
+projection the rates read and the family relations read views; the other
+columns are never written. The relations at a batch's receivers are
+evaluated first, those of one kind and operand shape in one residual
+call. Then one call takes the norms of the leading columns its checks read
+(the desired ones, and those of the image they decompose), which scale the
+image's columns, and the desired ones only where a verdict SVD reads them;
+each batched decomposition is shared, and the products go once the checks
+have read them (a batch of wide rows lets them go before its QRs). The
+verdicts are arrays: ranks per (receiver, trial) and residuals per
+(relation, trial), and the pass mask follows from them.
 :func:`check_alignment` builds its report from its one trial's column, and
 only it measures desired ranks; :func:`zf_rates` keeps a failing trial in
 the stack's batches, stops once no trial can still pass, and takes its
-gains from the complement that gives the verdict. Every trial that passes
-gets, bit for bit, the answer it gets alone, and the whole power grid takes
-one broadcast per stream count.
+rates from the complement that gives the verdict, each batch's over the
+whole power grid at once. Every trial that passes gets, bit for bit, the
+answer it gets alone.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ from .families import get_family
 from .linalg import (RANK_TOL, _rank, apply_householder, column_norms, complement_and_rank,
                      equality_residual, equilibrate_columns, householder, span_residual,
                      subset_residual)
+from .rates import QR_STREAMS, _Factored, _log_det
 from .schemes import PrecoderScheme
 
 RESIDUAL_TOL = 1e-9
@@ -215,29 +220,30 @@ def _plan(family, K: int, n, d: tuple, carried: tuple) -> tuple:
     return listed, reads, tuple(routes.items()), tuple(offsets), tuple(formed)
 
 
-def _pass(scheme, ext, with_gains) -> tuple:
+def _pass(scheme, ext, rhos=None) -> tuple:
     """One pass over the receivers of a stack of T trials, checking ranks and
-    relations; returns the verdicts as arrays, (ranks, residuals, passed, gains).
+    relations; returns the verdicts as arrays, (ranks, residuals, passed, rates).
 
     ``scheme`` is stacked, and ``ext`` is stacked alike or one extension
     every trial shares. ``ranks[:, k, t]`` holds the desired, interference
     and joint ranks at receiver k in trial t, and ``residuals[i, t]`` the
     residual of the family's relation i; an entry the pass did not reach
-    is -1 or nan, and so is every desired rank of a pass with gains, which
+    is -1 or nan, and so is every desired rank of a pass with rates, which
     does not need it. ``passed`` masks the trials that pass every check and
     relation. A batch of whole receivers forms the columns of their
     products that :func:`_plan` says are read (own streams first, through
-    unit-norm columns for gains, then their image's, then the others' in
+    unit-norm columns for rates, then their image's, then the others' in
     order), checks them at every trial of the stack, evaluates their
     relations and lets the products go; the other columns of a receiver's
     array are never written.
 
-    Without gains every batch runs, and gains is None. With gains, the
-    pass stops before a batch once no trial of the stack can still pass
-    (at once for a stack of no trials); a failed trial stays in the batches
-    before that, and nothing reads what they give it. ``gains[k][t]`` holds
-    the squared singular values of receiver k's projected effective
-    channel for every trial t of ``passed``.
+    Without a power grid ``rhos`` every batch runs, and rates is None.
+    With one, the pass stops before a batch once no trial of the stack can
+    still pass (at once for a stack of no trials); a failed trial stays in
+    the batches before that, and nothing reads what they give it.
+    ``rates[t]`` holds, for every trial t of ``passed``, its per-user rates
+    as a (len(rhos), K) array (see :func:`zf_rates`); the rows of the other
+    trials are not set.
     """
     T, K, dim = len(scheme.precoders[0]), scheme.K, ext.dim
     d = scheme.stream_counts
@@ -249,8 +255,9 @@ def _pass(scheme, ext, with_gains) -> tuple:
         out = np.empty((T, dim, streams), dtype=complex)
         for dst, j, src in formed[k]:
             v = scheme.precoders[j][..., src]
-            # the gains take the desired streams through unit-norm columns
-            out[..., dst] = ext.apply(k, j, equilibrate_columns(v) if j == k and with_gains else v)
+            # the rates take the desired streams through unit-norm columns
+            out[..., dst] = ext.apply(k, j, equilibrate_columns(v) if j == k and rates is not None
+                                      else v)
         return out
 
     # built per call from the module names, so whatever rebinds them sees it
@@ -283,16 +290,23 @@ def _pass(scheme, ext, with_gains) -> tuple:
                 for t, ok in enumerate((out <= tol).all(axis=0).tolist()):
                     passed[t] = passed[t] and ok
 
-    gains = tuple(np.empty((T, dk)) for dk in d) if with_gains else None
+    if rhos is not None:
+        rhos = np.asarray(rhos, dtype=float)
+        rates = np.empty((T, rhos.size, K))
+    else:
+        rates = None
     size = max(T, 1) * _receiver_bytes(dim, streams)
     for dk, route, batch in [(dk, route, batch) for (dk, route), members in routes
                              for batch in _batches(members, size)]:
-        if with_gains and not any(passed):
+        if rates is not None and not any(passed):
             break
         joint = {k: products(k) for k in batch}
-        _check(joint, route, scheme, ext, dk, ranks, passed, gains)
+        # the relations first: a check with rates may let the products go
         relate(joint)
-    return ranks, residuals, np.array(passed, dtype=bool), gains
+        # each stream's power at every point of the grid
+        _check(joint, route, scheme, ext, dk, ranks, passed,
+               None if rates is None else (rates, (rhos / K) * ext.F / dk))
+    return ranks, residuals, np.array(passed, dtype=bool), rates
 
 
 def _by_rank(ranks) -> dict:
@@ -304,12 +318,12 @@ def _by_rank(ranks) -> dict:
 
 
 def _certified(s, norms):
-    """Which rows keep projected rank d_k for sure, from ``s``, the singular
-    values of B^H J_D, and ``norms``, the rows' (d_k) column norms nu_i of
-    J_D. E_D is J_D with column i divided by nu_i, so the verdict's
-    s_min(B^H E_D) >= s_min(B^H J_D) / max nu: a row whose bound reaches
-    twice RANK_TOL needs no verdict SVD. A basis of fewer than d_k columns
-    certifies nothing."""
+    """Which rows of fewer than QR_STREAMS streams keep projected rank d_k
+    for sure, from ``s``, the singular values of B^H J_D their rates read,
+    and ``norms``, the rows' (d_k) column norms nu_i of J_D. E_D is J_D with
+    column i divided by nu_i, so the verdict's s_min(B^H E_D) >= s_min(B^H
+    J_D) / max nu: a row whose bound reaches twice RANK_TOL needs no verdict
+    SVD. A basis of fewer than d_k columns certifies nothing."""
     if s.shape[-1] < norms.shape[-1]:
         return np.zeros(len(s), dtype=bool)
     return s[:, -1] >= 2 * RANK_TOL * np.maximum.reduce(norms, axis=-1)
@@ -353,12 +367,14 @@ def _decomposed(columns) -> list:
     return groups
 
 
-def _check(joint, route, scheme, ext, dk, ranks, passed, gains) -> None:
+def _check(joint, route, scheme, ext, dk, ranks, passed, rates) -> None:
     """Check the receivers of a batch of one ``route`` at every trial of the
     stack, ``joint[k]`` being receiver k's (T, dim, streams) products,
     desired streams first: set their ``ranks``, clear ``passed`` for each
-    failing trial and set the gains of the others (unless gains is None).
-    A row is one (receiver, trial) pair, receiver by receiver.
+    failing trial and set the rates of the others. ``rates`` is None, or
+    (out, p): the pass's (T, grid, K) rates and each of the d_k streams'
+    power at every point of the grid. A row is one (receiver, trial) pair,
+    receiver by receiver.
 
     One call takes the norms of the columns the batch reads: the desired
     ones, and those of the image a range route (lo, hi) decomposes, whose
@@ -367,9 +383,13 @@ def _check(joint, route, scheme, ext, dk, ranks, passed, gains) -> None:
     row. A transmitter route j takes ext's H_kj^{-H} applied to
     ``scheme.complements[j]``, the complement of V_j the build kept,
     orthonormalized: one solve per receiver and one QR, of rank d_j. The
-    verdict and the gains project onto the complement; with gains, a row
-    whose gains certify rank d_k takes no verdict SVD, and only the rows
-    that take it have their desired columns scaled."""
+    verdict and the rates project onto the complement. With rates, a row
+    of QR_STREAMS or more streams takes both from one QR of its projected
+    channel (:class:`_Factored`), and such a batch empties ``joint`` once
+    its projected channels are formed, so that its products go before the
+    QRs; a row of fewer takes the channel's values SVD, whose gains certify
+    rank d_k where they can (:func:`_certified`), and only the rows they
+    leave take the verdict SVD, with their desired columns scaled."""
     parts = list(joint.values())
     J = parts[0] if len(parts) == 1 else np.concatenate(parts)
     lo, hi = route if isinstance(route, tuple) else (dk, dk)
@@ -384,10 +404,10 @@ def _check(joint, route, scheme, ext, dk, ranks, passed, gains) -> None:
         return equilibrate_columns(J[rows, :, cols], nu[rows, :, cols])
 
     # every row of check_alignment reads its desired columns scaled
-    E = scaled(slice(hi)) if gains is None else None
+    E = scaled(slice(hi)) if rates is None else None
     trials = list(range(len(passed)))
     ks, ts = [k for k in joint for _ in trials], trials * len(joint)
-    if gains is None:
+    if rates is None:
         ranks[0, ks, ts] = _rank(np.linalg.svd(E[..., :dk], compute_uv=False))
     # (rows of the batch, projection onto their complements, interference rank)
     if isinstance(route, tuple):
@@ -397,36 +417,53 @@ def _check(joint, route, scheme, ext, dk, ranks, passed, gains) -> None:
                                   for k in joint])
         groups = [(list(range(len(J))), _projection(np.linalg.qr(adjoint)[0]),
                    scheme.precoders[route].shape[-1])]
-    for rows, project, r in groups:
-        # the desired columns as views: of the batch's arrays when the group
-        # holds all its rows, else of copies of the group's rows, so that a
-        # row is laid out, and rounds, alike in any group
-        every = len(rows) == len(J)
-        doubtful = list(range(len(rows)))
-        if gains is not None:
-            desired = (J if every else J[rows])[..., :dk]
-            s = np.linalg.svd(project(desired), compute_uv=False)
-            doubtful = np.flatnonzero(
-                ~_certified(s, (nu if every else nu[rows])[..., 0, :dk])).tolist()
-        joint_rank = np.full(len(rows), r + dk)
-        if doubtful:
-            whole = len(doubtful) == len(rows)
+    # the desired columns as views: of the batch's arrays when a group holds
+    # all its rows, else of copies of the group's rows, so that a row is laid
+    # out, and rounds, alike in any group
+    batch = len(J)
+    wide = rates is not None and dk >= QR_STREAMS
+    if wide:
+        # wide rows read nothing of the products past their projected
+        # channels: every group's are formed, and the products go before
+        # any QR
+        channels = [project((J if len(rows) == batch else J[rows])[..., :dk])
+                    for rows, project, _ in groups]
+        joint.clear()
+        del parts, J
+    for group, (rows, project, r) in enumerate(groups):
+        every = len(rows) == batch
+        # each row's projected rank: d_k where certified
+        kept = np.full(len(rows), dk)
+        if rates is None:
             # check_alignment's rows are all doubtful
-            projected = project(scaled(slice(dk), [rows[i] for i in doubtful]) if E is None
-                                else E[..., :dk] if every else E[rows][..., :dk],
-                                None if whole else doubtful)
-            joint_rank[doubtful] = r + _rank(np.linalg.svd(projected, compute_uv=False),
-                                             scale=1.0)
+            kept[:] = _rank(np.linalg.svd(project(E[..., :dk] if every else E[rows][..., :dk]),
+                                          compute_uv=False), scale=1.0)
+        elif wide:
+            factored = _Factored(channels[group], (nu if every else nu[rows])[..., 0, :dk])
+            channels[group] = None
+            doubtful = np.flatnonzero(~factored.certified).tolist()
+            if doubtful:
+                kept[doubtful] = factored.verdict(doubtful)
+        else:
+            s = np.linalg.svd(project((J if every else J[rows])[..., :dk]), compute_uv=False)
+            doubtful = np.flatnonzero(~_certified(s, (nu if every else nu[rows])[..., 0, :dk])
+                                      ).tolist()
+            if doubtful:
+                projected = project(scaled(slice(dk), [rows[i] for i in doubtful]),
+                                    None if len(doubtful) == len(rows) else doubtful)
+                kept[doubtful] = _rank(np.linalg.svd(projected, compute_uv=False), scale=1.0)
+        joint_rank = r + kept
         rks, rts = [ks[p] for p in rows], [ts[p] for p in rows]
         ranks[1, rks, rts], ranks[2, rks, rts] = r, joint_rank
         for t, ok in zip(rts, zf_ok(dk, r, joint_rank).tolist()):
             passed[t] = passed[t] and ok
-        if gains is not None:
-            # a passing row's complement has dim - r >= d_k dimensions for
-            # its streams
-            for i, t in enumerate(rts):
-                if passed[t]:
-                    gains[rks[i]][t] = s[i] ** 2
+        # a passing row's complement has dim - r >= d_k dimensions for its
+        # streams
+        ok = [i for i, t in enumerate(rts) if rates is not None and passed[t]]
+        if ok:
+            out, p = rates
+            values = factored.rates(ok, p) if wide else _log_det(s[ok] ** 2, p)
+            out[[rts[i] for i in ok], :, [rks[i] for i in ok]] = values / ext.F
 
 
 def _check_dimensions(scheme, ext) -> None:
@@ -456,7 +493,7 @@ def check_alignment(scheme: PrecoderScheme, ext: ChannelSet) -> AlignmentReport:
     _check_dimensions(scheme, ext)
     if scheme.stacked:
         raise ShapeError("check_alignment takes one trial")
-    ranks, residuals, _, _ = _pass(scheme[None], ext, False)
+    ranks, residuals, _, _ = _pass(scheme[None], ext)
     d = scheme.stream_counts
     listed = _plan(get_family(scheme.family), scheme.K, scheme.n, d,
                    tuple(sorted(scheme.complements)))[0]
@@ -468,31 +505,6 @@ def check_alignment(scheme: PrecoderScheme, ext: ChannelSet) -> AlignmentReport:
         relations=tuple(RelationCheck(desc, k, kind, value,
                                       SPAN_TOL if kind == "span" else RESIDUAL_TOL)
                         for (kind, k, desc, *_), value in zip(listed, residuals[:, 0].tolist())))
-
-
-def _grid_rates(L, gains, rhos) -> np.ndarray:
-    """Per-user rates of a stack of T trials at every total transmit power
-    in ``rhos``, as a (T, len(rhos), K) array, from ``gains[k]``, the
-    (T, d_k) squared singular values of receiver k's projected effective
-    channels; ``L`` is the extension length.
-
-    rate_k = sum over gains g of log2(1 + p_k g) / L, with
-    p_k = (rho / K) * L / d_k per stream: one broadcast over a (trials x
-    grid x receivers x streams) array per stream count. Rates are in bits
-    per channel use (per extension slot), with unit noise variance.
-    """
-    rhos = np.asarray(rhos, dtype=float)
-    K = len(gains)
-    out = np.empty(gains[0].shape[:-1] + (rhos.size, K))
-    groups = {}
-    for k, g in enumerate(gains):
-        groups.setdefault(g.shape[-1], []).append(k)
-    for d_k, members in groups.items():
-        g = np.stack([gains[k] for k in members], axis=-2)
-        p_k = (rhos / K) * L / d_k
-        out[..., members] = np.sum(np.log2(1.0 + p_k[:, None, None] * g[..., None, :, :]),
-                                   axis=-1) / L
-    return out
 
 
 def zf_rates(scheme, ext, rhos) -> list:
@@ -509,7 +521,10 @@ def zf_rates(scheme, ext, rhos) -> list:
     unit-norm precoder columns and p_k = (rho / K) * L / d_k per stream.
     Returns, per trial, its per-user rates as a (len(rhos), K) array, or None
     where the pass mask fails it: a failed check means the construction is
-    broken and any rate would be meaningless.
+    broken and any rate would be meaningless. A receiver of QR_STREAMS or
+    more streams takes its rates from one QR of G where the whole grid lies
+    high enough (see ``rates``), else from G's singular values: its rate at
+    one point may then differ, in its last bits, with the grid around it.
     """
     _check_dimensions(scheme, ext)
     rhos = np.asarray(rhos, dtype=float)
@@ -521,6 +536,5 @@ def zf_rates(scheme, ext, rhos) -> list:
             f"transmit power must be finite and nonnegative, got {rhos[bad][0]}")
     if not scheme.stacked:
         scheme = scheme[None]
-    _, _, passed, gains = _pass(scheme, ext, True)
-    rates = iter(_grid_rates(ext.F, tuple(g[passed] for g in gains), rhos))
-    return [next(rates) if ok else None for ok in passed.tolist()]
+    _, _, passed, rates = _pass(scheme, ext, rhos)
+    return [rates[t] if ok else None for t, ok in enumerate(passed.tolist())]

@@ -55,6 +55,19 @@ def dense_receivers(scheme, ext):
     return out
 
 
+def dense_rates(scheme, ext, rhos):
+    """The dense oracle's per-user rates of one trial at every total power
+    in ``rhos``, as a (len(rhos), K) array: over receiver k's gains g,
+    sum log2(1 + p_k g) / L with p_k = (rho / K) * L / d_k per stream."""
+    rhos = np.asarray(rhos, dtype=float)
+    L, K = ext.F, scheme.K
+    out = np.empty((rhos.size, K))
+    for k, (*_, g) in enumerate(dense_receivers(scheme, ext)):
+        p = (rhos / K) * L / g.size
+        out[:, k] = np.sum(np.log2(1.0 + p[:, None] * g), axis=1) / L
+    return out
+
+
 def replaced(scheme, precoders):
     """``scheme`` with ``precoders``, keeping the complement its build kept
     of every transmitter whose precoder stays."""

@@ -17,10 +17,11 @@ every other receiver takes its complement from the image's columns alone.
 The dense complement of the whole interference, written out in
 ``conftest.dense_receivers``, is the oracle for both.
 
-With gains, a row whose smallest singular value of B^H J_D, over the
+With rates, a row whose smallest singular value of B^H J_D, over the
 largest column norm of J_D, reaches twice RANK_TOL keeps rank d_k without
-the verdict's SVD. The pass that takes that SVD on every row is the oracle
-for it.
+the verdict's SVD; from QR_STREAMS streams on, 1 / ||R^-1||_F, a lower
+bound on that singular value, stands for it. The pass that takes that SVD
+on every row is the oracle for both.
 """
 
 import dataclasses
@@ -38,7 +39,7 @@ from ia_lab.evaluation import TRIAL_ERRORS, _trial_seed
 from ia_lab.linalg import _rank, equilibrate_columns
 from ia_lab.receiver import _pass, zf_ok
 
-from conftest import dense_receivers, load
+from conftest import dense_rates, dense_receivers, load
 
 LARGE_DEFAULT = SchemeConfig("siso-general", K=4, n=2)
 LARGE_UNIT = SchemeConfig("siso-general", K=4, n=2, a_min=1.0, a_max=1.0)
@@ -129,6 +130,7 @@ def test_a_desired_signal_inside_the_interference_counts_nothing():
 
 
 # configuration, seeds, and the bound on |log2 g - log2 g_dense| of the gains
+# the rates are held to
 ORACLE = {
     "siso-k3 n=1": (SchemeConfig("siso-k3", n=1), range(8), 1e-10),
     "siso-k3 n=2": (SchemeConfig("siso-k3", n=2), range(8), 1e-10),
@@ -150,13 +152,17 @@ def dense_ranks(scheme, ext):
     return [(rank, joint) for rank, joint, _ in dense_receivers(scheme, ext)]
 
 
+# 160 and 200 dB: L=275's receiver 1 takes its rates from R's inverse
+ORACLE_RHOS = [1e16, 1e20]
+
+
 @pytest.mark.parametrize("label", list(ORACLE))
 def test_structured_complements_agree_with_the_dense_pass(label):
     config, seeds, bound = ORACLE[label]
     for seed in seeds:
         scheme, ext = config.build(seed)
         report = check_alignment(scheme, ext)
-        _, _, passed, gains = _pass(scheme[None], ext, True)
+        _, _, passed, rates = _pass(scheme[None], ext, ORACLE_RHOS)
         dense = dense_receivers(scheme, ext)
         dense_ok = [zf_ok(dk, rank, joint)
                     for dk, (rank, joint, _) in zip(scheme.stream_counts, dense)]
@@ -167,8 +173,10 @@ def test_structured_complements_agree_with_the_dense_pass(label):
             # where the relations hold, the image's rank is the interference's
             assert [(rx.interference_rank, rx.joint_rank)
                     for rx in report.receivers] == [(rank, joint) for rank, joint, _ in dense]
-            for g, (_, _, g_dense) in zip(gains, dense):
-                assert np.max(np.abs(np.log2(g[0]) - np.log2(g_dense))) <= bound
+            # log2(1 + p g) moves by at most as much as log2 g does, so a
+            # bound on the gains' log2 puts d_k times it on a user's L rate
+            limit = bound * np.array(scheme.stream_counts) / ext.F
+            assert np.all(np.abs(rates[0] - dense_rates(scheme, ext, ORACLE_RHOS)) <= limit)
 
 
 def test_a_short_rank_image_gives_the_dense_complement():
@@ -285,7 +293,7 @@ def test_a_shared_precoder_is_decomposed_once_however_its_receivers_are_batched(
         assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
 
 
-# configuration and seeds whose pass with gains is compared with the pass
+# configuration and seeds whose pass with rates is compared with the pass
 # that takes the verdict's SVD on every row: every family's small seeds,
 # the siso-k3 trials whose receiver checks fail near the tolerance, and the
 # two L=275 golden seeds of test_shared_pass.py
@@ -303,10 +311,12 @@ CERTIFIED = {
 
 
 def spied_certificates(monkeypatch):
-    """Record, per row the pass with gains asks about, (s_min(B^H J_D) /
-    max nu, whether it was certified); nan where the basis is too narrow."""
+    """Record, per row the pass with rates asks about, (the certificate's
+    bound over max nu, whether it was certified): s_min(B^H J_D), or
+    1 / ||R^-1||_F from QR_STREAMS streams on; nan where the basis is too
+    narrow or R was not inverted."""
     seen = []
-    certified = ia_lab.receiver._certified
+    certified, factored = ia_lab.receiver._certified, ia_lab.receiver._Factored.__init__
 
     def spy(s, norms):
         # norms: each row's column norms of J_D
@@ -316,14 +326,28 @@ def spied_certificates(monkeypatch):
         seen.extend(zip(ratio.tolist(), out.tolist()))
         return out
 
+    def factored_spy(self, channels, norms):
+        factored(self, channels, norms)
+        ratio = 1.0 / np.sqrt(self.x2) / np.max(norms, axis=-1)
+        seen.extend(zip(np.where(self.slot >= 0, ratio, np.nan).tolist(),
+                        self.certified.tolist()))
+
     monkeypatch.setattr(ia_lab.receiver, "_certified", spy)
+    monkeypatch.setattr(ia_lab.receiver._Factored, "__init__", factored_spy)
     return seen
 
 
 def always_verdict(monkeypatch):
-    """The pass with gains with every row taking the verdict's SVD."""
+    """The pass with rates with every row taking the verdict's SVD."""
+    factored = ia_lab.receiver._Factored.__init__
+
+    def uncertified(self, channels, norms):
+        factored(self, channels, norms)
+        self.certified[:] = False
+
     monkeypatch.setattr(ia_lab.receiver, "_certified",
                         lambda s, norms: np.zeros(len(s), dtype=bool))
+    monkeypatch.setattr(ia_lab.receiver._Factored, "__init__", uncertified)
 
 
 @pytest.mark.parametrize("label", list(CERTIFIED))
@@ -332,15 +356,16 @@ def test_certified_passes_keep_the_verdicts_of_the_verdict_svd(monkeypatch, labe
     stacks = [stack.trial for stack in config.build_trials(seeds)
               if len(stack.trial[0].precoders[0])]
     seen = spied_certificates(monkeypatch)
-    shortcut = [_pass(scheme, ext, True) for scheme, ext in stacks]
+    shortcut = [_pass(scheme, ext, ORACLE_RHOS) for scheme, ext in stacks]
+    monkeypatch.undo()
     always_verdict(monkeypatch)
-    for (scheme, ext), (ranks, residuals, passed, gains) in zip(stacks, shortcut):
-        oracle_ranks, oracle_residuals, oracle_passed, oracle_gains = _pass(scheme, ext, True)
+    for (scheme, ext), (ranks, residuals, passed, rates) in zip(stacks, shortcut):
+        oracle_ranks, oracle_residuals, oracle_passed, oracle_rates = _pass(scheme, ext,
+                                                                            ORACLE_RHOS)
         assert np.array_equal(ranks, oracle_ranks)
         assert np.array_equal(residuals, oracle_residuals, equal_nan=True)
         assert passed.tolist() == oracle_passed.tolist()
-        for g, oracle_g in zip(gains, oracle_gains):
-            assert g[passed].tobytes() == oracle_g[passed].tobytes()
+        assert rates[passed].tobytes() == oracle_rates[passed].tobytes()
         for t, ok in enumerate(passed.tolist()):
             assert ok == check_alignment(scheme[t], ext[t]).passed
     # a certified row clears twice the tolerance, and where a trial passes,
@@ -361,12 +386,13 @@ def test_a_row_inside_the_band_takes_the_verdict_svd(monkeypatch):
     v1 = np.linalg.solve(ext.matrix(0, 0), (a + 1.5e-8 * b)[:, None])
     scheme = dataclasses.replace(scheme, precoders=(v1,) + scheme.precoders[1:])
     seen = spied_certificates(monkeypatch)
-    ranks, _, _, _ = _pass(scheme[None], ext, True)
+    ranks, _, _, _ = _pass(scheme[None], ext, [1.0])
     # the three receivers go in one batch, receiver 1's row first
     assert len(seen) == 3
     ratio, ok = seen[0]
     assert 1e-8 <= ratio < 2e-8 and not ok
+    monkeypatch.undo()
     always_verdict(monkeypatch)
-    oracle, _, _, _ = _pass(scheme[None], ext, True)
+    oracle, _, _, _ = _pass(scheme[None], ext, [1.0])
     assert np.array_equal(ranks, oracle)
     assert zf_ok(1, *ranks[1:, 0, 0])

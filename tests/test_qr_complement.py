@@ -94,7 +94,7 @@ def test_a_hand_made_stack_short_of_rank_in_one_row_keeps_its_reports():
     assert [r.passed for r in reports] == [True, False, True]
     # the stacked pass, whose receivers decompose each image among their
     # own products, by rank, reads the same ranks and keeps nothing in hand
-    ranks, _, passed, _ = _pass(hand, ext, False)
+    ranks, _, passed, _ = _pass(hand, ext)
     assert hand.complements == {}
     assert passed.tolist() == [r.passed for r in reports]
     for t, report in enumerate(reports):

@@ -166,7 +166,7 @@ def test_one_equilibration_equals_one_per_part(label):
                     assert _rank(s_view).tolist() == _rank(s_part).tolist()
                     if part.shape[-1] > 1:
                         assert s_view.tobytes() == s_part.tobytes(), (seed, k)
-                # the complement the gains project on, bit for bit where
+                # the complement the rates project on, bit for bit where
                 # the image has two or more columns
                 u, rank = complement_and_rank(E[..., dk:])
                 u_alone, rank_alone = complement_and_rank(equilibrate_columns(J[..., dk:hi]))
@@ -179,6 +179,6 @@ def test_one_equilibration_equals_one_per_part(label):
         if not broken:
             assert [(rx.interference_rank, rx.joint_rank) for rx in report.receivers] == [
                 (rank, joint) for rank, joint, _ in dense_receivers(scheme, ext)]
-        ranks, _, _, _ = _pass(scheme[None], ext, True)
+        ranks, _, _, _ = _pass(scheme[None], ext, [1.0])
         checks = pass_checks(scheme, ext, ranks)
         assert checks == without_desired(report.receivers[:len(checks)])

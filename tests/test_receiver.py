@@ -10,9 +10,9 @@ from ia_lab import (ParameterError, SchemeConfig, ShapeError,
                     build_designed_channel, build_precoders_k3, check_alignment,
                     extend_channel, generate_channels, snr_sweep, zf_rates)
 from ia_lab.linalg import orthonormal_complement
-from ia_lab.receiver import _certified, _grid_rates, _pass
+from ia_lab.receiver import _certified, _pass
 
-from conftest import dense_receivers, interference_at, steer
+from conftest import dense_rates, interference_at, steer
 
 
 def k3_case(seed=7, n=1):
@@ -178,7 +178,7 @@ def test_relabeling_users_permutes_rates(monkeypatch):
     # permuting the channel tensor and the precoders together relabels the
     # computation exactly, so the rate vector permutes with no error; the
     # family relation list is anchored to the special role of user 1, so the
-    # rates come from the receiver pass's gains, without the relations, and
+    # rates come from the receiver pass, without the relations, and
     # with the interference images relabeled along with the users. The dense
     # oracle, which reads no image, gives the same rates both ways
     scheme, ext = k3_case(seed=17)
@@ -190,13 +190,12 @@ def test_relabeling_users_permutes_rates(monkeypatch):
     def rates(scheme, ext, image):
         monkeypatch.setitem(ia_lab.families.FAMILIES, "siso-k3", dataclasses.replace(
             family, relations=lambda K, n: (), interference_image=lambda K: image))
-        ranks, _, passed, gains = _pass(scheme[None], ext, True)
-        # every receiver reached and passed (a pass with gains leaves the
+        ranks, _, passed, out = _pass(scheme[None], ext, [1e5])
+        # every receiver reached and passed (a pass with rates leaves the
         # desired ranks at -1)
         assert passed.tolist() == [True] and np.all(ranks[1:] >= 0)
-        out = _grid_rates(ext.F, gains, [1e5])[0, 0]
-        dense = _grid_rates(ext.F, tuple(g[None] for *_, g in dense_receivers(scheme, ext)),
-                            [1e5])[0, 0]
+        out = out[0, 0]
+        dense = dense_rates(scheme, ext, [1e5])[0]
         assert np.allclose(out, dense, rtol=1e-12, atol=0.0)
         return out.tolist()
 

@@ -3,7 +3,7 @@
 interference SVD per receiver give both the receiver checks and the
 zero-forcing gains.
 
-The checks of the pass with gains must equal ``check_alignment``'s
+The checks of the pass with rates must equal ``check_alignment``'s
 receivers, and the grid rates of ``zf_rates`` must equal its rates at each
 point alone bit for bit. Golden SHA-256 digests pin both against silent
 drift. The report digests were recorded with the implementation that ran
@@ -29,7 +29,7 @@ import ia_lab.receiver
 from ia_lab import SchemeConfig, check_alignment, snr_sweep, zf_rates
 from ia_lab.linalg import complement_and_rank, equilibrate_columns
 from ia_lab.evaluation import BuiltStack, _trial_seed
-from ia_lab.receiver import _grid_rates, _pass
+from ia_lab.receiver import QR_STREAMS, _pass
 
 from conftest import interference_at, load, pass_checks, stacked, steer, without_desired
 
@@ -83,8 +83,7 @@ GOLDEN = {
 class Trial:
     scheme: object
     ext: object
-    receivers: tuple  # checks of the pass with gains
-    gains: tuple  # (1, d_k) per receiver, of the pass with gains; None when a check fails
+    receivers: tuple  # checks of the pass with rates
     rates: object  # zf_rates over RHOS; None when a check or relation fails
 
 
@@ -94,12 +93,10 @@ def trials(request):
     out = []
     for seed in SEEDS:
         scheme, ext = config.build(seed)
-        ranks, _, passed, gains = _pass(scheme[None], ext, True)
+        ranks, _, _, _ = _pass(scheme[None], ext, RHOS)
         receivers = pass_checks(scheme, ext, ranks)
-        if not passed[0]:
-            gains = None
         [rates] = zf_rates(scheme, ext, RHOS)
-        out.append(Trial(scheme, ext, receivers, gains, rates))
+        out.append(Trial(scheme, ext, receivers, rates))
     return request.param, out
 
 
@@ -128,11 +125,15 @@ def test_grid_rates_equal_per_point_zf_rates(trials):
 
 
 def test_one_point_rates_equal_grid_rates(trials):
-    # the pass's gains evaluated at one point at a time
+    # the pass's rates at one point at a time: every receiver of these
+    # configurations has fewer than QR_STREAMS streams, so its rates come
+    # from its gains by the values SVD's formula, point by point
     _, rows = trials
+    assert all(max(t.scheme.stream_counts) < QR_STREAMS for t in rows)
     for t in passing(rows):
         for rho, row in zip(RHOS, t.rates.tolist()):
-            assert _grid_rates(t.ext.F, t.gains, [rho])[0].tolist() == [row]
+            _, _, passed, rates = _pass(t.scheme[None], t.ext, [rho])
+            assert passed[0] and rates[0].tolist() == [row]
 
 
 def test_interference_rank_is_dim_minus_complement(trials):
@@ -152,7 +153,7 @@ def test_reports_and_rates_match_golden_digests(trials):
     for t in rows:
         report = check_alignment(t.scheme, t.ext)
         from_check.update(report_json(report))
-        # the same report with the receiver checks of the pass with gains,
+        # the same report with the receiver checks of the pass with rates,
         # which leaves the desired ranks to check_alignment
         from_pass.update(report_json(dataclasses.replace(report, receivers=tuple(
             dataclasses.replace(check, desired_rank=rx.desired_rank)
@@ -214,18 +215,21 @@ def poisoned_stacks(monkeypatch):
 @pytest.mark.parametrize("with_gains", [False, True])
 def test_the_pass_reads_no_product_column_it_does_not_form(monkeypatch, with_gains):
     # a receiver's array of products holds only the columns its checks,
-    # gains and relations read; filled with NaN, the others change nothing
+    # rates and relations read; filled with NaN, the others change nothing.
+    # On this grid L=275's receiver 1 takes its rates from R's inverse, by
+    # the determinant of p I + X X^H at 160 dB under the default law
     stacks = poisoned_stacks(monkeypatch)
-    expected = [_pass(scheme, ext, with_gains) for scheme, ext in stacks]
+    rhos = [1e16, 1e20] if with_gains else None
+    expected = [_pass(scheme, ext, rhos) for scheme, ext in stacks]
     monkeypatch.setattr(ia_lab.receiver, "np", PoisonedNumpy())
-    for (scheme, ext), (ranks, residuals, passed, gains) in zip(stacks, expected, strict=True):
-        got_ranks, got_residuals, got_passed, got_gains = _pass(scheme, ext, with_gains)
+    for (scheme, ext), (ranks, residuals, passed, rates) in zip(stacks, expected, strict=True):
+        got_ranks, got_residuals, got_passed, got_rates = _pass(scheme, ext, rhos)
         assert np.array_equal(got_ranks, ranks)
         assert got_residuals.tobytes() == residuals.tobytes()
         assert got_passed.tolist() == passed.tolist()
-        assert (gains is None) == (got_gains is None) == (not with_gains)
-        for g, got in zip(gains or (), got_gains or (), strict=True):
-            assert got[passed].tobytes() == g[passed].tobytes()
+        assert (rates is None) == (got_rates is None) == (not with_gains)
+        if with_gains:
+            assert got_rates[passed].tobytes() == rates[passed].tobytes()
 
 
 def corrupted_k3(seed=7):
@@ -252,7 +256,7 @@ def test_no_gains_after_a_failed_receiver_check(monkeypatch):
     # it has fewer than REFLECTOR_ROWS rows, so it takes no Householder QR
     for name in ("complement_and_rank", "householder"):
         monkeypatch.setattr(ia_lab.receiver, name, counting(name))
-    ranks, _, passed, _ = _pass(scheme[None], ext, True)
+    ranks, _, passed, _ = _pass(scheme[None], ext, RHOS)
     receivers = pass_checks(scheme, ext, ranks)
     assert not passed[0] and len(receivers) == 1 and not receivers[0].ok
     # receiver 1 failed, so the pass stops there: no ranks and no complement

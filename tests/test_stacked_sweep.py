@@ -208,10 +208,10 @@ def test_a_relation_pass_forms_each_link_product_once(monkeypatch, label):
 
     monkeypatch.setattr(ia_lab.channels.ChannelSet, "apply", counting)
     # once per stack, for the checks and relations of check_alignment and for
-    # a whole zf_rates call: the relations and the gains read the products
+    # a whole zf_rates call: the relations and the rates read the products
     # of the receiver pass
     once = {(k, j): 1 for k in range(scheme.K) for j in range(scheme.K)}
-    _pass(scheme, ext, False)
+    _pass(scheme, ext)
     assert formed == once
     formed.clear()
     assert all(rates is not None for rates in zf_rates(scheme, ext, RHOS))
@@ -318,7 +318,7 @@ def stacked_verdicts(scheme, ext):
     """Per trial of a stacked (scheme, ext), from one receiver pass and one
     relation pass over the stack: its (desired, interference, joint) ranks
     per receiver and its relation residuals."""
-    ranks, residuals, _, _ = _pass(scheme, ext, False)
+    ranks, residuals, _, _ = _pass(scheme, ext)
     return [(ranks[..., t].T.tolist(), residuals[:, t].tolist())
             for t in range(len(scheme.precoders[0]))]
 
@@ -510,7 +510,7 @@ def test_build_trials_rejects_a_bad_seed():
 
 
 def receiver_stage_calls(monkeypatch, config):
-    """(SVD calls, QR calls) of the pass with gains over one stack of 1, 4
+    """(SVD calls, QR calls) of the pass with rates over one stack of 1, 4
     and 8 trials of ``config``, every trial passing."""
     originals = {name: getattr(np.linalg, name) for name in ("svd", "qr")}
     calls = collections.Counter()
@@ -527,7 +527,7 @@ def receiver_stage_calls(monkeypatch, config):
         calls.clear()
         for name in originals:
             monkeypatch.setattr(np.linalg, name, counting(name))
-        _, _, passed, _ = _pass(scheme, ext, True)
+        _, _, passed, _ = _pass(scheme, ext, RHOS)
         for name, original in originals.items():
             monkeypatch.setattr(np.linalg, name, original)
         assert passed.all()
@@ -568,7 +568,7 @@ BATCHED = ["siso-k3 n=1", "siso-general K=4 n=1", "mimo M=2", "mimo M=3", "desig
 def test_a_pass_over_the_budget_takes_one_receiver_per_batch(monkeypatch, label, trials):
     scheme, ext = one_stack(CONFIGS[label], range(trials))
     T = len(scheme.precoders[0])
-    default = [_pass(scheme, ext, with_gains) for with_gains in (False, True)]
+    default = [_pass(scheme, ext, rhos) for rhos in (None, RHOS)]
     formed, widths = collections.Counter(), []
     apply, check = ia_lab.channels.ChannelSet.apply, ia_lab.receiver._check
 
@@ -586,17 +586,16 @@ def test_a_pass_over_the_budget_takes_one_receiver_per_batch(monkeypatch, label,
     # receiver per batch, with all its trials
     one = ia_lab.receiver._receiver_bytes(ext.dim, sum(scheme.stream_counts))
     monkeypatch.setattr(ia_lab.receiver, "STACK_BYTES", (2 * T - 1) * one)
-    for with_gains, (ranks, residuals, passed, gains) in zip((False, True), default):
+    for rhos, (ranks, residuals, passed, rates) in zip((None, RHOS), default):
         formed.clear()
-        small = _pass(scheme, ext, with_gains)
+        small = _pass(scheme, ext, rhos)
         assert formed == {(k, j): 1 for k in range(scheme.K) for j in range(scheme.K)}
         assert passed.all()
         assert np.array_equal(small[0], ranks)
         assert np.array_equal(small[1], residuals, equal_nan=True)
         assert small[2].tolist() == passed.tolist()
-        if with_gains:
-            for g, g_small in zip(gains, small[3]):
-                assert g_small.tobytes() == g.tobytes()
+        if rhos is not None:
+            assert small[3].tobytes() == rates.tobytes()
     assert widths == [1] * (2 * scheme.K)
 
 
@@ -618,16 +617,16 @@ def test_no_receiver_after_a_failed_check_in_a_stack(monkeypatch):
     for trials in (1, 3):
         scheme, ext = stacked([(steer(k3, one), one)] * trials)
         calls.clear()
-        ranks, _, passed, _ = _pass(scheme, ext, True)
+        ranks, _, passed, _ = _pass(scheme, ext, RHOS)
         # every trial fails receiver 1, and the pass stops there
         assert calls == [[0]] and not passed.any()
         assert not zf_ok(scheme.stream_counts[0], *ranks[1:, 0]).any()
         assert np.all(ranks[:, 1:] == -1)
         calls.clear()
         assert zf_rates(scheme, ext, RHOS) == [None] * trials and calls == [[0]]
-        # the checks without gains go on to the last receiver
+        # the checks without rates go on to the last receiver
         calls.clear()
-        full, _, _, _ = _pass(scheme, ext, False)
+        full, _, _, _ = _pass(scheme, ext)
         assert calls == [[0], [1, 2]] and np.all(full >= 0)
 
 
@@ -643,22 +642,22 @@ def test_a_stack_of_no_trials_takes_no_batch(monkeypatch):
 def test_a_failed_trial_stays_in_its_stack():
     k3, one = CONFIGS["siso-k3 n=1"].build(4)
     scheme, ext = stacked([(steer(k3, one), one), (k3, one)])
-    ranks, _, passed, gains = _pass(scheme, ext, True)
+    ranks, _, passed, rates = _pass(scheme, ext, RHOS)
     ok = zf_ok(np.array(scheme.stream_counts)[:, None], *ranks[1:])
     # the bad trial fails receiver 1 and, as the other trial passes, is
     # checked at every receiver
     assert not ok[0, 0] and np.all(ranks[1:, :, 0] >= 0)
     assert ok[:, 1].all()
-    assert passed.tolist() == [False, True] and all(np.all(np.isfinite(g[1])) for g in gains)
-    # the checks without gains give the same ranks, and the desired ones a
-    # pass with gains leaves to check_alignment
-    full, _, _, _ = _pass(scheme, ext, False)
+    assert passed.tolist() == [False, True] and np.all(np.isfinite(rates[1]))
+    # the checks without rates give the same ranks, and the desired ones a
+    # pass with rates leaves to check_alignment
+    full, _, _, _ = _pass(scheme, ext)
     assert np.all(full >= 0) and np.all(ranks[0] == -1)
     assert np.array_equal(full[1:], ranks[1:])
     # the one extension both trials share gives the same answers
-    shared = _pass(scheme, one, True)
+    shared = _pass(scheme, one, RHOS)
     assert np.array_equal(shared[0], ranks) and shared[2].tolist() == passed.tolist()
-    assert all(g[1].tobytes() == g_shared[1].tobytes() for g, g_shared in zip(gains, shared[3]))
+    assert rates[1].tobytes() == shared[3][1].tobytes()
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -694,14 +693,14 @@ def test_a_stacks_rates_equal_each_trial_alone(label):
     scheme = replaced(scheme, (scheme.precoders[0], v) + scheme.precoders[2:])
     out = zf_rates(scheme, ext, RHOS)
     assert [rates is None for rates in out] == [False, False, True, False, False]
-    ranks, _, passed, _ = _pass(scheme, ext, True)
+    ranks, _, passed, _ = _pass(scheme, ext, RHOS)
     assert passed.tolist() == [True, True, False, True, True]
     # the failing trial fails its first receiver
     assert not zf_ok(scheme.stream_counts[0], *ranks[1:, 0, 2])
     for t, rates in enumerate(out):
         [alone] = zf_rates(scheme[t], ext[t], RHOS)
         assert (rates is None) == (alone is None)
-        ranks_alone, _, _, _ = _pass(scheme[t][None], ext[t], True)
+        ranks_alone, _, _, _ = _pass(scheme[t][None], ext[t], RHOS)
         if rates is not None:
             assert rates.tobytes() == alone.tobytes()
             assert np.array_equal(ranks[..., t], ranks_alone[..., 0])
@@ -728,18 +727,19 @@ def test_an_over_budget_trial_stops_at_its_failing_receiver(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
-    ranks, _, passed, _ = _pass(scheme, ext, True)
+    ranks, _, passed, _ = _pass(scheme, ext, RHOS)
     ok = zf_ok(np.array(scheme.stream_counts), *ranks[1:, :, 0])
     assert not passed[0] and ok.tolist() == [False, False, False, False]
     assert np.all(ranks[:, 1:] == -1)
-    # the gains' projection, which certifies nothing, and the verdict's
-    # projection at receiver 1, and no gains kept; none for receivers 2 to 4,
-    # nor for transmitter 1's complement. The rank of receiver 1's 275 x 32
-    # image takes none: the certificate on its R's inverse decides it
-    assert len(shapes) == 2 and {shape[0] for shape in shapes} == {1}
+    # receiver 1's 243 streams take one QR of their projected channel, which
+    # certifies nothing, and then only the verdict's SVD, of the projected
+    # channel's equilibrated columns; no gains are taken. None for receivers
+    # 2 to 4, nor for transmitter 1's complement. The rank of receiver 1's
+    # 275 x 32 image takes none: the certificate on its R's inverse decides it
+    assert shapes == [(1, 243, 243)]
     shapes.clear()
     assert zf_rates(scheme, ext, RHOS) == [None]
-    assert len(shapes) == 2
+    assert shapes == [(1, 243, 243)]
 
 
 def _two_trial_extension():
