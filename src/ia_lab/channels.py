@@ -271,9 +271,12 @@ def _check_distinct_slots(coeffs: np.ndarray, error=ParameterError, where: str =
     """Refuse a single-antenna link of (K, K, F, M, M) ``coeffs`` whose F
     slot values are not pairwise distinct."""
     if coeffs.shape[-1] == 1:
-        for k, j in np.ndindex(coeffs.shape[:2]):
-            if len(np.unique(coeffs[k, j, :, 0, 0])) != coeffs.shape[2]:
-                raise error(f"{where}link (k={k + 1}, j={j + 1}) repeats a slot value")
+        # equal values lie side by side once each link's slots are sorted
+        slots = np.sort(coeffs[..., 0, 0], axis=-1)
+        repeats = (slots[..., 1:] == slots[..., :-1]).any(axis=-1)
+        if repeats.any():
+            k, j = np.argwhere(repeats)[0].tolist()
+            raise error(f"{where}link (k={k + 1}, j={j + 1}) repeats a slot value")
 
 
 def _check_magnitudes(ch: ChannelSet, error=ParameterError, where: str = "") -> None:

@@ -5,15 +5,14 @@ tolerance, RANK_TOL: a singular value counts toward the rank iff it is at
 least RANK_TOL times the largest one, or times a scale the caller knows (1
 for a projection of unit-norm columns). As singular values come in
 descending order, the count walks each row from its tail and stops at the
-last value that counts. Only :func:`_full_rank`, and the certificate of a
-wide receiver's projected channel (``rates._Factored``), may skip the
-singular values, of a triangular R, and only where they answer as ``_rank``
-would: an upper bound on R's condition from its inverse certifies full
+last value that counts. Only the two wide triangular decisions,
+:func:`_full_rank` and a wide receiver's (``rates._Factored``), may skip
+the singular values of a triangular R, and only where they answer as
+``_rank`` would: a bound on R's condition from its inverse certifies full
 rank, and an upper bound on R's least singular value (its least diagonal
-entry, or power steps on its inverse) over a lower bound on its largest
-shows it short. Only an R no bound decides takes the singular values.
-The rank functions rescale columns to unit norm first;
-rescaling by a nonzero scalar per column leaves the rank unchanged but
+entry, or power steps on its inverse) under SHORT_MARGIN RANK_TOL times
+the scale shows it short. The rank functions rescale columns to unit norm
+first; rescaling by a nonzero scalar per column leaves the rank unchanged but
 greatly improves the spread of singular values when column norms differ by
 orders of magnitude (power-basis precoders do).
 
@@ -193,6 +192,26 @@ def _power_bound(a: np.ndarray) -> np.ndarray:
     return _norms((a @ x)[..., 0]) / _norms(x[..., 0])
 
 
+# an upper bound on sigma_min under SHORT_MARGIN RANK_TOL times the scale the
+# rank is counted from shows a matrix short (:func:`_shown_short`)
+SHORT_MARGIN = 0.9
+
+
+def _shown_short(inverses: np.ndarray, scale) -> np.ndarray:
+    """Whether sigma_min(A) = 1 / sigma_max(A^-1) <= ||y|| / ||A^-1 y||, for
+    the y of :func:`_power_bound`, falls under SHORT_MARGIN RANK_TOL
+    ``scale``, for each A^-1 of a (T, p, p) stack ``inverses``. An A the
+    values SVD counts full has kappa at most sqrt(p) / RANK_TOL at the
+    receiver's scale 1 (unit-norm columns) and 1 / RANK_TOL in the build's,
+    and a triangular inverse is accurate to about c p u kappa (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 14), 4e-5
+    c at p = 243: the bound cannot fall 10% under sigma_min unless c exceeds
+    about 2000, and the SVD's own rounding, about p u sigma_max, is far
+    smaller still. A bound that under- or overflows shows nothing."""
+    growth = _power_bound(inverses)
+    return np.isfinite(growth) & (growth * (SHORT_MARGIN * RANK_TOL * scale) > 1.0)
+
+
 def _full_rank(r: np.ndarray, values: np.ndarray = None):
     """Whether an upper triangular (p, cols) R has full column rank at
     RANK_TOL, as ``_rank`` of its singular values decides it; a boolean
@@ -202,10 +221,8 @@ def _full_rank(r: np.ndarray, values: np.ndarray = None):
     where they can. Full: with f = ||R||_F >= sigma_max and X = R^-1,
     sigma_min = 1 / ||X||_2 >= 1 / ||X||_F, so ||X||_F f <= 1 / (2 RANK_TOL)
     puts sigma_min / sigma_max at 2 RANK_TOL or more. X comes from
-    :func:`_invert_triangular` of R / f. Triangular inversion is forward
-    stable: the computed X has a relative error of about c p u kappa(R)
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch.
-    14), some 1e-6 at p = 243 and a certified kappa_F of 5e7 or less. Only
+    :func:`_invert_triangular` of R / f, accurate to some 1e-6 at p = 243
+    and a certified kappa_F of 5e7 or less (see :func:`_shown_short`). Only
     an R with every entry finite and min |r_ii| >= 2 RANK_TOL f > 0 is
     inverted for the certificate (|r_ii| >= sigma_min, so no other R can
     pass), which keeps R / f's inverse blocks finite and ``np.linalg.inv``
@@ -213,17 +230,14 @@ def _full_rank(r: np.ndarray, values: np.ndarray = None):
 
     Short: ||R x|| / ||x|| <= sigma_max for the x of POWER_STEPS power steps
     on R^H R (:func:`_power_bound`), and sigma_min <= min |r_ii| (ch. 8), so
-    min |r_ii| < (RANK_TOL / 2) ||R x|| / ||x|| puts sigma_min / sigma_max
-    below RANK_TOL / 2. An R that bound leaves open, every entry finite and
-    min |r_ii| > 0, takes power steps on X^H X too, from the X of the
-    certificate or one formed now: sigma_min <= ||y|| / ||X y|| for any y,
-    far closer than the diagonal, as a few steps come near sigma_max(X).
-    An R of full rank has kappa at most 1 / RANK_TOL, so its X is accurate
-    to some 1e-5, and the bound cannot fall a factor 2 short. An R whose
+    min |r_ii| < SHORT_MARGIN RANK_TOL ||R x|| / ||x|| puts sigma_min /
+    sigma_max below SHORT_MARGIN RANK_TOL. An R that bound leaves open,
+    every entry finite and min |r_ii| > 0, takes power steps on the inverse
+    of R / f too, with the same margin (:func:`_shown_short`, which argues it). An R whose
     estimates are zero or not finite stays open. The values SVD resolves
-    sigma_min / sigma_max to about p u, far inside both factors of 2, so
-    every bound answers as ``_rank`` does, bit for bit, however the
-    rounding falls, in a stack or alone.
+    sigma_min / sigma_max to about p u, far inside the margin and the
+    certificate's factor 2, so every bound answers as ``_rank`` does, bit
+    for bit, however the rounding falls, in a stack or alone.
 
     Every R no bound decides takes the values SVD: of the rows of
     ``values`` where given (the matrices R was factored from, whose
@@ -249,36 +263,25 @@ def _full_rank(r: np.ndarray, values: np.ndarray = None):
                 return _invert_triangular((stack if every else stack[rows])
                                           / (f if every else f[rows])[:, None, None])
 
-            # each R's place in the inverses the certificate formed, or -1
-            slot = np.full(len(stack), -1)
             live = np.flatnonzero(invertible & (least >= 2 * RANK_TOL * f))
             if len(live):
                 x = inverse(live)
-                slot[live] = range(len(live))
-                full[live] = _norms(x.reshape(len(x), p * p)) <= 0.5 / RANK_TOL
+                full[live] = _norms(x.reshape(len(live), p * p)) <= 0.5 / RANK_TOL
             undecided = np.flatnonzero(~full)
             if len(undecided):
                 largest = _power_bound(stack if len(undecided) == len(stack)
                                        else stack[undecided])
                 bounded = np.isfinite(largest) & (largest > 0.0)
-                short = bounded & (least[undecided] < 0.5 * RANK_TOL * largest)
-                # the R the diagonal leaves open: for X, R / f's inverse,
-                # sigma_min(R) <= f ||y|| / ||X y||, so f < (RANK_TOL / 2)
-                # sigma_max ||X y|| / ||y|| shows them short
+                short = bounded & (least[undecided] < SHORT_MARGIN * RANK_TOL * largest)
+                # the R the diagonal leaves open, from the inverse of R / f,
+                # whose least singular value is sigma_min(R) / f
                 open_ = np.flatnonzero(bounded & ~short & invertible[undecided])
                 if len(open_):
                     rows = undecided[open_]
-                    kept = slot[rows]
-                    fresh = kept < 0
-                    if fresh.all():
-                        inverses = inverse(rows)
-                    else:
-                        inverses = x[kept]
-                        if fresh.any():
-                            inverses[fresh] = inverse(rows[fresh])
-                    growth = _power_bound(inverses)
-                    short[open_] = (np.isfinite(growth)
-                                    & (f[rows] < 0.5 * RANK_TOL * largest[open_] * growth))
+                    # the certificate's inverses where it formed them all
+                    inverses = (x[np.searchsorted(live, rows)] if np.isin(rows, live).all()
+                                else inverse(rows))
+                    short[open_] = _shown_short(inverses, largest[open_] / f[rows])
                 undecided = undecided[~short]
     if len(undecided):
         values = stack if values is None else values.reshape(-1, *values.shape[-2:])

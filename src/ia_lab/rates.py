@@ -6,16 +6,19 @@ its desired columns through unit-norm precoders). Its rate at per-stream
 power p is sum_i log2(1 + p g_i) / L over the squared singular values g_i
 of G. A row of fewer than QR_STREAMS streams takes them from the values
 SVD (:func:`_log_det`); a wider row takes its verdict and rates from one QR
-of G (:class:`_Factored`). Each choice reads the row's own values and
-powers alone, so a row gets the bits it gets in any stack.
+of G (:class:`_Factored`): bounds from R's inverse X decide its verdict,
+and an expansion on a block of X's columns gives its rates, with the
+values SVD left for the rows they do not decide. Each choice reads the
+row's own values and powers alone, so a row gets the bits it gets in any
+stack.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import (HOUSEHOLDER_BLOCK, RANK_TOL, _invert_triangular, _norms, _rank,
-                     equilibrate_columns)
+from .linalg import (HOUSEHOLDER_BLOCK, RANK_TOL, SHORT_MARGIN, _invert_triangular, _norms,
+                     _rank, _shown_short, equilibrate_columns)
 
 
 # rows of at least QR_STREAMS streams take their verdict and rates from one
@@ -27,16 +30,15 @@ from .linalg import (HOUSEHOLDER_BLOCK, RANK_TOL, _invert_triangular, _norms, _r
 # 243. So the 32-stream rows (siso-general K=4 n=1's receiver 1, and the
 # receivers 2..4 of K=4 n=2) keep the SVD
 QR_STREAMS = 2 * HOUSEHOLDER_BLOCK
-# a factored row's log2 det(I + X X^H / p) is its first-order term S / ln 2,
-# S = ||X||_F^2 / p, where the term's error bound S^2 / (2 ln 2) is at most
-# EXPANSION_TOL of the row's rate: a tenth of the 1e-12 relative in which the
-# route keeps to the SVD's rates
+# a factored row's log2 det(I + X X^H / p) stands as an expansion
+# (:func:`_expansion`) where its error bound tau^2 / (2 ln 2) is at most
+# EXPANSION_TOL of the row's rate: a tenth of the 1e-12 relative in which
+# the route keeps to the SVD's rates
 EXPANSION_TOL = 1e-13
-# and a row is factored at all only where S <= DETERMINANT_BOUND at every
-# point of the grid: the determinant of p I + X X^H, whose eigenvalues then
-# lie in [p, 2p], is taken to rounding from its LU factors, and the error
-# R's inverse carries into S moves the rate by less than the SVD's own
-# rounding does. Every other row takes the values SVD of its channel
+# and a row is factored at all only where S = ||X||_F^2 / p <=
+# DETERMINANT_BOUND at every point: each term the expansion reads is then at
+# most 1 nat, so X's relative error (c d u kappa(R), Higham ch. 14) moves the
+# rate less than the values SVD's rounding of the small singular values does
 DETERMINANT_BOUND = 1.0
 LN2 = float(np.log(2.0))
 
@@ -52,24 +54,26 @@ class _Factored:
     from one QR of each projected channel G = B^H J_D = QR, ``channels``, a
     (n, m, d) stack, and ``norms``, the rows' (d) column norms nu_i of J_D.
 
-    Verdict first. A row whose R can be inverted, every entry finite and
-    min |r_ii| >= 2 RANK_TOL max nu > 0, has it overwritten with X = R^-1.
-    As s_min(G) >= 1 / ||X||_F and s_min(B^H E_D) >= s_min(G) / max nu, a
-    row whose 1 / ||X||_F reaches 2 RANK_TOL max nu is ``certified`` and
-    keeps X; every other row takes the verdict SVD of G diag(1 / nu), the
-    projected equilibrated columns, so no second projection is needed. A
-    basis of fewer than d columns certifies nothing and factors nothing.
+    Verdict first, on B^H E_D = G diag(1 / nu), whose R is R diag(1 / nu).
+    A row is ``short`` where min_i |r_ii| / nu_i, or power steps on diag(nu)
+    X, X = R^-1, bound its least singular value under SHORT_MARGIN RANK_TOL
+    (:func:`linalg._shown_short`; X rounds as the equilibrated R's inverse
+    would, a column scaling moving its rounding with it). A basis of fewer
+    than d columns is short outright. Every other row with R finite and min
+    |r_ii| > 0 has R overwritten with X; as s_min(G) >= 1 / ||X||_F and
+    s_min(B^H E_D) >= s_min(G) / max nu, one whose 1 / ||X||_F reaches 2
+    RANK_TOL max nu is ``certified`` and keeps X. Only the rows no bound
+    decides take the verdict SVD.
 
     Rates after: with g_i the squared singular values of G (those of R),
     sum_i log2(1 + p g_i) = d log2 p + 2 sum_i log2 |r_ii| + log2 det(I + X
-    X^H / p), and the last term lies in [S / ln 2 - S^2 / (2 ln 2), S / ln 2]
-    for S = ||X||_F^2 / p. A certified row with S <= DETERMINANT_BOUND at the
-    grid's least power is factored: at each point the first-order term
-    stands where EXPANSION_TOL allows, and elsewhere the sum is 2 sum_i
-    log2 |r_ii| + log2 det(p I + X X^H), from one X X^H per row. Every other
-    row takes the values SVD of G, as a row of fewer streams does. Each
-    choice reads the row's own values and powers alone, so a row gets the
-    bits it gets in any stack.
+    X^H / p). A certified row with ||X||_F^2 / p <= DETERMINANT_BOUND at the
+    grid's least power takes the last term at each point from the expansion
+    on no column of X, then on HOUSEHOLDER_BLOCK columns (:func:`_expansion`),
+    where its error bound is at most EXPANSION_TOL of the rate. A row the
+    block misses at any point, and every other row, takes the values SVD of
+    G, as a row of fewer streams does. Each choice reads the row's own
+    values and powers alone, so a row gets the bits it gets in any stack.
     """
 
     def __init__(self, channels, norms):
@@ -77,6 +81,7 @@ class _Factored:
         self.channels, self.norms = channels, norms
         largest = np.maximum.reduce(norms, axis=-1)
         self.certified = np.zeros(n, dtype=bool)
+        self.short = np.full(n, m < d)
         # each row's place in X, or -1, and ||X||_F^2 (inf without X)
         self.slot, self.x2, self.inverse = np.full(n, -1), np.full(n, np.inf), None
         if m < d:
@@ -86,16 +91,25 @@ class _Factored:
             diagonal = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
             self.logdet = 2.0 * np.sum(np.log2(diagonal), axis=-1)
             least = np.minimum.reduce(diagonal, axis=-1)
-            live = np.flatnonzero(np.isfinite(_norms(r.reshape(n, d * d))) & (least > 0.0)
-                                  & (least >= 2 * RANK_TOL * largest))
+            finite = np.isfinite(_norms(r.reshape(n, d * d)))
+            # R diag(1 / nu)'s diagonal, a zero column's divided by 1 as
+            # equilibrate_columns divides it
+            self.short = finite & (np.minimum.reduce(
+                diagonal / np.where(norms > 0.0, norms, 1.0), axis=-1)
+                < SHORT_MARGIN * RANK_TOL)
+            live = np.flatnonzero(finite & (least > 0.0) & ~self.short)
             if len(live):
                 x = _invert_triangular(r if len(live) == n else r[live])
                 del r
                 norm = _norms(x.reshape(len(live), d * d))
-                self.certified[live] = norm * (2 * RANK_TOL * largest[live]) <= 1.0
-                # X goes before the verdict SVD of the other rows, which take
-                # the values SVD for rates where they pass
-                kept = self.certified[live]
+                kept = norm * (2 * RANK_TOL * largest[live]) <= 1.0
+                self.certified[live] = kept
+                doubtful = live[~kept]
+                if len(doubtful):
+                    # diag(nu) X, in X's memory where no row keeps X
+                    scaled = x if not kept.any() else x[~kept]
+                    scaled *= norms[doubtful][:, :, None]
+                    self.short[doubtful] = _shown_short(scaled, 1.0)
                 live, norm = live[kept], norm[kept]
                 self.slot[live], self.x2[live] = range(len(live)), norm * norm
                 self.inverse = x if kept.all() else x[kept] if kept.any() else None
@@ -111,60 +125,55 @@ class _Factored:
 
     def rates(self, rows, p) -> np.ndarray:
         """sum_i log2(1 + p g_i) of ``rows`` at each per-stream power of
-        ``p``, as a (len(rows), len(p)) array. Lets the channels go, and
-        overwrites X with X X^H."""
+        ``p``, as a (len(rows), len(p)) array. Lets the channels and X go."""
         least = np.minimum.reduce(p) if len(p) else 0.0
-        factored = self.x2[rows] <= DETERMINANT_BOUND * least
+        factored = (self.slot[rows] >= 0) & (self.x2[rows] <= DETERMINANT_BOUND * least)
         out = np.empty((len(rows), len(p)))
+        d = self.norms.shape[-1]
+        for i in np.flatnonzero(factored).tolist():
+            row = rows[i]
+            # the points the expansion on no column, then on a block, leaves
+            left = np.ones(len(p), dtype=bool)
+            for width in (0, HOUSEHOLDER_BLOCK):
+                at = p[left]
+                terms, tau = _expansion(self.inverse[self.slot[row]], self.x2[row], at, width)
+                out[i, left] = values = d * np.log2(at) + self.logdet[row] + terms / LN2
+                left[left] = tau * tau / (2 * LN2) > EXPANSION_TOL * values
+                if not left.any():
+                    break
+            factored[i] = not left.any()
+        self.inverse = None
         if not factored.all():
-            rest = [i for i, f in zip(rows, factored.tolist()) if not f]
+            rest = [row for row, f in zip(rows, factored.tolist()) if not f]
             out[~factored] = _log_det(np.linalg.svd(self.channels[rest],
                                                     compute_uv=False) ** 2, p)
         self.channels = None
-        if factored.any():
-            at = np.array(rows)[factored]
-            d = self.inverse.shape[-1]
-            logdet, s = self.logdet[at][:, None], self.x2[at][:, None] / p
-            values = d * np.log2(p) + logdet + s / LN2
-            exact = s * s / (2 * LN2) > EXPANSION_TOL * values
-            need = np.flatnonzero(exact.any(axis=1))
-            if len(need):
-                slots = self.slot[at[need]]
-                gram = _gram(self.inverse if len(slots) == len(self.inverse)
-                             else self.inverse[slots])
-                self.inverse = None
-                values[need] = np.where(exact[need], _shifted_log_det(gram, exact[need], p)
-                                        + logdet[need], values[need])
-            out[factored] = values
-        self.inverse = None
         return out
 
 
-def _gram(x) -> np.ndarray:
-    """Overwrite each upper triangular X of a (n, d, d) stack with X X^H, and
-    return the stack, by blocks of HOUSEHOLDER_BLOCK columns in order: block
-    [lo, hi) reads X's columns from lo on, as X's rows lo:hi hold nothing
-    before them, and each block's product is formed whole before it is
-    written, over columns no later block reads."""
-    d = x.shape[-1]
-    for lo in range(0, d, HOUSEHOLDER_BLOCK):
-        hi = min(lo + HOUSEHOLDER_BLOCK, d)
-        x[..., lo:hi] = x[..., lo:] @ x[..., lo:hi, lo:].conj().swapaxes(-1, -2)
-    return x
+def _expansion(x, x2, p, width) -> tuple:
+    """(log det(I + X X^H / p_j) to second order, tau_j) in nats, at each
+    power p_j of ``p``, for an upper triangular d x d X, ``x2`` = ||X||_F^2,
+    on a block of its ``width`` columns of the largest norms.
 
-
-def _shifted_log_det(gram, at, p) -> np.ndarray:
-    """log2 det(p_j I + M) of each matrix M of a (n, d, d) stack ``gram`` at
-    each power p_j of ``p`` where ``at`` (n, len(p)) holds, as a (n, len(p))
-    array (nan elsewhere). The diagonal is set in place to M's own plus p_j,
-    so each value reads its matrix and power alone."""
-    n, d = gram.shape[:2]
-    out = np.full(at.shape, np.nan)
-    i = np.arange(d)
-    own = gram[:, i, i]
-    for j in np.flatnonzero(at.any(axis=0)).tolist():
-        rows = np.flatnonzero(at[:, j])
-        gram[rows[:, None], i, i] = own[rows] + p[j]
-        _, logabs = np.linalg.slogdet(gram if len(rows) == n else gram[rows])
-        out[rows, j] = logabs / LN2
-    return out
+    Q is an orthonormal basis of the block and [Q, Q'] a unitary; M = X X^H
+    / p has the blocks A = Q^H M Q = P P^H / p for P = Q^H X, M_21 = Q'^H M
+    Q and M_22. The Schur complement I + Sc of I + M is positive
+    semidefinite, so log det(I + M) = log det(I + A) + log det(I + Sc), and
+    log det(I + Sc) lies in [tr Sc - tau^2 / 2, tr Sc] for tau = tr M_22 =
+    ||X||_F^2 / p - tr A >= tr Sc. With W = (I - Q Q^H) X P^H, tr Sc = tau -
+    tr((I + A)^-1 W^H W) / p^2. No block leaves the first-order S = ||X||_F^2
+    / p with tau = S. Every product and solve reads X alone."""
+    if not width:
+        s = x2 / p
+        return s, s
+    columns = np.vecdot(x.T, x.T).real
+    q = np.linalg.qr(x[:, np.sort(np.argsort(-columns, kind="stable")[:width])])[0]
+    # P = Q^H X, without a copy of X's adjoint
+    pp = q.conj().T @ x
+    gram = pp @ pp.conj().T
+    w = x @ pp.conj().T - q @ gram
+    a = np.eye(len(gram)) + gram / p[:, None, None]
+    tau = (x2 - np.trace(gram).real) / p
+    inside = np.trace(np.linalg.solve(a, w.conj().T @ w), axis1=-2, axis2=-1).real / (p * p)
+    return np.linalg.slogdet(a)[1] + tau - inside, tau

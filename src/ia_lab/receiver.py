@@ -25,14 +25,11 @@ interference rank and complement are that image's, by one of two routes
 kept (``PrecoderScheme.complements``), else decomposed at k, as every image
 of a scheme made by hand is. The relations are still evaluated. With
 rates, each row's projected effective channel G = B^H J_D (B an
-orthonormal basis of the complement) gives both its rates and, where a
-lower bound on the equilibrated projection's smallest singular value
-reaches twice RANK_TOL, its verdict (see ``rates``): a row of fewer than
-QR_STREAMS streams takes G's values SVD, and the bound is G's smallest
-singular value over J_D's largest column norm; a wider row takes one QR of
-G, and the bound is 1 / ||R^-1||_F over that norm. Only the rows a bound
-leaves, and every row of :func:`check_alignment`, take the verdict's SVD,
-and a row that fails takes no rates.
+orthonormal basis of the complement) gives both its rates and, where
+bounds decide it, its verdict: a row of fewer than QR_STREAMS streams from
+G's values SVD, a wider one from one QR of G (see ``rates``). Only the rows
+no bound decides, and every row of :func:`check_alignment`, take the
+verdict's SVD, and a row that fails takes no rates.
 
 The pass runs over a stack of trials of one family and shape, as a stacked
 build gives them, or over one trial as the stack of one. It takes the
@@ -385,9 +382,10 @@ def _check(joint, route, scheme, ext, dk, ranks, passed, rates) -> None:
     orthonormalized: one solve per receiver and one QR, of rank d_j. The
     verdict and the rates project onto the complement. With rates, a row
     of QR_STREAMS or more streams takes both from one QR of its projected
-    channel (:class:`_Factored`), and such a batch empties ``joint`` once
-    its projected channels are formed, so that its products go before the
-    QRs; a row of fewer takes the channel's values SVD, whose gains certify
+    channel (:class:`_Factored`; one it shows short records -1 as its joint
+    rank), and such a batch empties ``joint`` once its projected channels
+    are formed, so that its products go before the QRs; a row of fewer
+    takes the channel's values SVD, whose gains certify
     rank d_k where they can (:func:`_certified`), and only the rows they
     leave take the verdict SVD, with their desired columns scaled."""
     parts = list(joint.values())
@@ -441,9 +439,11 @@ def _check(joint, route, scheme, ext, dk, ranks, passed, rates) -> None:
         elif wide:
             factored = _Factored(channels[group], (nu if every else nu[rows])[..., 0, :dk])
             channels[group] = None
-            doubtful = np.flatnonzero(~factored.certified).tolist()
+            doubtful = np.flatnonzero(~(factored.certified | factored.short)).tolist()
             if doubtful:
                 kept[doubtful] = factored.verdict(doubtful)
+            # the pass's mark for what it did not measure
+            kept[factored.short] = -1 - r
         else:
             s = np.linalg.svd(project((J if every else J[rows])[..., :dk]), compute_uv=False)
             doubtful = np.flatnonzero(~_certified(s, (nu if every else nu[rows])[..., 0, :dk])

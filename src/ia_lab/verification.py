@@ -121,9 +121,8 @@ def diagonal_channels(M: int, seed: int) -> ChannelSet:
         raise ParameterError(f"M must be positive, got {M}")
     scalars = generate_channels(3, 1, M, seed=seed)
     coeffs = np.zeros((3, 3, 1, M, M), dtype=complex)
-    for k in range(3):
-        for j in range(3):
-            np.fill_diagonal(coeffs[k, j, 0], scalars.coeffs[k, j, :, 0, 0])
+    i = np.arange(M)
+    coeffs[:, :, 0, i, i] = scalars.coeffs[..., 0, 0]
     coeffs.setflags(write=False)
     return ChannelSet(K=3, M=M, F=1, a_min=scalars.a_min, a_max=scalars.a_max,
                       seed=seed, coeffs=coeffs)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -409,6 +410,26 @@ def test_save_refuses_repeated_slot_values(tmp_path):
     # an M > 1 constant-time extension repeats its blocks, and saves
     save_channels(extend_channel(generate_channels(3, 2, 1, seed=2), 2, "constant-time"), path)
     assert load_channels(path).F == 2
+
+
+def test_a_late_repeat_is_named_by_its_link(tmp_path):
+    # repeats planted at links (3, 2) and (3, 3): save and load name the
+    # first of them in (k, j) order
+    ch = generate_channels(3, 1, 7, seed=4)
+    coeffs = ch.coeffs.copy()
+    coeffs[2, 1, 6] = coeffs[2, 1, 0]
+    coeffs[2, 2, 3] = coeffs[2, 2, 5]
+    planted = dataclasses.replace(ch, coeffs=coeffs)
+    path = tmp_path / "channels.json"
+    with pytest.raises(ParameterError, match=r"link \(k=3, j=2\) repeats a slot value"):
+        save_channels(planted, path)
+    assert not path.exists()
+    save_channels(ch, path)
+    doc = json.loads(path.read_text())
+    doc["coeffs"] = [{"re": z.real, "im": z.imag} for z in coeffs.reshape(-1).tolist()]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ChannelFileError, match=r"link \(k=3, j=2\) repeats a slot value"):
+        load_channels(path)
 
 
 def test_save_refuses_what_load_rejects(tmp_path):

@@ -1,13 +1,16 @@
 """Rates and verdicts of wide receivers from one QR of the projected channel.
 
 A row of QR_STREAMS or more streams (L=275's receiver 1, of 243) takes its
-verdict and rates from G = QR, G its projected effective channel: with X =
-R^-1, sum_i log2(1 + p g_i) = d log2 p + 2 sum_i log2 |r_ii| + log2 det(I +
-X X^H / p), whose last term is S / ln 2 (S = ||X||_F^2 / p) where its error
-bound S^2 / (2 ln 2) is at most EXPANSION_TOL of the rate, else taken from
-the determinant of p I + X X^H while S <= DETERMINANT_BOUND. A row above
-that bound at the grid's least power, or without X, takes the values SVD,
-as a narrower row does.
+verdict and rates from G = QR, G its projected effective channel. Bounds
+from X = R^-1 decide the verdict: certified full where 1 / ||X||_F clears
+twice the tolerance, short where an upper bound on the equilibrated least
+singular value falls under SHORT_MARGIN RANK_TOL. The rates are sum_i
+log2(1 + p g_i) = d log2 p + 2 sum_i log2 |r_ii| + log2 det(I + X X^H / p),
+whose last term is S / ln 2 (S = ||X||_F^2 / p) where its error bound
+S^2 / (2 ln 2) is at most EXPANSION_TOL of the rate, else the expansion on
+a block of X's columns where its own bound is, while S <= DETERMINANT_BOUND.
+A row above that bound at the grid's least power, a row the expansion
+misses, and a row without X take the values SVD, as a narrower row does.
 
 The oracles are the dense receivers of ``conftest.dense_receivers``, whose
 gains give ``conftest.dense_rates``, and the pass itself with every row sent
@@ -20,9 +23,11 @@ import warnings
 import numpy as np
 import pytest
 
+import ia_lab.rates
 import ia_lab.receiver
 from ia_lab import SchemeConfig, check_alignment, zf_rates
-from ia_lab.evaluation import TRIAL_ERRORS, _trial_seed
+from ia_lab.evaluation import TRIAL_ERRORS, _trial_seed, snr_sweep
+from ia_lab.linalg import RANK_TOL, SHORT_MARGIN
 from ia_lab.rates import DETERMINANT_BOUND, EXPANSION_TOL, LN2, QR_STREAMS, _Factored, _log_det
 from ia_lab.receiver import zf_ok
 
@@ -99,31 +104,64 @@ def counted(monkeypatch, name):
     return calls
 
 
+def counted_blocks(monkeypatch):
+    """The number of powers each expansion on a block of columns takes,
+    from here on."""
+    calls, original = [], ia_lab.rates._expansion
+
+    def call(x, x2, p, width):
+        if width:
+            calls.append(len(p))
+        return original(x, x2, p, width)
+
+    monkeypatch.setattr(ia_lab.rates, "_expansion", call)
+    return calls
+
+
 def test_a_mixed_stack_gives_each_trial_its_bits_alone(monkeypatch):
     # at 150 and 200 dB, receiver 1 of default-law root 1000 sits above
     # the determinant bound at 150 dB and takes the values SVD; root 1001's
-    # takes a determinant at 150 dB and the first-order term at 200 dB;
-    # root 1005's fails, and unit-law root 2000's takes the first-order
-    # term at both. Receivers 2..4, of 32 streams, take the values SVD
+    # takes the block expansion at 150 dB and the first-order term at 200
+    # dB; root 1005's is shown short, and unit-law root 2000's takes the
+    # first-order term at both. Receivers 2..4, of 32 streams, take the
+    # values SVD
     pairs = [pool_trial("default", root) for root in (1000, 1001, 1005)]
     pairs.append(pool_trial("unit", 2000))
     scheme, ext = stacked(pairs)
     rhos = [10.0 ** 15, 10.0 ** 20]
     svds, determinants = counted(monkeypatch, "svd"), counted(monkeypatch, "slogdet")
+    blocks = counted_blocks(monkeypatch)
     rates = zf_rates(scheme, ext, rhos)
     assert [r is None for r in rates] == [False, False, True, False]
-    # one values SVD of root 1000's channel and one verdict SVD of root
-    # 1005's; one determinant, of root 1001's at 150 dB
-    assert svds.count((1, 243, 243)) == 2 and determinants == [(1, 243, 243)]
+    # one values SVD, of root 1000's channel, and no verdict SVD; one block,
+    # of root 1001's at 150 dB, and no d x d determinant
+    assert svds.count((1, 243, 243)) == 1 and blocks == [1]
+    assert (1, 243, 243) not in determinants
     for t, (one, one_ext) in enumerate(pairs):
         svds.clear()
-        determinants.clear()
+        blocks.clear()
         [alone] = zf_rates(one, one_ext, rhos)
         assert (alone is None) == (rates[t] is None)
         if alone is not None:
             assert alone.tobytes() == rates[t].tobytes()
-        assert determinants == ([(1, 243, 243)] if t == 1 else [])
-        assert svds.count((1, 243, 243)) == (1 if t in (0, 2) else 0)
+        assert blocks == ([1] if t == 1 else [])
+        assert svds.count((1, 243, 243)) == (1 if t == 0 else 0)
+
+
+def test_the_pool_takes_no_d_by_d_svd_or_determinant(monkeypatch):
+    # the large benchmark workload's sweeps: no wide row takes a values or
+    # verdict SVD, nor a 243 x 243 determinant, and every trial keeps its
+    # status; root 1004's build and root 1005's receiver 1 fail
+    svds, determinants = counted(monkeypatch, "svd"), counted(monkeypatch, "slogdet")
+    statuses = {}
+    for law, roots in POOL.items():
+        for root in roots:
+            table = snr_sweep(LARGE[law], (160.0, 180.0, 200.0), 1, root)
+            statuses[root] = {record.status for record in table.records}
+    assert [shape for shape in svds + determinants if shape[-2:] == (243, 243)] == []
+    assert statuses == {**{root: {"ok"} for root in (1000, 1001, 1002, 1003)},
+                        1004: {"failed"}, 1005: {"failed"},
+                        **{root: {"ok"} for root in POOL["unit"]}}
 
 
 @pytest.mark.parametrize("grid", [[0.0, 1e16, 1e20], [], [1e4]],
@@ -144,33 +182,90 @@ def test_a_low_or_empty_grid_takes_the_values_svd(monkeypatch, grid):
             assert rates[0].tolist() == [0.0] * 4
 
 
-def planted_channel(d, spread, seed=0):
-    """A (1, d, d) channel whose singular values spread over ``spread``
-    orders, and its gains."""
+def planted_channel(values, seed=0):
+    """A (1, d, d) channel of singular values ``values`` between random
+    unitary bases, and its gains."""
+    d = len(values)
     rng = np.random.default_rng(seed)
     u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
     v = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
-    g = (u * np.logspace(0, -spread, d)) @ v
+    g = (u * values) @ v
     return g[None], np.linalg.svd(g[None], compute_uv=False) ** 2
 
 
 @pytest.mark.parametrize("spread", [2, 6])
-def test_the_factored_log_det_keeps_to_the_gains(spread):
-    # from the least power at the determinant bound up: the determinant
-    # first, the first-order term once its error bound falls under
-    # EXPANSION_TOL of the rate; one grid of them all, and each point alone
-    g, gains = planted_channel(96, spread)
+def test_the_factored_log_det_keeps_to_the_gains(monkeypatch, spread):
+    # 32 weak directions, ``spread`` orders down to 1e-6, among 96 of 1:
+    # from the least power at the determinant bound up, the expansion on
+    # the block first, the first-order term once its error bound falls
+    # under EXPANSION_TOL of the rate; one grid of them all, and each point
+    # alone
+    g, gains = planted_channel(np.r_[np.ones(64), np.logspace(spread - 6, -6, 32)])
     norms = np.ones((1, 96))
     x2 = _Factored(g, norms).x2[0]
     p = x2 / DETERMINANT_BOUND * np.logspace(0, 12, 13)
+    blocks = counted_blocks(monkeypatch)
     got = _Factored(g, norms).rates([0], p)[0]
     expected = _log_det(gains, p)[0]
     s = x2 / p
     first = s * s / (2 * LN2) <= EXPANSION_TOL * got
     assert not first[0] and first[-1]
+    assert blocks == [np.count_nonzero(~first)]
     assert np.all(np.abs(got - expected) <= 1e-12 * expected)
     alone = [_Factored(g, norms).rates([0], p[j:j + 1])[0, 0] for j in range(len(p))]
     assert alone == got.tolist()
     # a point below the bound sends the row to the values SVD
     low = np.concatenate([[x2 / 2], p])
     assert _Factored(g, norms).rates([0], low).tobytes() == _log_det(gains, low).tobytes()
+
+
+def test_a_row_the_block_misses_takes_the_values_svd(monkeypatch):
+    # 96 directions spread evenly over two orders: at S = 1 the 64 the
+    # block leaves out hold too much for its error bound, so the row takes
+    # the values SVD at every point, bit for bit
+    g, gains = planted_channel(np.logspace(0, -2, 96))
+    norms = np.ones((1, 96))
+    x2 = _Factored(g, norms).x2[0]
+    p = x2 / DETERMINANT_BOUND * np.logspace(0, 12, 13)
+    blocks = counted_blocks(monkeypatch)
+    assert _Factored(g, norms).rates([0], p).tobytes() == _log_det(gains, p).tobytes()
+    assert len(blocks) == 1
+
+
+def planted_triangle(ratio, d, seed=0):
+    """The upper triangular R of a d x d matrix with sigma_max 1 and
+    sigma_min ``ratio`` RANK_TOL, its other singular values at 1e-4."""
+    rng = np.random.default_rng(seed)
+    u, v = (np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+            for _ in range(2))
+    s = np.r_[1.0, np.full(d - 2, 1e-4), ratio * RANK_TOL]
+    return np.linalg.qr((u * s) @ v.conj().T, mode="r")
+
+
+# sigma_min of planted triangles over SHORT_MARGIN = 0.9 times the tolerance
+# and the scale it is counted from: shown short, left to the SVD, full
+MARGIN_CASES = [0.85, 0.95, 1.05]
+
+
+def decided(factored, d):
+    """Each row's projected rank as ``receiver._check`` reads it, -1 where
+    the row is shown short."""
+    ranks = np.where(factored.short, -1, d)
+    doubtful = np.flatnonzero(~(factored.certified | factored.short)).tolist()
+    if doubtful:
+        ranks[doubtful] = factored.verdict(doubtful)
+    return ranks.tolist()
+
+
+@pytest.mark.parametrize("d", [64, 243])
+@pytest.mark.parametrize("ratio", MARGIN_CASES)
+def test_the_margin_decides_a_wide_row_as_the_verdict_svd(monkeypatch, ratio, d):
+    # R diag(1 / nu) planted with sigma_min at ``ratio`` RANK_TOL: the
+    # verdict counts from 1, so the scale of the channel's columns, nu,
+    # must not move the decision
+    r = planted_triangle(ratio, d, seed=d)
+    nu = np.random.default_rng(1).uniform(0.5, 2.0, size=(1, d))
+    svds = counted(monkeypatch, "svd")
+    ranks = decided(_Factored(r[None] * nu[:, None, :], nu), d)
+    assert ranks == [-1 if ratio < SHORT_MARGIN else d - 1 if ratio < 1 else d]
+    assert len(svds) == (0 if ratio < SHORT_MARGIN else 1)

@@ -30,8 +30,9 @@ import ia_lab.receiver
 import ia_lab.schemes
 from ia_lab import SchemeConfig, check_alignment, zf_rates
 from ia_lab.evaluation import _trial_seed
-from ia_lab.linalg import (HOUSEHOLDER_BLOCK, _full_rank, _rank, apply_householder,
-                           equilibrate_columns, has_full_column_rank, householder)
+from ia_lab.linalg import (HOUSEHOLDER_BLOCK, RANK_TOL, SHORT_MARGIN, _full_rank, _rank,
+                           apply_householder, equilibrate_columns, has_full_column_rank,
+                           householder)
 from ia_lab.receiver import _pass
 
 from conftest import replaced, stacked
@@ -376,10 +377,10 @@ def test_the_benchmark_pool_builds_rank_as_the_svd_rule(monkeypatch):
 # default-law siso-general K=4 n=2 seeds whose transmitter 1 precoder fails
 # the build with sigma_min / sigma_max of 3.3e-9 to 8.7e-9 and a least
 # |r_ii| 1.2 to 1.8 times sigma_min, which R's diagonal cannot show short.
-# Power steps on R^-1 bound sigma_min within 4% for all of them; those
-# below RANK_TOL / 2 (6, 26, 34 and 36, at 3.3e-9 to 4.1e-9) are shown
-# short, and the rest lie inside the factor-2 band and take the values SVD
-BAND_BUILDS = {3: 1, 6: 0, 9: 1, 21: 1, 26: 0, 32: 1, 34: 0, 36: 0, 37: 1, 39: 1}
+# Power steps on R^-1 bound sigma_min within 4% for all of them, so every
+# one lies under SHORT_MARGIN RANK_TOL and is shown short with no values
+# SVD, the six at 5.5e-9 to 8.7e-9 (3, 9, 21, 32, 37 and 39) too
+BAND_BUILDS = {3: 0, 6: 0, 9: 0, 21: 0, 26: 0, 32: 0, 34: 0, 36: 0, 37: 0, 39: 0}
 
 
 def test_power_steps_on_the_inverse_show_band_builds_short(monkeypatch):
@@ -398,6 +399,20 @@ def test_power_steps_on_the_inverse_show_band_builds_short(monkeypatch):
             config.build(seed)
         taken[seed] = sum(shape[-1] == 243 for shape in shapes)
     assert taken == BAND_BUILDS
+
+
+@pytest.mark.parametrize("d", [48, 243])
+@pytest.mark.parametrize("ratio", [0.85, 0.95, 1.05])
+def test_the_margin_decides_a_build_as_the_svd_rule(monkeypatch, ratio, d):
+    # an R planted with sigma_min / sigma_max at ``ratio`` RANK_TOL, over
+    # SHORT_MARGIN = 0.9: shown short with no SVD, left to the SVD, or
+    # never shown short
+    r = np.linalg.qr(planted(ratio * RANK_TOL, d, d, seed=d), mode="r")
+    calls = svd_calls(monkeypatch)
+    assert _full_rank(r[None]).tolist() == [ratio > 1]
+    assert calls == ([] if ratio < SHORT_MARGIN else [1])
+    monkeypatch.undo()
+    assert svd_full(r) == (ratio > 1)
 
 
 def full_u_route(monkeypatch):

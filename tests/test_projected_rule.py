@@ -343,7 +343,7 @@ def always_verdict(monkeypatch):
 
     def uncertified(self, channels, norms):
         factored(self, channels, norms)
-        self.certified[:] = False
+        self.certified[:] = self.short[:] = False
 
     monkeypatch.setattr(ia_lab.receiver, "_certified",
                         lambda s, norms: np.zeros(len(s), dtype=bool))

@@ -731,15 +731,15 @@ def test_an_over_budget_trial_stops_at_its_failing_receiver(monkeypatch):
     ok = zf_ok(np.array(scheme.stream_counts), *ranks[1:, :, 0])
     assert not passed[0] and ok.tolist() == [False, False, False, False]
     assert np.all(ranks[:, 1:] == -1)
-    # receiver 1's 243 streams take one QR of their projected channel, which
-    # certifies nothing, and then only the verdict's SVD, of the projected
-    # channel's equilibrated columns; no gains are taken. None for receivers
-    # 2 to 4, nor for transmitter 1's complement. The rank of receiver 1's
+    # receiver 1's 243 streams take one QR of their projected channel, whose
+    # inverse shows them short by power steps, so it records -1 as its
+    # joint rank and takes no SVD; no rates are taken. None for receivers 2
+    # to 4, nor for transmitter 1's complement. The rank of receiver 1's
     # 275 x 32 image takes none: the certificate on its R's inverse decides it
-    assert shapes == [(1, 243, 243)]
-    shapes.clear()
+    assert ranks[2, 0, 0] == -1
+    assert shapes == []
     assert zf_rates(scheme, ext, RHOS) == [None]
-    assert shapes == [(1, 243, 243)]
+    assert shapes == []
 
 
 def _two_trial_extension():
