@@ -5,16 +5,18 @@ tolerance, RANK_TOL: a singular value counts toward the rank iff it is at
 least RANK_TOL times the largest one, or times a scale the caller knows (1
 for a projection of unit-norm columns). As singular values come in
 descending order, the count walks each row from its tail and stops at the
-last value that counts. Only the two wide triangular decisions,
-:func:`_full_rank` and a wide receiver's (``rates._Factored``), may skip
-the singular values of a triangular R, and only where they answer as
-``_rank`` would: a bound on R's condition from its inverse certifies full
-rank, and an upper bound on R's least singular value (its least diagonal
-entry, or power steps on its inverse) under SHORT_MARGIN RANK_TOL times
-the scale shows it short. The rank functions rescale columns to unit norm
-first; rescaling by a nonzero scalar per column leaves the rank unchanged but
-greatly improves the spread of singular values when column norms differ by
-orders of magnitude (power-basis precoders do).
+last value that counts. Only :func:`_full_rank`, which decides the
+build's ranks and a wide receiver's (``rates._Factored``), may skip the
+singular values of a triangular R, and only where it answers as ``_rank``
+would: a bound on R's condition from its inverse certifies full rank, and
+an upper bound on the least singular value (R's least diagonal entry, or
+power steps on its inverse) under SHORT_MARGIN RANK_TOL times the count's
+reference shows it short; :func:`_certified` certifies a narrower
+receiver's projected rank from singular values its rates read anyway.
+The rank functions rescale columns to unit norm first; rescaling by a
+nonzero scalar per column leaves the rank unchanged but greatly improves
+the spread of singular values when column norms differ by orders of
+magnitude (power-basis precoders do).
 
 The rank functions also take a stack of matrices, shape (T, rows, cols),
 and then answer for every matrix of the stack from one batched SVD. The
@@ -89,7 +91,7 @@ def has_full_column_rank(matrix: np.ndarray):
     if cols < HOUSEHOLDER_BLOCK or rows < cols:
         return _rank(singular_values(matrix)) == cols
     e = equilibrate_columns(matrix)
-    return _full_rank(np.linalg.qr(e, mode="r"), e)
+    return _full_rank(np.linalg.qr(e, mode="r"), e)[0]
 
 
 def complement_and_rank(matrix: np.ndarray) -> tuple:
@@ -147,7 +149,7 @@ def householder(matrix: np.ndarray) -> tuple:
     a = h.swapaxes(-1, -2)
     p = tau.shape[-1]
     lower, upper, eye = _triangles(*a.shape[-2:])
-    full = _full_rank(np.where(upper[:p], a[..., :p, :], 0.0))
+    full = _full_rank(np.where(upper[:p], a[..., :p, :], 0.0))[0]
     v = np.where(lower[:, :p], a[..., :p], eye[:, :p])
     w = v * tau[..., None, :]
     blocks = []
@@ -193,102 +195,136 @@ def _power_bound(a: np.ndarray) -> np.ndarray:
 
 
 # an upper bound on sigma_min under SHORT_MARGIN RANK_TOL times the scale the
-# rank is counted from shows a matrix short (:func:`_shown_short`)
+# rank is counted from shows a matrix short (see :func:`_full_rank`)
 SHORT_MARGIN = 0.9
 
 
-def _shown_short(inverses: np.ndarray, scale) -> np.ndarray:
-    """Whether sigma_min(A) = 1 / sigma_max(A^-1) <= ||y|| / ||A^-1 y||, for
-    the y of :func:`_power_bound`, falls under SHORT_MARGIN RANK_TOL
-    ``scale``, for each A^-1 of a (T, p, p) stack ``inverses``. An A the
-    values SVD counts full has kappa at most sqrt(p) / RANK_TOL at the
-    receiver's scale 1 (unit-norm columns) and 1 / RANK_TOL in the build's,
-    and a triangular inverse is accurate to about c p u kappa (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 14), 4e-5
-    c at p = 243: the bound cannot fall 10% under sigma_min unless c exceeds
-    about 2000, and the SVD's own rounding, about p u sigma_max, is far
-    smaller still. A bound that under- or overflows shows nothing."""
-    growth = _power_bound(inverses)
-    return np.isfinite(growth) & (growth * (SHORT_MARGIN * RANK_TOL * scale) > 1.0)
+def _certified(s, norms):
+    """Which rows of projections B^H J keep rank d for sure, from ``s``, the
+    singular values of B^H J, and ``norms``, the rows' (d) column norms
+    nu_i of J. E = J diag(1 / nu), so s_min(B^H E) >= s_min(B^H J) / max
+    nu, and a row whose bound reaches twice RANK_TOL times 1, the scale a
+    projected rank counts from, needs no SVD of B^H E. A basis of fewer
+    than d columns certifies nothing."""
+    if s.shape[-1] < norms.shape[-1]:
+        return np.zeros(len(s), dtype=bool)
+    return s[:, -1] >= 2 * RANK_TOL * np.maximum.reduce(norms, axis=-1)
 
 
-def _full_rank(r: np.ndarray, values: np.ndarray = None):
-    """Whether an upper triangular (p, cols) R has full column rank at
-    RANK_TOL, as ``_rank`` of its singular values decides it; a boolean
-    array of the answers for a stack of them.
+def _full_rank(r: np.ndarray, values: np.ndarray = None, scale: float = None,
+               nu: np.ndarray = None) -> tuple:
+    """(full, inverses) of a stack of upper triangular (p, cols) R, or of
+    one: whether each A = R diag(1 / nu) has full column rank at RANK_TOL
+    as ``_rank(s, scale)`` of its singular values decides it, counting from
+    sigma_max(A), or from ``scale``; and the inverse X that the certificate
+    read of each R it showed full (None for the others). ``nu``, the (n,
+    cols) column scales of a stack of n, comes with a scale, and is 1
+    without. An R of fewer rows than columns is short outright.
 
     A square R of at least HOUSEHOLDER_BLOCK columns is decided by bounds
-    where they can. Full: with f = ||R||_F >= sigma_max and X = R^-1,
-    sigma_min = 1 / ||X||_2 >= 1 / ||X||_F, so ||X||_F f <= 1 / (2 RANK_TOL)
-    puts sigma_min / sigma_max at 2 RANK_TOL or more. X comes from
-    :func:`_invert_triangular` of R / f, accurate to some 1e-6 at p = 243
-    and a certified kappa_F of 5e7 or less (see :func:`_shown_short`). Only
-    an R with every entry finite and min |r_ii| >= 2 RANK_TOL f > 0 is
-    inverted for the certificate (|r_ii| >= sigma_min, so no other R can
-    pass), which keeps R / f's inverse blocks finite and ``np.linalg.inv``
-    from raising; overflow in the products only fails the certificate.
+    where they can. Full: sigma_min(A) >= 1 / (||R^-1||_F max nu). So with
+    X = (R / f)^-1, f = ||R||_F >= sigma_max, relative to sigma_max, and X
+    = R^-1 from a scale, ||X||_F w <= 1 / (2 RANK_TOL) for w = 1, or max nu
+    times the scale, puts sigma_min(A) at twice RANK_TOL times its count's
+    reference or more. X comes from :func:`_invert_triangular`, accurate to
+    about c p u kappa (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 14), some 1e-6 c at p = 243 and a certified
+    kappa_F of 5e7. Only an R with every entry finite and min |r_ii| / nu_i
+    >= 2 RANK_TOL times f, or the scale, is inverted for the certificate
+    (|r_ii| / nu_i >= sigma_min(A), so no other R can pass), which keeps
+    X's blocks finite and ``np.linalg.inv`` from raising; overflow in the
+    products only fails the certificate.
 
-    Short: ||R x|| / ||x|| <= sigma_max for the x of POWER_STEPS power steps
-    on R^H R (:func:`_power_bound`), and sigma_min <= min |r_ii| (ch. 8), so
-    min |r_ii| < SHORT_MARGIN RANK_TOL ||R x|| / ||x|| puts sigma_min /
-    sigma_max below SHORT_MARGIN RANK_TOL. An R that bound leaves open,
-    every entry finite and min |r_ii| > 0, takes power steps on the inverse
-    of R / f too, with the same margin (:func:`_shown_short`, which argues it). An R whose
-    estimates are zero or not finite stays open. The values SVD resolves
-    sigma_min / sigma_max to about p u, far inside the margin and the
-    certificate's factor 2, so every bound answers as ``_rank`` does, bit
-    for bit, however the rounding falls, in a stack or alone.
+    Short: sigma_min(A) <= min |r_ii| / nu_i (ch. 8), and relative to
+    sigma_max, ||R x|| / ||x|| <= sigma_max for the x of POWER_STEPS power
+    steps on R^H R (:func:`_power_bound`). So min |r_ii| / nu_i under
+    SHORT_MARGIN RANK_TOL times that estimate, or the scale, shows R short.
+    An R that bound leaves open, every entry finite and min |r_ii| > 0,
+    takes power steps on diag(nu) X, the inverse of A (or of R / f), under
+    the same margin: sigma_min <= ||y|| / ||diag(nu) X y||. An A the values
+    SVD counts full has kappa at most sqrt(p) / RANK_TOL from the scale 1
+    of unit-norm columns, and 1 / RANK_TOL relative to sigma_max: X is then
+    accurate to about 4e-5 c at p = 243, so the bound cannot fall 10% under
+    sigma_min unless c exceeds about 2000, and the SVD's own rounding, about
+    p u sigma_max, is far smaller still. An R whose estimates are zero or
+    not finite stays open. Every bound answers as ``_rank`` does, bit for
+    bit, however the rounding falls, in a stack or alone.
 
     Every R no bound decides takes the values SVD: of the rows of
-    ``values`` where given (the matrices R was factored from, whose
-    singular values R's stand for), else of R. So does a wide R and one
-    narrower than a block, where numpy's per-call cost makes the
-    certificate dearer than the SVD (one R: at 16 x 16, 65 us against 48
-    us; at 24 x 24, 91 us against 87 us; at 32 x 32, 105 us against 144 us;
-    and at 243 x 243, 2.4 ms against 11.5 ms; medians of 41 in alternation,
-    one BLAS thread of a shared 2-core x86-64 machine).
+    ``values`` over nu where given (the matrices R was factored from), else
+    of R. So does one narrower than a block, where numpy's per-call cost
+    makes the bounds dearer than the SVD (the CHANGES.md entry that
+    introduced the certificate gives the per-call timings). From a scale
+    and with ``values`` given, nothing reads R after its inversion, and X
+    takes R's memory; the X of a row the certificate fails is scaled to
+    diag(nu) X in place.
     """
     p, cols = r.shape[-2:]
     stack = r.reshape(-1, p, cols)
-    full = np.zeros(len(stack), dtype=bool)
-    undecided = np.arange(len(stack))
+    n = len(stack)
+    full, inverses = np.zeros(n, dtype=bool), [None] * n
+    undecided = np.arange(n if p >= cols else 0)
     if p == cols >= HOUSEHOLDER_BLOCK:
         with np.errstate(all="ignore"):
-            f = _norms(stack.reshape(len(stack), p * p))
-            least = np.minimum.reduce(np.abs(np.diagonal(stack, axis1=-2, axis2=-1)), axis=-1)
-            invertible = np.isfinite(f) & (least > 0.0)
+            f = _norms(stack.reshape(n, p * p))
+            diagonal = np.abs(np.diagonal(stack, axis1=-2, axis2=-1))
+            invertible = np.isfinite(f) & (np.minimum.reduce(diagonal, axis=-1) > 0.0)
+            weight = np.full(n, 1.0 if scale is None else scale)
+            if nu is not None:
+                # a zero column's nu read as 1, as equilibrate_columns does
+                diagonal = diagonal / np.where(nu > 0.0, nu, 1.0)
+                weight *= np.maximum.reduce(nu, axis=-1)
+            least = np.minimum.reduce(diagonal, axis=-1)
 
             def inverse(rows):
-                every = len(rows) == len(stack)
-                return _invert_triangular((stack if every else stack[rows])
-                                          / (f if every else f[rows])[:, None, None])
+                every = len(rows) == n
+                if scale is None:
+                    return _invert_triangular((stack if every else stack[rows])
+                                              / (f if every else f[rows])[:, None, None])
+                # in R's memory where nothing reads R afterwards
+                return _invert_triangular(stack if every and values is not None
+                                          else stack[rows])
 
-            live = np.flatnonzero(invertible & (least >= 2 * RANK_TOL * f))
+            live = np.flatnonzero(invertible & (least >= 2 * RANK_TOL
+                                                * (f if scale is None else scale)))
             if len(live):
                 x = inverse(live)
-                full[live] = _norms(x.reshape(len(live), p * p)) <= 0.5 / RANK_TOL
+                certified = _norms(x.reshape(len(live), p * p)) * weight[live] <= 0.5 / RANK_TOL
+                full[live] = certified
+                for i in np.flatnonzero(certified).tolist():
+                    inverses[live[i]] = x[i]
             undecided = np.flatnonzero(~full)
             if len(undecided):
-                largest = _power_bound(stack if len(undecided) == len(stack)
-                                       else stack[undecided])
-                bounded = np.isfinite(largest) & (largest > 0.0)
-                short = bounded & (least[undecided] < SHORT_MARGIN * RANK_TOL * largest)
-                # the R the diagonal leaves open, from the inverse of R / f,
-                # whose least singular value is sigma_min(R) / f
+                reference = (scale if scale is not None else
+                             _power_bound(stack if len(undecided) == n else stack[undecided]))
+                bounded = np.isfinite(f[undecided]) & np.isfinite(reference) & (reference > 0.0)
+                short = bounded & (least[undecided] < SHORT_MARGIN * RANK_TOL * reference)
                 open_ = np.flatnonzero(bounded & ~short & invertible[undecided])
                 if len(open_):
                     rows = undecided[open_]
-                    # the certificate's inverses where it formed them all
-                    inverses = (x[np.searchsorted(live, rows)] if np.isin(rows, live).all()
-                                else inverse(rows))
-                    short[open_] = _shown_short(inverses, largest[open_] / f[rows])
+                    # the certificate's inverses where it formed them all,
+                    # in their own memory where it failed every one
+                    if np.array_equal(rows, live):
+                        y = x
+                    elif np.isin(rows, live).all():
+                        y = x[np.searchsorted(live, rows)]
+                    else:
+                        y = inverse(rows)
+                    if nu is not None:
+                        y *= nu[rows][:, :, None]
+                    growth = _power_bound(y)
+                    unit = reference[open_] / f[rows] if scale is None else scale
+                    short[open_] = np.isfinite(growth) & (
+                        growth * (SHORT_MARGIN * RANK_TOL * unit) > 1.0)
                 undecided = undecided[~short]
     if len(undecided):
         values = stack if values is None else values.reshape(-1, *values.shape[-2:])
-        s = np.linalg.svd(values if len(undecided) == len(stack) else values[undecided],
-                          compute_uv=False)
-        full[undecided] = _rank(s) == cols
-    return full if r.ndim == 3 else bool(full[0])
+        every = len(undecided) == n
+        a = values if every else values[undecided]
+        if nu is not None:
+            a = equilibrate_columns(a, (nu if every else nu[undecided])[:, None, :])
+        full[undecided] = _rank(np.linalg.svd(a, compute_uv=False), scale) == cols
+    return (full, inverses) if r.ndim == 3 else (bool(full[0]), inverses[0])
 
 
 def apply_householder(reflectors: tuple, x: np.ndarray, adjoint: bool = False) -> np.ndarray:

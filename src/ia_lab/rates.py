@@ -5,20 +5,19 @@ channel (B an orthonormal basis of the complement of its interference, J_D
 its desired columns through unit-norm precoders). Its rate at per-stream
 power p is sum_i log2(1 + p g_i) / L over the squared singular values g_i
 of G. A row of fewer than QR_STREAMS streams takes them from the values
-SVD (:func:`_log_det`); a wider row takes its verdict and rates from one QR
-of G (:class:`_Factored`): bounds from R's inverse X decide its verdict,
-and an expansion on a block of X's columns gives its rates, with the
-values SVD left for the rows they do not decide. Each choice reads the
-row's own values and powers alone, so a row gets the bits it gets in any
-stack.
+SVD (:func:`_log_det`). A wider row takes one QR of G (:class:`_Factored`):
+``linalg._full_rank`` decides its verdict from R, and an expansion on a
+block of the columns of X = R^-1, the inverse its certificate read, gives
+its rates, with the values SVD left for the rows the expansion does not
+cover. Each choice reads the row's own values and powers alone, so a row
+gets the bits it gets in any stack.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import (HOUSEHOLDER_BLOCK, RANK_TOL, SHORT_MARGIN, _invert_triangular, _norms,
-                     _rank, _shown_short, equilibrate_columns)
+from .linalg import HOUSEHOLDER_BLOCK, _full_rank, _norms
 
 
 # rows of at least QR_STREAMS streams take their verdict and rates from one
@@ -31,9 +30,12 @@ from .linalg import (HOUSEHOLDER_BLOCK, RANK_TOL, SHORT_MARGIN, _invert_triangul
 # receivers 2..4 of K=4 n=2) keep the SVD
 QR_STREAMS = 2 * HOUSEHOLDER_BLOCK
 # a factored row's log2 det(I + X X^H / p) stands as an expansion
-# (:func:`_expansion`) where its error bound tau^2 / (2 ln 2) is at most
-# EXPANSION_TOL of the row's rate: a tenth of the 1e-12 relative in which
-# the route keeps to the SVD's rates
+# (:func:`_expansion`) where the bound tau^2 / (2 ln 2) on its remainder is
+# at most EXPANSION_TOL of the row's rate. That bounds the expansion's
+# remainder alone: the QR's 2 sum log2 |r_ii| and the SVD's gains round apart
+# as kappa(G) grows (a planted channel of kappa 3e7 read 2.3e-12 of the rate
+# apart at every point), and a certified row may have kappa up to about
+# sqrt(d) / (2 RANK_TOL)
 EXPANSION_TOL = 1e-13
 # and a row is factored at all only where S = ||X||_F^2 / p <=
 # DETERMINANT_BOUND at every point: each term the expansion reads is then at
@@ -50,99 +52,57 @@ def _log_det(gains, p) -> np.ndarray:
 
 
 class _Factored:
-    """Verdict and rates of a group of rows with QR_STREAMS or more streams,
-    from one QR of each projected channel G = B^H J_D = QR, ``channels``, a
-    (n, m, d) stack, and ``norms``, the rows' (d) column norms nu_i of J_D.
+    """QR, log-det and rates of a group of rows with QR_STREAMS or more
+    streams, from one QR of each projected channel G = B^H J_D = QR,
+    ``channels``, a (n, m, d) stack, and ``norms``, the rows' (d) column
+    norms nu_i of J_D.
 
-    Verdict first, on B^H E_D = G diag(1 / nu), whose R is R diag(1 / nu).
-    A row is ``short`` where min_i |r_ii| / nu_i, or power steps on diag(nu)
-    X, X = R^-1, bound its least singular value under SHORT_MARGIN RANK_TOL
-    (:func:`linalg._shown_short`; X rounds as the equilibrated R's inverse
-    would, a column scaling moving its rounding with it). A basis of fewer
-    than d columns is short outright. Every other row with R finite and min
-    |r_ii| > 0 has R overwritten with X; as s_min(G) >= 1 / ||X||_F and
-    s_min(B^H E_D) >= s_min(G) / max nu, one whose 1 / ||X||_F reaches 2
-    RANK_TOL max nu is ``certified`` and keeps X. Only the rows no bound
-    decides take the verdict SVD.
-
-    Rates after: with g_i the squared singular values of G (those of R),
-    sum_i log2(1 + p g_i) = d log2 p + 2 sum_i log2 |r_ii| + log2 det(I + X
-    X^H / p). A certified row with ||X||_F^2 / p <= DETERMINANT_BOUND at the
-    grid's least power takes the last term at each point from the expansion
-    on no column of X, then on HOUSEHOLDER_BLOCK columns (:func:`_expansion`),
+    ``full`` holds each row's verdict, from :func:`linalg._full_rank` of R
+    with scale 1 and nu: whether B^H E_D = G diag(1 / nu), whose R is R
+    diag(1 / nu), keeps rank d counted from 1. With g_i the squared
+    singular values of G (those of R), sum_i log2(1 + p g_i) = d log2 p + 2
+    sum_i log2 |r_ii| + log2 det(I + X X^H / p), for X = R^-1 of a row the
+    certificate showed full. Such a row with ||X||_F^2 / p <= DETERMINANT_BOUND at the grid's
+    least power takes the last term at each point from the expansion on no
+    column of X, then on HOUSEHOLDER_BLOCK columns (:func:`_expansion`),
     where its error bound is at most EXPANSION_TOL of the rate. A row the
     block misses at any point, and every other row, takes the values SVD of
-    G, as a row of fewer streams does. Each choice reads the row's own
-    values and powers alone, so a row gets the bits it gets in any stack.
+    G, as a row of fewer streams does.
     """
 
     def __init__(self, channels, norms):
-        n, m, d = channels.shape
-        self.channels, self.norms = channels, norms
-        largest = np.maximum.reduce(norms, axis=-1)
-        self.certified = np.zeros(n, dtype=bool)
-        self.short = np.full(n, m < d)
-        # each row's place in X, or -1, and ||X||_F^2 (inf without X)
-        self.slot, self.x2, self.inverse = np.full(n, -1), np.full(n, np.inf), None
-        if m < d:
-            return
+        self.channels = channels
         r = np.linalg.qr(channels, mode="r")
         with np.errstate(all="ignore"):
-            diagonal = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-            self.logdet = 2.0 * np.sum(np.log2(diagonal), axis=-1)
-            least = np.minimum.reduce(diagonal, axis=-1)
-            finite = np.isfinite(_norms(r.reshape(n, d * d)))
-            # R diag(1 / nu)'s diagonal, a zero column's divided by 1 as
-            # equilibrate_columns divides it
-            self.short = finite & (np.minimum.reduce(
-                diagonal / np.where(norms > 0.0, norms, 1.0), axis=-1)
-                < SHORT_MARGIN * RANK_TOL)
-            live = np.flatnonzero(finite & (least > 0.0) & ~self.short)
-            if len(live):
-                x = _invert_triangular(r if len(live) == n else r[live])
-                del r
-                norm = _norms(x.reshape(len(live), d * d))
-                kept = norm * (2 * RANK_TOL * largest[live]) <= 1.0
-                self.certified[live] = kept
-                doubtful = live[~kept]
-                if len(doubtful):
-                    # diag(nu) X, in X's memory where no row keeps X
-                    scaled = x if not kept.any() else x[~kept]
-                    scaled *= norms[doubtful][:, :, None]
-                    self.short[doubtful] = _shown_short(scaled, 1.0)
-                live, norm = live[kept], norm[kept]
-                self.slot[live], self.x2[live] = range(len(live)), norm * norm
-                self.inverse = x if kept.all() else x[kept] if kept.any() else None
-
-    def verdict(self, rows) -> np.ndarray:
-        """The projected ranks of ``rows``, from the SVD of their projected
-        equilibrated columns, counted from RANK_TOL times 1."""
-        every = len(rows) == len(self.channels)
-        g, nu = (self.channels, self.norms) if every else (self.channels[rows],
-                                                           self.norms[rows])
-        return _rank(np.linalg.svd(equilibrate_columns(g, nu[:, None, :]), compute_uv=False),
-                     scale=1.0)
+            self.logdet = 2.0 * np.sum(
+                np.log2(np.abs(np.diagonal(r, axis1=-2, axis2=-1))), axis=-1)
+        # R's memory may take X
+        self.full, self.inverses = _full_rank(r, channels, 1.0, norms)
+        # ||X||_F^2, inf without X
+        norm = np.array([np.inf if x is None else _norms(x.reshape(1, -1))[0]
+                         for x in self.inverses])
+        self.x2 = norm * norm
 
     def rates(self, rows, p) -> np.ndarray:
         """sum_i log2(1 + p g_i) of ``rows`` at each per-stream power of
         ``p``, as a (len(rows), len(p)) array. Lets the channels and X go."""
         least = np.minimum.reduce(p) if len(p) else 0.0
-        factored = (self.slot[rows] >= 0) & (self.x2[rows] <= DETERMINANT_BOUND * least)
+        factored = self.x2[rows] <= DETERMINANT_BOUND * least
         out = np.empty((len(rows), len(p)))
-        d = self.norms.shape[-1]
+        d = self.channels.shape[-1]
         for i in np.flatnonzero(factored).tolist():
             row = rows[i]
             # the points the expansion on no column, then on a block, leaves
             left = np.ones(len(p), dtype=bool)
             for width in (0, HOUSEHOLDER_BLOCK):
                 at = p[left]
-                terms, tau = _expansion(self.inverse[self.slot[row]], self.x2[row], at, width)
+                terms, tau = _expansion(self.inverses[row], self.x2[row], at, width)
                 out[i, left] = values = d * np.log2(at) + self.logdet[row] + terms / LN2
                 left[left] = tau * tau / (2 * LN2) > EXPANSION_TOL * values
                 if not left.any():
                     break
             factored[i] = not left.any()
-        self.inverse = None
+        self.inverses = None
         if not factored.all():
             rest = [row for row, f in zip(rows, factored.tolist()) if not f]
             out[~factored] = _log_det(np.linalg.svd(self.channels[rest],

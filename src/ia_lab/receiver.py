@@ -71,9 +71,9 @@ import numpy as np
 from .channels import ChannelSet
 from .errors import ParameterError, ShapeError
 from .families import get_family
-from .linalg import (RANK_TOL, _rank, apply_householder, column_norms, complement_and_rank,
-                     equality_residual, equilibrate_columns, householder, span_residual,
-                     subset_residual)
+from .linalg import (RANK_TOL, _certified, _rank, apply_householder, column_norms,
+                     complement_and_rank, equality_residual, equilibrate_columns, householder,
+                     span_residual, subset_residual)
 from .rates import QR_STREAMS, _Factored, _log_det
 from .schemes import PrecoderScheme
 
@@ -314,18 +314,6 @@ def _by_rank(ranks) -> dict:
     return out
 
 
-def _certified(s, norms):
-    """Which rows of fewer than QR_STREAMS streams keep projected rank d_k
-    for sure, from ``s``, the singular values of B^H J_D their rates read,
-    and ``norms``, the rows' (d_k) column norms nu_i of J_D. E_D is J_D with
-    column i divided by nu_i, so the verdict's s_min(B^H E_D) >= s_min(B^H
-    J_D) / max nu: a row whose bound reaches twice RANK_TOL needs no verdict
-    SVD. A basis of fewer than d_k columns certifies nothing."""
-    if s.shape[-1] < norms.shape[-1]:
-        return np.zeros(len(s), dtype=bool)
-    return s[:, -1] >= 2 * RANK_TOL * np.maximum.reduce(norms, axis=-1)
-
-
 def _projection(basis):
     """B^H x of the rows ``among`` of a stack of orthonormal bases B, or of
     all of them."""
@@ -382,12 +370,13 @@ def _check(joint, route, scheme, ext, dk, ranks, passed, rates) -> None:
     orthonormalized: one solve per receiver and one QR, of rank d_j. The
     verdict and the rates project onto the complement. With rates, a row
     of QR_STREAMS or more streams takes both from one QR of its projected
-    channel (:class:`_Factored`; one it shows short records -1 as its joint
-    rank), and such a batch empties ``joint`` once its projected channels
-    are formed, so that its products go before the QRs; a row of fewer
-    takes the channel's values SVD, whose gains certify
-    rank d_k where they can (:func:`_certified`), and only the rows they
-    leave take the verdict SVD, with their desired columns scaled."""
+    channel (:class:`_Factored`, decided by ``linalg._full_rank``; one not
+    full records -1 as its joint rank), and such a batch empties ``joint``
+    once its projected channels are formed, so that its products go before
+    the QRs; a row of fewer takes the channel's values SVD, whose gains
+    certify rank d_k where they can (``linalg._certified``), and only the
+    rows they leave take the verdict SVD, with their desired columns
+    scaled."""
     parts = list(joint.values())
     J = parts[0] if len(parts) == 1 else np.concatenate(parts)
     lo, hi = route if isinstance(route, tuple) else (dk, dk)
@@ -439,11 +428,8 @@ def _check(joint, route, scheme, ext, dk, ranks, passed, rates) -> None:
         elif wide:
             factored = _Factored(channels[group], (nu if every else nu[rows])[..., 0, :dk])
             channels[group] = None
-            doubtful = np.flatnonzero(~(factored.certified | factored.short)).tolist()
-            if doubtful:
-                kept[doubtful] = factored.verdict(doubtful)
             # the pass's mark for what it did not measure
-            kept[factored.short] = -1 - r
+            kept[~factored.full] = -1 - r
         else:
             s = np.linalg.svd(project((J if every else J[rows])[..., :dk]), compute_uv=False)
             doubtful = np.flatnonzero(~_certified(s, (nu if every else nu[rows])[..., 0, :dk])

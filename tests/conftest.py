@@ -1,6 +1,13 @@
 import dataclasses
 import importlib.util
+import os
 import pathlib
+
+# one BLAS thread for the whole suite, set before numpy starts: OpenBLAS's
+# spinning threads stall a run that shares its cores with other work, and the
+# last bits of L=275 rates change with the thread count
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
 
 import numpy as np
 

@@ -1,12 +1,11 @@
-"""Rates and verdicts of wide receivers from one QR of the projected channel.
+"""Rates of wide receivers from one QR of the projected channel.
 
 A row of QR_STREAMS or more streams (L=275's receiver 1, of 243) takes its
-verdict and rates from G = QR, G its projected effective channel. Bounds
-from X = R^-1 decide the verdict: certified full where 1 / ||X||_F clears
-twice the tolerance, short where an upper bound on the equilibrated least
-singular value falls under SHORT_MARGIN RANK_TOL. The rates are sum_i
-log2(1 + p g_i) = d log2 p + 2 sum_i log2 |r_ii| + log2 det(I + X X^H / p),
-whose last term is S / ln 2 (S = ||X||_F^2 / p) where its error bound
+verdict and rates from G = QR, G its projected effective channel. The
+verdict is ``linalg._full_rank``'s, from R and the column norms nu (its
+margin is tested with the build's in ``test_householder.py``). The rates
+are sum_i log2(1 + p g_i) = d log2 p + 2 sum_i log2 |r_ii| + log2 det(I +
+X X^H / p), whose last term is S / ln 2 (S = ||X||_F^2 / p) where its error bound
 S^2 / (2 ln 2) is at most EXPANSION_TOL of the rate, else the expansion on
 a block of X's columns where its own bound is, while S <= DETERMINANT_BOUND.
 A row above that bound at the grid's least power, a row the expansion
@@ -27,7 +26,6 @@ import ia_lab.rates
 import ia_lab.receiver
 from ia_lab import SchemeConfig, check_alignment, zf_rates
 from ia_lab.evaluation import TRIAL_ERRORS, _trial_seed, snr_sweep
-from ia_lab.linalg import RANK_TOL, SHORT_MARGIN
 from ia_lab.rates import DETERMINANT_BOUND, EXPANSION_TOL, LN2, QR_STREAMS, _Factored, _log_det
 from ia_lab.receiver import zf_ok
 
@@ -230,42 +228,3 @@ def test_a_row_the_block_misses_takes_the_values_svd(monkeypatch):
     blocks = counted_blocks(monkeypatch)
     assert _Factored(g, norms).rates([0], p).tobytes() == _log_det(gains, p).tobytes()
     assert len(blocks) == 1
-
-
-def planted_triangle(ratio, d, seed=0):
-    """The upper triangular R of a d x d matrix with sigma_max 1 and
-    sigma_min ``ratio`` RANK_TOL, its other singular values at 1e-4."""
-    rng = np.random.default_rng(seed)
-    u, v = (np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
-            for _ in range(2))
-    s = np.r_[1.0, np.full(d - 2, 1e-4), ratio * RANK_TOL]
-    return np.linalg.qr((u * s) @ v.conj().T, mode="r")
-
-
-# sigma_min of planted triangles over SHORT_MARGIN = 0.9 times the tolerance
-# and the scale it is counted from: shown short, left to the SVD, full
-MARGIN_CASES = [0.85, 0.95, 1.05]
-
-
-def decided(factored, d):
-    """Each row's projected rank as ``receiver._check`` reads it, -1 where
-    the row is shown short."""
-    ranks = np.where(factored.short, -1, d)
-    doubtful = np.flatnonzero(~(factored.certified | factored.short)).tolist()
-    if doubtful:
-        ranks[doubtful] = factored.verdict(doubtful)
-    return ranks.tolist()
-
-
-@pytest.mark.parametrize("d", [64, 243])
-@pytest.mark.parametrize("ratio", MARGIN_CASES)
-def test_the_margin_decides_a_wide_row_as_the_verdict_svd(monkeypatch, ratio, d):
-    # R diag(1 / nu) planted with sigma_min at ``ratio`` RANK_TOL: the
-    # verdict counts from 1, so the scale of the channel's columns, nu,
-    # must not move the decision
-    r = planted_triangle(ratio, d, seed=d)
-    nu = np.random.default_rng(1).uniform(0.5, 2.0, size=(1, d))
-    svds = counted(monkeypatch, "svd")
-    ranks = decided(_Factored(r[None] * nu[:, None, :], nu), d)
-    assert ranks == [-1 if ratio < SHORT_MARGIN else d - 1 if ratio < 1 else d]
-    assert len(svds) == (0 if ratio < SHORT_MARGIN else 1)

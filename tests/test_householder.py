@@ -30,9 +30,9 @@ import ia_lab.receiver
 import ia_lab.schemes
 from ia_lab import SchemeConfig, check_alignment, zf_rates
 from ia_lab.evaluation import _trial_seed
-from ia_lab.linalg import (HOUSEHOLDER_BLOCK, RANK_TOL, SHORT_MARGIN, _full_rank, _rank,
-                           apply_householder, equilibrate_columns, has_full_column_rank,
-                           householder)
+from ia_lab.linalg import (HOUSEHOLDER_BLOCK, RANK_TOL, SHORT_MARGIN, _full_rank,
+                           _invert_triangular, _power_bound, _rank, apply_householder,
+                           equilibrate_columns, has_full_column_rank, householder)
 from ia_lab.receiver import _pass
 
 from conftest import replaced, stacked
@@ -305,7 +305,7 @@ def test_a_non_finite_r_takes_the_svd_without_a_warning(monkeypatch):
     calls = svd_calls(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        full = _full_rank(r[None])
+        full = _full_rank(r[None])[0]
     assert calls == [1]
     monkeypatch.undo()
     assert full.tolist() == [_rank(np.linalg.svd(r, compute_uv=False)) == 40]
@@ -401,18 +401,73 @@ def test_power_steps_on_the_inverse_show_band_builds_short(monkeypatch):
     assert taken == BAND_BUILDS
 
 
-@pytest.mark.parametrize("d", [48, 243])
-@pytest.mark.parametrize("ratio", [0.85, 0.95, 1.05])
-def test_the_margin_decides_a_build_as_the_svd_rule(monkeypatch, ratio, d):
-    # an R planted with sigma_min / sigma_max at ``ratio`` RANK_TOL, over
-    # SHORT_MARGIN = 0.9: shown short with no SVD, left to the SVD, or
-    # never shown short
-    r = np.linalg.qr(planted(ratio * RANK_TOL, d, d, seed=d), mode="r")
+@pytest.mark.parametrize("p", [31, 32, 33, 64, 65, 243])
+def test_the_triangular_inverse_is_written_into_its_argument(p):
+    # one block, just past one (cut at 32) and past two (cut at 64), and
+    # eight: the halves are cut at multiples of HOUSEHOLDER_BLOCK
+    r = np.linalg.qr(complex_normal(np.random.default_rng(p), (2, p, p)), mode="r")
+    expected = np.linalg.inv(r)
+    x = _invert_triangular(r)
+    assert x is r
+    assert np.all(np.tril(x, -1) == 0.0)
+    assert np.all(np.linalg.norm(x - expected, axis=(-2, -1))
+                  <= 1e-12 * np.linalg.norm(expected, axis=(-2, -1)))
+
+
+def triangles():
+    """(label, stack of upper triangular R): the R of random matrices, and
+    of planted ones with sigma_max 1 and sigma_min from 1e-10 to 1e-2."""
+    rng = np.random.default_rng(9)
+    out = [(f"random {p}", np.linalg.qr(complex_normal(rng, (3, p, p)), mode="r"))
+           for p in (32, 48, 243)]
+    for p in (48, 243):
+        planted_r = [np.linalg.qr(planted(ratio, p, p, seed=t), mode="r")
+                     for t, ratio in enumerate((1e-10, 0.85e-8, 1e-8, 1e-6, 1e-2))]
+        out.append((f"planted {p}", np.stack(planted_r)))
+    return out
+
+
+@pytest.mark.parametrize("label, r", triangles(), ids=[label for label, _ in triangles()])
+def test_power_steps_bound_sigma_max_from_below_and_sigma_min_from_above(label, r):
+    # ||R x|| / ||x|| <= sigma_max, and ||y|| / ||R^-1 y|| >= sigma_min, to
+    # the rounding of the products (p u of the bound) and of the inverse
+    s = np.linalg.svd(r, compute_uv=False)
+    p = r.shape[-1]
+    assert np.all(_power_bound(r) <= s[:, 0] * (1 + p * EPS))
+    least = 1.0 / _power_bound(_invert_triangular(r.copy()))
+    assert np.all(least >= s[:, -1] * (1 - 1e-6))
+
+
+def decided(monkeypatch, r, *args):
+    """(whether ``_full_rank`` shows each R of a stack full, the stack
+    sizes of the values SVDs it took)."""
     calls = svd_calls(monkeypatch)
-    assert _full_rank(r[None]).tolist() == [ratio > 1]
-    assert calls == ([] if ratio < SHORT_MARGIN else [1])
+    full = _full_rank(r, *args)[0]
     monkeypatch.undo()
-    assert svd_full(r) == (ratio > 1)
+    return full.tolist(), calls
+
+
+@pytest.mark.parametrize("d, scaled", [(48, False), (243, False), (64, True), (243, True)],
+                         ids=["build 48", "build 243", "receiver 64", "receiver 243"])
+@pytest.mark.parametrize("ratio", [0.85, 0.95, 1.05])
+def test_the_margin_decides_as_the_svd_rule(monkeypatch, ratio, d, scaled):
+    # sigma_min of a planted R at ``ratio`` RANK_TOL times its count's
+    # reference, over SHORT_MARGIN = 0.9: shown short with no SVD, else
+    # left to one SVD, which counts it full above 1. The build counts from
+    # sigma_max = 1; a receiver counts R diag(1 / nu) from 1, so the scale
+    # of its channel's columns, nu, must not move the decision
+    r = np.linalg.qr(planted(ratio * RANK_TOL, d, d, seed=d), mode="r")
+    if scaled:
+        nu = np.random.default_rng(1).uniform(0.5, 2.0, size=(1, d))
+        g = r[None] * nu[:, None, :]
+        full, calls = decided(monkeypatch, np.linalg.qr(g, mode="r"), g, 1.0, nu)
+        assert _rank(np.linalg.svd(r, compute_uv=False), scale=1.0) == (d - 1 if ratio < 1
+                                                                         else d)
+    else:
+        full, calls = decided(monkeypatch, r[None])
+        assert svd_full(r) == (ratio > 1)
+    assert full == [ratio > 1]
+    assert calls == ([] if ratio < SHORT_MARGIN else [1])
 
 
 def full_u_route(monkeypatch):

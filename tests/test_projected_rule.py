@@ -30,6 +30,7 @@ import json
 import numpy as np
 import pytest
 
+import ia_lab.rates
 import ia_lab.receiver
 import ia_lab.schemes
 from ia_lab import (SchemeConfig, check_alignment,
@@ -314,9 +315,9 @@ def spied_certificates(monkeypatch):
     """Record, per row the pass with rates asks about, (the certificate's
     bound over max nu, whether it was certified): s_min(B^H J_D), or
     1 / ||R^-1||_F from QR_STREAMS streams on; nan where the basis is too
-    narrow or R was not inverted."""
+    narrow or R's inverse was not certified."""
     seen = []
-    certified, factored = ia_lab.receiver._certified, ia_lab.receiver._Factored.__init__
+    certified, full_rank = ia_lab.receiver._certified, ia_lab.rates._full_rank
 
     def spy(s, norms):
         # norms: each row's column norms of J_D
@@ -326,28 +327,31 @@ def spied_certificates(monkeypatch):
         seen.extend(zip(ratio.tolist(), out.tolist()))
         return out
 
-    def factored_spy(self, channels, norms):
-        factored(self, channels, norms)
-        ratio = 1.0 / np.sqrt(self.x2) / np.max(norms, axis=-1)
-        seen.extend(zip(np.where(self.slot >= 0, ratio, np.nan).tolist(),
-                        self.certified.tolist()))
+    def full_rank_spy(r, values, scale, nu):
+        full, inverses = full_rank(r, values, scale, nu)
+        ratio = [np.nan if x is None else 1.0 / np.linalg.norm(x) / np.max(n)
+                 for x, n in zip(inverses, nu)]
+        seen.extend(zip(ratio, [x is not None for x in inverses]))
+        return full, inverses
 
     monkeypatch.setattr(ia_lab.receiver, "_certified", spy)
-    monkeypatch.setattr(ia_lab.receiver._Factored, "__init__", factored_spy)
+    monkeypatch.setattr(ia_lab.rates, "_full_rank", full_rank_spy)
     return seen
 
 
 def always_verdict(monkeypatch):
     """The pass with rates with every row taking the verdict's SVD."""
-    factored = ia_lab.receiver._Factored.__init__
+    full_rank = ia_lab.rates._full_rank
 
-    def uncertified(self, channels, norms):
-        factored(self, channels, norms)
-        self.certified[:] = self.short[:] = False
+    def uncertified(r, values, scale, nu):
+        # the inverses the rates read, and the verdict of the values SVD
+        _, inverses = full_rank(r, values, scale, nu)
+        s = np.linalg.svd(equilibrate_columns(values, nu[:, None, :]), compute_uv=False)
+        return _rank(s, scale) == values.shape[-1], inverses
 
     monkeypatch.setattr(ia_lab.receiver, "_certified",
                         lambda s, norms: np.zeros(len(s), dtype=bool))
-    monkeypatch.setattr(ia_lab.receiver._Factored, "__init__", uncertified)
+    monkeypatch.setattr(ia_lab.rates, "_full_rank", uncertified)
 
 
 @pytest.mark.parametrize("label", list(CERTIFIED))

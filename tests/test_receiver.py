@@ -9,8 +9,8 @@ import ia_lab.families
 from ia_lab import (ParameterError, SchemeConfig, ShapeError,
                     build_designed_channel, build_precoders_k3, check_alignment,
                     extend_channel, generate_channels, snr_sweep, zf_rates)
-from ia_lab.linalg import orthonormal_complement
-from ia_lab.receiver import _certified, _pass
+from ia_lab.linalg import _certified, orthonormal_complement
+from ia_lab.receiver import _pass
 
 from conftest import dense_rates, interference_at, steer
 
